@@ -8,10 +8,8 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "lcda/dist/progress.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
@@ -23,6 +21,23 @@ namespace {
 
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
+
+/// Scheduler pacing: the poll loop sleeps kPollMinMs after an event and
+/// backs off exponentially to kPollMaxMs while idle.
+constexpr int kPollMinMs = 2;
+constexpr int kPollMaxMs = 100;
+
+/// Floor under the stall bar, so scan jitter on sub-millisecond seeds
+/// cannot trip it.
+constexpr double kStealMinStaleMs = 10.0;
+
+/// A slot is banlisted once its workers have failed this many distinct
+/// shards (crashes, non-zero exits, heartbeat deaths) — YT-style node
+/// retirement scaled down to process slots.
+constexpr std::size_t kBanlistAfter = 3;
+
+/// SIGTERM-to-SIGKILL grace for a worker stopped mid-spec.
+constexpr int kStopGraceMs = 500;
 
 /// "seeds 4-7" / "seeds 3" — shard log labels.
 std::string seeds_label(const ShardSpec& spec) {
@@ -60,9 +75,8 @@ enum class State { kPending, kRunning, kDone, kSuperseded };
 /// Scheduler-side shard record, parallel to the specs vector.
 struct Track {
   State state = State::kPending;
-  std::set<int> revoked;           // stolen seeds (persisted to revoke file)
-  std::set<int> started, done;     // current attempt's progress records
-  bool stolen = false;             // phase-1 steal already taken
+  std::set<int> revoked;           // stolen seeds (sent with every `run`)
+  std::set<int> started, done;     // current attempt's seed events
   int duplicate_pos = -1;          // position of its supersede-duplicate
   Clock::time_point dispatch_time{};  // when the CURRENT spec was handed to
                                       // its worker (not when the resident
@@ -78,14 +92,14 @@ struct Track {
   int spawns = 0;
 };
 
-/// One scheduler slot. Under the pool a slot IS a resident --worker-loop
-/// process: `worker` outlives the specs dispatched to it, `lines`
-/// reassembles its stdout into protocol replies, and `busy`/`pos` name the
-/// spec currently in flight. With the pool off, `worker` is the per-attempt
-/// --worker process and exit status is the completion signal.
+/// One scheduler slot, which IS a resident --worker-loop process:
+/// `worker` outlives the specs dispatched to it, `lines` reassembles its
+/// stdout into protocol messages, `last_line` is when it last wrote one
+/// (the liveness signal), and `busy`/`pos` name the spec in flight.
 struct Slot {
   std::unique_ptr<util::Subprocess> worker;
   LineBuffer lines;
+  Clock::time_point last_line{};
   bool busy = false;
   bool banned = false;
   std::size_t pos = 0;     // spec in flight (valid while busy)
@@ -121,11 +135,6 @@ Coordinator::Coordinator(Options opts) : opts_(std::move(opts)) {
   if (opts_.steal_threshold < 1.0) {
     throw std::invalid_argument("Coordinator: steal_threshold must be >= 1");
   }
-  if (opts_.steal_min_stale_ms < 0) opts_.steal_min_stale_ms = 0;
-  if (opts_.poll_min_ms < 1) opts_.poll_min_ms = 1;
-  if (opts_.poll_max_ms < opts_.poll_min_ms) {
-    opts_.poll_max_ms = opts_.poll_min_ms;
-  }
 }
 
 void Coordinator::run(std::vector<ShardSpec>& specs) {
@@ -157,13 +166,10 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
 
   for (std::size_t p = 0; p < specs.size(); ++p) {
     specs[p].result_path = stem(p) + "-result.json";
-    specs[p].revoke_path = stem(p) + "-revoke.json";
-    specs[p].heartbeat_ms = opts_.heartbeat_ms;
     // Leftovers from a previous plan in a reused directory must not be
     // mistaken for this run's output (the checksum would catch a
     // different study, but not a re-run of the same one).
     fs::remove(specs[p].result_path, ec);
-    fs::remove(specs[p].revoke_path, ec);
     queue.push_back(p);
   }
 
@@ -193,7 +199,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
 
   /// Forks a fresh resident --worker-loop process into `slot`, replacing
   /// whatever was there (a dead or killed predecessor).
-  const auto launch_pool_worker = [&](Slot& slot) {
+  const auto launch_worker = [&](Slot& slot) {
     obs::Span span("dist.respawn");
     std::vector<std::string> argv = opts_.worker_command;
     argv.push_back("--worker-loop");
@@ -205,83 +211,83 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     ++stats_.pool_workers;
   };
 
-  /// Hands spec `p` to slot `slot_idx`: writes the spec file and either
-  /// streams a `run` command to the slot's resident worker (spawning or
-  /// respawning it as needed) or forks a one-shot --worker process.
+  /// Hands spec `p` to slot `slot_idx`: writes the spec file and streams a
+  /// `run` command, with the shard's revoked seeds, to the slot's resident
+  /// worker (spawning or respawning it as needed).
   const auto dispatch = [&](std::size_t p, int slot_idx) {
     obs::Span span("dist.dispatch");
     Slot& slot = slots[static_cast<std::size_t>(slot_idx)];
     ShardSpec& spec = specs[p];
+    Track& t = track[p];
     const std::string spec_path = stem(p) + "-spec.json";
-    spec.progress_path =
-        stem(p) + "-progress-a" + std::to_string(spec.attempt) + ".jsonl";
-    fs::remove(spec.progress_path, ec);
     if (opts_.trace_spans) {
-      // Per-attempt, like the progress sidecar: a retry must not clobber
-      // (or be mistaken for) the attempt that died.
+      // Per attempt: a retry must not clobber (or be mistaken for) the
+      // attempt that died.
       spec.trace_path =
           stem(p) + "-trace-a" + std::to_string(spec.attempt) + ".json";
       fs::remove(spec.trace_path, ec);
     }
     save_shard_spec(spec, spec_path);
-    if (opts_.use_worker_pool) {
-      WorkerCommand cmd;
-      cmd.kind = WorkerCommand::Kind::kRun;
-      cmd.spec_path = spec_path;
-      const std::string line = encode_worker_command(cmd);
-      // A worker that died while idle surfaces here as a broken pipe; one
-      // respawn covers it. Failing twice in a row means workers cannot be
-      // created at all, which is fatal exactly like a failed fork was.
-      bool sent = false;
-      for (int tries = 0; tries < 2 && !sent; ++tries) {
-        if (!slot.worker || slot.worker->waited()) launch_pool_worker(slot);
-        sent = slot.worker->write_stdin(line);
-        if (!sent) slot.worker.reset();
-      }
-      if (!sent) {
-        throw std::runtime_error(
-            "Coordinator: cannot keep a resident worker alive on slot " +
-            std::to_string(slot_idx));
-      }
-    } else {
-      std::vector<std::string> argv = opts_.worker_command;
-      argv.push_back("--worker=" + spec_path);
-      slot.worker = std::make_unique<util::Subprocess>(std::move(argv));
+    WorkerCommand cmd;
+    cmd.kind = WorkerCommand::Kind::kRun;
+    cmd.spec_path = spec_path;
+    cmd.revoked.assign(t.revoked.begin(), t.revoked.end());
+    const std::string line = encode_worker_command(cmd);
+    // A worker that died while idle surfaces here as a broken pipe; one
+    // respawn covers it. Failing twice in a row means workers cannot be
+    // created at all, which is fatal exactly like a failed fork was.
+    bool sent = false;
+    for (int tries = 0; tries < 2 && !sent; ++tries) {
+      if (!slot.worker || slot.worker->waited()) launch_worker(slot);
+      sent = slot.worker->write_stdin(line);
+      if (!sent) slot.worker.reset();
+    }
+    if (!sent) {
+      throw std::runtime_error(
+          "Coordinator: cannot keep a resident worker alive on slot " +
+          std::to_string(slot_idx));
     }
     slot.busy = true;
     slot.pos = p;
-    Track& t = track[p];
     t.state = State::kRunning;
     t.started.clear();
     t.done.clear();
     t.slot = slot_idx;
     t.dispatch_time = Clock::now();
     t.last_event = t.dispatch_time;
+    slot.last_line = t.dispatch_time;
     t.done_wall_ms = 0.0;
     ++t.spawns;
     ++stats_.spawned;
     if (opts_.verbose) {
       std::fprintf(stderr,
                    "[dist] shard %d/%d (%s, %s, attempt %d) -> pid %ld "
-                   "slot %d%s\n",
+                   "slot %d\n",
                    spec.index, spec.count,
                    std::string(core::strategy_name(spec.strategy)).c_str(),
                    seeds_label(spec).c_str(), spec.attempt,
-                   static_cast<long>(slot.worker->pid()), slot_idx,
-                   opts_.use_worker_pool ? " (pool)" : "");
+                   static_cast<long>(slot.worker->pid()), slot_idx);
     }
   };
 
+  /// Frees a busy slot whose spec just ended, one way or another, and adds
+  /// the spec's busy wall. Returns the spec's position.
+  const auto release = [&](Slot& slot) {
+    slot.busy = false;
+    Track& t = track[slot.pos];
+    t.wall_ms += elapsed_ms(t.dispatch_time);
+    return slot.pos;
+  };
+
   /// Stops the worker executing shard `p` (if any) and frees its slot.
-  /// Under the pool this kills the resident process mid-spec — the next
-  /// dispatch to the slot respawns a replacement.
+  /// This kills the resident process mid-spec — the next dispatch to the
+  /// slot respawns a replacement.
   const auto stop_worker = [&](std::size_t p) {
     for (Slot& slot : slots) {
       if (!slot.busy || slot.pos != p) continue;
-      if (slot.worker) (void)slot.worker->stop(/*grace_ms=*/500);
+      (void)slot.worker->stop(kStopGraceMs);
       slot.worker.reset();
-      slot.lines = LineBuffer{};
-      slot.busy = false;
+      release(slot);
       return;
     }
   };
@@ -308,15 +314,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   const auto on_success = [&](std::size_t p) {
     Track& t = track[p];
     t.state = State::kDone;
-    // Final progress read: the finished shard's per-seed walls anchor the
-    // straggler detector's reference scale even when completion arrived
-    // between progress scans.
-    if (!specs[p].progress_path.empty()) {
-      const ProgressSnapshot snap = read_progress(specs[p].progress_path);
-      t.started = snap.started;
-      t.done = snap.done;
-      t.done_wall_ms = snap.done_wall_ms;
-    }
     if (opts_.verbose) {
       std::fprintf(stderr, "[dist] shard %d done\n", specs[p].index);
     }
@@ -353,7 +350,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     if (slot_idx >= 0) {
       Slot& slot = slots[static_cast<std::size_t>(slot_idx)];
       slot.failures.insert(specs[p].index);
-      if (static_cast<int>(slot.failures.size()) >= opts_.banlist_after &&
+      if (slot.failures.size() >= kBanlistAfter &&
           !slot.banned && usable_slots() > 1) {
         slot.banned = true;
         stats_.banlisted_slots.push_back(slot_idx);
@@ -426,10 +423,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     track.emplace_back();
     const std::size_t p = specs.size() - 1;
     specs[p].result_path = stem(p) + "-result.json";
-    specs[p].revoke_path = stem(p) + "-revoke.json";
-    specs[p].heartbeat_ms = opts_.heartbeat_ms;
     fs::remove(specs[p].result_path, ec);
-    fs::remove(specs[p].revoke_path, ec);
     queue.push_back(p);
     ++stats_.steals;
     stats_.stolen_seeds += static_cast<int>(specs[p].seeds.size());
@@ -439,7 +433,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   /// One straggler-mitigation pass. A shard is a straggler when its
   /// progress has STALLED: no seed started or finished for longer than
   /// steal_threshold x the observed median per-seed wall (floored by
-  /// steal_min_stale_ms so scan jitter cannot trip it). Healthy shards
+  /// kStealMinStaleMs so scan jitter cannot trip it). Healthy shards
   /// racing to the finish keep emitting seed events at per-seed cadence
   /// and never look stalled — even on an oversubscribed box where every
   /// wall estimate is inflated by CPU queueing — while a shard grinding
@@ -454,11 +448,12 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
 
     struct Candidate {
       std::size_t pos;
+      Slot* slot;
       double stale_ms;
       std::vector<int> owned;
     };
     std::vector<Candidate> running;
-    for (const Slot& slot : slots) {
+    for (Slot& slot : slots) {
       if (!slot.busy) continue;
       // A supersede-duplicate is never itself a steal source: it exists
       // only as the second copy in a publish race the original is still
@@ -471,6 +466,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       const Track& t = track[slot.pos];
       Candidate c;
       c.pos = slot.pos;
+      c.slot = &slot;
       c.stale_ms = elapsed_ms(t.last_event);
       c.owned = owned_seeds(specs[slot.pos], t.revoked);
       if (t.done.size() < c.owned.size()) running.push_back(std::move(c));
@@ -478,8 +474,8 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     if (running.empty()) return false;
 
     // Reference scale: median of the shards' observed mean per-seed walls
-    // (any state — finished shards anchor it via on_success's final
-    // progress read). Without a single finished seed anywhere there is no
+    // (any state — a finished shard's seed events all arrived before its
+    // `done`). Without a single finished seed anywhere there is no
     // scale to judge "stalled" against, and only the lone-shard split
     // below may act.
     std::vector<double> seed_walls;
@@ -507,9 +503,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       const bool judged = reference > 0.0 && !track[c.pos].started.empty();
       const bool over_bar =
           judged && c.stale_ms > opts_.steal_threshold * reference;
-      const bool stalled =
-          over_bar &&
-          c.stale_ms > static_cast<double>(opts_.steal_min_stale_ms);
+      const bool stalled = over_bar && c.stale_ms > kStealMinStaleMs;
       if (over_bar && !stalled) ++stats_.steal_suppressed_min_stale;
       // A lone running shard with idle slots and no reference point:
       // splitting its unstarted seeds is pure win as long as it has
@@ -527,11 +521,15 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
 
       if (!unstarted.empty()) {
         // Phase 1: revoke the unstarted seeds, split them over the idle
-        // slots. The worker re-reads the revocation file before each
-        // seed, so it simply never runs them.
+        // slots. The worker drains its stdin before each seed, so it
+        // simply never runs them. A worker that died meanwhile surfaces
+        // through try_wait; its retry's `run` carries every revocation.
         obs::Span steal_span("dist.steal");
         for (int s : unstarted) track[c.pos].revoked.insert(s);
-        write_revocations(specs[c.pos].revoke_path, track[c.pos].revoked);
+        WorkerCommand revoke;
+        revoke.kind = WorkerCommand::Kind::kRevoke;
+        revoke.revoked = unstarted;
+        (void)c.slot->worker->write_stdin(encode_worker_command(revoke));
         const int idle = idle_slots();
         const std::size_t chunks =
             std::min(unstarted.size(), static_cast<std::size_t>(idle));
@@ -546,7 +544,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
               /*supersedes=*/false);
           created.push_back(specs[p].index);
         }
-        track[c.pos].stolen = true;
         if (opts_.verbose) {
           std::fprintf(stderr,
                        "[dist] stealing %zu not-yet-started seed(s) from "
@@ -578,162 +575,121 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     return false;
   };
 
-  /// Resolves the in-flight spec of a busy slot from a protocol reply.
-  const auto resolve_reply = [&](int slot_idx, Slot& slot,
-                                 const WorkerReply& reply,
-                                 const std::string& worker_stderr) {
-    slot.busy = false;
+  /// Applies one line from slot `slot_idx`'s worker, which proves it
+  /// alive. Seed events advance the in-flight shard's progress; `done` /
+  /// `failed` resolve it, attributing the worker's stderr so far to it
+  /// (`dead_stderr` stands in for take_stderr() once the worker is
+  /// reaped). Returns whether the line freed the slot.
+  const auto on_line = [&](int slot_idx, Slot& slot, const std::string& line,
+                           const std::string* dead_stderr) {
+    slot.last_line = Clock::now();
+    const std::optional<WorkerReply> reply = parse_worker_reply(line);
+    // Stray stdout noise is not a scheduling signal; real worker trouble
+    // surfaces as a `failed` reply, a process exit, or silence.
+    if (!reply || !slot.busy) return false;
     Track& t = track[slot.pos];
-    t.wall_ms += elapsed_ms(t.dispatch_time);
-    if (reply.kind == WorkerReply::Kind::kDone) {
-      on_success(slot.pos);
+    switch (reply->kind) {
+      case WorkerReply::Kind::kHeartbeat:
+        return false;
+      case WorkerReply::Kind::kSeedStart:
+        t.started.insert(reply->seed);
+        t.last_event = slot.last_line;
+        return false;
+      case WorkerReply::Kind::kSeedDone:
+        t.started.insert(reply->seed);
+        if (t.done.insert(reply->seed).second) t.done_wall_ms += reply->wall_ms;
+        t.last_event = slot.last_line;
+        return false;
+      case WorkerReply::Kind::kDone:
+      case WorkerReply::Kind::kFailed:
+        break;
+    }
+    const std::string worker_stderr =
+        dead_stderr != nullptr ? *dead_stderr : slot.worker->take_stderr();
+    const std::size_t p = release(slot);
+    if (reply->kind == WorkerReply::Kind::kDone) {
+      on_success(p);
     } else {
-      on_failure(slot.pos, slot_idx,
-                 reply.reason.empty() ? "worker error" : reply.reason,
+      on_failure(p, slot_idx,
+                 reply->reason.empty() ? "worker error" : reply->reason,
                  worker_stderr);
     }
+    return true;
   };
 
-  /// Runs every complete reply line buffered for a pool slot.
-  /// `dead_stderr` non-null means the worker is already reaped — its
-  /// captured stderr stands in for take_stderr().
-  const auto drain_replies = [&](int slot_idx, Slot& slot,
-                                 const std::string* dead_stderr) {
-    bool event = false;
-    while (const std::optional<std::string> line = slot.lines.next_line()) {
-      const std::optional<WorkerReply> reply = parse_worker_reply(*line);
-      // Stray stdout noise (or a reply kind we did not ask for) is not a
-      // scheduling signal; real worker trouble surfaces as a `failed`
-      // reply, a process exit, or heartbeat staleness.
-      if (!reply || reply->kind == WorkerReply::Kind::kPong) continue;
-      if (!slot.busy) continue;
-      // Attribute the worker's accumulated stderr to THIS spec before the
-      // slot takes another one.
-      const std::string worker_stderr =
-          dead_stderr != nullptr ? *dead_stderr : slot.worker->take_stderr();
-      resolve_reply(slot_idx, slot, *reply, worker_stderr);
-      event = true;
-    }
-    return event;
-  };
-
-  /// Completion scan: one pass over the slots that multiplexes the two
-  /// completion signals. For live pool workers, stdout is drained through
-  /// the line buffer and each protocol reply resolves the in-flight spec.
-  /// Process exit is abnormal under the pool (a healthy resident worker
-  /// replies and stays alive) — except that a reply written just before
-  /// death still counts, so the final drained stdout is processed before
-  /// the exit is judged; without the pool, exit IS the completion signal.
-  const auto scan_completions = [&] {
+  /// Worker scan: one pass over the slots that drains each worker's stdout
+  /// through its line buffer, applies the lines in order, then judges
+  /// process exits. An exit is abnormal (a healthy resident worker replies
+  /// and stays alive), but a reply written just before death still
+  /// counts, so a dead worker's final stdout is applied before its exit.
+  const auto scan_workers = [&] {
     bool event = false;
     for (int s = 0; s < opts_.max_parallel; ++s) {
       Slot& slot = slots[static_cast<std::size_t>(s)];
       if (!slot.worker) continue;
       const std::optional<util::Subprocess::Result> result =
           slot.worker->try_wait();
-      if (result) {
-        const long pid = static_cast<long>(slot.worker->pid());
-        if (opts_.use_worker_pool) {
-          slot.lines.feed(slot.worker->read_stdout());
-          event = drain_replies(s, slot, &result->stderr_output) || event;
-        }
-        slot.worker.reset();
-        slot.lines = LineBuffer{};
-        if (slot.busy) {
-          slot.busy = false;
-          Track& t = track[slot.pos];
-          t.wall_ms += elapsed_ms(t.dispatch_time);
-          if (!opts_.use_worker_pool && result->ok()) {
-            on_success(slot.pos);
-          } else {
-            if (opts_.use_worker_pool && opts_.verbose) {
-              std::fprintf(stderr,
-                           "[dist] resident worker pid %ld died mid-spec "
-                           "(%s) — will respawn\n",
-                           pid, result->describe().c_str());
-            }
-            on_failure(slot.pos, s, result->describe(),
-                       result->stderr_output);
-          }
-          event = true;
-        } else if (opts_.use_worker_pool && opts_.verbose &&
-                   result->exit_code != 0) {
+      slot.lines.feed(slot.worker->read_stdout());
+      while (const std::optional<std::string> line = slot.lines.next_line()) {
+        event = on_line(s, slot, *line,
+                        result ? &result->stderr_output : nullptr) ||
+                event;
+      }
+      if (!result) continue;
+      const long pid = static_cast<long>(slot.worker->pid());
+      slot.worker.reset();
+      if (slot.busy) {
+        if (opts_.verbose) {
           std::fprintf(stderr,
-                       "[dist] idle resident worker pid %ld exited (%s)\n",
+                       "[dist] resident worker pid %ld died mid-spec "
+                       "(%s) — will respawn\n",
                        pid, result->describe().c_str());
         }
-        continue;
+        on_failure(release(slot), s, result->describe(),
+                   result->stderr_output);
+        event = true;
+      } else if (opts_.verbose && result->exit_code != 0) {
+        std::fprintf(stderr,
+                     "[dist] idle resident worker pid %ld exited (%s)\n",
+                     pid, result->describe().c_str());
       }
-      if (!opts_.use_worker_pool) continue;  // completion = exit only
-      slot.lines.feed(slot.worker->read_stdout());
-      event = drain_replies(s, slot, nullptr) || event;
     }
     return event;
   };
 
-  /// Progress scan: refresh per-seed knowledge and reap workers whose
-  /// progress file has gone stale (alive but wedged — a crash would have
-  /// surfaced through try_wait already).
-  const auto scan_progress = [&] {
+  /// Liveness: a busy worker that has written no line for
+  /// heartbeat_timeout_ms is alive but wedged (a crash would have surfaced
+  /// through try_wait already). Stop it (TERM -> grace -> KILL) and route
+  /// the shard through the ordinary failure path without waiting for a
+  /// voluntary exit; the slot respawns a replacement on its next dispatch.
+  const auto reap_silent = [&] {
     bool event = false;
     for (int s = 0; s < opts_.max_parallel; ++s) {
       Slot& slot = slots[static_cast<std::size_t>(s)];
-      if (!slot.busy || !slot.worker) continue;
-      Track& t = track[slot.pos];
-      const ShardSpec& spec = specs[slot.pos];
-      if (!spec.progress_path.empty()) {
-        const ProgressSnapshot snap = read_progress(spec.progress_path);
-        if (snap.started.size() != t.started.size() ||
-            snap.done.size() != t.done.size()) {
-          t.last_event = Clock::now();
-        }
-        t.started = snap.started;
-        t.done = snap.done;
-        t.done_wall_ms = snap.done_wall_ms;
+      if (!slot.busy || opts_.heartbeat_timeout_ms <= 0 ||
+          elapsed_ms(slot.last_line) <=
+              static_cast<double>(opts_.heartbeat_timeout_ms)) {
+        continue;
       }
-      bool stale = false;
-      if (opts_.heartbeat_timeout_ms > 0 && opts_.heartbeat_ms > 0) {
-        std::error_code mec;
-        const auto mtime = fs::last_write_time(spec.progress_path, mec);
-        if (!mec) {
-          const auto age = fs::file_time_type::clock::now() - mtime;
-          stale = std::chrono::duration_cast<std::chrono::milliseconds>(age)
-                      .count() > opts_.heartbeat_timeout_ms;
-        } else {
-          // No progress file yet: measure from the CURRENT spec's
-          // dispatch (a worker that never even opened its sidecar is just
-          // as dead). Dispatch, not process spawn — a resident worker
-          // that sat idle before taking this spec is not late.
-          stale = elapsed_ms(t.dispatch_time) >
-                  static_cast<double>(opts_.heartbeat_timeout_ms);
-        }
-      }
-      if (!stale) continue;
-      // Declared dead: stop it (TERM -> grace -> KILL) and route the
-      // shard through the ordinary failure path without waiting for a
-      // voluntary exit. Under the pool the resident process dies with its
-      // spec; the slot respawns a replacement on its next dispatch.
       const long pid = static_cast<long>(slot.worker->pid());
-      const util::Subprocess::Result result = slot.worker->stop(500);
+      const util::Subprocess::Result result = slot.worker->stop(kStopGraceMs);
       slot.worker.reset();
-      slot.lines = LineBuffer{};
-      slot.busy = false;
-      t.wall_ms += elapsed_ms(t.dispatch_time);
+      const std::size_t p = release(slot);
       ++stats_.dead_workers;
       if (opts_.verbose) {
         std::fprintf(stderr,
-                     "[dist] shard %d worker pid %ld stale (no heartbeat "
-                     "for > %d ms) — stopped (%s)\n",
-                     spec.index, pid, opts_.heartbeat_timeout_ms,
+                     "[dist] shard %d worker pid %ld stale (no line for "
+                     "> %d ms) — stopped (%s)\n",
+                     specs[p].index, pid, opts_.heartbeat_timeout_ms,
                      result.describe().c_str());
       }
-      on_failure(slot.pos, s, "heartbeat timeout", result.stderr_output);
+      on_failure(p, s, "heartbeat timeout", result.stderr_output);
       event = true;
     }
     return event;
   };
 
-  int backoff_ms = opts_.poll_min_ms;
+  int backoff_ms = kPollMinMs;
   while (!queue.empty() || any_busy()) {
     bool event = false;
 
@@ -749,28 +705,28 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     // Reap in completion order: every in-flight worker is polled, so a
     // straggler at the head of the dispatch order never blocks reaping
     // (and retrying, and stealing from) everyone behind it.
-    event = scan_completions() || event;
-    event = scan_progress() || event;
+    event = scan_workers() || event;
+    event = reap_silent() || event;
     event = maybe_steal() || event;
 
     if (event) {
-      backoff_ms = opts_.poll_min_ms;
+      backoff_ms = kPollMinMs;
       continue;  // something changed; see if more work unblocked
     }
     if (!any_busy()) continue;  // pending work only; dispatch next pass
-    // Not a blind sleep: block on the live workers' pipes so a pooled
-    // reply, stderr output, or the EOF of an exit wakes the loop the
-    // moment it happens. The backoff only paces the purely time-based
-    // scans (heartbeat staleness, straggler estimates) between wakes.
+    // Not a blind sleep: block on the live workers' pipes so any protocol
+    // line, stderr output, or the EOF of an exit wakes the loop the moment
+    // it happens. The backoff only paces the purely time-based checks
+    // (worker silence, stalled shards) between wakes.
     std::vector<int> wake_fds;
     for (const Slot& slot : slots) {
       if (!slot.worker || slot.worker->waited()) continue;
       for (const int fd : slot.worker->poll_fds()) wake_fds.push_back(fd);
     }
     if (util::Subprocess::wait_any_readable(wake_fds, backoff_ms)) {
-      backoff_ms = opts_.poll_min_ms;
+      backoff_ms = kPollMinMs;
     } else {
-      backoff_ms = std::min(backoff_ms * 2, opts_.poll_max_ms);
+      backoff_ms = std::min(backoff_ms * 2, kPollMaxMs);
     }
   }
 
@@ -778,29 +734,27 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   // (`shutdown` + stdin EOF), give the fleet a short shared grace window,
   // then escalate to stop() for any that linger. Workers are gone before
   // run() returns, so the caller can delete the shard directory safely.
-  if (opts_.use_worker_pool) {
-    for (Slot& slot : slots) {
-      if (!slot.worker || slot.worker->waited()) {
-        slot.worker.reset();
-        continue;
-      }
-      WorkerCommand cmd;
-      cmd.kind = WorkerCommand::Kind::kShutdown;
-      (void)slot.worker->write_stdin(encode_worker_command(cmd));
-      slot.worker->close_stdin();
-    }
-    // Give quick exits one poll, then escalate. An idle resident holds no
-    // in-flight state, so there is nothing a long grace window could
-    // save — stop(0) (TERM, KILL backstop, reap) collapses a straggling
-    // worker's drain to one blocking reap instead of polling the fleet
-    // down over several scheduler quanta.
-    for (Slot& slot : slots) {
-      if (slot.worker && !slot.worker->waited() && !slot.worker->try_wait()) {
-        (void)util::Subprocess::wait_any_readable(slot.worker->poll_fds(), 1);
-        if (!slot.worker->try_wait()) (void)slot.worker->stop(/*grace_ms=*/0);
-      }
+  for (Slot& slot : slots) {
+    if (!slot.worker || slot.worker->waited()) {
       slot.worker.reset();
+      continue;
     }
+    WorkerCommand cmd;
+    cmd.kind = WorkerCommand::Kind::kShutdown;
+    (void)slot.worker->write_stdin(encode_worker_command(cmd));
+    slot.worker->close_stdin();
+  }
+  // Give quick exits one poll, then escalate. An idle resident holds no
+  // in-flight state, so there is nothing a long grace window could save —
+  // stop(0) (TERM, KILL backstop, reap) collapses a straggling worker's
+  // drain to one blocking reap instead of polling the fleet down over
+  // several scheduler quanta.
+  for (Slot& slot : slots) {
+    if (slot.worker && !slot.worker->waited() && !slot.worker->try_wait()) {
+      (void)util::Subprocess::wait_any_readable(slot.worker->poll_fds(), 1);
+      if (!slot.worker->try_wait()) (void)slot.worker->stop(/*grace_ms=*/0);
+    }
+    slot.worker.reset();
   }
 
   // Final shard records, then drop superseded specs from the plan: they

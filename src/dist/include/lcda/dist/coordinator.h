@@ -7,36 +7,31 @@
 
 namespace lcda::dist {
 
-/// Process-level shard executor, rebuilt as an event-driven scheduler
-/// over a persistent worker pool: each of the `max_parallel` slots IS a
-/// resident `<worker_command> --worker-loop` process that the coordinator
-/// dispatches shard specs to over a stdin/stdout pipe protocol
-/// (lcda-worker-cmd-v1, protocol.h) — fork/exec, store open and evaluator
-/// memo warm-up are paid once per slot, not once per shard attempt. The
-/// event loop multiplexes pipe replies (`done` / `failed`) with process
-/// exits (Subprocess::try_wait — a worker that dies mid-spec is detected
-/// the same poll) and the progress-sidecar liveness signal, with a
-/// backed-off sleep between scans (no busy loop). A dead or wedged
+/// Process-level shard executor, an event-driven scheduler over a
+/// persistent worker pool: each of the `max_parallel` slots IS a resident
+/// `<worker_command> --worker-loop` process, and its stdin/stdout pipe
+/// (lcda-worker-cmd-v2, protocol.h) is the only channel between the two.
+/// Shard specs go down as `run` commands; seed-start/seed-done events,
+/// heartbeats and the final `done` / `failed` reply come back up, in
+/// order, on the same pipe. Fork/exec, store open and evaluator memo
+/// warm-up are paid once per slot, not once per shard attempt. The event
+/// loop multiplexes those lines with process exits (Subprocess::try_wait —
+/// a worker that dies mid-spec is detected the same poll) and blocks in
+/// poll(2) on the pipes between scans (no busy loop). A dead or wedged
 /// resident worker is simply dropped; the next dispatch to its slot
 /// respawns a replacement and the in-flight spec is retried.
 ///
-/// `use_worker_pool = false` restores spawn-per-attempt
-/// (`--worker=<spec.json>`, exit status as the completion signal) behind
-/// the same scheduler — merged bytes are identical either way, which the
-/// tests pin.
-///
 /// On top of plain execution it mitigates stragglers and dead workers:
 ///
-/// - **Progress tracking.** Every worker appends per-seed start/done
-///   records and heartbeats to a sidecar progress file; the coordinator
-///   polls those files to know how far each shard has got.
+/// - **Progress tracking.** The seed events tell the coordinator how far
+///   each shard has got, and every line a worker writes proves it alive.
 /// - **Work stealing.** A shard whose progress has stalled — no seed
 ///   started or finished for longer than `steal_threshold` x the median
-///   observed per-seed wall — has its not-yet-started seeds revoked (the
-///   worker skips them) and re-dispatched to idle slots as fresh specs.
-///   Legal because seed derivation is order-independent and the merger
-///   accepts arbitrary partitions; the merged bytes cannot change, only
-///   the wall clock.
+///   observed per-seed wall — has its not-yet-started seeds revoked (a
+///   `revoke` command; the worker skips them) and re-dispatched to idle
+///   slots as fresh specs. Legal because seed derivation is
+///   order-independent and the merger accepts arbitrary partitions; the
+///   merged bytes cannot change, only the wall clock.
 /// - **Supersede duplication.** A straggler with nothing left to steal
 ///   (all remaining seeds already started) gets its whole unpublished
 ///   seed set duplicated onto an idle slot; whichever copy finishes
@@ -46,11 +41,11 @@ namespace lcda::dist {
 ///   duplicate is never itself a steal source and a shard is only judged
 ///   stalled after its first observed event, so a slow seed races
 ///   exactly two copies — the plan cannot breed specs without bound.
-/// - **Health tracking.** A worker whose progress file goes stale for
-///   `heartbeat_timeout_ms` is declared dead, stopped, and its shard
-///   retried without waiting for the process to exit. A slot whose
-///   workers fail `banlist_after` distinct shards is banlisted for the
-///   study (capacity shrinks, never below one slot).
+/// - **Health tracking.** A busy worker that writes no line (heartbeats
+///   included) for `heartbeat_timeout_ms` is declared dead, stopped, and
+///   its shard retried without waiting for the process to exit. A slot
+///   whose workers fail three distinct shards is banlisted for the study
+///   (capacity shrinks, never below one slot).
 ///
 /// A failed shard is retried up to `max_retries` extra attempts before
 /// the run gives up with the worker's captured stderr in the error. On
@@ -61,22 +56,16 @@ class Coordinator {
  public:
   struct Options {
     /// Program (and any leading arguments) of the worker; the coordinator
-    /// appends "--worker=<spec path>". Typically the running lcda_run
-    /// binary itself (util::self_executable_path).
+    /// appends "--worker-loop". Typically the running lcda_run binary
+    /// itself (util::self_executable_path).
     std::vector<std::string> worker_command;
 
-    /// Where shard specs, manifests and progress sidecars live. Created
-    /// when missing; the caller owns cleanup.
+    /// Where shard specs, manifests and span traces live. Created when
+    /// missing; the caller owns cleanup.
     std::string shard_dir;
 
     int max_parallel = 1;  ///< concurrent worker processes (slots)
     int max_retries = 2;   ///< extra attempts per shard after the first
-
-    /// Keep one resident --worker-loop process per slot and dispatch
-    /// specs over its stdin/stdout pipes (the default); false spawns one
-    /// --worker process per shard attempt instead. Byte-identical merged
-    /// output either way.
-    bool use_worker_pool = true;
 
     /// Shard lifecycle narration on stderr (spawn / done / retry /
     /// steal / banlist lines).
@@ -86,34 +75,20 @@ class Coordinator {
     /// has STALLED: no seed started or finished for longer than
     /// steal_threshold x the observed median per-seed wall (heartbeats
     /// prove liveness, not progress, and do not reset the clock). The
-    /// stall bar is additionally floored by steal_min_stale_ms so scan
-    /// jitter on sub-millisecond seeds cannot trip it. Judging the GAP
-    /// between events rather than a remaining-wall projection keeps the
-    /// detector honest on oversubscribed boxes, where CPU queueing
-    /// inflates every projection but healthy shards still emit events at
-    /// per-seed cadence. Requires steal_threshold >= 1.0; stealing only
-    /// happens when a slot is idle, so it can never slow a saturated
-    /// study.
+    /// stall bar is additionally floored at 10 ms so scan jitter on
+    /// sub-millisecond seeds cannot trip it. Judging the GAP between
+    /// events rather than a remaining-wall projection keeps the detector
+    /// honest on oversubscribed boxes, where CPU queueing inflates every
+    /// projection but healthy shards still emit events at per-seed
+    /// cadence. Requires steal_threshold >= 1.0; stealing only happens
+    /// when a slot is idle, so it can never slow a saturated study.
     bool enable_steal = true;
     double steal_threshold = 2.0;
-    int steal_min_stale_ms = 10;
 
-    /// Worker heartbeat period (written into each spec; 0 disables the
-    /// worker-side heartbeat thread) and the staleness bar after which a
-    /// silent worker is declared dead (0 disables reaping).
-    int heartbeat_ms = 250;
+    /// How long a busy worker may stay silent — no seed event, reply or
+    /// heartbeat (one every kHeartbeatMs) — before it is declared dead; 0
+    /// disables reaping.
     int heartbeat_timeout_ms = 10000;
-
-    /// Progress-scan pacing: the poll loop sleeps poll_min_ms after an
-    /// event and backs off exponentially to poll_max_ms while idle.
-    int poll_min_ms = 2;
-    int poll_max_ms = 100;
-
-    /// A slot is banlisted once its workers have failed this many
-    /// distinct shards (crashes, non-zero exits, heartbeat deaths) —
-    /// YT-style node retirement scaled down to process slots. At least
-    /// one slot always stays usable.
-    int banlist_after = 3;
 
     /// Stamp a per-attempt trace_path into every dispatched spec, so
     /// workers export their span ring (lcda::obs) next to their manifest
@@ -129,7 +104,7 @@ class Coordinator {
     int stolen_from = -1;    ///< parent shard for steal/duplicate specs
     bool supersedes = false; ///< was a whole-shard duplicate
     bool superseded = false; ///< worker stopped; seeds covered elsewhere
-    int attempts = 1;        ///< worker processes spawned for this shard
+    int attempts = 1;        ///< dispatches of this shard (one per attempt)
     int slot = -1;           ///< last slot it ran on
     double wall_ms = 0.0;    ///< total busy wall across attempts
     int seeds = 0;           ///< seeds the spec owned at the end
@@ -139,17 +114,17 @@ class Coordinator {
   /// "dist" object) and the one-line stderr summary.
   struct Stats {
     int planned = 0;    ///< specs at entry
-    int spawned = 0;    ///< shard dispatches (one per attempt, both modes)
+    int spawned = 0;    ///< shard dispatches (one per attempt)
     int pool_workers = 0;  ///< resident worker processes launched (incl.
-                           ///< replacements; 0 when the pool is off)
+                           ///< replacements)
     int retries = 0;
     int steals = 0;     ///< steal/duplicate specs created
     int stolen_seeds = 0;
     /// Straggler-detector visibility: candidates the stall judgement ran
     /// on at all, and candidates over the threshold bar that only the
-    /// steal_min_stale_ms floor suppressed. Both zero distinguishes
-    /// "detection never ran" (no idle slot, no running candidate) from a
-    /// genuinely healthy study that was judged and passed.
+    /// 10 ms floor suppressed. Both zero distinguishes "detection never
+    /// ran" (no idle slot, no running candidate) from a genuinely healthy
+    /// study that was judged and passed.
     int steal_considered = 0;
     int steal_suppressed_min_stale = 0;
     int superseded = 0; ///< workers stopped because their seeds were covered
@@ -161,12 +136,12 @@ class Coordinator {
   explicit Coordinator(Options opts);
 
   /// Runs every shard to completion, mutating the plan in place: the
-  /// coordinator assigns result/progress/revocation paths under
-  /// shard_dir, bumps attempt counters across retries, APPENDS specs it
-  /// creates by stealing, and ERASES specs whose workers were superseded
-  /// (they have no manifest; their seeds are covered by the appended
-  /// ones). After it returns, loading every spec's manifest and merging
-  /// yields bytes identical to the single-process study. Throws
+  /// coordinator assigns result (and trace) paths under shard_dir, bumps
+  /// attempt counters across retries, APPENDS specs it creates by
+  /// stealing, and ERASES specs whose workers were superseded (they have
+  /// no manifest; their seeds are covered by the appended ones). After it
+  /// returns, loading every spec's manifest and merging yields bytes
+  /// identical to the single-process study. Throws
   /// std::runtime_error when a shard exhausts its attempts or a worker
   /// cannot be spawned.
   void run(std::vector<ShardSpec>& specs);

@@ -25,7 +25,7 @@ enum class ShardMode { kRuns, kAggregate, kSpeedup };
 
 /// A self-contained slice of one study: everything a worker process needs
 /// to reproduce its share of the seeds bit-for-bit, serialized as JSON and
-/// handed to `lcda_run --worker=<spec.json>`.
+/// dispatched to a resident `lcda_run --worker-loop` by path.
 ///
 /// Seeds are GLOBAL indices into the study's seed list, not a worker-local
 /// count: the aggregate/speedup modes derive each seed's stream with
@@ -67,28 +67,12 @@ struct ShardSpec {
   /// the merged --trace output diffs directly against golden traces.
   std::string result_path;
 
-  /// Progress sidecar (lcda-shard-progress-v1, see progress.h): the worker
-  /// appends per-seed start/done records and heartbeats here; empty
-  /// disables progress emission. Assigned by the coordinator, like
-  /// result_path.
-  std::string progress_path;
-
-  /// Seed-revocation file the worker re-reads before each seed: seeds the
-  /// coordinator stole and re-dispatched elsewhere are skipped. Empty
-  /// disables the check. Keyed by shard (not attempt), so a retried shard
-  /// still honours earlier steals.
-  std::string revoke_path;
-
   /// Where the worker exports its span ring (Chrome trace-event JSON, see
   /// obs/trace.h) after publishing the manifest; empty disables tracing in
   /// the worker. Assigned per attempt by the coordinator when its
   /// trace_spans option is on; lcda_run gathers the files into one merged
   /// timeline. Bookkeeping, like result_path — not part of the checksum.
   std::string trace_path;
-
-  /// Heartbeat period for the progress sidecar; 0 disables the heartbeat
-  /// thread (per-seed records still freshen the file).
-  int heartbeat_ms = 0;
 
   /// Steal provenance: the shard index this spec's seeds were stolen from,
   /// -1 for planner-born shards. When `supersedes` is also set, this spec
@@ -98,12 +82,11 @@ struct ShardSpec {
   bool supersedes = false;
 
   /// Crash injection for retry tests: fail_first_attempt aborts attempt 0
-  /// at entry (before any evaluation or cache traffic) with exit code 3;
-  /// fail_attempts=N generalizes it to every attempt < N. The
-  /// coordinator's retry then runs the shard clean, which keeps the merged
-  /// result — counters included — identical to a run without the crash.
+  /// at entry (before any evaluation or cache traffic) with exit code 3.
+  /// The coordinator's retry then runs the shard clean, which keeps the
+  /// merged result — counters included — identical to a run without the
+  /// crash.
   bool fail_first_attempt = false;
-  int fail_attempts = 0;
   int attempt = 0;
 };
 
@@ -141,14 +124,12 @@ struct StrategyStudy {
     const std::vector<StrategyStudy>& strategies, int seeds, int shards,
     double threshold, double threshold_fraction);
 
-class ProgressWriter;
-
 /// Runs one shard in-process and returns its result manifest (format
 /// "lcda-shard-result-v1"): per-seed summaries in aggregate/speedup mode,
 /// full run payloads (JSON trace + CSV text) in runs mode. This is the
-/// worker's core, exposed for in-process testing of the merge contract.
-/// With a ProgressWriter it emits per-seed start/done records, and with
-/// spec.revoke_path set it skips seeds the coordinator stole.
+/// worker's core, exposed for in-process testing of the merge contract;
+/// the worker loop runs the same body, plus revocation checks and
+/// per-seed events on its pipe.
 ///
 /// `warm_evaluator` optionally supplies an evaluator that outlives the
 /// spec (the resident worker loop passes its cached one so striped memos
@@ -157,27 +138,21 @@ class ProgressWriter;
 /// scope cannot change a result — and it must match the spec's evaluator
 /// configuration, which is what the loop keys its cache by.
 [[nodiscard]] util::Json run_shard(const ShardSpec& spec,
-                                   ProgressWriter* progress = nullptr,
                                    core::PerformanceEvaluator* warm_evaluator =
                                        nullptr);
 
-/// The `lcda_run --worker=<spec.json>` entry point: loads the spec,
-/// honours crash injection, runs the shard, and writes the manifest
-/// (atomic temp-file + rename). Returns a process exit code; failures
-/// are reported on stderr for the coordinator to capture.
-[[nodiscard]] int run_worker(const std::string& spec_path);
-
 /// The hidden `lcda_run --worker-loop` entry point: a resident worker that
-/// reads lcda-worker-cmd-v1 command lines (protocol.h) from stdin and
-/// executes each `run <spec_path>` through the same path as run_worker,
-/// replying `done <manifest_path>` / `failed <reason>` on stdout. Across
-/// specs it keeps warm what is content-keyed and therefore result-neutral:
-/// the evaluator's striped cost-plan/layer-span memos (keyed by
-/// core::evaluation_fingerprint) and the process-wide mmap'd store segment
-/// cache. Everything stream- or seed-scoped (RNG cursors, run caches,
-/// counters, the EvalStore session) is rebuilt per spec, so a pooled study
-/// merges byte-identical to spawn-per-shard. Exits 0 on `shutdown` or
-/// stdin EOF.
+/// reads lcda-worker-cmd-v2 command lines (protocol.h) from stdin and
+/// executes each `run <spec_path>`, streaming seed-start/seed-done events
+/// and heartbeats on stdout, skipping seeds a `revoke` took away, and
+/// ending each spec with `done <manifest_path>` / `failed <reason>`.
+/// Across specs it keeps warm what is content-keyed and therefore
+/// result-neutral: the evaluator's striped cost-plan/layer-span memos
+/// (keyed by core::evaluation_fingerprint) and the process-wide mmap'd
+/// store segment cache. Everything stream- or seed-scoped (RNG cursors,
+/// run caches, counters, the EvalStore session) is rebuilt per spec, so a
+/// pooled study merges byte-identical to a single-process one. Exits 0 on
+/// `shutdown` or stdin EOF, and dies with its parent (PR_SET_PDEATHSIG).
 [[nodiscard]] int run_worker_loop();
 
 }  // namespace lcda::dist

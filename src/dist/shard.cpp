@@ -85,16 +85,12 @@ util::Json shard_spec_to_json(const ShardSpec& spec) {
   j["result_path"] = spec.result_path;
   // Scheduling bookkeeping travels outside the identity checksum: two
   // specs that compute the same seeds are the same study slice no matter
-  // where their sidecars live or which shard they were stolen from.
+  // where their files live or which shard they were stolen from.
   if (spec.study_slot != 0) j["study_slot"] = spec.study_slot;
-  if (!spec.progress_path.empty()) j["progress_path"] = spec.progress_path;
-  if (!spec.revoke_path.empty()) j["revoke_path"] = spec.revoke_path;
   if (!spec.trace_path.empty()) j["trace_path"] = spec.trace_path;
-  if (spec.heartbeat_ms != 0) j["heartbeat_ms"] = spec.heartbeat_ms;
   if (spec.stolen_from >= 0) j["stolen_from"] = spec.stolen_from;
   if (spec.supersedes) j["supersedes"] = true;
   if (spec.fail_first_attempt) j["fail_first_attempt"] = true;
-  if (spec.fail_attempts != 0) j["fail_attempts"] = spec.fail_attempts;
   j["attempt"] = spec.attempt;
   return j;
 }
@@ -123,17 +119,8 @@ ShardSpec shard_spec_from_json(const util::Json& j) {
   if (j.contains("study_slot")) {
     spec.study_slot = static_cast<int>(j.at("study_slot").as_int());
   }
-  if (j.contains("progress_path")) {
-    spec.progress_path = j.at("progress_path").as_string();
-  }
-  if (j.contains("revoke_path")) {
-    spec.revoke_path = j.at("revoke_path").as_string();
-  }
   if (j.contains("trace_path")) {
     spec.trace_path = j.at("trace_path").as_string();
-  }
-  if (j.contains("heartbeat_ms")) {
-    spec.heartbeat_ms = static_cast<int>(j.at("heartbeat_ms").as_int());
   }
   if (j.contains("stolen_from")) {
     spec.stolen_from = static_cast<int>(j.at("stolen_from").as_int());
@@ -143,9 +130,6 @@ ShardSpec shard_spec_from_json(const util::Json& j) {
   }
   if (j.contains("fail_first_attempt")) {
     spec.fail_first_attempt = j.at("fail_first_attempt").as_bool();
-  }
-  if (j.contains("fail_attempts")) {
-    spec.fail_attempts = static_cast<int>(j.at("fail_attempts").as_int());
   }
   spec.attempt = static_cast<int>(j.at("attempt").as_int());
   // A spec edited out from under its checksum must fail before it can

@@ -2,16 +2,21 @@
 // exactly as the single-process engine would have (same seed derivation,
 // same per-seed parallelism split, same evaluator sharing) and reports a
 // result manifest the merger can fold back bit-for-bit.
+#include <poll.h>
+#include <signal.h>
+#include <sys/prctl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <iostream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -21,7 +26,6 @@
 
 #include "lcda/core/report.h"
 #include "lcda/core/stats_runner.h"
-#include "lcda/dist/progress.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/dist/shard.h"
 #include "lcda/obs/metrics.h"
@@ -118,31 +122,139 @@ void write_manifest_atomically(const util::Json& manifest,
   }
 }
 
-/// Drives the per-seed loop shared by all three modes: re-reads the
-/// revocation file before each seed (a stolen seed is skipped — the
-/// coordinator re-dispatched it), emits start/done progress records, and
-/// honours the LCDA_FAULT injection harness (util/fault.h): wedge@seed
-/// hangs without heartbeats (the injected dead worker — still a live
-/// process, so only the coordinator's staleness reaper can catch it),
-/// kill@seed _exit(42)s (the injected mid-spec crash — only the
-/// respawn-and-retry path can recover), and sleep@seed is the injected
-/// straggler. `body(seed)` computes one seed and appends its manifest
-/// entry.
+/// The resident worker's end of the coordinator pipe, its only channel.
+/// Commands arrive on fd 0 and are reassembled through a LineBuffer;
+/// replies, seed events and heartbeats leave on fd 1 through send(), the
+/// one stdout writer: one write(2) per line under one mutex, shared by the
+/// seed loop and the heartbeat thread, so lines never interleave.
+class WorkerPipe {
+ public:
+  WorkerPipe() : heartbeat_([this] { beat(); }) {}
+  ~WorkerPipe() { stop_heartbeats(); }
+
+  WorkerPipe(const WorkerPipe&) = delete;
+  WorkerPipe& operator=(const WorkerPipe&) = delete;
+
+  /// The next command line from stdin: waits for one when `wait`,
+  /// otherwise takes only what already arrived. std::nullopt when there
+  /// is none (yet), or stdin is at EOF.
+  std::optional<std::string> next_line(bool wait) {
+    for (;;) {
+      if (std::optional<std::string> line = lines_.next_line()) return line;
+      if (closed_ || !read_stdin(wait ? -1 : 0)) return std::nullopt;
+    }
+  }
+
+  void send(const WorkerReply& reply) {
+    const std::string line = encode_worker_reply(reply);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t off = 0;
+    while (off < line.size()) {
+      const ssize_t n = ::write(STDOUT_FILENO, line.data() + off,
+                                line.size() - off);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;  // the coordinator is gone
+      off += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Seed revocation for the spec about to run: the seeds its `run`
+  /// command already carried (earlier steals, honoured by a retry too).
+  void begin_spec(const std::vector<int>& revoked) {
+    revoked_.clear();
+    revoked_.insert(revoked.begin(), revoked.end());
+  }
+
+  /// Whether the coordinator has stolen `seed`, after draining every
+  /// command line that arrived since the last check without blocking
+  /// (the coordinator sends nothing but `revoke` while a spec is in
+  /// flight).
+  bool revoked(int seed) {
+    while (const std::optional<std::string> line = next_line(/*wait=*/false)) {
+      const std::optional<WorkerCommand> cmd = parse_worker_command(*line);
+      if (cmd && cmd->kind == WorkerCommand::Kind::kRevoke) {
+        revoked_.insert(cmd->revoked.begin(), cmd->revoked.end());
+      }
+    }
+    return revoked_.count(seed) != 0;
+  }
+
+  /// Ends the heartbeats for good — on exit, and from the wedge fault.
+  void stop_heartbeats() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    if (heartbeat_.joinable()) heartbeat_.join();
+  }
+
+ private:
+  /// Reads what fd 0 has within `timeout_ms` (-1 = until something
+  /// arrives) into the line buffer. False when nothing arrived in time or
+  /// stdin hit EOF.
+  bool read_stdin(int timeout_ms) {
+    pollfd pfd{STDIN_FILENO, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, timeout_ms);
+    if (ready < 0 && errno == EINTR) return true;
+    if (ready <= 0) return false;
+    char buf[4096];
+    const ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) return true;
+    if (n <= 0) {
+      closed_ = true;
+      return false;
+    }
+    lines_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+    return true;
+  }
+
+  void beat() {
+    WorkerReply hb;
+    hb.kind = WorkerReply::Kind::kHeartbeat;
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!cv_.wait_for(lock, std::chrono::milliseconds(kHeartbeatMs),
+                         [this] { return stop_; })) {
+      lock.unlock();
+      send(hb);
+      lock.lock();
+    }
+  }
+
+  LineBuffer lines_;
+  std::set<int> revoked_;
+  bool closed_ = false;
+  std::mutex mutex_;  ///< guards fd 1 and stop_
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread heartbeat_;  ///< last: starts once the members above exist
+};
+
+/// Drives the per-seed loop shared by all three modes. Under the worker
+/// loop (`pipe` non-null) it skips seeds the coordinator revoked, checked
+/// before each seed, and streams seed-start/seed-done events; in-process
+/// callers pass nullptr. It also honours the LCDA_FAULT injection harness
+/// (util/fault.h): wedge@seed hangs without heartbeats (the injected dead
+/// worker — still a live process, so only the coordinator's liveness
+/// reaper can catch it), kill@seed _exit(42)s (the injected mid-spec crash
+/// — only the respawn-and-retry path can recover), and sleep@seed is the
+/// injected straggler. `body(seed)` computes one seed and appends its
+/// manifest entry.
 template <typename Body>
-void for_each_owned_seed(const ShardSpec& spec, ProgressWriter* progress,
+void for_each_owned_seed(const ShardSpec& spec, WorkerPipe* pipe,
                          const Body& body) {
   util::FaultInjector::set_attempt(spec.attempt);
   const util::FaultInjector& faults = util::FaultInjector::instance();
+  WorkerReply event;
   for (int s : spec.seeds) {
-    if (!spec.revoke_path.empty()) {
-      const std::set<int> revoked = read_revocations(spec.revoke_path);
-      if (revoked.count(s) != 0) continue;
-    }
-    if (progress != nullptr) progress->seed_started(s);
+    if (pipe != nullptr && pipe->revoked(s)) continue;
+    event.seed = s;
+    event.kind = WorkerReply::Kind::kSeedStart;
+    if (pipe != nullptr) pipe->send(event);
     if (faults.wedge_at_seed(s, spec.attempt)) {
       std::fprintf(stderr, "worker: shard %d wedging at seed %d (injected)\n",
                    spec.index, s);
-      if (progress != nullptr) progress->stop_heartbeats();
+      if (pipe != nullptr) pipe->stop_heartbeats();
       std::this_thread::sleep_for(std::chrono::hours(1));
     }
     if (faults.kill_at_seed(s, spec.attempt)) {
@@ -162,20 +274,19 @@ void for_each_owned_seed(const ShardSpec& spec, ProgressWriter* progress,
     }
     const auto t0 = std::chrono::steady_clock::now();
     body(s);
-    if (progress != nullptr) {
-      const double wall_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-      progress->seed_done(s, wall_ms);
+    if (pipe != nullptr) {
+      event.kind = WorkerReply::Kind::kSeedDone;
+      event.wall_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      pipe->send(event);
     }
   }
 }
 
-}  // namespace
-
-util::Json run_shard(const ShardSpec& spec, ProgressWriter* progress,
-                     core::PerformanceEvaluator* warm_evaluator) {
+/// run_shard's body; `pipe` is the worker loop's channel, or nullptr.
+util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
+                         core::PerformanceEvaluator* warm_evaluator) {
   const core::ExperimentConfig& config = spec.scenario.config;
   // This spec's slice of the worker's metrics: the resident loop runs many
   // specs in one process, so the manifest carries a DELTA over the
@@ -217,7 +328,7 @@ util::Json run_shard(const ShardSpec& spec, ProgressWriter* progress,
           warm_evaluator != nullptr ? nullptr : core::make_evaluator(config);
       core::PerformanceEvaluator* evaluator =
           warm_evaluator != nullptr ? warm_evaluator : owned.get();
-      for_each_owned_seed(spec, progress, [&](int s) {
+      for_each_owned_seed(spec, pipe, [&](int s) {
         const core::RunResult run = core::run_strategy(
             spec.strategy, spec.episodes,
             with_resume(core::aggregate_seed_config(config, s, spec.total_seeds)),
@@ -233,7 +344,7 @@ util::Json run_shard(const ShardSpec& spec, ProgressWriter* progress,
           warm_evaluator != nullptr ? nullptr : core::make_evaluator(config);
       core::PerformanceEvaluator* evaluator =
           warm_evaluator != nullptr ? warm_evaluator : owned.get();
-      for_each_owned_seed(spec, progress, [&](int s) {
+      for_each_owned_seed(spec, pipe, [&](int s) {
         const core::SpeedupReport report = core::measure_speedup(
             with_resume(core::aggregate_seed_config(config, s, spec.total_seeds)),
             spec.threshold_fraction, evaluator);
@@ -244,7 +355,7 @@ util::Json run_shard(const ShardSpec& spec, ProgressWriter* progress,
       break;
     }
     case ShardMode::kRuns: {
-      for_each_owned_seed(spec, progress, [&](int s) {
+      for_each_owned_seed(spec, pipe, [&](int s) {
         // The CLI's per-seed mode offsets the base seed directly (the
         // aggregate modes derive by key instead); both are replicated
         // here verbatim so either partitioning is bit-compatible.
@@ -290,25 +401,29 @@ util::Json run_shard(const ShardSpec& spec, ProgressWriter* progress,
   return manifest;
 }
 
+}  // namespace
+
+util::Json run_shard(const ShardSpec& spec,
+                     core::PerformanceEvaluator* warm_evaluator) {
+  return compute_manifest(spec, nullptr, warm_evaluator);
+}
+
 namespace {
 
 /// Crash injection aborts at entry — before any evaluation or cache
 /// write — so the retry runs the shard clean and the merged study, cache
 /// counters included, is identical to one without the crash.
 bool injected_crash(const ShardSpec& spec) {
-  if ((spec.fail_first_attempt && spec.attempt == 0) ||
-      spec.attempt < spec.fail_attempts) {
-    std::fprintf(stderr, "worker: shard %d injected failure on attempt %d\n",
-                 spec.index, spec.attempt);
-    return true;
-  }
-  return false;
+  if (!spec.fail_first_attempt || spec.attempt != 0) return false;
+  std::fprintf(stderr, "worker: shard %d injected failure on attempt %d\n",
+               spec.index, spec.attempt);
+  return true;
 }
 
-/// The shared per-spec execution core behind --worker and --worker-loop:
-/// progress sidecar lifecycle, run_shard, atomic manifest publication, and
-/// the completion line on stderr. Throws on any failure.
-void execute_spec(const ShardSpec& spec,
+/// One dispatched spec, end to end: the shard's seeds, atomic manifest
+/// publication, the span export, and the completion line on stderr.
+/// Throws on any failure.
+void execute_spec(const ShardSpec& spec, WorkerPipe& pipe,
                   core::PerformanceEvaluator* warm_evaluator) {
   if (spec.result_path.empty()) {
     throw std::invalid_argument("worker: spec has no result_path");
@@ -325,15 +440,8 @@ void execute_spec(const ShardSpec& spec,
     char label[32];
     std::snprintf(label, sizeof(label), "shard-%d", spec.index);
     obs::Span span(label);
-    std::unique_ptr<ProgressWriter> progress;
-    if (!spec.progress_path.empty()) {
-      progress = std::make_unique<ProgressWriter>(spec.progress_path);
-      progress->begin(spec.attempt);
-      progress->start_heartbeats(spec.heartbeat_ms);
-    }
-    util::Json manifest = run_shard(spec, progress.get(), warm_evaluator);
-    if (progress != nullptr) progress->stop_heartbeats();
-    write_manifest_atomically(manifest, spec.result_path);
+    write_manifest_atomically(compute_manifest(spec, &pipe, warm_evaluator),
+                              spec.result_path);
   }
   if (tracing) {
     // After the manifest: an attempt that died mid-spec leaves no trace
@@ -347,33 +455,19 @@ void execute_spec(const ShardSpec& spec,
                spec.index, spec.count, spec.seeds.size(), spec.attempt);
 }
 
-void send_reply(const WorkerReply& reply) {
-  const std::string line = encode_worker_reply(reply);
-  std::fwrite(line.data(), 1, line.size(), stdout);
-  std::fflush(stdout);
-}
-
 }  // namespace
 
-int run_worker(const std::string& spec_path) {
+int run_worker_loop() {
+  // Die with the coordinator. It keeps this worker in a process group of
+  // its own, so a signal to the coordinator's group (a terminal's Ctrl-C,
+  // a harness's killpg) never reaches it directly; should the coordinator
+  // die before this line, stdin is already at EOF and the loop exits.
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
   // Workers always meter: the manifest's "obs" delta is how store totals
   // and engine counters reach the coordinator's merged snapshot. Metering
   // is counter bumps at run/round granularity — noise next to a spec's
   // evaluation work — and it never touches an output byte.
   obs::Registry::instance().enable();
-  try {
-    const ShardSpec spec = load_shard_spec(spec_path);
-    if (injected_crash(spec)) return 3;
-    execute_spec(spec, nullptr);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "lcda_run --worker: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_worker_loop() {
-  obs::Registry::instance().enable();  // see run_worker
   // Warm evaluators keyed by evaluation identity: a spec whose
   // evaluation_fingerprint matches an earlier one reuses its evaluator,
   // so the striped cost-plan/layer-span memos survive across specs.
@@ -384,24 +478,19 @@ int run_worker_loop() {
   constexpr std::size_t kMaxWarmEvaluators = 8;
   std::map<std::uint64_t, std::unique_ptr<core::PerformanceEvaluator>> warm;
 
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    const std::optional<WorkerCommand> cmd = parse_worker_command(line);
+  WorkerPipe pipe;
+  while (const std::optional<std::string> line = pipe.next_line(/*wait=*/true)) {
+    const std::optional<WorkerCommand> cmd = parse_worker_command(*line);
+    WorkerReply reply;
+    reply.kind = WorkerReply::Kind::kFailed;
     if (!cmd) {
-      WorkerReply reply;
-      reply.kind = WorkerReply::Kind::kFailed;
       reply.reason = "malformed command line";
-      send_reply(reply);
+      pipe.send(reply);
       continue;
     }
     if (cmd->kind == WorkerCommand::Kind::kShutdown) return 0;
-    if (cmd->kind == WorkerCommand::Kind::kPing) {
-      WorkerReply reply;
-      reply.kind = WorkerReply::Kind::kPong;
-      send_reply(reply);
-      continue;
-    }
-    WorkerReply reply;
+    // A revocation that lands after its spec finished has nothing to act on.
+    if (cmd->kind == WorkerCommand::Kind::kRevoke) continue;
     try {
       const ShardSpec spec = load_shard_spec(cmd->spec_path);
       if (injected_crash(spec)) {
@@ -422,14 +511,14 @@ int run_worker_loop() {
         }
         warm_evaluator = it->second.get();
       }
-      execute_spec(spec, warm_evaluator);
+      pipe.begin_spec(cmd->revoked);
+      execute_spec(spec, pipe, warm_evaluator);
       reply.kind = WorkerReply::Kind::kDone;
       reply.manifest_path = spec.result_path;
     } catch (const std::exception& e) {
-      reply.kind = WorkerReply::Kind::kFailed;
       reply.reason = e.what();
     }
-    send_reply(reply);
+    pipe.send(reply);
   }
   // stdin EOF: the coordinator is gone (or closed us out) — exit cleanly.
   return 0;

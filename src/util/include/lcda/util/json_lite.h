@@ -36,7 +36,8 @@ class Json {
   static Json array();
 
   /// Parses a JSON document. Throws std::runtime_error with a position on
-  /// malformed input or trailing garbage.
+  /// malformed input, trailing garbage, or arrays/objects nested deeper
+  /// than 512 levels.
   static Json parse(std::string_view text);
 
   /// Object access; converts a null value into an object on first use.

@@ -24,6 +24,13 @@ namespace lcda::util {
 /// stop() — SIGTERM first, so a worker can die mid-sleep cleanly,
 /// escalating to SIGKILL after a grace window for one that ignores it.
 ///
+/// Children never outlive their owner: each child leads a process group
+/// of its own, and stop() and the destructor signal that whole group, so
+/// grandchildren die with the child. (A child in its own group that reads
+/// an inherited terminal stdin is stopped by SIGTTIN — pipe stdin for
+/// such children.) Every pipe is close-on-exec, so no child inherits
+/// another's pipe ends.
+///
 /// Deadlock-freedom contract: every parent-side descriptor is
 /// non-blocking. write_stdin() buffers bytes the pipe will not take yet in
 /// parent memory and retries on later calls, and read_stdout()/
@@ -61,9 +68,10 @@ class Subprocess {
   explicit Subprocess(std::vector<std::string> argv);
   Subprocess(std::vector<std::string> argv, const Options& options);
 
-  /// Stops (stop() with kDestructGraceMs) and reaps a child that was never
-  /// waited on, so an exception unwinding past a live Subprocess cannot
-  /// leak a zombie — and a child that handles SIGTERM gets a moment to die
+  /// Stops (stop() with kDestructGraceMs, so the whole process group) and
+  /// reaps a child that was never waited on, so an exception unwinding past
+  /// a live Subprocess cannot leak a zombie or an orphaned grandchild — and
+  /// a child that handles SIGTERM gets a moment to die
   /// cleanly before the SIGKILL backstop.
   ~Subprocess();
 
@@ -82,9 +90,11 @@ class Subprocess {
   /// idempotent, so a poll loop can check a child it already saw finish.
   [[nodiscard]] std::optional<Result> try_wait();
 
-  /// Graceful stop: SIGTERM, then up to `grace_ms` for the child to exit
-  /// on its own, then SIGKILL, then reap. Returns how it actually ended
-  /// (exit code if it honoured the TERM, signal otherwise).
+  /// Graceful stop of the child's whole process group: SIGTERM, then up
+  /// to `grace_ms` for the child to exit on its own, then SIGKILL (which
+  /// also takes any descendant that ignored the TERM or outlived the
+  /// child), then reap. Returns how the child actually ended (exit code if
+  /// it honoured the TERM, signal otherwise).
   [[nodiscard]] Result stop(int grace_ms = kDefaultStopGraceMs);
 
   /// Queues `data` for the child's stdin and flushes as much as the pipe

@@ -311,8 +311,15 @@ class Parser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // One stack frame per level: a hostile document must fail like any
+      // other malformed one instead of overflowing the stack.
+      if (depth_ == kMaxDepth) fail("nesting deeper than 512 levels");
+      ++depth_;
+      Json nested = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
     if (c == '"') return Json(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -438,8 +445,11 @@ class Parser {
     return Json(value);
   }
 
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -40,6 +40,16 @@ void ignore_sigpipe_once() {
   std::call_once(once, [] { ::signal(SIGPIPE, SIG_IGN); });
 }
 
+/// dup2 for the fork child: `fd` becomes `target` without close-on-exec
+/// (dup2 onto itself would keep the flag, so clear it explicitly).
+void redirect(int fd, int target) {
+  if (fd == target) {
+    (void)::fcntl(fd, F_SETFD, 0);
+  } else {
+    ::dup2(fd, target);
+  }
+}
+
 void close_if_open(int& fd) {
   if (fd >= 0) {
     ::close(fd);
@@ -78,29 +88,24 @@ Subprocess::Subprocess(std::vector<std::string> argv, const Options& options) {
     throw std::runtime_error(std::string("Subprocess: ") + what + ": " +
                              ::strerror(saved));
   };
-  if (::pipe(err_fds) != 0) fail("pipe");
-  if (options.pipe_stdout && ::pipe(out_fds) != 0) fail("pipe");
-  if (options.pipe_stdin && ::pipe(in_fds) != 0) fail("pipe");
+  // Close-on-exec everywhere: a sibling spawned later must not inherit
+  // this child's pipe ends, or the child would never see EOF on stdin
+  // once the parent closes it.
+  if (::pipe2(err_fds, O_CLOEXEC) != 0) fail("pipe");
+  if (options.pipe_stdout && ::pipe2(out_fds, O_CLOEXEC) != 0) fail("pipe");
+  if (options.pipe_stdin && ::pipe2(in_fds, O_CLOEXEC) != 0) fail("pipe");
 
   const pid_t pid = ::fork();
   if (pid < 0) fail("fork");
 
   if (pid == 0) {
-    // Child: wire up its ends and close the parent's. Only
-    // async-signal-safe calls between fork and exec.
-    ::close(err_fds[0]);
-    ::dup2(err_fds[1], STDERR_FILENO);
-    if (err_fds[1] != STDERR_FILENO) ::close(err_fds[1]);
-    if (out_fds[1] >= 0) {
-      ::close(out_fds[0]);
-      ::dup2(out_fds[1], STDOUT_FILENO);
-      if (out_fds[1] != STDOUT_FILENO) ::close(out_fds[1]);
-    }
-    if (in_fds[0] >= 0) {
-      ::close(in_fds[1]);
-      ::dup2(in_fds[0], STDIN_FILENO);
-      if (in_fds[0] != STDIN_FILENO) ::close(in_fds[0]);
-    }
+    // Child: lead a process group of its own, so stop() can signal every
+    // descendant at once, then wire up its ends (the CLOEXEC originals
+    // close at exec). Only async-signal-safe calls between fork and exec.
+    ::setpgid(0, 0);
+    redirect(err_fds[1], STDERR_FILENO);
+    if (out_fds[1] >= 0) redirect(out_fds[1], STDOUT_FILENO);
+    if (in_fds[0] >= 0) redirect(in_fds[0], STDIN_FILENO);
 
     std::vector<char*> cargv;
     cargv.reserve(argv.size() + 1);
@@ -117,10 +122,13 @@ Subprocess::Subprocess(std::vector<std::string> argv, const Options& options) {
     ::_exit(127);
   }
 
-  // Parent. Every retained end is non-blocking: reads drain what is
-  // available without stalling the coordinator's poll loop (wait() blocks
-  // in poll() instead of in read()) and stdin writes spill to
-  // stdin_pending_ instead of blocking on a full pipe.
+  // Parent. Setting the group here too closes the race where stop() runs
+  // before the child got to its own setpgid. Every retained end is
+  // non-blocking: reads drain what is available without stalling the
+  // coordinator's poll loop (wait() blocks in poll() instead of in read())
+  // and stdin writes spill to stdin_pending_ instead of blocking on a full
+  // pipe.
+  (void)::setpgid(pid, pid);
   ::close(err_fds[1]);
   set_nonblocking(err_fds[0]);
   pid_ = pid;
@@ -315,16 +323,28 @@ std::optional<Subprocess::Result> Subprocess::try_wait() {
 
 Subprocess::Result Subprocess::stop(int grace_ms) {
   if (waited_) return *result_;  // already reaped: nothing left to stop
-  ::kill(pid_, SIGTERM);
+  ::killpg(pid_, SIGTERM);
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(grace_ms < 0 ? 0 : grace_ms);
   for (;;) {
-    if (auto result = try_wait()) return *result;
-    if (std::chrono::steady_clock::now() >= deadline) break;
+    (void)drain_available();
+    (void)drain_stdout_available();
+    // Peek without reaping: until the leader is reaped its pid pins the
+    // group id, so the KILL below can never reach a recycled group.
+    siginfo_t info{};
+    const int r = ::waitid(P_PID, static_cast<id_t>(pid_), &info,
+                           WEXITED | WNOHANG | WNOWAIT);
+    if ((r == 0 && info.si_pid == pid_) ||
+        (r < 0 && errno != EINTR) ||
+        std::chrono::steady_clock::now() >= deadline) {
+      break;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  // The grace window expired: the child ignored (or blocked) SIGTERM.
-  ::kill(pid_, SIGKILL);
+  // The leader exited, or the grace window expired because it ignored (or
+  // blocked) SIGTERM. Either way KILL the whole group: descendants that
+  // ignored the TERM or outlived the leader go with it.
+  ::killpg(pid_, SIGKILL);
   (void)drain_available();
   (void)drain_stdout_available();
   return reap();

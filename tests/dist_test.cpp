@@ -3,6 +3,7 @@
 // merged results byte-identical to single-process runs of the same study.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -17,7 +18,6 @@
 #include "lcda/core/stats_runner.h"
 #include "lcda/dist/coordinator.h"
 #include "lcda/dist/merge.h"
-#include "lcda/dist/progress.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/dist/shard.h"
 #include "lcda/util/subprocess.h"
@@ -41,18 +41,6 @@ core::Scenario small_scenario() {
   s.config.lcda_episodes = 6;
   s.config.nacim_episodes = 16;
   return s;
-}
-
-/// The lcda_run binary next to this test binary (both live in the build
-/// root); empty when it is not there, so end-to-end tests skip instead of
-/// failing in exotic build layouts.
-std::string lcda_run_path() {
-  const std::string self = util::self_executable_path(nullptr);
-  if (self.empty()) return "";
-  const std::filesystem::path candidate =
-      std::filesystem::path(self).parent_path() / "lcda_run";
-  std::error_code ec;
-  return std::filesystem::exists(candidate, ec) ? candidate.string() : "";
 }
 
 /// Scoped setenv for the worker-injection variables: set for the tests
@@ -82,6 +70,83 @@ std::vector<util::Json> run_shards_in_process(
   }
   return manifests;
 }
+
+/// Every spec's published result manifest, index-aligned with `specs`.
+std::vector<util::Json> load_manifests(
+    const std::vector<dist::ShardSpec>& specs) {
+  std::vector<util::Json> manifests;
+  for (const dist::ShardSpec& spec : specs) {
+    manifests.push_back(dist::load_shard_manifest(spec));
+  }
+  return manifests;
+}
+
+/// A runs-mode study as its byte-diffed outputs carry it: the trace CSV,
+/// then the run JSON array.
+std::string render_runs(const std::vector<dist::MergedRun>& runs) {
+  std::string csv;
+  util::Json arr = util::Json::array();
+  for (const dist::MergedRun& run : runs) {
+    csv += run.csv;
+    arr.push_back(run.run_json);
+  }
+  return csv + "\n---\n" + arr.dump(2);
+}
+
+/// The CLI's plain per-seed path (seed offsets, labels, CSV) over `seeds`
+/// runs of lcda_episodes each, rendered like render_runs: the reference
+/// every distributed runs-mode study must reproduce.
+std::string reference_runs(const core::Scenario& scenario,
+                           core::Strategy strategy, int seeds) {
+  std::ostringstream csv;
+  util::Json arr = util::Json::array();
+  for (int s = 0; s < seeds; ++s) {
+    core::ExperimentConfig cfg = scenario.config;
+    cfg.seed = scenario.config.seed + static_cast<std::uint64_t>(s);
+    const core::RunResult run =
+        core::run_strategy(strategy, scenario.config.lcda_episodes, cfg);
+    const std::string label = std::string(core::strategy_name(strategy)) +
+                              "/seed" + std::to_string(cfg.seed);
+    core::write_run_csv(csv, run, label);
+    arr.push_back(core::run_to_json(run, label));
+  }
+  return csv.str() + "\n---\n" + arr.dump(2);
+}
+
+/// Tests that spawn the lcda_run binary living next to this test binary
+/// (both sit in the build root). They skip, instead of failing, in exotic
+/// build layouts where it is not there.
+class WithRunner : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string self = util::self_executable_path(nullptr);
+    const std::filesystem::path candidate =
+        std::filesystem::path(self).parent_path() / "lcda_run";
+    std::error_code ec;
+    if (self.empty() || !std::filesystem::exists(candidate, ec)) {
+      GTEST_SKIP() << "lcda_run binary not next to the test binary";
+    }
+    runner_ = candidate.string();
+  }
+
+  /// A quiet coordinator over `slots` resident workers in a fresh shard
+  /// dir, stealing off (the stealing test turns it back on).
+  dist::Coordinator::Options options(const char* tag, int slots,
+                                     int retries) const {
+    dist::Coordinator::Options opts;
+    opts.worker_command = {runner_};
+    opts.shard_dir = temp_dir(tag);
+    opts.max_parallel = slots;
+    opts.max_retries = retries;
+    opts.verbose = false;
+    opts.enable_steal = false;
+    return opts;
+  }
+
+  std::string runner_;
+};
+
+class Distributed : public WithRunner {};
 
 // ----------------------------------------------------------- subprocess
 
@@ -166,44 +231,38 @@ TEST(Protocol, CommandAndReplyRoundTrip) {
   dist::WorkerCommand run;
   run.kind = dist::WorkerCommand::Kind::kRun;
   run.spec_path = "/tmp/spec with spaces.json";
+  run.revoked = {3, 7};
   const std::string line = dist::encode_worker_command(run);
   EXPECT_EQ(line.back(), '\n');
-  const auto back = dist::parse_worker_command(line);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->kind, dist::WorkerCommand::Kind::kRun);
-  EXPECT_EQ(back->spec_path, run.spec_path);
+  EXPECT_EQ(line.find('\n'), line.size() - 1);  // exactly one line
+  EXPECT_EQ(dist::parse_worker_command(line), run);
 
-  for (const auto kind : {dist::WorkerCommand::Kind::kPing,
-                          dist::WorkerCommand::Kind::kShutdown}) {
-    dist::WorkerCommand cmd;
-    cmd.kind = kind;
-    const auto parsed = dist::parse_worker_command(dist::encode_worker_command(cmd));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->kind, kind);
+  dist::WorkerCommand revoke;
+  revoke.kind = dist::WorkerCommand::Kind::kRevoke;
+  revoke.revoked = {4};
+  EXPECT_EQ(dist::parse_worker_command(dist::encode_worker_command(revoke)),
+            revoke);
+  dist::WorkerCommand shutdown;
+  shutdown.kind = dist::WorkerCommand::Kind::kShutdown;
+  EXPECT_EQ(dist::parse_worker_command(dist::encode_worker_command(shutdown)),
+            shutdown);
+
+  std::vector<dist::WorkerReply> replies(5);
+  replies[0].kind = dist::WorkerReply::Kind::kSeedStart;
+  replies[0].seed = 4;
+  replies[1].kind = dist::WorkerReply::Kind::kSeedDone;
+  replies[1].seed = 4;
+  replies[1].wall_ms = 12.345678901234;
+  replies[2].kind = dist::WorkerReply::Kind::kHeartbeat;
+  replies[3].kind = dist::WorkerReply::Kind::kDone;
+  replies[3].manifest_path = "/tmp/manifest.json";
+  replies[4].kind = dist::WorkerReply::Kind::kFailed;
+  replies[4].reason = "store exploded: \"quote\"\nsecond line";
+  for (const dist::WorkerReply& reply : replies) {
+    const std::string encoded = dist::encode_worker_reply(reply);
+    EXPECT_EQ(encoded.find('\n'), encoded.size() - 1) << encoded;
+    EXPECT_EQ(dist::parse_worker_reply(encoded), reply) << encoded;
   }
-
-  dist::WorkerReply done;
-  done.kind = dist::WorkerReply::Kind::kDone;
-  done.manifest_path = "/tmp/manifest.json";
-  const auto done_back = dist::parse_worker_reply(dist::encode_worker_reply(done));
-  ASSERT_TRUE(done_back.has_value());
-  EXPECT_EQ(done_back->kind, dist::WorkerReply::Kind::kDone);
-  EXPECT_EQ(done_back->manifest_path, done.manifest_path);
-
-  dist::WorkerReply failed;
-  failed.kind = dist::WorkerReply::Kind::kFailed;
-  failed.reason = "store exploded: \"quote\"";
-  const auto failed_back =
-      dist::parse_worker_reply(dist::encode_worker_reply(failed));
-  ASSERT_TRUE(failed_back.has_value());
-  EXPECT_EQ(failed_back->kind, dist::WorkerReply::Kind::kFailed);
-  EXPECT_EQ(failed_back->reason, failed.reason);
-
-  dist::WorkerReply pong;
-  pong.kind = dist::WorkerReply::Kind::kPong;
-  const auto pong_back = dist::parse_worker_reply(dist::encode_worker_reply(pong));
-  ASSERT_TRUE(pong_back.has_value());
-  EXPECT_EQ(pong_back->kind, dist::WorkerReply::Kind::kPong);
 }
 
 TEST(Protocol, MalformedLinesParseToNullopt) {
@@ -213,19 +272,51 @@ TEST(Protocol, MalformedLinesParseToNullopt) {
   EXPECT_FALSE(dist::parse_worker_command("{\"cmd\":\"run\"}\n").has_value());
   EXPECT_FALSE(
       dist::parse_worker_command(
-          "{\"format\":\"other-v1\",\"cmd\":\"ping\"}\n")
+          "{\"format\":\"other-v2\",\"cmd\":\"shutdown\"}\n")
+          .has_value());
+  // A v1 peer is a different protocol, not a v2 message.
+  EXPECT_FALSE(
+      dist::parse_worker_command(
+          "{\"format\":\"lcda-worker-cmd-v1\",\"cmd\":\"shutdown\"}\n")
           .has_value());
   // `run` without a spec_path is incomplete, not a default-empty run.
   EXPECT_FALSE(
       dist::parse_worker_command(
-          "{\"format\":\"lcda-worker-cmd-v1\",\"cmd\":\"run\"}\n")
+          "{\"format\":\"lcda-worker-cmd-v2\",\"cmd\":\"run\"}\n")
           .has_value());
+  // Revoked seeds must be non-negative ints.
+  for (const char* revoked : {"[1.5]", "[-1]", "[\"2\"]", "3", "[1e10]"}) {
+    EXPECT_FALSE(dist::parse_worker_command(
+                     std::string("{\"format\":\"lcda-worker-cmd-v2\","
+                                 "\"cmd\":\"revoke\",\"revoked\":") +
+                     revoked + "}")
+                     .has_value())
+        << revoked;
+  }
   EXPECT_FALSE(dist::parse_worker_reply("{\"reply\":\"done\"}\n").has_value());
   // `done` without its manifest path is torn, not an empty success.
   EXPECT_FALSE(
       dist::parse_worker_reply(
-          "{\"format\":\"lcda-worker-cmd-v1\",\"reply\":\"done\"}\n")
+          "{\"format\":\"lcda-worker-cmd-v2\",\"reply\":\"done\"}\n")
           .has_value());
+  // Seed events need their seed, and seed-done a sane wall clock.
+  EXPECT_FALSE(dist::parse_worker_reply(
+                   "{\"format\":\"lcda-worker-cmd-v2\",\"reply\":"
+                   "\"seed-start\"}")
+                   .has_value());
+  EXPECT_FALSE(dist::parse_worker_reply(
+                   "{\"format\":\"lcda-worker-cmd-v2\",\"reply\":"
+                   "\"seed-done\",\"seed\":1}")
+                   .has_value());
+  EXPECT_FALSE(dist::parse_worker_reply(
+                   "{\"format\":\"lcda-worker-cmd-v2\",\"reply\":"
+                   "\"seed-done\",\"seed\":1,\"wall_ms\":-2}")
+                   .has_value());
+  // Garbage nested deep enough to overflow a recursive parser's stack is
+  // still just garbage.
+  EXPECT_FALSE(dist::parse_worker_reply(std::string(100000, '[')).has_value());
+  EXPECT_FALSE(
+      dist::parse_worker_command(std::string(100000, '{')).has_value());
 }
 
 TEST(Protocol, LineBufferReassemblesTornLines) {
@@ -248,56 +339,150 @@ TEST(Protocol, LineBufferReassemblesTornLines) {
   EXPECT_TRUE(lines.pending().empty());
 }
 
-TEST(Protocol, WorkerLoopAnswersPingAndDrainsOnShutdown) {
-  const std::string runner = lcda_run_path();
-  if (runner.empty()) {
-    GTEST_SKIP() << "lcda_run binary not next to the test binary";
+/// A resident `lcda_run --worker-loop` driven by hand over its pipes.
+class WorkerLoop : public WithRunner {
+ protected:
+  void SetUp() override {
+    WithRunner::SetUp();
+    if (!IsSkipped()) launch();
   }
-  util::Subprocess::Options popts;
-  popts.pipe_stdin = true;
-  popts.pipe_stdout = true;
-  util::Subprocess worker({runner, "--worker-loop"}, popts);
 
-  dist::LineBuffer lines;
-  const auto next_reply = [&]() -> std::optional<dist::WorkerReply> {
-    std::optional<std::string> line;
-    if (!eventually([&] {
-          lines.feed(worker.read_stdout());
-          line = lines.next_line();
-          return line.has_value();
-        })) {
-      return std::nullopt;
+  /// (Re)starts the worker, e.g. once a test has armed LCDA_FAULT for it.
+  void launch() {
+    util::Subprocess::Options popts;
+    popts.pipe_stdin = true;
+    popts.pipe_stdout = true;
+    worker_.reset();
+    lines_ = dist::LineBuffer{};
+    worker_.emplace(std::vector<std::string>{runner_, "--worker-loop"}, popts);
+  }
+
+  /// The next protocol message, heartbeats skipped unless asked for;
+  /// nullopt on timeout or an unparseable line.
+  std::optional<dist::WorkerReply> next(bool heartbeats = false) {
+    for (;;) {
+      std::optional<std::string> line;
+      if (!eventually([&] {
+            lines_.feed(worker_->read_stdout());
+            line = lines_.next_line();
+            return line.has_value();
+          })) {
+        return std::nullopt;
+      }
+      std::optional<dist::WorkerReply> reply = dist::parse_worker_reply(*line);
+      if (heartbeats || !reply ||
+          reply->kind != dist::WorkerReply::Kind::kHeartbeat) {
+        return reply;
+      }
     }
-    return dist::parse_worker_reply(*line);
-  };
+  }
 
-  // A command torn across two writes still parses once the newline lands.
-  dist::WorkerCommand ping;
-  ping.kind = dist::WorkerCommand::Kind::kPing;
-  const std::string ping_line = dist::encode_worker_command(ping);
-  ASSERT_TRUE(worker.write_stdin(ping_line.substr(0, 5)));
-  ASSERT_TRUE(worker.write_stdin(ping_line.substr(5)));
-  auto reply = next_reply();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kPong);
+  /// Sends `shutdown` and expects a clean exit 0, no kill needed.
+  void shut_down() {
+    dist::WorkerCommand shutdown;
+    shutdown.kind = dist::WorkerCommand::Kind::kShutdown;
+    ASSERT_TRUE(worker_->write_stdin(dist::encode_worker_command(shutdown)));
+    std::optional<util::Subprocess::Result> result;
+    EXPECT_TRUE(eventually([&] {
+      result = worker_->try_wait();
+      return result.has_value();
+    }));
+    ASSERT_TRUE(result.has_value());
+    EXPECT_TRUE(result->ok()) << result->describe();
+  }
 
-  // Garbage does not kill the loop; it reports and keeps serving.
-  ASSERT_TRUE(worker.write_stdin("definitely not json\n"));
-  reply = next_reply();
+  std::optional<util::Subprocess> worker_;
+  dist::LineBuffer lines_;
+};
+
+TEST_F(WorkerLoop, HeartbeatsRejectsGarbageAndDrainsOnShutdown) {
+  // An idle worker still proves it is alive.
+  const auto heartbeat = next(/*heartbeats=*/true);
+  ASSERT_TRUE(heartbeat.has_value());
+  EXPECT_EQ(heartbeat->kind, dist::WorkerReply::Kind::kHeartbeat);
+
+  // A revocation with no spec in flight has nothing to act on: no reply.
+  // Garbage does not kill the loop either; it is reported and the loop
+  // keeps serving.
+  dist::WorkerCommand revoke;
+  revoke.kind = dist::WorkerCommand::Kind::kRevoke;
+  revoke.revoked = {0};
+  ASSERT_TRUE(worker_->write_stdin(dist::encode_worker_command(revoke)));
+  ASSERT_TRUE(worker_->write_stdin("definitely not json\n"));
+  const auto reply = next();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->kind, dist::WorkerReply::Kind::kFailed);
+  EXPECT_EQ(reply->reason, "malformed command line");
 
-  // `shutdown` drains the loop: clean exit 0, no kill needed.
-  dist::WorkerCommand shutdown;
-  shutdown.kind = dist::WorkerCommand::Kind::kShutdown;
-  ASSERT_TRUE(worker.write_stdin(dist::encode_worker_command(shutdown)));
-  std::optional<util::Subprocess::Result> result;
-  EXPECT_TRUE(eventually([&] {
-    result = worker.try_wait();
-    return result.has_value();
-  }));
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->ok()) << result->describe();
+  shut_down();
+}
+
+TEST_F(WorkerLoop, StreamsSeedEventsAndSkipsRevokedSeeds) {
+  const std::string dir = temp_dir("worker_loop_run");
+  dist::ShardSpec spec = dist::plan_shards(
+      small_scenario(), dist::ShardMode::kAggregate,
+      {{core::Strategy::kRandom, 4}}, /*seeds=*/4, /*shards=*/1, NAN, 0.95)[0];
+  spec.result_path = dir + "/result.json";
+  dist::save_shard_spec(spec, dir + "/spec.json");
+  // Seeds 0 and 2 dawdle, so commands written once they started land
+  // mid-spec, between the worker's stdin drains.
+  const ScopedEnv slow("LCDA_FAULT", "sleep=300@seed:0,2");
+  launch();
+
+  // Seed 1 was stolen before this attempt: the `run` itself carries it.
+  // The `run` is torn across two writes far enough apart that the idle
+  // worker reads its first half alone; it must wait for the newline, not
+  // act on or drop the partial line.
+  dist::WorkerCommand run;
+  run.kind = dist::WorkerCommand::Kind::kRun;
+  run.spec_path = dir + "/spec.json";
+  run.revoked = {1};
+  const std::string run_line = dist::encode_worker_command(run);
+  ASSERT_TRUE(worker_->write_stdin(run_line.substr(0, 9)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(worker_->write_stdin(run_line.substr(9)));
+
+  // Seed 3 is stolen mid-spec by a torn `revoke`: its first half is
+  // written while the worker sleeps inside seed 0, so the drains before
+  // seeds 1 and 2 find only a partial line; the rest follows once seed 2
+  // started (after those drains), while it sleeps. Only a worker that
+  // keeps the partial line across drains skips seed 3.
+  dist::WorkerCommand revoke;
+  revoke.kind = dist::WorkerCommand::Kind::kRevoke;
+  revoke.revoked = {3};
+  const std::string revoke_line = dist::encode_worker_command(revoke);
+  const std::size_t cut = revoke_line.size() / 2;
+
+  std::vector<std::string> events;
+  std::optional<dist::WorkerReply> reply;
+  while ((reply = next()) &&
+         (reply->kind == dist::WorkerReply::Kind::kSeedStart ||
+          reply->kind == dist::WorkerReply::Kind::kSeedDone)) {
+    const bool done = reply->kind == dist::WorkerReply::Kind::kSeedDone;
+    if (done) {
+      EXPECT_GE(reply->wall_ms, 0.0);
+    }
+    events.push_back((done ? "done " : "start ") + std::to_string(reply->seed));
+    if (events.back() == "start 0") {
+      ASSERT_TRUE(worker_->write_stdin(revoke_line.substr(0, cut)));
+    } else if (events.back() == "start 2") {
+      ASSERT_TRUE(worker_->write_stdin(revoke_line.substr(cut)));
+    }
+  }
+  // Every seed event arrives, in order, before the spec's final reply.
+  EXPECT_EQ(events, (std::vector<std::string>{"start 0", "done 0", "start 2",
+                                              "done 2"}));
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->kind, dist::WorkerReply::Kind::kDone) << reply->reason;
+  EXPECT_EQ(reply->manifest_path, spec.result_path);
+  std::vector<long long> published;
+  for (const util::Json& e :
+       dist::load_shard_manifest(spec).at("entries").elements()) {
+    published.push_back(e.at("seed").as_int());
+  }
+  EXPECT_EQ(published, (std::vector<long long>{0, 2}));
+
+  shut_down();
 }
 
 // ------------------------------------------------------- specs and plans
@@ -427,39 +612,14 @@ TEST(Merge, SpeedupIsByteIdenticalToSingleProcess) {
 
 TEST(Merge, RunsModeReassemblesTracesVerbatim) {
   core::Scenario scenario = small_scenario();
-  // Reference: the CLI's plain path — seed offsets, labels, CSV.
-  std::string reference_csv;
-  std::string reference_runs_json;
-  {
-    util::Json arr = util::Json::array();
-    std::ostringstream csv;
-    for (int s = 0; s < 3; ++s) {
-      core::ExperimentConfig cfg = scenario.config;
-      cfg.seed = scenario.config.seed + static_cast<std::uint64_t>(s);
-      const core::RunResult run = core::run_strategy(
-          core::Strategy::kLcda, scenario.config.lcda_episodes, cfg);
-      const std::string label = "LCDA/seed" + std::to_string(cfg.seed);
-      core::write_run_csv(csv, run, label);
-      arr.push_back(core::run_to_json(run, label));
-    }
-    reference_csv = csv.str();
-    reference_runs_json = arr.dump(2);
-  }
-
   auto specs = dist::plan_shards(
       scenario, dist::ShardMode::kRuns,
       {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, 3,
       /*shards=*/3, NAN, 0.95);
   const auto merged = dist::merge_runs(specs, run_shards_in_process(specs));
   ASSERT_EQ(merged.size(), 3u);
-  std::string csv;
-  util::Json arr = util::Json::array();
-  for (const dist::MergedRun& run : merged) {
-    csv += run.csv;
-    arr.push_back(run.run_json);
-  }
-  EXPECT_EQ(csv, reference_csv);
-  EXPECT_EQ(arr.dump(2), reference_runs_json);
+  EXPECT_EQ(render_runs(merged),
+            reference_runs(scenario, core::Strategy::kLcda, 3));
 }
 
 TEST(Merge, IncompleteOrForeignManifestsAreRejected) {
@@ -482,12 +642,7 @@ TEST(Merge, IncompleteOrForeignManifestsAreRejected) {
 
 // ------------------------------------------- end-to-end worker processes
 
-TEST(Distributed, WorkersAndRetriesConvergeToReferenceBytes) {
-  const std::string runner = lcda_run_path();
-  if (runner.empty()) {
-    GTEST_SKIP() << "lcda_run binary not next to the test binary";
-  }
-
+TEST_F(Distributed, WorkersAndRetriesConvergeToReferenceBytes) {
   // 2 workers x parallelism 2, shared persistent-cache directory — the
   // distributed acceptance configuration.
   core::Scenario scenario = small_scenario();
@@ -510,98 +665,26 @@ TEST(Distributed, WorkersAndRetriesConvergeToReferenceBytes) {
   // coordinator must retry it and the merged bytes must not change.
   specs[0].fail_first_attempt = true;
 
-  dist::Coordinator::Options opts;
-  opts.worker_command = {runner};
-  opts.shard_dir = temp_dir("coord");
-  opts.max_parallel = 2;
-  opts.max_retries = 1;
-  opts.verbose = false;
-  // This test asserts the exact plan shape afterwards; stealing is free to
-  // append/erase specs, so pin it off (it has its own tests below).
-  opts.enable_steal = false;
-  dist::Coordinator(opts).run(specs);
+  // Stealing stays off: this test asserts the exact plan shape afterwards,
+  // and stealing is free to append/erase specs (it has its own test).
+  dist::Coordinator(options("coord", /*slots=*/2, /*retries=*/1)).run(specs);
   EXPECT_EQ(specs[0].attempt, 1);  // the injected failure was retried
   EXPECT_EQ(specs[1].attempt, 0);
 
-  std::vector<util::Json> manifests;
-  for (const auto& spec : specs) {
-    manifests.push_back(dist::load_shard_manifest(spec));
-  }
   const core::AggregateResult merged =
-      dist::merge_aggregate(specs, manifests);
+      dist::merge_aggregate(specs, load_manifests(specs));
   EXPECT_EQ(core::aggregate_to_json(merged).dump(2),
             core::aggregate_to_json(reference).dump(2));
   EXPECT_EQ(merged.persistent_hits, reference.persistent_hits);
 }
 
-// --------------------------------------------- progress sidecar protocol
-
-TEST(Progress, RoundTripsRecordsAndToleratesTornTail) {
-  const std::string dir = temp_dir("progress");
-  const std::string path = dir + "/p.jsonl";
-  {
-    dist::ProgressWriter w(path);
-    w.begin(0);
-    w.seed_started(3);
-    w.seed_done(3, 12.5);
-    w.seed_started(4);
-  }
-  dist::ProgressSnapshot snap = dist::read_progress(path);
-  EXPECT_EQ(snap.started, (std::set<int>{3, 4}));
-  EXPECT_EQ(snap.done, (std::set<int>{3}));
-  EXPECT_TRUE(snap.started_not_done(4));
-  EXPECT_DOUBLE_EQ(snap.done_wall_ms, 12.5);
-
-  // A torn final line (the worker died mid-append) is ignored; every
-  // record before it still counts.
-  {
-    std::ofstream out(path, std::ios::app);
-    out << "{\"e\":\"done\",\"se";
-  }
-  snap = dist::read_progress(path);
-  EXPECT_EQ(snap.done, (std::set<int>{3}));
-  EXPECT_EQ(snap.started, (std::set<int>{3, 4}));
-
-  // A worker that has not started yet has no file — an empty snapshot,
-  // not an error.
-  EXPECT_EQ(dist::read_progress(dir + "/absent.jsonl").records, 0);
-
-  // Revocations: atomic write, exact read-back, absent file = no steals.
-  const std::string revoke = dir + "/revoke.json";
-  dist::write_revocations(revoke, {1, 5});
-  EXPECT_EQ(dist::read_revocations(revoke), (std::set<int>{1, 5}));
-  EXPECT_TRUE(dist::read_revocations(dir + "/none.json").empty());
-}
-
 // ----------------------------------------- stealing and dead workers
 
-TEST(Distributed, StragglerStealingKeepsBytesIdentical) {
-  const std::string runner = lcda_run_path();
-  if (runner.empty()) {
-    GTEST_SKIP() << "lcda_run binary not next to the test binary";
-  }
-
-  // Reference: the CLI's plain per-seed path, same loop as the runs-mode
-  // merge test above.
+TEST_F(Distributed, StragglerStealingKeepsBytesIdentical) {
   core::Scenario scenario = small_scenario();
   const int kSeeds = 6;
-  std::string reference_csv;
-  std::string reference_runs_json;
-  {
-    util::Json arr = util::Json::array();
-    std::ostringstream csv;
-    for (int s = 0; s < kSeeds; ++s) {
-      core::ExperimentConfig cfg = scenario.config;
-      cfg.seed = scenario.config.seed + static_cast<std::uint64_t>(s);
-      const core::RunResult run = core::run_strategy(
-          core::Strategy::kLcda, scenario.config.lcda_episodes, cfg);
-      const std::string label = "LCDA/seed" + std::to_string(cfg.seed);
-      core::write_run_csv(csv, run, label);
-      arr.push_back(core::run_to_json(run, label));
-    }
-    reference_csv = csv.str();
-    reference_runs_json = arr.dump(2);
-  }
+  const std::string reference =
+      reference_runs(scenario, core::Strategy::kLcda, kSeeds);
 
   // Inject a straggler: shard 0 owns seeds {0,1} (6 seeds over 4 chunks)
   // and sleeps 400ms before each, while its peers finish in milliseconds.
@@ -613,41 +696,37 @@ TEST(Distributed, StragglerStealingKeepsBytesIdentical) {
       /*shards=*/4, NAN, 0.95);
   const ScopedEnv sleep_fault("LCDA_FAULT", "sleep=400@seed:0,1");
 
-  dist::Coordinator::Options opts;
-  opts.worker_command = {runner};
-  opts.shard_dir = temp_dir("steal");
-  opts.max_parallel = 4;
-  opts.max_retries = 0;
-  opts.verbose = false;
+  dist::Coordinator::Options opts = options("steal", /*slots=*/4, 0);
+  opts.enable_steal = true;
   opts.steal_threshold = 1.5;
   dist::Coordinator coordinator(opts);
   coordinator.run(specs);
   EXPECT_GE(coordinator.stats().steals, 1);
   EXPECT_GE(coordinator.stats().stolen_seeds, 1);
 
-  std::vector<util::Json> manifests;
-  for (const auto& spec : specs) {
-    manifests.push_back(dist::load_shard_manifest(spec));
+  const std::vector<util::Json> manifests = load_manifests(specs);
+  // The revocation took effect: a seed a phase-1 steal moved to a new spec
+  // is absent from every surviving parent manifest. (The merger keeps the
+  // lowest shard index's copy of a seed published twice, so the merged
+  // bytes below cannot tell a revoke that never reached its worker.)
+  for (const dist::ShardSpec& thief : specs) {
+    if (thief.stolen_from < 0 || thief.supersedes) continue;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (specs[i].index != thief.stolen_from) continue;
+      for (const util::Json& e : manifests[i].at("entries").elements()) {
+        const int seed = static_cast<int>(e.at("seed").as_int());
+        EXPECT_EQ(std::count(thief.seeds.begin(), thief.seeds.end(), seed), 0)
+            << "shard " << specs[i].index << " published seed " << seed
+            << " after it was stolen by shard " << thief.index;
+      }
+    }
   }
-  const std::vector<dist::MergedRun> merged =
-      dist::merge_runs(specs, manifests);
+  const std::vector<dist::MergedRun> merged = dist::merge_runs(specs, manifests);
   ASSERT_EQ(merged.size(), static_cast<std::size_t>(kSeeds));
-  std::string csv;
-  util::Json arr = util::Json::array();
-  for (const dist::MergedRun& run : merged) {
-    csv += run.csv;
-    arr.push_back(run.run_json);
-  }
-  EXPECT_EQ(csv, reference_csv);
-  EXPECT_EQ(arr.dump(2), reference_runs_json);
+  EXPECT_EQ(render_runs(merged), reference);
 }
 
-TEST(Distributed, DeadWorkerIsReapedThroughHeartbeatTimeout) {
-  const std::string runner = lcda_run_path();
-  if (runner.empty()) {
-    GTEST_SKIP() << "lcda_run binary not next to the test binary";
-  }
-
+TEST_F(Distributed, DeadWorkerIsReapedThroughHeartbeatTimeout) {
   core::Scenario scenario = small_scenario();
   const int kSeeds = 4;
   const core::AggregateResult reference =
@@ -659,75 +738,40 @@ TEST(Distributed, DeadWorkerIsReapedThroughHeartbeatTimeout) {
       {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, kSeeds,
       /*shards=*/2, NAN, 0.95);
   // Shard 1 owns seeds {2,3}; its attempt 0 stops heartbeating and hangs
-  // at seed 2 — a live process doing nothing, invisible to try_wait().
-  // Only the staleness reaper can recover it.
+  // at seed 2 — a live process writing nothing, invisible to try_wait().
+  // Only the silence reaper can recover it (stealing stays off to isolate
+  // that path).
   const ScopedEnv wedge("LCDA_FAULT", "wedge@seed:2");
 
-  dist::Coordinator::Options opts;
-  opts.worker_command = {runner};
-  opts.shard_dir = temp_dir("wedge");
-  opts.max_parallel = 2;
-  opts.max_retries = 1;
-  opts.verbose = false;
-  opts.enable_steal = false;  // isolate the heartbeat path
-  opts.heartbeat_ms = 50;
+  dist::Coordinator::Options opts = options("wedge", /*slots=*/2, 1);
   opts.heartbeat_timeout_ms = 1000;
   dist::Coordinator coordinator(opts);
   coordinator.run(specs);
   EXPECT_EQ(coordinator.stats().dead_workers, 1);
   EXPECT_EQ(coordinator.stats().retries, 1);
 
-  std::vector<util::Json> manifests;
-  for (const auto& spec : specs) {
-    manifests.push_back(dist::load_shard_manifest(spec));
-  }
-  const core::AggregateResult merged = dist::merge_aggregate(specs, manifests);
+  const core::AggregateResult merged =
+      dist::merge_aggregate(specs, load_manifests(specs));
   EXPECT_EQ(core::aggregate_to_json(merged).dump(2),
             core::aggregate_to_json(reference).dump(2));
 }
 
 // --------------------------------------------- persistent worker pool
 
-/// Drives `specs` through a coordinator (pooled or spawn-per-attempt) and
-/// returns the executed plan with its loaded manifests.
-std::pair<std::vector<dist::ShardSpec>, std::vector<util::Json>>
-run_through_coordinator(const std::string& runner,
-                        std::vector<dist::ShardSpec> specs, bool pool,
-                        const char* tag,
-                        dist::Coordinator::Stats* stats = nullptr) {
-  dist::Coordinator::Options opts;
-  opts.worker_command = {runner};
-  opts.shard_dir = temp_dir(tag);
-  opts.max_parallel = 2;
-  opts.max_retries = 0;
-  opts.verbose = false;
-  opts.enable_steal = false;
-  opts.use_worker_pool = pool;
-  dist::Coordinator coordinator(opts);
-  coordinator.run(specs);
-  if (pool) {
-    EXPECT_GE(coordinator.stats().pool_workers, 1);
-  } else {
-    EXPECT_EQ(coordinator.stats().pool_workers, 0);
-  }
-  if (stats != nullptr) *stats = coordinator.stats();
-  std::vector<util::Json> manifests;
-  for (const dist::ShardSpec& spec : specs) {
-    manifests.push_back(dist::load_shard_manifest(spec));
-  }
-  return {std::move(specs), std::move(manifests)};
-}
-
-TEST(Distributed, PooledMatchesNoPoolAndInProcessInAllModes) {
-  const std::string runner = lcda_run_path();
-  if (runner.empty()) {
-    GTEST_SKIP() << "lcda_run binary not next to the test binary";
-  }
+TEST_F(Distributed, PooledMatchesInProcessInAllModes) {
   const core::Scenario scenario = small_scenario();
+  // Drives `specs` through a two-slot coordinator; the executed plan comes
+  // back through `specs`, the loaded manifests as the result.
+  const auto through_pool = [&](std::vector<dist::ShardSpec>& specs,
+                                const char* tag) {
+    dist::Coordinator coordinator(options(tag, /*slots=*/2, 0));
+    coordinator.run(specs);
+    EXPECT_GE(coordinator.stats().pool_workers, 1);
+    return load_manifests(specs);
+  };
 
-  // Aggregate mode: merged bytes must agree three ways — in-process
-  // shards (the merge contract's reference), the resident pool, and
-  // spawn-per-attempt.
+  // Aggregate mode: merged bytes must agree between in-process shards (the
+  // merge contract's reference) and the resident pool.
   {
     auto specs = dist::plan_shards(
         scenario, dist::ShardMode::kAggregate,
@@ -737,18 +781,10 @@ TEST(Distributed, PooledMatchesNoPoolAndInProcessInAllModes) {
         core::aggregate_to_json(
             dist::merge_aggregate(specs, run_shards_in_process(specs)))
             .dump(2);
-    const auto [pool_specs, pool_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/true, "pool_agg");
-    EXPECT_EQ(core::aggregate_to_json(
-                  dist::merge_aggregate(pool_specs, pool_manifests))
-                  .dump(2),
-              reference);
-    const auto [spawn_specs, spawn_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/false, "nopool_agg");
-    EXPECT_EQ(core::aggregate_to_json(
-                  dist::merge_aggregate(spawn_specs, spawn_manifests))
-                  .dump(2),
-              reference);
+    const std::vector<util::Json> manifests = through_pool(specs, "pool_agg");
+    EXPECT_EQ(
+        core::aggregate_to_json(dist::merge_aggregate(specs, manifests)).dump(2),
+        reference);
   }
 
   // Speedup mode.
@@ -760,54 +796,31 @@ TEST(Distributed, PooledMatchesNoPoolAndInProcessInAllModes) {
         core::speedup_study_to_json(
             dist::merge_speedup(specs, run_shards_in_process(specs)))
             .dump(2);
-    const auto [pool_specs, pool_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/true, "pool_speedup");
-    EXPECT_EQ(core::speedup_study_to_json(
-                  dist::merge_speedup(pool_specs, pool_manifests))
-                  .dump(2),
-              reference);
-    const auto [spawn_specs, spawn_manifests] = run_through_coordinator(
-        runner, specs, /*pool=*/false, "nopool_speedup");
-    EXPECT_EQ(core::speedup_study_to_json(
-                  dist::merge_speedup(spawn_specs, spawn_manifests))
-                  .dump(2),
-              reference);
+    const std::vector<util::Json> manifests =
+        through_pool(specs, "pool_speedup");
+    EXPECT_EQ(
+        core::speedup_study_to_json(dist::merge_speedup(specs, manifests))
+            .dump(2),
+        reference);
   }
 
-  // Runs mode (CSV text and run JSON verbatim). The pooled run hands both
-  // shards to the same two resident workers, so this also pins that a
-  // worker's second spec is byte-identical to a fresh process's first —
-  // the warm-reuse contract.
+  // Runs mode (CSV text and run JSON verbatim). The pooled run hands four
+  // shards to two resident workers, so this also pins that a worker's
+  // second spec is byte-identical to a fresh process's first — the
+  // warm-reuse contract.
   {
     auto specs = dist::plan_shards(
         scenario, dist::ShardMode::kRuns,
         {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, /*seeds=*/4,
         /*shards=*/4, NAN, 0.95);
-    const auto render = [](const std::vector<dist::ShardSpec>& s,
-                           const std::vector<util::Json>& m) {
-      std::string csv;
-      util::Json arr = util::Json::array();
-      for (const dist::MergedRun& run : dist::merge_runs(s, m)) {
-        csv += run.csv;
-        arr.push_back(run.run_json);
-      }
-      return csv + "\n---\n" + arr.dump(2);
-    };
-    const std::string reference = render(specs, run_shards_in_process(specs));
-    const auto [pool_specs, pool_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/true, "pool_runs");
-    EXPECT_EQ(render(pool_specs, pool_manifests), reference);
-    const auto [spawn_specs, spawn_manifests] =
-        run_through_coordinator(runner, specs, /*pool=*/false, "nopool_runs");
-    EXPECT_EQ(render(spawn_specs, spawn_manifests), reference);
+    const std::string reference =
+        render_runs(dist::merge_runs(specs, run_shards_in_process(specs)));
+    const std::vector<util::Json> manifests = through_pool(specs, "pool_runs");
+    EXPECT_EQ(render_runs(dist::merge_runs(specs, manifests)), reference);
   }
 }
 
-TEST(Distributed, PoolWorkerKilledMidSpecIsRespawnedAndRetried) {
-  const std::string runner = lcda_run_path();
-  if (runner.empty()) {
-    GTEST_SKIP() << "lcda_run binary not next to the test binary";
-  }
+TEST_F(Distributed, PoolWorkerKilledMidSpecIsRespawnedAndRetried) {
   core::Scenario scenario = small_scenario();
   const int kSeeds = 4;
   const core::AggregateResult reference =
@@ -823,35 +836,21 @@ TEST(Distributed, PoolWorkerKilledMidSpecIsRespawnedAndRetried) {
   // is exactly the pool's crash-recovery path (no manifest, no reply).
   const ScopedEnv die("LCDA_FAULT", "kill@seed:2");
 
-  dist::Coordinator::Options opts;
-  opts.worker_command = {runner};
-  opts.shard_dir = temp_dir("pool_die");
-  opts.max_parallel = 1;  // one resident worker serves both shards
-  opts.max_retries = 1;
-  opts.verbose = false;
-  opts.enable_steal = false;
-  dist::Coordinator coordinator(opts);
+  // One resident worker serves both shards.
+  dist::Coordinator coordinator(options("pool_die", /*slots=*/1, 1));
   coordinator.run(specs);
   EXPECT_EQ(coordinator.stats().retries, 1);
   // The first resident worker died with the spec; its replacement ran the
   // retry. Launches: the original plus exactly one respawn.
   EXPECT_EQ(coordinator.stats().pool_workers, 2);
 
-  std::vector<util::Json> manifests;
-  for (const auto& spec : specs) {
-    manifests.push_back(dist::load_shard_manifest(spec));
-  }
-  const core::AggregateResult merged = dist::merge_aggregate(specs, manifests);
+  const core::AggregateResult merged =
+      dist::merge_aggregate(specs, load_manifests(specs));
   EXPECT_EQ(core::aggregate_to_json(merged).dump(2),
             core::aggregate_to_json(reference).dump(2));
 }
 
-TEST(Distributed, KilledWorkerResumesFromCheckpointByteIdentically) {
-  const std::string runner = lcda_run_path();
-  if (runner.empty()) {
-    GTEST_SKIP() << "lcda_run binary not next to the test binary";
-  }
-
+TEST_F(Distributed, KilledWorkerResumesFromCheckpointByteIdentically) {
   // Reference: the plain per-seed path with checkpointing OFF — the killed
   // and checkpoint-resumed distributed study below must reproduce these
   // bytes exactly (trace-invariance covers the checkpoint machinery too).
@@ -861,23 +860,8 @@ TEST(Distributed, KilledWorkerResumesFromCheckpointByteIdentically) {
   core::Scenario scenario = small_scenario();
   scenario.config.batch_size = 1;
   const int kSeeds = 4;
-  std::string reference_csv;
-  std::string reference_runs_json;
-  {
-    util::Json arr = util::Json::array();
-    std::ostringstream csv;
-    for (int s = 0; s < kSeeds; ++s) {
-      core::ExperimentConfig cfg = scenario.config;
-      cfg.seed = scenario.config.seed + static_cast<std::uint64_t>(s);
-      const core::RunResult run = core::run_strategy(
-          core::Strategy::kGenetic, scenario.config.lcda_episodes, cfg);
-      const std::string label = "Genetic/seed" + std::to_string(cfg.seed);
-      core::write_run_csv(csv, run, label);
-      arr.push_back(core::run_to_json(run, label));
-    }
-    reference_csv = csv.str();
-    reference_runs_json = arr.dump(2);
-  }
+  const std::string reference =
+      reference_runs(scenario, core::Strategy::kGenetic, kSeeds);
 
   // The distributed copy of the study checkpoints every 2 of its 6
   // episodes. Every attempt-0 worker _Exit(42)s mid-run once its first
@@ -893,47 +877,27 @@ TEST(Distributed, KilledWorkerResumesFromCheckpointByteIdentically) {
       /*shards=*/2, NAN, 0.95);
   const ScopedEnv kill_fault("LCDA_FAULT", "kill@episode:4");
 
-  dist::Coordinator::Options opts;
-  opts.worker_command = {runner};
-  opts.shard_dir = temp_dir("ckpt_resume");
-  opts.max_parallel = 2;
-  opts.max_retries = 1;
-  opts.verbose = false;
-  opts.enable_steal = false;
-  dist::Coordinator coordinator(opts);
+  dist::Coordinator coordinator(options("ckpt_resume", /*slots=*/2, 1));
   coordinator.run(specs);
   EXPECT_GE(coordinator.stats().retries, 1);
 
-  std::vector<util::Json> manifests;
+  const std::vector<util::Json> manifests = load_manifests(specs);
   long long resumed = 0;
-  for (const auto& spec : specs) {
-    manifests.push_back(dist::load_shard_manifest(spec));
-    if (manifests.back().contains("resumed_episodes")) {
-      resumed += manifests.back().at("resumed_episodes").as_int();
+  for (const util::Json& manifest : manifests) {
+    if (manifest.contains("resumed_episodes")) {
+      resumed += manifest.at("resumed_episodes").as_int();
     }
   }
   // At least one retried seed actually restored episodes from disk — the
   // byte match below must not be explained by a silent cold re-run.
   EXPECT_GE(resumed, 1);
 
-  const std::vector<dist::MergedRun> merged =
-      dist::merge_runs(specs, manifests);
+  const std::vector<dist::MergedRun> merged = dist::merge_runs(specs, manifests);
   ASSERT_EQ(merged.size(), static_cast<std::size_t>(kSeeds));
-  std::string csv;
-  util::Json arr = util::Json::array();
-  for (const dist::MergedRun& run : merged) {
-    csv += run.csv;
-    arr.push_back(run.run_json);
-  }
-  EXPECT_EQ(csv, reference_csv);
-  EXPECT_EQ(arr.dump(2), reference_runs_json);
+  EXPECT_EQ(render_runs(merged), reference);
 }
 
-TEST(Distributed, ExhaustedRetriesFailLoudly) {
-  const std::string runner = lcda_run_path();
-  if (runner.empty()) {
-    GTEST_SKIP() << "lcda_run binary not next to the test binary";
-  }
+TEST_F(Distributed, ExhaustedRetriesFailLoudly) {
   core::Scenario scenario = small_scenario();
   auto specs = dist::plan_shards(
       scenario, dist::ShardMode::kAggregate,
@@ -941,14 +905,10 @@ TEST(Distributed, ExhaustedRetriesFailLoudly) {
       /*shards=*/1, NAN, 0.95);
   specs[0].fail_first_attempt = true;
 
-  dist::Coordinator::Options opts;
-  opts.worker_command = {runner};
-  opts.shard_dir = temp_dir("coord_fail");
-  opts.max_parallel = 1;
-  opts.max_retries = 0;  // no second attempt: the injected crash is fatal
-  opts.verbose = false;
+  // No second attempt: the injected crash is fatal.
   try {
-    dist::Coordinator(opts).run(specs);
+    dist::Coordinator(options("coord_fail", /*slots=*/1, /*retries=*/0))
+        .run(specs);
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("exit 3"), std::string::npos);

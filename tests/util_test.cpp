@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -433,6 +435,22 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("1.2.3"), std::runtime_error);
 }
 
+TEST(JsonParse, NestingDepthIsCapped) {
+  // 100,000 levels would overflow the stack of a parser that recurses once
+  // per level; past the cap it throws like for any other malformed document.
+  constexpr std::size_t kDeep = 100000;
+  EXPECT_THROW((void)Json::parse(std::string(kDeep, '[')), std::runtime_error);
+  EXPECT_THROW(
+      (void)Json::parse(std::string(kDeep, '[') + std::string(kDeep, ']')),
+      std::runtime_error);
+  std::string objects;
+  for (std::size_t i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)Json::parse(objects), std::runtime_error);
+  // Documents at the cap still parse.
+  const Json at_cap = Json::parse(std::string(512, '[') + std::string(512, ']'));
+  EXPECT_TRUE(at_cap.is_array());
+}
+
 TEST(JsonParse, TypedAccessorsValidate) {
   const Json j = Json::parse(R"({"d":1.5,"s":"x"})");
   EXPECT_THROW((void)j.at("d").as_int(), std::logic_error);     // non-integral
@@ -508,6 +526,57 @@ TEST(Subprocess, DestructorReapsRunningChild) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             5000);
+}
+
+/// True while `pid` names a live process (a zombie awaiting its reaper
+/// counts as gone).
+bool process_alive(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return false;
+  // "<pid> (<comm>) <state> ..." — the state follows the last ')'.
+  const std::size_t close = line.rfind(')');
+  return close != std::string::npos && close + 2 < line.size() &&
+         line[close + 2] != 'Z';
+}
+
+TEST(Subprocess, NoDescendantSurvivesStopOrDestruction) {
+  // The shell ignores SIGTERM and so does the `sleep` it forks (an ignored
+  // signal survives fork and exec); it reports the grandchild's pid on
+  // stdout. Signalling only the shell would orphan that sleep.
+  const std::vector<std::string> argv = {
+      "/bin/sh", "-c", "trap '' TERM; sleep 30 & echo $!; wait; exit 0"};
+  Subprocess::Options popts;
+  popts.pipe_stdout = true;
+  const auto grandchild_of = [](Subprocess& child) {
+    std::string out;
+    for (int i = 0; i < 500 && out.find('\n') == std::string::npos; ++i) {
+      out += child.read_stdout();
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return static_cast<pid_t>(std::atol(out.c_str()));
+  };
+  const auto gone = [](pid_t pid) {
+    for (int i = 0; i < 200 && process_alive(pid); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return !process_alive(pid);
+  };
+
+  {
+    Subprocess child(argv, popts);
+    const pid_t grandchild = grandchild_of(child);
+    ASSERT_GT(grandchild, 0);
+    EXPECT_EQ(child.stop(/*grace_ms=*/100).term_signal, SIGKILL);
+    EXPECT_TRUE(gone(grandchild)) << "stop() left pid " << grandchild;
+  }
+  pid_t grandchild = 0;
+  {
+    Subprocess child(argv, popts);
+    grandchild = grandchild_of(child);
+    ASSERT_GT(grandchild, 0);
+  }
+  EXPECT_TRUE(gone(grandchild)) << "the destructor left pid " << grandchild;
 }
 
 }  // namespace

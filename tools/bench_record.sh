@@ -14,10 +14,8 @@
 #   measurement JSON. Every measurement records hardware_threads (nproc),
 #   so the single-hardware-thread caveat on recorded scaling numbers is
 #   machine-checkable instead of a prose footnote. With --distribute N it
-#   also times the same aggregate study sharded over N lcda_run worker
-#   processes (min wall-clock over the reps), both through the default
-#   persistent worker pool and with --no-worker-pool (spawn-per-shard),
-#   so the pool's dispatch win is tracked as pool_speedup.
+#   also times the same aggregate study sharded over N resident lcda_run
+#   worker processes (min wall-clock over the reps).
 #
 # Append mode (combine a before/after pair into the history):
 #   tools/bench_record.sh append --before before.json --after after.json \
@@ -120,9 +118,8 @@ measure)
       echo "bench_record: $BUILD/lcda_run missing (needed for --distribute)" >&2
       exit 1
     }
-    echo "bench_record: distributed aggregate ($REPS runs, $DISTRIBUTE workers, pooled + --no-worker-pool)..." >&2
+    echo "bench_record: distributed aggregate ($REPS runs, $DISTRIBUTE workers)..." >&2
     : >"$tmpdir/dist_walls.txt"
-    : >"$tmpdir/dist_nopool_walls.txt"
     for rep in $(seq "$REPS"); do
       start=$(date +%s%N)
       "$BUILD/lcda_run" --scenario=paper-energy --strategy=rl --aggregate \
@@ -130,12 +127,6 @@ measure)
         --distribute="$DISTRIBUTE" --quiet >/dev/null 2>&1
       end=$(date +%s%N)
       echo $(( (end - start) / 1000000 )) >>"$tmpdir/dist_walls.txt"
-      start=$(date +%s%N)
-      "$BUILD/lcda_run" --scenario=paper-energy --strategy=rl --aggregate \
-        --seeds="$SEEDS" --episodes="$EPISODES" --parallelism=4 \
-        --distribute="$DISTRIBUTE" --no-worker-pool --quiet >/dev/null 2>&1
-      end=$(date +%s%N)
-      echo $(( (end - start) / 1000000 )) >>"$tmpdir/dist_nopool_walls.txt"
     done
 
     # Straggler mitigation: the same sharded study with two injected
@@ -315,18 +306,14 @@ if distribute > 0:
                   if line.strip()]
     if not dist_walls:
         raise SystemExit("bench_record: no distributed wall samples")
-    nopool_walls = [int(line) for line in open(f"{tmpdir}/dist_nopool_walls.txt")
-                    if line.strip()]
     measurement["distributed_wall_ms"] = {
         "workers": distribute,
         "seeds": seeds,
         "episodes": episodes,
         "wall_ms": min(dist_walls),
         "note": "lcda_run --distribute wall clock incl. worker dispatch and merge"
-                " (persistent pool, the default)",
+                " (resident worker pool)",
     }
-    if nopool_walls:
-        measurement["distributed_wall_ms"]["no_pool_wall_ms"] = min(nopool_walls)
     steal_walls = [int(line) for line in open(f"{tmpdir}/straggler_steal_walls.txt")
                    if line.strip()]
     nosteal_walls = [int(line) for line in
@@ -472,18 +459,12 @@ if "obs_overhead_wall_ms" in after or "obs_overhead_wall_ms" in before:
         entry["obs_overhead_wall_ms"]["obs_overhead_ratio"] = a["obs_overhead_ratio"]
 
 # Distributed wall clock rides along when either side measured it (a PR
-# introducing the mode has no "before" number). When the "after" side
-# timed both the pooled and --no-worker-pool dispatch paths, their
-# quotient is the tracked pool win.
+# introducing the mode has no "before" number).
 if "distributed_wall_ms" in after or "distributed_wall_ms" in before:
     entry["distributed_wall_ms"] = {
         "before": before.get("distributed_wall_ms"),
         "after": after.get("distributed_wall_ms"),
     }
-    a = after.get("distributed_wall_ms")
-    if a and a.get("no_pool_wall_ms") and a.get("wall_ms"):
-        entry["distributed_wall_ms"]["pool_speedup"] = round(
-            a["no_pool_wall_ms"] / a["wall_ms"], 2)
 
 # Straggler-mitigation walls ride along the same way; the no_steal /
 # steal quotient on the "after" side is the headline mitigation win.

@@ -67,33 +67,27 @@
 //                          traces, JSON, cache counters — is byte-identical
 //                          to the same command without --distribute (see
 //                          README "Scaling out")
-//   --no-worker-pool       spawn one `lcda_run --worker=SPEC` process per
-//                          shard attempt instead of keeping the resident
-//                          pool; byte-identical output, pays process startup
-//                          and store/memo warm-up per attempt (requires
-//                          --distribute)
 //   --max-retries=K        extra attempts per failed shard before the run
 //                          aborts (default 2; requires --distribute)
 //   --shard-dir=DIR        keep shard specs/manifests in DIR instead of an
 //                          auto-cleaned temp directory (requires
 //                          --distribute)
 //   --keep-shard-dir       keep the automatic temp shard directory (specs,
-//                          manifests, progress sidecars) for post-mortem;
+//                          manifests, span traces) for post-mortem;
 //                          without it the temp directory is removed on
 //                          success AND failure (requires --distribute)
 //   --no-steal             disable straggler work stealing; shards then run
 //                          exactly where the planner put them (requires
 //                          --distribute)
-//   --steal-threshold=K    a shard is a straggler when its estimated
-//                          remaining time exceeds K x the median of its
-//                          peers (default 2.0, must be >= 1; requires
+//   --steal-threshold=K    a shard is a straggler when its progress has
+//                          stalled: no seed started or finished for longer
+//                          than K x the median observed per-seed wall
+//                          (default 2.0, must be >= 1; requires
 //                          --distribute)
-//   --worker=SPEC.json     internal: run one shard spec and write its result
-//                          manifest (what --distribute --no-worker-pool
-//                          spawns)
 //   --worker-loop          internal: resident worker — read
-//                          lcda-worker-cmd-v1 command lines from stdin, run
-//                          each dispatched spec, reply done/failed on stdout
+//                          lcda-worker-cmd-v2 command lines from stdin, run
+//                          each dispatched spec, stream seed events and
+//                          heartbeats and reply done/failed on stdout
 //                          (what --distribute keeps one of per slot)
 //   --json=PATH            write the full experiment (runs + traces + cache
 //                          counters) as JSON
@@ -191,9 +185,7 @@ struct CliOptions {
   long long store_buckets = 16;
   long long store_max_entries = 0;
   long long store_max_bytes = 0;
-  std::string worker_spec;      // internal --worker mode
   bool worker_loop = false;     // internal --worker-loop mode
-  bool no_worker_pool = false;  // spawn-per-attempt instead of the pool
   std::vector<std::string> overrides;
   int episodes = 0;  // 0 = scenario default
   int seeds = 1;
@@ -204,7 +196,7 @@ struct CliOptions {
   bool max_retries_set = false;
   bool keep_shard_dir = false;  // keep the auto temp shard dir
   bool no_steal = false;        // disable straggler work stealing
-  double steal_threshold = 2.0; // straggler bar (x median peer estimate)
+  double steal_threshold = 2.0; // stall bar (x median per-seed wall)
   bool steal_threshold_set = false;
   double threshold = std::numeric_limits<double>::quiet_NaN();
   double threshold_fraction = 0.95;
@@ -220,7 +212,7 @@ int usage(const char* argv0) {
                "[--metrics-interval=SEC] [--quiet]\n"
                "       %s ... --distribute=N [--max-retries=K] "
                "[--shard-dir=DIR] [--keep-shard-dir] [--no-steal] "
-               "[--steal-threshold=K] [--no-worker-pool]\n"
+               "[--steal-threshold=K]\n"
                "       %s --scenario=NAME --aggregate [--threshold=R] [...]\n"
                "       %s --scenario=NAME --speedup [--threshold-fraction=F] "
                "[...]\n"
@@ -437,7 +429,6 @@ DistributedStudy run_distributed(const CliOptions& cli,
   opts.verbose = !cli.quiet;  // --quiet silences shard narration too
   opts.enable_steal = !cli.no_steal;
   opts.steal_threshold = cli.steal_threshold;
-  opts.use_worker_pool = !cli.no_worker_pool;
   opts.trace_spans = !cli.trace_spans.empty();
 
   try {
@@ -609,8 +600,6 @@ int main(int argc, char** argv) {
         cli.steal_threshold_set = true;
       }
       else if (arg == "--worker-loop") cli.worker_loop = true;
-      else if (arg == "--no-worker-pool") cli.no_worker_pool = true;
-      else if (flag_value(arg, "--worker=", cli.worker_spec)) {}
       else if (arg == "--set" && i + 1 < argc) cli.overrides.emplace_back(argv[++i]);
       else if (flag_value(arg, "--set=", value)) cli.overrides.push_back(value);
       else if (flag_value(arg, "--episodes=", value)) {
@@ -637,15 +626,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Internal worker modes. --worker executes one shard spec and exits;
-    // --worker-loop stays resident and executes specs dispatched over
-    // stdin until `shutdown` or EOF. Everything a shard needs travels in
-    // its spec file, so no other flag applies to either.
+    // Internal worker mode: stay resident and execute specs dispatched
+    // over stdin until `shutdown` or EOF. Everything a shard needs travels
+    // in its spec file, so no other flag applies.
     if (cli.worker_loop) {
       return dist::run_worker_loop();
-    }
-    if (!cli.worker_spec.empty()) {
-      return dist::run_worker(cli.worker_spec);
     }
 
     // Arm observability before any worker thread exists: the enabled
@@ -653,7 +638,7 @@ int main(int argc, char** argv) {
     // afterwards. Distributed runs always meter — the merged registry
     // feeds the "dist" JSON store totals and the summary line. Worker
     // processes never reach this point; they arm themselves at
-    // run_worker/run_worker_loop entry.
+    // run_worker_loop entry.
     if (!cli.metrics_out.empty() || cli.metrics_interval > 0.0 ||
         !cli.trace_spans.empty() || cli.distribute > 0) {
       obs::Registry::instance().enable();
@@ -787,11 +772,10 @@ int main(int argc, char** argv) {
     }
     if (cli.distribute == 0 &&
         (!cli.shard_dir.empty() || cli.max_retries_set || cli.keep_shard_dir ||
-         cli.no_steal || cli.steal_threshold_set || cli.no_worker_pool)) {
+         cli.no_steal || cli.steal_threshold_set)) {
       std::fprintf(stderr,
                    "lcda_run: --shard-dir / --max-retries / --keep-shard-dir "
-                   "/ --no-steal / --steal-threshold / --no-worker-pool "
-                   "require --distribute\n");
+                   "/ --no-steal / --steal-threshold require --distribute\n");
       return usage(argv[0]);
     }
 
