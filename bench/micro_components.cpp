@@ -4,7 +4,10 @@
 #include <benchmark/benchmark.h>
 
 #include "lcda/cim/cost_model.h"
+#include "lcda/core/experiment.h"
+#include "lcda/core/loop.h"
 #include "lcda/core/scenario.h"
+#include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt.h"
 #include "lcda/llm/simulated_gpt4.h"
@@ -105,13 +108,12 @@ BENCHMARK(BM_EvaluateBatch)->Arg(8);
 
 void BM_PromptBuild(benchmark::State& state) {
   llm::PromptBuilder builder{search::SearchSpace{paper_config().space}, {}};
-  std::vector<llm::HistoryEntry> history(static_cast<std::size_t>(state.range(0)));
-  for (auto& h : history) {
-    h.design.rollout = kRollout;
-    h.performance = 0.4;
-  }
+  llm::HistoryEntry h;
+  h.design.rollout = kRollout;
+  h.performance = 0.4;
+  for (int i = 0; i < state.range(0); ++i) builder.add(h);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(builder.build(history));
+    benchmark::DoNotOptimize(builder.build());
   }
 }
 BENCHMARK(BM_PromptBuild)->Arg(0)->Arg(20)->Arg(64);
@@ -131,17 +133,67 @@ BENCHMARK(BM_ResponseParse);
 void BM_SimulatedGpt4Turn(benchmark::State& state) {
   llm::SimulatedGpt4 gpt;
   llm::PromptBuilder builder{search::SearchSpace{paper_config().space}, {}};
-  std::vector<llm::HistoryEntry> history(20);
-  for (auto& h : history) {
-    h.design.rollout = kRollout;
-    h.performance = 0.4;
-  }
-  const llm::ChatRequest req = builder.build(history);
+  llm::HistoryEntry h;
+  h.design.rollout = kRollout;
+  h.performance = 0.4;
+  for (int i = 0; i < 20; ++i) builder.add(h);
+  const llm::ChatRequest req = builder.build();
   for (auto _ : state) {
     benchmark::DoNotOptimize(gpt.complete(req));
   }
 }
 BENCHMARK(BM_SimulatedGpt4Turn);
+
+// The first 64 designs and rewards of a real paper-energy LCDA study: a
+// full history window, with the design spread and reward digits of the
+// paper's own run.
+const std::vector<llm::HistoryEntry>& lcda_history() {
+  static const std::vector<llm::HistoryEntry> history = [] {
+    auto optimizer = core::make_optimizer(core::Strategy::kLcda, paper_config());
+    auto evaluator = core::make_evaluator(paper_config());
+    const core::RewardFunction reward = core::make_reward(paper_config());
+    core::CodesignLoop::Options opts;
+    opts.episodes = 64;
+    core::CodesignLoop loop(*optimizer, *evaluator, reward, opts);
+    util::Rng rng(paper_config().seed);
+    (void)loop.run(rng);
+    return dynamic_cast<const llm::LlmOptimizer&>(*optimizer).history();
+  }();
+  return history;
+}
+
+std::unique_ptr<search::Optimizer> lcda_at_full_window() {
+  auto optimizer = core::make_optimizer(core::Strategy::kLcda, paper_config());
+  for (const llm::HistoryEntry& h : lcda_history()) {
+    search::Observation obs;
+    obs.design = h.design;
+    obs.reward = h.performance;
+    optimizer->feedback(obs);
+  }
+  return optimizer;
+}
+
+// One LCDA turn (propose + feedback) at the study's steady state: the
+// prompt carries the 64-entry history window. Every 256 turns the
+// optimizer is rebuilt, untimed, so its transcript stays small.
+void BM_LcdaTurn(benchmark::State& state) {
+  const std::vector<llm::HistoryEntry>& history = lcda_history();
+  auto optimizer = lcda_at_full_window();
+  util::Rng rng(3);
+  std::size_t turn = 0;
+  for (auto _ : state) {
+    if (++turn % 256 == 0) {
+      state.PauseTiming();
+      optimizer = lcda_at_full_window();
+      state.ResumeTiming();
+    }
+    search::Observation obs;
+    obs.design = optimizer->propose(rng);
+    obs.reward = history[turn % history.size()].performance;
+    optimizer->feedback(obs);
+  }
+}
+BENCHMARK(BM_LcdaTurn);
 
 void BM_RlProposeFeedback(benchmark::State& state) {
   search::RlOptimizer rl{search::SearchSpace{paper_config().space}};

@@ -27,7 +27,7 @@ struct ChatResponse {
 ///
 /// This reproduction has no network access, so production use runs against
 /// SimulatedGpt4 — a deterministic stand-in that consumes the real prompt
-/// text (see DESIGN.md substitution #1). The interface matches what a thin
+/// text (see README "The LLM turn"). The interface matches what a thin
 /// HTTPS client would expose, so a real backend can be swapped in.
 class LlmClient {
  public:

@@ -36,6 +36,11 @@ struct HistoryEntry {
 ///     energy prompt);
 ///   * a hardware line in the response format, since the co-design space
 ///     includes the five NACIM hardware knobs alongside the rollout.
+///
+/// Algorithm 1 re-sends the whole history every episode, so the builder
+/// renders each piece of text once: the static system, task and closing
+/// text on the first build(), each history line when add() records it.
+/// build() only concatenates them.
 class PromptBuilder {
  public:
   struct Options {
@@ -51,8 +56,14 @@ class PromptBuilder {
 
   PromptBuilder(search::SearchSpace space, Options opts);
 
-  /// Algorithm 1: GPT-Prompts(l_des, l_perf, Model, Choices).
-  [[nodiscard]] ChatRequest build(const std::vector<HistoryEntry>& history) const;
+  /// Records one explored design (the paper's l_des/l_perf append),
+  /// rendering its history line once. Only the newest `max_history` lines
+  /// are kept.
+  void add(const HistoryEntry& entry);
+
+  /// Algorithm 1: GPT-Prompts(l_des, l_perf, Model, Choices) over the
+  /// history recorded so far.
+  [[nodiscard]] ChatRequest build();
 
   /// The strict one-line grammar used for history entries, also consumed by
   /// prompt_reader:  "rollout=[[c,k],...] hardware=[DEV,b,adc,xbar,mux]
@@ -71,8 +82,20 @@ class PromptBuilder {
   /// progression, snapped to the space): "[[32,3],[32,3],[64,3],...]".
   [[nodiscard]] std::string example_rollout() const;
 
+  /// Renders system_, task_ and closing_ (on the first build(), so
+  /// constructing an optimizer stays cheap).
+  void render_static_text();
+
   search::SearchSpace space_;
   Options opts_;
+  std::string system_;   // prompt_s
+  std::string task_;     // prompt_u up to the history
+  std::string closing_;  // prompt_u after the history
+  bool any_history_ = false;
+  /// The newest max_history history lines, as a ring once full: the
+  /// oldest line sits at `oldest_`.
+  std::vector<std::string> window_;
+  std::size_t oldest_ = 0;
 };
 
 }  // namespace lcda::llm

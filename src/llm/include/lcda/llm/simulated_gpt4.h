@@ -8,14 +8,15 @@
 
 namespace lcda::llm {
 
-/// Deterministic, prompt-driven stand-in for GPT-4 (DESIGN.md
-/// substitution #1).
+/// Deterministic, prompt-driven stand-in for GPT-4 (README "The LLM
+/// turn").
 ///
-/// The simulator reads ONLY the prompt text (via read_prompt) — design
-/// space, objective, task framing and history all round-trip through the
-/// real Algorithm-1 prompt — and answers in free text that must survive the
-/// real response parser. Its policy encodes the behaviour the paper
-/// attributes to GPT-4:
+/// The simulator reads ONLY the prompt text (via read_prompt), re-reading
+/// the whole prompt every turn and keeping nothing derived from an earlier
+/// one — design space, objective, task framing and history all round-trip
+/// through the real Algorithm-1 prompt — and answers in free text that must
+/// survive the real response parser. Its policy encodes the behaviour the
+/// paper attributes to GPT-4:
 ///
 /// With co-design framing (LCDA):
 ///  * no cold start — the first proposal is already a sensible

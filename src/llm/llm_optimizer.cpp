@@ -21,7 +21,7 @@ std::string LlmOptimizer::name() const {
 }
 
 search::Design LlmOptimizer::propose(util::Rng& rng) {
-  const ChatRequest request = builder_.build(history_);
+  const ChatRequest request = builder_.build();
   for (int attempt = 0; attempt <= opts_.max_parse_retries; ++attempt) {
     const ChatResponse response = client_->complete(request);
     const ParseResult parsed = parse_design_response(response.content, space_);
@@ -45,6 +45,7 @@ void LlmOptimizer::feedback(const search::Observation& obs) {
   HistoryEntry entry;
   entry.design = obs.design;
   entry.performance = obs.reward;
+  builder_.add(entry);
   history_.push_back(std::move(entry));
 }
 

@@ -1,12 +1,21 @@
 #include "lcda/llm/parser.h"
 
-#include <cctype>
+#include <algorithm>
+#include <limits>
 
 #include "lcda/util/strings.h"
 
 namespace lcda::llm {
 
 namespace {
+
+/// Narrows a parsed integer, clamping it to the `int` range first so an
+/// over-long number snaps to the nearest end of a choice list instead of
+/// wrapping around to an arbitrary value.
+int clamp_to_int(long long v) {
+  return static_cast<int>(std::clamp<long long>(
+      v, std::numeric_limits<int>::min(), std::numeric_limits<int>::max()));
+}
 
 /// Extracts bracketed integer pairs "[a,b]" (innermost brackets only).
 std::vector<std::pair<long long, long long>> extract_pairs(std::string_view s) {
@@ -53,10 +62,10 @@ std::optional<cim::HardwareConfig> extract_hardware(std::string_view s,
   }
   const auto ints = util::extract_ints(body);
   if (ints.size() >= 4) {
-    hw.bits_per_cell = static_cast<int>(ints[0]);
-    hw.adc_bits = static_cast<int>(ints[1]);
-    hw.xbar_size = static_cast<int>(ints[2]);
-    hw.col_mux = static_cast<int>(ints[3]);
+    hw.bits_per_cell = clamp_to_int(ints[0]);
+    hw.adc_bits = clamp_to_int(ints[1]);
+    hw.xbar_size = clamp_to_int(ints[2]);
+    hw.col_mux = clamp_to_int(ints[3]);
   }
   return hw;
 }
@@ -79,8 +88,8 @@ ParseResult parse_design_response(std::string_view text,
   search::Design raw;
   for (int i = 0; i < layers; ++i) {
     nn::ConvSpec spec;
-    spec.channels = static_cast<int>(pairs[static_cast<std::size_t>(i)].first);
-    spec.kernel = static_cast<int>(pairs[static_cast<std::size_t>(i)].second);
+    spec.channels = clamp_to_int(pairs[static_cast<std::size_t>(i)].first);
+    spec.kernel = clamp_to_int(pairs[static_cast<std::size_t>(i)].second);
     raw.rollout.push_back(spec);
   }
 

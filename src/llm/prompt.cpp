@@ -1,12 +1,15 @@
 #include "lcda/llm/prompt.h"
 
-#include <sstream>
+#include <charconv>
 #include <stdexcept>
 
 namespace lcda::llm {
 
 std::string ChatRequest::full_text() const {
+  std::size_t size = 0;
+  for (const auto& m : messages) size += m.content.size() + 1;
   std::string out;
+  out.reserve(size);
   for (const auto& m : messages) {
     out += m.content;
     out += '\n';
@@ -44,97 +47,128 @@ std::string PromptBuilder::example_rollout() const {
 }
 
 std::string PromptBuilder::hardware_text(const cim::HardwareConfig& hw) {
-  std::ostringstream os;
-  os << '[' << cim::device_name(hw.device) << ',' << hw.bits_per_cell << ','
-     << hw.adc_bits << ',' << hw.xbar_size << ',' << hw.col_mux << ']';
-  return os.str();
+  std::string out = "[";
+  out += cim::device_name(hw.device);
+  for (const int v : {hw.bits_per_cell, hw.adc_bits, hw.xbar_size, hw.col_mux}) {
+    out += ',';
+    out += std::to_string(v);
+  }
+  out += ']';
+  return out;
 }
 
 std::string PromptBuilder::history_line(const HistoryEntry& entry) {
-  std::ostringstream os;
-  os << "rollout=" << entry.design.rollout_text()
-     << " hardware=" << hardware_text(entry.design.hw)
-     << " performance=" << entry.performance;
-  return os.str();
+  // chars_format::general at precision 6 is printf's %g, which is what
+  // streaming a double with default flags prints.
+  char perf[32];
+  const auto end = std::to_chars(perf, perf + sizeof perf, entry.performance,
+                                 std::chars_format::general, 6).ptr;
+  std::string line = "rollout=";
+  line += entry.design.rollout_text();
+  line += " hardware=";
+  line += hardware_text(entry.design.hw);
+  line += " performance=";
+  line.append(perf, end);
+  return line;
 }
 
-ChatRequest PromptBuilder::build(const std::vector<HistoryEntry>& history) const {
-  ChatRequest req;
+void PromptBuilder::render_static_text() {
+  const std::string layers = std::to_string(space_.conv_layers());
 
   // prompt_s of Algorithm 1.
-  ChatMessage system;
-  system.role = ChatMessage::Role::kSystem;
-  system.content = opts_.codesign_context
-                       ? "You are an expert in the field of neural architecture "
-                         "search."
-                       : "You are a helpful assistant.";
-  req.messages.push_back(std::move(system));
+  system_ = opts_.codesign_context
+                ? "You are an expert in the field of neural architecture search."
+                : "You are a helpful assistant.";
 
-  // prompt_u of Algorithm 1.
-  std::ostringstream os;
+  // prompt_u of Algorithm 1, up to the history.
   if (opts_.codesign_context) {
-    os << "Your task is to assist me in selecting the best rollout numbers "
-          "for a given model architecture. The model will be trained and "
-          "tested on CIFAR10, and your objective will be to maximize the "
-          "model's performance on CIFAR10.\n";
-    os << "The model architecture will be defined as the following.\n"
-       << space_.model_text() << "\n";
-    os << "For the 'rollout' variable to design the model, the available "
-          "number for each index would be: "
-       << space_.choices_text() << "\n";
-    os << "Your objective is to define the optimal number of rollouts for "
-          "each layer based on the given options above to maximize the "
-          "model's performance on CIFAR10.\n";
-    os << "The model's performance is a combination of hardware performance "
-          "and model accuracy. The hardware metric for this study is ";
-    os << (opts_.objective == Objective::kEnergy
-               ? "the energy consumption during inference on a "
-                 "compute-in-memory DNN accelerator"
-               : "the inference latency on a compute-in-memory DNN "
-                 "accelerator");
-    os << ". If the hardware is invalid (e.g., too large in area), the "
-          "performance I give you will be -1. After you give me a rollout "
-          "list, I will give you the model's performance I calculated.\n";
-    os << "Your response should be the rollout list consisting of "
-       << space_.conv_layers() << " number pairs (e.g. " << example_rollout()
-       << ") followed on the next line by the hardware configuration "
-          "hardware=[device,bits_per_cell,adc_bits,xbar_size,col_mux] "
-          "(e.g. hardware=[RRAM,2,6,128,8]).\n";
+    task_ =
+        "Your task is to assist me in selecting the best rollout numbers for a "
+        "given model architecture. The model will be trained and tested on "
+        "CIFAR10, and your objective will be to maximize the model's "
+        "performance on CIFAR10.\n"
+        "The model architecture will be defined as the following.\n" +
+        space_.model_text() +
+        "\n"
+        "For the 'rollout' variable to design the model, the available number "
+        "for each index would be: " +
+        space_.choices_text() +
+        "\n"
+        "Your objective is to define the optimal number of rollouts for each "
+        "layer based on the given options above to maximize the model's "
+        "performance on CIFAR10.\n"
+        "The model's performance is a combination of hardware performance and "
+        "model accuracy. The hardware metric for this study is " +
+        (opts_.objective == Objective::kEnergy
+             ? "the energy consumption during inference on a compute-in-memory "
+               "DNN accelerator"
+             : "the inference latency on a compute-in-memory DNN accelerator") +
+        ". If the hardware is invalid (e.g., too large in area), the "
+        "performance I give you will be -1. After you give me a rollout list, "
+        "I will give you the model's performance I calculated.\n"
+        "Your response should be the rollout list consisting of " +
+        layers + " number pairs (e.g. " + example_rollout() +
+        ") followed on the next line by the hardware configuration "
+        "hardware=[device,bits_per_cell,adc_bits,xbar_size,col_mux] "
+        "(e.g. hardware=[RRAM,2,6,128,8]).\n";
   } else {
     // LCDA-naive: same decision problem with all domain context removed.
-    os << "I am running a black-box optimization. Select one list of "
-       << space_.conv_layers()
-       << " number pairs and one list of settings to maximize a score I will "
-          "compute.\n";
-    os << "The available numbers for each pair are: " << space_.choices_text()
-       << "\n";
-    os << "If the settings are invalid the score will be -1. After you give "
-          "me a list, I will tell you the score.\n";
-    os << "Your response should be the list of " << space_.conv_layers()
-       << " number pairs (e.g. " << example_rollout()
-       << ") followed on the next line by hardware=[device,bits_per_cell,"
-          "adc_bits,xbar_size,col_mux] (e.g. hardware=[RRAM,2,6,128,8]).\n";
+    task_ = "I am running a black-box optimization. Select one list of " +
+            layers +
+            " number pairs and one list of settings to maximize a score I "
+            "will compute.\n"
+            "The available numbers for each pair are: " +
+            space_.choices_text() +
+            "\n"
+            "If the settings are invalid the score will be -1. After you give "
+            "me a list, I will tell you the score.\n"
+            "Your response should be the list of " +
+            layers + " number pairs (e.g. " + example_rollout() +
+            ") followed on the next line by hardware=[device,bits_per_cell,"
+            "adc_bits,xbar_size,col_mux] (e.g. hardware=[RRAM,2,6,128,8]).\n";
   }
 
-  if (!history.empty()) {
-    os << "Here are some experimental results that you can use as a "
-          "reference:\n";
-    const std::size_t start =
-        history.size() > opts_.max_history ? history.size() - opts_.max_history : 0;
-    for (std::size_t i = start; i < history.size(); ++i) {
-      os << history_line(history[i]) << "\n";
+  closing_ =
+      "Please suggest a rollout list that can improve the model's performance "
+      "beyond the experimental results provided above. Please do not include "
+      "anything else other than the rollout list and the hardware "
+      "configuration in your response.";
+}
+
+void PromptBuilder::add(const HistoryEntry& entry) {
+  any_history_ = true;
+  if (opts_.max_history == 0) return;
+  if (window_.size() < opts_.max_history) {
+    window_.push_back(history_line(entry));
+  } else {
+    window_[oldest_] = history_line(entry);
+    oldest_ = (oldest_ + 1) % window_.size();
+  }
+}
+
+ChatRequest PromptBuilder::build() {
+  static constexpr std::string_view kHistoryIntro =
+      "Here are some experimental results that you can use as a reference:\n";
+  if (system_.empty()) render_static_text();
+
+  std::size_t size = task_.size() + closing_.size();
+  if (any_history_) size += kHistoryIntro.size();
+  for (const std::string& line : window_) size += line.size() + 1;
+  std::string user;
+  user.reserve(size);
+  user += task_;
+  if (any_history_) {
+    user += kHistoryIntro;
+    for (std::size_t i = 0; i < window_.size(); ++i) {
+      user += window_[(oldest_ + i) % window_.size()];
+      user += '\n';
     }
   }
+  user += closing_;
 
-  os << "Please suggest a rollout list that can improve the model's "
-        "performance beyond the experimental results provided above. Please "
-        "do not include anything else other than the rollout list and the "
-        "hardware configuration in your response.";
-
-  ChatMessage user;
-  user.role = ChatMessage::Role::kUser;
-  user.content = os.str();
-  req.messages.push_back(std::move(user));
+  ChatRequest req;
+  req.messages.push_back({ChatMessage::Role::kSystem, system_});
+  req.messages.push_back({ChatMessage::Role::kUser, std::move(user)});
   return req;
 }
 

@@ -7,14 +7,17 @@
 namespace lcda::search {
 
 std::string Design::rollout_text() const {
-  std::ostringstream os;
-  os << '[';
+  std::string out = "[";
   for (std::size_t i = 0; i < rollout.size(); ++i) {
-    if (i) os << ',';
-    os << '[' << rollout[i].channels << ',' << rollout[i].kernel << ']';
+    if (i) out += ',';
+    out += '[';
+    out += std::to_string(rollout[i].channels);
+    out += ',';
+    out += std::to_string(rollout[i].kernel);
+    out += ']';
   }
-  os << ']';
-  return os.str();
+  out += ']';
+  return out;
 }
 
 std::string Design::describe() const {

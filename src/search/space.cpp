@@ -10,9 +10,13 @@ namespace lcda::search {
 namespace {
 
 int nearest_choice(int value, const std::vector<int>& choices) {
+  // In 64 bits: an untrusted value near INT_MIN/INT_MAX must not overflow.
+  const auto distance = [value](int c) {
+    return std::abs(static_cast<long long>(c) - value);
+  };
   int best = choices.front();
   for (int c : choices) {
-    if (std::abs(c - value) < std::abs(best - value)) best = c;
+    if (distance(c) < distance(best)) best = c;
   }
   return best;
 }

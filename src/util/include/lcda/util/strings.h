@@ -17,10 +17,11 @@ namespace lcda::util {
 /// True if `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Case-insensitive substring search.
+/// Case-insensitive substring search (ASCII fold; other bytes must match
+/// exactly).
 [[nodiscard]] bool contains_icase(std::string_view haystack, std::string_view needle);
 
-/// Lower-cases ASCII.
+/// Lower-cases ASCII; every other byte is kept as is, whatever the locale.
 [[nodiscard]] std::string to_lower(std::string_view s);
 
 /// Parses a decimal integer; nullopt on any trailing garbage.
@@ -31,8 +32,13 @@ namespace lcda::util {
 
 /// Extracts every decimal integer appearing in `s`, in order.
 /// "[ [32, 3], [64,3] ]" -> {32, 3, 64, 3}. Minus signs directly before a
-/// digit are honoured.
+/// digit are honoured. A digit run too long for `long long` saturates at
+/// its maximum (its negation for a negative run) instead of overflowing.
 [[nodiscard]] std::vector<long long> extract_ints(std::string_view s);
+
+/// The same, into `out` (cleared first), so a caller that scans many
+/// fields can reuse one buffer.
+void extract_ints(std::string_view s, std::vector<long long>& out);
 
 /// Joins items with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& items, std::string_view sep);

@@ -4,12 +4,13 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 
 namespace lcda::util {
 
 namespace {
 bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-char lower(char c) { return static_cast<char>(std::tolower(static_cast<unsigned char>(c))); }
+char lower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c; }
 }  // namespace
 
 std::string_view trim(std::string_view s) {
@@ -77,8 +78,9 @@ std::optional<double> parse_double(std::string_view s) {
   return value;
 }
 
-std::vector<long long> extract_ints(std::string_view s) {
-  std::vector<long long> out;
+void extract_ints(std::string_view s, std::vector<long long>& out) {
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  out.clear();
   std::size_t i = 0;
   while (i < s.size()) {
     const bool neg = s[i] == '-' && i + 1 < s.size() &&
@@ -87,7 +89,8 @@ std::vector<long long> extract_ints(std::string_view s) {
       std::size_t j = i + (neg ? 1 : 0);
       long long value = 0;
       while (j < s.size() && std::isdigit(static_cast<unsigned char>(s[j]))) {
-        value = value * 10 + (s[j] - '0');
+        const int digit = s[j] - '0';
+        value = value > (kMax - digit) / 10 ? kMax : value * 10 + digit;
         ++j;
       }
       out.push_back(neg ? -value : value);
@@ -96,6 +99,11 @@ std::vector<long long> extract_ints(std::string_view s) {
       ++i;
     }
   }
+}
+
+std::vector<long long> extract_ints(std::string_view s) {
+  std::vector<long long> out;
+  extract_ints(s, out);
   return out;
 }
 

@@ -96,16 +96,15 @@ TEST(Finetuned, PinsKernelsUnderLatencyObjective) {
   popts.objective = llm::Objective::kLatency;
   llm::PromptBuilder builder{search::SearchSpace{}, popts};
 
-  std::vector<llm::HistoryEntry> history;
-  history.push_back(entry({{32, 5}, {32, 5}, {64, 5}, {64, 5}, {128, 5}, {128, 5}}, 0.5));
+  builder.add(entry({{32, 5}, {32, 5}, {64, 5}, {64, 5}, {128, 5}, {128, 5}}, 0.5));
   for (int ep = 0; ep < 15; ++ep) {
-    const auto resp = gpt.complete(builder.build(history));
+    const auto resp = gpt.complete(builder.build());
     const auto parsed = llm::parse_design_response(resp.content, search::SearchSpace{});
     ASSERT_TRUE(parsed.ok);
     for (const auto& spec : parsed.design.rollout) {
       EXPECT_EQ(spec.kernel, 3) << "fine-tuned expert pins kernels at 3";
     }
-    history.push_back({parsed.design, 0.5 + 0.01 * ep});
+    builder.add({parsed.design, 0.5 + 0.01 * ep});
   }
 }
 

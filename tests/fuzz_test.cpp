@@ -5,12 +5,19 @@
 // worker process that may die mid-line.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <climits>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "lcda/dist/protocol.h"
+#include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt_reader.h"
+#include "lcda/llm/simulated_gpt4.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
 
@@ -89,6 +96,35 @@ TEST(ParserFuzzDirected, TruncatedRealPayloads) {
   }
 }
 
+// Untrusted model text with numbers far outside `int`: an over-long digit
+// run saturates instead of overflowing, is clamped before narrowing, and
+// snaps to the nearest end of the choice list; an INT_MIN knob must not
+// overflow the distance to the nearest choice.
+TEST(ParserFuzzDirected, ExtremeNumbersSnapIntoSpace) {
+  const search::SearchSpace space;
+  EXPECT_EQ(util::extract_ints("[99999999999999999999999]"),
+            (std::vector<long long>{LLONG_MAX}));
+
+  const llm::ParseResult wide = llm::parse_design_response(
+      "[[99999999999999999999999,3],[32,3],[64,3],[64,3],[128,3],[128,3]]",
+      space);
+  ASSERT_TRUE(wide.ok) << wide.error;
+  EXPECT_TRUE(space.contains(wide.design));
+  const std::vector<int>& channels = space.options().channel_choices;
+  EXPECT_EQ(wide.design.rollout[0].channels,
+            *std::max_element(channels.begin(), channels.end()));
+
+  const llm::ParseResult low = llm::parse_design_response(
+      "[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]]\n"
+      "hardware=[RRAM,-2147483648,6,128,8]",
+      space);
+  ASSERT_TRUE(low.ok) << low.error;
+  EXPECT_TRUE(space.contains(low.design));
+  const std::vector<int>& bits = space.options().hw.bits_per_cell;
+  EXPECT_EQ(low.design.hw.bits_per_cell,
+            *std::min_element(bits.begin(), bits.end()));
+}
+
 TEST(StringsFuzz, ExtractIntsHandlesAdversarialInput) {
   util::Rng rng(11);
   for (int i = 0; i < 500; ++i) {
@@ -113,6 +149,261 @@ TEST(StringsFuzz, SplitJoinRoundTrip) {
     EXPECT_EQ(util::join(parts, ","), s);
   }
 }
+
+// ------------------------------------------ prompt reader, differential
+
+namespace reference {
+
+// The oracle for llm::read_prompt: the same grammar read the plain way,
+// with a lowered copy of the whole text per key, a vector of lines and a
+// vector of integers per field. The reader must agree with it field for
+// field.
+
+std::vector<int> braced_ints_after(std::string_view text, std::string_view key) {
+  std::vector<int> out;
+  const std::string lower = util::to_lower(text);
+  const std::string lkey = util::to_lower(key);
+  const std::size_t pos = lower.find(lkey);
+  if (pos == std::string::npos) return out;
+  const std::size_t open = text.find('{', pos);
+  if (open == std::string::npos) return out;
+  const std::size_t close = text.find('}', open);
+  if (close == std::string::npos) return out;
+  for (long long v : util::extract_ints(text.substr(open + 1, close - open - 1))) {
+    out.push_back(static_cast<int>(v));
+  }
+  return out;
+}
+
+std::vector<cim::DeviceType> devices_after(std::string_view text,
+                                           std::string_view key) {
+  std::vector<cim::DeviceType> out;
+  const std::string lower = util::to_lower(text);
+  const std::size_t pos = lower.find(util::to_lower(key));
+  if (pos == std::string::npos) return out;
+  const std::size_t open = lower.find('{', pos);
+  const std::size_t close = open == std::string::npos ? std::string::npos
+                                                      : lower.find('}', open);
+  if (close == std::string::npos) return out;
+  const std::string_view body =
+      std::string_view(lower).substr(open + 1, close - open - 1);
+  if (body.find("rram") != std::string_view::npos) {
+    out.push_back(cim::DeviceType::kRram);
+  }
+  if (body.find("fefet") != std::string_view::npos) {
+    out.push_back(cim::DeviceType::kFefet);
+  }
+  if (body.find("sram") != std::string_view::npos) {
+    out.push_back(cim::DeviceType::kSram);
+  }
+  return out;
+}
+
+bool parse_history_line(std::string_view line, llm::HistoryEntry& out) {
+  const std::size_t rpos = line.find("rollout=");
+  const std::size_t ppos = line.find("performance=");
+  if (rpos == std::string_view::npos || ppos == std::string_view::npos) {
+    return false;
+  }
+  const std::size_t hpos = line.find("hardware=");
+  const std::size_t rollout_end = hpos != std::string_view::npos ? hpos : ppos;
+  const auto ints =
+      util::extract_ints(line.substr(rpos + 8, rollout_end - (rpos + 8)));
+  if (ints.size() < 2 || ints.size() % 2 != 0) return false;
+  out.design.rollout.clear();
+  for (std::size_t i = 0; i + 1 < ints.size(); i += 2) {
+    nn::ConvSpec spec;
+    spec.channels = static_cast<int>(ints[i]);
+    spec.kernel = static_cast<int>(ints[i + 1]);
+    out.design.rollout.push_back(spec);
+  }
+  if (hpos != std::string_view::npos) {
+    const std::string_view hw_part = line.substr(hpos, ppos - hpos);
+    if (util::contains_icase(hw_part, "fefet")) {
+      out.design.hw.device = cim::DeviceType::kFefet;
+    } else if (util::contains_icase(hw_part, "sram")) {
+      out.design.hw.device = cim::DeviceType::kSram;
+    } else {
+      out.design.hw.device = cim::DeviceType::kRram;
+    }
+    const auto hw_ints = util::extract_ints(hw_part);
+    if (hw_ints.size() >= 4) {
+      out.design.hw.bits_per_cell = static_cast<int>(hw_ints[0]);
+      out.design.hw.adc_bits = static_cast<int>(hw_ints[1]);
+      out.design.hw.xbar_size = static_cast<int>(hw_ints[2]);
+      out.design.hw.col_mux = static_cast<int>(hw_ints[3]);
+    }
+  }
+  const auto perf = util::parse_double(util::trim(line.substr(ppos + 12)));
+  if (!perf) return false;
+  out.performance = *perf;
+  return true;
+}
+
+llm::PromptFacts read_prompt(std::string_view text) {
+  llm::PromptFacts facts;
+  facts.codesign_context =
+      util::contains_icase(text, "neural architecture search") ||
+      util::contains_icase(text, "model architecture");
+  if (util::contains_icase(text, "inference latency")) {
+    facts.objective = llm::Objective::kLatency;
+  } else {
+    facts.objective = llm::Objective::kEnergy;
+  }
+  facts.channel_choices = braced_ints_after(text, "channels per layer:");
+  facts.kernel_choices = braced_ints_after(text, "kernel sizes:");
+  facts.device_choices = devices_after(text, "device in");
+  facts.bits_per_cell_choices = braced_ints_after(text, "bits_per_cell in");
+  facts.adc_bits_choices = braced_ints_after(text, "adc_bits in");
+  facts.xbar_choices = braced_ints_after(text, "xbar_size in");
+  facts.mux_choices = braced_ints_after(text, "col_mux in");
+  const std::size_t pairs_marker = text.find(" number pairs");
+  if (pairs_marker != std::string_view::npos) {
+    const std::size_t window = std::min<std::size_t>(pairs_marker, 24);
+    const auto ints =
+        util::extract_ints(text.substr(pairs_marker - window, window));
+    if (!ints.empty() && ints.back() > 0 && ints.back() <= 32) {
+      facts.conv_layers = static_cast<int>(ints.back());
+    }
+  }
+  for (const std::string& line : util::split(text, '\n')) {
+    llm::HistoryEntry entry;
+    if (parse_history_line(line, entry)) facts.history.push_back(std::move(entry));
+  }
+  return facts;
+}
+
+}  // namespace reference
+
+/// Real prompts: the transcripts of short LCDA and LCDA-naive dialogues
+/// under both objectives, sampled from the empty history to past the
+/// 64-entry window, with rewards spread like a study's (some -1). Besides
+/// the paper's space, a 4-layer space with other choice lists, so that a
+/// fact the reader misses cannot hide behind a default equal to it.
+std::vector<std::string> real_prompts() {
+  search::SearchSpace::Options small;
+  small.conv_layers = 4;
+  small.channel_choices = {8, 16, 24};
+  small.kernel_choices = {3, 5};
+  std::vector<std::string> prompts;
+  for (const search::SearchSpace& space :
+       {search::SearchSpace{}, search::SearchSpace{small}}) {
+    for (const bool codesign : {true, false}) {
+      for (const llm::Objective objective :
+           {llm::Objective::kEnergy, llm::Objective::kLatency}) {
+        llm::LlmOptimizer::Options opts;
+        opts.prompt.objective = objective;
+        opts.prompt.codesign_context = codesign;
+        llm::LlmOptimizer opt(space, std::make_shared<llm::SimulatedGpt4>(), opts);
+        util::Rng rng(31 + prompts.size());
+        for (int ep = 0; ep < 70; ++ep) {
+          search::Observation obs;
+          obs.design = opt.propose(rng);
+          obs.reward = rng.chance(0.1) ? -1.0 : rng.uniform();
+          opt.feedback(obs);
+        }
+        for (const std::size_t at : {0, 1, 40, 69}) {
+          prompts.push_back(opt.transcript().at(at).prompt);
+        }
+      }
+    }
+  }
+  return prompts;
+}
+
+/// One edit a careless copy of a prompt could suffer: a span of letters
+/// with its case flipped, a dropped or duplicated line, a truncation, or a
+/// splice of two prompts.
+std::string mutate_prompt(util::Rng& rng, const std::string& text,
+                          const std::vector<std::string>& corpus) {
+  const auto line_bounds = [&](std::size_t at) {
+    const std::size_t begin = text.rfind('\n', at == 0 ? 0 : at - 1);
+    const std::size_t b = begin == std::string::npos || at == 0 ? 0 : begin + 1;
+    const std::size_t end = text.find('\n', at);
+    return std::pair{b, end == std::string::npos ? text.size() : end + 1};
+  };
+  std::string out = text;
+  const std::size_t at = rng.index(text.size() + 1);
+  switch (rng.index(5)) {
+    case 0: {  // case flips over a span
+      const std::size_t len = rng.index(300);
+      for (std::size_t i = at; i < out.size() && i < at + len; ++i) {
+        const auto c = static_cast<unsigned char>(out[i]);
+        out[i] = static_cast<char>(std::isupper(c) ? std::tolower(c)
+                                                   : std::toupper(c));
+      }
+      break;
+    }
+    case 1: {  // drop a line
+      const auto [b, e] = line_bounds(at);
+      out.erase(b, e - b);
+      break;
+    }
+    case 2: {  // duplicate a line somewhere else
+      const auto [b, e] = line_bounds(at);
+      out.insert(line_bounds(rng.index(text.size() + 1)).first,
+                 text.substr(b, e - b));
+      break;
+    }
+    case 3:  // truncation
+      out.resize(at);
+      break;
+    case 4: {  // splice: a prefix of this prompt, a suffix of another
+      const std::string& other = corpus[rng.index(corpus.size())];
+      out = out.substr(0, at) + other.substr(rng.index(other.size() + 1));
+      break;
+    }
+  }
+  return out;
+}
+
+bool same_double(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_same_facts(const llm::PromptFacts& want, const llm::PromptFacts& got,
+                       const std::string& text) {
+  EXPECT_EQ(got.codesign_context, want.codesign_context) << text;
+  EXPECT_EQ(got.objective, want.objective) << text;
+  EXPECT_EQ(got.channel_choices, want.channel_choices) << text;
+  EXPECT_EQ(got.kernel_choices, want.kernel_choices) << text;
+  EXPECT_EQ(got.device_choices, want.device_choices) << text;
+  EXPECT_EQ(got.bits_per_cell_choices, want.bits_per_cell_choices) << text;
+  EXPECT_EQ(got.adc_bits_choices, want.adc_bits_choices) << text;
+  EXPECT_EQ(got.xbar_choices, want.xbar_choices) << text;
+  EXPECT_EQ(got.mux_choices, want.mux_choices) << text;
+  EXPECT_EQ(got.conv_layers, want.conv_layers) << text;
+  ASSERT_EQ(got.history.size(), want.history.size()) << text;
+  for (std::size_t i = 0; i < want.history.size(); ++i) {
+    EXPECT_EQ(got.history[i].design.rollout, want.history[i].design.rollout)
+        << "history line " << i << " of\n" << text;
+    EXPECT_TRUE(got.history[i].design.hw == want.history[i].design.hw)
+        << "history line " << i << " of\n" << text;
+    EXPECT_TRUE(same_double(got.history[i].performance,
+                            want.history[i].performance))
+        << "history line " << i << " of\n" << text;
+  }
+}
+
+class PromptReaderDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PromptReaderDifferential, MatchesTheReferenceReaderOnMutatedPrompts) {
+  static const std::vector<std::string> corpus = real_prompts();
+  if (GetParam() == 41) {
+    for (const std::string& text : corpus) {
+      expect_same_facts(reference::read_prompt(text), llm::read_prompt(text), text);
+    }
+  }
+  util::Rng rng(GetParam());
+  for (int i = 0; i < 600; ++i) {
+    std::string text = corpus[rng.index(corpus.size())];
+    const int rounds = static_cast<int>(rng.uniform_int(1, 3));
+    for (int r = 0; r < rounds; ++r) text = mutate_prompt(rng, text, corpus);
+    expect_same_facts(reference::read_prompt(text), llm::read_prompt(text), text);
+    if (HasFailure()) return;  // one diverging prompt is enough to read
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PromptReaderDifferential,
+                         ::testing::Values(41, 42, 43));
 
 // ------------------------------------------- worker pipe protocol (v2)
 

@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
+#include "lcda/core/experiment.h"
+#include "lcda/core/loop.h"
+#include "lcda/core/scenario.h"
 #include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt.h"
 #include "lcda/llm/prompt_reader.h"
 #include "lcda/llm/scripted_llm.h"
 #include "lcda/llm/simulated_gpt4.h"
+#include "lcda/llm/transcript.h"
+#include "lcda/util/rng.h"
+#include "lcda/util/strings.h"
 
 namespace lcda::llm {
 namespace {
@@ -24,7 +31,7 @@ search::Design vgg_design() {
 
 TEST(Prompt, ContainsAlgorithmOnePhrases) {
   PromptBuilder builder(default_space(), {});
-  const ChatRequest req = builder.build({});
+  const ChatRequest req = builder.build();
   ASSERT_EQ(req.messages.size(), 2u);
   EXPECT_EQ(req.messages[0].content,
             "You are an expert in the field of neural architecture search.");
@@ -42,9 +49,9 @@ TEST(Prompt, ObjectiveSentenceSwitches) {
   PromptBuilder::Options latency;
   latency.objective = Objective::kLatency;
   const std::string e =
-      PromptBuilder(default_space(), energy).build({}).full_text();
+      PromptBuilder(default_space(), energy).build().full_text();
   const std::string l =
-      PromptBuilder(default_space(), latency).build({}).full_text();
+      PromptBuilder(default_space(), latency).build().full_text();
   EXPECT_NE(e.find("energy consumption"), std::string::npos);
   EXPECT_EQ(e.find("inference latency"), std::string::npos);
   EXPECT_NE(l.find("inference latency"), std::string::npos);
@@ -54,7 +61,7 @@ TEST(Prompt, NaiveVariantStripsDomainContext) {
   PromptBuilder::Options naive;
   naive.codesign_context = false;
   const std::string text =
-      PromptBuilder(default_space(), naive).build({}).full_text();
+      PromptBuilder(default_space(), naive).build().full_text();
   EXPECT_EQ(text.find("neural architecture"), std::string::npos);
   EXPECT_EQ(text.find("CIFAR"), std::string::npos);
   EXPECT_EQ(text.find("accelerator"), std::string::npos);
@@ -69,7 +76,8 @@ TEST(Prompt, HistoryLinesIncluded) {
   HistoryEntry h;
   h.design = vgg_design();
   h.performance = 0.345;
-  const std::string text = builder.build({h}).full_text();
+  builder.add(h);
+  const std::string text = builder.build().full_text();
   EXPECT_NE(text.find("rollout=[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]]"),
             std::string::npos);
   EXPECT_NE(text.find("performance=0.345"), std::string::npos);
@@ -81,14 +89,13 @@ TEST(Prompt, HistoryIsCapped) {
   PromptBuilder::Options opts;
   opts.max_history = 3;
   PromptBuilder builder(default_space(), opts);
-  std::vector<HistoryEntry> history;
   for (int i = 0; i < 10; ++i) {
     HistoryEntry h;
     h.design = vgg_design();
     h.performance = i * 0.1;
-    history.push_back(h);
+    builder.add(h);
   }
-  const std::string text = builder.build(history).full_text();
+  const std::string text = builder.build().full_text();
   // Only the 3 newest entries appear.
   EXPECT_EQ(text.find("performance=0.6"), std::string::npos);
   EXPECT_NE(text.find("performance=0.7"), std::string::npos);
@@ -116,7 +123,8 @@ TEST(PromptReader, RoundTripsEverythingThePromptCarries) {
   h.design.hw.device = cim::DeviceType::kFefet;
   h.design.hw.adc_bits = 7;
   h.performance = -1.0;
-  const PromptFacts facts = read_prompt(builder.build({h}).full_text());
+  builder.add(h);
+  const PromptFacts facts = read_prompt(builder.build().full_text());
 
   EXPECT_TRUE(facts.codesign_context);
   EXPECT_EQ(facts.objective, Objective::kLatency);
@@ -138,7 +146,7 @@ TEST(PromptReader, DetectsNaivePrompt) {
   PromptBuilder::Options naive;
   naive.codesign_context = false;
   const PromptFacts facts =
-      read_prompt(PromptBuilder(default_space(), naive).build({}).full_text());
+      read_prompt(PromptBuilder(default_space(), naive).build().full_text());
   EXPECT_FALSE(facts.codesign_context);
   // Choices still flow through the naive prompt.
   EXPECT_FALSE(facts.channel_choices.empty());
@@ -248,7 +256,9 @@ ChatRequest codesign_request(const std::vector<HistoryEntry>& history,
                              Objective objective = Objective::kEnergy) {
   PromptBuilder::Options opts;
   opts.objective = objective;
-  return PromptBuilder(default_space(), opts).build(history);
+  PromptBuilder builder(default_space(), opts);
+  for (const HistoryEntry& h : history) builder.add(h);
+  return builder.build();
 }
 
 TEST(SimulatedGpt4, FirstProposalIsExpertLegal) {
@@ -361,9 +371,8 @@ TEST(SimulatedGpt4, NaivePromptProducesUnconstrainedDesigns) {
   PromptBuilder builder(default_space(), naive);
   SimulatedGpt4 gpt;
   bool violated_expert_rules = false;
-  std::vector<HistoryEntry> history;
   for (int ep = 0; ep < 30; ++ep) {
-    const ChatResponse resp = gpt.complete(builder.build(history));
+    const ChatResponse resp = gpt.complete(builder.build());
     const ParseResult r = parse_design_response(resp.content, default_space());
     ASSERT_TRUE(r.ok);
     int prev = 0;
@@ -376,7 +385,7 @@ TEST(SimulatedGpt4, NaivePromptProducesUnconstrainedDesigns) {
     HistoryEntry h;
     h.design = r.design;
     h.performance = 0.1;
-    history.push_back(h);
+    builder.add(h);
   }
   EXPECT_TRUE(violated_expert_rules)
       << "without co-design context the model ignores the expert heuristics";
@@ -443,6 +452,66 @@ TEST(LlmOptimizer, HistoryFlowsIntoPrompt) {
   const std::string& second_prompt = client->requests().back().full_text();
   EXPECT_NE(second_prompt.find("performance=0.777"), std::string::npos);
 }
+
+// ------------------------------------------------------ Transcript golden
+
+/// FNV-1a of the Markdown transcript of one LLM-driven study, run the way
+/// core::run_strategy runs it. 120 episodes carry the prompt well past the
+/// 64-entry history window, so every prompt byte (header, history lines,
+/// the window's slide) and every response byte is pinned, not just the
+/// decisions the golden trace CSV records over 20 episodes.
+std::string transcript_digest(std::string_view scenario, core::Strategy strategy) {
+  const core::ExperimentConfig config = core::scenario_by_name(scenario).config;
+  auto optimizer = core::make_optimizer(strategy, config);
+  const auto* llm = dynamic_cast<const LlmOptimizer*>(optimizer.get());
+  if (llm == nullptr) return "not an LLM optimizer";
+  auto evaluator = core::make_evaluator(config);
+  const core::RewardFunction reward = core::make_reward(config);
+  core::CodesignLoop::Options opts;
+  opts.episodes = 120;
+  core::CodesignLoop loop(*optimizer, *evaluator, reward, opts);
+  util::Rng rng(util::hash_combine(config.seed,
+                                   static_cast<std::uint64_t>(strategy) + 101));
+  (void)loop.run(rng);
+  std::ostringstream os;
+  write_transcript_markdown(os, *llm, scenario);
+  return util::hex_u64(util::fnv1a64(os.str()));
+}
+
+struct TranscriptGolden {
+  const char* scenario;
+  core::Strategy strategy;
+  const char* digest;
+};
+
+class TranscriptDigest : public ::testing::TestWithParam<TranscriptGolden> {};
+
+TEST_P(TranscriptDigest, MatchesRecordedBytes) {
+  const TranscriptGolden& g = GetParam();
+  EXPECT_EQ(transcript_digest(g.scenario, g.strategy), g.digest)
+      << g.scenario << " / " << core::strategy_name(g.strategy)
+      << ": a prompt or response byte changed";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperStudies, TranscriptDigest,
+    ::testing::Values(
+        TranscriptGolden{"paper-energy", core::Strategy::kLcda, "e4c7fee2e1bc2dc6"},
+        TranscriptGolden{"paper-energy", core::Strategy::kLcdaNaive, "cab24845a3a8a3df"},
+        TranscriptGolden{"paper-energy", core::Strategy::kLcdaFinetuned,
+                         "283d1356a4d1a476"},
+        TranscriptGolden{"paper-latency", core::Strategy::kLcda, "23825b4f0ac966f5"},
+        TranscriptGolden{"paper-latency", core::Strategy::kLcdaNaive, "fad77e76e2faa5c6"},
+        TranscriptGolden{"paper-latency", core::Strategy::kLcdaFinetuned,
+                         "6fa717742bf54f5b"}),
+    [](const ::testing::TestParamInfo<TranscriptGolden>& info) {
+      std::string name = std::string(info.param.scenario) + "_" +
+                         std::string(core::strategy_name(info.param.strategy));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace lcda::llm

@@ -8,7 +8,7 @@
 #       [--seeds 8] [--episodes 300] [--distribute N]
 #
 #   Runs bench_micro_components (BM_FullSurrogateEvaluation,
-#   BM_MonteCarloSurrogate/16, BM_CostEvaluator) and bench_engine_scaling
+#   BM_MonteCarloSurrogate/16, BM_CostEvaluator, BM_LcdaTurn) and bench_engine_scaling
 #   at parallelism 1 and 4, takes the min over --reps repetitions (the
 #   noise-robust estimator the recorded history uses), and writes one flat
 #   measurement JSON. Every measurement records hardware_threads (nproc),
@@ -74,7 +74,7 @@ measure)
 
   echo "bench_record: micro benchmarks ($REPS repetitions)..." >&2
   "$BUILD/bench_micro_components" \
-    --benchmark_filter='BM_FullSurrogateEvaluation$|BM_MonteCarloSurrogate/16$|BM_CostEvaluator$' \
+    --benchmark_filter='BM_FullSurrogateEvaluation$|BM_MonteCarloSurrogate/16$|BM_CostEvaluator$|BM_LcdaTurn$' \
     --benchmark_repetitions="$REPS" \
     --benchmark_format=json >"$tmpdir/micro.json" 2>/dev/null
 
@@ -282,6 +282,7 @@ measurement = {
     "surrogate_full_evaluation_ns": round(bench_min("BM_FullSurrogateEvaluation")),
     "monte_carlo_16_ns": round(bench_min("BM_MonteCarloSurrogate/16")),
     "cost_evaluator_ns": round(bench_min("BM_CostEvaluator")),
+    "lcda_turn_ns": round(bench_min("BM_LcdaTurn")),
     "engine_scaling_wall_ms": {
         "seeds": seeds,
         "episodes": episodes,
@@ -437,6 +438,13 @@ entry = {
         },
     },
 }
+
+# The LCDA turn (BM_LcdaTurn) rides along when either side measured it
+# (measurements from before the bench existed have no number).
+if "lcda_turn_ns" in after or "lcda_turn_ns" in before:
+    b, a = before.get("lcda_turn_ns"), after.get("lcda_turn_ns")
+    entry["lcda_turn_ns"] = {"before": b, "after": a,
+                             "speedup": round(b / a, 2) if b and a else None}
 
 # Warm-rerun wall clock rides along when either side measured it; the
 # warm_speedup quotient is the headline save+load improvement.
