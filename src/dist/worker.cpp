@@ -446,10 +446,10 @@ void execute_spec(const ShardSpec& spec, WorkerPipe& pipe,
   if (tracing) {
     // After the manifest: an attempt that died mid-spec leaves no trace
     // file, so the gatherer only ever sees complete timelines.
-    obs::write_trace_file(
-        tracer.export_chrome(static_cast<int>(::getpid()),
-                             "worker shard " + std::to_string(spec.index)),
-        spec.trace_path);
+    obs::ChromeTraceWriter timeline(spec.trace_path);
+    tracer.render(timeline, static_cast<int>(::getpid()),
+                  "worker shard " + std::to_string(spec.index));
+    timeline.finish();
   }
   std::fprintf(stderr, "worker: shard %d/%d done (%zu seed(s), attempt %d)\n",
                spec.index, spec.count, spec.seeds.size(), spec.attempt);

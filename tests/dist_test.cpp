@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include <chrono>
@@ -20,6 +21,7 @@
 #include "lcda/dist/merge.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/dist/shard.h"
+#include "lcda/obs/trace.h"
 #include "lcda/util/subprocess.h"
 
 namespace {
@@ -895,6 +897,66 @@ TEST_F(Distributed, KilledWorkerResumesFromCheckpointByteIdentically) {
   const std::vector<dist::MergedRun> merged = dist::merge_runs(specs, manifests);
   ASSERT_EQ(merged.size(), static_cast<std::size_t>(kSeeds));
   EXPECT_EQ(render_runs(merged), reference);
+}
+
+// ------------------------------------------------- merged span timeline
+
+TEST_F(Distributed, TracedSpeedupTimelineCountsWorkerDrops) {
+  // The Table-1 study, traced, over two resident workers: 64 seeds
+  // overflow each worker's span ring, and the merged timeline must say
+  // so — in total and per lane — instead of reporting the coordinator's
+  // zero.
+  const std::string dir = temp_dir("traced_speedup");
+  const std::string shard_dir = dir + "/shards";
+  const std::string timeline = dir + "/timeline.json";
+  // Through sh only to send the study's table (stdout) to /dev/null.
+  const util::Subprocess::Result run = util::Subprocess::run(
+      {"/bin/sh", "-c", "exec \"$0\" \"$@\" >/dev/null", runner_,
+       "--scenario=paper-energy", "--speedup", "--seeds=64",
+       "--distribute=2", "--parallelism=1", "--quiet",
+       "--shard-dir=" + shard_dir, "--trace-spans=" + timeline});
+  ASSERT_TRUE(run.ok()) << run.describe() << "\n" << run.stderr_output;
+
+  std::ifstream in(timeline);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const util::Json doc = util::Json::parse(text.str());
+  std::set<long long> pids;
+  long long lane_drops = 0;
+  long long coordinator_drops = -1;
+  for (const util::Json& e : doc.at("traceEvents").elements()) {
+    pids.insert(e.at("pid").as_int());
+    if (e.at("ph").as_string() != "M") continue;
+    const long long dropped = e.at("args").at("dropped_events").as_int();
+    lane_drops += dropped;
+    if (e.at("pid").as_int() == 0) coordinator_drops = dropped;
+  }
+  EXPECT_GE(pids.size(), 3u);
+  ASSERT_GE(coordinator_drops, 0) << "no coordinator lane";
+
+  // Every attempt file the workers left is one the strict reader takes.
+  long long shard_drops = 0;
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(shard_dir)) {
+    if (entry.path().filename().string().find("-trace-a") == std::string::npos) {
+      continue;
+    }
+    std::ifstream file(entry.path());
+    std::ostringstream body;
+    body << file.rdbuf();
+    shard_drops += static_cast<long long>(
+        obs::read_chrome_trace(body.str()).dropped);
+    ++files;
+  }
+  EXPECT_GE(files, 2);
+  EXPECT_GT(shard_drops, 0);
+  const long long merged = doc.at("obs_dropped_events").as_int();
+  EXPECT_EQ(merged, coordinator_drops + shard_drops);
+  EXPECT_EQ(merged, lane_drops);
+  EXPECT_NE(run.stderr_output.find(
+                ", " + std::to_string(merged) + " dropped)"),
+            std::string::npos)
+      << run.stderr_output;
 }
 
 TEST_F(Distributed, ExhaustedRetriesFailLoudly) {

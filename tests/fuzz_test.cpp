@@ -9,15 +9,21 @@
 #include <cctype>
 #include <climits>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "lcda/core/experiment.h"
+#include "lcda/core/scenario.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt_reader.h"
 #include "lcda/llm/simulated_gpt4.h"
+#include "lcda/obs/trace.h"
+#include "lcda/util/json_lite.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
 
@@ -521,6 +527,214 @@ TEST_P(ProtocolFuzz, DecodersNeverCrashAndReencodeWhatTheyAccept) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz,
                          ::testing::Values(21, 22, 23, 24, 25));
+
+// ------------------------------------------------- worker span timelines
+
+/// Real worker timelines, streamed the way a worker streams its ring: a
+/// small traced study (round spans on the driving thread, chunk spans on
+/// pool threads), a ring of awkward names with a span left open, and an
+/// empty ring.
+const std::vector<std::string>& worker_trace_corpus() {
+  static const std::vector<std::string> corpus = [] {
+    obs::SpanTracer& tracer = obs::SpanTracer::instance();
+    tracer.enable();
+    std::vector<std::string> files;
+    const auto stream = [&](int pid, const char* name) {
+      obs::ChromeTraceWriter writer;
+      tracer.render(writer, pid, name);
+      files.push_back(writer.finish());
+      tracer.clear();
+    };
+    tracer.clear();
+    core::Scenario scenario = core::scenario_by_name("paper-energy");
+    scenario.config.parallelism = 2;
+    {
+      obs::Span shard("shard-0");
+      obs::Span seed("seed-0");
+      (void)core::run_strategy(core::Strategy::kNacimRl, 24, scenario.config);
+    }
+    stream(4242, "worker shard 0");
+    for (const char* name : {"say \"hi\"", "back\\slash", "new\nline",
+                             "ctl\x01\x1f"}) {
+      obs::Span span(name);
+    }
+    tracer.begin("left-open");
+    stream(77, "worker shard 1");
+    stream(5, "worker shard 2");
+    return files;
+  }();
+  return corpus;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = text.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    lines.push_back(text.substr(start, nl - start));
+  }
+  lines.push_back(text.substr(start));  // "" after a final newline
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (i > 0) out += '\n';
+    out += lines[i];
+  }
+  return out;
+}
+
+/// One mutation of a worker trace file: byte flips, a truncation, a
+/// dropped, duplicated or foreign line, a splice with another file, a
+/// ts/tid/pid of 20+ digits, an over-long name, or no closing line.
+std::string mutate_trace(util::Rng& rng, const std::string& text,
+                         const std::vector<std::string>& corpus) {
+  static const char kStructural[] = "{}[]\",:\\-0123456789\nBEM";
+  std::string out = text;
+  std::vector<std::string> lines = split_lines(text);
+  const std::vector<std::string> other =
+      split_lines(corpus[rng.index(corpus.size())]);
+  switch (rng.index(8)) {
+    case 0: {  // byte flips
+      const int flips = static_cast<int>(rng.uniform_int(1, 4));
+      for (int i = 0; i < flips && !out.empty(); ++i) {
+        out[rng.index(out.size())] =
+            rng.chance(0.5)
+                ? static_cast<char>(rng.uniform_int(0, 255))
+                : kStructural[rng.index(sizeof(kStructural) - 1)];
+      }
+      return out;
+    }
+    case 1:  // truncation
+      out.resize(rng.index(out.size() + 1));
+      return out;
+    case 2:  // dropped line
+      lines.erase(lines.begin() + static_cast<long>(rng.index(lines.size())));
+      break;
+    case 3: {  // duplicated line
+      const std::size_t at = rng.index(lines.size());
+      lines.insert(lines.begin() + static_cast<long>(at), lines[at]);
+      break;
+    }
+    case 4:  // a line of another file dropped in, or a splice of the two
+      if (rng.chance(0.5)) {
+        lines.insert(lines.begin() + static_cast<long>(rng.index(lines.size() + 1)),
+                     other[rng.index(other.size())]);
+      } else {
+        lines.resize(rng.index(lines.size() + 1));
+        lines.insert(lines.end(),
+                     other.begin() + static_cast<long>(rng.index(other.size())),
+                     other.end());
+      }
+      break;
+    case 5: {  // a ts, tid or pid of 20 or more digits
+      static const char* const kKeys[] = {"\"ts\":", "\"tid\":", "\"pid\":"};
+      const std::string key = kKeys[rng.index(std::size(kKeys))];
+      std::size_t at = out.find(key, rng.index(out.size() + 1));
+      if (at == std::string::npos) at = out.find(key);
+      if (at == std::string::npos) return out;
+      at += key.size();
+      const std::size_t end = out.find_first_not_of("-0123456789", at);
+      std::string digits = rng.chance(0.3) ? "-" : "";
+      digits += static_cast<char>('1' + rng.index(9));
+      const int n = static_cast<int>(rng.uniform_int(19, 40));
+      for (int i = 0; i < n; ++i) digits += static_cast<char>('0' + rng.index(10));
+      out.replace(at, (end == std::string::npos ? out.size() : end) - at, digits);
+      return out;
+    }
+    case 6: {  // an over-long name, now and then made of escapes
+      const std::string key = "\"name\":\"";
+      std::size_t at = out.find(key, rng.index(out.size() + 1));
+      if (at == std::string::npos) at = out.find(key);
+      if (at == std::string::npos) return out;
+      const int n = static_cast<int>(rng.uniform_int(40, 300));
+      std::string name;
+      for (int i = 0; i < n; ++i) name += rng.chance(0.9) ? "n" : "\\u001f";
+      out.insert(at + key.size(), name);
+      return out;
+    }
+    case 7:  // no closing line
+      out.resize(out.rfind("\n]") == std::string::npos ? out.size()
+                                                        : out.rfind("\n]"));
+      return out;
+  }
+  return join_lines(lines);
+}
+
+/// The checks tools/check_trace_events.py makes: known phases, a pid on
+/// every event, and per (pid, tid) lane balanced begin/end pairs with
+/// non-decreasing timestamps.
+void expect_valid_timeline(const util::Json& doc, const std::string& input) {
+  std::map<std::pair<long long, long long>, int> depth;
+  std::map<std::pair<long long, long long>, double> last_ts;
+  for (const util::Json& e : doc.at("traceEvents").elements()) {
+    const std::string& ph = e.at("ph").as_string();
+    ASSERT_TRUE(ph == "B" || ph == "E" || ph == "M") << input;
+    const long long pid = e.at("pid").as_int();
+    if (ph == "M") continue;
+    (void)e.at("name").as_string();
+    const std::pair<long long, long long> lane{pid, e.at("tid").as_int()};
+    const double ts = e.at("ts").as_double();
+    if (const auto it = last_ts.find(lane); it != last_ts.end()) {
+      ASSERT_GE(ts, it->second) << input;
+    }
+    last_ts[lane] = ts;
+    depth[lane] += ph == "B" ? 1 : -1;
+    ASSERT_GE(depth[lane], 0) << input;
+  }
+  for (const auto& [lane, open] : depth) ASSERT_EQ(open, 0) << input;
+}
+
+/// Reads `text` strictly. Nothing may crash; an accepted file must be
+/// exactly what the writer makes of it, and merge — alone, and joined
+/// with itself as a retried shard's two attempts are — behind a
+/// coordinator lane into a valid timeline. Returns whether it was
+/// accepted.
+bool read_and_merge(const std::string& text) {
+  obs::TraceLane lane;
+  try {
+    lane = obs::read_chrome_trace(text);
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+  obs::ChromeTraceWriter again;
+  again.add_lane(lane);
+  EXPECT_EQ(again.finish(), text);
+
+  const std::vector<obs::TraceEvent> coordinator(2, obs::TraceEvent{});
+  obs::ChromeTraceWriter merged;
+  merged.add_lane(0, "coordinator", 0, coordinator);
+  lane.pid = 1;
+  merged.add_lane(lane);
+  lane.pid = 2;
+  merged.add_lane(lane.pid, lane.name, lane.dropped, lane.events, lane.events);
+  expect_valid_timeline(util::Json::parse(merged.finish()), text);
+  return true;
+}
+
+class WorkerTraceFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WorkerTraceFuzz, ReaderRejectsOrAcceptsAndMergesValid) {
+  const std::vector<std::string>& corpus = worker_trace_corpus();
+  ASSERT_GT(split_lines(corpus[0]).size(), 20u) << "the traced study recorded too little";
+  for (const std::string& text : corpus) EXPECT_TRUE(read_and_merge(text));
+  util::Rng rng(GetParam());
+  int accepted = 0;
+  for (int i = 0; i < 1000; ++i) {
+    std::string text = corpus[rng.index(corpus.size())];
+    const int rounds = static_cast<int>(rng.uniform_int(1, 3));
+    for (int r = 0; r < rounds; ++r) text = mutate_trace(rng, text, corpus);
+    accepted += read_and_merge(text) ? 1 : 0;
+    if (HasFatalFailure()) return;
+  }
+  // Some mutants must survive, or the merge half was never exercised.
+  EXPECT_GT(accepted, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WorkerTraceFuzz,
+                         ::testing::Values(31, 32, 33, 34, 35));
 
 }  // namespace
 }  // namespace lcda

@@ -6,9 +6,15 @@
 // before any other test arms them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +25,7 @@
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
 #include "lcda/util/json_lite.h"
+#include "lcda/util/rng.h"
 
 namespace {
 
@@ -176,8 +183,15 @@ TEST(ObsMetrics, SnapshotJsonRoundTrips) {
 }
 
 // ---------------------------------------------------------------------
-// Span tracer
+// Span tracer: the streamed timeline
 // ---------------------------------------------------------------------
+
+/// The process ring streamed as one lane.
+std::string render_ring(int pid, std::string_view name) {
+  obs::ChromeTraceWriter writer;
+  obs::SpanTracer::instance().render(writer, pid, name);
+  return writer.finish();
+}
 
 TEST(ObsTrace, RingOverflowDropsOldestAndCounts) {
   obs::SpanTracer& tracer = obs::SpanTracer::instance();
@@ -192,15 +206,16 @@ TEST(ObsTrace, RingOverflowDropsOldestAndCounts) {
   EXPECT_EQ(tracer.size(), obs::SpanTracer::kDefaultCapacity);
   EXPECT_EQ(tracer.dropped(), kRecorded - obs::SpanTracer::kDefaultCapacity);
 
-  // Oldest-first eviction: the first span was overwritten.
-  const util::Json doc = tracer.export_chrome(0, "test");
-  const util::Json& events = doc.at("traceEvents");
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const util::Json& e = events.at(i);
-    if (e.contains("name")) {
-      EXPECT_NE(e.at("name").as_string(), "the-very-first-span");
-    }
-  }
+  // Oldest-first eviction: the first span was overwritten, every held
+  // begin got its closing end, and the drop count travels with the lane.
+  const obs::TraceLane lane = obs::read_chrome_trace(render_ring(0, "test"));
+  EXPECT_EQ(lane.dropped, tracer.dropped());
+  EXPECT_EQ(lane.events.size(), 2 * obs::SpanTracer::kDefaultCapacity);
+  EXPECT_EQ(std::count_if(lane.events.begin(), lane.events.end(),
+                          [](const obs::TraceEvent& e) {
+                            return std::string_view(e.name) != "filler";
+                          }),
+            0);
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);
   EXPECT_EQ(tracer.dropped(), 0u);
@@ -218,7 +233,9 @@ TEST(ObsTrace, ExportBalancesPairsAndClampsTimestamps) {
   }
   tracer.begin("dangling");  // never ended: export must close it
 
-  const util::Json doc = tracer.export_chrome(7, "test-process");
+  const std::string text = render_ring(7, "test-process");
+  EXPECT_NO_THROW((void)obs::read_chrome_trace(text));
+  const util::Json doc = util::Json::parse(text);
   const util::Json& events = doc.at("traceEvents");
 
   std::map<long long, int> open_per_tid;       // running B/E balance
@@ -227,8 +244,8 @@ TEST(ObsTrace, ExportBalancesPairsAndClampsTimestamps) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const util::Json& e = events.at(i);
     const std::string ph = e.at("ph").as_string();
-    if (ph == "M") continue;
     EXPECT_EQ(e.at("pid").as_int(), 7);
+    if (ph == "M") continue;
     const long long tid = e.at("tid").as_int();
     const long long ts = e.at("ts").as_int();
     const auto prev = last_ts.find(tid);
@@ -237,7 +254,7 @@ TEST(ObsTrace, ExportBalancesPairsAndClampsTimestamps) {
     if (ph == "B") ++open_per_tid[tid];
     if (ph == "E") --open_per_tid[tid];
     EXPECT_GE(open_per_tid[tid], 0) << "end before begin on tid " << tid;
-    if (e.contains("name")) names.insert(e.at("name").as_string());
+    names.insert(e.at("name").as_string());
   }
   for (const auto& [tid, open] : open_per_tid) {
     EXPECT_EQ(open, 0) << "unbalanced spans on tid " << tid;
@@ -254,7 +271,8 @@ TEST(ObsTrace, AppendChromeEventsRewritesPidAndSkipsMetadata) {
   tracer.enable();
   tracer.clear();
   { obs::Span s("worker-span"); }
-  const util::Json worker_doc = tracer.export_chrome(12345, "original");
+  util::Json worker_doc = tracer.export_chrome(12345, "original");
+  worker_doc["obs_dropped_events"] = 17;
   tracer.clear();
   { obs::Span s("coordinator-span"); }
   util::Json merged = tracer.export_chrome(0, "coordinator");
@@ -266,16 +284,304 @@ TEST(ObsTrace, AppendChromeEventsRewritesPidAndSkipsMetadata) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const util::Json& e = events.at(i);
     const std::string ph = e.at("ph").as_string();
-    if (ph != "M" && e.contains("name") &&
-        e.at("name").as_string() == "worker-span") {
+    if (ph != "M" && e.at("name").as_string() == "worker-span") {
       saw_worker_span = true;
       EXPECT_EQ(e.at("pid").as_int(), 101);  // re-pinned to the shard lane
     }
-    if (ph == "M" && e.at("pid").as_int() == 101) saw_lane_name = true;
+    if (ph == "M" && e.at("pid").as_int() == 101) {
+      saw_lane_name = true;
+      EXPECT_EQ(e.at("args").at("name").as_string(), "worker shard 1");
+      EXPECT_EQ(e.at("args").at("dropped_events").as_int(), 17);
+    }
   }
   EXPECT_TRUE(saw_worker_span);
   EXPECT_TRUE(saw_lane_name);
   tracer.clear();
+}
+
+// ------------------------------------------ streamed vs DOM, differential
+
+namespace reference {
+
+// The DOM exporter the streamed writer replaced, kept as its oracle: the
+// same per-thread rules, built as a util::Json tree from the ring's
+// events in order. One line is new — the lane's drop count in the
+// process_name args — and is marked.
+
+util::Json make_event(const char* name, const char* phase, std::int64_t ts,
+                      int pid, std::uint32_t tid) {
+  util::Json e = util::Json::object();
+  e["name"] = std::string(name);
+  e["ph"] = std::string(phase);
+  e["ts"] = static_cast<long long>(ts);
+  e["pid"] = pid;
+  e["tid"] = static_cast<long long>(tid);
+  return e;
+}
+
+util::Json export_chrome(const std::vector<obs::TraceEvent>& events,
+                         std::uint64_t dropped, int pid,
+                         std::string_view process_name) {
+  util::Json arr = util::Json::array();
+  util::Json meta = util::Json::object();
+  meta["name"] = std::string("process_name");
+  meta["ph"] = std::string("M");
+  meta["pid"] = pid;
+  meta["tid"] = 0;
+  util::Json args = util::Json::object();
+  args["name"] = std::string(process_name);
+  args["dropped_events"] = static_cast<long long>(dropped);  // new
+  meta["args"] = args;
+  arr.push_back(meta);
+
+  struct TidState {
+    std::vector<std::string> open;
+    std::int64_t last_ts = 0;
+  };
+  std::map<std::uint32_t, TidState> tids;
+  for (const obs::TraceEvent& e : events) {
+    TidState& st = tids[e.tid];
+    const std::int64_t ts = std::max(e.ts_us, st.last_ts);
+    if (e.phase == 'B') {
+      st.open.emplace_back(e.name);
+    } else {
+      if (st.open.empty()) continue;  // orphaned end: begin was dropped
+      st.open.pop_back();
+    }
+    st.last_ts = ts;
+    arr.push_back(make_event(e.name, e.phase == 'B' ? "B" : "E", ts, pid,
+                             e.tid));
+  }
+  for (auto& [tid, st] : tids) {
+    while (!st.open.empty()) {
+      arr.push_back(
+          make_event(st.open.back().c_str(), "E", st.last_ts, pid, tid));
+      st.open.pop_back();
+    }
+  }
+
+  util::Json doc = util::Json::object();
+  doc["traceEvents"] = arr;
+  doc["displayTimeUnit"] = std::string("ms");
+  doc["obs_dropped_events"] = static_cast<long long>(dropped);
+  return doc;
+}
+
+}  // namespace reference
+
+obs::TraceEvent event(std::string_view name, char phase, std::uint32_t tid,
+                      std::int64_t ts) {
+  obs::TraceEvent e;
+  std::memcpy(e.name, name.data(), std::min(name.size(), obs::kMaxSpanName));
+  e.phase = phase;
+  e.tid = tid;
+  e.ts_us = ts;
+  return e;
+}
+
+/// A wrapped ring's storage and its oldest slot: `events` (oldest first)
+/// rotated so the writer gets the two segments a full ring hands over.
+struct WrappedRing {
+  std::vector<obs::TraceEvent> slots;
+  std::size_t head = 0;
+};
+
+WrappedRing wrap(const std::vector<obs::TraceEvent>& events,
+                 std::size_t head) {
+  WrappedRing ring;
+  ring.slots.resize(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ring.slots[(head + i) % events.size()] = events[i];
+  }
+  ring.head = events.empty() ? 0 : head % events.size();
+  return ring;
+}
+
+/// The streamed lane of `events` (handed over as the two segments of a
+/// ring whose oldest slot is `head`), parsed back, next to the oracle's
+/// document for the same events.
+void expect_streamed_equals_reference(const std::vector<obs::TraceEvent>& events,
+                                      std::size_t head, std::uint64_t dropped,
+                                      const std::string& what) {
+  const WrappedRing ring = wrap(events, head);
+  const std::span<const obs::TraceEvent> slots(ring.slots);
+  obs::ChromeTraceWriter writer;
+  writer.add_lane(3, "lane \"x\"", dropped, slots.subspan(ring.head),
+                  slots.first(ring.head));
+  const std::string text = writer.finish();
+  EXPECT_EQ(util::Json::parse(text).dump(),
+            reference::export_chrome(events, dropped, 3, "lane \"x\"").dump())
+      << what;
+  // Whatever the ring held, the streamed file is one the strict reader
+  // takes back, event for event.
+  const obs::TraceLane back = obs::read_chrome_trace(text);
+  EXPECT_EQ(back.dropped, dropped) << what;
+  obs::ChromeTraceWriter again;
+  again.add_lane(back);
+  EXPECT_EQ(again.finish(), text) << what;
+}
+
+TEST(ObsTraceDifferential, OrphanEndsAndDanglingBegins) {
+  expect_streamed_equals_reference(
+      {event("orphan", 'E', 1, 5), event("outer", 'B', 1, 10),
+       event("inner", 'B', 1, 11), event("inner", 'E', 1, 12),
+       event("stray", 'E', 1, 12), event("outer", 'E', 1, 13),
+       event("stray", 'E', 1, 13), event("dangling", 'B', 1, 14),
+       event("deeper", 'B', 1, 15)},
+      0, 0, "orphans and dangling");
+}
+
+TEST(ObsTraceDifferential, ClockStepBackwards) {
+  expect_streamed_equals_reference(
+      {event("a", 'B', 1, 100), event("b", 'B', 1, 90), event("b", 'E', 1, 95),
+       event("c", 'B', 1, 120), event("c", 'E', 1, 40), event("a", 'E', 1, 80),
+       event("d", 'B', 1, 130), event("d", 'E', 1, 131)},
+      0, 0, "clock step");
+}
+
+TEST(ObsTraceDifferential, RingOverflow) {
+  // Nested spans on one thread, recorded through a 16-slot ring: the
+  // survivors start mid-stack (orphan ends) and end mid-stack (dangling
+  // begins), and the ring has wrapped, so its oldest slot is not slot 0.
+  std::vector<obs::TraceEvent> recorded;
+  for (int i = 0; i < 10; ++i) {
+    recorded.push_back(event("outer", 'B', 1, 10 * i));
+    recorded.push_back(event("inner", 'B', 1, 10 * i + 1));
+    recorded.push_back(event("inner", 'E', 1, 10 * i + 2));
+    recorded.push_back(event("outer", 'E', 1, 10 * i + 3));
+  }
+  recorded.push_back(event("open", 'B', 1, 200));
+  const std::size_t kCapacity = 16;
+  const std::vector<obs::TraceEvent> held(recorded.end() - kCapacity,
+                                          recorded.end());
+  const std::uint64_t dropped = recorded.size() - kCapacity;
+  for (std::size_t head = 0; head < kCapacity; ++head) {
+    expect_streamed_equals_reference(held, head, dropped,
+                                     "head " + std::to_string(head));
+  }
+}
+
+TEST(ObsTraceDifferential, SeveralTids) {
+  expect_streamed_equals_reference(
+      {event("t3", 'B', 3, 10), event("t1", 'B', 1, 11), event("t2", 'B', 2, 9),
+       event("t1", 'E', 1, 12), event("t3b", 'B', 3, 13), event("t2", 'E', 2, 8),
+       event("x", 'E', 7, 14), event("t1b", 'B', 1, 15)},
+      2, 5, "several tids");
+}
+
+TEST(ObsTraceDifferential, RandomRings) {
+  // Every feature at once: orphan ends, dangling begins, backwards clock
+  // steps, many tids, awkward names, wrapped rings.
+  static const char* const kNames[] = {"round.plan", "say \"hi\"",
+                                       "back\\slash", "new\nline",
+                                       "ctl\x01\x1f", ""};
+  util::Rng rng(20251017);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<obs::TraceEvent> events;
+    std::int64_t clock = rng.uniform_int(0, 1000);
+    const int n = static_cast<int>(rng.uniform_int(0, 60));
+    for (int i = 0; i < n; ++i) {
+      clock += rng.chance(0.1) ? -rng.uniform_int(1, 50) : rng.uniform_int(0, 5);
+      events.push_back(event(kNames[rng.index(std::size(kNames))],
+                             rng.chance(0.55) ? 'B' : 'E',
+                             static_cast<std::uint32_t>(rng.uniform_int(1, 4)),
+                             clock));
+    }
+    expect_streamed_equals_reference(
+        events, rng.index(events.size() + 1),
+        static_cast<std::uint64_t>(rng.uniform_int(0, 1000)),
+        "trial " + std::to_string(trial));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ObsTrace, AwkwardNamesSurviveWriteReadAndMerge) {
+  const std::vector<std::string> kNames = {"say \"hi\"", "back\\slash",
+                                           "new\nline", "bell\x07|\x1f|\x7f"};
+  obs::SpanTracer& tracer = obs::SpanTracer::instance();
+  tracer.enable();
+  tracer.clear();
+  for (const std::string& name : kNames) obs::Span span(name);
+
+  // The worker half: the ring streamed to a file, read back strictly.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "lcda_obs_test_names.json")
+          .string();
+  {
+    obs::ChromeTraceWriter file(path);
+    tracer.render(file, 4242, "worker \"shard\"\n0");
+    EXPECT_EQ(file.finish(), "");
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  std::filesystem::remove(path);
+  obs::TraceLane lane = obs::read_chrome_trace(text);
+  EXPECT_EQ(lane.pid, 4242);
+  EXPECT_EQ(lane.name, "worker \"shard\"\n0");
+  ASSERT_EQ(lane.events.size(), 2 * kNames.size());
+  for (std::size_t i = 0; i < kNames.size(); ++i) {
+    EXPECT_EQ(std::string(lane.events[2 * i].name), kNames[i]);
+  }
+
+  // The coordinator half: merged after its own lane, parsed back whole.
+  lane.pid = 1;
+  lane.dropped = 9;
+  obs::ChromeTraceWriter merged;
+  tracer.render(merged, 0, "coordinator");
+  merged.add_lane(lane);
+  EXPECT_EQ(merged.dropped(), 9u);
+  EXPECT_EQ(merged.events(), 4 * kNames.size());
+  const util::Json doc = util::Json::parse(merged.finish());
+  EXPECT_EQ(doc.at("obs_dropped_events").as_int(), 9);
+  std::vector<std::string> merged_names;
+  for (const util::Json& e : doc.at("traceEvents").elements()) {
+    if (e.at("pid").as_int() == 1 && e.at("ph").as_string() == "B") {
+      merged_names.push_back(e.at("name").as_string());
+    }
+  }
+  EXPECT_EQ(merged_names, kNames);
+  tracer.clear();
+}
+
+TEST(ObsTrace, ReaderRejectsWhatTheWriterNeverWrites) {
+  obs::ChromeTraceWriter writer;
+  writer.add_lane(5, "w", 2,
+                  std::vector<obs::TraceEvent>{event("a", 'B', 1, 10),
+                                               event("a", 'E', 1, 11)});
+  const std::string good = writer.finish();
+  ASSERT_NO_THROW((void)obs::read_chrome_trace(good));
+
+  const auto edited = [&good](std::string_view from, std::string_view to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"truncated", good.substr(0, good.size() / 2)},
+      {"no closing line", good.substr(0, good.find("\n]"))},
+      {"trailing bytes", good + " "},
+      {"20-digit ts", edited("\"ts\":10", "\"ts\":10000000000000000000")},
+      {"leading zero", edited("\"ts\":11", "\"ts\":011")},
+      {"negative tid", edited("\"tid\":1}", "\"tid\":-1}")},
+      {"foreign pid", edited("\"pid\":5,\"tid\":1", "\"pid\":6,\"tid\":1")},
+      {"backwards clock", edited("\"ts\":11", "\"ts\":9")},
+      {"unbalanced", edited("\"ph\":\"E\"", "\"ph\":\"B\"")},
+      {"other phase", edited("\"ph\":\"E\"", "\"ph\":\"X\"")},
+      {"long name", edited("\"name\":\"a\"", "\"name\":\"" +
+                                                 std::string(40, 'n') + "\"")},
+      {"raw control byte", edited("\"name\":\"a\"", "\"name\":\"\x01\"")},
+      {"escape never written", edited("\"name\":\"a\"", "\"name\":\"\\u0041\"")},
+      {"drop counts disagree", edited("\"obs_dropped_events\":2",
+                                      "\"obs_dropped_events\":3")},
+      {"two lanes", edited("\n]", ",\n{\"name\":\"process_name\",\"ph\":\"M\","
+                                  "\"pid\":5,\"tid\":0,\"args\":{\"name\":"
+                                  "\"w\",\"dropped_events\":0}}\n]")},
+  };
+  for (const auto& [what, text] : bad) {
+    EXPECT_THROW((void)obs::read_chrome_trace(text), std::runtime_error) << what;
+  }
 }
 
 }  // namespace

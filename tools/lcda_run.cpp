@@ -100,8 +100,10 @@
 //                          With --distribute the coordinator gathers every
 //                          worker's per-attempt trace file and merges them
 //                          into one timeline: pid 0 is the coordinator,
-//                          pid 1+k is shard k. Purely additive — traces,
-//                          JSON and manifests stay byte-identical
+//                          pid 1+k is shard k. Events a ring overwrote are
+//                          counted per lane and in obs_dropped_events.
+//                          Purely additive — traces, JSON and manifests
+//                          stay byte-identical
 //   --metrics-out=PATH     write the final metrics snapshot
 //                          (lcda-metrics-v1 JSON). Distributed runs fold
 //                          every worker manifest's "obs" delta in, so the
@@ -132,7 +134,6 @@
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,7 @@
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/reporter.h"
 #include "lcda/obs/trace.h"
+#include "lcda/util/mmap_file.h"
 #include "lcda/util/strings.h"
 #include "lcda/util/subprocess.h"
 
@@ -325,9 +327,10 @@ struct DistributedStudy {
   obs::MetricsSnapshot obs;
 
   /// Worker span timelines gathered from the shard directory before it
-  /// is cleaned up: one (shard index, export_chrome document) pair per
-  /// successful attempt that ran with --trace-spans.
-  std::vector<std::pair<int, util::Json>> trace_docs;
+  /// is cleaned up: one lane per shard whose attempts left a readable
+  /// trace file under --trace-spans, already on its merged pid (1+k for
+  /// shard k).
+  std::vector<obs::TraceLane> trace_lanes;
 
   /// The shards study entry `k` owns. Plan order used to make this a
   /// contiguous range; work stealing appends specs out of order, so
@@ -451,20 +454,31 @@ DistributedStudy run_distributed(const CliOptions& cli,
     study.obs.merge(obs::Registry::instance().snapshot());
     // Worker span timelines must leave the shard directory before the
     // cleanup below removes it. Failed attempts never write a trace
-    // file, so missing paths are expected, not errors.
+    // file, so missing paths are expected, not errors. A shard's later
+    // attempts join its lane; the writer's per-thread rules keep the
+    // joined lane valid.
     if (opts.trace_spans) {
       for (const dist::Coordinator::ShardStats& s : study.stats.shards) {
+        obs::TraceLane* lane = nullptr;
         for (int a = 0; a <= s.attempts; ++a) {
           const std::string path = shard_dir + "/shard-" +
                                    std::to_string(s.index) + "-trace-a" +
                                    std::to_string(a) + ".json";
-          std::ifstream in(path);
-          if (!in) continue;
-          std::ostringstream buf;
-          buf << in.rdbuf();
+          std::string open_error;
+          const util::MmapFile file = util::MmapFile::open(path, &open_error);
+          if (!open_error.empty()) continue;
           try {
-            study.trace_docs.emplace_back(s.index,
-                                          util::Json::parse(buf.str()));
+            obs::TraceLane attempt = obs::read_chrome_trace(std::string_view(
+                reinterpret_cast<const char*>(file.data()), file.size()));
+            if (lane == nullptr) {
+              lane = &study.trace_lanes.emplace_back(std::move(attempt));
+              lane->pid = 1 + s.index;
+              lane->name = "worker shard " + std::to_string(s.index);
+            } else {
+              lane->dropped += attempt.dropped;
+              lane->events.insert(lane->events.end(), attempt.events.begin(),
+                                  attempt.events.end());
+            }
           } catch (const std::exception& e) {
             std::fprintf(stderr, "lcda_run: skipping damaged trace %s: %s\n",
                          path.c_str(), e.what());
@@ -516,24 +530,25 @@ DistributedStudy run_distributed(const CliOptions& cli,
 /// Final observability artifacts, written once just before a successful
 /// exit: the Chrome-trace span timeline (--trace-spans) and the final
 /// metrics snapshot (--metrics-out). `study` is non-null on distributed
-/// runs: its gathered worker timelines land on per-shard pid lanes
-/// (pid 1+k for shard k; the coordinator owns pid 0) and its merged
-/// snapshot — not the local registry — becomes the metrics document, so
-/// per-study store totals equal the manifest-summed values.
+/// runs: its gathered worker lanes follow the coordinator's own (pid 0)
+/// in the one streamed file, and its merged snapshot — not the local
+/// registry — becomes the metrics document, so per-study store totals
+/// equal the manifest-summed values.
 void write_observability(const CliOptions& cli, const DistributedStudy* study) {
   if (!cli.trace_spans.empty()) {
-    util::Json doc = obs::SpanTracer::instance().export_chrome(
-        0, study != nullptr ? "coordinator" : "lcda_run");
+    obs::ChromeTraceWriter timeline(cli.trace_spans);
+    obs::SpanTracer::instance().render(
+        timeline, 0, study != nullptr ? "coordinator" : "lcda_run");
     if (study != nullptr) {
-      util::Json& events = doc["traceEvents"];
-      for (const auto& [index, worker_doc] : study->trace_docs) {
-        obs::append_chrome_events(events, worker_doc, 1 + index,
-                                  "worker shard " + std::to_string(index));
+      for (const obs::TraceLane& lane : study->trace_lanes) {
+        timeline.add_lane(lane);
       }
     }
-    obs::write_trace_file(doc, cli.trace_spans);
-    std::fprintf(stderr, "[obs] wrote span timeline %s\n",
-                 cli.trace_spans.c_str());
+    timeline.finish();
+    std::fprintf(stderr,
+                 "[obs] wrote span timeline %s (%zu events, %llu dropped)\n",
+                 cli.trace_spans.c_str(), timeline.events(),
+                 static_cast<unsigned long long>(timeline.dropped()));
   }
   if (!cli.metrics_out.empty()) {
     obs::write_metrics_file(study != nullptr
