@@ -170,9 +170,6 @@ RunResult run_strategy(Strategy strategy, int episodes,
     store_opts.directory = config.persistent_cache_dir;
     store_opts.eval_fingerprint = evaluation_fingerprint(config);
     store_opts.stream_fingerprint = stream_fingerprint(config, strategy, episodes);
-    // The unchanged v1 fingerprint formula still names any flat-JSON file a
-    // pre-store run left behind; the store migrates it on open.
-    store_opts.legacy_fingerprint = study_fingerprint(config, strategy, episodes);
     store_opts.budget = store::Budget{config.persistent_cache_max_entries,
                                       config.persistent_cache_max_bytes};
     pstore = std::make_unique<store::EvalStore>(std::move(store_opts));
@@ -277,8 +274,6 @@ SpeedupReport measure_speedup(const ExperimentConfig& config,
   const int n = nacim.episodes_to_reach(report.threshold);
   report.lcda_episodes = l < 0 ? -1 : l + 1;
   report.nacim_episodes = n < 0 ? -1 : n + 1;
-  report.store += lcda.store;
-  report.store += nacim.store;
   report.resumed_episodes = lcda.resumed_episodes + nacim.resumed_episodes;
   return report;
 }

@@ -28,8 +28,7 @@ struct Evaluation {
   /// consumer re-derives its own bit-exact accuracy from them by replaying
   /// the Monte-Carlo draws with its own stream
   /// (PerformanceEvaluator::replay_evaluation). has_replay_params is false
-  /// for evaluators without a replayable accuracy model and for entries
-  /// migrated from v1 cache files.
+  /// for evaluators without a replayable accuracy model.
   double replay_mean = 0.0;
   double replay_spread = 0.0;
   bool has_replay_params = false;

@@ -162,11 +162,8 @@ struct SpeedupReport {
   int nacim_episodes = -1;     ///< episodes NACIM needed (-1 = never)
   double lcda_best = 0.0;
   double nacim_best = 0.0;
-  /// Store-level traffic summed over both runs (observability only; never
-  /// serialized into the deterministic speedup document).
-  StoreMetrics store;
   /// Checkpoint-restored episodes summed over both runs (observability
-  /// only, like `store`).
+  /// only; never serialized into the deterministic speedup document).
   std::int64_t resumed_episodes = 0;
   [[nodiscard]] double speedup() const {
     if (lcda_episodes <= 0 || nacim_episodes <= 0) return 0.0;

@@ -43,16 +43,6 @@ struct StoreMetrics {
   std::int64_t shared_misses = 0;   ///< shared-namespace misses
   std::int64_t bytes_read = 0;      ///< record bytes decoded by probes
   std::int64_t bytes_published = 0; ///< segment bytes written by saves
-
-  StoreMetrics& operator+=(const StoreMetrics& o) {
-    hits += o.hits;
-    misses += o.misses;
-    shared_hits += o.shared_hits;
-    shared_misses += o.shared_misses;
-    bytes_read += o.bytes_read;
-    bytes_published += o.bytes_published;
-    return *this;
-  }
 };
 
 /// Result of a full co-design run.

@@ -82,7 +82,8 @@ std::vector<std::string> register_scenarios_from(const std::string& directory);
 /// strategy and the actual episode count. Episodes are part of the key
 /// because batched optimizers truncate their final batch at the budget,
 /// which shifts RNG consumption — streams are NOT prefix-stable across
-/// budgets. Keys the persistent evaluation cache.
+/// budgets. Keys checkpoint directories; the evaluation store keys by the
+/// two halves below.
 [[nodiscard]] std::uint64_t study_fingerprint(const ExperimentConfig& config,
                                               Strategy strategy, int episodes);
 /// The study fingerprint split into the store-v2 namespaces (see

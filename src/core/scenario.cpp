@@ -889,14 +889,13 @@ std::vector<std::string> list_scenarios() {
   return names;
 }
 
-std::uint64_t study_fingerprint(const ExperimentConfig& config,
-                                Strategy strategy, int episodes) {
-  // Engine knobs that provably never change a trace, and the *default*
-  // budgets (run_strategy takes the real count as a parameter), are
-  // normalized out so equivalent studies share cache files. The actual
-  // episode count stays in: a batched optimizer's final batch truncates
-  // at the budget, so a shorter run's RNG stream is not a prefix of a
-  // longer one's and the entries must not be shared.
+namespace {
+
+/// `config` with every knob that provably never changes a trace reset to
+/// its default: engine scheduling, the store and checkpoint settings, and
+/// the *default* budgets (run_strategy takes the real count as a
+/// parameter). Both fingerprints below hash this canonical form.
+ExperimentConfig without_engine_knobs(const ExperimentConfig& config) {
   ExperimentConfig canon = config;
   const ExperimentConfig def;
   canon.parallelism = def.parallelism;
@@ -910,6 +909,18 @@ std::uint64_t study_fingerprint(const ExperimentConfig& config,
   canon.checkpoint_dir = def.checkpoint_dir;
   canon.checkpoint_every = def.checkpoint_every;
   canon.resume = def.resume;
+  return canon;
+}
+
+}  // namespace
+
+std::uint64_t study_fingerprint(const ExperimentConfig& config,
+                                Strategy strategy, int episodes) {
+  // The engine knobs are normalized out so equivalent studies share
+  // checkpoints. The actual episode count stays in: a batched optimizer's
+  // final batch truncates at the budget, so a shorter run's RNG stream is
+  // not a prefix of a longer one's and the two must not be confused.
+  const ExperimentConfig canon = without_engine_knobs(config);
   const std::string text = std::string(strategy_name(strategy)) + '/' +
                            std::to_string(episodes) + '\n' +
                            config_to_json(canon, /*include_defaults=*/true).dump();
@@ -924,19 +935,8 @@ std::uint64_t evaluation_fingerprint(const ExperimentConfig& config) {
   // Evaluation's deterministic part, so sibling studies of a sweep land in
   // one shared namespace. The tag keeps this hash disjoint from
   // study_fingerprint's for identical configs.
-  ExperimentConfig canon = config;
+  ExperimentConfig canon = without_engine_knobs(config);
   const ExperimentConfig def;
-  canon.parallelism = def.parallelism;
-  canon.pipeline_depth = def.pipeline_depth;
-  canon.cache_evaluations = def.cache_evaluations;
-  canon.persistent_cache_dir = def.persistent_cache_dir;
-  canon.persistent_cache_max_entries = def.persistent_cache_max_entries;
-  canon.persistent_cache_max_bytes = def.persistent_cache_max_bytes;
-  canon.lcda_episodes = def.lcda_episodes;
-  canon.nacim_episodes = def.nacim_episodes;
-  canon.checkpoint_dir = def.checkpoint_dir;
-  canon.checkpoint_every = def.checkpoint_every;
-  canon.resume = def.resume;
   canon.seed = def.seed;
   canon.batch_size = def.batch_size;
   const std::string text =
@@ -949,8 +949,8 @@ std::uint64_t stream_fingerprint(const ExperimentConfig& config,
                                  Strategy strategy, int episodes) {
   // Everything evaluation_fingerprint normalized away: together the two
   // halves key what study_fingerprint keys, so (eval, stream) equality is
-  // the v1 full-hit condition and eval-only equality is the legal sharing
-  // condition.
+  // the store's full-key hit condition and eval-only equality is the legal
+  // sharing condition.
   const std::string text = "lcda-stream-identity-v1\n" +
                            std::string(strategy_name(strategy)) + '/' +
                            std::to_string(episodes) + '/' +

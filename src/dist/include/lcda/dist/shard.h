@@ -81,12 +81,9 @@ struct ShardSpec {
   int stolen_from = -1;
   bool supersedes = false;
 
-  /// Crash injection for retry tests: fail_first_attempt aborts attempt 0
-  /// at entry (before any evaluation or cache traffic) with exit code 3.
-  /// The coordinator's retry then runs the shard clean, which keeps the
-  /// merged result — counters included — identical to a run without the
-  /// crash.
-  bool fail_first_attempt = false;
+  /// Retry count, rewritten into the spec by the coordinator (0 = first
+  /// attempt). LCDA_FAULT's kill and wedge hooks arm on attempt 0 only,
+  /// so an injected crash's retry runs clean.
   int attempt = 0;
 };
 
@@ -101,7 +98,7 @@ void save_shard_spec(const ShardSpec& spec, const std::string& path);
 
 /// Checksum of a spec's study-identity fields (mode, scenario, strategy,
 /// episodes, seed partition, thresholds) — NOT of its bookkeeping (paths,
-/// attempt counter, crash flag). Workers echo it into their manifest;
+/// attempt counter). Workers echo it into their manifest;
 /// the merger refuses a manifest whose checksum disagrees with the spec,
 /// which catches stale result files in a reused shard directory.
 [[nodiscard]] std::uint64_t shard_spec_checksum(const ShardSpec& spec);

@@ -74,9 +74,9 @@ util::Json shard_spec_to_json(const ShardSpec& spec) {
   j["seeds"] = seeds;
   if (!std::isnan(spec.threshold)) j["threshold"] = spec.threshold;
   j["threshold_fraction"] = spec.threshold_fraction;
-  // The per-study cache-file key, so a shard spec in a log names the cache
-  // files its runs will touch (aggregate/runs modes only — the speedup
-  // study spans two strategies and both budgets).
+  // The per-study checkpoint key, so a shard spec in a log names the
+  // checkpoint directory its runs will use (aggregate/runs modes only —
+  // the speedup study spans two strategies and both budgets).
   if (spec.mode != ShardMode::kSpeedup) {
     j["study_fingerprint"] = hex64(core::study_fingerprint(
         spec.scenario.config, spec.strategy, spec.episodes));
@@ -90,7 +90,6 @@ util::Json shard_spec_to_json(const ShardSpec& spec) {
   if (!spec.trace_path.empty()) j["trace_path"] = spec.trace_path;
   if (spec.stolen_from >= 0) j["stolen_from"] = spec.stolen_from;
   if (spec.supersedes) j["supersedes"] = true;
-  if (spec.fail_first_attempt) j["fail_first_attempt"] = true;
   j["attempt"] = spec.attempt;
   return j;
 }
@@ -127,9 +126,6 @@ ShardSpec shard_spec_from_json(const util::Json& j) {
   }
   if (j.contains("supersedes")) {
     spec.supersedes = j.at("supersedes").as_bool();
-  }
-  if (j.contains("fail_first_attempt")) {
-    spec.fail_first_attempt = j.at("fail_first_attempt").as_bool();
   }
   spec.attempt = static_cast<int>(j.at("attempt").as_int());
   // A spec edited out from under its checksum must fail before it can

@@ -302,8 +302,6 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
   manifest["episodes"] = spec.episodes;
   manifest["spec_checksum"] = hex64(shard_spec_checksum(spec));
   util::Json entries = util::Json::array();
-  core::StoreMetrics store_total;
-  long long resumed_total = 0;
 
   // Retried and stolen shard copies resume each seed from its checkpoint
   // when the study checkpoints at all: a seed the dead attempt finished
@@ -333,8 +331,6 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
             spec.strategy, spec.episodes,
             with_resume(core::aggregate_seed_config(config, s, spec.total_seeds)),
             evaluator);
-        store_total += run.store;
-        resumed_total += run.resumed_episodes;
         entries.push_back(aggregate_entry(s, run, spec.threshold));
       });
       break;
@@ -348,8 +344,6 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
         const core::SpeedupReport report = core::measure_speedup(
             with_resume(core::aggregate_seed_config(config, s, spec.total_seeds)),
             spec.threshold_fraction, evaluator);
-        store_total += report.store;
-        resumed_total += report.resumed_episodes;
         entries.push_back(speedup_entry(s, report));
       });
       break;
@@ -367,8 +361,6 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
         const std::string label =
             std::string(core::strategy_name(spec.strategy)) + "/seed" +
             std::to_string(cfg.seed);
-        store_total += run.store;
-        resumed_total += run.resumed_episodes;
         entries.push_back(run_entry(s, label, run));
       });
       break;
@@ -376,26 +368,12 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
   }
 
   manifest["entries"] = entries;
-  // Store-level traffic, shard-total. Deliberately OUTSIDE the entries the
-  // merger folds (the merge byte-contract stays untouched — a warm store
-  // shifts these without changing any merged byte); the coordinator sums
-  // them across manifests into the non-reproducible "dist" stats object.
-  util::Json store = util::Json::object();
-  store["hits"] = static_cast<long long>(store_total.hits);
-  store["misses"] = static_cast<long long>(store_total.misses);
-  store["shared_hits"] = static_cast<long long>(store_total.shared_hits);
-  store["shared_misses"] = static_cast<long long>(store_total.shared_misses);
-  store["bytes_read"] = static_cast<long long>(store_total.bytes_read);
-  store["bytes_published"] =
-      static_cast<long long>(store_total.bytes_published);
-  manifest["store"] = store;
-  // Episodes this shard restored from checkpoints instead of re-running —
-  // like "store", outside the merged byte-contract (the coordinator sums
-  // it into the non-reproducible "dist" stats object).
-  manifest["resumed_episodes"] = resumed_total;
-  // The spec's metrics delta (lcda-metrics-v1). Rides outside the merge
-  // byte-contract like "store"; lcda_run merges the deltas across
-  // manifests with the coordinator's own snapshot into the study totals.
+  // The spec's metrics delta (lcda-metrics-v1), the one carrier of the
+  // shard's store traffic ("store.*") and checkpoint-restored episodes
+  // ("engine.resumed_episodes"). It rides outside the entries the merger
+  // folds, so a warm store or a resumed seed shifts it without changing
+  // any merged byte; lcda_run merges the deltas across manifests with the
+  // coordinator's own snapshot into the study totals.
   manifest["obs"] =
       obs::Registry::instance().snapshot().delta_since(obs_base).to_json();
   return manifest;
@@ -409,16 +387,6 @@ util::Json run_shard(const ShardSpec& spec,
 }
 
 namespace {
-
-/// Crash injection aborts at entry — before any evaluation or cache
-/// write — so the retry runs the shard clean and the merged study, cache
-/// counters included, is identical to one without the crash.
-bool injected_crash(const ShardSpec& spec) {
-  if (!spec.fail_first_attempt || spec.attempt != 0) return false;
-  std::fprintf(stderr, "worker: shard %d injected failure on attempt %d\n",
-               spec.index, spec.attempt);
-  return true;
-}
 
 /// One dispatched spec, end to end: the shard's seeds, atomic manifest
 /// publication, the span export, and the completion line on stderr.
@@ -493,13 +461,6 @@ int run_worker_loop() {
     if (cmd->kind == WorkerCommand::Kind::kRevoke) continue;
     try {
       const ShardSpec spec = load_shard_spec(cmd->spec_path);
-      if (injected_crash(spec)) {
-        // Die like a crashed worker would (the coordinator must see
-        // process death with "exit 3", not a polite `failed` reply) so the
-        // pool's respawn-and-retry path is what the injection exercises.
-        std::fflush(stderr);
-        ::_exit(3);
-      }
       core::PerformanceEvaluator* warm_evaluator = nullptr;
       const core::ExperimentConfig& config = spec.scenario.config;
       if (config.evaluator_kind == core::EvaluatorKind::kSurrogate) {

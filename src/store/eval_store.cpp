@@ -7,17 +7,14 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
-#include "lcda/store/legacy_json.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
 
@@ -147,7 +144,6 @@ EvalStore::EvalStore(Options opts) : opts_(std::move(opts)) {
   }
   if (opts_.buckets == 0) opts_.buckets = 1;
   open_directory();
-  import_legacy();
 }
 
 void EvalStore::open_directory() {
@@ -214,42 +210,6 @@ void EvalStore::open_directory() {
     }
     if (!vanished) return;
   }
-}
-
-void EvalStore::import_legacy() {
-  if (opts_.legacy_fingerprint == 0) return;
-  const std::string path =
-      legacy_cache_path(opts_.directory, opts_.legacy_fingerprint);
-  std::ifstream in(path);
-  if (!in) return;  // nothing to migrate
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::vector<LegacyEntry> imported;
-  try {
-    imported = parse_legacy_cache(buffer.str(), opts_.legacy_fingerprint);
-  } catch (const std::exception& e) {
-    ++skipped_files_;
-    warn_once(path, "skipping unusable legacy cache file " + path + ": " +
-                        e.what());
-    return;
-  }
-  // v1 sequence numbers are per-file; offsetting them past everything the
-  // store has seen preserves their relative age without colliding with
-  // store-wide sequences. The entries enter unpublished, so the next save
-  // republishes them as a segment and then deletes the v1 file — the
-  // migration is complete after one warm run.
-  std::uint64_t max_seq = next_seq_;
-  for (LegacyEntry& e : imported) {
-    Entry entry;
-    entry.evaluation = std::move(e.evaluation);
-    entry.seq = next_seq_ + e.seq;
-    max_seq = std::max(max_seq, entry.seq);
-    if (entries_.emplace(e.design_hash, std::move(entry)).second) {
-      dirty_ = true;
-    }
-  }
-  next_seq_ = max_seq + 1;
-  legacy_path_ = path;
 }
 
 std::optional<core::Evaluation> EvalStore::probe_file(
@@ -321,7 +281,6 @@ void EvalStore::insert(std::uint64_t design_hash, const core::Evaluation& ev) {
   if (ev.cost.invalid_reason.size() > kMaxReason) return;
   if (entries_.emplace(design_hash, Entry{ev, next_seq_, false}).second) {
     ++next_seq_;
-    dirty_ = true;
   }
 }
 
@@ -409,13 +368,6 @@ bool EvalStore::save() {
       return false;
     }
     for (auto& [hash, entry] : entries_) entry.published = true;
-    dirty_ = false;
-  }
-
-  if (!legacy_path_.empty()) {
-    std::error_code ec;
-    fs::remove(legacy_path_, ec);  // best-effort; reimported next run if not
-    legacy_path_.clear();
   }
 
   if (over_budget_estimate()) {

@@ -24,15 +24,14 @@ struct Budget {
   std::size_t max_bytes = 0;    ///< cap on total segment+index bytes
 };
 
-/// Content-addressed evaluation store: the successor of the flat-JSON
-/// PersistentEvalCache behind the same lookup/insert contract.
+/// Content-addressed evaluation store behind `--cache-dir`: a lookup/insert
+/// map from design hash to Evaluation that survives across runs.
 ///
 /// On-disk layout under one `directory` shared by every study and worker
-/// process:
+/// process (nothing else in it is read):
 ///
 ///   segments/seg-<pid>-<n>-<hash>.seg   append-only per-process segments
 ///   index/bucket-<i>-of-<N>.seg         compacted index buckets
-///   <hex fingerprint>.json              legacy v1 files awaiting migration
 ///
 /// Records are keyed by (eval_fingerprint, design_hash, stream_fingerprint)
 /// — the study fingerprint split into its evaluation-identity part (space,
@@ -74,9 +73,10 @@ class EvalStore {
     std::string directory;
     std::uint64_t eval_fingerprint = 0;    ///< evaluation-identity namespace
     std::uint64_t stream_fingerprint = 0;  ///< stream-identity namespace
-    /// Legacy v1 study fingerprint: when `directory/<hex>.json` exists its
-    /// entries are imported (and the file deleted after the next
-    /// successful save). 0 = no migration probe.
+    /// Ignored. It named the flat-JSON v1 cache file the store used to
+    /// import; that migration is gone, so a v1 cache simply runs cold. The
+    /// member stays only because the benchmark probe (perfbench/probe.cpp)
+    /// still assigns it.
     std::uint64_t legacy_fingerprint = 0;
     Budget budget;
     std::size_t buckets = 16;  ///< index shard count used by compaction
@@ -118,21 +118,20 @@ class EvalStore {
   /// persisted (the design re-evaluates deterministically next run).
   void insert(std::uint64_t design_hash, const core::Evaluation& ev);
 
-  /// Publishes this session's new entries as one segment (O(new entries)),
-  /// deletes a migrated legacy file, and — when a budget is configured and
-  /// the store looks over it — runs a compaction pass. Returns false (and
-  /// counts, and warns once) on I/O failure instead of throwing.
+  /// Publishes this session's new entries as one segment (O(new entries))
+  /// and — when a budget is configured and the store looks over it — runs
+  /// a compaction pass. Returns false (and counts, and warns once) on I/O
+  /// failure instead of throwing.
   bool save();
 
   [[nodiscard]] const std::string& directory() const { return opts_.directory; }
-  /// Entries this instance holds in memory (session inserts + migrated
-  /// legacy entries); disk-resident records are not counted here.
+  /// Entries this session inserted; disk-resident records are not counted
+  /// here.
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   /// Records dropped by budget compactions this instance triggered.
   [[nodiscard]] std::size_t evictions() const { return evictions_; }
-  /// Unusable files skipped at open (any number across segments, buckets
-  /// and legacy files — the v1 "0 or 1 per instance" contract is gone,
-  /// a store maps many files).
+  /// Unusable segment and bucket files skipped at open (a store maps many
+  /// files, so any number may be skipped).
   [[nodiscard]] std::size_t skipped_files() const { return skipped_files_; }
   /// Records whose checksum failed during this instance's lookups.
   [[nodiscard]] std::size_t corrupt_records() const { return corrupt_records_; }
@@ -160,7 +159,6 @@ class EvalStore {
   };
 
   void open_directory();
-  void import_legacy();
   [[nodiscard]] std::optional<core::Evaluation> probe_file(
       const MappedFile& file, std::uint64_t design_hash, bool shared) const;
   [[nodiscard]] bool over_budget_estimate() const;
@@ -169,8 +167,6 @@ class EvalStore {
   std::vector<MappedFile> files_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::uint64_t next_seq_ = 0;
-  bool dirty_ = false;
-  std::string legacy_path_;  ///< non-empty: delete after a successful save
   std::size_t evictions_ = 0;
   std::size_t skipped_files_ = 0;
   mutable std::size_t corrupt_records_ = 0;

@@ -21,6 +21,7 @@
 #include "lcda/dist/merge.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/dist/shard.h"
+#include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
 #include "lcda/util/subprocess.h"
 
@@ -502,7 +503,6 @@ TEST(ShardSpec, RoundTripsThroughJson) {
   spec.threshold = 0.25;
   spec.threshold_fraction = 0.9;
   spec.result_path = "/tmp/r.json";
-  spec.fail_first_attempt = true;
   spec.attempt = 1;
 
   const dist::ShardSpec back =
@@ -517,7 +517,6 @@ TEST(ShardSpec, RoundTripsThroughJson) {
   EXPECT_EQ(back.threshold, spec.threshold);
   EXPECT_EQ(back.threshold_fraction, spec.threshold_fraction);
   EXPECT_EQ(back.result_path, spec.result_path);
-  EXPECT_EQ(back.fail_first_attempt, spec.fail_first_attempt);
   EXPECT_EQ(back.attempt, spec.attempt);
   EXPECT_EQ(dist::shard_spec_checksum(back), dist::shard_spec_checksum(spec));
 
@@ -663,9 +662,12 @@ TEST_F(Distributed, WorkersAndRetriesConvergeToReferenceBytes) {
       {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, kSeeds,
       /*shards=*/2, NAN, 0.95);
   ASSERT_EQ(specs.size(), 2u);
-  // Crash injection: shard 0's first attempt aborts at entry; the
-  // coordinator must retry it and the merged bytes must not change.
-  specs[0].fail_first_attempt = true;
+  // Crash injection: shard 0's first attempt dies before its first seed,
+  // so before any evaluation or store write; the coordinator must retry
+  // it and the merged bytes must not change.
+  const std::string kill_first =
+      "kill@seed:" + std::to_string(specs[0].seeds.front());
+  const ScopedEnv die("LCDA_FAULT", kill_first.c_str());
 
   // Stealing stays off: this test asserts the exact plan shape afterwards,
   // and stealing is free to append/erase specs (it has its own test).
@@ -884,11 +886,12 @@ TEST_F(Distributed, KilledWorkerResumesFromCheckpointByteIdentically) {
   EXPECT_GE(coordinator.stats().retries, 1);
 
   const std::vector<util::Json> manifests = load_manifests(specs);
+  // Resumed episodes reach the coordinator the way lcda_run reads them:
+  // as engine.resumed_episodes in each manifest's metrics delta.
   long long resumed = 0;
   for (const util::Json& manifest : manifests) {
-    if (manifest.contains("resumed_episodes")) {
-      resumed += manifest.at("resumed_episodes").as_int();
-    }
+    resumed += obs::MetricsSnapshot::from_json(manifest.at("obs"))
+                   .counter("engine.resumed_episodes");
   }
   // At least one retried seed actually restored episodes from disk — the
   // byte match below must not be explained by a silent cold re-run.
@@ -965,17 +968,21 @@ TEST_F(Distributed, ExhaustedRetriesFailLoudly) {
       scenario, dist::ShardMode::kAggregate,
       {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, 2,
       /*shards=*/1, NAN, 0.95);
-  specs[0].fail_first_attempt = true;
+  const std::string kill_first =
+      "kill@seed:" + std::to_string(specs[0].seeds.front());
+  const ScopedEnv die("LCDA_FAULT", kill_first.c_str());
 
-  // No second attempt: the injected crash is fatal.
+  // No second attempt: the injected crash is fatal, and the error quotes
+  // the worker's exit status and its last stderr line.
   try {
     dist::Coordinator(options("coord_fail", /*slots=*/1, /*retries=*/0))
         .run(specs);
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("exit 3"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("injected failure"),
-              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("exit 42"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("(injected)"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -350,6 +350,38 @@ TEST(StreamFingerprint, SeparatesStreams) {
   EXPECT_NE(fp, core::stream_fingerprint(batched, core::Strategy::kLcda, 20));
 }
 
+TEST(Fingerprints, PinnedForThePaperAndTrainedStudies) {
+  // Every store record is keyed by the evaluation and stream fingerprints,
+  // and every checkpoint directory by the study fingerprint. A change that
+  // moves any value below therefore sends every existing store record and
+  // checkpoint cold; such a change must update these pins on purpose and
+  // say so in CHANGES.md.
+  struct Pin {
+    const char* scenario;
+    int episodes;
+    std::uint64_t study, evaluation, stream;
+  };
+  const Pin pins[] = {
+      {"paper-energy", 20, 0xa74a3d2c5056e405ULL, 0x5701058edc09554cULL,
+       0x8a7e408edff7ee83ULL},
+      {"trained-small", 5, 0x9c44a38b53129410ULL, 0xdf0d3b6f0a83da12ULL,
+       0x1bdfd6b4965cc172ULL},
+  };
+  for (const Pin& pin : pins) {
+    core::ExperimentConfig config = core::scenario_by_name(pin.scenario).config;
+    config.seed = 1;
+    EXPECT_EQ(core::study_fingerprint(config, core::Strategy::kLcda, pin.episodes),
+              pin.study)
+        << pin.scenario;
+    EXPECT_EQ(core::evaluation_fingerprint(config), pin.evaluation)
+        << pin.scenario;
+    EXPECT_EQ(
+        core::stream_fingerprint(config, core::Strategy::kLcda, pin.episodes),
+        pin.stream)
+        << pin.scenario;
+  }
+}
+
 // ------------------------------------------- persistent evaluation store
 
 TEST(PersistentStore, SecondRunIsServedFromDiskWithIdenticalTrace) {

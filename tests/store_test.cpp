@@ -1,6 +1,6 @@
 // The content-addressed evaluation store: record/segment format, budgets,
-// corruption recovery, v1 migration, multi-process safety, and the
-// cross-study shared namespace (lookup_shared + Monte-Carlo replay).
+// corruption recovery, multi-process safety, and the cross-study shared
+// namespace (lookup_shared + Monte-Carlo replay).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,12 +10,13 @@
 #include <thread>
 #include <vector>
 
+#include "lcda/ckpt/checkpoint.h"
 #include "lcda/core/experiment.h"
 #include "lcda/core/report.h"
 #include "lcda/core/scenario.h"
 #include "lcda/store/eval_store.h"
-#include "lcda/store/legacy_json.h"
 #include "lcda/store/segment.h"
+#include "lcda/util/bytes.h"
 
 namespace {
 
@@ -65,15 +66,17 @@ core::Evaluation make_eval(std::uint64_t marker) {
   return ev;
 }
 
-/// Field-by-field byte equality via the legacy JSON codec (which dumps the
-/// full v1 field set with shortest-round-trip doubles) plus the replay
-/// fields the v1 format predates.
+/// Field-by-field byte equality via the checkpoint codec, which writes
+/// every scalar field (replay ones included) as raw bits.
+std::string eval_bytes(const core::Evaluation& ev) {
+  std::string out;
+  util::BinaryWriter w(out);
+  ckpt::encode_evaluation(w, ev);
+  return out;
+}
+
 void expect_same_eval(const core::Evaluation& a, const core::Evaluation& b) {
-  EXPECT_EQ(store::evaluation_to_json(a).dump(),
-            store::evaluation_to_json(b).dump());
-  EXPECT_EQ(a.replay_mean, b.replay_mean);
-  EXPECT_EQ(a.replay_spread, b.replay_spread);
-  EXPECT_EQ(a.has_replay_params, b.has_replay_params);
+  EXPECT_EQ(eval_bytes(a), eval_bytes(b));
 }
 
 store::EvalStore::Options opts(const std::string& dir,
@@ -356,72 +359,6 @@ TEST(EvalStore, SaveFailureDegradesToCountedWarningAndRetries) {
   EXPECT_TRUE(store.save());
   store::EvalStore back(opts(dir));
   EXPECT_TRUE(back.lookup(1).has_value());
-}
-
-// ------------------------------------------------------- v1 migration
-
-TEST(LegacyJson, EvaluationRoundTripsBitForBit) {
-  core::Evaluation ev = make_eval(3);
-  ev.cost.valid = false;
-  ev.cost.invalid_reason = "area 80.1 mm^2 over budget";
-  const core::Evaluation back = store::evaluation_from_json(
-      util::Json::parse(store::evaluation_to_json(ev).dump()));
-  EXPECT_EQ(back.accuracy, ev.accuracy);
-  EXPECT_EQ(back.accuracy_stddev, ev.accuracy_stddev);
-  EXPECT_EQ(back.cost.valid, ev.cost.valid);
-  EXPECT_EQ(back.cost.invalid_reason, ev.cost.invalid_reason);
-  EXPECT_EQ(back.cost.energy_total_pj, ev.cost.energy_total_pj);
-  EXPECT_EQ(back.cost.weight_sigma, ev.cost.weight_sigma);
-  EXPECT_EQ(back.cost.total_weights, ev.cost.total_weights);
-  // v1 predates the replay fields; imports never claim to be replayable.
-  EXPECT_FALSE(back.has_replay_params);
-}
-
-TEST(EvalStore, LegacyV1FilesMigrateOnFirstSave) {
-  const std::string dir = temp_dir("migrate");
-  constexpr std::uint64_t kLegacyFp = 0xabc;
-  std::vector<store::LegacyEntry> legacy;
-  for (std::uint64_t h = 1; h <= 4; ++h) {
-    core::Evaluation ev = make_eval(h);
-    ev.has_replay_params = false;  // v1 has no replay fields
-    ev.replay_mean = 0.0;
-    ev.replay_spread = 0.0;
-    legacy.push_back({h, h - 1, ev});
-  }
-  const std::string v1_path = store::legacy_cache_path(dir, kLegacyFp);
-  store::write_legacy_cache_file(v1_path, kLegacyFp, legacy);
-
-  store::EvalStore::Options o = opts(dir);
-  o.legacy_fingerprint = kLegacyFp;
-  {
-    store::EvalStore store(o);
-    EXPECT_EQ(store.size(), 4u);  // imported, pending republication
-    expect_same_eval(*store.lookup(2), legacy[1].evaluation);
-    EXPECT_TRUE(store.save());
-    // The migration completes in one warm run: the flat-JSON file is gone
-    // and its entries live in a binary segment.
-    EXPECT_FALSE(fs::exists(v1_path));
-    EXPECT_EQ(segment_files(dir).size(), 1u);
-  }
-  store::EvalStore back(o);
-  EXPECT_EQ(back.size(), 0u);
-  for (std::uint64_t h = 1; h <= 4; ++h) {
-    expect_same_eval(*back.lookup(h), legacy[h - 1].evaluation);
-  }
-}
-
-TEST(EvalStore, ForeignLegacyFingerprintIsSkippedNotFatal) {
-  const std::string dir = temp_dir("migrate_foreign");
-  std::vector<store::LegacyEntry> legacy = {{1, 0, make_eval(1)}};
-  // A v1 file renamed across studies: its embedded fingerprint disagrees
-  // with its name. Must degrade to a counted cold start, never abort.
-  store::write_legacy_cache_file(store::legacy_cache_path(dir, 0xbbb), 0xaaa,
-                                 legacy);
-  store::EvalStore::Options o = opts(dir);
-  o.legacy_fingerprint = 0xbbb;
-  store::EvalStore store(o);
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.skipped_files(), 1u);
 }
 
 // ------------------------------------------- compaction & liveness

@@ -319,11 +319,11 @@ struct DistributedStudy {
   /// Study-wide metrics: every worker manifest's "obs" delta folded
   /// together, then the coordinator's own registry merged in. The store
   /// totals and resumed_episodes the summary line and "dist" JSON report
-  /// read from here (counters "store.*", "engine.resumed_episodes") —
-  /// the same values the old per-manifest-key sums produced, since
-  /// run_strategy mirrors each run's counters into the registry exactly
-  /// once. Observability only — the numbers shift with pooling and
-  /// scheduling, never the bytes.
+  /// read from here (counters "store.*", "engine.resumed_episodes"), the
+  /// manifests' only carrier of them; run_strategy mirrors each run's
+  /// counters into the registry exactly once, so these are per-run sums.
+  /// Observability only — the numbers shift with pooling and scheduling,
+  /// never the bytes.
   obs::MetricsSnapshot obs;
 
   /// Worker span timelines gathered from the shard directory before it
