@@ -6,10 +6,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "lcda/core/report.h"
 #include "lcda/util/rng.h"
@@ -19,23 +21,255 @@ namespace lcda::core {
 
 namespace {
 
-// ------------------------------------------------------------- primitives
+// ------------------------------------------------------------- field lists
+//
+// The one list of each serialized struct's keys, in document order. The
+// Writer and the Reader both walk it, so the keys a scenario file may set
+// are exactly the keys config_to_json writes and every fingerprint hashes.
+// v.child takes a nested struct. Seeds take v.seed: std::size_t and
+// std::uint64_t are one type here, and a seed above 2^53 is written as a
+// hex string. kAlways marks a key written even when it holds its default.
+
+constexpr bool kAlways = true;
+
+template <template <typename> class V>
+void fields(V<nn::BackboneOptions>& v) {
+  using S = nn::BackboneOptions;
+  v.field("input_channels", &S::input_channels);
+  v.field("input_size", &S::input_size);
+  v.field("num_classes", &S::num_classes);
+  v.field("hidden", &S::hidden);
+  v.field("pool_after", &S::pool_after);
+  v.field("batch_norm", &S::batch_norm);
+}
+
+template <template <typename> class V>
+void fields(V<cim::HardwareChoices>& v) {
+  using S = cim::HardwareChoices;
+  v.field("devices", &S::devices);
+  v.field("bits_per_cell", &S::bits_per_cell);
+  v.field("adc_bits", &S::adc_bits);
+  v.field("xbar_sizes", &S::xbar_sizes);
+  v.field("col_mux", &S::col_mux);
+}
+
+template <template <typename> class V>
+void fields(V<search::SearchSpace::Options>& v) {
+  using S = search::SearchSpace::Options;
+  v.field("conv_layers", &S::conv_layers);
+  v.field("channel_choices", &S::channel_choices);
+  v.field("kernel_choices", &S::kernel_choices);
+  v.child("hardware", &S::hw);
+  v.child("backbone", &S::backbone);
+  v.field("area_budget_mm2", &S::area_budget_mm2);
+}
+
+template <template <typename> class V>
+void fields(V<surrogate::AccuracyModel::Options>& v) {
+  using S = surrogate::AccuracyModel::Options;
+  v.field("base", &S::base);
+  v.field("amplitude", &S::amplitude);
+  v.field("width_coeff", &S::width_coeff);
+  v.field("kernel1_penalty", &S::kernel1_penalty);
+  v.field("kernel5_bonus", &S::kernel5_bonus);
+  v.field("kernel7_bonus", &S::kernel7_bonus);
+  v.field("shrink_penalty", &S::shrink_penalty);
+  v.field("jump_penalty", &S::jump_penalty);
+  v.field("saturation_scale", &S::saturation_scale);
+  v.field("variation_coeff", &S::variation_coeff);
+  v.field("injection_recovery", &S::injection_recovery);
+  v.field("adc_deficit_penalty", &S::adc_deficit_penalty);
+  v.field("luck_sigma", &S::luck_sigma);
+  v.field("floor", &S::floor);
+  v.seed("calibration_seed", &S::calibration_seed);
+}
+
+template <template <typename> class V>
+void fields(V<cim::MapperOptions>& v) {
+  using S = cim::MapperOptions;
+  v.field("input_bits", &S::input_bits);
+  v.field("max_replication", &S::max_replication);
+  v.field("replication_area_fraction", &S::replication_area_fraction);
+}
+
+template <template <typename> class V>
+void fields(V<cim::CostModelOptions>& v) {
+  using S = cim::CostModelOptions;
+  v.field("arrays_per_tile", &S::arrays_per_tile);
+  v.field("buffer_kb_per_tile", &S::buffer_kb_per_tile);
+  v.child("mapper", &S::mapper);
+}
+
+template <template <typename> class V>
+void fields(V<SurrogateEvaluator::Options>& v) {
+  using S = SurrogateEvaluator::Options;
+  v.child("accuracy", &S::accuracy);
+  v.child("cost", &S::cost);
+  v.child("backbone", &S::backbone);
+  v.field("monte_carlo_samples", &S::monte_carlo_samples);
+  v.field("write_verify_fraction", &S::write_verify_fraction);
+  v.field("write_verify_sigma_scale", &S::write_verify_sigma_scale);
+  v.field("write_verify_pulses", &S::write_verify_pulses);
+}
+
+template <template <typename> class V>
+void fields(V<data::SyntheticCifarOptions>& v) {
+  using S = data::SyntheticCifarOptions;
+  v.field("num_classes", &S::num_classes);
+  v.field("image_size", &S::image_size);
+  v.field("train_per_class", &S::train_per_class);
+  v.field("test_per_class", &S::test_per_class);
+  v.field("noise", &S::noise);
+  v.field("max_shift", &S::max_shift);
+  v.seed("seed", &S::seed);
+}
+
+template <template <typename> class V>
+void fields(V<TrainedEvaluator::Options>& v) {
+  using S = TrainedEvaluator::Options;
+  v.child("dataset", &S::dataset);
+  v.child("backbone", &S::backbone);
+  v.child("cost", &S::cost);
+  v.field("epochs", &S::epochs);
+  v.field("monte_carlo_samples", &S::monte_carlo_samples);
+}
+
+template <template <typename> class V>
+void fields(V<ExperimentConfig>& v) {
+  using S = ExperimentConfig;
+  v.field("objective", &S::objective);
+  v.field("combined_reward", &S::combined_reward);
+  v.field("energy_weight", &S::energy_weight);
+  v.field("latency_weight", &S::latency_weight);
+  v.field("lcda_episodes", &S::lcda_episodes);
+  v.field("nacim_episodes", &S::nacim_episodes);
+  v.seed("seed", &S::seed);
+  v.child("space", &S::space);
+  v.field("evaluator_kind", &S::evaluator_kind);
+  v.child("evaluator", &S::evaluator);
+  v.child("trained", &S::trained);
+  v.field("parallelism", &S::parallelism);
+  v.field("batch_size", &S::batch_size);
+  v.field("pipeline_depth", &S::pipeline_depth);
+  v.field("cache_evaluations", &S::cache_evaluations);
+  v.field("persistent_cache_dir", &S::persistent_cache_dir);
+  v.field("persistent_cache_max_entries", &S::persistent_cache_max_entries);
+  v.field("persistent_cache_max_bytes", &S::persistent_cache_max_bytes);
+  v.field("checkpoint_dir", &S::checkpoint_dir);
+  v.field("checkpoint_every", &S::checkpoint_every);
+  v.field("resume", &S::resume);
+}
+
+template <template <typename> class V>
+void fields(V<Scenario>& v) {
+  using S = Scenario;
+  v.field("name", &S::name, kAlways);
+  v.field("summary", &S::summary, kAlways);
+  v.field("description", &S::description);
+  v.field("default_strategy", &S::default_strategy, kAlways);
+  v.child("config", &S::config, kAlways);
+}
+
+// ------------------------------------------------------------- value codec
+
+template <typename T>
+util::Json encode(const T& value) {
+  return util::Json(value);
+}
+
+util::Json encode(cim::DeviceType d) { return cim::device_name(d); }
+util::Json encode(llm::Objective o) { return llm::objective_name(o); }
+util::Json encode(EvaluatorKind k) { return evaluator_kind_name(k); }
+util::Json encode(Strategy s) { return strategy_name(s); }
+
+template <typename T>
+util::Json encode(const std::vector<T>& values) {
+  util::Json arr = util::Json::array();
+  for (const T& v : values) arr.push_back(encode(v));
+  return arr;
+}
+
+/// A field's key path, rendered only into error messages.
+struct Path {
+  const std::string& context;
+  const char* key;
+  [[nodiscard]] std::string str() const { return context + "." + key; }
+};
+
+void decode(const util::Json& j, double& out, const Path&) {
+  out = j.as_double();
+}
+void decode(const util::Json& j, bool& out, const Path&) {
+  out = j.as_bool();
+}
+void decode(const util::Json& j, std::string& out, const Path&) {
+  out = j.as_string();
+}
+
+/// The one integer read: a value outside int is rejected rather than
+/// wrapped (lcda_episodes=4294967298 must not run 2 episodes).
+void decode(const util::Json& j, int& out, const Path& path) {
+  const long long raw = j.as_int();
+  if (raw < std::numeric_limits<int>::min() ||
+      raw > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(path.str() + ": " + std::to_string(raw) +
+                                " is out of range for an int");
+  }
+  out = static_cast<int>(raw);
+}
+
+void decode(const util::Json& j, std::size_t& out, const Path& path) {
+  const long long raw = j.as_int();
+  if (raw < 0) throw std::invalid_argument(path.str() + ": negative");
+  out = static_cast<std::size_t>(raw);
+}
+
+void decode(const util::Json& j, cim::DeviceType& out, const Path&) {
+  out = cim::device_from_name(j.as_string());
+}
+void decode(const util::Json& j, llm::Objective& out, const Path&) {
+  out = llm::objective_from_name(j.as_string());
+}
+void decode(const util::Json& j, EvaluatorKind& out, const Path&) {
+  out = evaluator_kind_from_name(j.as_string());
+}
+void decode(const util::Json& j, Strategy& out, const Path&) {
+  out = strategy_from_name(j.as_string());
+}
+
+template <typename T>
+void decode(const util::Json& j, std::vector<T>& out, const Path& path) {
+  if (!j.is_array()) throw std::invalid_argument(path.str() + ": expected array");
+  out.clear();
+  for (const util::Json& e : j.elements()) decode(e, out.emplace_back(), path);
+}
+
+// ----------------------------------------------------------------- walkers
+
+template <typename S>
+util::Json write_fields(const S& value, bool include_defaults);
+template <typename S>
+void read_fields(const util::Json& j, S& out, std::string context);
 
 /// Writes one struct as a JSON object, emitting a field only when it
 /// differs from its default (or always, with include_defaults) — so saved
 /// scenarios read as "what this study changes about the paper setting".
+template <typename S>
 class Writer {
  public:
-  explicit Writer(bool include_defaults)
-      : all_(include_defaults), j_(util::Json::object()) {}
+  Writer(const S& value, bool include_defaults)
+      : value_(value), all_(include_defaults) {}
 
   template <typename T>
-  void field(const char* key, const T& value, const T& def) {
-    if (all_ || value != def) j_[key] = util::Json(value);
+  void field(const char* key, T S::*member, bool always = false) {
+    if (all_ || always || value_.*member != def_.*member) {
+      j_[key] = encode(value_.*member);
+    }
   }
 
-  void field_u64(const char* key, std::uint64_t value, std::uint64_t def) {
-    if (!all_ && value == def) return;
+  void seed(const char* key, std::uint64_t S::*member) {
+    const std::uint64_t value = value_.*member;
+    if (!all_ && value == def_.*member) return;
     // Doubles hold integers exactly only up to 2^53; larger seeds (e.g.
     // derive_seed outputs) go through a hex string.
     if (value <= (1ULL << 53)) {
@@ -48,40 +282,29 @@ class Writer {
     }
   }
 
-  void field_ints(const char* key, const std::vector<int>& value,
-                  const std::vector<int>& def) {
-    if (!all_ && value == def) return;
-    util::Json arr = util::Json::array();
-    for (int v : value) arr.push_back(v);
-    j_[key] = arr;
-  }
-
-  void field_devices(const char* key, const std::vector<cim::DeviceType>& value,
-                     const std::vector<cim::DeviceType>& def) {
-    if (!all_ && value == def) return;
-    util::Json arr = util::Json::array();
-    for (cim::DeviceType d : value) arr.push_back(cim::device_name(d));
-    j_[key] = arr;
-  }
-
   /// Nested struct; an all-defaults child (empty object) is omitted.
-  void child(const char* key, util::Json sub) {
-    if (all_ || sub.size() > 0) j_[key] = std::move(sub);
+  template <typename C>
+  void child(const char* key, C S::*member, bool always = false) {
+    util::Json sub = write_fields(value_.*member, all_);
+    if (all_ || always || sub.size() > 0) j_[key] = std::move(sub);
   }
 
   [[nodiscard]] util::Json take() { return std::move(j_); }
 
  private:
+  const S& value_;
+  const S def_{};
   bool all_;
-  util::Json j_;
+  util::Json j_ = util::Json::object();
 };
 
-/// Reads one struct from a JSON object: each getter consumes its key,
+/// Reads one struct from a JSON object: each field consumes its key,
 /// finish() rejects whatever was not consumed — the unknown-key guarantee.
+template <typename S>
 class Reader {
  public:
-  Reader(const util::Json& j, std::string context)
-      : context_(std::move(context)) {
+  Reader(const util::Json& j, S& out, std::string context)
+      : out_(out), context_(std::move(context)) {
     if (!j.is_object()) {
       throw std::invalid_argument(context_ + ": expected a JSON object");
     }
@@ -89,33 +312,17 @@ class Reader {
     consumed_.assign(items_.size(), false);
   }
 
-  void number(const char* key, double& out) {
-    if (const util::Json* v = consume(key)) out = v->as_double();
-  }
-
-  void integer(const char* key, int& out) {
-    if (const util::Json* v = consume(key)) out = static_cast<int>(v->as_int());
-  }
-
-  void size(const char* key, std::size_t& out) {
+  template <typename T>
+  void field(const char* key, T S::*member, bool /*always*/ = false) {
     if (const util::Json* v = consume(key)) {
-      const long long raw = v->as_int();
-      if (raw < 0) throw std::invalid_argument(context_ + "." + key + ": negative");
-      out = static_cast<std::size_t>(raw);
+      decode(*v, out_.*member, {context_, key});
     }
   }
 
-  void boolean(const char* key, bool& out) {
-    if (const util::Json* v = consume(key)) out = v->as_bool();
-  }
-
-  void str(const char* key, std::string& out) {
-    if (const util::Json* v = consume(key)) out = v->as_string();
-  }
-
-  void u64(const char* key, std::uint64_t& out) {
+  void seed(const char* key, std::uint64_t S::*member) {
     const util::Json* v = consume(key);
     if (!v) return;
+    const Path path{context_, key};
     if (v->is_string()) {
       // Strings are hex only with an explicit "0x" prefix (what the writer
       // emits); a quoted decimal like "42" must not silently parse as 0x42.
@@ -131,43 +338,26 @@ class Reader {
           digits.data(), digits.data() + digits.size(), value, base);
       if (ec != std::errc() || ptr != digits.data() + digits.size() ||
           digits.empty()) {
-        throw std::invalid_argument(context_ + "." + key + ": bad seed \"" +
-                                    s + "\"");
+        throw std::invalid_argument(path.str() + ": bad seed \"" + s + "\"");
       }
-      out = value;
+      out_.*member = value;
     } else {
       const long long raw = v->as_int();
-      if (raw < 0) throw std::invalid_argument(context_ + "." + key + ": negative");
-      out = static_cast<std::uint64_t>(raw);
+      if (raw < 0) throw std::invalid_argument(path.str() + ": negative");
+      out_.*member = static_cast<std::uint64_t>(raw);
     }
   }
 
-  void ints(const char* key, std::vector<int>& out) {
+  /// A config's key paths start at "config" wherever it is nested, as
+  /// config_from_json's do.
+  template <typename C>
+  void child(const char* key, C S::*member, bool /*always*/ = false) {
     if (const util::Json* v = consume(key)) {
-      if (!v->is_array()) {
-        throw std::invalid_argument(context_ + "." + key + ": expected array");
-      }
-      out.clear();
-      for (const util::Json& e : v->elements()) {
-        out.push_back(static_cast<int>(e.as_int()));
-      }
+      read_fields(*v, out_.*member,
+                  std::is_same_v<C, ExperimentConfig> ? std::string("config")
+                                                      : context_ + "." + key);
     }
   }
-
-  void devices(const char* key, std::vector<cim::DeviceType>& out) {
-    if (const util::Json* v = consume(key)) {
-      if (!v->is_array()) {
-        throw std::invalid_argument(context_ + "." + key + ": expected array");
-      }
-      out.clear();
-      for (const util::Json& e : v->elements()) {
-        out.push_back(cim::device_from_name(e.as_string()));
-      }
-    }
-  }
-
-  /// Consumes and returns a nested object for a sub-struct parser.
-  [[nodiscard]] const util::Json* child(const char* key) { return consume(key); }
 
   void finish() const {
     std::string keys;
@@ -192,342 +382,45 @@ class Reader {
     return nullptr;
   }
 
+  S& out_;
   std::string context_;
   std::vector<std::pair<std::string, util::Json>> items_;
   std::vector<bool> consumed_;
 };
 
-// --------------------------------------------------- per-struct round-trip
-
-util::Json backbone_to_json(const nn::BackboneOptions& b, bool all) {
-  const nn::BackboneOptions def;
-  Writer w(all);
-  w.field("input_channels", b.input_channels, def.input_channels);
-  w.field("input_size", b.input_size, def.input_size);
-  w.field("num_classes", b.num_classes, def.num_classes);
-  w.field("hidden", b.hidden, def.hidden);
-  w.field_ints("pool_after", b.pool_after, def.pool_after);
-  w.field("batch_norm", b.batch_norm, def.batch_norm);
+template <typename S>
+util::Json write_fields(const S& value, bool include_defaults) {
+  Writer<S> w(value, include_defaults);
+  fields(w);
   return w.take();
 }
 
-void backbone_from_json(const util::Json& j, nn::BackboneOptions& b,
-                        const std::string& ctx) {
-  Reader r(j, ctx);
-  r.integer("input_channels", b.input_channels);
-  r.integer("input_size", b.input_size);
-  r.integer("num_classes", b.num_classes);
-  r.integer("hidden", b.hidden);
-  r.ints("pool_after", b.pool_after);
-  r.boolean("batch_norm", b.batch_norm);
-  r.finish();
-}
-
-util::Json hw_choices_to_json(const cim::HardwareChoices& h, bool all) {
-  const cim::HardwareChoices def;
-  Writer w(all);
-  w.field_devices("devices", h.devices, def.devices);
-  w.field_ints("bits_per_cell", h.bits_per_cell, def.bits_per_cell);
-  w.field_ints("adc_bits", h.adc_bits, def.adc_bits);
-  w.field_ints("xbar_sizes", h.xbar_sizes, def.xbar_sizes);
-  w.field_ints("col_mux", h.col_mux, def.col_mux);
-  return w.take();
-}
-
-void hw_choices_from_json(const util::Json& j, cim::HardwareChoices& h,
-                          const std::string& ctx) {
-  Reader r(j, ctx);
-  r.devices("devices", h.devices);
-  r.ints("bits_per_cell", h.bits_per_cell);
-  r.ints("adc_bits", h.adc_bits);
-  r.ints("xbar_sizes", h.xbar_sizes);
-  r.ints("col_mux", h.col_mux);
-  r.finish();
-}
-
-util::Json space_to_json(const search::SearchSpace::Options& s, bool all) {
-  const search::SearchSpace::Options def;
-  Writer w(all);
-  w.field("conv_layers", s.conv_layers, def.conv_layers);
-  w.field_ints("channel_choices", s.channel_choices, def.channel_choices);
-  w.field_ints("kernel_choices", s.kernel_choices, def.kernel_choices);
-  w.child("hardware", hw_choices_to_json(s.hw, all));
-  w.child("backbone", backbone_to_json(s.backbone, all));
-  w.field("area_budget_mm2", s.area_budget_mm2, def.area_budget_mm2);
-  return w.take();
-}
-
-void space_from_json(const util::Json& j, search::SearchSpace::Options& s,
-                     const std::string& ctx) {
-  Reader r(j, ctx);
-  r.integer("conv_layers", s.conv_layers);
-  r.ints("channel_choices", s.channel_choices);
-  r.ints("kernel_choices", s.kernel_choices);
-  if (const util::Json* c = r.child("hardware")) {
-    hw_choices_from_json(*c, s.hw, ctx + ".hardware");
-  }
-  if (const util::Json* c = r.child("backbone")) {
-    backbone_from_json(*c, s.backbone, ctx + ".backbone");
-  }
-  r.number("area_budget_mm2", s.area_budget_mm2);
-  r.finish();
-}
-
-util::Json accuracy_to_json(const surrogate::AccuracyModel::Options& a, bool all) {
-  const surrogate::AccuracyModel::Options def;
-  Writer w(all);
-  w.field("base", a.base, def.base);
-  w.field("amplitude", a.amplitude, def.amplitude);
-  w.field("width_coeff", a.width_coeff, def.width_coeff);
-  w.field("kernel1_penalty", a.kernel1_penalty, def.kernel1_penalty);
-  w.field("kernel5_bonus", a.kernel5_bonus, def.kernel5_bonus);
-  w.field("kernel7_bonus", a.kernel7_bonus, def.kernel7_bonus);
-  w.field("shrink_penalty", a.shrink_penalty, def.shrink_penalty);
-  w.field("jump_penalty", a.jump_penalty, def.jump_penalty);
-  w.field("saturation_scale", a.saturation_scale, def.saturation_scale);
-  w.field("variation_coeff", a.variation_coeff, def.variation_coeff);
-  w.field("injection_recovery", a.injection_recovery, def.injection_recovery);
-  w.field("adc_deficit_penalty", a.adc_deficit_penalty, def.adc_deficit_penalty);
-  w.field("luck_sigma", a.luck_sigma, def.luck_sigma);
-  w.field("floor", a.floor, def.floor);
-  w.field_u64("calibration_seed", a.calibration_seed, def.calibration_seed);
-  return w.take();
-}
-
-void accuracy_from_json(const util::Json& j, surrogate::AccuracyModel::Options& a,
-                        const std::string& ctx) {
-  Reader r(j, ctx);
-  r.number("base", a.base);
-  r.number("amplitude", a.amplitude);
-  r.number("width_coeff", a.width_coeff);
-  r.number("kernel1_penalty", a.kernel1_penalty);
-  r.number("kernel5_bonus", a.kernel5_bonus);
-  r.number("kernel7_bonus", a.kernel7_bonus);
-  r.number("shrink_penalty", a.shrink_penalty);
-  r.number("jump_penalty", a.jump_penalty);
-  r.number("saturation_scale", a.saturation_scale);
-  r.number("variation_coeff", a.variation_coeff);
-  r.number("injection_recovery", a.injection_recovery);
-  r.number("adc_deficit_penalty", a.adc_deficit_penalty);
-  r.number("luck_sigma", a.luck_sigma);
-  r.number("floor", a.floor);
-  r.u64("calibration_seed", a.calibration_seed);
-  r.finish();
-}
-
-util::Json cost_model_to_json(const cim::CostModelOptions& c, bool all) {
-  const cim::CostModelOptions def;
-  Writer w(all);
-  w.field("arrays_per_tile", c.arrays_per_tile, def.arrays_per_tile);
-  w.field("buffer_kb_per_tile", c.buffer_kb_per_tile, def.buffer_kb_per_tile);
-  Writer m(all);
-  m.field("input_bits", c.mapper.input_bits, def.mapper.input_bits);
-  m.field("max_replication", c.mapper.max_replication, def.mapper.max_replication);
-  m.field("replication_area_fraction", c.mapper.replication_area_fraction,
-          def.mapper.replication_area_fraction);
-  w.child("mapper", m.take());
-  return w.take();
-}
-
-void cost_model_from_json(const util::Json& j, cim::CostModelOptions& c,
-                          const std::string& ctx) {
-  Reader r(j, ctx);
-  r.integer("arrays_per_tile", c.arrays_per_tile);
-  r.integer("buffer_kb_per_tile", c.buffer_kb_per_tile);
-  if (const util::Json* m = r.child("mapper")) {
-    Reader rm(*m, ctx + ".mapper");
-    rm.integer("input_bits", c.mapper.input_bits);
-    rm.integer("max_replication", c.mapper.max_replication);
-    rm.number("replication_area_fraction", c.mapper.replication_area_fraction);
-    rm.finish();
-  }
-  r.finish();
-}
-
-util::Json surrogate_to_json(const SurrogateEvaluator::Options& e, bool all) {
-  const SurrogateEvaluator::Options def;
-  Writer w(all);
-  w.child("accuracy", accuracy_to_json(e.accuracy, all));
-  w.child("cost", cost_model_to_json(e.cost, all));
-  w.child("backbone", backbone_to_json(e.backbone, all));
-  w.field("monte_carlo_samples", e.monte_carlo_samples, def.monte_carlo_samples);
-  w.field("write_verify_fraction", e.write_verify_fraction,
-          def.write_verify_fraction);
-  w.field("write_verify_sigma_scale", e.write_verify_sigma_scale,
-          def.write_verify_sigma_scale);
-  w.field("write_verify_pulses", e.write_verify_pulses, def.write_verify_pulses);
-  return w.take();
-}
-
-void surrogate_from_json(const util::Json& j, SurrogateEvaluator::Options& e,
-                         const std::string& ctx) {
-  Reader r(j, ctx);
-  if (const util::Json* c = r.child("accuracy")) {
-    accuracy_from_json(*c, e.accuracy, ctx + ".accuracy");
-  }
-  if (const util::Json* c = r.child("cost")) {
-    cost_model_from_json(*c, e.cost, ctx + ".cost");
-  }
-  if (const util::Json* c = r.child("backbone")) {
-    backbone_from_json(*c, e.backbone, ctx + ".backbone");
-  }
-  r.integer("monte_carlo_samples", e.monte_carlo_samples);
-  r.number("write_verify_fraction", e.write_verify_fraction);
-  r.number("write_verify_sigma_scale", e.write_verify_sigma_scale);
-  r.number("write_verify_pulses", e.write_verify_pulses);
-  r.finish();
-}
-
-util::Json dataset_to_json(const data::SyntheticCifarOptions& d, bool all) {
-  const data::SyntheticCifarOptions def;
-  Writer w(all);
-  w.field("num_classes", d.num_classes, def.num_classes);
-  w.field("image_size", d.image_size, def.image_size);
-  w.field("train_per_class", d.train_per_class, def.train_per_class);
-  w.field("test_per_class", d.test_per_class, def.test_per_class);
-  w.field("noise", d.noise, def.noise);
-  w.field("max_shift", d.max_shift, def.max_shift);
-  w.field_u64("seed", d.seed, def.seed);
-  return w.take();
-}
-
-void dataset_from_json(const util::Json& j, data::SyntheticCifarOptions& d,
-                       const std::string& ctx) {
-  Reader r(j, ctx);
-  r.integer("num_classes", d.num_classes);
-  r.integer("image_size", d.image_size);
-  r.integer("train_per_class", d.train_per_class);
-  r.integer("test_per_class", d.test_per_class);
-  r.number("noise", d.noise);
-  r.integer("max_shift", d.max_shift);
-  r.u64("seed", d.seed);
-  r.finish();
-}
-
-util::Json trained_to_json(const TrainedEvaluator::Options& t, bool all) {
-  const TrainedEvaluator::Options def;
-  Writer w(all);
-  w.child("dataset", dataset_to_json(t.dataset, all));
-  w.child("backbone", backbone_to_json(t.backbone, all));
-  w.child("cost", cost_model_to_json(t.cost, all));
-  w.field("epochs", t.epochs, def.epochs);
-  w.field("monte_carlo_samples", t.monte_carlo_samples, def.monte_carlo_samples);
-  return w.take();
-}
-
-void trained_from_json(const util::Json& j, TrainedEvaluator::Options& t,
-                       const std::string& ctx) {
-  Reader r(j, ctx);
-  if (const util::Json* c = r.child("dataset")) {
-    dataset_from_json(*c, t.dataset, ctx + ".dataset");
-  }
-  if (const util::Json* c = r.child("backbone")) {
-    backbone_from_json(*c, t.backbone, ctx + ".backbone");
-  }
-  if (const util::Json* c = r.child("cost")) {
-    cost_model_from_json(*c, t.cost, ctx + ".cost");
-  }
-  r.integer("epochs", t.epochs);
-  r.integer("monte_carlo_samples", t.monte_carlo_samples);
+template <typename S>
+void read_fields(const util::Json& j, S& out, std::string context) {
+  Reader<S> r(j, out, std::move(context));
+  fields(r);
   r.finish();
 }
 
 }  // namespace
 
 util::Json config_to_json(const ExperimentConfig& config, bool include_defaults) {
-  const ExperimentConfig def;
-  Writer w(include_defaults);
-  w.field("objective", std::string(llm::objective_name(config.objective)),
-          std::string(llm::objective_name(def.objective)));
-  w.field("combined_reward", config.combined_reward, def.combined_reward);
-  w.field("energy_weight", config.energy_weight, def.energy_weight);
-  w.field("latency_weight", config.latency_weight, def.latency_weight);
-  w.field("lcda_episodes", config.lcda_episodes, def.lcda_episodes);
-  w.field("nacim_episodes", config.nacim_episodes, def.nacim_episodes);
-  w.field_u64("seed", config.seed, def.seed);
-  w.child("space", space_to_json(config.space, include_defaults));
-  w.field("evaluator_kind",
-          std::string(evaluator_kind_name(config.evaluator_kind)),
-          std::string(evaluator_kind_name(def.evaluator_kind)));
-  w.child("evaluator", surrogate_to_json(config.evaluator, include_defaults));
-  w.child("trained", trained_to_json(config.trained, include_defaults));
-  w.field("parallelism", config.parallelism, def.parallelism);
-  w.field("batch_size", config.batch_size, def.batch_size);
-  w.field("pipeline_depth", config.pipeline_depth, def.pipeline_depth);
-  w.field("cache_evaluations", config.cache_evaluations, def.cache_evaluations);
-  w.field("persistent_cache_dir", config.persistent_cache_dir,
-          def.persistent_cache_dir);
-  w.field("persistent_cache_max_entries", config.persistent_cache_max_entries,
-          def.persistent_cache_max_entries);
-  w.field("persistent_cache_max_bytes", config.persistent_cache_max_bytes,
-          def.persistent_cache_max_bytes);
-  w.field("checkpoint_dir", config.checkpoint_dir, def.checkpoint_dir);
-  w.field("checkpoint_every", config.checkpoint_every, def.checkpoint_every);
-  w.field("resume", config.resume, def.resume);
-  return w.take();
+  return write_fields(config, include_defaults);
 }
 
 ExperimentConfig config_from_json(const util::Json& j) {
   ExperimentConfig config;
-  Reader r(j, "config");
-  std::string objective(llm::objective_name(config.objective));
-  r.str("objective", objective);
-  config.objective = llm::objective_from_name(objective);
-  r.boolean("combined_reward", config.combined_reward);
-  r.number("energy_weight", config.energy_weight);
-  r.number("latency_weight", config.latency_weight);
-  r.integer("lcda_episodes", config.lcda_episodes);
-  r.integer("nacim_episodes", config.nacim_episodes);
-  r.u64("seed", config.seed);
-  if (const util::Json* c = r.child("space")) {
-    space_from_json(*c, config.space, "config.space");
-  }
-  std::string kind(evaluator_kind_name(config.evaluator_kind));
-  r.str("evaluator_kind", kind);
-  config.evaluator_kind = evaluator_kind_from_name(kind);
-  if (const util::Json* c = r.child("evaluator")) {
-    surrogate_from_json(*c, config.evaluator, "config.evaluator");
-  }
-  if (const util::Json* c = r.child("trained")) {
-    trained_from_json(*c, config.trained, "config.trained");
-  }
-  r.integer("parallelism", config.parallelism);
-  r.size("batch_size", config.batch_size);
-  r.size("pipeline_depth", config.pipeline_depth);
-  r.boolean("cache_evaluations", config.cache_evaluations);
-  r.str("persistent_cache_dir", config.persistent_cache_dir);
-  r.size("persistent_cache_max_entries", config.persistent_cache_max_entries);
-  r.size("persistent_cache_max_bytes", config.persistent_cache_max_bytes);
-  r.str("checkpoint_dir", config.checkpoint_dir);
-  r.integer("checkpoint_every", config.checkpoint_every);
-  r.boolean("resume", config.resume);
-  r.finish();
+  read_fields(j, config, "config");
   return config;
 }
 
 util::Json scenario_to_json(const Scenario& scenario, bool include_defaults) {
-  util::Json j = util::Json::object();
-  j["name"] = scenario.name;
-  j["summary"] = scenario.summary;
-  if (include_defaults || !scenario.description.empty()) {
-    j["description"] = scenario.description;
-  }
-  j["default_strategy"] = std::string(strategy_name(scenario.default_strategy));
-  j["config"] = config_to_json(scenario.config, include_defaults);
-  return j;
+  return write_fields(scenario, include_defaults);
 }
 
 Scenario scenario_from_json(const util::Json& j) {
   Scenario s;
-  Reader r(j, "scenario");
-  r.str("name", s.name);
-  r.str("summary", s.summary);
-  r.str("description", s.description);
-  std::string strategy(strategy_name(s.default_strategy));
-  r.str("default_strategy", strategy);
-  s.default_strategy = strategy_from_name(strategy);
-  if (const util::Json* c = r.child("config")) s.config = config_from_json(*c);
-  r.finish();
+  read_fields(j, s, "scenario");
   if (s.name.empty()) {
     throw std::invalid_argument("scenario_from_json: missing \"name\"");
   }

@@ -34,14 +34,15 @@ namespace lcda::dist {
     const std::vector<ShardSpec>& specs,
     const std::vector<util::Json>& manifests);
 
-/// One reassembled runs-mode run: the full run JSON (embedded verbatim in
-/// merged experiment documents), its trace CSV rows, and the scalars the
-/// coordinator's summary lines print.
+/// One runs-mode run: the scalars lcda_run's per-run summary lines print,
+/// plus the full run JSON (embedded verbatim in experiment documents) and
+/// its trace CSV rows when they were built.
 struct MergedRun {
   int seed = 0;
   std::string label;
-  util::Json run_json;
-  std::string csv;
+  long long episodes = 0;
+  util::Json run_json;  ///< null unless built
+  std::string csv;      ///< empty unless built
   double best_reward = 0.0;
   int best_episode = -1;
   std::string best_design;
@@ -52,6 +53,18 @@ struct MergedRun {
   long long persistent_skipped = 0;
   long long persistent_save_failures = 0;
 };
+
+/// One finished run as its runs-mode record, the same whether a worker
+/// publishes it or lcda_run prints it in-process. `json` and `csv` select
+/// whether run_json and csv are built: per episode, each costs about as
+/// much as a surrogate episode, so a run without --json or --trace skips
+/// them.
+[[nodiscard]] MergedRun run_record(int seed, const std::string& label,
+                                   const core::RunResult& run, bool json,
+                                   bool csv);
+
+/// A record as a worker's manifest carries it; merge_runs reads it back.
+[[nodiscard]] util::Json run_entry(MergedRun run);
 
 /// Reassembles runs-mode payloads in canonical order — study-major (the
 /// planner's strategy order via study_slot), seeds ascending — the order

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "lcda/core/report.h"
 #include "lcda/util/strings.h"
 
 namespace lcda::dist {
@@ -192,6 +193,48 @@ std::vector<core::SpeedupReport> merge_speedup(
   return out;
 }
 
+MergedRun run_record(int seed, const std::string& label,
+                     const core::RunResult& run, bool json, bool csv) {
+  MergedRun r;
+  r.seed = seed;
+  r.label = label;
+  r.episodes = static_cast<long long>(run.episodes.size());
+  if (json) r.run_json = core::run_to_json(run, label);
+  if (csv) {
+    std::ostringstream rows;
+    core::write_run_csv(rows, run, label);
+    r.csv = std::move(rows).str();
+  }
+  r.best_reward = run.best_reward();
+  r.best_episode = run.best_episode;
+  r.best_design = run.best().design.describe();
+  r.cache_hits = run.cache_hits;
+  r.cache_misses = run.cache_misses;
+  r.persistent_hits = run.persistent_hits;
+  r.persistent_shared_hits = run.persistent_shared_hits;
+  r.persistent_skipped = run.persistent_skipped;
+  r.persistent_save_failures = run.persistent_save_failures;
+  return r;
+}
+
+util::Json run_entry(MergedRun run) {
+  util::Json e = util::Json::object();
+  e["seed"] = run.seed;
+  e["label"] = std::move(run.label);
+  e["best_reward"] = run.best_reward;
+  e["best_episode"] = run.best_episode;
+  e["best_design"] = std::move(run.best_design);
+  e["cache_hits"] = run.cache_hits;
+  e["cache_misses"] = run.cache_misses;
+  e["persistent_hits"] = run.persistent_hits;
+  e["persistent_shared_hits"] = run.persistent_shared_hits;
+  e["persistent_skipped"] = run.persistent_skipped;
+  e["persistent_save_failures"] = run.persistent_save_failures;
+  e["run"] = std::move(run.run_json);
+  e["csv"] = std::move(run.csv);
+  return e;
+}
+
 std::vector<MergedRun> merge_runs(const std::vector<ShardSpec>& specs,
                                   const std::vector<util::Json>& manifests) {
   if (specs.size() != manifests.size()) {
@@ -234,6 +277,7 @@ std::vector<MergedRun> merge_runs(const std::vector<ShardSpec>& specs,
       run.seed = seed;
       run.label = entry.at("label").as_string();
       run.run_json = entry.at("run");
+      run.episodes = run.run_json.at("episodes").as_int();
       run.csv = entry.at("csv").as_string();
       run.best_reward = entry.at("best_reward").as_double();
       run.best_episode = static_cast<int>(entry.at("best_episode").as_int());

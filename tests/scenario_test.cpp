@@ -117,6 +117,28 @@ TEST(ConfigJson, UnknownKeysAreRejected) {
   }
 }
 
+TEST(ConfigJson, ScenarioConfigErrorsNameTheConfigKeyPath) {
+  // A scenario file's (or shard spec's) config reports the same key paths
+  // as config_from_json and --set.
+  const auto error = [](const char* text) {
+    try {
+      (void)core::scenario_from_json(util::Json::parse(text));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error(R"({"name":"s","config":{"lcda_episodes":4294967298}})")
+                .rfind("config.lcda_episodes: ", 0),
+            0u);
+  EXPECT_EQ(error(R"({"name":"s","config":{"typo":1}})")
+                .rfind("config: unknown key(s) \"typo\"", 0),
+            0u);
+  EXPECT_EQ(error(R"({"name":"s","x":1})")
+                .rfind("scenario: unknown key(s) \"x\"", 0),
+            0u);
+}
+
 TEST(ConfigJson, BadEnumValuesAreRejected) {
   EXPECT_THROW((void)core::config_from_json(
                    util::Json::parse(R"({"objective":"power"})")),
@@ -157,6 +179,11 @@ TEST(ApplyOverride, RejectsUnknownPathsAndBadSyntax) {
   EXPECT_THROW(core::apply_override(config, "no_equals_sign"),
                std::invalid_argument);
   EXPECT_THROW(core::apply_override(config, "=5"), std::invalid_argument);
+  // Integers outside int are rejected, not wrapped (to 2 and to 6).
+  EXPECT_THROW(core::apply_override(config, "lcda_episodes=4294967298"),
+               std::invalid_argument);
+  EXPECT_THROW(core::apply_override(config, "space.conv_layers=4294967302"),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- registry

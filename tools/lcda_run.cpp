@@ -15,115 +15,11 @@
 //   lcda_run --scenario=paper-energy --speedup --seeds=4 --trace=speedup.csv
 //   lcda_run --scenario=paper-energy --aggregate --seeds=8 --distribute=2
 //
-// Flags:
-//   --list                 list registered scenarios and exit
-//   --print-config         dump the resolved scenario as JSON and exit
-//   --scenario=NAME        registry scenario (see --list)
-//   --scenario-file=PATH   load a scenario JSON file instead
-//   --scenario-dir=DIR     register every *.json scenario in DIR first
-//                          (the LCDA_SCENARIO_DIR environment variable
-//                          autoloads a directory the same way)
-//   --strategy=A[,B...]    strategies to run (default: the scenario's);
-//                          "all" sweeps every strategy
-//   --aggregate            multi-seed aggregate per strategy instead of the
-//                          per-seed episode listing (core::run_aggregate):
-//                          running-best mean/stddev across seeds, final-best
-//                          statistics, cache traffic. --seeds sets the seed
-//                          count; --threshold=R also reports episodes-to-R
-//   --speedup              paired LCDA-vs-NACIM episodes-to-threshold study
-//                          (core::speedup_study) over --seeds seeds;
-//                          --threshold-fraction=F sets the "comparable
-//                          solution" bar (default 0.95 of NACIM's best)
-//   --threshold=R          reward threshold for --aggregate's
-//                          episodes-to-threshold statistic
-//   --threshold-fraction=F speedup threshold fraction (--speedup only)
-//   --episodes=N           override the per-strategy episode budget
-//   --seeds=N              seeds per strategy (base, base+1, ...; default 1)
-//   --seed=K               override the base seed
-//   --set key=value        dotted-path config override (repeatable), e.g.
-//                          --set space.conv_layers=4 --set objective=latency
-//   --cache-dir=PATH       enable the on-disk evaluation store
-//   --checkpoint-dir=DIR   enable crash-resumable checkpoints: each run
-//                          snapshots its full engine state (optimizer
-//                          internals, RNG cursors, trace, cache log) under
-//                          DIR/<study fingerprint> and appends a per-round
-//                          changelog between snapshots. Trace-invariant:
-//                          output is byte-identical with or without it
-//   --checkpoint-every=N   episodes between snapshots (default 64; requires
-//                          --checkpoint-dir or a scenario checkpoint_dir)
-//   --resume               restore the newest valid checkpoint before
-//                          running; a run killed at any episode and resumed
-//                          this way produces byte-identical final JSON and
-//                          trace CSV. Falls back to a cold start (with a
-//                          warning) when no usable checkpoint exists
-//   --parallelism=N        worker threads (default: LCDA_PARALLELISM, else 1;
-//                          0 = one per hardware thread); traces are
-//                          bit-identical for every setting
-//   --distribute=N         shard the study across N worker PROCESSES (the
-//                          lcda::dist coordinator keeps a pool of N resident
-//                          `lcda_run --worker-loop` subprocesses, dispatches
-//                          shard specs to them over stdin/stdout pipes and
-//                          merges their result manifests); every output —
-//                          traces, JSON, cache counters — is byte-identical
-//                          to the same command without --distribute (see
-//                          README "Scaling out")
-//   --max-retries=K        extra attempts per failed shard before the run
-//                          aborts (default 2; requires --distribute)
-//   --shard-dir=DIR        keep shard specs/manifests in DIR instead of an
-//                          auto-cleaned temp directory (requires
-//                          --distribute)
-//   --keep-shard-dir       keep the automatic temp shard directory (specs,
-//                          manifests, span traces) for post-mortem;
-//                          without it the temp directory is removed on
-//                          success AND failure (requires --distribute)
-//   --no-steal             disable straggler work stealing; shards then run
-//                          exactly where the planner put them (requires
-//                          --distribute)
-//   --steal-threshold=K    a shard is a straggler when its progress has
-//                          stalled: no seed started or finished for longer
-//                          than K x the median observed per-seed wall
-//                          (default 2.0, must be >= 1; requires
-//                          --distribute)
-//   --worker-loop          internal: resident worker — read
-//                          lcda-worker-cmd-v2 command lines from stdin, run
-//                          each dispatched spec, stream seed events and
-//                          heartbeats and reply done/failed on stdout
-//                          (what --distribute keeps one of per slot)
-//   --json=PATH            write the full experiment (runs + traces + cache
-//                          counters) as JSON
-//   --trace=PATH           write the episode traces as CSV ("-" = stdout;
-//                          human-readable output then moves to stderr so
-//                          stdout stays valid CSV) — the format CI diffs
-//                          against golden traces
-//   --trace-spans=PATH     export the span timeline as Chrome trace-event
-//                          JSON (load it in Perfetto or chrome://tracing).
-//                          With --distribute the coordinator gathers every
-//                          worker's per-attempt trace file and merges them
-//                          into one timeline: pid 0 is the coordinator,
-//                          pid 1+k is shard k. Events a ring overwrote are
-//                          counted per lane and in obs_dropped_events.
-//                          Purely additive — traces, JSON and manifests
-//                          stay byte-identical
-//   --metrics-out=PATH     write the final metrics snapshot
-//                          (lcda-metrics-v1 JSON). Distributed runs fold
-//                          every worker manifest's "obs" delta in, so the
-//                          per-study store totals equal the manifest sums
-//   --metrics-interval=SEC periodic "[obs] t=..s name=value" heartbeat on
-//                          stderr while the study runs (and a final line
-//                          when it stops)
-//   --quiet                suppress the per-episode listing
-//
-// Store maintenance (act on --cache-dir=DIR and exit):
-//   --store-compact        merge segments into fresh index buckets, dedupe
-//                          republished records, drop corrupt ones
-//                          (skip-and-count) and enforce the budget
-//                          oldest-first; safe while readers/writers are
-//                          live. --store-buckets=N sets the index shard
-//                          count (default 16); --store-max-entries=N /
-//                          --store-max-bytes=N apply a budget
-//   --store-fsck           verify every segment and index bucket (headers,
-//                          per-record checksums, sort order); exits
-//                          nonzero when any damage is found
+// The flags are declared once, in kFlags below: every argument error prints
+// the usage text generated from it (run lcda_run with no arguments to see
+// it), which lists each flag with the mode or flag it requires. Argument
+// errors exit 2; README "Scenarios: experiments as data" and "Scaling out"
+// describe the modes in depth.
 #include <unistd.h>
 
 #include <cmath>
@@ -134,7 +30,9 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "lcda/core/report.h"
@@ -174,7 +72,7 @@ struct CliOptions {
   std::string strategies;
   std::string cache_dir;
   std::string checkpoint_dir;
-  long long checkpoint_every = 0;  // 0 = scenario default
+  int checkpoint_every = 0;  // 0 = scenario default
   bool resume = false;
   std::string json_path;
   std::string trace_path;
@@ -195,109 +93,297 @@ struct CliOptions {
   int parallelism = -1;         // -1 = environment default
   int distribute = 0;           // 0 = in-process; N = worker processes
   int max_retries = 2;          // per-shard retry budget (--distribute)
-  bool max_retries_set = false;
   bool keep_shard_dir = false;  // keep the auto temp shard dir
   bool no_steal = false;        // disable straggler work stealing
   double steal_threshold = 2.0; // stall bar (x median per-seed wall)
-  bool steal_threshold_set = false;
   double threshold = std::numeric_limits<double>::quiet_NaN();
   double threshold_fraction = 0.95;
 };
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --scenario=NAME [--scenario-dir=DIR] "
-               "[--strategy=A,B] [--seeds=N] "
-               "[--episodes=N] [--seed=K] [--set key=value ...] "
-               "[--cache-dir=DIR] [--parallelism=N] [--json=PATH] "
-               "[--trace=PATH|-] [--trace-spans=PATH] [--metrics-out=PATH] "
-               "[--metrics-interval=SEC] [--quiet]\n"
-               "       %s ... --distribute=N [--max-retries=K] "
-               "[--shard-dir=DIR] [--keep-shard-dir] [--no-steal] "
-               "[--steal-threshold=K]\n"
-               "       %s --scenario=NAME --aggregate [--threshold=R] [...]\n"
-               "       %s --scenario=NAME --speedup [--threshold-fraction=F] "
-               "[...]\n"
-               "       %s --scenario-file=PATH [...]\n"
-               "       %s --cache-dir=DIR --store-compact "
-               "[--store-buckets=N] [--store-max-entries=N] "
-               "[--store-max-bytes=N] | --store-fsck\n"
-               "       %s --list | --print-config --scenario=NAME\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+/// A study: a runs, --aggregate or --speedup invocation, as opposed to
+/// listing, printing a config or maintaining the store.
+bool is_study(const CliOptions& cli) {
+  return !cli.list && !cli.print_config && !cli.store_compact && !cli.store_fsck;
+}
+
+/// The resolved scenario config; null when the mode has no scenario.
+using Config = const core::ExperimentConfig*;
+
+/// The one mode or flag a flag requires, checked once the command line
+/// and the scenario, if the mode has one, are resolved.
+struct Requirement {
+  const char* text;
+  bool (*met)(const CliOptions&, Config);
+};
+
+constexpr Requirement kOneMode{"no other mode", [](const CliOptions& c, Config) {
+  return c.list + c.print_config + c.aggregate + c.speedup +
+             (c.store_compact || c.store_fsck) == 1;
+}};
+constexpr Requirement kStudy{
+    "a study", [](const CliOptions& c, Config) { return is_study(c); }};
+constexpr Requirement kStrategyStudy{
+    "a study without --speedup",
+    [](const CliOptions& c, Config) { return is_study(c) && !c.speedup; }};
+constexpr Requirement kAggregate{
+    "--aggregate", [](const CliOptions& c, Config) { return c.aggregate; }};
+constexpr Requirement kSpeedup{
+    "--speedup", [](const CliOptions& c, Config) { return c.speedup; }};
+constexpr Requirement kDistribute{
+    "--distribute", [](const CliOptions& c, Config) { return c.distribute > 0; }};
+constexpr Requirement kCacheDir{
+    "--cache-dir", [](const CliOptions& c, Config) { return !c.cache_dir.empty(); }};
+constexpr Requirement kStoreCompact{
+    "--store-compact", [](const CliOptions& c, Config) { return c.store_compact; }};
+constexpr Requirement kCheckpointDir{
+    "--checkpoint-dir or a scenario checkpoint_dir",
+    [](const CliOptions& c, Config config) {
+      return !(config != nullptr ? config->checkpoint_dir : c.checkpoint_dir).empty();
+    }};
+
+/// Where a flag's value lands. The member's type is the value's kind: a
+/// switch, a text, a repeatable text, an integer or a finite number.
+using Target = std::variant<bool CliOptions::*, std::string CliOptions::*,
+                            std::vector<std::string> CliOptions::*,
+                            int CliOptions::*, long long CliOptions::*,
+                            double CliOptions::*>;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// A lower bound that reads "> 0" rather than ">= 0".
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+struct Flag {
+  std::string_view spelling;  ///< "--name", or "--name=PLACEHOLDER"
+  Target target;
+  const Requirement* needs;   ///< null: valid in every mode
+  std::string_view help;      ///< "" keeps an internal flag out of usage
+  double lo = -kInf;          ///< inclusive bounds of a number; integers
+  double hi = kInf;           ///< end at their member type's maximum
+
+  [[nodiscard]] std::string_view name() const {
+    return spelling.substr(0, spelling.find('='));
+  }
+};
+
+/// Every flag lcda_run accepts: parsing, the requirement checks and the
+/// usage text all read this table.
+constexpr Flag kFlags[] = {
+    {"--list", &CliOptions::list, &kOneMode,
+     "list the registered scenarios and exit"},
+    {"--print-config", &CliOptions::print_config, &kOneMode,
+     "print the resolved scenario as JSON and exit"},
+    {"--scenario=NAME", &CliOptions::scenario, nullptr,
+     "registry scenario to use (see --list)"},
+    {"--scenario-file=PATH", &CliOptions::scenario_file, nullptr,
+     "load the scenario from a JSON file instead"},
+    {"--scenario-dir=DIR", &CliOptions::scenario_dir, nullptr,
+     "register every *.json scenario in DIR (like LCDA_SCENARIO_DIR)"},
+    {"--set=KEY=VALUE", &CliOptions::overrides, nullptr,
+     "dotted-path config override, repeatable; also --set KEY=VALUE"},
+    {"--seed=K", &CliOptions::seed, nullptr,
+     "base seed (default: the scenario's)", 0},
+    {"--parallelism=N", &CliOptions::parallelism, nullptr,
+     "worker threads, 0 = all hardware threads (default: LCDA_PARALLELISM, "
+     "else 1)", 0},
+    {"--cache-dir=DIR", &CliOptions::cache_dir, nullptr,
+     "the on-disk evaluation store"},
+    {"--checkpoint-dir=DIR", &CliOptions::checkpoint_dir, nullptr,
+     "crash-resumable checkpoints under DIR/<study fingerprint>"},
+    {"--checkpoint-every=N", &CliOptions::checkpoint_every, &kCheckpointDir,
+     "episodes between snapshots (default 64)", 1},
+    {"--resume", &CliOptions::resume, &kCheckpointDir,
+     "restore the newest valid checkpoint before running"},
+    {"--strategy=A[,B...]", &CliOptions::strategies, &kStrategyStudy,
+     "strategies to run, \"all\" for every one (default: the scenario's)"},
+    {"--episodes=N", &CliOptions::episodes, &kStrategyStudy,
+     "episodes per strategy (default: the scenario's budget)", 1},
+    {"--seeds=N", &CliOptions::seeds, &kStudy,
+     "seeds per strategy: base, base+1, ... (default 1)", 1},
+    {"--aggregate", &CliOptions::aggregate, &kOneMode,
+     "statistics across seeds instead of the per-episode listing"},
+    {"--threshold=R", &CliOptions::threshold, &kAggregate,
+     "also report the episodes needed to reach reward R"},
+    {"--speedup", &CliOptions::speedup, &kOneMode,
+     "LCDA-vs-NACIM episodes-to-threshold study; budgets via --set "
+     "lcda_episodes=N"},
+    {"--threshold-fraction=F", &CliOptions::threshold_fraction, &kSpeedup,
+     "the bar as a fraction of NACIM's best reward (default 0.95)",
+     kPositive, 1},
+    {"--distribute=N", &CliOptions::distribute, &kStudy,
+     "shard the study over N resident worker processes", 1},
+    {"--max-retries=K", &CliOptions::max_retries, &kDistribute,
+     "extra attempts per failed shard (default 2)", 0},
+    {"--shard-dir=DIR", &CliOptions::shard_dir, &kDistribute,
+     "keep shard files in DIR instead of a temp directory"},
+    {"--keep-shard-dir", &CliOptions::keep_shard_dir, &kDistribute,
+     "keep the temp shard directory for post-mortem"},
+    {"--no-steal", &CliOptions::no_steal, &kDistribute,
+     "disable straggler work stealing"},
+    {"--steal-threshold=K", &CliOptions::steal_threshold, &kDistribute,
+     "stall, in median per-seed walls, that makes a straggler (default 2)",
+     1},
+    {"--json=PATH", &CliOptions::json_path, &kStudy,
+     "write the study (runs, traces, cache counters) as JSON"},
+    {"--trace=PATH", &CliOptions::trace_path, &kStudy,
+     "write the episode traces as CSV; \"-\" = stdout, narration to stderr"},
+    {"--quiet", &CliOptions::quiet, &kStudy,
+     "no per-episode listing and no shard narration"},
+    {"--trace-spans=PATH", &CliOptions::trace_spans, nullptr,
+     "export the span timeline as Chrome trace-event JSON"},
+    {"--metrics-out=PATH", &CliOptions::metrics_out, nullptr,
+     "write the final metrics snapshot (lcda-metrics-v1 JSON)"},
+    {"--metrics-interval=SEC", &CliOptions::metrics_interval, nullptr,
+     "an \"[obs] t=...\" metrics line on stderr every SEC seconds", kPositive},
+    {"--store-compact", &CliOptions::store_compact, &kCacheDir,
+     "merge, dedupe and budget the store, then exit"},
+    {"--store-fsck", &CliOptions::store_fsck, &kCacheDir,
+     "verify every store file and record, then exit (1 on damage)"},
+    {"--store-buckets=N", &CliOptions::store_buckets, &kStoreCompact,
+     "index buckets to compact into (default 16)", 1},
+    {"--store-max-entries=N", &CliOptions::store_max_entries, &kStoreCompact,
+     "keep at most N records, oldest evicted first (0 = no limit)", 0},
+    {"--store-max-bytes=N", &CliOptions::store_max_bytes, &kStoreCompact,
+     "keep at most N bytes of records (0 = no limit)", 0},
+    // Internal: a resident worker reading lcda-worker-cmd-v2 commands on
+    // stdin, the process --distribute keeps one of per slot.
+    {"--worker-loop", &CliOptions::worker_loop, nullptr, ""},
+};
+
+/// Prints `error` and the usage text; returns 2, the exit status of every
+/// argument error.
+int usage(const std::string& error) {
+  std::fprintf(stderr, "lcda_run: %s\n%s", error.c_str(),
+               "usage: lcda_run --scenario=NAME | --scenario-file=PATH [FLAG...]\n"
+               "       lcda_run --list | --cache-dir=DIR --store-compact | "
+               "--store-fsck\n"
+               "A study runs each strategy over --seeds seeds and lists the "
+               "episodes, or reports\nstatistics with --aggregate or "
+               "--speedup. The other modes act and exit.\n");
+  for (const Flag& flag : kFlags) {
+    if (flag.help.empty()) continue;
+    std::fprintf(stderr, "  %-23.*s %.*s", static_cast<int>(flag.spelling.size()),
+                 flag.spelling.data(), static_cast<int>(flag.help.size()),
+                 flag.help.data());
+    if (flag.needs != nullptr) {
+      std::fprintf(stderr, "\n%26srequires %s", "", flag.needs->text);
+    }
+    std::fputc('\n', stderr);
+  }
   return 2;
 }
 
-/// Strict double flag parsing, same loud-failure policy as
-/// parse_number_flag below.
-double parse_double_flag(const std::string& value, const char* flag) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || !std::isfinite(parsed)) {
-    throw std::invalid_argument(std::string("bad value for ") + flag + ": \"" +
-                                value + "\" (want a finite number)");
-  }
-  return parsed;
+/// Stores `value` (absent for a bare "--name") where `flag` says; returns
+/// an error message, or "" on success. Numbers must parse completely and
+/// lie within the flag's bounds and its member's type: a typo must fail
+/// loudly, not become 0 (which --parallelism reads as "every hardware
+/// thread") or wrap.
+std::string assign(const Flag& flag, std::optional<std::string_view> value,
+                   CliOptions& cli) {
+  const std::string name(flag.name());
+  const auto bad_value = [&](const std::string& want) {
+    return "bad value for " + name + ": \"" + std::string(*value) +
+           "\" (want " + want + ")";
+  };
+  return std::visit(
+      [&](auto member) -> std::string {
+        auto& field = cli.*member;
+        using T = std::remove_reference_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          if (value) return name + " takes no value";
+          field = true;
+        } else if (!value) {
+          return name + " needs a value";
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          field = *value;
+        } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+          field.emplace_back(*value);
+        } else if constexpr (std::is_integral_v<T>) {
+          constexpr T kMax = std::numeric_limits<T>::max();
+          const auto parsed = util::parse_int(*value);
+          if (!parsed || *parsed < flag.lo || *parsed > kMax) {
+            return bad_value("an integer from " +
+                             std::to_string(static_cast<long long>(flag.lo)) +
+                             " to " + std::to_string(kMax));
+          }
+          field = static_cast<T>(*parsed);
+        } else {
+          const std::string text(*value);
+          char* end = nullptr;
+          const double parsed = std::strtod(text.c_str(), &end);
+          if (end == text.c_str() || *end != '\0' || !std::isfinite(parsed) ||
+              parsed < flag.lo || parsed > flag.hi) {
+            std::ostringstream want;
+            want << "a finite number";
+            if (flag.lo == kPositive) {
+              want << " > 0";
+            } else if (flag.lo > -kInf) {
+              want << " >= " << flag.lo;
+            }
+            if (flag.hi < kInf) want << " and <= " << flag.hi;
+            return bad_value(want.str());
+          }
+          field = parsed;
+        }
+        return "";
+      },
+      flag.target);
 }
 
-bool flag_value(std::string_view arg, std::string_view name, std::string& out) {
-  if (!util::starts_with(arg, name)) return false;
-  out = std::string(arg.substr(name.size()));
-  return true;
+/// Parses argv into `cli`, marking each flag seen in `given` (indexed like
+/// kFlags). Returns an error message, or "" on success.
+std::string parse_args(int argc, char** argv, CliOptions& cli,
+                       std::vector<bool>& given) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      if (f.name() == arg.substr(0, eq)) flag = &f;
+    }
+    if (flag == nullptr) return "unknown argument \"" + std::string(arg) + "\"";
+    std::optional<std::string_view> value;
+    if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
+    } else if (std::holds_alternative<std::vector<std::string> CliOptions::*>(
+                   flag->target) &&
+               i + 1 < argc) {
+      value = argv[++i];  // a repeatable flag's value may follow it
+    }
+    if (std::string error = assign(*flag, value, cli); !error.empty()) {
+      return error;
+    }
+    given[static_cast<std::size_t>(flag - kFlags)] = true;
+  }
+  return "";
 }
 
-/// Strict numeric flag parsing: a typo or out-of-range value must fail
-/// loudly, not become 0 (which --parallelism would read as "use every
-/// hardware thread") or silently fall back to a default (which negative
-/// values would, via the unset sentinels).
-long long parse_number_flag(const std::string& value, const char* flag,
-                            long long min_value) {
-  const auto parsed = util::parse_int(value);
-  if (!parsed || *parsed < min_value) {
-    throw std::invalid_argument(std::string("bad value for ") + flag + ": \"" +
-                                value + "\" (want an integer >= " +
-                                std::to_string(min_value) + ")");
+/// The first flag on the command line whose requirement is unmet, as an
+/// error message; "" when every requirement holds.
+std::string unmet_requirement(const CliOptions& cli,
+                              const std::vector<bool>& given, Config config) {
+  for (std::size_t i = 0; i < std::size(kFlags); ++i) {
+    const Requirement* needs = kFlags[i].needs;
+    if (given[i] && needs != nullptr && !needs->met(cli, config)) {
+      return std::string(kFlags[i].name()) + " requires " + needs->text;
+    }
   }
-  return *parsed;
-}
-
-/// Opens the --trace destination: `path` as a file, or stdout for "-".
-/// Returns the stream to write to, or nullptr after printing an error.
-struct TraceOut {
-  std::ofstream file;
-  std::ostream* stream = nullptr;
-};
-bool open_trace(const std::string& path, TraceOut& out) {
-  if (path == "-") {
-    out.stream = &std::cout;
-    return true;
-  }
-  out.file.open(path, std::ios::trunc);
-  if (!out.file) {
-    std::fprintf(stderr, "lcda_run: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out.stream = &out.file;
-  return true;
-}
-
-std::vector<core::Strategy> resolve_strategies(const std::string& spec,
-                                               core::Strategy fallback) {
-  if (spec.empty()) return {fallback};
-  if (util::to_lower(spec) == "all") return core::all_strategies();
-  std::vector<core::Strategy> out;
-  for (const std::string& name : util::split(spec, ',')) {
-    out.push_back(core::strategy_from_name(util::trim(name)));
-  }
-  return out;
+  return "";
 }
 
 /// Per-strategy episode budgets, resolved once so the in-process and
 /// distributed paths can never disagree on them.
-std::vector<dist::StrategyStudy> resolve_studies(
-    const CliOptions& cli, const core::Scenario& scenario,
-    const std::vector<core::Strategy>& strategies) {
+std::vector<dist::StrategyStudy> resolve_studies(const CliOptions& cli,
+                                                 const core::Scenario& scenario) {
+  std::vector<core::Strategy> strategies = {scenario.default_strategy};
+  if (util::to_lower(cli.strategies) == "all") {
+    strategies = core::all_strategies();
+  } else if (!cli.strategies.empty()) {
+    strategies.clear();
+    for (const std::string& name : util::split(cli.strategies, ',')) {
+      strategies.push_back(core::strategy_from_name(util::trim(name)));
+    }
+  }
   std::vector<dist::StrategyStudy> studies;
-  studies.reserve(strategies.size());
   for (core::Strategy strategy : strategies) {
     const int episodes =
         cli.episodes > 0 ? cli.episodes
@@ -331,23 +417,6 @@ struct DistributedStudy {
   /// trace file under --trace-spans, already on its merged pid (1+k for
   /// shard k).
   std::vector<obs::TraceLane> trace_lanes;
-
-  /// The shards study entry `k` owns. Plan order used to make this a
-  /// contiguous range; work stealing appends specs out of order, so
-  /// select by the study_slot tag the planner stamped (and steals
-  /// inherit).
-  [[nodiscard]] std::pair<std::vector<dist::ShardSpec>,
-                          std::vector<util::Json>>
-  study_slice(std::size_t k) const {
-    std::pair<std::vector<dist::ShardSpec>, std::vector<util::Json>> slice;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].study_slot == static_cast<int>(k)) {
-        slice.first.push_back(specs[i]);
-        slice.second.push_back(manifests[i]);
-      }
-    }
-    return slice;
-  }
 };
 
 /// The "dist" object distributed --json documents carry: study-level
@@ -384,12 +453,10 @@ util::Json dist_stats_to_json(const DistributedStudy& study) {
   }
   j["shards"] = shards;
   util::Json store = util::Json::object();
-  store["hits"] = study.obs.counter("store.hits");
-  store["misses"] = study.obs.counter("store.misses");
-  store["shared_hits"] = study.obs.counter("store.shared_hits");
-  store["shared_misses"] = study.obs.counter("store.shared_misses");
-  store["bytes_read"] = study.obs.counter("store.bytes_read");
-  store["bytes_published"] = study.obs.counter("store.bytes_published");
+  for (const char* key : {"hits", "misses", "shared_hits", "shared_misses",
+                          "bytes_read", "bytes_published"}) {
+    store[key] = study.obs.counter(std::string("store.") + key);
+  }
   j["store"] = store;
   j["resumed_episodes"] = study.obs.counter("engine.resumed_episodes");
   // Everything below is append-only: existing consumers index the keys
@@ -417,7 +484,15 @@ DistributedStudy run_distributed(const CliOptions& cli,
                   ("lcda-shards-" + std::to_string(static_cast<long>(::getpid()))))
                      .string()
                : cli.shard_dir;
-  const bool cleanup = auto_dir && !cli.keep_shard_dir;
+  const auto finish = [&] {
+    std::error_code ec;
+    if (!auto_dir) return;
+    if (!cli.keep_shard_dir) {
+      fs::remove_all(shard_dir, ec);
+    } else {
+      std::fprintf(stderr, "lcda_run: shard dir kept at %s\n", shard_dir.c_str());
+    }
+  };
 
   DistributedStudy study;
   study.specs =
@@ -487,21 +562,10 @@ DistributedStudy run_distributed(const CliOptions& cli,
       }
     }
   } catch (...) {
-    std::error_code ec;
-    if (cleanup) {
-      fs::remove_all(shard_dir, ec);
-    } else if (auto_dir) {
-      std::fprintf(stderr, "lcda_run: shard dir kept at %s\n",
-                   shard_dir.c_str());
-    }
+    finish();
     throw;
   }
-  if (cleanup) {
-    std::error_code ec;
-    fs::remove_all(shard_dir, ec);
-  } else if (auto_dir) {
-    std::fprintf(stderr, "lcda_run: shard dir kept at %s\n", shard_dir.c_str());
-  }
+  finish();
 
   // One greppable scheduling summary per distributed run (bench_record.sh
   // and humans read it; byte-diffed outputs never include stderr). Store
@@ -559,507 +623,356 @@ void write_observability(const CliOptions& cli, const DistributedStudy* study) {
   }
 }
 
+/// What a study mode hands the output tail all three share. In-process, the
+/// JSON and CSV rows per episode are built only when --json or --trace asks.
+struct StudyOutput {
+  util::Json doc = util::Json::object();  ///< --json, minus scenario and dist
+  std::vector<std::string> csv;           ///< --trace rows, in chunks
+  std::optional<DistributedStudy> dist;   ///< set by --distribute
+};
+
+/// One run's outputs, the same in-process and distributed: its summary
+/// lines, then its CSV rows and run JSON, where built, handed to the
+/// output tail. The per-episode `listing` only the in-process path has
+/// goes between the header and the best line.
+void emit_run(std::FILE* human, dist::MergedRun run,
+              const core::RunResult* listing, StudyOutput& out) {
+  std::fprintf(human, "\n== %s (%lld episodes) ==\n", run.label.c_str(),
+               run.episodes);
+  if (listing != nullptr) {
+    for (const auto& ep : listing->episodes) {
+      std::fprintf(human,
+                   "  ep %3d  reward %+8.3f  acc %.3f  E %10.4g pJ  "
+                   "L %10.4g ns  %s%s\n",
+                   ep.episode, ep.reward, ep.accuracy, ep.energy_pj,
+                   ep.latency_ns, ep.design.rollout_text().c_str(),
+                   ep.valid ? "" : "  [invalid]");
+    }
+  }
+  std::fprintf(human, "best reward %+0.4f at episode %d (%s)\n",
+               run.best_reward, run.best_episode, run.best_design.c_str());
+  std::fprintf(human, "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
+               run.cache_hits, run.cache_misses, run.persistent_hits,
+               shared_hits_suffix(run.persistent_shared_hits).c_str());
+  if (!run.csv.empty()) out.csv.push_back(std::move(run.csv));
+  if (!run.run_json.is_null()) {
+    out.doc["runs"].push_back(std::move(run.run_json));
+  }
+}
+
+/// Per-seed runs, each printed as it finishes in-process, or sharded over
+/// worker processes and merged back in canonical order.
+void runs_study(const CliOptions& cli, const core::Scenario& scenario,
+                std::FILE* human, const char* argv0, StudyOutput& out) {
+  const std::vector<dist::StrategyStudy> studies =
+      resolve_studies(cli, scenario);
+  if (cli.distribute > 0) {
+    out.dist.emplace(run_distributed(cli, scenario, dist::ShardMode::kRuns,
+                                     studies, argv0));
+    for (dist::MergedRun& run :
+         dist::merge_runs(out.dist->specs, out.dist->manifests)) {
+      emit_run(human, std::move(run), nullptr, out);
+    }
+    return;
+  }
+  // The run JSON is built after the last run, in one pass, from copies of
+  // the runs. Built between runs, its nodes scatter through the heap; built
+  // from the runs themselves, whose episodes were allocated among the
+  // evaluator's, it reads scattered memory. Each cost ~10% more CPU (4
+  // seeds x 5000 surrogate episodes).
+  const bool csv = !cli.trace_path.empty();
+  std::vector<std::pair<std::string, core::RunResult>> kept;
+  for (const dist::StrategyStudy& study : studies) {
+    for (int s = 0; s < cli.seeds; ++s) {
+      core::ExperimentConfig config = scenario.config;
+      config.seed = scenario.config.seed + static_cast<std::uint64_t>(s);
+      const core::RunResult run =
+          core::run_strategy(study.strategy, study.episodes, config);
+      const std::string label =
+          std::string(core::strategy_name(study.strategy)) + "/seed" +
+          std::to_string(config.seed);
+      emit_run(human, dist::run_record(s, label, run, /*json=*/false, csv),
+               cli.quiet ? nullptr : &run, out);
+      if (!config.checkpoint_dir.empty()) {
+        std::fprintf(stderr, "[ckpt] %s: resumed_episodes=%lld/%d\n",
+                     label.c_str(),
+                     static_cast<long long>(run.resumed_episodes),
+                     study.episodes);
+      }
+      if (!cli.json_path.empty()) kept.emplace_back(label, run);
+    }
+  }
+  for (const auto& [label, run] : kept) {
+    out.doc["runs"].push_back(core::run_to_json(run, label));
+  }
+}
+
+/// Multi-seed statistics per strategy (core::run_aggregate).
+void aggregate_study(const CliOptions& cli, const core::Scenario& scenario,
+                     std::FILE* human, const char* argv0, StudyOutput& out) {
+  const std::vector<dist::StrategyStudy> studies =
+      resolve_studies(cli, scenario);
+  std::vector<core::AggregateResult> aggregates;
+  if (cli.distribute > 0) {
+    out.dist.emplace(run_distributed(cli, scenario, dist::ShardMode::kAggregate,
+                                     studies, argv0));
+    // The shards study `k` owns. Work stealing appends specs out of plan
+    // order, so select by the study_slot tag the planner stamped (and
+    // steals inherit).
+    for (std::size_t k = 0; k < studies.size(); ++k) {
+      std::vector<dist::ShardSpec> specs;
+      std::vector<util::Json> manifests;
+      for (std::size_t i = 0; i < out.dist->specs.size(); ++i) {
+        if (out.dist->specs[i].study_slot != static_cast<int>(k)) continue;
+        specs.push_back(out.dist->specs[i]);
+        manifests.push_back(out.dist->manifests[i]);
+      }
+      aggregates.push_back(dist::merge_aggregate(specs, manifests));
+    }
+  } else {
+    long long resumed = 0;
+    for (const dist::StrategyStudy& s : studies) {
+      aggregates.push_back(core::run_aggregate(
+          s.strategy, s.episodes, cli.seeds, scenario.config, cli.threshold));
+      resumed += aggregates.back().resumed_episodes;
+    }
+    if (!scenario.config.checkpoint_dir.empty()) {
+      std::fprintf(stderr, "[ckpt] aggregate: resumed_episodes=%lld\n", resumed);
+    }
+  }
+
+  std::fprintf(human, "%-14s %8s %8s %10s %10s %10s %10s\n", "strategy",
+               "episodes", "seeds", "best mean", "stddev", "min", "max");
+  util::Json arr = util::Json::array();
+  std::ostringstream rows;
+  for (const core::AggregateResult& agg : aggregates) {
+    const std::string name(core::strategy_name(agg.strategy));
+    std::fprintf(human, "%-14s %8d %8d %10.4f %10.4f %10.4f %10.4f\n",
+                 name.c_str(), agg.episodes, agg.seeds, agg.final_best.mean(),
+                 agg.final_best.stddev(), agg.final_best.min(),
+                 agg.final_best.max());
+    if (!std::isnan(cli.threshold)) {
+      std::fprintf(human,
+                   "  threshold %+0.4f: %d/%d seeds reached, "
+                   "mean %.1f episodes\n",
+                   cli.threshold, agg.reached, agg.seeds,
+                   agg.episodes_to_threshold.mean());
+    }
+    std::fprintf(human, "  cache: %lld hits, %lld misses, %lld persistent%s\n",
+                 static_cast<long long>(agg.cache_hits),
+                 static_cast<long long>(agg.cache_misses),
+                 static_cast<long long>(agg.persistent_hits),
+                 shared_hits_suffix(agg.persistent_shared_hits).c_str());
+    if (!cli.trace_path.empty()) core::write_aggregate_csv(rows, agg, name);
+    if (!cli.json_path.empty()) arr.push_back(core::aggregate_to_json(agg));
+  }
+  if (!cli.trace_path.empty()) out.csv.push_back(std::move(rows).str());
+  out.doc["seeds"] = cli.seeds;
+  out.doc["aggregates"] = std::move(arr);
+}
+
+/// The paired LCDA-vs-NACIM episodes-to-threshold study.
+void speedup_study(const CliOptions& cli, const core::Scenario& scenario,
+                   std::FILE* human, const char* argv0, StudyOutput& out) {
+  std::vector<core::SpeedupReport> reports;
+  if (cli.distribute > 0) {
+    // The speedup study has no strategy axis: one plan over the seeds.
+    out.dist.emplace(run_distributed(cli, scenario, dist::ShardMode::kSpeedup,
+                                     {{core::Strategy::kLcda, 0}}, argv0));
+    reports = dist::merge_speedup(out.dist->specs, out.dist->manifests);
+  } else {
+    reports = core::speedup_study(scenario.config, cli.seeds,
+                                  cli.threshold_fraction);
+    if (!scenario.config.checkpoint_dir.empty()) {
+      long long resumed = 0;
+      for (const core::SpeedupReport& r : reports) resumed += r.resumed_episodes;
+      std::fprintf(stderr, "[ckpt] speedup: resumed_episodes=%lld\n", resumed);
+    }
+  }
+  std::fprintf(human, "%-6s %12s %10s %10s %10s %10s\n", "seed", "threshold",
+               "lcda eps", "nacim eps", "nacim best", "speedup");
+  util::OnlineStats speedups;
+  for (std::size_t s = 0; s < reports.size(); ++s) {
+    const core::SpeedupReport& r = reports[s];
+    std::fprintf(human, "%-6zu %12.4f %10d %10d %10.4f %9.1fx\n", s,
+                 r.threshold, r.lcda_episodes, r.nacim_episodes, r.nacim_best,
+                 r.speedup());
+    if (r.speedup() > 0.0) speedups.add(r.speedup());
+  }
+  if (speedups.count() > 0) {
+    std::fprintf(human, "mean speedup over %zu seed(s): %.1fx\n",
+                 speedups.count(), speedups.mean());
+  }
+  std::ostringstream rows;
+  core::write_speedup_csv(rows, reports, scenario.name);
+  out.csv.push_back(std::move(rows).str());
+  out.doc["speedup_study"] = core::speedup_study_to_json(reports);
+}
+
+/// Runs the study the mode flags select, then writes the outputs every
+/// mode shares: --trace, --json and the observability artifacts.
+int run_study(const CliOptions& cli, const core::Scenario& scenario,
+              const char* argv0) {
+  // Tracing to stdout reserves it for CSV; narration moves to stderr.
+  std::FILE* const human = cli.trace_path == "-" ? stderr : stdout;
+  std::fprintf(human, "# scenario %s: %s\n", scenario.name.c_str(),
+               scenario.summary.c_str());
+  std::fprintf(human, "# parallelism %d, base seed %llu\n",
+               scenario.config.parallelism,
+               static_cast<unsigned long long>(scenario.config.seed));
+
+  StudyOutput out;
+  out.doc["experiment"] = scenario.name;
+  out.doc["seed"] = static_cast<long long>(scenario.config.seed);
+  if (cli.aggregate) {
+    aggregate_study(cli, scenario, human, argv0, out);
+  } else if (cli.speedup) {
+    speedup_study(cli, scenario, human, argv0, out);
+  } else {
+    runs_study(cli, scenario, human, argv0, out);
+  }
+
+  if (cli.trace_path == "-") {
+    for (const std::string& rows : out.csv) std::cout << rows;
+  } else if (!cli.trace_path.empty()) {
+    std::ofstream trace(cli.trace_path, std::ios::trunc);
+    if (!trace) {
+      std::fprintf(stderr, "lcda_run: cannot write %s\n", cli.trace_path.c_str());
+      return 1;
+    }
+    for (const std::string& rows : out.csv) trace << rows;
+  }
+  out.csv.clear();  // written: free it before the JSON document's peak
+  if (!cli.json_path.empty()) {
+    out.doc["scenario"] = core::scenario_to_json(scenario);
+    if (out.dist) out.doc["dist"] = dist_stats_to_json(*out.dist);
+    core::write_json_file(out.doc, cli.json_path);
+    std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
+  }
+  write_observability(cli, out.dist ? &*out.dist : nullptr);
+  return 0;
+}
+
+/// The scenario a study or --print-config acts on: the registry entry or
+/// file, then every command-line override on top.
+core::Scenario resolve_scenario(const CliOptions& cli) {
+  core::Scenario scenario = cli.scenario_file.empty()
+                                ? core::scenario_by_name(cli.scenario)
+                                : core::load_scenario(cli.scenario_file);
+  for (const std::string& kv : cli.overrides) {
+    core::apply_override(scenario.config, kv);
+  }
+  core::ExperimentConfig& config = scenario.config;
+  if (cli.seed >= 0) config.seed = static_cast<std::uint64_t>(cli.seed);
+  config.parallelism =
+      cli.parallelism >= 0 ? cli.parallelism : core::env_parallelism();
+  if (!cli.cache_dir.empty()) config.persistent_cache_dir = cli.cache_dir;
+  if (!cli.checkpoint_dir.empty()) config.checkpoint_dir = cli.checkpoint_dir;
+  if (cli.checkpoint_every > 0) config.checkpoint_every = cli.checkpoint_every;
+  if (cli.resume) config.resume = true;
+  return scenario;
+}
+
+/// Acts on a parsed command line: resolves the scenario when the mode has
+/// one, checks every flag's requirement, then runs the selected mode.
+int run(const CliOptions& cli, const std::vector<bool>& given,
+        const char* argv0) {
+  // Internal worker mode: stay resident and execute specs dispatched
+  // over stdin until `shutdown` or EOF. Everything a shard needs travels
+  // in its spec file, so no other flag applies.
+  if (cli.worker_loop) return dist::run_worker_loop();
+
+  const bool store = cli.store_compact || cli.store_fsck;
+  if (!store && !cli.scenario_dir.empty()) {
+    (void)core::register_scenarios_from(cli.scenario_dir);
+  }
+  std::optional<core::Scenario> scenario;
+  if (!store && !cli.list) {
+    if (cli.scenario.empty() == cli.scenario_file.empty()) {
+      return usage("exactly one of --scenario / --scenario-file is required");
+    }
+    scenario = resolve_scenario(cli);
+  }
+  if (const std::string unmet =
+          unmet_requirement(cli, given, scenario ? &scenario->config : nullptr);
+      !unmet.empty()) {
+    return usage(unmet);
+  }
+
+  // Arm observability before any worker thread exists: the enabled
+  // flags are plain bools, written single-threaded here and only read
+  // afterwards. Distributed runs always meter — the merged registry
+  // feeds the "dist" JSON store totals and the summary line. Worker
+  // processes never reach this point; they arm themselves at
+  // run_worker_loop entry.
+  if (!cli.metrics_out.empty() || cli.metrics_interval > 0.0 ||
+      !cli.trace_spans.empty() || cli.distribute > 0) {
+    obs::Registry::instance().enable();
+  }
+  if (!cli.trace_spans.empty()) obs::SpanTracer::instance().enable();
+  std::optional<obs::StatsReporter> reporter;
+  if (cli.metrics_interval > 0.0) reporter.emplace(cli.metrics_interval);
+
+  if (store) {
+    if (cli.store_compact) {
+      const lcda::store::Budget budget{
+          static_cast<std::size_t>(cli.store_max_entries),
+          static_cast<std::size_t>(cli.store_max_bytes)};
+      const lcda::store::CompactionReport rep = lcda::store::compact_store(
+          cli.cache_dir, budget, static_cast<std::size_t>(cli.store_buckets));
+      std::printf(
+          "store-compact %s: %zu files merged (%zu unreadable dropped), "
+          "%zu records kept, %zu duplicates dropped, %zu corrupt dropped, "
+          "%zu evicted\n",
+          cli.cache_dir.c_str(), rep.input_files, rep.skipped_files,
+          rep.records_kept, rep.duplicates_dropped, rep.corrupt_dropped,
+          rep.evicted);
+    }
+    if (cli.store_fsck) {
+      const lcda::store::FsckReport rep = lcda::store::fsck(cli.cache_dir);
+      std::printf(
+          "store-fsck %s: %zu files, %zu records ok, %zu bad files, "
+          "%zu bad records -> %s\n",
+          cli.cache_dir.c_str(), rep.files, rep.records, rep.bad_files,
+          rep.bad_records, rep.clean() ? "clean" : "DAMAGED");
+      if (!rep.clean()) return 1;
+    }
+    write_observability(cli, nullptr);
+    return 0;
+  }
+
+  if (cli.list) {
+    std::printf("%-16s %s\n", "scenario", "what it stresses");
+    for (const std::string& name : core::list_scenarios()) {
+      const core::Scenario s = core::scenario_by_name(name);
+      std::printf("%-16s %s  [default strategy: %s]\n", s.name.c_str(),
+                  s.summary.c_str(),
+                  std::string(core::strategy_name(s.default_strategy)).c_str());
+      if (!s.description.empty()) {
+        std::printf("%-16s %s\n", "", s.description.c_str());
+      }
+    }
+    return 0;
+  }
+
+  if (cli.print_config) {
+    std::printf("%s\n", core::scenario_to_json(*scenario).dump(2).c_str());
+    return 0;
+  }
+  return run_study(cli, *scenario, argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
+  std::vector<bool> given(std::size(kFlags));
+  if (const std::string error = parse_args(argc, argv, cli, given);
+      !error.empty()) {
+    return usage(error);
+  }
   try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      std::string value;
-      if (arg == "--list") cli.list = true;
-      else if (arg == "--print-config") cli.print_config = true;
-      else if (arg == "--quiet") cli.quiet = true;
-      else if (arg == "--aggregate") cli.aggregate = true;
-      else if (arg == "--speedup") cli.speedup = true;
-      else if (flag_value(arg, "--scenario-file=", cli.scenario_file)) {}
-      else if (flag_value(arg, "--scenario-dir=", cli.scenario_dir)) {}
-      else if (flag_value(arg, "--scenario=", cli.scenario)) {}
-      else if (flag_value(arg, "--strategy=", cli.strategies)) {}
-      else if (flag_value(arg, "--cache-dir=", cli.cache_dir)) {}
-      else if (flag_value(arg, "--checkpoint-dir=", cli.checkpoint_dir)) {}
-      else if (flag_value(arg, "--checkpoint-every=", value)) {
-        cli.checkpoint_every = parse_number_flag(value, "--checkpoint-every", 1);
-      }
-      else if (arg == "--resume") cli.resume = true;
-      else if (arg == "--store-compact") cli.store_compact = true;
-      else if (arg == "--store-fsck") cli.store_fsck = true;
-      else if (flag_value(arg, "--store-buckets=", value)) {
-        cli.store_buckets = parse_number_flag(value, "--store-buckets", 1);
-      } else if (flag_value(arg, "--store-max-entries=", value)) {
-        cli.store_max_entries = parse_number_flag(value, "--store-max-entries", 0);
-      } else if (flag_value(arg, "--store-max-bytes=", value)) {
-        cli.store_max_bytes = parse_number_flag(value, "--store-max-bytes", 0);
-      }
-      else if (flag_value(arg, "--json=", cli.json_path)) {}
-      else if (flag_value(arg, "--trace-spans=", cli.trace_spans)) {}
-      else if (flag_value(arg, "--trace=", cli.trace_path)) {}
-      else if (flag_value(arg, "--metrics-out=", cli.metrics_out)) {}
-      else if (flag_value(arg, "--metrics-interval=", value)) {
-        cli.metrics_interval = parse_double_flag(value, "--metrics-interval");
-        if (cli.metrics_interval <= 0.0) {
-          throw std::invalid_argument("bad value for --metrics-interval: \"" +
-                                      value + "\" (want seconds > 0)");
-        }
-      }
-      else if (flag_value(arg, "--shard-dir=", cli.shard_dir)) {}
-      else if (arg == "--keep-shard-dir") cli.keep_shard_dir = true;
-      else if (arg == "--no-steal") cli.no_steal = true;
-      else if (flag_value(arg, "--steal-threshold=", value)) {
-        cli.steal_threshold = parse_double_flag(value, "--steal-threshold");
-        if (cli.steal_threshold < 1.0) {
-          throw std::invalid_argument(
-              "bad value for --steal-threshold: \"" + value +
-              "\" (want a number >= 1)");
-        }
-        cli.steal_threshold_set = true;
-      }
-      else if (arg == "--worker-loop") cli.worker_loop = true;
-      else if (arg == "--set" && i + 1 < argc) cli.overrides.emplace_back(argv[++i]);
-      else if (flag_value(arg, "--set=", value)) cli.overrides.push_back(value);
-      else if (flag_value(arg, "--episodes=", value)) {
-        cli.episodes = static_cast<int>(parse_number_flag(value, "--episodes", 1));
-      } else if (flag_value(arg, "--seeds=", value)) {
-        cli.seeds = static_cast<int>(parse_number_flag(value, "--seeds", 1));
-      } else if (flag_value(arg, "--seed=", value)) {
-        cli.seed = parse_number_flag(value, "--seed", 0);
-      } else if (flag_value(arg, "--parallelism=", value)) {
-        cli.parallelism = static_cast<int>(parse_number_flag(value, "--parallelism", 0));
-      } else if (flag_value(arg, "--distribute=", value)) {
-        cli.distribute = static_cast<int>(parse_number_flag(value, "--distribute", 1));
-      } else if (flag_value(arg, "--max-retries=", value)) {
-        cli.max_retries = static_cast<int>(parse_number_flag(value, "--max-retries", 0));
-        cli.max_retries_set = true;
-      } else if (flag_value(arg, "--threshold-fraction=", value)) {
-        cli.threshold_fraction = parse_double_flag(value, "--threshold-fraction");
-      } else if (flag_value(arg, "--threshold=", value)) {
-        cli.threshold = parse_double_flag(value, "--threshold");
-      } else {
-        std::fprintf(stderr, "lcda_run: unknown argument \"%s\"\n",
-                     std::string(arg).c_str());
-        return usage(argv[0]);
-      }
-    }
-
-    // Internal worker mode: stay resident and execute specs dispatched
-    // over stdin until `shutdown` or EOF. Everything a shard needs travels
-    // in its spec file, so no other flag applies.
-    if (cli.worker_loop) {
-      return dist::run_worker_loop();
-    }
-
-    // Arm observability before any worker thread exists: the enabled
-    // flags are plain bools, written single-threaded here and only read
-    // afterwards. Distributed runs always meter — the merged registry
-    // feeds the "dist" JSON store totals and the summary line. Worker
-    // processes never reach this point; they arm themselves at
-    // run_worker_loop entry.
-    if (!cli.metrics_out.empty() || cli.metrics_interval > 0.0 ||
-        !cli.trace_spans.empty() || cli.distribute > 0) {
-      obs::Registry::instance().enable();
-    }
-    if (!cli.trace_spans.empty()) obs::SpanTracer::instance().enable();
-    std::optional<obs::StatsReporter> reporter;
-    if (cli.metrics_interval > 0.0) reporter.emplace(cli.metrics_interval);
-
-    // Store maintenance modes: act on the store directory and exit.
-    if (cli.store_compact || cli.store_fsck) {
-      if (cli.cache_dir.empty()) {
-        std::fprintf(stderr,
-                     "lcda_run: --store-compact/--store-fsck require "
-                     "--cache-dir=DIR\n");
-        return 2;
-      }
-      if (cli.store_compact) {
-        const lcda::store::Budget budget{
-            static_cast<std::size_t>(cli.store_max_entries),
-            static_cast<std::size_t>(cli.store_max_bytes)};
-        const lcda::store::CompactionReport rep = lcda::store::compact_store(
-            cli.cache_dir, budget, static_cast<std::size_t>(cli.store_buckets));
-        std::printf(
-            "store-compact %s: %zu files merged (%zu unreadable dropped), "
-            "%zu records kept, %zu duplicates dropped, %zu corrupt dropped, "
-            "%zu evicted\n",
-            cli.cache_dir.c_str(), rep.input_files, rep.skipped_files,
-            rep.records_kept, rep.duplicates_dropped, rep.corrupt_dropped,
-            rep.evicted);
-      }
-      if (cli.store_fsck) {
-        const lcda::store::FsckReport rep = lcda::store::fsck(cli.cache_dir);
-        std::printf(
-            "store-fsck %s: %zu files, %zu records ok, %zu bad files, "
-            "%zu bad records -> %s\n",
-            cli.cache_dir.c_str(), rep.files, rep.records, rep.bad_files,
-            rep.bad_records, rep.clean() ? "clean" : "DAMAGED");
-        if (!rep.clean()) return 1;
-      }
-      write_observability(cli, nullptr);
-      return 0;
-    }
-
-    // Tracing to stdout reserves it for CSV; narration moves to stderr.
-    std::FILE* const human = cli.trace_path == "-" ? stderr : stdout;
-
-    if (!cli.scenario_dir.empty()) {
-      (void)core::register_scenarios_from(cli.scenario_dir);
-    }
-
-    if (cli.list) {
-      std::fprintf(human, "%-16s %s\n", "scenario", "what it stresses");
-      for (const std::string& name : core::list_scenarios()) {
-        const core::Scenario s = core::scenario_by_name(name);
-        std::fprintf(human, "%-16s %s  [default strategy: %s]\n",
-                     s.name.c_str(), s.summary.c_str(),
-                     std::string(core::strategy_name(s.default_strategy)).c_str());
-        if (!s.description.empty()) {
-          std::fprintf(human, "%-16s %s\n", "", s.description.c_str());
-        }
-      }
-      return 0;
-    }
-
-    if (cli.scenario.empty() == cli.scenario_file.empty()) {
-      std::fprintf(stderr,
-                   "lcda_run: exactly one of --scenario / --scenario-file "
-                   "is required\n");
-      return usage(argv[0]);
-    }
-    core::Scenario scenario = cli.scenario_file.empty()
-                                  ? core::scenario_by_name(cli.scenario)
-                                  : core::load_scenario(cli.scenario_file);
-
-    for (const std::string& kv : cli.overrides) {
-      core::apply_override(scenario.config, kv);
-    }
-    if (cli.seed >= 0) scenario.config.seed = static_cast<std::uint64_t>(cli.seed);
-    scenario.config.parallelism =
-        cli.parallelism >= 0 ? cli.parallelism : core::env_parallelism();
-    if (!cli.cache_dir.empty()) scenario.config.persistent_cache_dir = cli.cache_dir;
-    if (!cli.checkpoint_dir.empty()) {
-      scenario.config.checkpoint_dir = cli.checkpoint_dir;
-    }
-    if (cli.checkpoint_every > 0) {
-      scenario.config.checkpoint_every = static_cast<int>(cli.checkpoint_every);
-    }
-    if (cli.resume) scenario.config.resume = true;
-    if ((cli.checkpoint_every > 0 || cli.resume) &&
-        scenario.config.checkpoint_dir.empty()) {
-      std::fprintf(stderr,
-                   "lcda_run: --checkpoint-every/--resume require "
-                   "--checkpoint-dir (or a scenario checkpoint_dir)\n");
-      return 2;
-    }
-
-    if (cli.print_config) {
-      std::printf("%s\n", core::scenario_to_json(scenario).dump(2).c_str());
-      return 0;
-    }
-    if (cli.seeds <= 0) {
-      std::fprintf(stderr, "lcda_run: --seeds must be >= 1\n");
-      return 2;
-    }
-
-    if (cli.aggregate && cli.speedup) {
-      std::fprintf(stderr, "lcda_run: --aggregate and --speedup are exclusive\n");
-      return usage(argv[0]);
-    }
-    // Flags another mode would silently ignore must fail loudly instead.
-    if (cli.speedup && cli.episodes > 0) {
-      std::fprintf(stderr,
-                   "lcda_run: --speedup uses the scenario's episode budgets; "
-                   "override them with --set lcda_episodes=N / "
-                   "--set nacim_episodes=N instead of --episodes\n");
-      return usage(argv[0]);
-    }
-    if (cli.speedup && !std::isnan(cli.threshold)) {
-      std::fprintf(stderr,
-                   "lcda_run: --threshold applies to --aggregate; --speedup "
-                   "takes --threshold-fraction\n");
-      return usage(argv[0]);
-    }
-    if (!cli.speedup && cli.threshold_fraction != 0.95) {
-      std::fprintf(stderr, "lcda_run: --threshold-fraction requires --speedup\n");
-      return usage(argv[0]);
-    }
-    if (!cli.aggregate && !std::isnan(cli.threshold)) {
-      std::fprintf(stderr, "lcda_run: --threshold requires --aggregate\n");
-      return usage(argv[0]);
-    }
-    if (cli.distribute == 0 &&
-        (!cli.shard_dir.empty() || cli.max_retries_set || cli.keep_shard_dir ||
-         cli.no_steal || cli.steal_threshold_set)) {
-      std::fprintf(stderr,
-                   "lcda_run: --shard-dir / --max-retries / --keep-shard-dir "
-                   "/ --no-steal / --steal-threshold require --distribute\n");
-      return usage(argv[0]);
-    }
-
-    const std::vector<core::Strategy> strategies =
-        resolve_strategies(cli.strategies, scenario.default_strategy);
-
-    std::fprintf(human, "# scenario %s: %s\n", scenario.name.c_str(),
-                 scenario.summary.c_str());
-    std::fprintf(human, "# parallelism %d, base seed %llu\n",
-                 scenario.config.parallelism,
-                 static_cast<unsigned long long>(scenario.config.seed));
-
-    // --- multi-seed aggregate mode (SpeedupReport/AggregateResult were
-    // engine-only until now; this surfaces them through the CLI) ---------
-    if (cli.aggregate) {
-      const std::vector<dist::StrategyStudy> studies =
-          resolve_studies(cli, scenario, strategies);
-      std::vector<core::AggregateResult> aggregates;
-      util::Json dist_stats;
-      std::optional<DistributedStudy> dstudy;
-      if (cli.distribute > 0) {
-        // Shard across worker processes and fold the manifests back; the
-        // merged aggregates are byte-identical to the in-process branch.
-        dstudy.emplace(run_distributed(cli, scenario,
-                                       dist::ShardMode::kAggregate, studies,
-                                       argv[0]));
-        dist_stats = dist_stats_to_json(*dstudy);
-        for (std::size_t k = 0; k < studies.size(); ++k) {
-          const auto [specs, manifests] = dstudy->study_slice(k);
-          aggregates.push_back(dist::merge_aggregate(specs, manifests));
-        }
-      } else {
-        for (const dist::StrategyStudy& s : studies) {
-          aggregates.push_back(core::run_aggregate(s.strategy, s.episodes,
-                                                   cli.seeds, scenario.config,
-                                                   cli.threshold));
-        }
-        if (!scenario.config.checkpoint_dir.empty()) {
-          long long resumed = 0;
-          for (const core::AggregateResult& agg : aggregates)
-            resumed += agg.resumed_episodes;
-          std::fprintf(stderr, "[ckpt] aggregate: resumed_episodes=%lld\n",
-                       resumed);
-        }
-      }
-
-      std::fprintf(human, "%-14s %8s %8s %10s %10s %10s %10s\n", "strategy",
-                   "episodes", "seeds", "best mean", "stddev", "min", "max");
-      for (const core::AggregateResult& agg : aggregates) {
-        std::fprintf(human, "%-14s %8d %8d %10.4f %10.4f %10.4f %10.4f\n",
-                     std::string(core::strategy_name(agg.strategy)).c_str(),
-                     agg.episodes, agg.seeds, agg.final_best.mean(),
-                     agg.final_best.stddev(), agg.final_best.min(),
-                     agg.final_best.max());
-        if (!std::isnan(cli.threshold)) {
-          std::fprintf(human,
-                       "  threshold %+0.4f: %d/%d seeds reached, "
-                       "mean %.1f episodes\n",
-                       cli.threshold, agg.reached, agg.seeds,
-                       agg.episodes_to_threshold.mean());
-        }
-        std::fprintf(human, "  cache: %lld hits, %lld misses, %lld persistent%s\n",
-                     static_cast<long long>(agg.cache_hits),
-                     static_cast<long long>(agg.cache_misses),
-                     static_cast<long long>(agg.persistent_hits),
-                     shared_hits_suffix(agg.persistent_shared_hits).c_str());
-      }
-
-      if (!cli.trace_path.empty()) {
-        TraceOut trace;
-        if (!open_trace(cli.trace_path, trace)) return 1;
-        for (const core::AggregateResult& agg : aggregates) {
-          core::write_aggregate_csv(*trace.stream, agg,
-                                    core::strategy_name(agg.strategy));
-        }
-      }
-      if (!cli.json_path.empty()) {
-        util::Json doc = util::Json::object();
-        doc["experiment"] = scenario.name;
-        doc["seed"] = static_cast<long long>(scenario.config.seed);
-        doc["seeds"] = cli.seeds;
-        util::Json arr = util::Json::array();
-        for (const core::AggregateResult& agg : aggregates) {
-          arr.push_back(core::aggregate_to_json(agg));
-        }
-        doc["aggregates"] = arr;
-        doc["scenario"] = core::scenario_to_json(scenario);
-        if (cli.distribute > 0) doc["dist"] = dist_stats;
-        core::write_json_file(doc, cli.json_path);
-        std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
-      }
-      write_observability(cli, dstudy ? &*dstudy : nullptr);
-      return 0;
-    }
-
-    // --- paired LCDA-vs-NACIM speedup study -----------------------------
-    if (cli.speedup) {
-      std::vector<core::SpeedupReport> reports;
-      util::Json dist_stats;
-      std::optional<DistributedStudy> dstudy;
-      if (cli.distribute > 0) {
-        // The speedup study has no strategy axis: one plan over the seeds.
-        dstudy.emplace(run_distributed(cli, scenario, dist::ShardMode::kSpeedup,
-                                       {{core::Strategy::kLcda, 0}}, argv[0]));
-        dist_stats = dist_stats_to_json(*dstudy);
-        reports = dist::merge_speedup(dstudy->specs, dstudy->manifests);
-      } else {
-        reports = core::speedup_study(scenario.config, cli.seeds,
-                                      cli.threshold_fraction);
-        if (!scenario.config.checkpoint_dir.empty()) {
-          long long resumed = 0;
-          for (const core::SpeedupReport& r : reports)
-            resumed += r.resumed_episodes;
-          std::fprintf(stderr, "[ckpt] speedup: resumed_episodes=%lld\n",
-                       resumed);
-        }
-      }
-      std::fprintf(human, "%-6s %12s %10s %10s %10s %10s\n", "seed",
-                   "threshold", "lcda eps", "nacim eps", "nacim best",
-                   "speedup");
-      util::OnlineStats speedups;
-      for (std::size_t s = 0; s < reports.size(); ++s) {
-        const core::SpeedupReport& r = reports[s];
-        std::fprintf(human, "%-6zu %12.4f %10d %10d %10.4f %9.1fx\n", s,
-                     r.threshold, r.lcda_episodes, r.nacim_episodes,
-                     r.nacim_best, r.speedup());
-        if (r.speedup() > 0.0) speedups.add(r.speedup());
-      }
-      if (speedups.count() > 0) {
-        std::fprintf(human, "mean speedup over %zu seed(s): %.1fx\n",
-                     speedups.count(), speedups.mean());
-      }
-
-      if (!cli.trace_path.empty()) {
-        TraceOut trace;
-        if (!open_trace(cli.trace_path, trace)) return 1;
-        core::write_speedup_csv(*trace.stream, reports, scenario.name);
-      }
-      if (!cli.json_path.empty()) {
-        util::Json doc = util::Json::object();
-        doc["experiment"] = scenario.name;
-        doc["seed"] = static_cast<long long>(scenario.config.seed);
-        doc["speedup_study"] = core::speedup_study_to_json(reports);
-        doc["scenario"] = core::scenario_to_json(scenario);
-        if (cli.distribute > 0) doc["dist"] = dist_stats;
-        core::write_json_file(doc, cli.json_path);
-        std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
-      }
-      write_observability(cli, dstudy ? &*dstudy : nullptr);
-      return 0;
-    }
-
-    // --- per-seed runs, sharded across worker processes -----------------
-    if (cli.distribute > 0) {
-      const std::vector<dist::StrategyStudy> studies =
-          resolve_studies(cli, scenario, strategies);
-      const DistributedStudy study = run_distributed(
-          cli, scenario, dist::ShardMode::kRuns, studies, argv[0]);
-      const std::vector<dist::MergedRun> runs =
-          dist::merge_runs(study.specs, study.manifests);
-
-      // Per-episode listings stay inside the workers; the coordinator
-      // prints each run's summary (full traces flow through --json and
-      // --trace, byte-identical to a non-distributed run).
-      for (const dist::MergedRun& run : runs) {
-        std::fprintf(human, "\n== %s (%lld episodes) ==\n", run.label.c_str(),
-                     run.run_json.at("episodes").as_int());
-        std::fprintf(human, "best reward %+0.4f at episode %d (%s)\n",
-                     run.best_reward, run.best_episode,
-                     run.best_design.c_str());
-        std::fprintf(human,
-                     "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
-                     run.cache_hits, run.cache_misses, run.persistent_hits,
-                     shared_hits_suffix(run.persistent_shared_hits).c_str());
-      }
-
-      if (!cli.trace_path.empty()) {
-        TraceOut trace;
-        if (!open_trace(cli.trace_path, trace)) return 1;
-        for (const dist::MergedRun& run : runs) *trace.stream << run.csv;
-      }
-      if (!cli.json_path.empty()) {
-        // Same document shape as core::experiment_to_json, with each
-        // worker's run JSON embedded verbatim.
-        util::Json doc = util::Json::object();
-        doc["experiment"] = scenario.name;
-        doc["seed"] = static_cast<long long>(scenario.config.seed);
-        util::Json arr = util::Json::array();
-        for (const dist::MergedRun& run : runs) arr.push_back(run.run_json);
-        doc["runs"] = arr;
-        doc["scenario"] = core::scenario_to_json(scenario);
-        doc["dist"] = dist_stats_to_json(study);
-        core::write_json_file(doc, cli.json_path);
-        std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
-      }
-      write_observability(cli, &study);
-      return 0;
-    }
-
-    struct Completed {
-      std::string label;
-      core::RunResult run;
-    };
-    std::vector<Completed> completed;
-
-    for (core::Strategy strategy : strategies) {
-      const int episodes =
-          cli.episodes > 0 ? cli.episodes
-                           : core::default_episodes(strategy, scenario.config);
-      for (int s = 0; s < cli.seeds; ++s) {
-        core::ExperimentConfig config = scenario.config;
-        config.seed = scenario.config.seed + static_cast<std::uint64_t>(s);
-        const core::RunResult run =
-            core::run_strategy(strategy, episodes, config);
-
-        const std::string label = std::string(core::strategy_name(strategy)) +
-                                  "/seed" + std::to_string(config.seed);
-        std::fprintf(human, "\n== %s (%d episodes) ==\n", label.c_str(),
-                     episodes);
-        if (!cli.quiet) {
-          for (const auto& ep : run.episodes) {
-            std::fprintf(human,
-                         "  ep %3d  reward %+8.3f  acc %.3f  E %10.4g pJ  "
-                         "L %10.4g ns  %s%s\n",
-                         ep.episode, ep.reward, ep.accuracy, ep.energy_pj,
-                         ep.latency_ns, ep.design.rollout_text().c_str(),
-                         ep.valid ? "" : "  [invalid]");
-          }
-        }
-        std::fprintf(human, "best reward %+0.4f at episode %d (%s)\n",
-                     run.best_reward(), run.best_episode,
-                     run.best().design.describe().c_str());
-        std::fprintf(human,
-                     "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
-                     static_cast<long long>(run.cache_hits),
-                     static_cast<long long>(run.cache_misses),
-                     static_cast<long long>(run.persistent_hits),
-                     shared_hits_suffix(run.persistent_shared_hits).c_str());
-        if (!scenario.config.checkpoint_dir.empty()) {
-          std::fprintf(stderr, "[ckpt] %s: resumed_episodes=%lld/%d\n",
-                       label.c_str(),
-                       static_cast<long long>(run.resumed_episodes), episodes);
-        }
-        completed.push_back({label, run});
-      }
-    }
-
-    if (!cli.trace_path.empty()) {
-      TraceOut trace;
-      if (!open_trace(cli.trace_path, trace)) return 1;
-      for (const Completed& c : completed) {
-        core::write_run_csv(*trace.stream, c.run, c.label);
-      }
-    }
-
-    if (!cli.json_path.empty()) {
-      std::vector<core::LabelledRun> labelled;
-      labelled.reserve(completed.size());
-      for (const Completed& c : completed) {
-        labelled.push_back({c.label, &c.run});
-      }
-      util::Json doc = core::experiment_to_json(scenario.name,
-                                                scenario.config.seed, labelled);
-      doc["scenario"] = core::scenario_to_json(scenario);
-      core::write_json_file(doc, cli.json_path);
-      std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
-    }
-    write_observability(cli, nullptr);
-    return 0;
+    return run(cli, given, argv[0]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "lcda_run: %s\n", e.what());
     return 1;
