@@ -1,65 +1,26 @@
 #include "lcda/ckpt/checkpoint.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <system_error>
 #include <utility>
-#include <vector>
 
-#include "lcda/obs/metrics.h"
+#include <unistd.h>
+
 #include "lcda/obs/trace.h"
 #include "lcda/util/fault.h"
 #include "lcda/util/logging.h"
-#include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
 
 namespace lcda::ckpt {
 
 namespace {
 
-constexpr std::uint32_t kSnapshotVersion = 1;
 constexpr std::uint32_t kRoundVersion = 1;
-
-void encode_rng(util::BinaryWriter& w, const util::Rng::State& st) {
-  for (std::uint64_t word : st.s) w.u64(word);
-  w.f64(st.spare_normal);
-  w.u8(st.has_spare ? 1 : 0);
-}
-
-bool decode_rng(util::BinaryReader& r, util::Rng::State& st) {
-  for (std::uint64_t& word : st.s) {
-    if (!r.u64(word)) return false;
-  }
-  std::uint8_t has_spare = 0;
-  if (!r.f64(st.spare_normal) || !r.u8(has_spare)) return false;
-  st.has_spare = has_spare != 0;
-  return true;
-}
-
-void encode_episode(util::BinaryWriter& w, const core::EpisodeRecord& ep) {
-  w.i64(ep.episode);
-  encode_design(w, ep.design);
-  w.f64(ep.accuracy);
-  w.f64(ep.energy_pj);
-  w.f64(ep.latency_ns);
-  w.f64(ep.area_mm2);
-  w.f64(ep.reward);
-  w.u8(ep.valid ? 1 : 0);
-}
-
-bool decode_episode(util::BinaryReader& r, core::EpisodeRecord& ep) {
-  std::int64_t episode = 0;
-  std::uint8_t valid = 0;
-  if (!r.i64(episode) || !decode_design(r, ep.design) || !r.f64(ep.accuracy) ||
-      !r.f64(ep.energy_pj) || !r.f64(ep.latency_ns) || !r.f64(ep.area_mm2) ||
-      !r.f64(ep.reward) || !r.u8(valid)) {
-    return false;
-  }
-  ep.episode = static_cast<int>(episode);
-  ep.valid = valid != 0;
-  return true;
-}
 
 /// A corrupt element count must not drive a huge reserve before the
 /// element decodes fail; every element is at least `min_bytes` long.
@@ -68,41 +29,18 @@ std::size_t bounded_reserve(std::uint64_t n, std::size_t remaining,
   return std::min<std::size_t>(n, remaining / std::max<std::size_t>(min_bytes, 1));
 }
 
-struct SnapshotFile {
-  long long episode = 0;
-  std::filesystem::path path;
-};
-
-/// `snap-<E>.ckpt` -> E, or nullopt for any other name.
-std::optional<long long> snapshot_episode(const std::string& name) {
-  constexpr std::string_view prefix = "snap-";
-  constexpr std::string_view suffix = ".ckpt";
-  if (name.size() <= prefix.size() + suffix.size() ||
-      !name.starts_with(prefix) || !name.ends_with(suffix)) {
-    return std::nullopt;
-  }
-  const std::string digits =
-      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  if (digits.empty()) return std::nullopt;
-  long long value = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    value = value * 10 + (c - '0');
-  }
-  return value;
-}
-
-/// Newest-first list of snapshot generations in a study directory.
-std::vector<SnapshotFile> list_snapshots(const std::filesystem::path& dir) {
-  std::vector<SnapshotFile> out;
+/// The study's round logs (`rounds-*.log`), in name order; nothing else
+/// in a study directory is read or deleted.
+std::vector<std::filesystem::path> list_logs(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> out;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const auto ep = snapshot_episode(entry.path().filename().string());
-    if (ep) out.push_back({*ep, entry.path()});
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("rounds-") && name.ends_with(".log")) {
+      out.push_back(entry.path());
+    }
   }
-  std::sort(out.begin(), out.end(), [](const SnapshotFile& a, const SnapshotFile& b) {
-    return a.episode > b.episode;
-  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -115,51 +53,22 @@ std::optional<std::string> read_file(const std::filesystem::path& path) {
   return data;
 }
 
-/// Validates a snapshot file's envelope; returns the payload view or
-/// nullopt (magic, identity, size and checksum must all agree).
-std::optional<std::string_view> snapshot_payload(std::string_view file,
-                                                 std::uint64_t identity) {
-  std::uint64_t file_identity = 0;
-  std::uint64_t size = 0;
-  std::uint64_t checksum = 0;
-  if (file.size() < kSnapshotMagic.size() ||
-      file.substr(0, kSnapshotMagic.size()) != kSnapshotMagic) {
-    return std::nullopt;
-  }
-  util::BinaryReader header(file.substr(kSnapshotMagic.size()));
-  if (!header.u64(file_identity) || !header.u64(size) || !header.u64(checksum)) {
-    return std::nullopt;
-  }
-  if (file_identity != identity) return std::nullopt;
-  if (header.remaining() != size) return std::nullopt;
-  const std::string_view payload =
-      file.substr(file.size() - header.remaining());
-  if (util::fnv1a64(payload) != checksum) return std::nullopt;
-  return payload;
-}
-
-/// Parses a changelog, tolerating a torn tail: records after the first
-/// short or corrupt one are dropped (the loop re-evaluates them live).
-std::vector<core::RoundDelta> read_changelog(const std::filesystem::path& path,
-                                             std::uint64_t identity,
-                                             long long base_episode) {
+/// Parses a round log, tolerating a torn tail: records after the first
+/// short, corrupt or out-of-order one are dropped (the loop re-evaluates
+/// them live). A log's rounds start at episode 0 and move strictly forward.
+std::vector<core::RoundDelta> read_log(const std::filesystem::path& path,
+                                       std::uint64_t identity) {
   std::vector<core::RoundDelta> deltas;
   const auto data = read_file(path);
   if (!data) return deltas;
-  std::string_view view = *data;
-  if (view.size() < kChangelogMagic.size() ||
-      view.substr(0, kChangelogMagic.size()) != kChangelogMagic) {
-    util::warn_once("ckpt-bad-log:" + path.string(), "ckpt",
-                    "changelog has a foreign header; ignoring it");
-    return deltas;
-  }
-  util::BinaryReader header(view.substr(kChangelogMagic.size()));
+  const std::string_view view = *data;
+  util::BinaryReader header(view.starts_with(kRoundLogMagic)
+                                ? view.substr(kRoundLogMagic.size())
+                                : std::string_view());
   std::uint64_t file_identity = 0;
-  std::int64_t file_base = 0;
-  if (!header.u64(file_identity) || !header.i64(file_base) ||
-      file_identity != identity || file_base != base_episode) {
+  if (!header.u64(file_identity) || file_identity != identity) {
     util::warn_once("ckpt-bad-log:" + path.string(), "ckpt",
-                    "changelog identity/base mismatch; ignoring it");
+                    "round log has a foreign header; ignoring it");
     return deltas;
   }
   std::string_view rest = view.substr(view.size() - header.remaining());
@@ -173,63 +82,22 @@ std::vector<core::RoundDelta> read_changelog(const std::filesystem::path& path,
     if (util::fnv1a64(payload) != checksum) break;
     core::RoundDelta delta;
     if (!decode_round(payload, delta)) break;
+    if (deltas.empty() ? delta.first_episode != 0
+                       : delta.first_episode <= deltas.back().first_episode) {
+      break;
+    }
     deltas.push_back(std::move(delta));
     rest = rest.substr(16 + len);
   }
   if (!rest.empty()) {
     util::warn_once("ckpt-torn-log:" + path.string(), "ckpt",
-                    "changelog tail is torn; rounds after it will be "
+                    "round log tail is torn; rounds after it will be "
                     "re-evaluated on resume");
   }
   return deltas;
 }
 
 }  // namespace
-
-void encode_design(util::BinaryWriter& w, const search::Design& d) {
-  w.u32(static_cast<std::uint32_t>(d.rollout.size()));
-  for (const nn::ConvSpec& spec : d.rollout) {
-    w.i64(spec.channels);
-    w.i64(spec.kernel);
-  }
-  w.i64(static_cast<std::int64_t>(d.hw.device));
-  w.i64(d.hw.bits_per_cell);
-  w.i64(d.hw.weight_bits);
-  w.i64(d.hw.input_bits);
-  w.i64(d.hw.adc_bits);
-  w.i64(d.hw.xbar_size);
-  w.i64(d.hw.col_mux);
-  w.f64(d.hw.area_budget_mm2);
-}
-
-bool decode_design(util::BinaryReader& r, search::Design& d) {
-  std::uint32_t layers = 0;
-  if (!r.u32(layers)) return false;
-  d.rollout.clear();
-  d.rollout.reserve(bounded_reserve(layers, r.remaining(), 16));
-  for (std::uint32_t i = 0; i < layers; ++i) {
-    std::int64_t channels = 0;
-    std::int64_t kernel = 0;
-    if (!r.i64(channels) || !r.i64(kernel)) return false;
-    d.rollout.push_back({static_cast<int>(channels), static_cast<int>(kernel)});
-  }
-  std::int64_t device = 0;
-  std::int64_t bits_per_cell = 0, weight_bits = 0, input_bits = 0;
-  std::int64_t adc_bits = 0, xbar_size = 0, col_mux = 0;
-  if (!r.i64(device) || !r.i64(bits_per_cell) || !r.i64(weight_bits) ||
-      !r.i64(input_bits) || !r.i64(adc_bits) || !r.i64(xbar_size) ||
-      !r.i64(col_mux) || !r.f64(d.hw.area_budget_mm2)) {
-    return false;
-  }
-  d.hw.device = static_cast<cim::DeviceType>(device);
-  d.hw.bits_per_cell = static_cast<int>(bits_per_cell);
-  d.hw.weight_bits = static_cast<int>(weight_bits);
-  d.hw.input_bits = static_cast<int>(input_bits);
-  d.hw.adc_bits = static_cast<int>(adc_bits);
-  d.hw.xbar_size = static_cast<int>(xbar_size);
-  d.hw.col_mux = static_cast<int>(col_mux);
-  return true;
-}
 
 void encode_evaluation(util::BinaryWriter& w, const core::Evaluation& ev) {
   std::uint8_t flags = 0;
@@ -300,92 +168,8 @@ bool decode_evaluation(util::BinaryReader& r, core::Evaluation& ev) {
 
 namespace {
 
-/// Appends the snapshot payload to `out` (which may already hold an
-/// envelope prefix). Split from encode_snapshot so the checkpoint writer
-/// can assemble envelope + payload in one reused buffer, without an
-/// intermediate per-snapshot string.
-void encode_snapshot_append(std::string& out, const core::LoopSnapshot& snap) {
-  util::BinaryWriter w(out);
-  w.u32(kSnapshotVersion);
-  w.i64(snap.next_episode);
-  encode_rng(w, snap.rng_state);
-  w.str(*snap.optimizer_state);
-  const core::RunResult& res = *snap.result;
-  w.i64(res.best_episode);
-  w.i64(res.cache_hits);
-  w.i64(res.cache_misses);
-  w.i64(res.persistent_hits);
-  w.i64(res.persistent_shared_hits);
-  w.i64(res.persistent_evictions);
-  w.i64(res.persistent_skipped);
-  w.i64(res.persistent_save_failures);
-  w.u64(res.episodes.size());
-  for (const core::EpisodeRecord& ep : res.episodes) encode_episode(w, ep);
-  const auto& cache_log = *snap.cache_log;
-  w.u64(cache_log.size());
-  for (const core::CacheLogEntry& entry : cache_log) {
-    w.u64(entry.hash);
-    encode_evaluation(w, entry.eval);
-    w.u8(entry.published ? 1 : 0);
-  }
-}
-
-}  // namespace
-
-std::string encode_snapshot(const core::LoopSnapshot& snap) {
-  std::string out;
-  encode_snapshot_append(out, snap);
-  return out;
-}
-
-bool decode_snapshot(std::string_view payload, core::LoopResume& out) {
-  util::BinaryReader r(payload);
-  std::uint32_t version = 0;
-  std::int64_t next_episode = 0;
-  if (!r.u32(version) || version != kSnapshotVersion || !r.i64(next_episode) ||
-      !decode_rng(r, out.rng_state) || !r.str(out.optimizer_state)) {
-    return false;
-  }
-  out.next_episode = static_cast<int>(next_episode);
-  core::RunResult& res = out.result;
-  std::int64_t best_episode = 0;
-  std::uint64_t n_records = 0;
-  if (!r.i64(best_episode) || !r.i64(res.cache_hits) ||
-      !r.i64(res.cache_misses) || !r.i64(res.persistent_hits) ||
-      !r.i64(res.persistent_shared_hits) || !r.i64(res.persistent_evictions) ||
-      !r.i64(res.persistent_skipped) || !r.i64(res.persistent_save_failures) ||
-      !r.u64(n_records)) {
-    return false;
-  }
-  res.best_episode = static_cast<int>(best_episode);
-  res.episodes.clear();
-  res.episodes.reserve(bounded_reserve(n_records, r.remaining(), 64));
-  for (std::uint64_t i = 0; i < n_records; ++i) {
-    core::EpisodeRecord ep;
-    if (!decode_episode(r, ep)) return false;
-    res.episodes.push_back(std::move(ep));
-  }
-  std::uint64_t n_cache = 0;
-  if (!r.u64(n_cache)) return false;
-  out.cache_log.clear();
-  out.cache_log.reserve(bounded_reserve(n_cache, r.remaining(), 64));
-  for (std::uint64_t i = 0; i < n_cache; ++i) {
-    core::CacheLogEntry entry;
-    std::uint8_t published = 0;
-    if (!r.u64(entry.hash) || !decode_evaluation(r, entry.eval) ||
-        !r.u8(published)) {
-      return false;
-    }
-    entry.published = published != 0;
-    out.cache_log.push_back(std::move(entry));
-  }
-  return r.done();
-}
-
-namespace {
-
-/// Appends the round payload to `out`; same envelope-assembly split as
-/// encode_snapshot_append.
+/// Appends the round payload to `out`, so the writer assembles a record's
+/// envelope and payload in one reused buffer.
 void encode_round_append(std::string& out, const core::RoundDelta& delta) {
   util::BinaryWriter w(out);
   w.u32(kRoundVersion);
@@ -403,6 +187,12 @@ void patch_u64(std::string& buf, std::size_t pos, std::uint64_t v) {
   std::memcpy(buf.data() + pos, &v, sizeof(v));
 }
 
+/// Process-wide writer counter: with the pid it names each writer's log.
+std::atomic<unsigned> g_log_counter{0};
+
+/// The name a completed run's log is renamed to (see on_snapshot).
+constexpr std::string_view kDoneLogName = "rounds-done.log";
+
 }  // namespace
 
 std::string encode_round(const core::RoundDelta& delta) {
@@ -417,6 +207,7 @@ bool decode_round(std::string_view payload, core::RoundDelta& out) {
   std::int64_t first_episode = 0;
   std::uint64_t n_hashes = 0;
   if (!r.u32(version) || version != kRoundVersion || !r.i64(first_episode) ||
+      first_episode < 0 || first_episode > std::numeric_limits<int>::max() ||
       !r.u64(n_hashes)) {
     return false;
   }
@@ -445,129 +236,64 @@ std::filesystem::path study_checkpoint_dir(const std::string& root,
   return std::filesystem::path(root) / util::hex_u64(identity);
 }
 
-std::optional<core::LoopResume> load_resume(const std::string& root,
-                                            std::uint64_t identity) {
-  const std::filesystem::path dir = study_checkpoint_dir(root, identity);
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) return std::nullopt;
+std::vector<core::RoundDelta> load_resume(const std::string& root,
+                                          std::uint64_t identity) {
   obs::Span span("ckpt.replay");
-  for (const SnapshotFile& snap : list_snapshots(dir)) {
-    const auto data = read_file(snap.path);
-    if (!data) continue;
-    const auto payload = snapshot_payload(*data, identity);
-    core::LoopResume resume;
-    if (!payload || !decode_snapshot(*payload, resume)) {
-      util::warn_once("ckpt-bad-snapshot:" + snap.path.string(), "ckpt",
-                      "snapshot failed validation; falling back to the "
-                      "previous generation");
-      continue;
-    }
-    std::filesystem::path log_path = snap.path;
-    log_path.replace_extension(".log");
-    resume.deltas = read_changelog(log_path, identity, snap.episode);
-    if (obs::Registry::instance().enabled()) {
-      obs::add_counter("ckpt.resumes", 1);
-    }
-    return resume;
+  std::vector<core::RoundDelta> best;
+  for (const std::filesystem::path& path :
+       list_logs(study_checkpoint_dir(root, identity))) {
+    std::vector<core::RoundDelta> rounds = read_log(path, identity);
+    if (rounds.size() > best.size()) best = std::move(rounds);
   }
-  return std::nullopt;
+  return best;
 }
 
 RunCheckpointer::RunCheckpointer(Options opts)
     : opts_(std::move(opts)),
-      dir_(study_checkpoint_dir(opts_.directory, opts_.identity)) {
+      dir_(study_checkpoint_dir(opts_.directory, opts_.identity)) {}
+
+bool RunCheckpointer::open_log() {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    util::warn_once("ckpt-dir-failed:" + dir_.string(), "ckpt",
-                    "cannot create checkpoint directory; checkpointing "
-                    "disabled for this run");
+  // A dead process with this pid may have left a log under the name this
+  // writer would pick; skip past it rather than truncate its history.
+  do {
+    path_ = dir_ / ("rounds-" + std::to_string(::getpid()) + "-" +
+                    std::to_string(g_log_counter.fetch_add(1)) + ".log");
+  } while (std::filesystem::exists(path_, ec));
+  log_.open(path_, std::ios::binary | std::ios::trunc);
+  std::string header(kRoundLogMagic);
+  util::BinaryWriter(header).u64(opts_.identity);
+  log_.write(header.data(), static_cast<std::streamsize>(header.size()));
+  if (!log_.flush()) {
+    util::warn_once("ckpt-write-failed:" + dir_.string(), "ckpt",
+                    "cannot write the round log; run continues "
+                    "uncheckpointed");
+    failed_ = true;
   }
+  return !failed_;
 }
 
-void RunCheckpointer::on_snapshot(const core::LoopSnapshot& snap) {
-  obs::Span span("ckpt.snapshot");
-  // Envelope and payload are assembled in one buffer that is reused
-  // across snapshots (its capacity sticks at the largest snapshot seen),
-  // with the size/checksum fields back-patched once the payload length is
-  // known — a snapshot costs one encoding pass plus the checksum, not
-  // intermediate copies.
-  std::string& file = file_buf_;
-  file.clear();
-  file.append(kSnapshotMagic);
-  util::BinaryWriter header(file);
-  header.u64(opts_.identity);
-  const std::size_t size_pos = file.size();
-  header.u64(0);
-  header.u64(0);
-  const std::size_t payload_pos = file.size();
-  encode_snapshot_append(file, snap);
-  const std::size_t payload_size = file.size() - payload_pos;
-  patch_u64(file, size_pos, payload_size);
-  patch_u64(file, size_pos + 8,
-            util::fnv1a64(std::string_view(file).substr(payload_pos)));
-
-  // Fires on the first snapshot at-or-after the armed episode (drained
-  // boundaries rarely land exactly on one).
-  const long long torn_at =
-      util::FaultInjector::instance().torn_snapshot_episode();
-  const bool torn =
-      torn_at >= 0 && static_cast<long long>(snap.next_episode) >= torn_at;
-  if (torn) file.resize(file.size() - payload_size / 2 - 1);
-
-  const std::filesystem::path final_path =
-      dir_ / ("snap-" + std::to_string(snap.next_episode) + ".ckpt");
-  const std::filesystem::path tmp_path =
-      dir_ / ("snap-" + std::to_string(snap.next_episode) + ".ckpt.tmp");
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    out.write(file.data(), static_cast<std::streamsize>(file.size()));
-    if (!out.flush()) {
-      util::warn_once("ckpt-write-failed:" + dir_.string(), "ckpt",
-                      "snapshot write failed; run continues uncheckpointed");
-      return;
-    }
-  }
+void RunCheckpointer::on_snapshot(const core::LoopSnapshot&) {
+  // Only a log that holds every round may stand in for the others. It takes
+  // the completed-log name (an atomic rename) before any other log goes,
+  // and no writer ever deletes that name: two copies of one study finishing
+  // together cannot delete each other's logs. A failed rename means a copy
+  // that finished first already deleted this log, keeping its own.
+  if (failed_ || !log_.is_open()) return;
   std::error_code ec;
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    util::warn_once("ckpt-write-failed:" + dir_.string(), "ckpt",
-                    "snapshot rename failed; run continues uncheckpointed");
-    return;
-  }
-  if (torn) {
-    // Simulated crash immediately after tearing the snapshot file.
-    std::_Exit(42);
-  }
-
-  if (log_.is_open()) log_.close();
-  rotate_generations();
-
-  std::filesystem::path log_path = final_path;
-  log_path.replace_extension(".log");
-  log_.open(log_path, std::ios::binary | std::ios::trunc);
-  if (log_.is_open()) {
-    std::string header_bytes;
-    header_bytes.append(kChangelogMagic);
-    util::BinaryWriter w(header_bytes);
-    w.u64(opts_.identity);
-    w.i64(snap.next_episode);
-    log_.write(header_bytes.data(),
-               static_cast<std::streamsize>(header_bytes.size()));
-    log_.flush();
+  const std::filesystem::path done = dir_ / kDoneLogName;
+  std::filesystem::rename(path_, done, ec);
+  if (ec) return;
+  path_ = done;
+  for (const std::filesystem::path& path : list_logs(dir_)) {
+    if (path != path_) std::filesystem::remove(path, ec);
   }
   ++snapshots_written_;
-  if (obs::Registry::instance().enabled()) {
-    obs::add_counter("ckpt.snapshots", 1);
-  }
 }
 
 void RunCheckpointer::on_round(const core::RoundDelta& delta) {
-  // No generation of our own open yet (fresh run before the first
-  // snapshot, or resumed run still replaying toward one): the previous
-  // process's changelog is not ours to extend, so the round is simply not
-  // logged — a crash here resumes from the last snapshot again.
-  if (!log_.is_open()) return;
+  if (failed_ || (!log_.is_open() && !open_log())) return;
   std::string& record = record_buf_;
   record.clear();
   util::BinaryWriter w(record);
@@ -593,20 +319,9 @@ void RunCheckpointer::on_round(const core::RoundDelta& delta) {
   }
   if (!log_) {
     util::warn_once("ckpt-log-write-failed:" + dir_.string(), "ckpt",
-                    "changelog append failed; later rounds will be "
+                    "round log append failed; later rounds will be "
                     "re-evaluated on resume");
-  }
-}
-
-void RunCheckpointer::rotate_generations() {
-  const std::vector<SnapshotFile> snaps = list_snapshots(dir_);
-  for (std::size_t i = static_cast<std::size_t>(std::max(opts_.keep, 1));
-       i < snaps.size(); ++i) {
-    std::error_code ec;
-    std::filesystem::remove(snaps[i].path, ec);
-    std::filesystem::path log_path = snaps[i].path;
-    log_path.replace_extension(".log");
-    std::filesystem::remove(log_path, ec);
+    failed_ = true;
   }
 }
 

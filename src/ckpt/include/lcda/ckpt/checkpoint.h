@@ -3,61 +3,46 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "lcda/core/loop.h"
 #include "lcda/util/bytes.h"
 
-/// lcda::ckpt — periodic, atomic, crash-resumable checkpoints of a
-/// CodesignLoop run.
+/// lcda::ckpt — crash-resumable checkpoints of a CodesignLoop run.
 ///
 /// A study's checkpoint state lives in `<root>/<hex identity>/` where
 /// `identity` is the study fingerprint (config + strategy + episodes), so
 /// different studies sharing one --checkpoint-dir never collide and a
 /// stale checkpoint from an edited scenario is simply never found.
 ///
-/// Two file kinds per generation, named by the snapshot's next_episode E:
+/// The checkpoint is a round log, one file per writer, named
+/// `rounds-<pid>-<n>.log` (unique to the writing process and run, so a
+/// superseded shard copy and the duplicate racing it never share a file)
+/// until the run completes and renames it to `rounds-done.log`:
 ///
-///   snap-<E>.ckpt   full engine state at the drained boundary E:
-///                   magic "LCDACKP1" | u64 identity | u64 payload size |
-///                   u64 fnv1a64(payload) | payload. Written to a temp
-///                   name and renamed into place, so a crash mid-write
-///                   can never shadow the previous good generation.
+///   magic "LCDARND1" | u64 identity, then one record per finalized round
+///   from episode 0 on, [u64 len | u64 fnv1a64(payload) | payload],
+///   appended and flushed as the round finalizes.
 ///
-///   snap-<E>.log    per-round changelog since that snapshot:
-///                   magic "LCDALOG1" | u64 identity | i64 base episode,
-///                   then records of [u64 len | u64 fnv1a64 | payload],
-///                   appended and flushed after every finalized round.
-///                   The reader stops at the first short or corrupt
-///                   record, so a tail torn by a crash costs at most the
-///                   rounds after it — they are re-evaluated live.
-///
-/// The newest `keep` generations are retained (default 2): if the newest
-/// snapshot itself fails validation (torn rename, bit rot), load_resume
-/// falls back to the previous one, and failing that to a cold start —
-/// with a counted warning each time, never an abort.
+/// A resume replays the longest valid log from a freshly built optimizer
+/// and RNG, which re-derives everything else the run holds (optimizer
+/// state, RNG cursor, records, counters, the evaluation cache and the store
+/// session). The reader stops at the first short, corrupt or out-of-order
+/// record, so a tail torn by a crash costs at most the rounds after it —
+/// they are re-evaluated live. Every failure degrades with a counted
+/// warning, never an abort.
 namespace lcda::ckpt {
 
-inline constexpr std::string_view kSnapshotMagic = "LCDACKP1";
-inline constexpr std::string_view kChangelogMagic = "LCDALOG1";
+inline constexpr std::string_view kRoundLogMagic = "LCDARND1";
 
 /// Value codecs, exposed for tests. Each decode returns false (leaving
 /// the output unspecified) on a truncated or malformed reader.
 void encode_evaluation(util::BinaryWriter& w, const core::Evaluation& ev);
 [[nodiscard]] bool decode_evaluation(util::BinaryReader& r, core::Evaluation& ev);
-void encode_design(util::BinaryWriter& w, const search::Design& d);
-[[nodiscard]] bool decode_design(util::BinaryReader& r, search::Design& d);
 
-/// Snapshot payload (version 1): next_episode, RNG cursor, optimizer
-/// blob, the RunResult so far (records + counters), and the evaluation
-/// cache's insertion log. decode fills every LoopResume field except
-/// `deltas` (the changelog's job).
-[[nodiscard]] std::string encode_snapshot(const core::LoopSnapshot& snap);
-[[nodiscard]] bool decode_snapshot(std::string_view payload, core::LoopResume& out);
-
-/// Changelog record payload for one finalized round.
+/// Round-log record payload for one finalized round.
 [[nodiscard]] std::string encode_round(const core::RoundDelta& delta);
 [[nodiscard]] bool decode_round(std::string_view payload, core::RoundDelta& out);
 
@@ -65,32 +50,29 @@ void encode_design(util::BinaryWriter& w, const search::Design& d);
 [[nodiscard]] std::filesystem::path study_checkpoint_dir(
     const std::string& root, std::uint64_t identity);
 
-/// Loads the newest valid snapshot (+ its changelog tail) for a study, or
-/// nullopt when none exists or every generation fails validation. All
-/// failure modes degrade with a counted warning; this never throws on bad
+/// The rounds of the study's log with the most valid records, in round
+/// order; empty (a cold start) when no log holds any. Never throws on bad
 /// file contents.
-[[nodiscard]] std::optional<core::LoopResume> load_resume(
+[[nodiscard]] std::vector<core::RoundDelta> load_resume(
     const std::string& root, std::uint64_t identity);
 
 /// The CodesignLoop checkpoint sink: wire `on_snapshot`/`on_round` into
 /// CodesignLoop::Options. Single-threaded (the loop invokes both hooks on
 /// the driving thread only).
 ///
-/// Changelog records are only appended while a generation opened by THIS
-/// process is live — after a resume, rounds finalized before the first
-/// fresh snapshot are not logged (the old generation's log is not ours to
-/// extend). A crash in that gap simply resumes from the old snapshot
-/// again, replaying the same deltas deterministically.
+/// on_round appends to this writer's own log, created on the first round;
+/// on_snapshot, called once when the run completes, renames it to the
+/// completed-log name and deletes the study's other logs, so a finished
+/// study holds exactly one.
 ///
-/// Honors the torn-snapshot / torn-log fault injections (util/fault.h):
-/// each truncates the write it targets, then exits the process with
-/// status 42 — simulating a crash that tore the file.
+/// Honors the torn-log fault injection (util/fault.h): it truncates the
+/// record it targets, then exits the process with status 42 — simulating
+/// a crash that tore the file.
 class RunCheckpointer {
  public:
   struct Options {
     std::string directory;        ///< checkpoint root (--checkpoint-dir)
     std::uint64_t identity = 0;   ///< study fingerprint
-    int keep = 2;                 ///< snapshot generations to retain
   };
 
   explicit RunCheckpointer(Options opts);
@@ -98,17 +80,18 @@ class RunCheckpointer {
   void on_snapshot(const core::LoopSnapshot& snap);
   void on_round(const core::RoundDelta& delta);
 
-  /// Snapshots successfully written by this instance.
+  /// Completed runs whose log this instance kept as the study's only one.
   [[nodiscard]] int snapshots_written() const { return snapshots_written_; }
 
  private:
-  void rotate_generations();
+  bool open_log();
 
   Options opts_;
   std::filesystem::path dir_;
-  std::ofstream log_;           ///< open changelog of the live generation
-  std::string file_buf_;        ///< reused snapshot envelope+payload buffer
-  std::string record_buf_;      ///< reused changelog record buffer
+  std::filesystem::path path_;  ///< this writer's log, once opened
+  std::ofstream log_;
+  std::string record_buf_;      ///< reused record buffer
+  bool failed_ = false;         ///< a write failed: the log is not whole
   int snapshots_written_ = 0;
 };
 

@@ -9,7 +9,6 @@
 #include "lcda/obs/metrics.h"
 #include "lcda/store/eval_store.h"
 #include "lcda/util/csv.h"
-#include "lcda/util/logging.h"
 #include "lcda/util/strings.h"
 #include "lcda/util/thread_pool.h"
 
@@ -176,38 +175,25 @@ RunResult run_strategy(Strategy strategy, int episodes,
     opts.persistent_store = pstore.get();
   }
 
-  // Checkpointing: probe the optimizer up front — a strategy that cannot
-  // serialize its learned state (the LLM-driven ones hold conversation
-  // history inside the client) warns once and runs uncheckpointed rather
-  // than failing the study.
+  // Checkpointing: every finalized round goes to this run's round log;
+  // with `resume`, the study's longest valid log is replayed first.
   std::unique_ptr<ckpt::RunCheckpointer> checkpointer;
-  std::optional<LoopResume> resume_state;
+  std::vector<RoundDelta> resume_rounds;
   if (!config.checkpoint_dir.empty() && config.checkpoint_every > 0) {
-    std::string probe;
-    if (!optimizer->serialize_state(probe)) {
-      util::warn_once("ckpt-unsupported:" + std::string(strategy_name(strategy)),
-                      "core",
-                      "strategy does not support checkpointing; running "
-                      "without it");
-    } else {
-      const std::uint64_t identity =
-          study_fingerprint(config, strategy, episodes);
-      ckpt::RunCheckpointer::Options copts;
-      copts.directory = config.checkpoint_dir;
-      copts.identity = identity;
-      checkpointer = std::make_unique<ckpt::RunCheckpointer>(copts);
-      opts.checkpoint_every = config.checkpoint_every;
-      opts.on_snapshot = [cp = checkpointer.get()](const LoopSnapshot& snap) {
-        cp->on_snapshot(snap);
-      };
-      opts.on_round = [cp = checkpointer.get()](const RoundDelta& delta) {
-        cp->on_round(delta);
-      };
-      if (config.resume) {
-        resume_state = ckpt::load_resume(config.checkpoint_dir, identity);
-        if (resume_state) opts.resume = &*resume_state;
-      }
+    const std::uint64_t identity = study_fingerprint(config, strategy, episodes);
+    if (config.resume) {
+      resume_rounds = ckpt::load_resume(config.checkpoint_dir, identity);
+      opts.resume = resume_rounds;
     }
+    checkpointer = std::make_unique<ckpt::RunCheckpointer>(
+        ckpt::RunCheckpointer::Options{config.checkpoint_dir, identity});
+    opts.checkpoint_every = config.checkpoint_every;
+    opts.on_snapshot = [cp = checkpointer.get()](const LoopSnapshot& snap) {
+      cp->on_snapshot(snap);
+    };
+    opts.on_round = [cp = checkpointer.get()](const RoundDelta& delta) {
+      cp->on_round(delta);
+    };
   }
 
   CodesignLoop loop(*optimizer, *evaluator, reward, opts);

@@ -77,15 +77,16 @@ struct ExperimentConfig {
   std::size_t persistent_cache_max_entries = 0;
   std::size_t persistent_cache_max_bytes = 0;
 
-  /// Checkpoint root directory ("" = checkpointing off). Each study
-  /// snapshots its full engine state under `<dir>/<study fingerprint>`
-  /// every `checkpoint_every` episodes (at the nearest drained round
-  /// boundary — cadence only affects when snapshots land, never a trace
-  /// byte). With `resume`, a run first restores the newest valid snapshot
-  /// and replays its changelog, producing output byte-identical to an
-  /// uninterrupted run; without a usable checkpoint it cold-starts.
-  /// All three are engine knobs like `parallelism`: normalized away by
-  /// the study/evaluation fingerprints.
+  /// Checkpoint root directory ("" = checkpointing off). Each run appends
+  /// every finalized round to its own round log under
+  /// `<dir>/<study fingerprint>` (never changing a trace byte). With
+  /// `resume`, a run first replays the study's longest valid log, producing
+  /// output byte-identical to an uninterrupted run; without a usable log it
+  /// cold-starts. `checkpoint_every` sets no cadence — every round is
+  /// logged — but 0 turns checkpointing off; it stays a config key because
+  /// every fingerprint hashes the full key set. All three are
+  /// engine knobs like `parallelism`: normalized away by the
+  /// study/evaluation fingerprints.
   std::string checkpoint_dir;
   int checkpoint_every = 64;
   bool resume = false;

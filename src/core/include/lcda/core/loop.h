@@ -2,9 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
-
-#include <string>
 
 #include "lcda/core/evaluator.h"
 #include "lcda/core/reward.h"
@@ -77,10 +76,10 @@ struct RunResult {
   /// (all zero when no persistent store was configured).
   StoreMetrics store;
 
-  /// Episodes this run restored from a checkpoint (snapshot restore plus
-  /// changelog replay) instead of re-evaluating. Observability only, like
-  /// `store`: NOT part of run_to_json's byte contract, because a resumed
-  /// run must serialize byte-identically to an uninterrupted one.
+  /// Episodes this run replayed from a checkpoint's round log instead of
+  /// re-evaluating. Observability only, like `store`: NOT part of
+  /// run_to_json's byte contract, because a resumed run must serialize
+  /// byte-identically to an uninterrupted one.
   std::int64_t resumed_episodes = 0;
 
   /// Best episode, or a sentinel record (episode == -1, reward == -inf)
@@ -97,8 +96,8 @@ struct RunResult {
   [[nodiscard]] int episodes_to_reach(double threshold) const;
 };
 
-/// One finalized round's replay record — the changelog unit of the
-/// checkpoint subsystem. It carries exactly what the round's evaluator
+/// One finalized round's replay record — the unit of the checkpoint
+/// subsystem's round log. It carries exactly what the round's evaluator
 /// produced (the unique cache misses, in job order); everything else a
 /// round did (optimizer mutations, RNG evolution, cache/alias decisions,
 /// counters, records, feedback) is recomputed by replaying the round
@@ -110,40 +109,11 @@ struct RoundDelta {
   std::vector<Evaluation> job_evals;      ///< their results, same order
 };
 
-/// One in-memory evaluation-cache insertion, in insertion order.
-/// `published` marks entries this run also inserted into its persistent
-/// store session (fresh evaluations and shared-namespace replays); a
-/// resumed run re-inserts exactly those, so the post-run save publishes
-/// the same records an uninterrupted run would have. Full-key disk hits
-/// are cached but never re-published (published == false).
-struct CacheLogEntry {
-  std::uint64_t hash = 0;
-  Evaluation eval;
-  bool published = false;
-};
-
-/// Read-only view of the engine state handed to Options::on_snapshot at a
-/// drained checkpoint boundary: the round window and pending-duplicate map
-/// are empty by construction at that point (the loop never snapshots with
-/// rounds in flight), so next_episode + the RNG cursor + the optimizer
-/// blob + the result-so-far + the cache log ARE the full engine state.
+/// What Options::on_snapshot receives once the run completes: every round
+/// is already in the round log by then, so the episode count is all that
+/// is left to say.
 struct LoopSnapshot {
   int next_episode = 0;
-  util::Rng::State rng_state;
-  const std::string* optimizer_state = nullptr;
-  const RunResult* result = nullptr;
-  const std::vector<CacheLogEntry>* cache_log = nullptr;
-};
-
-/// Everything CodesignLoop::run needs to continue a checkpointed run:
-/// the snapshot fields plus the changelog's per-round deltas since it.
-struct LoopResume {
-  int next_episode = 0;
-  util::Rng::State rng_state;
-  std::string optimizer_state;
-  RunResult result;
-  std::vector<CacheLogEntry> cache_log;
-  std::vector<RoundDelta> deltas;
 };
 
 /// Algorithm 2: LCDA(Model, Choices, EP, f).
@@ -214,27 +184,25 @@ class CodesignLoop {
     /// batch has been evaluated.
     std::function<void(const EpisodeRecord&)> on_episode;
 
-    /// Checkpoint cadence in episodes; 0 disables checkpointing. With a
-    /// cadence and an on_snapshot hook, the loop stops planning new rounds
-    /// once the next boundary is reached, drains the window, and emits a
-    /// snapshot at the first drained episode at-or-after the boundary
-    /// (plus one final snapshot at completion). Draining only stalls the
-    /// pipeline overlap — the plan/finalize sequence, and therefore every
-    /// trace byte, is identical to an uncheckpointed run.
+    /// Any positive value turns checkpointing on; 0 disables it. It sets no
+    /// cadence: every finalized round goes to on_round, and on_snapshot
+    /// fires once, when the run completes. Logging never changes a trace
+    /// byte.
     int checkpoint_every = 0;
 
-    /// Snapshot sink (the ckpt module's RunCheckpointer). Driving thread.
+    /// Completion sink (the ckpt module's RunCheckpointer). Driving thread.
     std::function<void(const LoopSnapshot&)> on_snapshot;
 
-    /// Changelog sink: one finalized round's delta, in round order.
-    /// Not invoked for rounds replayed from a checkpoint. Driving thread.
+    /// Round-log sink: one finalized round's delta, in round order, from
+    /// episode 0 — replayed rounds included, so every log is a whole
+    /// history. Driving thread.
     std::function<void(const RoundDelta&)> on_round;
 
-    /// Resume state loaded by the checkpoint layer; nullptr = cold start.
-    /// Not owned. On restore failure (e.g. an optimizer-state blob for a
-    /// different study shape) the loop warns and cold-starts — it never
-    /// aborts on checkpoint problems.
-    const LoopResume* resume = nullptr;
+    /// Rounds loaded by the checkpoint layer; empty = cold start. Not
+    /// owned. The loop replays them from the fresh optimizer and RNG it
+    /// was given; a round that does not match its record is evaluated
+    /// live from there on — the loop never aborts on checkpoint problems.
+    std::span<const RoundDelta> resume;
   };
 
   CodesignLoop(search::Optimizer& optimizer, PerformanceEvaluator& evaluator,

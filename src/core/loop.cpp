@@ -175,11 +175,8 @@ RunResult CodesignLoop::run(util::Rng& rng) {
     cache.reserve(static_cast<std::size_t>(opts_.episodes));
   }
 
-  // Checkpointing needs the cache's insertion history (the map itself
-  // loses order) so a snapshot can rebuild it — and with it every future
-  // hit/miss/alias decision and counter — on resume.
-  const bool ckpt_on = opts_.checkpoint_every > 0 && opts_.on_snapshot != nullptr;
-  std::vector<CacheLogEntry> cache_log;
+  // The round log and its replay key each round by its jobs' hashes.
+  const bool ckpt_on = opts_.checkpoint_every > 0;
 
   // Designs proposed but whose round has not been finalized yet, mapping
   // hash -> first proposer. Without pipelining this only ever covers the
@@ -214,8 +211,11 @@ RunResult CodesignLoop::run(util::Rng& rng) {
   // Plans one round on the driving thread, in episode order: propose the
   // batch, fork one eval RNG per episode (hit or miss, so the stream
   // layout is independent of cache contents), resolve cache hits and
-  // duplicates, and collect the unique misses as jobs.
-  auto plan_round = [&](int ep) {
+  // duplicates, and collect the unique misses as jobs. A replayed round
+  // passes its logged job hashes: those stay jobs whatever the store holds
+  // by now (the logged run saved them to it if it finished), so the replay
+  // makes the cold run's decisions and counts the cold run's counters.
+  auto plan_round = [&](int ep, std::span<const std::uint64_t> logged_jobs) {
     obs::Span span("round.plan");
     const std::size_t batch =
         effective_batch(static_cast<std::size_t>(opts_.episodes - ep));
@@ -264,11 +264,13 @@ RunResult CodesignLoop::run(util::Rng& rng) {
             continue;
           }
         }
-        if (opts_.persistent_store) {
+        const std::size_t job = r.job_hashes.size();
+        const bool logged_job =
+            job < logged_jobs.size() && logged_jobs[job] == h;
+        if (opts_.persistent_store && !logged_job) {
           if (auto disk = opts_.persistent_store->lookup(h)) {
             r.evals[i] = *disk;
             cache.emplace(h, *disk);
-            if (ckpt_on) cache_log.push_back({h, *disk, false});
             ++result.persistent_hits;
             continue;
           }
@@ -285,7 +287,6 @@ RunResult CodesignLoop::run(util::Rng& rng) {
             if (evaluator_->replay_evaluation(*shared, eval_rng, replayed)) {
               r.evals[i] = replayed;
               cache.emplace(h, replayed);
-              if (ckpt_on) cache_log.push_back({h, replayed, true});
               opts_.persistent_store->insert(h, replayed);
               ++result.persistent_shared_hits;
               continue;
@@ -300,8 +301,6 @@ RunResult CodesignLoop::run(util::Rng& rng) {
           pending.emplace(h, PendingSlot{&r, i});
         }
       } else if (ckpt_on) {
-        // Changelog replay validates rounds by job hash even when the
-        // in-memory cache is off.
         h = r.designs[i].hash();
       }
       ++result.cache_misses;
@@ -370,7 +369,6 @@ RunResult CodesignLoop::run(util::Rng& rng) {
         const std::uint64_t h = r.job_hashes[k];
         const Evaluation& ev = r.evals[r.job_slots[k]];
         cache.emplace(h, ev);
-        if (ckpt_on) cache_log.push_back({h, ev, true});
         if (opts_.persistent_store) opts_.persistent_store->insert(h, ev);
         if (!pending.empty()) pending.erase(h);
       }
@@ -420,20 +418,7 @@ RunResult CodesignLoop::run(util::Rng& rng) {
     }
   };
 
-  // Snapshot and changelog emission. The optimizer blob buffer is reused
-  // across snapshots; a strategy that cannot serialize (serialize_state
-  // returning false) silently skips snapshots — the caller already warned.
-  std::string optimizer_blob;
-  auto emit_snapshot = [&](int next_episode) {
-    if (!optimizer_->serialize_state(optimizer_blob)) return;
-    LoopSnapshot snap;
-    snap.next_episode = next_episode;
-    snap.rng_state = rng.state();
-    snap.optimizer_state = &optimizer_blob;
-    snap.result = &result;
-    snap.cache_log = &cache_log;
-    opts_.on_snapshot(snap);
-  };
+  // Round-log emission, from a reused delta.
   RoundDelta delta_scratch;
   auto emit_round = [&](const Round& r) {
     if (!ckpt_on || !opts_.on_round) return;
@@ -450,84 +435,48 @@ RunResult CodesignLoop::run(util::Rng& rng) {
   std::deque<std::unique_ptr<Round>> window;
   int ep = 0;
 
-  // Restore phase: adopt the snapshot's engine state wholesale, then
-  // replay the changelog's deltas through the NORMAL planning path with
-  // the recorded evaluations injected. Replay reproduces optimizer
-  // mutations, the RNG stream, every cache/alias decision and counter —
-  // so the continuation is bit-identical to the uninterrupted run. Any
-  // divergence (a changelog from different code or a torn record slipping
-  // validation) degrades that round to a live evaluation, never an abort.
-  bool restored = false;
-  if (opts_.resume != nullptr) {
-    const LoopResume& res = *opts_.resume;
-    if (!optimizer_->restore_state(res.optimizer_state)) {
-      util::warn_once("ckpt-restore-rejected", "core",
-                      "optimizer rejected checkpointed state; cold-starting");
-    } else {
-      restored = true;
-      rng.set_state(res.rng_state);
-      result = res.result;
-      ep = res.next_episode;
-      result.resumed_episodes = ep;
-      for (const CacheLogEntry& entry : res.cache_log) {
-        if (opts_.cache_evaluations) cache.emplace(entry.hash, entry.eval);
-        if (ckpt_on) cache_log.push_back(entry);
-        // Re-publish exactly what the crashed attempt had inserted into
-        // its (never-saved) store session, so the post-run save writes
-        // the same records an uninterrupted run would have.
-        if (entry.published && opts_.persistent_store) {
-          opts_.persistent_store->insert(entry.hash, entry.eval);
-        }
-      }
-      for (const RoundDelta& delta : res.deltas) {
-        if (ep >= opts_.episodes) break;
-        auto round = plan_round(ep);
-        Round& r = *round;
-        ep += static_cast<int>(r.designs.size());
-        const bool match = r.first_episode == delta.first_episode &&
-                           r.job_hashes == delta.job_hashes &&
-                           delta.job_evals.size() == delta.job_hashes.size();
-        if (!match) {
-          util::warn_once("ckpt-replay-diverged", "core",
-                          "changelog round does not match replanned round; "
-                          "evaluating live from here");
-          dispatch(r);
-          window.push_back(std::move(round));
-          break;
-        }
-        for (std::size_t k = 0; k < r.job_slots.size(); ++k) {
-          r.evals[r.job_slots[k]] = delta.job_evals[k];
-        }
-        finalize(r);
-        result.resumed_episodes += static_cast<int>(r.designs.size());
-        spare_rounds.push_back(std::move(round));
-      }
+  // Resume: replay the log's rounds through the NORMAL planning path with
+  // the recorded evaluations injected, from the fresh optimizer and RNG the
+  // caller built. Replay re-derives optimizer state, the RNG stream, every
+  // cache/alias decision, counter and record, and re-inserts into the store
+  // session through finalize exactly as live rounds do — so the
+  // continuation is bit-identical to the uninterrupted run. Replayed rounds
+  // are logged again, so the new log is a whole history too. A round that
+  // does not match its record (a log from different code or a corrupt
+  // record slipping validation) is evaluated live from there, never an
+  // abort.
+  for (const RoundDelta& delta : opts_.resume) {
+    if (ep >= opts_.episodes) break;
+    auto round = plan_round(ep, delta.job_hashes);
+    Round& r = *round;
+    ep += static_cast<int>(r.designs.size());
+    if (r.first_episode != delta.first_episode ||
+        r.job_hashes != delta.job_hashes ||
+        delta.job_evals.size() != delta.job_hashes.size()) {
+      util::warn_once("ckpt-replay-diverged", "core",
+                      "round log does not match the replanned round; "
+                      "evaluating live from here");
+      dispatch(r);
+      window.push_back(std::move(round));
+      break;
     }
+    for (std::size_t k = 0; k < r.job_slots.size(); ++k) {
+      r.evals[r.job_slots[k]] = delta.job_evals[k];
+    }
+    finalize(r);
+    emit_round(r);
+    result.resumed_episodes += static_cast<int>(r.designs.size());
+    spare_rounds.push_back(std::move(round));
   }
 
-  // Soft checkpoint boundaries: stop planning once the next boundary is
-  // reached, drain the window, snapshot at the actual drained episode.
-  // Batch sizes are never clamped to a boundary — that would change
-  // feedback grouping and fork the trace from an uncheckpointed run.
-  // After a restore the first boundary is "now": the checkpointer opens a
-  // fresh changelog generation only at a snapshot, so emit one as soon as
-  // the (possibly diverged) replay window drains.
-  long long next_ckpt = std::numeric_limits<long long>::max();
-  if (ckpt_on) {
-    next_ckpt = restored ? static_cast<long long>(ep)
-                         : static_cast<long long>(opts_.checkpoint_every);
-  }
   const long long kill_episode = util::FaultInjector::instance().kill_episode();
 
   try {
     while (ep < opts_.episodes || !window.empty()) {
-      while (ep < opts_.episodes && window.size() < max_window &&
-             static_cast<long long>(ep) < next_ckpt) {
-        // Fault injection: die before planning this episode. Sits after
-        // the boundary drain above, so "kill at boundary k" always has
-        // snap-k safely on disk first.
+      while (ep < opts_.episodes && window.size() < max_window) {
+        // Fault injection: die before planning this episode.
         if (kill_episode >= 0 && ep >= kill_episode) std::_Exit(42);
-        auto round = plan_round(ep);
+        auto round = plan_round(ep, {});
         ep += static_cast<int>(round->designs.size());
         dispatch(*round);
         window.push_back(std::move(round));
@@ -539,18 +488,6 @@ RunResult CodesignLoop::run(util::Rng& rng) {
         spare_rounds.push_back(std::move(window.front()));
         window.pop_front();
       }
-      if (ckpt_on && window.empty() &&
-          (static_cast<long long>(ep) >= next_ckpt || ep >= opts_.episodes)) {
-        emit_snapshot(ep);
-        // Geometric back-off: a snapshot costs O(episodes so far) to
-        // encode, so a fixed cadence makes total snapshot work quadratic
-        // in run length. Spacing boundaries at least a quarter of the
-        // completed run apart keeps it linear; for runs shorter than
-        // 4 * checkpoint_every the cadence is exactly the configured one.
-        next_ckpt = static_cast<long long>(ep) +
-                    std::max(static_cast<long long>(opts_.checkpoint_every),
-                             static_cast<long long>(ep) / 4);
-      }
     }
   } catch (...) {
     // In-flight workers still reference round memory; wait them out
@@ -560,13 +497,7 @@ RunResult CodesignLoop::run(util::Rng& rng) {
     }
     throw;
   }
-  // A replay that carried the run to completion never enters the main
-  // loop; it still owes the final snapshot (which makes a later resume of
-  // a finished study instant).
-  if (ckpt_on && window.empty() && ep >= opts_.episodes &&
-      static_cast<long long>(ep) >= next_ckpt) {
-    emit_snapshot(ep);
-  }
+  if (ckpt_on && opts_.on_snapshot) opts_.on_snapshot(LoopSnapshot{ep});
   return result;
 }
 

@@ -277,11 +277,11 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
   util::Json entries = util::Json::array();
 
   // Retried and stolen shard copies resume each seed from its checkpoint
-  // when the study checkpoints at all: a seed the dead attempt finished
-  // restores instantly from its final snapshot, a seed it died inside
-  // continues from the last boundary — and either way the re-run seed's
-  // output is byte-identical to a clean first attempt, which is what
-  // keeps the retry path inside the merge byte-contract.
+  // when the study checkpoints at all: they replay the seed's round log
+  // (all of it, for a seed the dead attempt finished) and continue live
+  // from its last logged round — and either way the re-run seed's output
+  // is byte-identical to a clean first attempt, which is what keeps the
+  // retry path inside the merge byte-contract.
   const bool resume_retries = spec.attempt > 0 || spec.stolen_from >= 0;
   auto with_resume = [&](core::ExperimentConfig cfg) {
     if (!cfg.checkpoint_dir.empty() && resume_retries) cfg.resume = true;

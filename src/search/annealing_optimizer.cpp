@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "lcda/util/bytes.h"
-
 namespace lcda::search {
 
 AnnealingOptimizer::AnnealingOptimizer(SearchSpace space, Options opts)
@@ -102,51 +100,6 @@ void AnnealingOptimizer::feedback(const Observation& obs) {
   }
   temperature_ = std::max(opts_.min_temperature,
                           temperature_ * opts_.cooling_rate);
-}
-
-bool AnnealingOptimizer::serialize_state(std::string& out) const {
-  out.clear();
-  util::BinaryWriter w(out);
-  w.u32(1);
-  w.ints(current_genes_);
-  w.f64(current_reward_);
-  w.ints(pending_genes_);
-  w.f64(temperature_);
-  w.u8(accept_rng_seeded_ ? 1 : 0);
-  const util::Rng::State rng = accept_rng_.state();
-  for (std::uint64_t word : rng.s) w.u64(word);
-  w.f64(rng.spare_normal);
-  w.u8(rng.has_spare ? 1 : 0);
-  return true;
-}
-
-bool AnnealingOptimizer::restore_state(std::string_view blob) {
-  util::BinaryReader r(blob);
-  std::uint32_t version = 0;
-  if (!r.u32(version) || version != 1) return false;
-  std::vector<int> current;
-  std::vector<int> pending;
-  double reward = 0.0;
-  double temperature = 0.0;
-  std::uint8_t seeded = 0;
-  util::Rng::State rng;
-  std::uint8_t has_spare = 0;
-  if (!r.ints(current) || !r.f64(reward) || !r.ints(pending) ||
-      !r.f64(temperature) || !r.u8(seeded)) {
-    return false;
-  }
-  for (std::uint64_t& word : rng.s) {
-    if (!r.u64(word)) return false;
-  }
-  if (!r.f64(rng.spare_normal) || !r.u8(has_spare) || !r.done()) return false;
-  rng.has_spare = has_spare != 0;
-  current_genes_ = std::move(current);
-  current_reward_ = reward;
-  pending_genes_ = std::move(pending);
-  temperature_ = temperature;
-  accept_rng_seeded_ = seeded != 0;
-  accept_rng_.set_state(rng);
-  return true;
 }
 
 }  // namespace lcda::search

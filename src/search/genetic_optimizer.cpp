@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "lcda/util/bytes.h"
-
 namespace lcda::search {
 
 GeneticOptimizer::GeneticOptimizer(SearchSpace space, Options opts)
@@ -100,38 +98,6 @@ void GeneticOptimizer::add_scored(const Observation& obs) {
   pending_genes_.clear();
   s.fitness = obs.reward;
   scored_.push_back(std::move(s));
-}
-
-bool GeneticOptimizer::serialize_state(std::string& out) const {
-  out.clear();
-  util::BinaryWriter w(out);
-  w.u32(1);
-  w.u64(scored_.size());
-  for (const Scored& s : scored_) {
-    w.ints(s.genes);
-    w.f64(s.fitness);
-  }
-  w.ints(pending_genes_);
-  return true;
-}
-
-bool GeneticOptimizer::restore_state(std::string_view blob) {
-  util::BinaryReader r(blob);
-  std::uint32_t version = 0;
-  std::uint64_t n = 0;
-  if (!r.u32(version) || version != 1 || !r.u64(n)) return false;
-  std::vector<Scored> scored;
-  scored.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Scored s;
-    if (!r.ints(s.genes) || !r.f64(s.fitness)) return false;
-    scored.push_back(std::move(s));
-  }
-  std::vector<int> pending;
-  if (!r.ints(pending) || !r.done()) return false;
-  scored_ = std::move(scored);
-  pending_genes_ = std::move(pending);
-  return true;
 }
 
 void GeneticOptimizer::maybe_cull() {

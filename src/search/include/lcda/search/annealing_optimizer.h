@@ -38,11 +38,6 @@ class AnnealingOptimizer final : public Optimizer {
   void feedback_batch(std::span<const Observation> batch) override;
   [[nodiscard]] std::size_t preferred_batch() const override { return 0; }
 
-  /// Trajectory (current genes + reward), temperature, pending proposal,
-  /// and the accept-RNG cursor.
-  bool serialize_state(std::string& out) const override;
-  bool restore_state(std::string_view blob) override;
-
   [[nodiscard]] std::string name() const override { return "Annealing"; }
 
   [[nodiscard]] double temperature() const { return temperature_; }

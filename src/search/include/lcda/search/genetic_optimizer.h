@@ -39,11 +39,6 @@ class GeneticOptimizer final : public Optimizer {
     return opts_.population;
   }
 
-  /// Population (genes + fitness, in insertion order — the cull is
-  /// order-sensitive) and the pending-proposal genes.
-  bool serialize_state(std::string& out) const override;
-  bool restore_state(std::string_view blob) override;
-
   [[nodiscard]] std::string name() const override { return "Genetic"; }
 
   [[nodiscard]] std::size_t population_size() const { return scored_.size(); }

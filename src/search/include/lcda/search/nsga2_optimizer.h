@@ -59,12 +59,6 @@ class Nsga2Optimizer final : public Optimizer {
     return opts_.population;
   }
 
-  /// Archive (genes + objectives, in insertion order — the environmental
-  /// selection's sort is stable in rank/crowding but ties resolve by
-  /// index) and the pending-proposal genes.
-  bool serialize_state(std::string& out) const override;
-  bool restore_state(std::string_view blob) override;
-
   [[nodiscard]] std::string name() const override { return "NSGA-II"; }
 
   /// The current non-dominated set of evaluated designs.

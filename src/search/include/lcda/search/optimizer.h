@@ -76,34 +76,17 @@ class Optimizer {
   /// ones, 0 for "no preference" (any batch size is as good as any other).
   [[nodiscard]] virtual std::size_t preferred_batch() const { return 1; }
 
-  /// --- Checkpoint contract ---------------------------------------------
-  ///
-  /// serialize_state appends a self-contained binary blob of the
-  /// optimizer's LEARNED state (populations, trajectories, policy weights,
-  /// duplicate filters — everything that evolves with feedback) to `out`;
-  /// configuration (options, the search space) is not serialized, because
-  /// a restored optimizer is always constructed from the same experiment
-  /// config first. Returns false when the strategy does not support
-  /// checkpointing (the default — e.g. the LLM strategies, whose state
-  /// lives in conversation history); a false return leaves `out` empty
-  /// and the caller must skip checkpointing rather than write a hole.
-  ///
-  /// restore_state inverts serialize_state on a same-config optimizer:
-  /// after it returns true, the proposal stream continues bit-for-bit
-  /// where the serialized instance left off. Returns false on a
-  /// malformed, truncated, or version-incompatible blob, in which case
-  /// the optimizer must be treated as unusable for resume (cold-start a
-  /// fresh one instead).
-
+  /// Unused by the library. A checkpoint is the run's round log, replayed
+  /// from a freshly built optimizer, so no optimizer serializes anything
+  /// beyond it: serialize_state writes nothing and succeeds, restore_state
+  /// accepts only that empty blob. The two virtuals stay only because the
+  /// benchmark probe (perfbench/probe.cpp) still overrides them.
   virtual bool serialize_state(std::string& out) const {
     out.clear();
-    return false;
+    return true;
   }
 
-  virtual bool restore_state(std::string_view blob) {
-    (void)blob;
-    return false;
-  }
+  virtual bool restore_state(std::string_view blob) { return blob.empty(); }
 
   /// How many batches beyond the last fed-back one this optimizer may be
   /// asked to propose WITHOUT changing its proposal stream — the engine's

@@ -30,11 +30,6 @@ class RandomOptimizer final : public Optimizer {
     return static_cast<std::size_t>(-1);
   }
 
-  /// The duplicate filter is the whole learned state; hashes are written
-  /// sorted so the blob is deterministic regardless of set iteration order.
-  bool serialize_state(std::string& out) const override;
-  bool restore_state(std::string_view blob) override;
-
   [[nodiscard]] std::string name() const override { return "Random"; }
 
  private:

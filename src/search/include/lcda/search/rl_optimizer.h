@@ -34,13 +34,6 @@ class RlOptimizer final : public Optimizer {
   [[nodiscard]] Design propose(util::Rng& rng) override;
   void feedback(const Observation& obs) override;
 
-  /// Policy logits, softmax temperature, REINFORCE baseline, episode
-  /// count, and the last proposal's choices. The softmax caches are
-  /// derived state: restore just marks them stale and the next propose
-  /// recomputes them bit-identically.
-  bool serialize_state(std::string& out) const override;
-  bool restore_state(std::string_view blob) override;
-
   [[nodiscard]] std::string name() const override { return "NACIM-RL"; }
 
   /// Current probability vector of a dimension (exposed for tests).

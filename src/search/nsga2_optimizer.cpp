@@ -6,8 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "lcda/util/bytes.h"
-
 namespace lcda::search {
 
 bool mo_dominates(const MoPoint& a, const MoPoint& b) {
@@ -220,42 +218,6 @@ void Nsga2Optimizer::environmental_selection() {
     kept.push_back(archive_[order[k]]);
   }
   archive_ = std::move(kept);
-}
-
-bool Nsga2Optimizer::serialize_state(std::string& out) const {
-  out.clear();
-  util::BinaryWriter w(out);
-  w.u32(1);
-  w.u64(archive_.size());
-  for (const Individual& ind : archive_) {
-    w.ints(ind.genes);
-    w.f64(ind.objectives.accuracy);
-    w.f64(ind.objectives.neg_cost);
-  }
-  w.ints(pending_genes_);
-  return true;
-}
-
-bool Nsga2Optimizer::restore_state(std::string_view blob) {
-  util::BinaryReader r(blob);
-  std::uint32_t version = 0;
-  std::uint64_t n = 0;
-  if (!r.u32(version) || version != 1 || !r.u64(n)) return false;
-  std::vector<Individual> archive;
-  archive.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Individual ind;
-    if (!r.ints(ind.genes) || !r.f64(ind.objectives.accuracy) ||
-        !r.f64(ind.objectives.neg_cost)) {
-      return false;
-    }
-    archive.push_back(std::move(ind));
-  }
-  std::vector<int> pending;
-  if (!r.ints(pending) || !r.done()) return false;
-  archive_ = std::move(archive);
-  pending_genes_ = std::move(pending);
-  return true;
 }
 
 std::vector<Design> Nsga2Optimizer::pareto_designs() const {

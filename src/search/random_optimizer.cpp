@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "lcda/util/bytes.h"
-
 namespace lcda::search {
 
 RandomOptimizer::RandomOptimizer(SearchSpace space, bool avoid_duplicates,
@@ -41,34 +39,6 @@ void RandomOptimizer::propose_batch_into(std::size_t n, util::Rng& rng,
 
 void RandomOptimizer::feedback(const Observation&) {
   // Proposals are recorded in seen_ at propose() time; nothing to learn.
-}
-
-bool RandomOptimizer::serialize_state(std::string& out) const {
-  out.clear();
-  util::BinaryWriter w(out);
-  w.u32(1);
-  std::vector<std::uint64_t> seen(seen_.begin(), seen_.end());
-  std::sort(seen.begin(), seen.end());
-  w.u64(seen.size());
-  for (std::uint64_t h : seen) w.u64(h);
-  return true;
-}
-
-bool RandomOptimizer::restore_state(std::string_view blob) {
-  util::BinaryReader r(blob);
-  std::uint32_t version = 0;
-  std::uint64_t n = 0;
-  if (!r.u32(version) || version != 1 || !r.u64(n)) return false;
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t h = 0;
-    if (!r.u64(h)) return false;
-    seen.insert(h);
-  }
-  if (!r.done()) return false;
-  seen_ = std::move(seen);
-  return true;
 }
 
 }  // namespace lcda::search

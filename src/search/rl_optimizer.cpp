@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "lcda/util/bytes.h"
-
 namespace lcda::search {
 
 RlOptimizer::RlOptimizer(SearchSpace space, Options opts)
@@ -100,58 +98,6 @@ void RlOptimizer::feedback(const Observation& obs) {
   probs_fresh_ = false;
   ++episodes_;
   last_choice_.clear();
-}
-
-bool RlOptimizer::serialize_state(std::string& out) const {
-  out.clear();
-  util::BinaryWriter w(out);
-  w.u32(1);
-  w.u64(logits_.size());
-  for (const std::vector<double>& logit : logits_) {
-    w.u64(logit.size());
-    for (double l : logit) w.f64(l);
-  }
-  w.ints(last_choice_);
-  w.u8(baseline_.initialized() ? 1 : 0);
-  w.f64(baseline_.value());
-  w.f64(temperature_);
-  w.u64(episodes_);
-  return true;
-}
-
-bool RlOptimizer::restore_state(std::string_view blob) {
-  util::BinaryReader r(blob);
-  std::uint32_t version = 0;
-  std::uint64_t dims = 0;
-  if (!r.u32(version) || version != 1 || !r.u64(dims)) return false;
-  // The policy shape is configuration (it comes from the search space);
-  // a blob with a different shape belongs to a different study.
-  if (dims != logits_.size()) return false;
-  std::vector<std::vector<double>> logits(dims);
-  for (std::uint64_t d = 0; d < dims; ++d) {
-    std::uint64_t choices = 0;
-    if (!r.u64(choices) || choices != logits_[d].size()) return false;
-    logits[d].resize(choices);
-    for (double& l : logits[d]) {
-      if (!r.f64(l)) return false;
-    }
-  }
-  std::vector<int> last_choice;
-  std::uint8_t baseline_init = 0;
-  double baseline_value = 0.0;
-  double temperature = 0.0;
-  std::uint64_t episodes = 0;
-  if (!r.ints(last_choice) || !r.u8(baseline_init) || !r.f64(baseline_value) ||
-      !r.f64(temperature) || !r.u64(episodes) || !r.done()) {
-    return false;
-  }
-  logits_ = std::move(logits);
-  last_choice_ = std::move(last_choice);
-  baseline_.restore(baseline_value, baseline_init != 0);
-  temperature_ = temperature;
-  episodes_ = episodes;
-  probs_fresh_ = false;
-  return true;
 }
 
 }  // namespace lcda::search

@@ -160,18 +160,25 @@ void EvalStore::open_directory() {
   // included) so buckets and segments come from one post-publication
   // generation; a handful of attempts always suffices because each retry
   // needs a *fresh* compaction pass inside a microsecond window.
+  //
+  // Segments are LISTED before buckets (and still probed after them). A
+  // compaction publishes its buckets before it unlinks its input segments,
+  // so a segment listing either still names those inputs or was taken
+  // after the publication, and then the bucket listing that follows sees
+  // the new buckets. Listed the other way round, a whole compaction can
+  // slip between the two listings: old buckets, no inputs, nothing
+  // vanished — and the moved records are missed.
   const std::uint64_t entry_next_seq = next_seq_;
   for (int attempt = 0; attempt < 4; ++attempt) {
     const bool last_attempt = attempt == 3;
     files_.clear();
     next_seq_ = entry_next_seq;
+    const std::vector<std::string> segments =
+        list_segment_files(opts_.directory + "/segments");
     std::vector<std::string> paths =
         list_segment_files(opts_.directory + "/index");
     const std::size_t index_files = paths.size();
-    for (const std::string& path :
-         list_segment_files(opts_.directory + "/segments")) {
-      paths.push_back(path);
-    }
+    paths.insert(paths.end(), segments.begin(), segments.end());
     bool vanished = false;
     for (std::size_t p = 0; p < paths.size(); ++p) {
       // Buckets live at fixed rename-replaced paths, so their views must

@@ -56,8 +56,6 @@ bool parse_clause(std::string_view clause, FaultInjector::Spec& spec,
     spec.kind = FaultInjector::Spec::Kind::kWedge;
   } else if (kind == "sleep") {
     spec.kind = FaultInjector::Spec::Kind::kSleep;
-  } else if (kind == "torn-snapshot") {
-    spec.kind = FaultInjector::Spec::Kind::kTornSnapshot;
   } else if (kind == "torn-log") {
     spec.kind = FaultInjector::Spec::Kind::kTornLog;
   } else {
@@ -76,9 +74,7 @@ bool parse_clause(std::string_view clause, FaultInjector::Spec& spec,
 
   const bool wants_seed = spec.kind == FaultInjector::Spec::Kind::kWedge ||
                           spec.kind == FaultInjector::Spec::Kind::kSleep;
-  const bool wants_episode =
-      spec.kind == FaultInjector::Spec::Kind::kTornSnapshot ||
-      spec.kind == FaultInjector::Spec::Kind::kTornLog;
+  const bool wants_episode = spec.kind == FaultInjector::Spec::Kind::kTornLog;
   if ((wants_seed && spec.scope != FaultInjector::Spec::Scope::kSeed) ||
       (wants_episode && spec.scope != FaultInjector::Spec::Scope::kEpisode)) {
     problem = "kind '" + std::string(kind) + "' does not take scope '" +
@@ -197,10 +193,6 @@ long long FaultInjector::episode_of(Spec::Kind kind) const {
 
 long long FaultInjector::kill_episode() const {
   return episode_of(Spec::Kind::kKill);
-}
-
-long long FaultInjector::torn_snapshot_episode() const {
-  return episode_of(Spec::Kind::kTornSnapshot);
 }
 
 long long FaultInjector::torn_log_episode() const {

@@ -1,19 +1,16 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace lcda::util {
 
-/// Append-only little-endian byte encoder for checkpoint blobs. The
+/// Append-only little-endian byte encoder for checkpoint records. The
 /// counterpart BinaryReader refuses to read past the end instead of
 /// throwing, so a truncated (torn) blob surfaces as `!ok()` at the first
-/// missing byte — the property the checkpoint fsck leans on.
+/// missing byte — the property the round-log reader leans on.
 class BinaryWriter {
  public:
   explicit BinaryWriter(std::string& out) : out_(out) {}
@@ -33,11 +30,6 @@ class BinaryWriter {
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     out_.append(s.data(), s.size());
-  }
-
-  void ints(std::span<const int> values) {
-    u32(static_cast<std::uint32_t>(values.size()));
-    for (int v : values) i64(v);
   }
 
  private:
@@ -92,21 +84,6 @@ class BinaryReader {
     std::uint32_t n = 0;
     if (!u32(n) || !take(n)) return false;
     s.assign(data_.data() + pos_ - n, n);
-    return true;
-  }
-
-  bool ints(std::vector<int>& values) {
-    values.clear();
-    std::uint32_t n = 0;
-    if (!u32(n)) return false;
-    // A corrupt length prefix must not drive a huge allocation before the
-    // element reads fail: each element takes 8 bytes, so cap the reserve.
-    values.reserve(std::min<std::size_t>(n, remaining() / 8));
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::int64_t v = 0;
-      if (!i64(v)) return false;
-      values.push_back(static_cast<int>(v));
-    }
     return true;
   }
 

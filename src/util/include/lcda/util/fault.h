@@ -15,9 +15,7 @@ namespace lcda::util {
 ///   sleep=400@seed:0,1     worker sleeps 400ms before each listed seed
 ///   kill@episode:9         engine _exit(42)s when the next round to plan
 ///                          starts at episode >= 9
-///   torn-snapshot@episode:9  checkpoint writer truncates the snapshot it
-///                          writes at episode >= 9, then _exit(42)s
-///   torn-log@episode:9     checkpoint writer truncates the changelog
+///   torn-log@episode:9     checkpoint writer truncates the round-log
 ///                          record for the round starting at episode >= 9,
 ///                          then _exit(42)s
 ///
@@ -30,7 +28,7 @@ namespace lcda::util {
 class FaultInjector {
  public:
   struct Spec {
-    enum class Kind { kKill, kWedge, kSleep, kTornSnapshot, kTornLog };
+    enum class Kind { kKill, kWedge, kSleep, kTornLog };
     enum class Scope { kSeed, kEpisode };
     Kind kind = Kind::kKill;
     Scope scope = Scope::kSeed;
@@ -64,7 +62,6 @@ class FaultInjector {
   // Episode-scoped checks (engine and checkpoint writer); -1 = not armed.
   // Armed on attempt 0 only, via the process-wide attempt().
   [[nodiscard]] long long kill_episode() const;
-  [[nodiscard]] long long torn_snapshot_episode() const;
   [[nodiscard]] long long torn_log_episode() const;
 
   [[nodiscard]] const std::vector<Spec>& specs() const { return specs_; }

@@ -89,29 +89,6 @@ class Rng {
   /// their own stream without coupling their consumption order.
   Rng fork();
 
-  /// Complete generator state — the four xoshiro words plus the Box-Muller
-  /// spare — so a checkpoint can freeze a stream mid-flight and a resumed
-  /// run continues it bit-for-bit (including an unconsumed normal() spare).
-  struct State {
-    std::uint64_t s[4] = {0, 0, 0, 0};
-    double spare_normal = 0.0;
-    bool has_spare = false;
-  };
-
-  [[nodiscard]] State state() const {
-    State st;
-    for (int i = 0; i < 4; ++i) st.s[i] = state_[i];
-    st.spare_normal = spare_normal_;
-    st.has_spare = has_spare_;
-    return st;
-  }
-
-  void set_state(const State& st) {
-    for (int i = 0; i < 4; ++i) state_[i] = st.s[i];
-    spare_normal_ = st.spare_normal;
-    has_spare_ = st.has_spare;
-  }
-
  private:
   std::uint64_t state_[4];
   double spare_normal_ = 0.0;

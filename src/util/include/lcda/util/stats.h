@@ -50,13 +50,6 @@ class Ema {
   [[nodiscard]] double value() const { return value_; }
   [[nodiscard]] bool initialized() const { return initialized_; }
 
-  /// Reinstates a checkpointed average (decay stays whatever the
-  /// constructor set — it is configuration, not state).
-  void restore(double value, bool initialized) {
-    value_ = value;
-    initialized_ = initialized;
-  }
-
  private:
   double decay_;
   double value_ = 0.0;

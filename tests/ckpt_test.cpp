@@ -1,11 +1,13 @@
-// The checkpoint subsystem: fault-spec parsing, value codecs, snapshot
-// atomicity and generation fallback, changelog torn-tail tolerance, and —
-// the load-bearing contract — checkpointed, killed-and-resumed runs
-// byte-identical to uninterrupted ones for every serializable strategy.
+// The checkpoint subsystem: fault-spec parsing, the round-record codec, the
+// round log on disk (torn tails, foreign files, one log per writer, the
+// longest log wins), and — the load-bearing contract — checkpointed,
+// killed-and-resumed runs byte-identical to uninterrupted ones for every
+// strategy, LCDA and its ablations included.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,66 +25,95 @@ namespace {
 
 using namespace lcda;
 
-std::string temp_dir(const char* tag) {
+std::string temp_dir(const std::string& tag) {
   const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("lcda_ckpt_test_") + tag);
+                   ("lcda_ckpt_test_" + tag);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
 }
 
-/// A small config with per-episode rounds, so checkpoint boundaries land
-/// exactly on the cadence and every strategy produces several generations
-/// within a handful of episodes.
+bool mentions(const std::string& text, const char* what) {
+  return text.find(what) != std::string::npos;
+}
+
+/// A small config with per-episode rounds, so a log of N records holds
+/// exactly N episodes for every strategy.
 core::ExperimentConfig small_config() {
   core::ExperimentConfig config = core::scenario_by_name("paper-energy").config;
   config.batch_size = 1;
   return config;
 }
 
-/// Serializable strategies — every optimizer except the LLM-driven ones
-/// (whose state lives inside the simulated client).
-const std::vector<core::Strategy>& serializable_strategies() {
-  static const std::vector<core::Strategy> kAll = {
-      core::Strategy::kRandom,    core::Strategy::kGenetic,
-      core::Strategy::kNsga2,     core::Strategy::kAnnealing,
-      core::Strategy::kNacimRl,
-  };
-  return kAll;
+std::string trace_csv(const core::RunResult& run, std::string_view label) {
+  std::ostringstream csv;
+  core::write_run_csv(csv, run, label);
+  return csv.str();
 }
 
 /// Everything a run's byte contract covers: the full JSON document plus
 /// the trace CSV.
 std::string render(const core::RunResult& run, std::string_view label) {
-  std::ostringstream csv;
-  core::write_run_csv(csv, run, label);
-  return core::run_to_json(run, label).dump(2) + "\n---\n" + csv.str();
+  return core::run_to_json(run, label).dump(2) + "\n---\n" +
+         trace_csv(run, label);
 }
 
-/// The snapshot files of a study directory, as (episode, path) sorted by
-/// episode ascending.
-std::vector<std::pair<int, std::filesystem::path>> list_snapshots(
-    const std::filesystem::path& study_dir) {
-  std::vector<std::pair<int, std::filesystem::path>> snaps;
+std::filesystem::path study_dir(const core::ExperimentConfig& config,
+                                core::Strategy strategy, int episodes) {
+  return ckpt::study_checkpoint_dir(
+      config.checkpoint_dir,
+      core::study_fingerprint(config, strategy, episodes));
+}
+
+/// Every file in a study directory.
+std::vector<std::filesystem::path> files_in(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> files;
   std::error_code ec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(study_dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 10 && name.rfind("snap-", 0) == 0 &&
-        name.substr(name.size() - 5) == ".ckpt") {
-      snaps.emplace_back(std::atoi(name.c_str() + 5), entry.path());
-    }
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    files.push_back(entry.path());
   }
-  std::sort(snaps.begin(), snaps.end());
-  return snaps;
+  return files;
 }
 
-void remove_generation(const std::filesystem::path& ckpt_path) {
-  std::filesystem::path log = ckpt_path;
-  log.replace_extension(".log");
-  std::filesystem::remove(ckpt_path);
-  std::filesystem::remove(log);
+/// Cuts a round log back to its header and first `rounds` records: the
+/// file a crash leaves after that many finalized rounds.
+void keep_rounds(const std::filesystem::path& log, int rounds) {
+  std::ifstream in(log, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::size_t end = ckpt::kRoundLogMagic.size() + 8;
+  for (int i = 0; i < rounds; ++i) {
+    ASSERT_LE(end + 16, bytes.size()) << "log holds fewer rounds";
+    std::uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + end, sizeof(len));
+    end += 16 + len;
+  }
+  std::filesystem::resize_file(log, end);
 }
+
+/// Counts every evaluation the loop asks for, then delegates.
+class CountingEvaluator final : public core::PerformanceEvaluator {
+ public:
+  explicit CountingEvaluator(const core::ExperimentConfig& config)
+      : inner_(core::make_evaluator(config)) {}
+
+  core::Evaluation evaluate(const search::Design& design,
+                            util::Rng& rng) override {
+    ++calls;
+    return inner_->evaluate(design, rng);
+  }
+  bool replay_evaluation(const core::Evaluation& cached, util::Rng& rng,
+                         core::Evaluation& out) override {
+    ++calls;
+    return inner_->replay_evaluation(cached, rng, out);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+  std::atomic<long long> calls{0};
+
+ private:
+  std::unique_ptr<core::PerformanceEvaluator> inner_;
+};
 
 // ------------------------------------------------------------- LCDA_FAULT
 
@@ -90,10 +121,10 @@ TEST(Fault, GrammarParsesEveryKindAndScope) {
   std::string error;
   const auto f = util::FaultInjector::parse(
       "kill@seed:2; sleep=400@seed:0,1; wedge@seed:3; kill@episode:9; "
-      "torn-snapshot@episode:4; torn-log@episode:5",
+      "torn-log@episode:5",
       &error);
   EXPECT_TRUE(error.empty()) << error;
-  ASSERT_EQ(f.specs().size(), 6u);
+  ASSERT_EQ(f.specs().size(), 5u);
 
   EXPECT_TRUE(f.kill_at_seed(2, /*attempt=*/0));
   EXPECT_FALSE(f.kill_at_seed(2, /*attempt=*/1));  // attempt-0 only
@@ -106,18 +137,18 @@ TEST(Fault, GrammarParsesEveryKindAndScope) {
 
   util::FaultInjector::set_attempt(0);
   EXPECT_EQ(f.kill_episode(), 9);
-  EXPECT_EQ(f.torn_snapshot_episode(), 4);
   EXPECT_EQ(f.torn_log_episode(), 5);
   // Episode faults disarm on retries through the process-wide attempt.
   util::FaultInjector::set_attempt(1);
   EXPECT_EQ(f.kill_episode(), -1);
-  EXPECT_EQ(f.torn_snapshot_episode(), -1);
+  EXPECT_EQ(f.torn_log_episode(), -1);
   util::FaultInjector::set_attempt(0);
 }
 
 TEST(Fault, MalformedClausesAreDroppedNotFatal) {
   const char* kBad[] = {
       "explode@seed:1",        // unknown kind
+      "torn-snapshot@episode:4",  // snapshots are gone: unknown kind
       "kill-seed:1",           // missing '@'
       "kill@turn:1",           // unknown scope
       "kill@seed",             // missing ':'
@@ -145,70 +176,6 @@ TEST(Fault, MalformedClausesAreDroppedNotFatal) {
 
 // ----------------------------------------------------------------- codecs
 
-TEST(Codec, SnapshotPayloadRoundTripsBitExactly) {
-  // A real run supplies designs, evaluations, and counters with realistic
-  // value ranges (NaN-free doubles, full design structs).
-  core::ExperimentConfig config = small_config();
-  const core::RunResult run =
-      core::run_strategy(core::Strategy::kGenetic, 6, config);
-  ASSERT_EQ(run.episodes.size(), 6u);
-
-  util::Rng rng(1234);
-  (void)rng.normal();  // leave a spare normal in flight
-  core::LoopSnapshot snap;
-  snap.next_episode = 6;
-  snap.rng_state = rng.state();
-  const std::string blob = "opaque optimizer bytes \x01\x02\x00 tail";
-  snap.optimizer_state = &blob;
-  snap.result = &run;
-  std::vector<core::CacheLogEntry> cache_log;
-  for (const core::EpisodeRecord& ep : run.episodes) {
-    core::Evaluation ev;
-    ev.cost.valid = ep.valid;
-    ev.accuracy = ep.accuracy;
-    cache_log.push_back({ep.design.hash(), ev, true});
-  }
-  cache_log.front().published = false;
-  snap.cache_log = &cache_log;
-
-  const std::string payload = ckpt::encode_snapshot(snap);
-  core::LoopResume out;
-  ASSERT_TRUE(ckpt::decode_snapshot(payload, out));
-  EXPECT_EQ(out.next_episode, 6);
-  EXPECT_EQ(out.optimizer_state, blob);
-  EXPECT_EQ(out.cache_log.size(), cache_log.size());
-  EXPECT_FALSE(out.cache_log.front().published);
-  EXPECT_TRUE(out.cache_log.back().published);
-  // Decoded RNG continues exactly where the original left off (spare
-  // normal included).
-  util::Rng reference(1234);
-  (void)reference.normal();
-  util::Rng restored(1);
-  restored.set_state(out.rng_state);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(reference.normal(), restored.normal());
-    EXPECT_EQ(reference.next_u64(), restored.next_u64());
-  }
-
-  // Re-encoding the decoded state reproduces the payload bit for bit —
-  // the codec loses nothing (designs and evaluations included).
-  core::LoopSnapshot again;
-  again.next_episode = out.next_episode;
-  again.rng_state = out.rng_state;
-  again.optimizer_state = &out.optimizer_state;
-  again.result = &out.result;
-  again.cache_log = &out.cache_log;
-  EXPECT_EQ(ckpt::encode_snapshot(again), payload);
-
-  // Truncation at any aligned prefix fails cleanly instead of returning a
-  // half-filled state.
-  for (std::size_t cut : {std::size_t{0}, std::size_t{4}, payload.size() / 2,
-                          payload.size() - 1}) {
-    core::LoopResume trash;
-    EXPECT_FALSE(ckpt::decode_snapshot(payload.substr(0, cut), trash));
-  }
-}
-
 TEST(Codec, RoundDeltaRoundTripsAndRejectsTruncation) {
   core::RoundDelta delta;
   delta.first_episode = 42;
@@ -232,152 +199,113 @@ TEST(Codec, RoundDeltaRoundTripsAndRejectsTruncation) {
   core::RoundDelta trash;
   EXPECT_FALSE(ckpt::decode_round(payload.substr(0, payload.size() / 2), trash));
   EXPECT_FALSE(ckpt::decode_round("", trash));
+  // An episode no round can start at is rejected, not narrowed.
+  delta.first_episode = -1;
+  EXPECT_FALSE(ckpt::decode_round(ckpt::encode_round(delta), trash));
 }
 
-// --------------------------------------------- snapshot store on disk
+// ---------------------------------------------------- the log on disk
 
-/// A tiny synthetic snapshot (no engine needed) for store-level tests.
-core::LoopSnapshot make_snapshot(int next_episode, const std::string& blob,
-                                 const core::RunResult& result,
-                                 const std::vector<core::CacheLogEntry>& log) {
-  core::LoopSnapshot snap;
-  snap.next_episode = next_episode;
-  snap.rng_state = util::Rng(7).state();
-  snap.optimizer_state = &blob;
-  snap.result = &result;
-  snap.cache_log = &log;
-  return snap;
+/// A one-job round starting at `episode` (no engine needed).
+core::RoundDelta round_at(int episode, std::uint64_t hash) {
+  core::RoundDelta delta;
+  delta.first_episode = episode;
+  delta.job_hashes = {hash};
+  delta.job_evals.resize(1);
+  return delta;
 }
 
-TEST(Store, WritesLoadsAndRotatesGenerations) {
-  const std::string root = temp_dir("rotate");
-  const std::uint64_t identity = 0xabcdef12;
-  ckpt::RunCheckpointer::Options opts;
-  opts.directory = root;
-  opts.identity = identity;
-  ckpt::RunCheckpointer cp(opts);
-
-  const std::string blob = "state";
-  core::RunResult result;
-  std::vector<core::CacheLogEntry> log;
-  cp.on_snapshot(make_snapshot(2, blob, result, log));
-  cp.on_snapshot(make_snapshot(4, blob, result, log));
-  cp.on_snapshot(make_snapshot(6, blob, result, log));
-  EXPECT_EQ(cp.snapshots_written(), 3);
-
-  // keep=2: only the newest two generations survive.
-  const auto snaps = list_snapshots(ckpt::study_checkpoint_dir(root, identity));
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[0].first, 4);
-  EXPECT_EQ(snaps[1].first, 6);
-
-  const auto resume = ckpt::load_resume(root, identity);
-  ASSERT_TRUE(resume.has_value());
-  EXPECT_EQ(resume->next_episode, 6);
-  EXPECT_EQ(resume->optimizer_state, "state");
-  EXPECT_TRUE(resume->deltas.empty());
-
-  // A different study identity sees nothing.
-  EXPECT_FALSE(ckpt::load_resume(root, identity + 1).has_value());
-  // An absent root is a cold start, not an error.
-  EXPECT_FALSE(ckpt::load_resume(root + "/nope", identity).has_value());
-}
-
-TEST(Store, ChangelogReplaysAndToleratesTornTail) {
+TEST(Store, RoundLogLoadsAndToleratesTornTail) {
   const std::string root = temp_dir("torn_log");
   const std::uint64_t identity = 0x77;
-  ckpt::RunCheckpointer::Options opts;
-  opts.directory = root;
-  opts.identity = identity;
-  ckpt::RunCheckpointer cp(opts);
-
-  const std::string blob = "state";
-  core::RunResult result;
-  std::vector<core::CacheLogEntry> log;
-  cp.on_snapshot(make_snapshot(2, blob, result, log));
-  core::RoundDelta d1;
-  d1.first_episode = 2;
-  d1.job_hashes = {11};
-  d1.job_evals.resize(1);
-  core::RoundDelta d2 = d1;
-  d2.first_episode = 3;
-  d2.job_hashes = {22};
-  cp.on_round(d1);
-  cp.on_round(d2);
-
   {
-    const auto resume = ckpt::load_resume(root, identity);
-    ASSERT_TRUE(resume.has_value());
-    ASSERT_EQ(resume->deltas.size(), 2u);
-    EXPECT_EQ(resume->deltas[0].first_episode, 2);
-    EXPECT_EQ(resume->deltas[1].first_episode, 3);
+    ckpt::RunCheckpointer cp({root, identity});
+    for (int ep = 0; ep < 3; ++ep) cp.on_round(round_at(ep, 11 + ep));
   }
+  const auto rounds = ckpt::load_resume(root, identity);
+  ASSERT_EQ(rounds.size(), 3u);
+  for (int ep = 0; ep < 3; ++ep) {
+    EXPECT_EQ(rounds[ep].first_episode, ep);
+    EXPECT_EQ(rounds[ep].job_hashes, std::vector<std::uint64_t>{11u + ep});
+  }
+  // A different study identity sees nothing; an absent root is a cold
+  // start, not an error.
+  EXPECT_TRUE(ckpt::load_resume(root, identity + 1).empty());
+  EXPECT_TRUE(ckpt::load_resume(root + "/nope", identity).empty());
 
   // Tear the last record: the reader keeps everything before the tear and
   // warns (counted), instead of failing the whole resume.
-  const auto study_dir = ckpt::study_checkpoint_dir(root, identity);
-  const auto log_path = study_dir / "snap-2.log";
-  const auto size = std::filesystem::file_size(log_path);
-  std::filesystem::resize_file(log_path, size - 5);
-  const long long warned_before =
-      util::warn_once_count("ckpt-torn-log:" + log_path.string());
-  const auto resume = ckpt::load_resume(root, identity);
-  ASSERT_TRUE(resume.has_value());
-  ASSERT_EQ(resume->deltas.size(), 1u);
-  EXPECT_EQ(resume->deltas[0].first_episode, 2);
-  EXPECT_GT(util::warn_once_count("ckpt-torn-log:" + log_path.string()),
-            warned_before);
+  const auto logs = files_in(ckpt::study_checkpoint_dir(root, identity));
+  ASSERT_EQ(logs.size(), 1u);
+  std::filesystem::resize_file(logs[0], std::filesystem::file_size(logs[0]) - 5);
+  const std::string key = "ckpt-torn-log:" + logs[0].string();
+  const long long warned_before = util::warn_once_count(key);
+  const auto torn = ckpt::load_resume(root, identity);
+  ASSERT_EQ(torn.size(), 2u);
+  EXPECT_EQ(torn[1].first_episode, 1);
+  EXPECT_GT(util::warn_once_count(key), warned_before);
 }
 
-TEST(Store, CorruptSnapshotFallsBackToPreviousGeneration) {
-  const std::string root = temp_dir("fallback");
+TEST(Store, ForeignFilesResumeNothing) {
+  // Garbage under a log's name, a log cut before its header, another
+  // study's log, and the snapshot files of the earlier checkpoint format:
+  // none of them resumes anything, and none is an error.
+  const std::string root = temp_dir("foreign");
   const std::uint64_t identity = 0x99;
-  ckpt::RunCheckpointer::Options opts;
-  opts.directory = root;
-  opts.identity = identity;
-  ckpt::RunCheckpointer cp(opts);
-
-  const std::string blob_a = "generation A";
-  const std::string blob_b = "generation B";
-  core::RunResult result;
-  std::vector<core::CacheLogEntry> log;
-  cp.on_snapshot(make_snapshot(2, blob_a, result, log));
-  cp.on_snapshot(make_snapshot(4, blob_b, result, log));
-
-  // Flip a payload byte in the newest snapshot: checksum fails, the
-  // previous generation answers, with a counted warning.
-  const auto study_dir = ckpt::study_checkpoint_dir(root, identity);
-  const auto newest = study_dir / "snap-4.ckpt";
+  const auto dir = ckpt::study_checkpoint_dir(root, identity);
   {
-    std::fstream f(newest, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(-1, std::ios::end);
-    f.put('!');
+    ckpt::RunCheckpointer other({root, identity + 1});
+    other.on_round(round_at(0, 11));
   }
-  const long long warned_before =
-      util::warn_once_count("ckpt-bad-snapshot:" + newest.string());
-  auto resume = ckpt::load_resume(root, identity);
-  ASSERT_TRUE(resume.has_value());
-  EXPECT_EQ(resume->next_episode, 2);
-  EXPECT_EQ(resume->optimizer_state, "generation A");
-  EXPECT_GT(util::warn_once_count("ckpt-bad-snapshot:" + newest.string()),
-            warned_before);
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(
+      files_in(ckpt::study_checkpoint_dir(root, identity + 1)).at(0),
+      dir / "rounds-1-2.log");
+  std::ofstream(dir / "rounds-1-0.log") << "not a round log at all";
+  std::ofstream(dir / "rounds-1-1.log");
+  std::ofstream(dir / "snap-4.ckpt") << "LCDACKP1 a snapshot";
+  std::ofstream(dir / "snap-4.log") << "LCDALOG1 a changelog";
 
-  // Corrupt every generation: cold start (nullopt), never a throw.
-  std::filesystem::resize_file(study_dir / "snap-2.ckpt", 3);
-  EXPECT_FALSE(ckpt::load_resume(root, identity).has_value());
+  const std::string key = "ckpt-bad-log:" + (dir / "rounds-1-2.log").string();
+  const long long warned_before = util::warn_once_count(key);
+  EXPECT_TRUE(ckpt::load_resume(root, identity).empty());
+  EXPECT_GT(util::warn_once_count(key), warned_before);
+}
 
-  // Garbage and empty files are tolerated the same way.
-  std::ofstream(study_dir / "snap-8.ckpt") << "not a checkpoint at all";
-  std::ofstream(study_dir / "snap-9.ckpt");
-  EXPECT_FALSE(ckpt::load_resume(root, identity).has_value());
+TEST(Store, LongestLogWinsAndCompletionKeepsOnlyItsOwn) {
+  // Two writers of one study (a superseded shard copy racing its
+  // duplicate) never share a file. A resume takes the longer history, and
+  // the first writer to complete deletes the other's log.
+  const std::string root = temp_dir("two_writers");
+  const std::uint64_t identity = 0x55;
+  const auto dir = ckpt::study_checkpoint_dir(root, identity);
+  ckpt::RunCheckpointer a({root, identity});
+  ckpt::RunCheckpointer b({root, identity});
+  for (int ep = 0; ep < 2; ++ep) a.on_round(round_at(ep, 11 + ep));
+  for (int ep = 0; ep < 3; ++ep) b.on_round(round_at(ep, 11 + ep));
+  EXPECT_EQ(files_in(dir).size(), 2u);
+  EXPECT_EQ(ckpt::load_resume(root, identity).size(), 3u);
+
+  a.on_snapshot(core::LoopSnapshot{2});
+  EXPECT_EQ(a.snapshots_written(), 1);
+  EXPECT_EQ(files_in(dir).size(), 1u);
+  EXPECT_EQ(ckpt::load_resume(root, identity).size(), 2u);
+
+  // The other writer completing next finds its own log gone and deletes
+  // nothing: the study keeps a whole log.
+  b.on_snapshot(core::LoopSnapshot{3});
+  EXPECT_EQ(b.snapshots_written(), 0);
+  EXPECT_EQ(files_in(dir).size(), 1u);
+  EXPECT_EQ(ckpt::load_resume(root, identity).size(), 2u);
 }
 
 // ------------------------------------------------ engine-level contracts
 
 TEST(Engine, CheckpointingNeverChangesRunBytes) {
-  // For every serializable strategy: a checkpointed run renders the exact
-  // bytes of an uncheckpointed one, and actually wrote snapshots.
-  for (core::Strategy strategy : serializable_strategies()) {
+  // For every strategy: a checkpointed run renders the exact bytes of an
+  // uncheckpointed one and leaves exactly one round log behind.
+  for (core::Strategy strategy : core::all_strategies()) {
+    SCOPED_TRACE(std::string(core::strategy_name(strategy)));
     const int episodes = 6;
     core::ExperimentConfig config = small_config();
     const core::RunResult reference =
@@ -385,110 +313,135 @@ TEST(Engine, CheckpointingNeverChangesRunBytes) {
 
     core::ExperimentConfig ckpt_config = config;
     ckpt_config.checkpoint_dir =
-        temp_dir(("bytes_" + std::string(core::strategy_name(strategy)))
-                     .c_str());
-    ckpt_config.checkpoint_every = 2;
+        temp_dir("bytes_" + std::string(core::strategy_name(strategy)));
     const core::RunResult checkpointed =
         core::run_strategy(strategy, episodes, ckpt_config);
 
-    EXPECT_EQ(render(checkpointed, "run"), render(reference, "run"))
-        << core::strategy_name(strategy);
+    EXPECT_EQ(render(checkpointed, "run"), render(reference, "run"));
     EXPECT_EQ(checkpointed.resumed_episodes, 0);
-    const auto study_dir = ckpt::study_checkpoint_dir(
-        ckpt_config.checkpoint_dir,
-        core::study_fingerprint(ckpt_config, strategy, episodes));
-    EXPECT_FALSE(list_snapshots(study_dir).empty())
-        << core::strategy_name(strategy);
+    EXPECT_EQ(files_in(study_dir(ckpt_config, strategy, episodes)).size(), 1u);
   }
 }
 
 TEST(Engine, ResumeReplaysAndContinuesByteIdentically) {
-  // For every serializable strategy, exercise both resume paths against
-  // the same reference:
-  //  1. newest generation lost -> restore the previous snapshot and REPLAY
-  //     its changelog to the end of the run;
-  //  2. changelog lost too -> restore the previous snapshot and CONTINUE
-  //     LIVE (restored optimizer + RNG must reproduce the tail).
-  for (core::Strategy strategy : serializable_strategies()) {
-    SCOPED_TRACE(std::string(core::strategy_name(strategy)));
+  // For every strategy: cut the log back to its first rounds, as a crash
+  // would, and resume. The replayed prefix plus the live tail must render
+  // the uninterrupted bytes, and the resumed run's own log — a whole
+  // history again — is the one left behind.
+  for (core::Strategy strategy : core::all_strategies()) {
     const int episodes = 8;
     core::ExperimentConfig config = small_config();
     config.checkpoint_dir =
-        temp_dir(("resume_" + std::string(core::strategy_name(strategy)))
-                     .c_str());
-    config.checkpoint_every = 2;
-    const core::RunResult reference =
-        core::run_strategy(strategy, episodes, config);
-    const std::string reference_bytes = render(reference, "run");
+        temp_dir("resume_" + std::string(core::strategy_name(strategy)));
+    const std::string reference =
+        render(core::run_strategy(strategy, episodes, config), "run");
+    const auto dir = study_dir(config, strategy, episodes);
+    const std::uint64_t identity =
+        core::study_fingerprint(config, strategy, episodes);
 
-    const auto study_dir = ckpt::study_checkpoint_dir(
-        config.checkpoint_dir,
-        core::study_fingerprint(config, strategy, episodes));
-
-    // 1. Replay: drop snap-8, resume from snap-6 + its changelog.
-    {
-      auto snaps = list_snapshots(study_dir);
-      ASSERT_EQ(snaps.size(), 2u);
-      EXPECT_EQ(snaps.back().first, episodes);
-      remove_generation(snaps.back().second);
+    for (int kept : {5, 0, 7}) {
+      SCOPED_TRACE(std::string(core::strategy_name(strategy)) + " kept " +
+                   std::to_string(kept));
+      const auto logs = files_in(dir);
+      ASSERT_EQ(logs.size(), 1u);
+      keep_rounds(logs[0], kept);
       core::ExperimentConfig resume_config = config;
       resume_config.resume = true;
       const core::RunResult resumed =
           core::run_strategy(strategy, episodes, resume_config);
-      EXPECT_EQ(render(resumed, "run"), reference_bytes);
-      EXPECT_EQ(resumed.resumed_episodes, episodes);  // nothing re-evaluated
-    }
-
-    // 2. Live continuation: drop snap-8 again AND the surviving
-    //    generation's changelog.
-    {
-      auto snaps = list_snapshots(study_dir);
-      remove_generation(snaps.back().second);
-      snaps = list_snapshots(study_dir);
-      ASSERT_EQ(snaps.size(), 1u);
-      const int base = snaps.front().first;
-      ASSERT_LT(base, episodes);
-      std::filesystem::path log = snaps.front().second;
-      log.replace_extension(".log");
-      std::filesystem::remove(log);
-      core::ExperimentConfig resume_config = config;
-      resume_config.resume = true;
-      const core::RunResult resumed =
-          core::run_strategy(strategy, episodes, resume_config);
-      EXPECT_EQ(render(resumed, "run"), reference_bytes);
-      EXPECT_EQ(resumed.resumed_episodes, base);  // tail ran live
-    }
-
-    // 3. Resuming a completed run restores the final snapshot and runs
-    //    nothing at all.
-    {
-      core::ExperimentConfig resume_config = config;
-      resume_config.resume = true;
-      const core::RunResult resumed =
-          core::run_strategy(strategy, episodes, resume_config);
-      EXPECT_EQ(render(resumed, "run"), reference_bytes);
-      EXPECT_EQ(resumed.resumed_episodes, episodes);
+      EXPECT_EQ(render(resumed, "run"), reference);
+      EXPECT_EQ(resumed.resumed_episodes, kept);
+      EXPECT_EQ(ckpt::load_resume(config.checkpoint_dir, identity).size(),
+                static_cast<std::size_t>(episodes));
     }
   }
 }
 
-TEST(Engine, LlmStrategiesWarnAndRunUncheckpointed) {
-  const int episodes = 4;
-  core::ExperimentConfig config = small_config();
-  const core::RunResult reference =
-      core::run_strategy(core::Strategy::kLcda, episodes, config);
+TEST(Engine, ResumingAFinishedStudyEvaluatesNothing) {
+  // With a store too: the finished run saved its evaluations there, and
+  // the replay must still count them as the cold run's misses rather than
+  // turn them into disk hits.
+  for (core::Strategy strategy : core::all_strategies()) {
+    for (bool with_store : {false, true}) {
+      const std::string tag = std::string(core::strategy_name(strategy)) +
+                              (with_store ? "_store" : "");
+      SCOPED_TRACE(tag);
+      const int episodes = 6;
+      core::ExperimentConfig config = small_config();
+      config.checkpoint_dir = temp_dir("finished_" + tag);
+      if (with_store) config.persistent_cache_dir = temp_dir("finished_db_" + tag);
+      const std::string reference =
+          render(core::run_strategy(strategy, episodes, config), "run");
 
-  core::ExperimentConfig ckpt_config = config;
-  ckpt_config.checkpoint_dir = temp_dir("llm_unsupported");
-  ckpt_config.checkpoint_every = 2;
-  ckpt_config.resume = true;  // must be a no-op without state on disk
-  const long long warned_before = util::warn_once_count("ckpt-unsupported:LCDA");
-  const core::RunResult run =
-      core::run_strategy(core::Strategy::kLcda, episodes, ckpt_config);
-  EXPECT_GT(util::warn_once_count("ckpt-unsupported:LCDA"), warned_before);
-  EXPECT_EQ(render(run, "run"), render(reference, "run"));
-  // No study directory was created for it.
-  EXPECT_TRUE(std::filesystem::is_empty(ckpt_config.checkpoint_dir));
+      core::ExperimentConfig resume_config = config;
+      resume_config.resume = true;
+      CountingEvaluator counting(config);
+      const core::RunResult resumed =
+          core::run_strategy(strategy, episodes, resume_config, &counting);
+      EXPECT_EQ(counting.calls.load(), 0);
+      EXPECT_EQ(resumed.resumed_episodes, episodes);
+      EXPECT_EQ(render(resumed, "run"), reference);
+    }
+  }
+}
+
+TEST(Engine, LcdaResumesFromItsRoundLog) {
+  // The paper's method checkpoints like every other strategy: the resumed
+  // run rebuilds the simulated client from the seed, replays the logged
+  // turns through it, and continues the conversation live.
+  const int episodes = 6;
+  core::ExperimentConfig config = small_config();
+  const std::string reference =
+      render(core::run_strategy(core::Strategy::kLcda, episodes, config), "run");
+
+  config.checkpoint_dir = temp_dir("lcda");
+  (void)core::run_strategy(core::Strategy::kLcda, episodes, config);
+  const auto logs = files_in(study_dir(config, core::Strategy::kLcda, episodes));
+  ASSERT_EQ(logs.size(), 1u);
+  keep_rounds(logs[0], 2);
+
+  config.resume = true;
+  const core::RunResult resumed =
+      core::run_strategy(core::Strategy::kLcda, episodes, config);
+  EXPECT_EQ(render(resumed, "run"), reference);
+  EXPECT_EQ(resumed.resumed_episodes, 2);
+}
+
+TEST(Engine, PipelinedResumeRepublishesReplayedRoundsToTheStore) {
+  // Random proposes ahead of its in-flight rounds at parallelism 4. A
+  // resume cut mid-run still renders the uninterrupted bytes, and its
+  // store session publishes the replayed evaluations too (through
+  // finalize, as live rounds do): a warm rerun on that store evaluates
+  // nothing and still writes the same trace.
+  const int episodes = 200;
+  core::ExperimentConfig config = core::scenario_by_name("paper-energy").config;
+  config.parallelism = 4;
+  config.checkpoint_dir = temp_dir("pipelined");
+  const core::RunResult uninterrupted =
+      core::run_strategy(core::Strategy::kRandom, episodes, config);
+  const std::string reference = render(uninterrupted, "run");
+  const auto logs =
+      files_in(study_dir(config, core::Strategy::kRandom, episodes));
+  ASSERT_EQ(logs.size(), 1u);
+  keep_rounds(logs[0], 77);
+
+  core::ExperimentConfig resume_config = config;
+  resume_config.resume = true;
+  resume_config.persistent_cache_dir = temp_dir("pipelined_store");
+  const core::RunResult resumed =
+      core::run_strategy(core::Strategy::kRandom, episodes, resume_config);
+  EXPECT_EQ(render(resumed, "run"), reference);
+  EXPECT_EQ(resumed.resumed_episodes, 77);
+
+  core::ExperimentConfig warm_config = config;
+  warm_config.checkpoint_dir.clear();
+  warm_config.persistent_cache_dir = resume_config.persistent_cache_dir;
+  CountingEvaluator counting(config);
+  const core::RunResult warm =
+      core::run_strategy(core::Strategy::kRandom, episodes, warm_config, &counting);
+  EXPECT_EQ(trace_csv(warm, "run"), trace_csv(uninterrupted, "run"));
+  EXPECT_EQ(warm.persistent_hits + warm.cache_hits, episodes);
+  EXPECT_EQ(counting.calls.load(), 0);
 }
 
 // --------------------------------------- killed-and-resumed subprocesses
@@ -500,6 +453,16 @@ std::string lcda_run_path() {
       std::filesystem::path(self).parent_path() / "lcda_run";
   std::error_code ec;
   return std::filesystem::exists(candidate, ec) ? candidate.string() : "";
+}
+
+/// Runs an lcda_run child. A sanitized child reports into the stderr
+/// captured here, where the sanitizer job's own checks cannot see it, so
+/// any report fails the test.
+util::Subprocess::Result run_child(std::vector<std::string> argv) {
+  util::Subprocess::Result r = util::Subprocess::run(std::move(argv));
+  EXPECT_FALSE(mentions(r.stderr_output, "runtime error:")) << r.stderr_output;
+  EXPECT_FALSE(mentions(r.stderr_output, "Sanitizer")) << r.stderr_output;
+  return r;
 }
 
 std::string slurp(const std::string& path) {
@@ -517,136 +480,129 @@ std::string runs_slice(const std::string& json_path) {
   return util::Json::parse(slurp(json_path)).at("runs").dump(2);
 }
 
-struct CliCase {
-  const char* cli_name;  ///< --strategy= spelling
-};
+/// The episode count a resumed CLI run narrates on stderr.
+long long narrated_resumed(const std::string& stderr_output) {
+  const auto pos = stderr_output.find("resumed_episodes=");
+  if (pos == std::string::npos) return -1;
+  return std::atoll(stderr_output.c_str() + pos +
+                    std::string("resumed_episodes=").size());
+}
 
-TEST(Crash, KillAtEveryBoundaryThenResumeIsByteIdentical) {
+/// Crashes a checkpointed 6-episode run under `fault` (the injected
+/// _Exit(42)), resumes it, and checks the finished document and trace
+/// against an uninterrupted, checkpoint-free reference (so checkpoint-on
+/// == checkpoint-off byte invariance is re-proved too). Returns the
+/// resumed run's stderr.
+std::string crash_and_resume(const std::string& runner,
+                             const std::string& strategy,
+                             const std::string& fault, const std::string& tag) {
+  const std::vector<std::string> base = {
+      runner,
+      "--scenario=paper-energy",
+      "--strategy=" + strategy,
+      "--episodes=6",
+      "--seeds=1",
+      "--set=batch_size=1",
+      "--quiet",
+  };
+  auto argv = base;
+  argv.push_back("--json=" + tag + "_ref.json");
+  argv.push_back("--trace=" + tag + "_ref.csv");
+  const auto ref = run_child(argv);
+  EXPECT_EQ(ref.exit_code, 0) << ref.stderr_output;
+
+  argv = base;
+  argv.push_back("--checkpoint-dir=" + tag + "_ckpt");
+  argv.push_back("--json=" + tag + ".json");
+  argv.push_back("--trace=" + tag + ".csv");
+  ::setenv("LCDA_FAULT", fault.c_str(), 1);
+  const auto killed = run_child(argv);
+  ::unsetenv("LCDA_FAULT");
+  EXPECT_EQ(killed.exit_code, 42) << killed.stderr_output;
+
+  argv.push_back("--resume");
+  const auto resumed = run_child(argv);
+  EXPECT_EQ(resumed.exit_code, 0) << resumed.stderr_output;
+  EXPECT_EQ(runs_slice(tag + ".json") + "\n---\n" + slurp(tag + ".csv"),
+            runs_slice(tag + "_ref.json") + "\n---\n" + slurp(tag + "_ref.csv"));
+  return resumed.stderr_output;
+}
+
+TEST(Crash, KillMidRunThenResumeIsByteIdentical) {
   const std::string runner = lcda_run_path();
   if (runner.empty()) {
     GTEST_SKIP() << "lcda_run binary not next to the test binary";
   }
   const std::string out_dir = temp_dir("crash_sweep");
-  const int kEpisodes = 6;
-  long long resumed_total = 0;
-
-  for (const char* strategy :
-       {"random", "genetic", "nsga2", "annealing", "rl"}) {
-    // Uninterrupted, checkpoint-free reference (so the sweep also
-    // re-proves checkpoint-on == checkpoint-off byte invariance).
-    const std::string ref_json = out_dir + "/" + strategy + "_ref.json";
-    const std::string ref_csv = out_dir + "/" + strategy + "_ref.csv";
-    const std::vector<std::string> base = {
-        runner,
-        "--scenario=paper-energy",
-        std::string("--strategy=") + strategy,
-        "--episodes=" + std::to_string(kEpisodes),
-        "--seeds=1",
-        "--set=batch_size=1",
-        "--quiet",
-    };
-    {
-      auto argv = base;
-      argv.push_back("--json=" + ref_json);
-      argv.push_back("--trace=" + ref_csv);
-      const auto r = util::Subprocess::run(argv);
-      ASSERT_EQ(r.exit_code, 0) << r.stderr_output;
-    }
-    const std::string reference =
-        runs_slice(ref_json) + "\n---\n" + slurp(ref_csv);
-
+  for (const char* strategy : {"lcda", "naive", "finetuned", "rl", "genetic",
+                               "nsga2", "annealing", "random"}) {
     for (int k : {1, 3, 5}) {
       SCOPED_TRACE(std::string(strategy) + " kill@" + std::to_string(k));
-      const std::string tag =
-          out_dir + "/" + strategy + "_k" + std::to_string(k);
-      const std::string ckpt_dir = tag + "_ckpt";
-      auto argv = base;
-      argv.push_back("--checkpoint-dir=" + ckpt_dir);
-      argv.push_back("--checkpoint-every=2");
-      argv.push_back("--json=" + tag + ".json");
-      argv.push_back("--trace=" + tag + ".csv");
-
-      // Crash the run at episode k (the injected _Exit(42)).
-      ::setenv("LCDA_FAULT", ("kill@episode:" + std::to_string(k)).c_str(), 1);
-      const auto killed = util::Subprocess::run(argv);
-      ::unsetenv("LCDA_FAULT");
-      ASSERT_EQ(killed.exit_code, 42) << killed.stderr_output;
-
-      // Resume and finish; the document and trace must match the
-      // uninterrupted reference byte for byte.
-      argv.push_back("--resume");
-      const auto resumed = util::Subprocess::run(argv);
-      ASSERT_EQ(resumed.exit_code, 0) << resumed.stderr_output;
-      EXPECT_EQ(runs_slice(tag + ".json") + "\n---\n" + slurp(tag + ".csv"),
-                reference);
-
-      // The CLI narrates how much the resume restored.
-      const auto pos = resumed.stderr_output.find("resumed_episodes=");
-      ASSERT_NE(pos, std::string::npos) << resumed.stderr_output;
-      resumed_total +=
-          std::atoll(resumed.stderr_output.c_str() + pos +
-                     std::string("resumed_episodes=").size());
+      const std::string err = crash_and_resume(
+          runner, strategy, "kill@episode:" + std::to_string(k),
+          out_dir + "/" + strategy + "_k" + std::to_string(k));
+      // Every round before the kill was logged, and the resume replayed
+      // exactly those.
+      EXPECT_EQ(narrated_resumed(err), k) << err;
     }
   }
-  // Across the sweep, at least one resume genuinely restored state (kills
-  // before the first boundary legitimately cold-start).
-  EXPECT_GT(resumed_total, 0);
 }
 
-TEST(Crash, TornCheckpointWritesDegradeToEarlierState) {
+TEST(Crash, RetriedShardReplaysItsFinishedSeedAgainstTheStore) {
+  // A store and checkpoints together. The one worker dies after its first
+  // seed finished, which saved that seed's evaluations to the store. The
+  // retry replays the seed's whole log while the store holds them; the
+  // logged evaluations must stay the cold run's misses, so the merged
+  // study renders the uninterrupted bytes, counters included.
+  const std::string runner = lcda_run_path();
+  if (runner.empty()) {
+    GTEST_SKIP() << "lcda_run binary not next to the test binary";
+  }
+  const std::string dir = temp_dir("crash_store");
+  const std::vector<std::string> base = {
+      runner,        "--scenario=paper-energy", "--strategy=genetic",
+      "--episodes=6", "--seeds=2",              "--set=batch_size=1",
+      "--quiet",
+  };
+  auto argv = base;
+  argv.insert(argv.end(), {"--checkpoint-dir=" + dir + "/ref_ckpt",
+                           "--cache-dir=" + dir + "/ref_db",
+                           "--json=" + dir + "/ref.json",
+                           "--trace=" + dir + "/ref.csv"});
+  const auto ref = run_child(argv);
+  EXPECT_EQ(ref.exit_code, 0) << ref.stderr_output;
+
+  argv = base;
+  argv.insert(argv.end(), {"--checkpoint-dir=" + dir + "/ckpt",
+                           "--cache-dir=" + dir + "/db", "--distribute=1",
+                           "--max-retries=1", "--json=" + dir + "/run.json",
+                           "--trace=" + dir + "/run.csv"});
+  ::setenv("LCDA_FAULT", "kill@seed:1", 1);
+  const auto run = run_child(argv);
+  ::unsetenv("LCDA_FAULT");
+  EXPECT_EQ(run.exit_code, 0) << run.stderr_output;
+  EXPECT_TRUE(mentions(run.stderr_output, "retries=1")) << run.stderr_output;
+  EXPECT_EQ(runs_slice(dir + "/run.json") + "\n---\n" + slurp(dir + "/run.csv"),
+            runs_slice(dir + "/ref.json") + "\n---\n" + slurp(dir + "/ref.csv"));
+  // Seed 0 replayed all six episodes; seed 1 never started before the kill.
+  EXPECT_EQ(narrated_resumed(run.stderr_output), 6) << run.stderr_output;
+}
+
+TEST(Crash, TornLogTailIsReplayedUpToTheTear) {
   const std::string runner = lcda_run_path();
   if (runner.empty()) {
     GTEST_SKIP() << "lcda_run binary not next to the test binary";
   }
   const std::string out_dir = temp_dir("crash_torn");
-  const int kEpisodes = 6;
-  const std::vector<std::string> base = {
-      runner,
-      "--scenario=paper-energy",
-      "--strategy=genetic",
-      "--episodes=" + std::to_string(kEpisodes),
-      "--seeds=1",
-      "--set=batch_size=1",
-      "--quiet",
-  };
-  const std::string ref_json = out_dir + "/ref.json";
-  const std::string ref_csv = out_dir + "/ref.csv";
-  {
-    auto argv = base;
-    argv.push_back("--json=" + ref_json);
-    argv.push_back("--trace=" + ref_csv);
-    const auto r = util::Subprocess::run(argv);
-    ASSERT_EQ(r.exit_code, 0) << r.stderr_output;
-  }
-  const std::string reference =
-      runs_slice(ref_json) + "\n---\n" + slurp(ref_csv);
-
-  for (const char* fault : {"torn-snapshot@episode:4", "torn-log@episode:3"}) {
-    SCOPED_TRACE(fault);
-    const std::string tag = out_dir + "/" + std::string(fault).substr(0, 8);
-    const std::string ckpt_dir = tag + "_ckpt";
-    auto argv = base;
-    argv.push_back("--checkpoint-dir=" + ckpt_dir);
-    argv.push_back("--checkpoint-every=2");
-    argv.push_back("--json=" + tag + ".json");
-    argv.push_back("--trace=" + tag + ".csv");
-
-    // The writer truncates the targeted file mid-write, then dies.
-    ::setenv("LCDA_FAULT", fault, 1);
-    const auto torn = util::Subprocess::run(argv);
-    ::unsetenv("LCDA_FAULT");
-    ASSERT_EQ(torn.exit_code, 42) << torn.stderr_output;
-
-    // Resume: fsck-on-load skips the torn file (counted warning on
-    // stderr), falls back to the previous state, and the finished run is
-    // still byte-identical to the uninterrupted reference.
-    argv.push_back("--resume");
-    const auto resumed = util::Subprocess::run(argv);
-    ASSERT_EQ(resumed.exit_code, 0) << resumed.stderr_output;
-    EXPECT_NE(resumed.stderr_output.find("ckpt"), std::string::npos)
-        << resumed.stderr_output;
-    EXPECT_EQ(runs_slice(tag + ".json") + "\n---\n" + slurp(tag + ".csv"),
-              reference);
+  for (const char* strategy : {"lcda", "genetic"}) {
+    SCOPED_TRACE(strategy);
+    // The writer truncates the episode-3 record mid-append, then dies; the
+    // resume warns about the torn tail, replays the three whole records
+    // before it, and evaluates the rest live.
+    const std::string err = crash_and_resume(
+        runner, strategy, "torn-log@episode:3", out_dir + "/" + strategy);
+    EXPECT_TRUE(mentions(err, "round log tail is torn")) << err;
+    EXPECT_EQ(narrated_resumed(err), 3) << err;
   }
 }
 

@@ -134,13 +134,15 @@ TEST_F(Cli, BadValuesFailBeforeAnyOutputOrWorker) {
 TEST_F(Cli, UsageListsEveryFlagWithItsRequirement) {
   const Outcome r = run({"--no-such-flag"});
   EXPECT_EQ(r.exit_code, 2);
-  for (const char* flag : {"--checkpoint-dir=DIR", "--checkpoint-every=N",
-                           "--resume", "--store-buckets=N", "--distribute=N",
+  for (const char* flag : {"--checkpoint-dir=DIR", "--resume",
+                           "--store-buckets=N", "--distribute=N",
                            "--threshold-fraction=F", "--metrics-interval=SEC"}) {
     EXPECT_TRUE(mentions(r.err, flag)) << flag << "\n" << r.err;
   }
   EXPECT_TRUE(mentions(r.err, "requires --store-compact")) << r.err;
   EXPECT_FALSE(mentions(r.err, "--worker-loop")) << r.err;
+  // Every round is logged, so there is no checkpoint cadence to set.
+  EXPECT_FALSE(mentions(r.err, "--checkpoint-every")) << r.err;
 }
 
 TEST_F(Cli, OutOfRangeConfigIntegersAreRejected) {
@@ -158,8 +160,7 @@ TEST_F(Cli, UnknownFlagsAndUnmetRequirementsExit2) {
   EXPECT_EQ(
       run({"--scenario=paper-energy", "--aggregate", "--speedup"}).exit_code, 2);
   EXPECT_EQ(run({"--scenario=paper-energy", "--max-retries=2"}).exit_code, 2);
-  EXPECT_EQ(run({"--scenario=paper-energy", "--checkpoint-every=5"}).exit_code,
-            2);
+  EXPECT_EQ(run({"--scenario=paper-energy", "--resume"}).exit_code, 2);
   EXPECT_EQ(run({"--print-config"}).exit_code, 2);
 }
 

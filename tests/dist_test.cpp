@@ -858,26 +858,24 @@ TEST_F(Distributed, KilledWorkerResumesFromCheckpointByteIdentically) {
   // Reference: the plain per-seed path with checkpointing OFF — the killed
   // and checkpoint-resumed distributed study below must reproduce these
   // bytes exactly (trace-invariance covers the checkpoint machinery too).
-  // Genetic rather than LCDA: the LLM strategies run uncheckpointed (their
-  // state lives in the simulated client), and per-episode rounds
-  // (batch_size=1) put a snapshot boundary before the kill episode.
+  // LCDA, the paper's method: a resume replays its round log from a fresh
+  // optimizer, and the simulated client rebuilt from the seed answers the
+  // same prompts the same way.
   core::Scenario scenario = small_scenario();
   scenario.config.batch_size = 1;
   const int kSeeds = 4;
   const std::string reference =
-      reference_runs(scenario, core::Strategy::kGenetic, kSeeds);
+      reference_runs(scenario, core::Strategy::kLcda, kSeeds);
 
-  // The distributed copy of the study checkpoints every 2 of its 6
-  // episodes. Every attempt-0 worker _Exit(42)s mid-run once its first
-  // seed reaches episode 4 — after the episode-4 snapshot landed — so the
-  // retry (attempt 1, faults disarmed) restores that seed from its
-  // checkpoint instead of re-running it from scratch.
+  // The distributed copy of the study logs every round of its 6 episodes.
+  // Every attempt-0 worker _Exit(42)s mid-run once its first seed reaches
+  // episode 4, so the retry (attempt 1, faults disarmed) replays that
+  // seed's first 4 rounds from its log instead of re-running them.
   core::Scenario ckpt_scenario = scenario;
   ckpt_scenario.config.checkpoint_dir = temp_dir("ckpt_resume_store");
-  ckpt_scenario.config.checkpoint_every = 2;
   auto specs = dist::plan_shards(
       ckpt_scenario, dist::ShardMode::kRuns,
-      {{core::Strategy::kGenetic, scenario.config.lcda_episodes}}, kSeeds,
+      {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, kSeeds,
       /*shards=*/2, NAN, 0.95);
   const ScopedEnv kill_fault("LCDA_FAULT", "kill@episode:4");
 

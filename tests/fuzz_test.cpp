@@ -2,20 +2,28 @@
 // bracket soup and truncated real payloads must never crash, and whatever
 // parses must land inside the search space. These are the paths that face
 // an uncontrolled LLM in production — or, for the worker pipe protocol, a
-// worker process that may die mid-line.
+// worker process that may die mid-line. The checkpoint round log, the one
+// binary decoder a crash leaves half-written, is fuzzed here too.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <climits>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "lcda/ckpt/checkpoint.h"
 #include "lcda/core/experiment.h"
+#include "lcda/core/report.h"
 #include "lcda/core/scenario.h"
 #include "lcda/dist/protocol.h"
 #include "lcda/llm/llm_optimizer.h"
@@ -735,6 +743,180 @@ TEST_P(WorkerTraceFuzz, ReaderRejectsOrAcceptsAndMergesValid) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkerTraceFuzz,
                          ::testing::Values(31, 32, 33, 34, 35));
+
+// ------------------------------------------------------ checkpoint round log
+
+/// An uninterrupted checkpointed run — several multi-job rounds, some with
+/// in-round duplicates — and the round log it left: the corpus the
+/// mutations start from.
+struct LoggedRun {
+  core::ExperimentConfig config;
+  std::filesystem::path study_dir;
+  std::string reference;  ///< the run's JSON document and trace CSV
+  std::string log;        ///< its round log, byte for byte
+};
+
+constexpr core::Strategy kLoggedStrategy = core::Strategy::kGenetic;
+constexpr int kLoggedEpisodes = 24;
+constexpr std::size_t kLogHeader = ckpt::kRoundLogMagic.size() + 8;
+
+std::string render_run(const core::RunResult& run) {
+  std::ostringstream csv;
+  core::write_run_csv(csv, run, "run");
+  return core::run_to_json(run, "run").dump(2) + "\n---\n" + csv.str();
+}
+
+std::string slurp_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+const LoggedRun& logged_run() {
+  static const LoggedRun kRun = [] {
+    LoggedRun out;
+    out.config = core::scenario_by_name("paper-energy").config;
+    out.config.batch_size = 4;
+    out.config.checkpoint_dir =
+        (std::filesystem::temp_directory_path() /
+         ("lcda_fuzz_round_log_" + std::to_string(::getpid())))
+            .string();
+    std::filesystem::remove_all(out.config.checkpoint_dir);
+    out.reference = render_run(
+        core::run_strategy(kLoggedStrategy, kLoggedEpisodes, out.config));
+    out.study_dir = ckpt::study_checkpoint_dir(
+        out.config.checkpoint_dir,
+        core::study_fingerprint(out.config, kLoggedStrategy, kLoggedEpisodes));
+    for (const auto& entry : std::filesystem::directory_iterator(out.study_dir)) {
+      out.log = slurp_file(entry.path());
+    }
+    return out;
+  }();
+  return kRun;
+}
+
+std::uint64_t read_u64(const std::string& bytes, std::size_t pos) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + pos, sizeof(v));
+  return v;
+}
+
+/// A well-formed log's records, each with its [len | checksum] envelope.
+std::vector<std::string> split_records(const std::string& log) {
+  std::vector<std::string> records;
+  for (std::size_t pos = kLogHeader; pos + 16 <= log.size();) {
+    const std::size_t size = 16 + static_cast<std::size_t>(read_u64(log, pos));
+    records.push_back(log.substr(pos, size));
+    pos += size;
+  }
+  return records;
+}
+
+std::string join_records(const std::string& log,
+                         const std::vector<std::string>& records) {
+  std::string out = log.substr(0, kLogHeader);
+  for (const std::string& r : records) out += r;
+  return out;
+}
+
+/// One seeded mutation: a bit flip, a truncation, a huge or off-by-some
+/// length field, or a duplicated, dropped or reordered record.
+std::string mutate_log(util::Rng& rng, const std::string& log) {
+  std::string out = log;
+  std::vector<std::string> records = split_records(log);
+  const std::size_t n = records.size();
+  switch (rng.index(6)) {
+    case 0: {  // bit flip anywhere, header included
+      if (out.empty()) return out;
+      const std::size_t at = rng.index(out.size());
+      out[at] = static_cast<char>(out[at] ^ (1 << rng.index(8)));
+      return out;
+    }
+    case 1:  // truncation
+      out.resize(rng.index(out.size() + 1));
+      return out;
+    case 2: {  // length field: huge, or slightly off
+      if (n == 0) return out;
+      const std::size_t r = rng.index(n);
+      std::size_t pos = kLogHeader;
+      for (std::size_t i = 0; i < r; ++i) pos += records[i].size();
+      const std::uint64_t len = read_u64(out, pos);
+      const std::uint64_t values[] = {~std::uint64_t{0}, std::uint64_t{1} << 63,
+                                      len + 1, len - 1, len + 4096};
+      const std::uint64_t v = values[rng.index(5)];
+      std::memcpy(out.data() + pos, &v, sizeof(v));
+      return out;
+    }
+    case 3:  // duplicated record
+      if (n == 0) return out;
+      {
+        const std::size_t r = rng.index(n);
+        records.insert(records.begin() + static_cast<std::ptrdiff_t>(r),
+                       records[r]);
+      }
+      return join_records(log, records);
+    case 4:  // dropped record
+      if (n == 0) return out;
+      records.erase(records.begin() + static_cast<std::ptrdiff_t>(rng.index(n)));
+      return join_records(log, records);
+    default:  // two records swapped
+      if (n < 2) return out;
+      std::swap(records[rng.index(n)], records[rng.index(n)]);
+      return join_records(log, records);
+  }
+}
+
+class RoundLogFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RoundLogFuzz, ReaderKeepsAWholePrefixAndResumeKeepsTheBytes) {
+  const LoggedRun& run = logged_run();
+  ASSERT_GE(split_records(run.log).size(), 4u) << "the logged run has too few rounds";
+  const std::uint64_t identity =
+      core::study_fingerprint(run.config, kLoggedStrategy, kLoggedEpisodes);
+  core::ExperimentConfig resume_config = run.config;
+  resume_config.resume = true;
+
+  util::Rng rng(GetParam());
+  int replayed = 0;
+  for (int i = 0; i < 120; ++i) {
+    std::string log = run.log;
+    const int mutations = static_cast<int>(rng.uniform_int(1, 2));
+    for (int m = 0; m < mutations; ++m) log = mutate_log(rng, log);
+
+    std::filesystem::remove_all(run.study_dir);
+    std::filesystem::create_directories(run.study_dir);
+    std::ofstream(run.study_dir / "rounds-fuzz.log", std::ios::binary) << log;
+
+    std::vector<core::RoundDelta> rounds;
+    EXPECT_NO_THROW(rounds = ckpt::load_resume(run.config.checkpoint_dir, identity));
+    // What the reader returns is a prefix of the file's records, each one
+    // checksummed and decoded whole, from episode 0 strictly forward.
+    std::size_t pos = kLogHeader;
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      ASSERT_LE(pos + 16, log.size());
+      const std::uint64_t len = read_u64(log, pos);
+      ASSERT_LE(len, log.size() - pos - 16);
+      const std::string payload = log.substr(pos + 16, len);
+      EXPECT_EQ(util::fnv1a64(payload), read_u64(log, pos + 8));
+      EXPECT_EQ(ckpt::encode_round(rounds[r]), payload);
+      EXPECT_TRUE(r == 0 ? rounds[r].first_episode == 0
+                         : rounds[r].first_episode > rounds[r - 1].first_episode);
+      pos += 16 + len;
+    }
+    replayed += rounds.empty() ? 0 : 1;
+
+    // A resume from the mutated log still renders the uninterrupted bytes.
+    EXPECT_EQ(render_run(core::run_strategy(kLoggedStrategy, kLoggedEpisodes,
+                                            resume_config)),
+              run.reference);
+    if (HasFailure()) return;
+  }
+  // Some mutants must keep rounds, or replay was never exercised.
+  EXPECT_GT(replayed, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RoundLogFuzz, ::testing::Values(41, 42, 43));
 
 }  // namespace
 }  // namespace lcda

@@ -72,7 +72,6 @@ struct CliOptions {
   std::string strategies;
   std::string cache_dir;
   std::string checkpoint_dir;
-  int checkpoint_every = 0;  // 0 = scenario default
   bool resume = false;
   std::string json_path;
   std::string trace_path;
@@ -188,11 +187,9 @@ constexpr Flag kFlags[] = {
     {"--cache-dir=DIR", &CliOptions::cache_dir, nullptr,
      "the on-disk evaluation store"},
     {"--checkpoint-dir=DIR", &CliOptions::checkpoint_dir, nullptr,
-     "crash-resumable checkpoints under DIR/<study fingerprint>"},
-    {"--checkpoint-every=N", &CliOptions::checkpoint_every, &kCheckpointDir,
-     "episodes between snapshots (default 64)", 1},
+     "log every finished round under DIR/<study fingerprint> for --resume"},
     {"--resume", &CliOptions::resume, &kCheckpointDir,
-     "restore the newest valid checkpoint before running"},
+     "replay the study's longest valid round log, then continue"},
     {"--strategy=A[,B...]", &CliOptions::strategies, &kStrategyStudy,
      "strategies to run, \"all\" for every one (default: the scenario's)"},
     {"--episodes=N", &CliOptions::episodes, &kStrategyStudy,
@@ -868,7 +865,6 @@ core::Scenario resolve_scenario(const CliOptions& cli) {
       cli.parallelism >= 0 ? cli.parallelism : core::env_parallelism();
   if (!cli.cache_dir.empty()) config.persistent_cache_dir = cli.cache_dir;
   if (!cli.checkpoint_dir.empty()) config.checkpoint_dir = cli.checkpoint_dir;
-  if (cli.checkpoint_every > 0) config.checkpoint_every = cli.checkpoint_every;
   if (cli.resume) config.resume = true;
   return scenario;
 }
