@@ -96,6 +96,20 @@ struct RunResult {
   [[nodiscard]] int episodes_to_reach(double threshold) const;
 };
 
+/// The cache counters every serialized run and aggregate carries, in
+/// document order (persistent_evictions is never serialized). Calls
+/// `f(key, field...)` once per counter with that field of each struct in
+/// `s`, so one list drives the JSON writers and readers, copies and sums.
+template <typename F, typename... S>
+void for_each_cache_counter(F&& f, S&... s) {
+  f("cache_hits", s.cache_hits...);
+  f("cache_misses", s.cache_misses...);
+  f("persistent_hits", s.persistent_hits...);
+  f("persistent_shared_hits", s.persistent_shared_hits...);
+  f("persistent_skipped", s.persistent_skipped...);
+  f("persistent_save_failures", s.persistent_save_failures...);
+}
+
 /// One finalized round's replay record — the unit of the checkpoint
 /// subsystem's round log. It carries exactly what the round's evaluator
 /// produced (the unique cache misses, in job order); everything else a

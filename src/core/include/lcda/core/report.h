@@ -32,6 +32,18 @@ struct LabelledRun {
 /// traffic, and episodes-to-threshold when one was supplied.
 [[nodiscard]] util::Json aggregate_to_json(const AggregateResult& agg);
 
+/// SpeedupReport's serialized fields in document order: `f(key, field)`
+/// once each. speedup_study_to_json and the distributed manifest's speedup
+/// entries both walk this list.
+template <typename Report, typename F>
+void for_each_speedup_field(Report& r, F&& f) {
+  f("threshold", r.threshold);
+  f("lcda_episodes", r.lcda_episodes);
+  f("nacim_episodes", r.nacim_episodes);
+  f("lcda_best", r.lcda_best);
+  f("nacim_best", r.nacim_best);
+}
+
 /// Per-seed LCDA-vs-NACIM speedup reports (core::speedup_study) as JSON:
 /// one entry per seed plus the aggregate mean speedup over seeds where
 /// both strategies reached the threshold.

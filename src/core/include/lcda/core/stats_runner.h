@@ -1,6 +1,7 @@
 #pragma once
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "lcda/core/experiment.h"
@@ -49,6 +50,35 @@ struct AggregateResult {
   }
 };
 
+/// One seed's share of an AggregateResult: everything fold_aggregate reads
+/// from a finished run. run_aggregate reduces each run to its record as
+/// soon as the run ends, and distributed workers ship the same record in
+/// their manifests (lcda::dist), so both paths fold identical values.
+struct AggregateSeedRecord {
+  double final_best = 0.0;
+  std::vector<double> running_max;  ///< one value per episode
+  int threshold_episode = -1;       ///< RunResult::episodes_to_reach; -1 = never
+  std::int64_t cache_hits = 0;
+  std::int64_t cache_misses = 0;
+  std::int64_t persistent_hits = 0;
+  std::int64_t persistent_shared_hits = 0;
+  std::int64_t persistent_skipped = 0;
+  std::int64_t persistent_save_failures = 0;
+  std::int64_t resumed_episodes = 0;
+};
+
+/// Reduces a finished run to its record; `threshold` NaN = none requested.
+[[nodiscard]] AggregateSeedRecord aggregate_seed_record(const RunResult& run,
+                                                        double threshold);
+
+/// The one aggregate fold. It walks `records` (index = global seed index)
+/// in order, because the Welford accumulators are order-sensitive in
+/// floating point. Throws std::runtime_error on a record whose
+/// running_max is not `episodes` long.
+[[nodiscard]] AggregateResult fold_aggregate(
+    Strategy strategy, int episodes, double threshold,
+    const std::vector<AggregateSeedRecord>& records);
+
 /// The per-seed config of global seed index `s` in a `seeds`-seed
 /// aggregate/speedup study: the seed stream is derived by key
 /// (util::derive_seed, order-independent), and the worker budget is split
@@ -57,6 +87,16 @@ struct AggregateResult {
 /// have produced — any partition of the seed-index set is bit-compatible.
 [[nodiscard]] ExperimentConfig aggregate_seed_config(
     const ExperimentConfig& config, int s, int seeds);
+
+/// Seed index `s` of a runs-mode study (lcda_run's per-seed listing): the
+/// base seed offset by `s` rather than derived by key, and the run's
+/// "<Strategy>/seed<N>" label.
+struct SeedRun {
+  ExperimentConfig config;
+  std::string label;
+};
+[[nodiscard]] SeedRun runs_mode_seed(Strategy strategy,
+                                     const ExperimentConfig& config, int s);
 
 /// Runs `strategy` for `episodes` episodes with seeds 1..seeds (offset by
 /// config.seed) and aggregates. `threshold` feeds episodes_to_threshold;

@@ -52,14 +52,8 @@ util::Json run_to_json(const RunResult& run, std::string_view label) {
     j["best_episode"] = run.best_episode;
     j["best_reward"] = run.best_reward();
   }
-  j["cache_hits"] = static_cast<long long>(run.cache_hits);
-  j["cache_misses"] = static_cast<long long>(run.cache_misses);
-  j["persistent_hits"] = static_cast<long long>(run.persistent_hits);
-  j["persistent_shared_hits"] =
-      static_cast<long long>(run.persistent_shared_hits);
-  j["persistent_skipped"] = static_cast<long long>(run.persistent_skipped);
-  j["persistent_save_failures"] =
-      static_cast<long long>(run.persistent_save_failures);
+  for_each_cache_counter(
+      [&](const char* key, long long v) { j[key] = v; }, run);
   util::Json eps = util::Json::array();
   for (const auto& ep : run.episodes) eps.push_back(episode_to_json(ep));
   j["trace"] = eps;
@@ -102,14 +96,8 @@ util::Json aggregate_to_json(const AggregateResult& agg) {
     }
     j["episodes_to_threshold"] = thresh;
   }
-  j["cache_hits"] = static_cast<long long>(agg.cache_hits);
-  j["cache_misses"] = static_cast<long long>(agg.cache_misses);
-  j["persistent_hits"] = static_cast<long long>(agg.persistent_hits);
-  j["persistent_shared_hits"] =
-      static_cast<long long>(agg.persistent_shared_hits);
-  j["persistent_skipped"] = static_cast<long long>(agg.persistent_skipped);
-  j["persistent_save_failures"] =
-      static_cast<long long>(agg.persistent_save_failures);
+  for_each_cache_counter(
+      [&](const char* key, long long v) { j[key] = v; }, agg);
   util::Json mean = util::Json::array();
   util::Json stddev = util::Json::array();
   for (const util::OnlineStats& s : agg.running_best) {
@@ -127,11 +115,7 @@ util::Json speedup_study_to_json(const std::vector<SpeedupReport>& reports) {
   util::OnlineStats speedups;
   for (const SpeedupReport& r : reports) {
     util::Json entry = util::Json::object();
-    entry["threshold"] = r.threshold;
-    entry["lcda_episodes"] = r.lcda_episodes;
-    entry["nacim_episodes"] = r.nacim_episodes;
-    entry["lcda_best"] = r.lcda_best;
-    entry["nacim_best"] = r.nacim_best;
+    for_each_speedup_field(r, [&](const char* key, auto v) { entry[key] = v; });
     entry["speedup"] = r.speedup();
     arr.push_back(entry);
     if (r.speedup() > 0.0) speedups.add(r.speedup());

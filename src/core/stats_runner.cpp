@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "lcda/util/thread_pool.h"
 
@@ -32,58 +33,82 @@ std::unique_ptr<util::ThreadPool> make_pool(const ExperimentConfig& config) {
 
 }  // namespace
 
+AggregateSeedRecord aggregate_seed_record(const RunResult& run,
+                                          double threshold) {
+  AggregateSeedRecord r;
+  r.final_best = run.best_reward();
+  r.running_max = run.reward_running_max();
+  if (!std::isnan(threshold)) r.threshold_episode = run.episodes_to_reach(threshold);
+  for_each_cache_counter(
+      [](const char*, std::int64_t& to, std::int64_t from) { to = from; }, r,
+      run);
+  r.resumed_episodes = run.resumed_episodes;
+  return r;
+}
+
+AggregateResult fold_aggregate(Strategy strategy, int episodes, double threshold,
+                               const std::vector<AggregateSeedRecord>& records) {
+  AggregateResult agg;
+  agg.strategy = strategy;
+  agg.episodes = episodes;
+  agg.seeds = static_cast<int>(records.size());
+  agg.threshold = threshold;
+  agg.running_best.resize(static_cast<std::size_t>(episodes));
+  for (std::size_t s = 0; s < records.size(); ++s) {
+    const AggregateSeedRecord& r = records[s];
+    if (r.running_max.size() != agg.running_best.size()) {
+      throw std::runtime_error("fold_aggregate: seed " + std::to_string(s) +
+                               " has a wrong-length running_max");
+    }
+    for (std::size_t e = 0; e < r.running_max.size(); ++e) {
+      agg.running_best[e].add(r.running_max[e]);
+    }
+    agg.final_best.add(r.final_best);
+    for_each_cache_counter(
+        [](const char*, std::int64_t& sum, std::int64_t v) { sum += v; }, agg,
+        r);
+    agg.resumed_episodes += r.resumed_episodes;
+    if (!std::isnan(threshold) && r.threshold_episode >= 0) {
+      agg.episodes_to_threshold.add(static_cast<double>(r.threshold_episode) + 1.0);
+      ++agg.reached;
+    }
+  }
+  return agg;
+}
+
+SeedRun runs_mode_seed(Strategy strategy, const ExperimentConfig& config,
+                       int s) {
+  SeedRun run{config, {}};
+  run.config.seed = config.seed + static_cast<std::uint64_t>(s);
+  run.label = std::string(strategy_name(strategy)) + "/seed" +
+              std::to_string(run.config.seed);
+  return run;
+}
+
 AggregateResult run_aggregate(Strategy strategy, int episodes, int seeds,
                               const ExperimentConfig& config, double threshold) {
   if (episodes <= 0 || seeds <= 0) {
     throw std::invalid_argument("run_aggregate: episodes/seeds must be positive");
   }
-  AggregateResult agg;
-  agg.strategy = strategy;
-  agg.episodes = episodes;
-  agg.seeds = seeds;
-  agg.threshold = threshold;
-  agg.running_best.resize(static_cast<std::size_t>(episodes));
-
   // Fan the seeds out over the pool; every run's result is independent of
-  // worker scheduling, and the fold below walks them in seed order, so the
-  // aggregate is bit-identical to a sequential run. All seeds share one
-  // evaluator: its memos are content-keyed and hash-striped, so each
-  // hardware config's cost plan is built once for the whole study instead
-  // of once per seed, and concurrent seed-runs don't serialize on a lock.
-  std::vector<RunResult> runs(static_cast<std::size_t>(seeds));
+  // worker scheduling, and each run shrinks to its record the moment it
+  // ends, so the study never holds more than the in-flight runs. All seeds
+  // share one evaluator: its memos are content-keyed and hash-striped, so
+  // each hardware config's cost plan is built once for the whole study
+  // instead of once per seed, and concurrent seed-runs don't serialize on
+  // a lock.
+  std::vector<AggregateSeedRecord> records(static_cast<std::size_t>(seeds));
   const auto evaluator = make_evaluator(config);
   const auto pool = make_pool(config);
   util::parallel_for_each_index(
       pool.get(), static_cast<std::size_t>(seeds), [&](std::size_t s) {
-        runs[s] = run_strategy(
-            strategy, episodes,
-            aggregate_seed_config(config, static_cast<int>(s), seeds),
-            evaluator.get());
+        records[s] = aggregate_seed_record(
+            run_strategy(strategy, episodes,
+                         aggregate_seed_config(config, static_cast<int>(s), seeds),
+                         evaluator.get()),
+            threshold);
       });
-
-  for (const RunResult& run : runs) {
-    const auto rmax = run.reward_running_max();
-    for (int e = 0; e < episodes; ++e) {
-      agg.running_best[static_cast<std::size_t>(e)].add(
-          rmax[static_cast<std::size_t>(e)]);
-    }
-    agg.final_best.add(run.best_reward());
-    agg.cache_hits += run.cache_hits;
-    agg.cache_misses += run.cache_misses;
-    agg.persistent_hits += run.persistent_hits;
-    agg.persistent_shared_hits += run.persistent_shared_hits;
-    agg.persistent_skipped += run.persistent_skipped;
-    agg.persistent_save_failures += run.persistent_save_failures;
-    agg.resumed_episodes += run.resumed_episodes;
-    if (!std::isnan(threshold)) {
-      const int hit = run.episodes_to_reach(threshold);
-      if (hit >= 0) {
-        agg.episodes_to_threshold.add(static_cast<double>(hit) + 1.0);
-        ++agg.reached;
-      }
-    }
-  }
-  return agg;
+  return fold_aggregate(strategy, episodes, threshold, records);
 }
 
 std::vector<SpeedupReport> speedup_study(const ExperimentConfig& config,

@@ -9,6 +9,16 @@
 
 namespace lcda::dist {
 
+// Only this module writes and reads result manifests (format
+// "lcda-shard-result-v1"): the header, and per mode an entry writer.
+
+/// The result manifest of `spec`: the header load_shard_manifest checks,
+/// the `entries` the *_entry writers below built, and `obs`, the shard's
+/// metrics delta (lcda-metrics-v1). No merge reads `obs`, so the store
+/// traffic and resumed episodes it carries never change a merged byte.
+[[nodiscard]] util::Json shard_manifest(const ShardSpec& spec,
+                                        util::Json entries, util::Json obs);
+
 /// Loads the result manifest `spec.result_path` points at and verifies it
 /// belongs to this spec: format tag, shard index, mode, and the spec
 /// checksum the worker echoed back — a stale manifest in a reused shard
@@ -16,17 +26,25 @@ namespace lcda::dist {
 /// std::runtime_error on a missing/unreadable/foreign manifest.
 [[nodiscard]] util::Json load_shard_manifest(const ShardSpec& spec);
 
-/// Folds the per-seed summaries of one strategy's shards back into the
-/// AggregateResult a single-process core::run_aggregate would have
-/// produced, byte-for-byte: the fold walks seeds in canonical order (the
-/// Welford accumulators are order-sensitive in floating point), every
-/// double has already survived the JSON round trip bit-exactly, and the
-/// cache counters are order-free sums. All specs must share one strategy,
-/// episode budget, seed count and threshold; the seed partition must cover
-/// 0..total_seeds-1 exactly once.
-[[nodiscard]] core::AggregateResult merge_aggregate(
+/// An aggregate-mode entry: seed `seed`'s record, its doubles rendered
+/// shortest-round-trip so they come back bit-exact. threshold_episode is
+/// written only when `threshold` (the spec's) was requested, and
+/// resumed_episodes never: it travels in the "obs" delta.
+[[nodiscard]] util::Json aggregate_entry(
+    int seed, const core::AggregateSeedRecord& record, double threshold);
+
+/// One AggregateResult per study slot, in plan order, byte-identical to
+/// core::run_aggregate's: the entries decode into the same per-seed
+/// records and go through the same core::fold_aggregate. A slot's specs
+/// must share one strategy, episode budget, seed count and threshold, and
+/// its seed partition must cover 0..total_seeds-1 exactly once.
+[[nodiscard]] std::vector<core::AggregateResult> merge_aggregate(
     const std::vector<ShardSpec>& specs,
     const std::vector<util::Json>& manifests);
+
+/// A speedup-mode entry: seed `seed`'s report (core::for_each_speedup_field).
+[[nodiscard]] util::Json speedup_entry(int seed,
+                                       const core::SpeedupReport& report);
 
 /// Reassembles a speedup study's per-seed reports in canonical seed order
 /// — identical to core::speedup_study over the same config and seeds.
@@ -63,7 +81,7 @@ struct MergedRun {
                                    const core::RunResult& run, bool json,
                                    bool csv);
 
-/// A record as a worker's manifest carries it; merge_runs reads it back.
+/// A runs-mode entry: the record as a worker's manifest carries it.
 [[nodiscard]] util::Json run_entry(MergedRun run);
 
 /// Reassembles runs-mode payloads in canonical order — study-major (the

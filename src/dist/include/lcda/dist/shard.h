@@ -61,7 +61,7 @@ struct ShardSpec {
   double threshold = std::numeric_limits<double>::quiet_NaN();
   double threshold_fraction = 0.95;
 
-  /// Where the worker writes its result manifest (JSON; see worker.cpp).
+  /// Where the worker writes its result manifest (JSON; see merge.h).
   /// Left empty by the planner; the coordinator assigns it under the
   /// shard directory. Runs-mode manifests carry each run's trace CSV, so
   /// the merged --trace output diffs directly against golden traces.
@@ -103,6 +103,10 @@ void save_shard_spec(const ShardSpec& spec, const std::string& path);
 /// which catches stale result files in a reused shard directory.
 [[nodiscard]] std::uint64_t shard_spec_checksum(const ShardSpec& spec);
 
+/// `v` as "0x"-prefixed hex, the form spec and manifest documents carry
+/// checksums and fingerprints in.
+[[nodiscard]] std::string hex64(std::uint64_t v);
+
 /// One strategy's slice of a study (the planner's input): the strategy and
 /// its resolved episode budget.
 struct StrategyStudy {
@@ -121,8 +125,8 @@ struct StrategyStudy {
     const std::vector<StrategyStudy>& strategies, int seeds, int shards,
     double threshold, double threshold_fraction);
 
-/// Runs one shard in-process and returns its result manifest (format
-/// "lcda-shard-result-v1"): per-seed summaries in aggregate/speedup mode,
+/// Runs one shard in-process and returns its result manifest
+/// (merge.h: shard_manifest): per-seed summaries in aggregate/speedup mode,
 /// full run payloads (JSON trace + CSV text) in runs mode. This is the
 /// worker's core, exposed for in-process testing of the merge contract;
 /// the worker loop runs the same body, plus revocation checks and

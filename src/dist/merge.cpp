@@ -6,9 +6,9 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "lcda/core/report.h"
-#include "lcda/util/strings.h"
 
 namespace lcda::dist {
 
@@ -16,63 +16,110 @@ namespace {
 
 constexpr std::string_view kResultFormat = "lcda-shard-result-v1";
 
-std::string hex64(std::uint64_t v) { return "0x" + util::hex_u64(v); }
+/// One study slot of a plan: the spec every slice of it agrees with, and
+/// its seeds' manifest entries, indexed by seed.
+struct Slot {
+  const ShardSpec* head = nullptr;
+  std::vector<util::Json> entries;
+};
 
-/// Collects every (seed -> entry) pair of one shard group, with
-/// exactly-once arbitration: a seed published by two DIFFERENT shards is
-/// legal under work stealing (a revocation can race the worker's own
-/// start of that seed, and a supersede duplicate can tie with its
-/// parent), and both copies are byte-identical because per-seed entries
-/// are partition-independent — so the merge deterministically keeps the
-/// lowest shard index, regardless of which worker won the wall-clock
-/// race. The same shard listing a seed twice is still a hard error, as
-/// is a missing seed or one outside the study: a statistic must never
-/// quietly cover the wrong seed set.
-std::map<int, util::Json> entries_by_seed(
-    const std::vector<ShardSpec>& specs,
-    const std::vector<util::Json>& manifests,
-    const std::vector<std::size_t>& group, int total_seeds) {
-  if (specs.size() != manifests.size()) {
-    throw std::invalid_argument("merge: specs/manifests size mismatch");
-  }
-  std::map<int, std::pair<int, util::Json>> by_seed;  // seed -> (index, entry)
-  for (std::size_t i : group) {
-    for (const util::Json& entry : manifests[i].at("entries").elements()) {
-      const int seed = static_cast<int>(entry.at("seed").as_int());
-      const auto it = by_seed.find(seed);
-      if (it == by_seed.end()) {
-        by_seed.emplace(seed, std::make_pair(specs[i].index, entry));
-      } else if (it->second.first == specs[i].index) {
-        throw std::runtime_error("merge: seed " + std::to_string(seed) +
-                                 " appears in more than one shard");
-      } else if (specs[i].index < it->second.first) {
-        it->second = std::make_pair(specs[i].index, entry);
-      }
-    }
-  }
-  for (int s = 0; s < total_seeds; ++s) {
-    if (by_seed.find(s) == by_seed.end()) {
-      throw std::runtime_error("merge: seed " + std::to_string(s) +
-                               " missing from the shard results");
-    }
-  }
-  if (static_cast<int>(by_seed.size()) != total_seeds) {
-    throw std::runtime_error("merge: shard results cover seeds outside the study");
-  }
-  std::map<int, util::Json> out;
-  for (auto& [seed, indexed] : by_seed) {
-    out.emplace(seed, std::move(indexed.second));
-  }
-  return out;
+bool same_study(const ShardSpec& a, const ShardSpec& b) {
+  const bool same_threshold = (std::isnan(a.threshold) && std::isnan(b.threshold)) ||
+                              a.threshold == b.threshold;
+  return a.mode == b.mode && a.strategy == b.strategy &&
+         a.episodes == b.episodes && a.total_seeds == b.total_seeds &&
+         same_threshold && a.threshold_fraction == b.threshold_fraction;
 }
 
-std::vector<std::size_t> all_positions(std::size_t n) {
-  std::vector<std::size_t> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = i;
-  return out;
+/// Groups a plan's shards by study_slot, slots in first-appearance order
+/// (the planner's strategy order: steal specs are appended out of plan
+/// order but inherit their parent's slot), and collects each slot's
+/// entries with exactly-once arbitration: a seed published by two
+/// DIFFERENT shards is legal under work stealing (a revocation can race
+/// the worker's own start of that seed, and a supersede duplicate can tie
+/// with its parent), and both copies are byte-identical because per-seed
+/// entries are partition-independent — so the merge deterministically
+/// keeps the lowest shard index, regardless of which worker won the
+/// wall-clock race. The same shard listing a seed twice is still a hard
+/// error, as is a missing seed or one outside the study: a statistic must
+/// never quietly cover the wrong seed set. Every shard must be a `mode`
+/// shard agreeing with its slot on the study definition.
+std::vector<Slot> entries_by_slot(const std::vector<ShardSpec>& specs,
+                                  const std::vector<util::Json>& manifests,
+                                  ShardMode mode, const std::string& who) {
+  if (specs.size() != manifests.size()) {
+    throw std::invalid_argument(who + ": specs/manifests size mismatch");
+  }
+  std::map<int, std::size_t> position;  // study_slot -> index into slots
+  std::vector<Slot> slots;
+  // Per slot: seed -> (publishing shard index, entry).
+  std::vector<std::map<int, std::pair<int, util::Json>>> published;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ShardSpec& spec = specs[i];
+    const auto [at, fresh] = position.emplace(spec.study_slot, slots.size());
+    if (fresh) {
+      slots.push_back({&spec, {}});
+      published.emplace_back();
+    }
+    if (spec.mode != mode || !same_study(spec, *slots[at->second].head)) {
+      throw std::invalid_argument(who +
+                                  ": shards disagree on the study definition");
+    }
+    for (const util::Json& entry : manifests[i].at("entries").elements()) {
+      const int seed = static_cast<int>(entry.at("seed").as_int());
+      const auto [held, first] =
+          published[at->second].try_emplace(seed, spec.index, entry);
+      if (first) continue;
+      if (held->second.first == spec.index) {
+        throw std::runtime_error(who + ": seed " + std::to_string(seed) +
+                                 " appears in more than one shard");
+      }
+      if (spec.index < held->second.first) held->second = {spec.index, entry};
+    }
+  }
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    for (int s = 0; s < slots[k].head->total_seeds; ++s) {
+      const auto held = published[k].find(s);
+      if (held == published[k].end()) {
+        throw std::runtime_error(who + ": seed " + std::to_string(s) +
+                                 " missing from the shard results");
+      }
+      slots[k].entries.push_back(std::move(held->second.second));
+    }
+    if (published[k].size() != slots[k].entries.size()) {
+      throw std::runtime_error(who +
+                               ": shard results cover seeds outside the study");
+    }
+  }
+  return slots;
+}
+
+/// Reads a manifest number into an integer or a double field.
+template <typename T>
+void read_number(const util::Json& j, T& field) {
+  if constexpr (std::is_integral_v<T>) {
+    field = static_cast<T>(j.as_int());
+  } else {
+    field = j.as_double();
+  }
 }
 
 }  // namespace
+
+util::Json shard_manifest(const ShardSpec& spec, util::Json entries,
+                          util::Json obs) {
+  util::Json manifest = util::Json::object();
+  manifest["format"] = kResultFormat;
+  manifest["shard"] = spec.index;
+  manifest["count"] = spec.count;
+  manifest["mode"] = std::string(shard_mode_name(spec.mode));
+  manifest["strategy"] = std::string(core::strategy_name(spec.strategy));
+  manifest["episodes"] = spec.episodes;
+  manifest["spec_checksum"] = hex64(shard_spec_checksum(spec));
+  manifest["entries"] = std::move(entries);
+  manifest["obs"] = std::move(obs);
+  return manifest;
+}
 
 util::Json load_shard_manifest(const ShardSpec& spec) {
   std::ifstream in(spec.result_path);
@@ -106,89 +153,69 @@ util::Json load_shard_manifest(const ShardSpec& spec) {
   return manifest;
 }
 
-core::AggregateResult merge_aggregate(const std::vector<ShardSpec>& specs,
-                                      const std::vector<util::Json>& manifests) {
-  if (specs.empty()) throw std::invalid_argument("merge_aggregate: no shards");
-  const ShardSpec& head = specs.front();
-  for (const ShardSpec& spec : specs) {
-    const bool same_threshold =
-        (std::isnan(spec.threshold) && std::isnan(head.threshold)) ||
-        spec.threshold == head.threshold;
-    if (spec.mode != ShardMode::kAggregate || spec.strategy != head.strategy ||
-        spec.episodes != head.episodes ||
-        spec.total_seeds != head.total_seeds || !same_threshold) {
-      throw std::invalid_argument(
-          "merge_aggregate: shards disagree on the study definition");
-    }
-  }
+util::Json aggregate_entry(int seed, const core::AggregateSeedRecord& record,
+                           double threshold) {
+  util::Json e = util::Json::object();
+  e["seed"] = seed;
+  e["final_best"] = record.final_best;
+  util::Json rmax = util::Json::array();
+  for (double r : record.running_max) rmax.push_back(r);
+  e["running_max"] = std::move(rmax);
+  core::for_each_cache_counter(
+      [&](const char* key, long long v) { e[key] = v; }, record);
+  if (!std::isnan(threshold)) e["threshold_episode"] = record.threshold_episode;
+  return e;
+}
 
-  const auto by_seed = entries_by_seed(specs, manifests,
-                                       all_positions(specs.size()),
-                                       head.total_seeds);
-
-  // Replays core::run_aggregate's fold over the per-seed summaries, in
-  // canonical seed order. Keep the two in lockstep: any new AggregateResult
-  // field needs a manifest entry field and a line here.
-  core::AggregateResult agg;
-  agg.strategy = head.strategy;
-  agg.episodes = head.episodes;
-  agg.seeds = head.total_seeds;
-  agg.threshold = head.threshold;
-  agg.running_best.resize(static_cast<std::size_t>(head.episodes));
-  for (const auto& [seed, entry] : by_seed) {
-    const std::vector<util::Json> rmax = entry.at("running_max").elements();
-    if (rmax.size() != agg.running_best.size()) {
-      throw std::runtime_error("merge_aggregate: seed " +
-                               std::to_string(seed) +
-                               " has a wrong-length running_max");
-    }
-    for (std::size_t e = 0; e < rmax.size(); ++e) {
-      agg.running_best[e].add(rmax[e].as_double());
-    }
-    agg.final_best.add(entry.at("final_best").as_double());
-    agg.cache_hits += entry.at("cache_hits").as_int();
-    agg.cache_misses += entry.at("cache_misses").as_int();
-    agg.persistent_hits += entry.at("persistent_hits").as_int();
-    agg.persistent_shared_hits += entry.at("persistent_shared_hits").as_int();
-    agg.persistent_skipped += entry.at("persistent_skipped").as_int();
-    agg.persistent_save_failures +=
-        entry.at("persistent_save_failures").as_int();
-    if (!std::isnan(head.threshold)) {
-      const int hit = static_cast<int>(entry.at("threshold_episode").as_int());
-      if (hit >= 0) {
-        agg.episodes_to_threshold.add(static_cast<double>(hit) + 1.0);
-        ++agg.reached;
+std::vector<core::AggregateResult> merge_aggregate(
+    const std::vector<ShardSpec>& specs,
+    const std::vector<util::Json>& manifests) {
+  std::vector<core::AggregateResult> out;
+  for (const Slot& slot : entries_by_slot(specs, manifests,
+                                          ShardMode::kAggregate,
+                                          "merge_aggregate")) {
+    const double threshold = slot.head->threshold;
+    std::vector<core::AggregateSeedRecord> records(slot.entries.size());
+    for (std::size_t s = 0; s < records.size(); ++s) {
+      const util::Json& entry = slot.entries[s];
+      core::AggregateSeedRecord& r = records[s];
+      r.final_best = entry.at("final_best").as_double();
+      for (const util::Json& v : entry.at("running_max").elements()) {
+        r.running_max.push_back(v.as_double());
+      }
+      core::for_each_cache_counter(
+          [&](const char* key, auto& v) { read_number(entry.at(key), v); }, r);
+      if (!std::isnan(threshold)) {
+        read_number(entry.at("threshold_episode"), r.threshold_episode);
       }
     }
+    out.push_back(core::fold_aggregate(slot.head->strategy, slot.head->episodes,
+                                       threshold, records));
   }
-  return agg;
+  return out;
+}
+
+util::Json speedup_entry(int seed, const core::SpeedupReport& report) {
+  util::Json e = util::Json::object();
+  e["seed"] = seed;
+  core::for_each_speedup_field(report,
+                               [&](const char* key, auto v) { e[key] = v; });
+  return e;
 }
 
 std::vector<core::SpeedupReport> merge_speedup(
     const std::vector<ShardSpec>& specs,
     const std::vector<util::Json>& manifests) {
-  if (specs.empty()) throw std::invalid_argument("merge_speedup: no shards");
-  for (const ShardSpec& spec : specs) {
-    if (spec.mode != ShardMode::kSpeedup ||
-        spec.total_seeds != specs.front().total_seeds) {
-      throw std::invalid_argument(
-          "merge_speedup: shards disagree on the study definition");
-    }
+  const std::vector<Slot> slots =
+      entries_by_slot(specs, manifests, ShardMode::kSpeedup, "merge_speedup");
+  if (slots.size() != 1) {
+    throw std::invalid_argument("merge_speedup: a speedup study has one slot");
   }
-  const auto by_seed =
-      entries_by_seed(specs, manifests, all_positions(specs.size()),
-                      specs.front().total_seeds);
-
-  std::vector<core::SpeedupReport> out;
-  out.reserve(by_seed.size());
-  for (const auto& [seed, entry] : by_seed) {
-    core::SpeedupReport r;
-    r.threshold = entry.at("threshold").as_double();
-    r.lcda_episodes = static_cast<int>(entry.at("lcda_episodes").as_int());
-    r.nacim_episodes = static_cast<int>(entry.at("nacim_episodes").as_int());
-    r.lcda_best = entry.at("lcda_best").as_double();
-    r.nacim_best = entry.at("nacim_best").as_double();
-    out.push_back(r);
+  std::vector<core::SpeedupReport> out(slots.front().entries.size());
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    core::for_each_speedup_field(out[s], [&](const char* key, auto& v) {
+      read_number(slots.front().entries[s].at(key), v);
+    });
   }
   return out;
 }
@@ -208,12 +235,8 @@ MergedRun run_record(int seed, const std::string& label,
   r.best_reward = run.best_reward();
   r.best_episode = run.best_episode;
   r.best_design = run.best().design.describe();
-  r.cache_hits = run.cache_hits;
-  r.cache_misses = run.cache_misses;
-  r.persistent_hits = run.persistent_hits;
-  r.persistent_shared_hits = run.persistent_shared_hits;
-  r.persistent_skipped = run.persistent_skipped;
-  r.persistent_save_failures = run.persistent_save_failures;
+  core::for_each_cache_counter(
+      [](const char*, long long& to, std::int64_t from) { to = from; }, r, run);
   return r;
 }
 
@@ -224,12 +247,8 @@ util::Json run_entry(MergedRun run) {
   e["best_reward"] = run.best_reward;
   e["best_episode"] = run.best_episode;
   e["best_design"] = std::move(run.best_design);
-  e["cache_hits"] = run.cache_hits;
-  e["cache_misses"] = run.cache_misses;
-  e["persistent_hits"] = run.persistent_hits;
-  e["persistent_shared_hits"] = run.persistent_shared_hits;
-  e["persistent_skipped"] = run.persistent_skipped;
-  e["persistent_save_failures"] = run.persistent_save_failures;
+  core::for_each_cache_counter(
+      [&](const char* key, long long v) { e[key] = v; }, run);
   e["run"] = std::move(run.run_json);
   e["csv"] = std::move(run.csv);
   return e;
@@ -237,44 +256,13 @@ util::Json run_entry(MergedRun run) {
 
 std::vector<MergedRun> merge_runs(const std::vector<ShardSpec>& specs,
                                   const std::vector<util::Json>& manifests) {
-  if (specs.size() != manifests.size()) {
-    throw std::invalid_argument("merge_runs: specs/manifests size mismatch");
-  }
-  // Canonical order is study-major (the planner's strategy order), seeds
-  // ascending within a study. The plan used to guarantee that by
-  // construction; steal specs appended by the coordinator break the
-  // contiguity, so group by study_slot in first-appearance order and sort
-  // each group's seeds explicitly.
-  std::vector<int> slot_order;
-  std::map<int, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].mode != ShardMode::kRuns) {
-      throw std::invalid_argument("merge_runs: non-runs shard in the plan");
-    }
-    auto [it, fresh] = groups.emplace(specs[i].study_slot,
-                                      std::vector<std::size_t>{});
-    if (fresh) slot_order.push_back(specs[i].study_slot);
-    it->second.push_back(i);
-  }
-
   std::vector<MergedRun> out;
-  for (int slot : slot_order) {
-    const std::vector<std::size_t>& group = groups.at(slot);
-    const ShardSpec& head = specs[group.front()];
-    for (std::size_t i : group) {
-      if (specs[i].strategy != head.strategy ||
-          specs[i].episodes != head.episodes ||
-          specs[i].total_seeds != head.total_seeds) {
-        throw std::invalid_argument(
-            "merge_runs: shards of one study slot disagree on its "
-            "definition");
-      }
-    }
-    const auto by_seed =
-        entries_by_seed(specs, manifests, group, head.total_seeds);
-    for (const auto& [seed, entry] : by_seed) {
-      MergedRun run;
-      run.seed = seed;
+  for (const Slot& slot :
+       entries_by_slot(specs, manifests, ShardMode::kRuns, "merge_runs")) {
+    for (std::size_t s = 0; s < slot.entries.size(); ++s) {
+      const util::Json& entry = slot.entries[s];
+      MergedRun& run = out.emplace_back();
+      run.seed = static_cast<int>(s);
       run.label = entry.at("label").as_string();
       run.run_json = entry.at("run");
       run.episodes = run.run_json.at("episodes").as_int();
@@ -282,15 +270,8 @@ std::vector<MergedRun> merge_runs(const std::vector<ShardSpec>& specs,
       run.best_reward = entry.at("best_reward").as_double();
       run.best_episode = static_cast<int>(entry.at("best_episode").as_int());
       run.best_design = entry.at("best_design").as_string();
-      run.cache_hits = entry.at("cache_hits").as_int();
-      run.cache_misses = entry.at("cache_misses").as_int();
-      run.persistent_hits = entry.at("persistent_hits").as_int();
-      run.persistent_shared_hits =
-          entry.at("persistent_shared_hits").as_int();
-      run.persistent_skipped = entry.at("persistent_skipped").as_int();
-      run.persistent_save_failures =
-          entry.at("persistent_save_failures").as_int();
-      out.push_back(std::move(run));
+      core::for_each_cache_counter(
+          [&](const char* key, auto& v) { read_number(entry.at(key), v); }, run);
     }
   }
   return out;

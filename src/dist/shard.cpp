@@ -17,8 +17,6 @@ namespace {
 
 constexpr std::string_view kSpecFormat = "lcda-shard-spec-v1";
 
-std::string hex64(std::uint64_t v) { return "0x" + util::hex_u64(v); }
-
 /// The identity payload behind shard_spec_checksum: everything that shapes
 /// the worker's computation, nothing that merely locates its files.
 util::Json identity_json(const ShardSpec& spec) {
@@ -39,6 +37,8 @@ util::Json identity_json(const ShardSpec& spec) {
 }
 
 }  // namespace
+
+std::string hex64(std::uint64_t v) { return "0x" + util::hex_u64(v); }
 
 std::string_view shard_mode_name(ShardMode m) {
   switch (m) {

@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -31,53 +30,10 @@
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
 #include "lcda/util/fault.h"
-#include "lcda/util/strings.h"
 
 namespace lcda::dist {
 
 namespace {
-
-constexpr std::string_view kResultFormat = "lcda-shard-result-v1";
-
-std::string hex64(std::uint64_t v) { return "0x" + util::hex_u64(v); }
-
-/// One aggregate-mode seed summary: exactly the per-seed values
-/// core::run_aggregate's fold consumes, so the merger can replay that fold
-/// in canonical seed order. Doubles survive the JSON round trip bit-for-bit
-/// (shortest-round-trip formatting), which is what makes the merged
-/// AggregateResult byte-identical to the single-process one.
-util::Json aggregate_entry(int seed, const core::RunResult& run,
-                           double threshold) {
-  util::Json e = util::Json::object();
-  e["seed"] = seed;
-  e["final_best"] = run.best_reward();
-  util::Json rmax = util::Json::array();
-  for (double r : run.reward_running_max()) rmax.push_back(r);
-  e["running_max"] = rmax;
-  e["cache_hits"] = static_cast<long long>(run.cache_hits);
-  e["cache_misses"] = static_cast<long long>(run.cache_misses);
-  e["persistent_hits"] = static_cast<long long>(run.persistent_hits);
-  e["persistent_shared_hits"] =
-      static_cast<long long>(run.persistent_shared_hits);
-  e["persistent_skipped"] = static_cast<long long>(run.persistent_skipped);
-  e["persistent_save_failures"] =
-      static_cast<long long>(run.persistent_save_failures);
-  if (!std::isnan(threshold)) {
-    e["threshold_episode"] = run.episodes_to_reach(threshold);
-  }
-  return e;
-}
-
-util::Json speedup_entry(int seed, const core::SpeedupReport& r) {
-  util::Json e = util::Json::object();
-  e["seed"] = seed;
-  e["threshold"] = r.threshold;
-  e["lcda_episodes"] = r.lcda_episodes;
-  e["nacim_episodes"] = r.nacim_episodes;
-  e["lcda_best"] = r.lcda_best;
-  e["nacim_best"] = r.nacim_best;
-  return e;
-}
 
 /// Atomic publication, same discipline as the persistent cache: a
 /// coordinator or a human inspecting the shard directory never sees a
@@ -265,15 +221,6 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
   // specs in one process, so the manifest carries a DELTA over the
   // registry, not the process totals. Disabled registry -> empty delta.
   const obs::MetricsSnapshot obs_base = obs::Registry::instance().snapshot();
-
-  util::Json manifest = util::Json::object();
-  manifest["format"] = kResultFormat;
-  manifest["shard"] = spec.index;
-  manifest["count"] = spec.count;
-  manifest["mode"] = std::string(shard_mode_name(spec.mode));
-  manifest["strategy"] = std::string(core::strategy_name(spec.strategy));
-  manifest["episodes"] = spec.episodes;
-  manifest["spec_checksum"] = hex64(shard_spec_checksum(spec));
   util::Json entries = util::Json::array();
 
   // Retried and stolen shard copies resume each seed from its checkpoint
@@ -304,7 +251,8 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
             spec.strategy, spec.episodes,
             with_resume(core::aggregate_seed_config(config, s, spec.total_seeds)),
             evaluator);
-        entries.push_back(aggregate_entry(s, run, spec.threshold));
+        entries.push_back(aggregate_entry(
+            s, core::aggregate_seed_record(run, spec.threshold), spec.threshold));
       });
       break;
     }
@@ -323,34 +271,24 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
     }
     case ShardMode::kRuns: {
       for_each_owned_seed(spec, pipe, [&](int s) {
-        // The CLI's per-seed mode offsets the base seed directly (the
-        // aggregate modes derive by key instead); both are replicated
-        // here verbatim so either partitioning is bit-compatible.
-        core::ExperimentConfig cfg = config;
-        cfg.seed = config.seed + static_cast<std::uint64_t>(s);
-        cfg = with_resume(std::move(cfg));
+        const core::SeedRun seed = core::runs_mode_seed(spec.strategy, config, s);
         const core::RunResult run = core::run_strategy(
-            spec.strategy, spec.episodes, cfg, warm_evaluator);
-        const std::string label =
-            std::string(core::strategy_name(spec.strategy)) + "/seed" +
-            std::to_string(cfg.seed);
+            spec.strategy, spec.episodes, with_resume(seed.config),
+            warm_evaluator);
         entries.push_back(run_entry(
-            run_record(s, label, run, /*json=*/true, /*csv=*/true)));
+            run_record(s, seed.label, run, /*json=*/true, /*csv=*/true)));
       });
       break;
     }
   }
 
-  manifest["entries"] = entries;
-  // The spec's metrics delta (lcda-metrics-v1), the one carrier of the
-  // shard's store traffic ("store.*") and checkpoint-restored episodes
-  // ("engine.resumed_episodes"). It rides outside the entries the merger
-  // folds, so a warm store or a resumed seed shifts it without changing
-  // any merged byte; lcda_run merges the deltas across manifests with the
-  // coordinator's own snapshot into the study totals.
-  manifest["obs"] =
-      obs::Registry::instance().snapshot().delta_since(obs_base).to_json();
-  return manifest;
+  // The spec's metrics delta is the one carrier of the shard's store
+  // traffic ("store.*") and checkpoint-restored episodes
+  // ("engine.resumed_episodes"); lcda_run merges the deltas across
+  // manifests with the coordinator's own snapshot into the study totals.
+  return shard_manifest(
+      spec, std::move(entries),
+      obs::Registry::instance().snapshot().delta_since(obs_base).to_json());
 }
 
 }  // namespace

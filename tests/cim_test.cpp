@@ -203,7 +203,6 @@ TEST(Mapper, TileMathIsExact) {
 
 TEST(Mapper, UtilizationNeverExceedsOne) {
   HardwareConfig hw;
-  const CircuitLibrary lib = make_circuits(hw);
   nn::BackboneOptions bb;
   for (int xbar : {64, 128, 256}) {
     hw.xbar_size = xbar;

@@ -129,6 +129,21 @@ TEST_F(Cli, BadValuesFailBeforeAnyOutputOrWorker) {
   r = run({"--scenario=paper-energy", "--episodes=abc"});
   EXPECT_EQ(r.exit_code, 2) << r.err;
   EXPECT_TRUE(mentions(r.err, "bad value for --episodes: \"abc\"")) << r.err;
+
+  // An unknown strategy name, in-process and distributed.
+  const std::vector<std::string> strategy = {"--scenario=paper-energy",
+                                             "--strategy=bogus"};
+  r = run(strategy);
+  EXPECT_EQ(r.exit_code, 2) << r.err;
+  EXPECT_EQ(r.out, "");
+  EXPECT_TRUE(mentions(r.err, "unknown strategy \"bogus\"")) << r.err;
+  distributed = strategy;
+  distributed.push_back("--distribute=2");
+  distributed.push_back("--shard-dir=" + shards);
+  r = run(distributed);
+  EXPECT_EQ(r.exit_code, 2) << r.err;
+  EXPECT_EQ(r.out, "");
+  EXPECT_FALSE(fs::exists(shards));
 }
 
 TEST_F(Cli, UsageListsEveryFlagWithItsRequirement) {

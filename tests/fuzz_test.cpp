@@ -3,7 +3,9 @@
 // parses must land inside the search space. These are the paths that face
 // an uncontrolled LLM in production — or, for the worker pipe protocol, a
 // worker process that may die mid-line. The checkpoint round log, the one
-// binary decoder a crash leaves half-written, is fuzzed here too.
+// binary decoder a crash leaves half-written, is fuzzed here too, and so
+// are the shard spec and result manifest documents the distributed runner
+// reads back from disk.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +13,7 @@
 #include <algorithm>
 #include <cctype>
 #include <climits>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -25,7 +28,9 @@
 #include "lcda/core/experiment.h"
 #include "lcda/core/report.h"
 #include "lcda/core/scenario.h"
+#include "lcda/dist/merge.h"
 #include "lcda/dist/protocol.h"
+#include "lcda/dist/shard.h"
 #include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt_reader.h"
@@ -106,7 +111,9 @@ TEST(ParserFuzzDirected, TruncatedRealPayloads) {
   for (std::size_t cut = 0; cut <= full.size(); ++cut) {
     const llm::ParseResult r =
         llm::parse_design_response(full.substr(0, cut), space);
-    if (r.ok) EXPECT_TRUE(space.contains(r.design)) << "cut=" << cut;
+    if (r.ok) {
+      EXPECT_TRUE(space.contains(r.design)) << "cut=" << cut;
+    }
   }
 }
 
@@ -917,6 +924,232 @@ TEST_P(RoundLogFuzz, ReaderKeepsAWholePrefixAndResumeKeepsTheBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundLogFuzz, ::testing::Values(41, 42, 43));
+
+// ------------------------------------------- shard specs and result manifests
+
+/// A small study of one mode, planned over two shards and run in-process
+/// through run_shard, the worker's body: real specs and manifests.
+struct ShardedStudy {
+  dist::ShardMode mode = dist::ShardMode::kRuns;
+  std::vector<dist::ShardSpec> specs;
+  std::vector<util::Json> manifests;
+};
+
+const std::vector<ShardedStudy>& sharded_studies() {
+  static const std::vector<ShardedStudy> kStudies = [] {
+    core::Scenario scenario = core::scenario_by_name("paper-energy");
+    scenario.config.lcda_episodes = 4;
+    scenario.config.nacim_episodes = 6;
+    const auto study = [&](dist::ShardMode mode,
+                           const std::vector<dist::StrategyStudy>& strategies,
+                           double threshold) {
+      ShardedStudy out{mode, dist::plan_shards(scenario, mode, strategies,
+                                               /*seeds=*/3, /*shards=*/2,
+                                               threshold, 0.95),
+                       {}};
+      for (const dist::ShardSpec& spec : out.specs) {
+        out.manifests.push_back(dist::run_shard(spec));
+      }
+      return out;
+    };
+    return std::vector<ShardedStudy>{
+        study(dist::ShardMode::kAggregate,
+              {{core::Strategy::kRandom, 6}, {core::Strategy::kLcda, 4}}, 0.0),
+        study(dist::ShardMode::kAggregate, {{core::Strategy::kGenetic, 6}}, NAN),
+        study(dist::ShardMode::kSpeedup, {{core::Strategy::kLcda, 0}}, NAN),
+        study(dist::ShardMode::kRuns, {{core::Strategy::kRandom, 6}}, NAN)};
+  }();
+  return kStudies;
+}
+
+/// Every JSON type, and numbers at the edges of a seed, count or index.
+util::Json odd_value(util::Rng& rng) {
+  const util::Json values[] = {
+      util::Json(),          util::Json(true),        util::Json("7"),
+      util::Json(-1),        util::Json(0),           util::Json(3),
+      util::Json(0.5),       util::Json(2147483647),  util::Json(2147483648LL),
+      util::Json(-2147483649LL), util::Json(1e300),   util::Json::array(),
+      util::Json::object()};
+  return values[rng.index(std::size(values))];
+}
+
+/// Members and elements the mutator reaches: a manifest's header keys, its
+/// entries, their keys, and the elements of a running_max; a spec's keys,
+/// its seeds and its scenario down to the config's options.
+constexpr int kEditDepth = 4;
+
+std::size_t count_nodes(const util::Json& j, int depth) {
+  if (depth >= kEditDepth) return 0;
+  std::size_t n = 0;
+  for (const auto& member : j.items()) n += 1 + count_nodes(member.second, depth + 1);
+  for (const util::Json& element : j.elements()) {
+    n += 1 + count_nodes(element, depth + 1);
+  }
+  return n;
+}
+
+/// A copy of `j` with node `target` of a depth-first walk edited: a member
+/// is dropped, retyped or has its number nudged by one; an element is
+/// dropped, retyped or duplicated. That covers missing and duplicated
+/// entries, seeds out of range or twice, and a wrong-length running_max.
+util::Json edit_node(const util::Json& j, util::Rng& rng, std::size_t& target,
+                     int depth) {
+  const auto edit = [&](const util::Json& value, auto&& put) {
+    const bool here = target-- == 0;
+    if (!here) {
+      put(depth + 1 < kEditDepth ? edit_node(value, rng, target, depth + 1)
+                                 : value);
+      return;
+    }
+    switch (rng.index(3)) {
+      case 0:  // dropped
+        return;
+      case 1:
+        put(odd_value(rng));
+        return;
+      default:
+        if (j.is_array()) {
+          put(value);
+          put(value);
+        } else {
+          put(value.is_number() ? util::Json(value.as_double() + 1.0) : value);
+        }
+    }
+  };
+  if (j.is_object()) {
+    util::Json out = util::Json::object();
+    for (const auto& [key, value] : j.items()) {
+      edit(value, [&](util::Json v) { out[key] = std::move(v); });
+    }
+    return out;
+  }
+  if (j.is_array()) {
+    util::Json out = util::Json::array();
+    for (const util::Json& value : j.elements()) {
+      edit(value, [&](util::Json v) { out.push_back(std::move(v)); });
+    }
+    return out;
+  }
+  return j;
+}
+
+/// One or two node edits, then now and then a truncation of the text.
+std::string mutate_document(util::Rng& rng, util::Json doc) {
+  const int edits = static_cast<int>(rng.uniform_int(1, 2));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t nodes = count_nodes(doc, 0);
+    if (nodes == 0) break;
+    std::size_t target = rng.index(nodes);
+    doc = edit_node(doc, rng, target, 0);
+  }
+  std::string text = doc.dump();
+  if (rng.chance(0.15)) text.resize(rng.index(text.size() + 1));
+  return text;
+}
+
+/// Runs every merge over `manifests`; true when the merge of the study's
+/// own mode returned. Each call must return or throw a std::exception.
+bool merge_all(const ShardedStudy& study,
+               const std::vector<util::Json>& manifests) {
+  bool accepted = false;
+  const auto attempt = [&](dist::ShardMode mode, auto&& merge) {
+    try {
+      (void)merge();
+      accepted = accepted || mode == study.mode;
+    } catch (const std::exception&) {
+    }
+  };
+  attempt(dist::ShardMode::kAggregate,
+          [&] { return dist::merge_aggregate(study.specs, manifests); });
+  attempt(dist::ShardMode::kSpeedup,
+          [&] { return dist::merge_speedup(study.specs, manifests); });
+  attempt(dist::ShardMode::kRuns,
+          [&] { return dist::merge_runs(study.specs, manifests); });
+  return accepted;
+}
+
+class ShardDocumentFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ShardDocumentFuzz, ManifestDecodersRejectOrMerge) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("lcda_fuzz_manifest_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  for (const ShardedStudy& study : sharded_studies()) {
+    EXPECT_TRUE(merge_all(study, study.manifests));
+  }
+
+  util::Rng rng(GetParam());
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 400; ++i) {
+    const ShardedStudy& study =
+        sharded_studies()[rng.index(sharded_studies().size())];
+    const std::size_t shard = rng.index(study.specs.size());
+    const std::string text = mutate_document(rng, study.manifests[shard]);
+
+    // The file path a worker's manifest takes, header checks included.
+    dist::ShardSpec spec = study.specs[shard];
+    spec.result_path = (dir / "shard-result.json").string();
+    std::ofstream(spec.result_path, std::ios::trunc) << text;
+    try {
+      (void)dist::load_shard_manifest(spec);
+    } catch (const std::exception&) {
+    }
+
+    // And every merge, on whatever still parses.
+    std::vector<util::Json> manifests = study.manifests;
+    try {
+      manifests[shard] = util::Json::parse(text);
+    } catch (const std::exception&) {
+      ++rejected;
+      continue;
+    }
+    ++(merge_all(study, manifests) ? accepted : rejected);
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST_P(ShardDocumentFuzz, SpecDecoderRejectsOrRoundTrips) {
+  std::vector<util::Json> corpus;
+  for (const ShardedStudy& study : sharded_studies()) {
+    for (dist::ShardSpec spec : study.specs) {
+      // Bookkeeping keys a planner-born spec leaves out.
+      spec.result_path = "/s/shard-result.json";
+      spec.trace_path = "/s/shard-trace-a0.json";
+      spec.stolen_from = 0;
+      spec.supersedes = true;
+      corpus.push_back(dist::shard_spec_to_json(spec));
+    }
+  }
+
+  util::Rng rng(GetParam());
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::string text =
+        mutate_document(rng, corpus[rng.index(corpus.size())]);
+    try {
+      const dist::ShardSpec spec =
+          dist::shard_spec_from_json(util::Json::parse(text));
+      // What decodes re-encodes to a spec with the same identity.
+      EXPECT_EQ(dist::shard_spec_checksum(
+                    dist::shard_spec_from_json(dist::shard_spec_to_json(spec))),
+                dist::shard_spec_checksum(spec))
+          << text;
+      ++accepted;
+    } catch (const std::exception&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ShardDocumentFuzz,
+                         ::testing::Values(51, 52, 53, 54, 55));
 
 }  // namespace
 }  // namespace lcda

@@ -129,7 +129,9 @@ TEST(Integration, InvalidDesignsGetMinusOneAndExpertRecovers) {
   util::Rng rng(27);
   const RunResult run = loop.run(rng);
   for (const auto& ep : run.episodes) {
-    if (!ep.valid) EXPECT_DOUBLE_EQ(ep.reward, -1.0);
+    if (!ep.valid) {
+      EXPECT_DOUBLE_EQ(ep.reward, -1.0);
+    }
   }
 }
 

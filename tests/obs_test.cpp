@@ -249,7 +249,9 @@ TEST(ObsTrace, ExportBalancesPairsAndClampsTimestamps) {
     const long long tid = e.at("tid").as_int();
     const long long ts = e.at("ts").as_int();
     const auto prev = last_ts.find(tid);
-    if (prev != last_ts.end()) EXPECT_GE(ts, prev->second);
+    if (prev != last_ts.end()) {
+      EXPECT_GE(ts, prev->second);
+    }
     last_ts[tid] = ts;
     if (ph == "B") ++open_per_tid[tid];
     if (ph == "E") --open_per_tid[tid];

@@ -488,7 +488,9 @@ TEST(EvalStore, EightConcurrentWritersAndReadersStayConsistent) {
       for (std::uint64_t j = 0; j < kPerThread; ++j) {
         const std::uint64_t h = static_cast<std::uint64_t>(t) * 1000 + j;
         store.insert(h, make_eval(h + 1));
-        if (j % 10 == 9) ASSERT_TRUE(store.save());
+        if (j % 10 == 9) {
+          ASSERT_TRUE(store.save());
+        }
       }
       ASSERT_TRUE(store.save());
       // Reader pass under concurrent compaction: a fresh instance must see

@@ -660,9 +660,8 @@ void emit_run(std::FILE* human, dist::MergedRun run,
 /// Per-seed runs, each printed as it finishes in-process, or sharded over
 /// worker processes and merged back in canonical order.
 void runs_study(const CliOptions& cli, const core::Scenario& scenario,
+                const std::vector<dist::StrategyStudy>& studies,
                 std::FILE* human, const char* argv0, StudyOutput& out) {
-  const std::vector<dist::StrategyStudy> studies =
-      resolve_studies(cli, scenario);
   if (cli.distribute > 0) {
     out.dist.emplace(run_distributed(cli, scenario, dist::ShardMode::kRuns,
                                      studies, argv0));
@@ -681,22 +680,19 @@ void runs_study(const CliOptions& cli, const core::Scenario& scenario,
   std::vector<std::pair<std::string, core::RunResult>> kept;
   for (const dist::StrategyStudy& study : studies) {
     for (int s = 0; s < cli.seeds; ++s) {
-      core::ExperimentConfig config = scenario.config;
-      config.seed = scenario.config.seed + static_cast<std::uint64_t>(s);
+      const core::SeedRun seed =
+          core::runs_mode_seed(study.strategy, scenario.config, s);
       const core::RunResult run =
-          core::run_strategy(study.strategy, study.episodes, config);
-      const std::string label =
-          std::string(core::strategy_name(study.strategy)) + "/seed" +
-          std::to_string(config.seed);
-      emit_run(human, dist::run_record(s, label, run, /*json=*/false, csv),
+          core::run_strategy(study.strategy, study.episodes, seed.config);
+      emit_run(human, dist::run_record(s, seed.label, run, /*json=*/false, csv),
                cli.quiet ? nullptr : &run, out);
-      if (!config.checkpoint_dir.empty()) {
+      if (!seed.config.checkpoint_dir.empty()) {
         std::fprintf(stderr, "[ckpt] %s: resumed_episodes=%lld/%d\n",
-                     label.c_str(),
+                     seed.label.c_str(),
                      static_cast<long long>(run.resumed_episodes),
                      study.episodes);
       }
-      if (!cli.json_path.empty()) kept.emplace_back(label, run);
+      if (!cli.json_path.empty()) kept.emplace_back(seed.label, run);
     }
   }
   for (const auto& [label, run] : kept) {
@@ -706,26 +702,13 @@ void runs_study(const CliOptions& cli, const core::Scenario& scenario,
 
 /// Multi-seed statistics per strategy (core::run_aggregate).
 void aggregate_study(const CliOptions& cli, const core::Scenario& scenario,
+                     const std::vector<dist::StrategyStudy>& studies,
                      std::FILE* human, const char* argv0, StudyOutput& out) {
-  const std::vector<dist::StrategyStudy> studies =
-      resolve_studies(cli, scenario);
   std::vector<core::AggregateResult> aggregates;
   if (cli.distribute > 0) {
     out.dist.emplace(run_distributed(cli, scenario, dist::ShardMode::kAggregate,
                                      studies, argv0));
-    // The shards study `k` owns. Work stealing appends specs out of plan
-    // order, so select by the study_slot tag the planner stamped (and
-    // steals inherit).
-    for (std::size_t k = 0; k < studies.size(); ++k) {
-      std::vector<dist::ShardSpec> specs;
-      std::vector<util::Json> manifests;
-      for (std::size_t i = 0; i < out.dist->specs.size(); ++i) {
-        if (out.dist->specs[i].study_slot != static_cast<int>(k)) continue;
-        specs.push_back(out.dist->specs[i]);
-        manifests.push_back(out.dist->manifests[i]);
-      }
-      aggregates.push_back(dist::merge_aggregate(specs, manifests));
-    }
+    aggregates = dist::merge_aggregate(out.dist->specs, out.dist->manifests);
   } else {
     long long resumed = 0;
     for (const dist::StrategyStudy& s : studies) {
@@ -806,9 +789,11 @@ void speedup_study(const CliOptions& cli, const core::Scenario& scenario,
   out.doc["speedup_study"] = core::speedup_study_to_json(reports);
 }
 
-/// Runs the study the mode flags select, then writes the outputs every
-/// mode shares: --trace, --json and the observability artifacts.
+/// Runs the study the mode flags select over the resolved `studies`, then
+/// writes the outputs every mode shares: --trace, --json and the
+/// observability artifacts.
 int run_study(const CliOptions& cli, const core::Scenario& scenario,
+              const std::vector<dist::StrategyStudy>& studies,
               const char* argv0) {
   // Tracing to stdout reserves it for CSV; narration moves to stderr.
   std::FILE* const human = cli.trace_path == "-" ? stderr : stdout;
@@ -822,11 +807,11 @@ int run_study(const CliOptions& cli, const core::Scenario& scenario,
   out.doc["experiment"] = scenario.name;
   out.doc["seed"] = static_cast<long long>(scenario.config.seed);
   if (cli.aggregate) {
-    aggregate_study(cli, scenario, human, argv0, out);
+    aggregate_study(cli, scenario, studies, human, argv0, out);
   } else if (cli.speedup) {
     speedup_study(cli, scenario, human, argv0, out);
   } else {
-    runs_study(cli, scenario, human, argv0, out);
+    runs_study(cli, scenario, studies, human, argv0, out);
   }
 
   if (cli.trace_path == "-") {
@@ -894,6 +879,14 @@ int run(const CliOptions& cli, const std::vector<bool>& given,
       !unmet.empty()) {
     return usage(unmet);
   }
+  std::vector<dist::StrategyStudy> studies;
+  if (is_study(cli)) {
+    try {
+      studies = resolve_studies(cli, *scenario);
+    } catch (const std::invalid_argument& e) {
+      return usage(e.what());
+    }
+  }
 
   // Arm observability before any worker thread exists: the enabled
   // flags are plain bools, written single-threaded here and only read
@@ -955,7 +948,7 @@ int run(const CliOptions& cli, const std::vector<bool>& given,
     std::printf("%s\n", core::scenario_to_json(*scenario).dump(2).c_str());
     return 0;
   }
-  return run_study(cli, *scenario, argv0);
+  return run_study(cli, *scenario, studies, argv0);
 }
 
 }  // namespace
