@@ -19,8 +19,9 @@
 ///
 /// The checkpoint is a round log, one file per writer, named
 /// `rounds-<pid>-<n>.log` (unique to the writing process and run, so a
-/// superseded shard copy and the duplicate racing it never share a file)
-/// until the run completes and renames it to `rounds-done.log`:
+/// stolen seed and the late-revoked copy its first worker started anyway
+/// never share a file) until the run completes and renames it to
+/// `rounds-done.log`:
 ///
 ///   magic "LCDARND1" | u64 identity, then one record per finalized round
 ///   from episode 0 on, [u64 len | u64 fnv1a64(payload) | payload],

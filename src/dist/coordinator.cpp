@@ -27,16 +27,13 @@ using Clock = std::chrono::steady_clock;
 constexpr int kPollMinMs = 2;
 constexpr int kPollMaxMs = 100;
 
-/// Floor under the stall bar, so scan jitter on sub-millisecond seeds
-/// cannot trip it.
+/// The stall bar: a shard has stalled once it has sent no seed event for
+/// kStealThreshold x the median per-seed wall, floored at
+/// kStealMinStaleMs so scan jitter on sub-millisecond seeds cannot trip it.
+constexpr double kStealThreshold = 2.0;
 constexpr double kStealMinStaleMs = 10.0;
 
-/// A slot is banlisted once its workers have failed this many distinct
-/// shards (crashes, non-zero exits, heartbeat deaths) — YT-style node
-/// retirement scaled down to process slots.
-constexpr std::size_t kBanlistAfter = 3;
-
-/// SIGTERM-to-SIGKILL grace for a worker stopped mid-spec.
+/// SIGTERM-to-SIGKILL grace for a wedged worker stopped mid-spec.
 constexpr int kStopGraceMs = 500;
 
 /// "seeds 4-7" / "seeds 3" — shard log labels.
@@ -69,15 +66,10 @@ double median_of(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// How a shard is doing right now, from the coordinator's point of view.
-enum class State { kPending, kRunning, kDone, kSuperseded };
-
 /// Scheduler-side shard record, parallel to the specs vector.
 struct Track {
-  State state = State::kPending;
   std::set<int> revoked;           // stolen seeds (sent with every `run`)
   std::set<int> started, done;     // current attempt's seed events
-  int duplicate_pos = -1;          // position of its supersede-duplicate
   Clock::time_point dispatch_time{};  // when the CURRENT spec was handed to
                                       // its worker (not when the resident
                                       // process was forked — an idle-then-
@@ -101,9 +93,7 @@ struct Slot {
   LineBuffer lines;
   Clock::time_point last_line{};
   bool busy = false;
-  bool banned = false;
-  std::size_t pos = 0;     // spec in flight (valid while busy)
-  std::set<int> failures;  // distinct shard indices that failed here
+  std::size_t pos = 0;  // spec in flight (valid while busy)
 };
 
 /// The seeds a spec still owes the merger: its seed list minus the
@@ -131,9 +121,6 @@ Coordinator::Coordinator(Options opts) : opts_(std::move(opts)) {
   }
   if (opts_.max_retries < 0) {
     throw std::invalid_argument("Coordinator: max_retries must be >= 0");
-  }
-  if (opts_.steal_threshold < 1.0) {
-    throw std::invalid_argument("Coordinator: steal_threshold must be >= 1");
   }
 }
 
@@ -176,18 +163,13 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   const auto free_slot = [&]() -> int {
     for (int s = 0; s < opts_.max_parallel; ++s) {
       const Slot& slot = slots[static_cast<std::size_t>(s)];
-      if (!slot.busy && !slot.banned) return s;
+      if (!slot.busy) return s;
     }
     return -1;
   };
   const auto idle_slots = [&] {
     int n = 0;
-    for (const Slot& slot : slots) n += !slot.busy && !slot.banned;
-    return n;
-  };
-  const auto usable_slots = [&] {
-    int n = 0;
-    for (const Slot& slot : slots) n += !slot.banned;
+    for (const Slot& slot : slots) n += !slot.busy;
     return n;
   };
   const auto any_busy = [&] {
@@ -249,7 +231,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     }
     slot.busy = true;
     slot.pos = p;
-    t.state = State::kRunning;
     t.started.clear();
     t.done.clear();
     t.slot = slot_idx;
@@ -279,104 +260,10 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     return slot.pos;
   };
 
-  /// Stops the worker executing shard `p` (if any) and frees its slot.
-  /// This kills the resident process mid-spec — the next dispatch to the
-  /// slot respawns a replacement.
-  const auto stop_worker = [&](std::size_t p) {
-    for (Slot& slot : slots) {
-      if (!slot.busy || slot.pos != p) continue;
-      (void)slot.worker->stop(kStopGraceMs);
-      slot.worker.reset();
-      release(slot);
-      return;
-    }
-  };
-
-  const auto drop_from_queue = [&](std::size_t p) {
-    queue.erase(std::remove(queue.begin(), queue.end(), p), queue.end());
-  };
-
-  /// A shard's worker was stopped or skipped because every seed it would
-  /// have published is covered by another spec's manifest (a supersede
-  /// duplicate, or the parent of a now-redundant duplicate).
-  const auto supersede = [&](std::size_t p, const char* why) {
-    Track& t = track[p];
-    if (t.state == State::kRunning) stop_worker(p);
-    if (t.state == State::kPending) drop_from_queue(p);
-    t.state = State::kSuperseded;
-    ++stats_.superseded;
-    if (opts_.verbose) {
-      std::fprintf(stderr, "[dist] shard %d superseded (%s)\n",
-                   specs[p].index, why);
-    }
-  };
-
-  const auto on_success = [&](std::size_t p) {
-    Track& t = track[p];
-    t.state = State::kDone;
-    if (opts_.verbose) {
-      std::fprintf(stderr, "[dist] shard %d done\n", specs[p].index);
-    }
-    // A whole-shard duplicate landing first covers its parent; the parent
-    // landing first makes an unfinished duplicate redundant. Either way
-    // the slower copy is stopped and erased from the plan — the merger's
-    // per-seed arbitration handles the narrow race where both published.
-    if (specs[p].supersedes && specs[p].stolen_from >= 0) {
-      for (std::size_t q = 0; q < specs.size(); ++q) {
-        if (specs[q].index == specs[p].stolen_from &&
-            (track[q].state == State::kRunning ||
-             track[q].state == State::kPending)) {
-          supersede(q, "duplicate finished first");
-        }
-      }
-    }
-    if (t.duplicate_pos >= 0) {
-      const std::size_t d = static_cast<std::size_t>(t.duplicate_pos);
-      if (track[d].state == State::kRunning ||
-          track[d].state == State::kPending) {
-        supersede(d, "original finished first");
-      }
-    }
-  };
-
-  const auto on_failure = [&](std::size_t p, int slot_idx,
-                              const std::string& described,
+  /// Shard `p` failed: queues its next attempt, or, once max_retries are
+  /// spent, aborts the run with the worker's stderr.
+  const auto on_failure = [&](std::size_t p, const std::string& described,
                               const std::string& stderr_output) {
-    Track& t = track[p];
-    // Health accounting: the slot (stand-in for a host in the multi-host
-    // era) remembers which distinct shards died on it; repeat offenders
-    // are banlisted for the rest of the study, but never below one
-    // usable slot.
-    if (slot_idx >= 0) {
-      Slot& slot = slots[static_cast<std::size_t>(slot_idx)];
-      slot.failures.insert(specs[p].index);
-      if (slot.failures.size() >= kBanlistAfter &&
-          !slot.banned && usable_slots() > 1) {
-        slot.banned = true;
-        stats_.banlisted_slots.push_back(slot_idx);
-        if (opts_.verbose) {
-          std::fprintf(stderr,
-                       "[dist] slot %d banlisted after %zu distinct shard "
-                       "failure(s)\n",
-                       slot_idx, slot.failures.size());
-        }
-      }
-    }
-    // A parent with a live (or finished) whole-shard duplicate owes the
-    // merger nothing — the duplicate owns the same seeds. Skip the retry.
-    if (t.duplicate_pos >= 0 &&
-        track[static_cast<std::size_t>(t.duplicate_pos)].state !=
-            State::kSuperseded) {
-      t.state = State::kSuperseded;
-      ++stats_.superseded;
-      if (opts_.verbose) {
-        std::fprintf(stderr,
-                     "[dist] shard %d failed (%s) but its duplicate covers "
-                     "it — not retrying\n",
-                     specs[p].index, described.c_str());
-      }
-      return;
-    }
     // attempt N failed; N+1 is the next one. max_retries bounds the
     // retries, so attempts 0..max_retries are allowed.
     if (specs[p].attempt < opts_.max_retries) {
@@ -391,7 +278,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
                      line.empty() ? "" : ": ", line.c_str(), specs[p].attempt,
                      opts_.max_retries);
       }
-      t.state = State::kPending;
       queue.push_back(p);
       return;
     }
@@ -403,8 +289,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
 
   /// Creates a steal spec owning `seeds`, inheriting the parent's study
   /// identity, and queues it for the next idle slot.
-  const auto dispatch_steal = [&](std::size_t parent, std::vector<int> seeds,
-                                  bool supersedes) {
+  const auto dispatch_steal = [&](std::size_t parent, std::vector<int> seeds) {
     ShardSpec spec;
     spec.index = next_index++;
     spec.count = specs[parent].count;
@@ -418,7 +303,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     spec.threshold_fraction = specs[parent].threshold_fraction;
     spec.study_slot = specs[parent].study_slot;
     spec.stolen_from = specs[parent].index;
-    spec.supersedes = supersedes;
     specs.push_back(std::move(spec));
     track.emplace_back();
     const std::size_t p = specs.size() - 1;
@@ -427,22 +311,21 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     queue.push_back(p);
     ++stats_.steals;
     stats_.stolen_seeds += static_cast<int>(specs[p].seeds.size());
-    return p;
   };
 
-  /// One straggler-mitigation pass. A shard is a straggler when its
-  /// progress has STALLED: no seed started or finished for longer than
-  /// steal_threshold x the observed median per-seed wall (floored by
-  /// kStealMinStaleMs so scan jitter cannot trip it). Healthy shards
-  /// racing to the finish keep emitting seed events at per-seed cadence
-  /// and never look stalled — even on an oversubscribed box where every
-  /// wall estimate is inflated by CPU queueing — while a shard grinding
-  /// inside one slow seed goes quiet (heartbeats keep it alive, not
-  /// fresh: they are excluded from last_event on purpose). Phase 1 steals
-  /// its not-yet-started seeds onto idle slots; phase 2 duplicates the
-  /// started remainder as a supersede race. At most one steal per pass
-  /// keeps the policy easy to reason about; the next scan can steal
-  /// again.
+  /// One straggler-mitigation pass, run only when a slot is idle and
+  /// nothing is queued. A shard is a straggler when its progress has
+  /// STALLED: no seed started or finished for longer than kStealThreshold
+  /// x the observed median per-seed wall (floored by kStealMinStaleMs so
+  /// scan jitter cannot trip it). Healthy shards racing to the finish keep
+  /// emitting seed events at per-seed cadence and never look stalled —
+  /// even on an oversubscribed box where every wall estimate is inflated
+  /// by CPU queueing — while a shard grinding inside one slow seed goes
+  /// quiet (heartbeats keep it alive, not fresh: they are excluded from
+  /// last_event on purpose). Its not-yet-started seeds are revoked and
+  /// re-dispatched onto the idle slots; seeds it has started stay with it.
+  /// At most one steal per pass keeps the policy easy to reason about; the
+  /// next scan can steal again.
   const auto maybe_steal = [&] {
     if (!opts_.enable_steal || !queue.empty() || free_slot() < 0) return false;
 
@@ -455,14 +338,6 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     std::vector<Candidate> running;
     for (Slot& slot : slots) {
       if (!slot.busy) continue;
-      // A supersede-duplicate is never itself a steal source: it exists
-      // only as the second copy in a publish race the original is still
-      // running. Allowing it would chain duplicates-of-duplicates — every
-      // copy of a genuinely slow seed stalls past the bar, and each
-      // would spawn the next (duplicate_pos only guards the immediate
-      // parent) — so a slow seed could breed specs without bound instead
-      // of racing exactly two copies.
-      if (specs[slot.pos].supersedes) continue;
       const Track& t = track[slot.pos];
       Candidate c;
       c.pos = slot.pos;
@@ -475,9 +350,8 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
 
     // Reference scale: median of the shards' observed mean per-seed walls
     // (any state — a finished shard's seed events all arrived before its
-    // `done`). Without a single finished seed anywhere there is no
-    // scale to judge "stalled" against, and only the lone-shard split
-    // below may act.
+    // `done`). Without a single finished seed anywhere there is no scale
+    // to judge "stalled" against, and nothing is stolen.
     std::vector<double> seed_walls;
     for (const Track& t : track) {
       if (!t.done.empty() && t.done_wall_ms > 0.0) {
@@ -496,21 +370,15 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       // least one: before the first start event the gap only measures
       // dispatch-to-startup latency, and flagging on that would revoke
       // seeds from healthy-but-queued workers (each revocation spawning a
-      // child that is equally slow to start — another unbounded chain). A
+      // child that is equally slow to start — an unbounded chain). A
       // worker wedged before its first event is the heartbeat reaper's
       // case, not the stealer's.
       ++stats_.steal_considered;
       const bool judged = reference > 0.0 && !track[c.pos].started.empty();
-      const bool over_bar =
-          judged && c.stale_ms > opts_.steal_threshold * reference;
+      const bool over_bar = judged && c.stale_ms > kStealThreshold * reference;
       const bool stalled = over_bar && c.stale_ms > kStealMinStaleMs;
       if (over_bar && !stalled) ++stats_.steal_suppressed_min_stale;
-      // A lone running shard with idle slots and no reference point:
-      // splitting its unstarted seeds is pure win as long as it has
-      // parallelizable seeds left (phase 1 only — duplicating work the
-      // shard is actively progressing through is not).
-      const bool lone_split = running.size() == 1 && reference == 0.0;
-      if (!stalled && !lone_split) continue;
+      if (!stalled) continue;
 
       // No reference into track across dispatch_steal: it grows the
       // vector and would invalidate one.
@@ -518,69 +386,42 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
       for (int s : c.owned) {
         if (track[c.pos].started.count(s) == 0) unstarted.push_back(s);
       }
+      if (unstarted.empty()) continue;
 
-      if (!unstarted.empty()) {
-        // Phase 1: revoke the unstarted seeds, split them over the idle
-        // slots. The worker drains its stdin before each seed, so it
-        // simply never runs them. A worker that died meanwhile surfaces
-        // through try_wait; its retry's `run` carries every revocation.
-        obs::Span steal_span("dist.steal");
-        for (int s : unstarted) track[c.pos].revoked.insert(s);
-        WorkerCommand revoke;
-        revoke.kind = WorkerCommand::Kind::kRevoke;
-        revoke.revoked = unstarted;
-        (void)c.slot->worker->write_stdin(encode_worker_command(revoke));
-        const int idle = idle_slots();
-        const std::size_t chunks =
-            std::min(unstarted.size(), static_cast<std::size_t>(idle));
-        std::vector<int> created;
-        for (std::size_t ch = 0; ch < chunks; ++ch) {
-          const std::size_t begin = ch * unstarted.size() / chunks;
-          const std::size_t end = (ch + 1) * unstarted.size() / chunks;
-          const std::size_t p = dispatch_steal(
-              c.pos,
-              std::vector<int>(unstarted.begin() + begin,
-                               unstarted.begin() + end),
-              /*supersedes=*/false);
-          created.push_back(specs[p].index);
-        }
-        if (opts_.verbose) {
-          std::fprintf(stderr,
-                       "[dist] stealing %zu not-yet-started seed(s) from "
-                       "shard %d into %zu new shard(s)\n",
-                       unstarted.size(), specs[c.pos].index, created.size());
-        }
-        return true;
+      // Revoke the unstarted seeds and split them over the idle slots. The
+      // worker drains its stdin before each seed, so it simply never runs
+      // them. A worker that died meanwhile surfaces through try_wait; its
+      // retry's `run` carries every revocation.
+      obs::Span steal_span("dist.steal");
+      for (int s : unstarted) track[c.pos].revoked.insert(s);
+      WorkerCommand revoke;
+      revoke.kind = WorkerCommand::Kind::kRevoke;
+      revoke.revoked = unstarted;
+      (void)c.slot->worker->write_stdin(encode_worker_command(revoke));
+      const std::size_t chunks = std::min(
+          unstarted.size(), static_cast<std::size_t>(idle_slots()));
+      for (std::size_t ch = 0; ch < chunks; ++ch) {
+        const std::size_t begin = ch * unstarted.size() / chunks;
+        const std::size_t end = (ch + 1) * unstarted.size() / chunks;
+        dispatch_steal(c.pos, std::vector<int>(unstarted.begin() + begin,
+                                               unstarted.begin() + end));
       }
-
-      if (stalled && track[c.pos].duplicate_pos < 0 && !c.owned.empty() &&
-          track[c.pos].done.size() < c.owned.size()) {
-        // Phase 2: everything left is already started (or finished but
-        // unpublished), so re-dispatch the shard's whole owed seed set as
-        // a supersede duplicate; whichever copy publishes first wins and
-        // the other worker is stopped.
-        obs::Span steal_span("dist.steal");
-        const std::size_t d =
-            dispatch_steal(c.pos, c.owned, /*supersedes=*/true);
-        track[c.pos].duplicate_pos = static_cast<int>(d);
-        if (opts_.verbose) {
-          std::fprintf(stderr,
-                       "[dist] duplicating shard %d's remaining %zu seed(s) "
-                       "as shard %d (supersede race)\n",
-                       specs[c.pos].index, c.owned.size(), specs[d].index);
-        }
-        return true;
+      if (opts_.verbose) {
+        std::fprintf(stderr,
+                     "[dist] stealing %zu not-yet-started seed(s) from "
+                     "shard %d into %zu new shard(s)\n",
+                     unstarted.size(), specs[c.pos].index, chunks);
       }
+      return true;
     }
     return false;
   };
 
-  /// Applies one line from slot `slot_idx`'s worker, which proves it
-  /// alive. Seed events advance the in-flight shard's progress; `done` /
+  /// Applies one line from `slot`'s worker, which proves it alive. Seed events advance the in-flight shard's progress; `done` /
   /// `failed` resolve it, attributing the worker's stderr so far to it
   /// (`dead_stderr` stands in for take_stderr() once the worker is
   /// reaped). Returns whether the line freed the slot.
-  const auto on_line = [&](int slot_idx, Slot& slot, const std::string& line,
+  const auto on_line = [&](Slot& slot, const std::string& line,
                            const std::string* dead_stderr) {
     slot.last_line = Clock::now();
     const std::optional<WorkerReply> reply = parse_worker_reply(line);
@@ -607,12 +448,11 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     const std::string worker_stderr =
         dead_stderr != nullptr ? *dead_stderr : slot.worker->take_stderr();
     const std::size_t p = release(slot);
-    if (reply->kind == WorkerReply::Kind::kDone) {
-      on_success(p);
-    } else {
-      on_failure(p, slot_idx,
-                 reply->reason.empty() ? "worker error" : reply->reason,
+    if (reply->kind == WorkerReply::Kind::kFailed) {
+      on_failure(p, reply->reason.empty() ? "worker error" : reply->reason,
                  worker_stderr);
+    } else if (opts_.verbose) {
+      std::fprintf(stderr, "[dist] shard %d done\n", specs[p].index);
     }
     return true;
   };
@@ -631,8 +471,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
           slot.worker->try_wait();
       slot.lines.feed(slot.worker->read_stdout());
       while (const std::optional<std::string> line = slot.lines.next_line()) {
-        event = on_line(s, slot, *line,
-                        result ? &result->stderr_output : nullptr) ||
+        event = on_line(slot, *line, result ? &result->stderr_output : nullptr) ||
                 event;
       }
       if (!result) continue;
@@ -645,8 +484,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
                        "(%s) — will respawn\n",
                        pid, result->describe().c_str());
         }
-        on_failure(release(slot), s, result->describe(),
-                   result->stderr_output);
+        on_failure(release(slot), result->describe(), result->stderr_output);
         event = true;
       } else if (opts_.verbose && result->exit_code != 0) {
         std::fprintf(stderr,
@@ -683,7 +521,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
                      specs[p].index, pid, opts_.heartbeat_timeout_ms,
                      result.describe().c_str());
       }
-      on_failure(p, s, "heartbeat timeout", result.stderr_output);
+      on_failure(p, "heartbeat timeout", result.stderr_output);
       event = true;
     }
     return event;
@@ -757,29 +595,16 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     slot.worker.reset();
   }
 
-  // Final shard records, then drop superseded specs from the plan: they
-  // have no manifest, and every seed they owned is published by the spec
-  // that superseded them.
   for (std::size_t p = 0; p < specs.size(); ++p) {
     ShardStats s;
     s.index = specs[p].index;
     s.stolen_from = specs[p].stolen_from;
-    s.supersedes = specs[p].supersedes;
-    s.superseded = track[p].state == State::kSuperseded;
     s.attempts = std::max(1, track[p].spawns);
     s.slot = track[p].slot;
     s.wall_ms = track[p].wall_ms;
     s.seeds = static_cast<int>(specs[p].seeds.size());
     stats_.shards.push_back(s);
   }
-  std::vector<ShardSpec> surviving;
-  surviving.reserve(specs.size());
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    if (track[p].state != State::kSuperseded) {
-      surviving.push_back(std::move(specs[p]));
-    }
-  }
-  specs = std::move(surviving);
 
   // Mirror the scheduling outcome into the metrics registry once, at the
   // end — cheap, and it keeps the hot scheduling loop free of metric
@@ -794,10 +619,7 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
     obs::add_counter("dist.steal_considered", stats_.steal_considered);
     obs::add_counter("dist.steal_suppressed_min_stale",
                      stats_.steal_suppressed_min_stale);
-    obs::add_counter("dist.superseded", stats_.superseded);
     obs::add_counter("dist.dead_workers", stats_.dead_workers);
-    obs::add_counter("dist.banlisted_slots",
-                     static_cast<long long>(stats_.banlisted_slots.size()));
   }
 }
 

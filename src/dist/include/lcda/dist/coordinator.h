@@ -25,33 +25,25 @@ namespace lcda::dist {
 ///
 /// - **Progress tracking.** The seed events tell the coordinator how far
 ///   each shard has got, and every line a worker writes proves it alive.
-/// - **Work stealing.** A shard whose progress has stalled — no seed
-///   started or finished for longer than `steal_threshold` x the median
-///   observed per-seed wall — has its not-yet-started seeds revoked (a
-///   `revoke` command; the worker skips them) and re-dispatched to idle
-///   slots as fresh specs. Legal because seed derivation is
-///   order-independent and the merger accepts arbitrary partitions; the
-///   merged bytes cannot change, only the wall clock.
-/// - **Supersede duplication.** A straggler with nothing left to steal
-///   (all remaining seeds already started) gets its whole unpublished
-///   seed set duplicated onto an idle slot; whichever copy finishes
-///   first wins and the other worker is stopped (SIGTERM -> grace ->
-///   SIGKILL). Seed arbitration in the merger keeps exactly one copy of
-///   any seed both published, deterministically (lowest shard index). A
-///   duplicate is never itself a steal source and a shard is only judged
-///   stalled after its first observed event, so a slow seed races
-///   exactly two copies — the plan cannot breed specs without bound.
+/// - **Work stealing.** When a slot is idle and nothing is queued, a
+///   shard whose progress has stalled — no seed started or finished for
+///   longer than 2 x the median observed per-seed wall, judged only after
+///   its first event — has its not-yet-started seeds revoked (a `revoke`
+///   command; the worker skips them) and re-dispatched to idle slots as
+///   fresh specs. Legal because seed derivation is order-independent and
+///   the merger accepts arbitrary partitions; the merged bytes cannot
+///   change, only the wall clock. A revoke that arrives after the worker
+///   started the seed anyway leaves two byte-identical copies, and the
+///   merger keeps the lowest shard index's.
 /// - **Health tracking.** A busy worker that writes no line (heartbeats
-///   included) for `heartbeat_timeout_ms` is declared dead, stopped, and
-///   its shard retried without waiting for the process to exit. A slot
-///   whose workers fail three distinct shards is banlisted for the study
-///   (capacity shrinks, never below one slot).
+///   included) for `heartbeat_timeout_ms` is declared dead, stopped
+///   (SIGTERM -> grace -> SIGKILL), and its shard retried without waiting
+///   for the process to exit.
 ///
 /// A failed shard is retried up to `max_retries` extra attempts before
 /// the run gives up with the worker's captured stderr in the error. On
-/// success every surviving spec's result_path names a fresh manifest for
-/// the merger; specs whose workers were superseded (their seeds are
-/// covered by other manifests) are erased from the plan.
+/// success every spec's result_path names a fresh manifest for the
+/// merger.
 class Coordinator {
  public:
   struct Options {
@@ -67,23 +59,21 @@ class Coordinator {
     int max_parallel = 1;  ///< concurrent worker processes (slots)
     int max_retries = 2;   ///< extra attempts per shard after the first
 
-    /// Shard lifecycle narration on stderr (spawn / done / retry /
-    /// steal / banlist lines).
+    /// Shard lifecycle narration on stderr (spawn / done / retry / steal
+    /// lines).
     bool verbose = true;
 
     /// Work stealing. A running shard is a straggler when its progress
-    /// has STALLED: no seed started or finished for longer than
-    /// steal_threshold x the observed median per-seed wall (heartbeats
-    /// prove liveness, not progress, and do not reset the clock). The
-    /// stall bar is additionally floored at 10 ms so scan jitter on
-    /// sub-millisecond seeds cannot trip it. Judging the GAP between
-    /// events rather than a remaining-wall projection keeps the detector
-    /// honest on oversubscribed boxes, where CPU queueing inflates every
-    /// projection but healthy shards still emit events at per-seed
-    /// cadence. Requires steal_threshold >= 1.0; stealing only happens
-    /// when a slot is idle, so it can never slow a saturated study.
+    /// has STALLED: no seed started or finished for longer than 2 x the
+    /// observed median per-seed wall (heartbeats prove liveness, not
+    /// progress, and do not reset the clock). The stall bar is floored at
+    /// 10 ms so scan jitter on sub-millisecond seeds cannot trip it.
+    /// Judging the GAP between events rather than a remaining-wall
+    /// projection keeps the detector honest on oversubscribed boxes, where
+    /// CPU queueing inflates every projection but healthy shards still
+    /// emit events at per-seed cadence. Stealing only happens when a slot
+    /// is idle, so it can never slow a saturated study.
     bool enable_steal = true;
-    double steal_threshold = 2.0;
 
     /// How long a busy worker may stay silent — no seed event, reply or
     /// heartbeat (one every kHeartbeatMs) — before it is declared dead; 0
@@ -96,14 +86,10 @@ class Coordinator {
     bool trace_spans = false;
   };
 
-  /// Per-shard scheduling record, kept for every spec that ever existed
-  /// in the plan (including superseded ones the final plan no longer
-  /// carries).
+  /// Per-shard scheduling record, one per spec in the final plan.
   struct ShardStats {
     int index = 0;
-    int stolen_from = -1;    ///< parent shard for steal/duplicate specs
-    bool supersedes = false; ///< was a whole-shard duplicate
-    bool superseded = false; ///< worker stopped; seeds covered elsewhere
+    int stolen_from = -1;    ///< parent shard for steal specs
     int attempts = 1;        ///< dispatches of this shard (one per attempt)
     int slot = -1;           ///< last slot it ran on
     double wall_ms = 0.0;    ///< total busy wall across attempts
@@ -118,7 +104,7 @@ class Coordinator {
     int pool_workers = 0;  ///< resident worker processes launched (incl.
                            ///< replacements)
     int retries = 0;
-    int steals = 0;     ///< steal/duplicate specs created
+    int steals = 0;     ///< steal specs created
     int stolen_seeds = 0;
     /// Straggler-detector visibility: candidates the stall judgement ran
     /// on at all, and candidates over the threshold bar that only the
@@ -127,9 +113,7 @@ class Coordinator {
     /// study that was judged and passed.
     int steal_considered = 0;
     int steal_suppressed_min_stale = 0;
-    int superseded = 0; ///< workers stopped because their seeds were covered
     int dead_workers = 0;  ///< heartbeat-staleness kills
-    std::vector<int> banlisted_slots;
     std::vector<ShardStats> shards;
   };
 
@@ -137,11 +121,9 @@ class Coordinator {
 
   /// Runs every shard to completion, mutating the plan in place: the
   /// coordinator assigns result (and trace) paths under shard_dir, bumps
-  /// attempt counters across retries, APPENDS specs it creates by
-  /// stealing, and ERASES specs whose workers were superseded (they have
-  /// no manifest; their seeds are covered by the appended ones). After it
-  /// returns, loading every spec's manifest and merging yields bytes
-  /// identical to the single-process study. Throws
+  /// attempt counters across retries, and APPENDS the specs it creates by
+  /// stealing. After it returns, loading every spec's manifest and merging
+  /// yields bytes identical to the single-process study. Throws
   /// std::runtime_error when a shard exhausts its attempts or a worker
   /// cannot be spawned.
   void run(std::vector<ShardSpec>& specs);

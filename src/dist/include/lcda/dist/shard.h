@@ -75,11 +75,8 @@ struct ShardSpec {
   std::string trace_path;
 
   /// Steal provenance: the shard index this spec's seeds were stolen from,
-  /// -1 for planner-born shards. When `supersedes` is also set, this spec
-  /// duplicates every seed its parent would still publish, so the
-  /// coordinator stops the parent the moment this spec's manifest lands.
+  /// -1 for planner-born shards.
   int stolen_from = -1;
-  bool supersedes = false;
 
   /// Retry count, rewritten into the spec by the coordinator (0 = first
   /// attempt). LCDA_FAULT's kill and wedge hooks arm on attempt 0 only,

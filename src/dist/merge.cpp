@@ -36,14 +36,14 @@ bool same_study(const ShardSpec& a, const ShardSpec& b) {
 /// order but inherit their parent's slot), and collects each slot's
 /// entries with exactly-once arbitration: a seed published by two
 /// DIFFERENT shards is legal under work stealing (a revocation can race
-/// the worker's own start of that seed, and a supersede duplicate can tie
-/// with its parent), and both copies are byte-identical because per-seed
-/// entries are partition-independent — so the merge deterministically
-/// keeps the lowest shard index, regardless of which worker won the
-/// wall-clock race. The same shard listing a seed twice is still a hard
-/// error, as is a missing seed or one outside the study: a statistic must
-/// never quietly cover the wrong seed set. Every shard must be a `mode`
-/// shard agreeing with its slot on the study definition.
+/// the worker's own start of that seed), and both copies are
+/// byte-identical because per-seed entries are partition-independent —
+/// so the merge deterministically keeps the lowest shard index,
+/// regardless of which worker won the wall-clock race. The same shard
+/// listing a seed twice is still a hard error, as is a missing seed or
+/// one outside the study: a statistic must never quietly cover the wrong
+/// seed set. Every shard must be a `mode` shard agreeing with its slot on
+/// the study definition.
 std::vector<Slot> entries_by_slot(const std::vector<ShardSpec>& specs,
                                   const std::vector<util::Json>& manifests,
                                   ShardMode mode, const std::string& who) {

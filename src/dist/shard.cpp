@@ -89,7 +89,6 @@ util::Json shard_spec_to_json(const ShardSpec& spec) {
   if (spec.study_slot != 0) j["study_slot"] = spec.study_slot;
   if (!spec.trace_path.empty()) j["trace_path"] = spec.trace_path;
   if (spec.stolen_from >= 0) j["stolen_from"] = spec.stolen_from;
-  if (spec.supersedes) j["supersedes"] = true;
   j["attempt"] = spec.attempt;
   return j;
 }
@@ -123,9 +122,6 @@ ShardSpec shard_spec_from_json(const util::Json& j) {
   }
   if (j.contains("stolen_from")) {
     spec.stolen_from = static_cast<int>(j.at("stolen_from").as_int());
-  }
-  if (j.contains("supersedes")) {
-    spec.supersedes = j.at("supersedes").as_bool();
   }
   spec.attempt = static_cast<int>(j.at("attempt").as_int());
   // A spec edited out from under its checksum must fail before it can

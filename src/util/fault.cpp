@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "lcda/util/logging.h"
 #include "lcda/util/strings.h"
@@ -12,15 +14,12 @@ namespace {
 
 std::atomic<int> g_attempt{0};
 
-bool parse_ll(std::string_view text, long long& out) {
-  if (text.empty()) return false;
-  long long value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + (c - '0');
-  }
-  out = value;
-  return true;
+/// A non-negative decimal no larger than `max`; nullopt otherwise,
+/// including on overflow.
+std::optional<long long> parse_count(std::string_view text, long long max) {
+  const std::optional<long long> value = parse_int(text);
+  if (!value || *value < 0 || *value > max) return std::nullopt;
+  return value;
 }
 
 /// Parses one `<kind>[=<value>]@<scope>:<args>` clause; returns false with
@@ -83,12 +82,13 @@ bool parse_clause(std::string_view clause, FaultInjector::Spec& spec,
   }
 
   if (spec.kind == FaultInjector::Spec::Kind::kSleep) {
-    long long ms = 0;
-    if (!parse_ll(value, ms)) {
-      problem = "sleep needs '=<ms>'";
+    const std::optional<long long> ms =
+        parse_count(value, std::numeric_limits<int>::max());
+    if (!ms) {
+      problem = "sleep needs '=<ms>', 0 to INT_MAX";
       return false;
     }
-    spec.sleep_ms = static_cast<int>(ms);
+    spec.sleep_ms = static_cast<int>(*ms);
   } else if (!value.empty()) {
     problem = "kind '" + std::string(kind) + "' does not take '=<value>'";
     return false;
@@ -96,12 +96,13 @@ bool parse_clause(std::string_view clause, FaultInjector::Spec& spec,
 
   spec.at.clear();
   for (std::string_view part : split(args, ',')) {
-    long long n = 0;
-    if (!parse_ll(trim(part), n)) {
+    const std::optional<long long> n =
+        parse_count(part, std::numeric_limits<long long>::max());
+    if (!n) {
       problem = "bad number '" + std::string(part) + "'";
       return false;
     }
-    spec.at.push_back(n);
+    spec.at.push_back(*n);
   }
   if (spec.at.empty()) {
     problem = "empty target list";

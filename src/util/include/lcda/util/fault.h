@@ -24,7 +24,8 @@ namespace lcda::util {
 /// LCDA_TEST_WEDGE_SEED hooks this harness subsumes. `sleep` fires on
 /// every attempt (the straggler-mitigation tests depend on stolen copies
 /// being just as slow), matching LCDA_TEST_SEED_SLEEP_MS. Malformed
-/// clauses are warned about once and skipped; they never abort a run.
+/// clauses, including negative or overflowing numbers and sleeps above
+/// INT_MAX ms, are warned about once and skipped; they never abort a run.
 class FaultInjector {
  public:
   struct Spec {

@@ -20,9 +20,9 @@ namespace lcda::util {
 /// coordinator keeps one resident `lcda_run --worker-loop` per slot,
 /// streams commands down its stdin with write_stdin(), reads line replies
 /// with read_stdout(), polls exits with try_wait() so finished workers are
-/// reaped in completion order, and stops superseded or wedged workers with
-/// stop() — SIGTERM first, so a worker can die mid-sleep cleanly,
-/// escalating to SIGKILL after a grace window for one that ignores it.
+/// reaped in completion order, and stops wedged workers with stop() —
+/// SIGTERM first, so a worker can die mid-sleep cleanly, escalating to
+/// SIGKILL after a grace window for one that ignores it.
 ///
 /// Children never outlive their owner: each child leads a process group
 /// of its own, and stop() and the destructor signal that whole group, so

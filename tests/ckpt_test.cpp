@@ -159,6 +159,9 @@ TEST(Fault, MalformedClausesAreDroppedNotFatal) {
       "wedge@episode:1",       // wedge is seed-scoped
       "torn-log@seed:1",       // torn-log is episode-scoped
       "kill@episode:1,2",      // episode scope takes a single episode
+      "kill@seed:99999999999999999999",  // target overflows long long
+      "kill@seed:-3",          // negative target
+      "sleep=4294967297@seed:0",  // sleep above INT_MAX
   };
   for (const char* text : kBad) {
     std::string error;
@@ -273,9 +276,10 @@ TEST(Store, ForeignFilesResumeNothing) {
 }
 
 TEST(Store, LongestLogWinsAndCompletionKeepsOnlyItsOwn) {
-  // Two writers of one study (a superseded shard copy racing its
-  // duplicate) never share a file. A resume takes the longer history, and
-  // the first writer to complete deletes the other's log.
+  // Two writers of one study (a stolen seed and the late-revoked copy its
+  // first worker started anyway) never share a file. A resume takes the
+  // longer history, and the first writer to complete deletes the other's
+  // log.
   const std::string root = temp_dir("two_writers");
   const std::uint64_t identity = 0x55;
   const auto dir = ckpt::study_checkpoint_dir(root, identity);

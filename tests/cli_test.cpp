@@ -158,6 +158,8 @@ TEST_F(Cli, UsageListsEveryFlagWithItsRequirement) {
   EXPECT_FALSE(mentions(r.err, "--worker-loop")) << r.err;
   // Every round is logged, so there is no checkpoint cadence to set.
   EXPECT_FALSE(mentions(r.err, "--checkpoint-every")) << r.err;
+  // The stall bar is fixed, so there is no steal threshold to set.
+  EXPECT_FALSE(mentions(r.err, "--steal-threshold")) << r.err;
 }
 
 TEST_F(Cli, OutOfRangeConfigIntegersAreRejected) {
@@ -177,6 +179,10 @@ TEST_F(Cli, UnknownFlagsAndUnmetRequirementsExit2) {
   EXPECT_EQ(run({"--scenario=paper-energy", "--max-retries=2"}).exit_code, 2);
   EXPECT_EQ(run({"--scenario=paper-energy", "--resume"}).exit_code, 2);
   EXPECT_EQ(run({"--print-config"}).exit_code, 2);
+  EXPECT_EQ(run({"--scenario=paper-energy", "--distribute=2",
+                 "--steal-threshold=2"})
+                .exit_code,
+            2);
 }
 
 TEST_F(Cli, ValidSpellingsStillRun) {

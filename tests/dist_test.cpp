@@ -680,7 +680,7 @@ TEST_F(Distributed, WorkersAndRetriesConvergeToReferenceBytes) {
   const ScopedEnv die("LCDA_FAULT", kill_first.c_str());
 
   // Stealing stays off: this test asserts the exact plan shape afterwards,
-  // and stealing is free to append/erase specs (it has its own test).
+  // and stealing is free to append specs (it has its own test).
   dist::Coordinator(options("coord", /*slots=*/2, /*retries=*/1)).run(specs);
   EXPECT_EQ(specs[0].attempt, 1);  // the injected failure was retried
   EXPECT_EQ(specs[1].attempt, 0);
@@ -702,8 +702,8 @@ TEST_F(Distributed, StragglerStealingKeepsBytesIdentical) {
 
   // Inject a straggler: shard 0 owns seeds {0,1} (6 seeds over 4 chunks)
   // and sleeps 400ms before each, while its peers finish in milliseconds.
-  // The coordinator must steal/duplicate its pending work — and the
-  // merged bytes must not move.
+  // The coordinator must steal its unstarted seed — and the merged bytes
+  // must not move.
   auto specs = dist::plan_shards(
       scenario, dist::ShardMode::kRuns,
       {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, kSeeds,
@@ -712,19 +712,21 @@ TEST_F(Distributed, StragglerStealingKeepsBytesIdentical) {
 
   dist::Coordinator::Options opts = options("steal", /*slots=*/4, 0);
   opts.enable_steal = true;
-  opts.steal_threshold = 1.5;
   dist::Coordinator coordinator(opts);
   coordinator.run(specs);
   EXPECT_GE(coordinator.stats().steals, 1);
   EXPECT_GE(coordinator.stats().stolen_seeds, 1);
+  // No dispatch is wasted: every dispatched spec is in the final plan and
+  // published a manifest.
+  EXPECT_EQ(coordinator.stats().spawned, static_cast<int>(specs.size()));
 
   const std::vector<util::Json> manifests = load_manifests(specs);
-  // The revocation took effect: a seed a phase-1 steal moved to a new spec
-  // is absent from every surviving parent manifest. (The merger keeps the
-  // lowest shard index's copy of a seed published twice, so the merged
-  // bytes below cannot tell a revoke that never reached its worker.)
+  // The revocation took effect: a seed a steal moved to a new spec is
+  // absent from its parent's manifest. (The merger keeps the lowest shard
+  // index's copy of a seed published twice, so the merged bytes below
+  // cannot tell a revoke that never reached its worker.)
   for (const dist::ShardSpec& thief : specs) {
-    if (thief.stolen_from < 0 || thief.supersedes) continue;
+    if (thief.stolen_from < 0) continue;
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (specs[i].index != thief.stolen_from) continue;
       for (const util::Json& e : manifests[i].at("entries").elements()) {
@@ -738,6 +740,29 @@ TEST_F(Distributed, StragglerStealingKeepsBytesIdentical) {
   const std::vector<dist::MergedRun> merged = dist::merge_runs(specs, manifests);
   ASSERT_EQ(merged.size(), static_cast<std::size_t>(kSeeds));
   EXPECT_EQ(render_runs(merged), reference);
+}
+
+TEST_F(Distributed, LoneSeedIsDispatchedOnce) {
+  // One seed over two slots, stealing on: no seed has finished, so there
+  // is no per-seed wall to judge a stall against, and the one spec must
+  // run where it was dispatched instead of being moved between idle
+  // workers.
+  core::Scenario scenario = small_scenario();
+  auto specs = dist::plan_shards(
+      scenario, dist::ShardMode::kRuns,
+      {{core::Strategy::kLcda, scenario.config.lcda_episodes}}, /*seeds=*/1,
+      /*shards=*/2, NAN, 0.95);
+  ASSERT_EQ(specs.size(), 1u);
+
+  dist::Coordinator::Options opts = options("lone", /*slots=*/2, 0);
+  opts.enable_steal = true;
+  dist::Coordinator coordinator(opts);
+  coordinator.run(specs);
+  EXPECT_EQ(coordinator.stats().spawned, 1);
+  EXPECT_EQ(coordinator.stats().steals, 0);
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(render_runs(dist::merge_runs(specs, load_manifests(specs))),
+            reference_runs(scenario, core::Strategy::kLcda, 1));
 }
 
 TEST_F(Distributed, DeadWorkerIsReapedThroughHeartbeatTimeout) {

@@ -5,7 +5,7 @@
 // worker process that may die mid-line. The checkpoint round log, the one
 // binary decoder a crash leaves half-written, is fuzzed here too, and so
 // are the shard spec and result manifest documents the distributed runner
-// reads back from disk.
+// reads back from disk, as is the LCDA_FAULT grammar.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -36,7 +36,9 @@
 #include "lcda/llm/prompt_reader.h"
 #include "lcda/llm/simulated_gpt4.h"
 #include "lcda/obs/trace.h"
+#include "lcda/util/fault.h"
 #include "lcda/util/json_lite.h"
+#include "lcda/util/logging.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
 
@@ -1120,7 +1122,6 @@ TEST_P(ShardDocumentFuzz, SpecDecoderRejectsOrRoundTrips) {
       spec.result_path = "/s/shard-result.json";
       spec.trace_path = "/s/shard-trace-a0.json";
       spec.stolen_from = 0;
-      spec.supersedes = true;
       corpus.push_back(dist::shard_spec_to_json(spec));
     }
   }
@@ -1150,6 +1151,151 @@ TEST_P(ShardDocumentFuzz, SpecDecoderRejectsOrRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardDocumentFuzz,
                          ::testing::Values(51, 52, 53, 54, 55));
+
+// ------------------------------------------------------ LCDA_FAULT grammar
+
+/// The clause strings the tests and CI arm LCDA_FAULT with, and one string
+/// holding every kind and scope.
+const std::vector<std::string> kFaultCorpus = {
+    "kill@seed:1",
+    "kill@seed:2",
+    "wedge@seed:2",
+    "sleep=300@seed:0,2",
+    "sleep=400@seed:0,1",
+    "sleep=700@seed:0,1",
+    "kill@episode:4",
+    "kill@episode:5",
+    "torn-log@episode:4",
+    "kill@seed:2; sleep=400@seed:0,1; wedge@seed:3; kill@episode:9; "
+    "torn-log@episode:5",
+};
+
+/// One mutation of a fault string: byte flips, a truncation, a splice
+/// with another corpus entry, a doubled ';' or ',', a sign before a
+/// digit, or a digit run swapped for a 20-40 digit number.
+std::string mutate_fault(util::Rng& rng, const std::string& text) {
+  static const char kGrammar[] = "@:=,;- +0123456789seedpisodkillwgtrn";
+  std::string out = text;
+  switch (rng.index(6)) {
+    case 0: {  // byte flips
+      const int flips = static_cast<int>(rng.uniform_int(1, 3));
+      for (int i = 0; i < flips && !out.empty(); ++i) {
+        out[rng.index(out.size())] =
+            rng.chance(0.3) ? static_cast<char>(rng.uniform_int(0, 255))
+                            : kGrammar[rng.index(sizeof(kGrammar) - 1)];
+      }
+      break;
+    }
+    case 1:  // truncation
+      out.resize(rng.index(out.size() + 1));
+      break;
+    case 2: {  // splice: a prefix of this string, a suffix of another
+      const std::string& other = kFaultCorpus[rng.index(kFaultCorpus.size())];
+      out = out.substr(0, rng.index(out.size() + 1)) +
+            other.substr(rng.index(other.size() + 1));
+      break;
+    }
+    case 3: {  // a doubled separator
+      const char sep = rng.chance(0.5) ? ';' : ',';
+      const std::size_t at = out.find(sep, rng.index(out.size() + 1));
+      if (at == std::string::npos) {
+        out += sep;
+      } else {
+        out.insert(at, 1, sep);
+      }
+      break;
+    }
+    case 4: {  // a sign in front of a digit
+      const std::size_t at = out.find_first_of("0123456789", rng.index(out.size() + 1));
+      if (at != std::string::npos) out.insert(at, 1, rng.chance(0.5) ? '-' : '+');
+      break;
+    }
+    case 5: {  // a 20-40 digit number in place of a digit run
+      const std::size_t at = out.find_first_of("0123456789", rng.index(out.size() + 1));
+      if (at == std::string::npos) break;
+      const std::size_t end = out.find_first_not_of("0123456789", at);
+      std::string digits(1, static_cast<char>('1' + rng.index(9)));
+      const int len = static_cast<int>(rng.uniform_int(20, 40));
+      while (static_cast<int>(digits.size()) < len) {
+        digits += static_cast<char>('0' + rng.index(10));
+      }
+      out.replace(at, (end == std::string::npos ? out.size() : end) - at, digits);
+      break;
+    }
+  }
+  return out;
+}
+
+/// `<kind>[=<ms>]@<scope>:<list>`, the grammar's own spelling of `spec`.
+std::string render_fault(const util::FaultInjector::Spec& spec) {
+  using Spec = util::FaultInjector::Spec;
+  std::string out;
+  switch (spec.kind) {
+    case Spec::Kind::kKill: out = "kill"; break;
+    case Spec::Kind::kWedge: out = "wedge"; break;
+    case Spec::Kind::kSleep: out = "sleep=" + std::to_string(spec.sleep_ms); break;
+    case Spec::Kind::kTornLog: out = "torn-log"; break;
+  }
+  out += spec.scope == Spec::Scope::kSeed ? "@seed:" : "@episode:";
+  for (std::size_t i = 0; i < spec.at.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(spec.at[i]);
+  }
+  return out;
+}
+
+class FaultGrammarFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FaultGrammarFuzz, ParseNeverThrowsAndAcceptsOnlyWellFormedSpecs) {
+  using Spec = util::FaultInjector::Spec;
+  // Every rejected clause is warned about once; keep the run quiet.
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::kError);
+  util::Rng rng(GetParam());
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    std::string text = kFaultCorpus[rng.index(kFaultCorpus.size())];
+    const int rounds = static_cast<int>(rng.uniform_int(1, 3));
+    for (int r = 0; r < rounds; ++r) text = mutate_fault(rng, text);
+
+    std::string error;
+    util::FaultInjector injector;
+    ASSERT_NO_THROW(injector = util::FaultInjector::parse(text, &error)) << text;
+    if (!error.empty()) ++rejected;
+    for (const Spec& spec : injector.specs()) {
+      ++accepted;
+      ASSERT_FALSE(spec.at.empty()) << text;
+      for (const long long target : spec.at) EXPECT_GE(target, 0) << text;
+      if (spec.scope == Spec::Scope::kEpisode) {
+        EXPECT_EQ(spec.at.size(), 1u) << text;
+      }
+      if (spec.kind == Spec::Kind::kSleep) {
+        EXPECT_EQ(spec.scope, Spec::Scope::kSeed) << text;
+        EXPECT_GE(spec.sleep_ms, 0) << text;  // an int, so <= INT_MAX
+      }
+
+      // What parses renders back to a clause that parses to the same spec.
+      const std::string clause = render_fault(spec);
+      std::string again_error;
+      const util::FaultInjector again =
+          util::FaultInjector::parse(clause, &again_error);
+      EXPECT_TRUE(again_error.empty()) << clause << ": " << again_error;
+      ASSERT_EQ(again.specs().size(), 1u) << clause;
+      const Spec& back = again.specs()[0];
+      EXPECT_EQ(back.kind, spec.kind) << clause;
+      EXPECT_EQ(back.scope, spec.scope) << clause;
+      EXPECT_EQ(back.at, spec.at) << clause;
+      EXPECT_EQ(back.sleep_ms, spec.sleep_ms) << clause;
+    }
+  }
+  util::set_log_level(level);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FaultGrammarFuzz,
+                         ::testing::Values(61, 62, 63, 64, 65));
 
 }  // namespace
 }  // namespace lcda

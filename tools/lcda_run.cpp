@@ -94,7 +94,6 @@ struct CliOptions {
   int max_retries = 2;          // per-shard retry budget (--distribute)
   bool keep_shard_dir = false;  // keep the auto temp shard dir
   bool no_steal = false;        // disable straggler work stealing
-  double steal_threshold = 2.0; // stall bar (x median per-seed wall)
   double threshold = std::numeric_limits<double>::quiet_NaN();
   double threshold_fraction = 0.95;
 };
@@ -216,9 +215,6 @@ constexpr Flag kFlags[] = {
      "keep the temp shard directory for post-mortem"},
     {"--no-steal", &CliOptions::no_steal, &kDistribute,
      "disable straggler work stealing"},
-    {"--steal-threshold=K", &CliOptions::steal_threshold, &kDistribute,
-     "stall, in median per-seed walls, that makes a straggler (default 2)",
-     1},
     {"--json=PATH", &CliOptions::json_path, &kStudy,
      "write the study (runs, traces, cache counters) as JSON"},
     {"--trace=PATH", &CliOptions::trace_path, &kStudy,
@@ -417,8 +413,8 @@ struct DistributedStudy {
 };
 
 /// The "dist" object distributed --json documents carry: study-level
-/// scheduling counters plus one record per shard that ever existed in the
-/// plan. Wall times are real milliseconds, so this object is the one part
+/// scheduling counters plus one record per shard of the executed plan.
+/// Wall times are real milliseconds, so this object is the one part
 /// of a distributed document that is NOT byte-reproducible — consumers
 /// diffing documents strip it first (CI does).
 util::Json dist_stats_to_json(const DistributedStudy& study) {
@@ -430,11 +426,7 @@ util::Json dist_stats_to_json(const DistributedStudy& study) {
   j["retries"] = stats.retries;
   j["steals"] = stats.steals;
   j["stolen_seeds"] = stats.stolen_seeds;
-  j["superseded"] = stats.superseded;
   j["dead_workers"] = stats.dead_workers;
-  util::Json banned = util::Json::array();
-  for (int slot : stats.banlisted_slots) banned.push_back(slot);
-  j["banlisted_slots"] = banned;
   util::Json shards = util::Json::array();
   for (const dist::Coordinator::ShardStats& s : stats.shards) {
     util::Json e = util::Json::object();
@@ -444,8 +436,6 @@ util::Json dist_stats_to_json(const DistributedStudy& study) {
     e["slot"] = s.slot;
     e["wall_ms"] = s.wall_ms;
     if (s.stolen_from >= 0) e["stolen_from"] = s.stolen_from;
-    if (s.supersedes) e["supersedes"] = true;
-    if (s.superseded) e["superseded"] = true;
     shards.push_back(e);
   }
   j["shards"] = shards;
@@ -503,7 +493,6 @@ DistributedStudy run_distributed(const CliOptions& cli,
   opts.max_retries = cli.max_retries;
   opts.verbose = !cli.quiet;  // --quiet silences shard narration too
   opts.enable_steal = !cli.no_steal;
-  opts.steal_threshold = cli.steal_threshold;
   opts.trace_spans = !cli.trace_spans.empty();
 
   try {
@@ -571,14 +560,13 @@ DistributedStudy run_distributed(const CliOptions& cli,
   const dist::Coordinator::Stats& st = study.stats;
   std::fprintf(stderr,
                "[dist] summary: shards=%d spawned=%d retries=%d steals=%d "
-               "stolen_seeds=%d superseded=%d dead_workers=%d "
-               "banlisted_slots=%zu pool_workers=%d store_hits=%lld "
-               "store_shared=%lld store_misses=%lld store_bytes_read=%lld "
-               "store_bytes_published=%lld resumed_episodes=%lld "
+               "stolen_seeds=%d dead_workers=%d pool_workers=%d "
+               "store_hits=%lld store_shared=%lld store_misses=%lld "
+               "store_bytes_read=%lld store_bytes_published=%lld "
+               "resumed_episodes=%lld "
                "steal_considered=%d steal_suppressed_min_stale=%d\n",
                st.planned, st.spawned, st.retries, st.steals, st.stolen_seeds,
-               st.superseded, st.dead_workers, st.banlisted_slots.size(),
-               st.pool_workers, study.obs.counter("store.hits"),
+               st.dead_workers, st.pool_workers, study.obs.counter("store.hits"),
                study.obs.counter("store.shared_hits"),
                study.obs.counter("store.misses"),
                study.obs.counter("store.bytes_read"),
