@@ -6,8 +6,8 @@
 //
 // Usage: bench_engine_scaling [seeds] [episodes]
 //   LCDA_PARALLELISM caps the sweep's largest setting (0 = all hardware
-//   threads, the default). `--json=` (or LCDA_BENCH_JSON) archives the
-//   sweep — wall-clocks plus aggregate cache_hits/cache_misses — as JSON.
+//   threads, the default). `--json=PATH` archives the sweep —
+//   wall-clocks plus aggregate cache_hits/cache_misses — as JSON.
 //
 // A thin driver over the "paper-energy" scenario.
 #include <chrono>

@@ -7,7 +7,7 @@
 // Usage: bench_store [records] [reps]
 //   records: store population size (default 20000)
 //   reps:    timing repetitions, min is reported (default 5)
-//   `--json=` (or LCDA_BENCH_JSON) archives the measurements.
+//   `--json=PATH` archives the measurements.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>

@@ -7,6 +7,7 @@
 #include <limits>
 #include <optional>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 
 #include <unistd.h>
@@ -104,65 +105,39 @@ void encode_evaluation(util::BinaryWriter& w, const core::Evaluation& ev) {
   if (ev.cost.valid) flags |= 1;
   if (ev.has_replay_params) flags |= 2;
   w.u8(flags);
-  w.f64(ev.accuracy);
-  w.f64(ev.accuracy_stddev);
-  w.f64(ev.replay_mean);
-  w.f64(ev.replay_spread);
-  const cim::CostReport& c = ev.cost;
-  w.f64(c.area_arrays_mm2);
-  w.f64(c.area_buffer_mm2);
-  w.f64(c.area_digital_mm2);
-  w.f64(c.area_noc_mm2);
-  w.f64(c.area_total_mm2);
-  w.f64(c.energy_adc_pj);
-  w.f64(c.energy_xbar_pj);
-  w.f64(c.energy_dac_pj);
-  w.f64(c.energy_digital_pj);
-  w.f64(c.energy_buffer_pj);
-  w.f64(c.energy_noc_pj);
-  w.f64(c.energy_total_pj);
-  w.f64(c.latency_ns);
-  w.f64(c.leakage_mw);
-  w.f64(c.programming_energy_pj);
-  w.f64(c.weight_sigma);
-  w.i64(c.total_weights);
-  w.i64(c.total_cells);
-  w.i64(c.max_adc_deficit_bits);
+  core::for_each_evaluation_field(ev, [&](const auto& v) {
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>) {
+      w.f64(v);
+    } else {
+      w.i64(v);
+    }
+  });
   // The invalid reason is kept whole (unlike the store's fixed-width
   // record, which truncates it): a resumed trace must not differ from the
   // uninterrupted one in any byte, reasons included. Per-layer costs and
   // the mapping are deliberately absent — the lean engine path never
   // populates them, matching the store's record shape.
-  w.str(c.invalid_reason);
+  w.str(ev.cost.invalid_reason);
 }
 
 bool decode_evaluation(util::BinaryReader& r, core::Evaluation& ev) {
   std::uint8_t flags = 0;
-  if (!r.u8(flags) || !r.f64(ev.accuracy) || !r.f64(ev.accuracy_stddev) ||
-      !r.f64(ev.replay_mean) || !r.f64(ev.replay_spread)) {
-    return false;
-  }
-  cim::CostReport& c = ev.cost;
-  std::int64_t total_weights = 0, total_cells = 0, deficit = 0;
-  if (!r.f64(c.area_arrays_mm2) || !r.f64(c.area_buffer_mm2) ||
-      !r.f64(c.area_digital_mm2) || !r.f64(c.area_noc_mm2) ||
-      !r.f64(c.area_total_mm2) || !r.f64(c.energy_adc_pj) ||
-      !r.f64(c.energy_xbar_pj) || !r.f64(c.energy_dac_pj) ||
-      !r.f64(c.energy_digital_pj) || !r.f64(c.energy_buffer_pj) ||
-      !r.f64(c.energy_noc_pj) || !r.f64(c.energy_total_pj) ||
-      !r.f64(c.latency_ns) || !r.f64(c.leakage_mw) ||
-      !r.f64(c.programming_energy_pj) || !r.f64(c.weight_sigma) ||
-      !r.i64(total_weights) || !r.i64(total_cells) || !r.i64(deficit) ||
-      !r.str(c.invalid_reason)) {
-    return false;
-  }
-  c.valid = (flags & 1) != 0;
+  bool ok = r.u8(flags);
+  core::for_each_evaluation_field(ev, [&](auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      ok = ok && r.f64(v);
+    } else {
+      std::int64_t wide = 0;
+      ok = ok && r.i64(wide);
+      v = static_cast<T>(wide);
+    }
+  });
+  if (!ok || !r.str(ev.cost.invalid_reason)) return false;
+  ev.cost.valid = (flags & 1) != 0;
   ev.has_replay_params = (flags & 2) != 0;
-  c.total_weights = total_weights;
-  c.total_cells = total_cells;
-  c.max_adc_deficit_bits = static_cast<int>(deficit);
-  c.layers.clear();
-  c.mapping = {};
+  ev.cost.layers.clear();
+  ev.cost.mapping = {};
   return true;
 }
 

@@ -34,6 +34,41 @@ struct Evaluation {
   bool has_replay_params = false;
 };
 
+/// Evaluation's numeric fields in codec order, `f(field)` once each: 20
+/// doubles, then 3 integers. The checkpoint round log
+/// (ckpt::encode_evaluation) and the store record (store::encode_record)
+/// both walk this list and add their own flags and invalid_reason around
+/// it, so a warm rerun and a resume read back the same fields. The store
+/// gives each field 8 bytes at offsets 40-223, so a field added here is a
+/// new store record format.
+template <typename E, typename F>
+void for_each_evaluation_field(E& ev, F&& f) {
+  auto& c = ev.cost;
+  f(ev.accuracy);
+  f(ev.accuracy_stddev);
+  f(ev.replay_mean);
+  f(ev.replay_spread);
+  f(c.area_arrays_mm2);
+  f(c.area_buffer_mm2);
+  f(c.area_digital_mm2);
+  f(c.area_noc_mm2);
+  f(c.area_total_mm2);
+  f(c.energy_adc_pj);
+  f(c.energy_xbar_pj);
+  f(c.energy_dac_pj);
+  f(c.energy_digital_pj);
+  f(c.energy_buffer_pj);
+  f(c.energy_noc_pj);
+  f(c.energy_total_pj);
+  f(c.latency_ns);
+  f(c.leakage_mw);
+  f(c.programming_energy_pj);
+  f(c.weight_sigma);
+  f(c.total_weights);
+  f(c.total_cells);
+  f(c.max_adc_deficit_bits);
+}
+
 /// One evaluation of a batch: the design to cost, the pre-forked private
 /// RNG stream that makes the result independent of scheduling, and where
 /// the Evaluation lands. All three point into storage the caller keeps

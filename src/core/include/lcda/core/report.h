@@ -62,10 +62,8 @@ void write_speedup_csv(std::ostream& os,
 /// Writes a pretty-printed JSON document to `path` (throws on I/O failure).
 void write_json_file(const util::Json& j, const std::string& path);
 
-/// The JSON output path of a bench/CLI invocation: the first `--json=PATH`
-/// argument, else the LCDA_BENCH_JSON environment variable, else "" (no
-/// JSON output). Lets every bench_* binary archive its runs — including
-/// cache_hits / cache_misses / persistent_hits — with one call.
+/// The JSON output path of a bench invocation: the first `--json=PATH`
+/// argument, else "" (no JSON output).
 [[nodiscard]] std::string json_output_path(int argc, char** argv);
 
 /// Non-flag command-line arguments in order (everything not starting with

@@ -72,7 +72,7 @@ void register_scenario(Scenario scenario);
 ///
 /// The same loading runs automatically at registry initialization for the
 /// directory named by the LCDA_SCENARIO_DIR environment variable, so
-/// `lcda_run --list`, every bench_* and every example sees dropped-in
+/// `lcda_run --list`, the benches and the examples see dropped-in
 /// scenarios without code changes.
 std::vector<std::string> register_scenarios_from(const std::string& directory);
 

@@ -1,7 +1,6 @@
 #include "lcda/core/report.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -174,8 +173,7 @@ std::string json_output_path(int argc, char** argv) {
       return std::string(arg.substr(std::string_view("--json=").size()));
     }
   }
-  const char* env = std::getenv("LCDA_BENCH_JSON");
-  return env != nullptr ? std::string(env) : std::string();
+  return {};
 }
 
 std::vector<std::string> positional_args(int argc, char** argv) {

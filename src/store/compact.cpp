@@ -168,13 +168,12 @@ CompactionReport compact_store(const std::string& directory, Budget budget,
 
   // Only now unlink the merged inputs (and damaged files — this is the
   // repair pass that actually drops them). A bucket that was just
-  // republished under its own name was replaced by the rename, not merged
-  // away, so it must survive. Live readers keep their mmap'd views.
-  for (const std::string& path : inputs.readable) {
-    if (published.count(path) == 0) fs::remove(path, ec);
-  }
-  for (const std::string& path : inputs.damaged) {
-    fs::remove(path, ec);
+  // republished under its own name, damaged or not, was replaced by the
+  // rename, so it must survive. Live readers keep their mmap'd views.
+  for (const auto* paths : {&inputs.readable, &inputs.damaged}) {
+    for (const std::string& path : *paths) {
+      if (published.count(path) == 0) fs::remove(path, ec);
+    }
   }
   return report;
 }

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "lcda/util/rng.h"
 
@@ -84,18 +85,15 @@ void encode_record(const StoreRecord& record, std::uint8_t* out) {
   if (ev.has_replay_params) flags |= kFlagHasReplay;
   put_u32(out, 32, flags);
   put_u32(out, 36, static_cast<std::uint32_t>(c.invalid_reason.size()));
-  const double doubles[20] = {
-      ev.accuracy,        ev.accuracy_stddev,  ev.replay_mean,
-      ev.replay_spread,   c.area_arrays_mm2,   c.area_buffer_mm2,
-      c.area_digital_mm2, c.area_noc_mm2,      c.area_total_mm2,
-      c.energy_adc_pj,    c.energy_xbar_pj,    c.energy_dac_pj,
-      c.energy_digital_pj, c.energy_buffer_pj, c.energy_noc_pj,
-      c.energy_total_pj,  c.latency_ns,        c.leakage_mw,
-      c.programming_energy_pj, c.weight_sigma};
-  for (std::size_t i = 0; i < 20; ++i) put_f64(out, 40 + i * 8, doubles[i]);
-  put_i64(out, 200, static_cast<std::int64_t>(c.total_weights));
-  put_i64(out, 208, static_cast<std::int64_t>(c.total_cells));
-  put_i64(out, 216, static_cast<std::int64_t>(c.max_adc_deficit_bits));
+  std::size_t off = 40;
+  core::for_each_evaluation_field(ev, [&](const auto& v) {
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>) {
+      put_f64(out, off, v);
+    } else {
+      put_i64(out, off, static_cast<std::int64_t>(v));
+    }
+    off += 8;
+  });
   std::memcpy(out + 224, c.invalid_reason.data(), c.invalid_reason.size());
   put_u64(out, kRecordSize - 8, checksum_bytes(out, kRecordSize - 8));
 }
@@ -112,29 +110,16 @@ StoreRecord decode_record(const std::uint8_t* bytes) {
 
   core::Evaluation& ev = record.evaluation;
   cim::CostReport& c = ev.cost;
-  ev.accuracy = get_f64(bytes, 40);
-  ev.accuracy_stddev = get_f64(bytes, 48);
-  ev.replay_mean = get_f64(bytes, 56);
-  ev.replay_spread = get_f64(bytes, 64);
-  c.area_arrays_mm2 = get_f64(bytes, 72);
-  c.area_buffer_mm2 = get_f64(bytes, 80);
-  c.area_digital_mm2 = get_f64(bytes, 88);
-  c.area_noc_mm2 = get_f64(bytes, 96);
-  c.area_total_mm2 = get_f64(bytes, 104);
-  c.energy_adc_pj = get_f64(bytes, 112);
-  c.energy_xbar_pj = get_f64(bytes, 120);
-  c.energy_dac_pj = get_f64(bytes, 128);
-  c.energy_digital_pj = get_f64(bytes, 136);
-  c.energy_buffer_pj = get_f64(bytes, 144);
-  c.energy_noc_pj = get_f64(bytes, 152);
-  c.energy_total_pj = get_f64(bytes, 160);
-  c.latency_ns = get_f64(bytes, 168);
-  c.leakage_mw = get_f64(bytes, 176);
-  c.programming_energy_pj = get_f64(bytes, 184);
-  c.weight_sigma = get_f64(bytes, 192);
-  c.total_weights = get_i64(bytes, 200);
-  c.total_cells = get_i64(bytes, 208);
-  c.max_adc_deficit_bits = static_cast<int>(get_i64(bytes, 216));
+  std::size_t off = 40;
+  core::for_each_evaluation_field(ev, [&](auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      v = get_f64(bytes, off);
+    } else {
+      v = static_cast<T>(get_i64(bytes, off));
+    }
+    off += 8;
+  });
   c.valid = (flags & kFlagCostValid) != 0;
   ev.has_replay_params = (flags & kFlagHasReplay) != 0;
   c.invalid_reason.assign(reinterpret_cast<const char*>(bytes) + 224,
@@ -171,9 +156,12 @@ std::optional<SegmentView> SegmentView::open(const std::string& path,
     if (error) *error = path + ": header checksum mismatch";
     return std::nullopt;
   }
+  // Division, not `kHeaderSize + count * kRecordSize`: that product wraps,
+  // and a count off by a multiple of 2^61 would pass for the file's own.
   const std::uint64_t count = get_u64(h, 8);
-  if (file.size() != kHeaderSize + count * kRecordSize) {
-    if (error) *error = path + ": truncated (header claims " +
+  const std::size_t body = file.size() - kHeaderSize;
+  if (body % kRecordSize != 0 || count != body / kRecordSize) {
+    if (error) *error = path + ": size does not match (header claims " +
                         std::to_string(count) + " records)";
     return std::nullopt;
   }

@@ -268,20 +268,6 @@ TEST(Experiment, RunStrategySmoke) {
   EXPECT_EQ(run.episodes.size(), 10u);
 }
 
-TEST(Experiment, LcdaBeatsColdStart) {
-  // The paper's Fig. 3a: LCDA's early rewards are far above NACIM's.
-  ExperimentConfig cfg;
-  cfg.seed = 12;
-  const RunResult lcda = run_strategy(Strategy::kLcda, 5, cfg);
-  const RunResult nacim = run_strategy(Strategy::kNacimRl, 5, cfg);
-  double lcda_mean = 0, nacim_mean = 0;
-  for (int i = 0; i < 5; ++i) {
-    lcda_mean += lcda.episodes[static_cast<std::size_t>(i)].reward / 5;
-    nacim_mean += nacim.episodes[static_cast<std::size_t>(i)].reward / 5;
-  }
-  EXPECT_GT(lcda_mean, nacim_mean + 0.1);
-}
-
 TEST(Experiment, MeasureSpeedupReportsConsistentNumbers) {
   ExperimentConfig cfg;
   cfg.seed = 13;

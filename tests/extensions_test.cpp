@@ -108,22 +108,6 @@ TEST(Finetuned, PinsKernelsUnderLatencyObjective) {
   }
 }
 
-TEST(Finetuned, ImprovesLatencyObjectiveOverWrongPriors) {
-  // The ablation the paper could not run: corrected priors should make LCDA
-  // at least as good on the latency objective as the wrong-prior variant,
-  // measured over a few seeds.
-  double ft_total = 0.0, wrong_total = 0.0;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    core::ExperimentConfig cfg;
-    cfg.seed = seed;
-    cfg.objective = llm::Objective::kLatency;
-    ft_total +=
-        core::run_strategy(core::Strategy::kLcdaFinetuned, 20, cfg).best_reward();
-    wrong_total += core::run_strategy(core::Strategy::kLcda, 20, cfg).best_reward();
-  }
-  EXPECT_GE(ft_total, wrong_total - 0.05);
-}
-
 // ------------------------------------------------------------------ Adam
 
 TEST(Adam, RejectsBadOptions) {

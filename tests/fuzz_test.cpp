@@ -3,9 +3,10 @@
 // parses must land inside the search space. These are the paths that face
 // an uncontrolled LLM in production — or, for the worker pipe protocol, a
 // worker process that may die mid-line. The checkpoint round log, the one
-// binary decoder a crash leaves half-written, is fuzzed here too, and so
-// are the shard spec and result manifest documents the distributed runner
-// reads back from disk, as is the LCDA_FAULT grammar.
+// binary decoder a crash leaves half-written, is fuzzed here too, as are
+// the evaluation store's segment and bucket files, the shard spec and
+// result manifest documents the distributed runner reads back from disk,
+// and the LCDA_FAULT grammar.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -36,6 +37,9 @@
 #include "lcda/llm/prompt_reader.h"
 #include "lcda/llm/simulated_gpt4.h"
 #include "lcda/obs/trace.h"
+#include "lcda/store/eval_store.h"
+#include "lcda/store/segment.h"
+#include "lcda/util/bytes.h"
 #include "lcda/util/fault.h"
 #include "lcda/util/json_lite.h"
 #include "lcda/util/logging.h"
@@ -926,6 +930,159 @@ TEST_P(RoundLogFuzz, ReaderKeepsAWholePrefixAndResumeKeepsTheBytes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundLogFuzz, ::testing::Values(41, 42, 43));
+
+// ------------------------------------------------------ evaluation store
+
+/// A real store: one study's records compacted into index buckets and a
+/// second study's in a live segment. Kept in memory: every file's bytes
+/// and every record decoded from them.
+struct StoreCorpus {
+  std::vector<std::pair<std::string, std::string>> files;  ///< relative path, bytes
+  std::vector<store::StoreRecord> records;
+};
+
+const std::filesystem::path& store_fuzz_root() {
+  static const std::filesystem::path kRoot =
+      std::filesystem::temp_directory_path() /
+      ("lcda_fuzz_store_" + std::to_string(::getpid()));
+  return kRoot;
+}
+
+const StoreCorpus& store_corpus() {
+  static const StoreCorpus kCorpus = [] {
+    StoreCorpus out;
+    const std::filesystem::path dir = store_fuzz_root() / "pristine";
+    std::filesystem::remove_all(store_fuzz_root());
+    core::ExperimentConfig config = core::scenario_by_name("paper-energy").config;
+    config.persistent_cache_dir = dir.string();
+    (void)core::run_strategy(core::Strategy::kRandom, 12, config);
+    (void)store::compact_store(config.persistent_cache_dir, {}, 2);
+    config.seed = 2;
+    (void)core::run_strategy(core::Strategy::kRandom, 12, config);
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(dir)) {
+      if (!entry.is_regular_file()) continue;
+      out.files.emplace_back(std::filesystem::relative(entry.path(), dir).string(),
+                             slurp_file(entry.path()));
+      const auto view = store::SegmentView::open(entry.path().string(), nullptr);
+      for (std::size_t i = 0; view && i < view->count(); ++i) {
+        out.records.push_back(store::decode_record(view->record(i)));
+      }
+    }
+    std::sort(out.files.begin(), out.files.end());
+    std::filesystem::remove_all(store_fuzz_root());
+    return out;
+  }();
+  return kCorpus;
+}
+
+/// Writes the corpus store under `dir`, with file `victim` (if any)
+/// replaced by `mutant`.
+void write_store(const std::filesystem::path& dir, std::size_t victim,
+                 const std::string& mutant) {
+  const StoreCorpus& corpus = store_corpus();
+  for (std::size_t f = 0; f < corpus.files.size(); ++f) {
+    const auto& [name, bytes] = corpus.files[f];
+    std::filesystem::create_directories((dir / name).parent_path());
+    std::ofstream(dir / name, std::ios::binary) << (f == victim ? mutant : bytes);
+  }
+}
+
+std::string evaluation_bytes(const core::Evaluation& ev) {
+  std::string out;
+  util::BinaryWriter w(out);
+  ckpt::encode_evaluation(w, ev);
+  return out;
+}
+
+/// One seeded mutation of a segment or bucket file: a bit flip, a
+/// truncation, appended bytes, or a rewritten header field with the header
+/// checksum recomputed. A rewritten count is often n + k * 2^61: times the
+/// 328-byte record size that wraps back to the file's real size. Record
+/// checksums are never recomputed, so every mutant is damaged.
+std::string mutate_segment(util::Rng& rng, const std::string& bytes) {
+  std::string out = bytes;
+  switch (rng.index(4)) {
+    case 0: {  // bit flip anywhere
+      const std::size_t at = rng.index(out.size());
+      out[at] = static_cast<char>(out[at] ^ (1 << rng.index(8)));
+      return out;
+    }
+    case 1:  // truncation
+      out.resize(rng.index(out.size()));
+      return out;
+    case 2:  // appended bytes, sometimes exactly one record's worth
+      out += rng.chance(0.5) ? std::string(store::kRecordSize, '\0')
+                             : random_bytes(rng, static_cast<int>(rng.uniform_int(1, 64)));
+      return out;
+    default: {  // a header field rewritten, header checksum recomputed
+      const auto put_u64 = [&](std::size_t at, std::uint64_t v) {
+        std::memcpy(out.data() + at, &v, sizeof(v));
+      };
+      const std::uint64_t n = read_u64(out, 8);
+      const std::uint64_t wrap = n + ((rng.index(7) + 1) << 61);  // k = 1..7
+      const std::uint64_t counts[] = {wrap, wrap, n + 1, n - 1, ~std::uint64_t{0}};
+      const std::size_t pick = rng.index(6);
+      if (pick < 5) {
+        put_u64(8, counts[pick]);
+      } else {
+        put_u64(0, read_u64(out, 0) ^ 1);  // the magic
+      }
+      put_u64(24, util::fnv1a64(std::string_view(out.data(), 24)));
+      return out;
+    }
+  }
+}
+
+/// Looks every corpus key up in the store under `dir`: what it serves must
+/// be the original evaluation, bit for bit. Returns the hits.
+int lookup_all(const std::string& dir) {
+  int hits = 0;
+  for (const store::StoreRecord& original : store_corpus().records) {
+    store::EvalStore::Options opts;
+    opts.directory = dir;
+    opts.eval_fingerprint = original.eval_fingerprint;
+    opts.stream_fingerprint = original.stream_fingerprint;
+    const store::EvalStore store(opts);
+    if (const auto served = store.lookup(original.design_hash)) {
+      EXPECT_EQ(evaluation_bytes(*served), evaluation_bytes(original.evaluation));
+      ++hits;
+    }
+  }
+  return hits;
+}
+
+class StoreSegmentFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StoreSegmentFuzz, DamageIsCountedAndNothingWrongIsServed) {
+  const StoreCorpus& corpus = store_corpus();
+  ASSERT_GE(corpus.files.size(), 3u) << "two buckets and a segment";
+  const std::filesystem::path pristine = store_fuzz_root() / "pristine";
+  write_store(pristine, corpus.files.size(), "");
+  ASSERT_EQ(lookup_all(pristine.string()), static_cast<int>(corpus.records.size()));
+  ASSERT_TRUE(store::fsck(pristine.string()).clean());
+
+  // Every mutant warns once about its own file; keep the run quiet.
+  testing::internal::CaptureStderr();
+  util::Rng rng(GetParam());
+  for (int i = 0; i < 60; ++i) {
+    const std::filesystem::path dir = store_fuzz_root() / ("mutant" + std::to_string(i));
+    const std::size_t victim = rng.index(corpus.files.size());
+    write_store(dir, victim, mutate_segment(rng, corpus.files[victim].second));
+    SCOPED_TRACE("mutant " + std::to_string(i) + " of " + corpus.files[victim].first);
+
+    const int hits = lookup_all(dir.string());
+    EXPECT_FALSE(store::fsck(dir.string()).clean());
+    const store::CompactionReport report = store::compact_store(dir.string(), {}, 2);
+    EXPECT_GT(report.skipped_files + report.corrupt_dropped, 0u);
+    EXPECT_TRUE(store::fsck(dir.string()).clean());
+    // Compaction only drops damage, so it serves at least as many keys.
+    EXPECT_GE(lookup_all(dir.string()), hits);
+  }
+  (void)testing::internal::GetCapturedStderr();
+  std::filesystem::remove_all(store_fuzz_root());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreSegmentFuzz, ::testing::Values(71, 72, 73));
 
 // ------------------------------------------- shard specs and result manifests
 

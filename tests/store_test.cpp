@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include "lcda/store/eval_store.h"
 #include "lcda/store/segment.h"
 #include "lcda/util/bytes.h"
+#include "lcda/util/rng.h"
 
 namespace {
 
@@ -335,6 +337,42 @@ TEST(EvalStore, TruncatedSegmentIsSkippedNotFatal) {
 
   store::EvalStore store(opts(dir));
   EXPECT_EQ(store.skipped_files(), 1u);  // count no longer matches the size
+  EXPECT_FALSE(store.lookup(1).has_value());
+
+  const store::FsckReport report = store::fsck(dir);
+  EXPECT_EQ(report.bad_files, 1u);
+  EXPECT_FALSE(report.clean());
+  (void)store::compact_store(dir, {}, 2);
+  EXPECT_FALSE(fs::exists(segment));
+  EXPECT_TRUE(store::fsck(dir).clean());
+}
+
+TEST(EvalStore, WrappedRecordCountIsSkippedNotFatal) {
+  // A header claiming n + 2^61 records, checksum recomputed: 2^61 times the
+  // 328-byte record size wraps to 0 mod 2^64, so a size check by
+  // multiplication would take the file for its own 3 records and every
+  // probe would then read far past the mapping.
+  const std::string dir = temp_dir("wrapped_count");
+  {
+    store::EvalStore fresh(opts(dir));
+    for (std::uint64_t h = 1; h <= 3; ++h) fresh.insert(h, make_eval(h));
+    EXPECT_TRUE(fresh.save());
+  }
+  const std::string segment = segment_files(dir).at(0);
+  {
+    std::fstream f(segment, std::ios::in | std::ios::out | std::ios::binary);
+    char header[store::kHeaderSize];
+    f.read(header, sizeof header);
+    const std::uint64_t count = 3 + (std::uint64_t{1} << 61);
+    std::memcpy(header + 8, &count, sizeof count);
+    const std::uint64_t checksum = util::fnv1a64(std::string_view(header, 24));
+    std::memcpy(header + 24, &checksum, sizeof checksum);
+    f.seekp(0);
+    f.write(header, sizeof header);
+  }
+
+  store::EvalStore store(opts(dir));
+  EXPECT_EQ(store.skipped_files(), 1u);
   EXPECT_FALSE(store.lookup(1).has_value());
 
   const store::FsckReport report = store::fsck(dir);
