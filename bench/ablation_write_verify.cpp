@@ -10,9 +10,13 @@
 // "trained-small" scenario — the registry entry for the faithful training
 // pipeline at laptop scale — so this bench and `lcda_run
 // --scenario=trained-small` exercise the same reduced setting.
+//
+// Usage: bench_ablation_write_verify [mc_samples]
+//   mc_samples: Monte-Carlo samples per verified fraction (default 8)
 #include <cstdio>
 
 #include "lcda/cim/cost_model.h"
+#include "lcda/core/report.h"
 #include "lcda/core/scenario.h"
 #include "lcda/data/synthetic_cifar.h"
 #include "lcda/nn/model_builder.h"
@@ -23,7 +27,9 @@
 
 int main(int argc, char** argv) {
   using namespace lcda;
-  const int mc_samples = argc > 1 ? std::atoi(argv[1]) : 8;
+  const int mc_samples = core::positive_count_arg(
+      core::positional_args(argc, argv), 0, 8,
+      "bench_ablation_write_verify [mc_samples]");
 
   const core::TrainedEvaluator::Options topts_scenario =
       core::scenario_by_name("trained-small").config.trained;

@@ -24,8 +24,9 @@ int main(int argc, char** argv) {
   using namespace lcda;
   using clock = std::chrono::steady_clock;
   const auto args = core::positional_args(argc, argv);
-  const int seeds = args.size() > 0 ? std::atoi(args[0].c_str()) : 8;
-  const int episodes = args.size() > 1 ? std::atoi(args[1].c_str()) : 300;
+  const char* usage = "bench_engine_scaling [seeds] [episodes] [--json=PATH]";
+  const int seeds = core::positive_count_arg(args, 0, 8, usage);
+  const int episodes = core::positive_count_arg(args, 1, 300, usage);
   const int max_par = core::env_parallelism(/*fallback=*/0);
 
   core::ExperimentConfig cfg = core::scenario_by_name("paper-energy").config;

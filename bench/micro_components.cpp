@@ -10,6 +10,7 @@
 #include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt.h"
+#include "lcda/llm/prompt_reader.h"
 #include "lcda/llm/simulated_gpt4.h"
 #include "lcda/noise/monte_carlo.h"
 #include "lcda/search/rl_optimizer.h"
@@ -144,21 +145,25 @@ void BM_SimulatedGpt4Turn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedGpt4Turn);
 
+// The optimizer of a paper-energy LCDA study run for `episodes` episodes.
+std::unique_ptr<search::Optimizer> lcda_study(int episodes) {
+  auto optimizer = core::make_optimizer(core::Strategy::kLcda, paper_config());
+  auto evaluator = core::make_evaluator(paper_config());
+  const core::RewardFunction reward = core::make_reward(paper_config());
+  core::CodesignLoop::Options opts;
+  opts.episodes = episodes;
+  core::CodesignLoop loop(*optimizer, *evaluator, reward, opts);
+  util::Rng rng(paper_config().seed);
+  (void)loop.run(rng);
+  return optimizer;
+}
+
 // The first 64 designs and rewards of a real paper-energy LCDA study: a
 // full history window, with the design spread and reward digits of the
 // paper's own run.
 const std::vector<llm::HistoryEntry>& lcda_history() {
-  static const std::vector<llm::HistoryEntry> history = [] {
-    auto optimizer = core::make_optimizer(core::Strategy::kLcda, paper_config());
-    auto evaluator = core::make_evaluator(paper_config());
-    const core::RewardFunction reward = core::make_reward(paper_config());
-    core::CodesignLoop::Options opts;
-    opts.episodes = 64;
-    core::CodesignLoop loop(*optimizer, *evaluator, reward, opts);
-    util::Rng rng(paper_config().seed);
-    (void)loop.run(rng);
-    return dynamic_cast<const llm::LlmOptimizer&>(*optimizer).history();
-  }();
+  static const std::vector<llm::HistoryEntry> history =
+      dynamic_cast<const llm::LlmOptimizer&>(*lcda_study(64)).history();
   return history;
 }
 
@@ -174,26 +179,58 @@ std::unique_ptr<search::Optimizer> lcda_at_full_window() {
 }
 
 // One LCDA turn (propose + feedback) at the study's steady state: the
-// prompt carries the 64-entry history window. Every 256 turns the
-// optimizer is rebuilt, untimed, so its transcript stays small.
+// prompt carries the 64-entry history window, and the stand-in's line memo
+// already holds every history line but the newest.
 void BM_LcdaTurn(benchmark::State& state) {
   const std::vector<llm::HistoryEntry>& history = lcda_history();
   auto optimizer = lcda_at_full_window();
   util::Rng rng(3);
   std::size_t turn = 0;
   for (auto _ : state) {
-    if (++turn % 256 == 0) {
-      state.PauseTiming();
-      optimizer = lcda_at_full_window();
-      state.ResumeTiming();
-    }
     search::Observation obs;
     obs.design = optimizer->propose(rng);
-    obs.reward = history[turn % history.size()].performance;
+    obs.reward = history[++turn % history.size()].performance;
     optimizer->feedback(obs);
   }
 }
 BENCHMARK(BM_LcdaTurn);
+
+// The prompts a paper-energy LCDA study sends once its history window is
+// full, in order: each one slides the 64-line window by one line.
+const std::vector<std::string>& lcda_window_prompts() {
+  static const std::vector<std::string> prompts = [] {
+    const auto optimizer = lcda_study(320);
+    const auto& llm = dynamic_cast<const llm::LlmOptimizer&>(*optimizer);
+    std::vector<std::string> out;
+    for (const llm::LlmOptimizer::Exchange& ex : llm.transcript()) {
+      if (ex.history_length >= 64) out.push_back(llm.prompt(ex));
+    }
+    return out;
+  }();
+  return prompts;
+}
+
+// The stand-in's prompt read as a study makes it: one long-lived reader
+// fed the sliding window, so each read parses its one new line and takes
+// the other 63 from the memo. At the end of the prompts the reader starts
+// over, untimed, from the first one.
+void BM_PromptRead(benchmark::State& state) {
+  const std::vector<std::string>& prompts = lcda_window_prompts();
+  llm::PromptReader reader;
+  (void)reader.read(prompts.front());
+  std::size_t next = 1;
+  for (auto _ : state) {
+    if (next == prompts.size()) {
+      state.PauseTiming();
+      reader = llm::PromptReader{};
+      (void)reader.read(prompts.front());
+      next = 1;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(reader.read(prompts[next++]));
+  }
+}
+BENCHMARK(BM_PromptRead);
 
 void BM_RlProposeFeedback(benchmark::State& state) {
   search::RlOptimizer rl{search::SearchSpace{paper_config().space}};

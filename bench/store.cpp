@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
   using clock = std::chrono::steady_clock;
   namespace fs = std::filesystem;
   const auto args = core::positional_args(argc, argv);
-  const std::uint64_t records = args.size() > 0
-                                    ? std::strtoull(args[0].c_str(), nullptr, 10)
-                                    : 20000;
-  const int reps = args.size() > 1 ? std::atoi(args[1].c_str()) : 5;
+  const char* usage = "bench_store [records] [reps] [--json=PATH]";
+  const auto records =
+      static_cast<std::uint64_t>(core::positive_count_arg(args, 0, 20000, usage));
+  const int reps = core::positive_count_arg(args, 1, 5, usage);
 
   const std::string dir =
       (fs::temp_directory_path() / "lcda_bench_store").string();

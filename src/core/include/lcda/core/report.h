@@ -71,4 +71,12 @@ void write_json_file(const util::Json& j, const std::string& path);
 /// `--json=`.
 [[nodiscard]] std::vector<std::string> positional_args(int argc, char** argv);
 
+/// The positional count `args[index]` of a bench invocation, `fallback`
+/// when absent. Anything but a positive integer is an argument error, as
+/// in lcda_run: it prints the value and `usage` to stderr and exits with
+/// status 2, before any other output.
+[[nodiscard]] int positive_count_arg(const std::vector<std::string>& args,
+                                     std::size_t index, int fallback,
+                                     const char* usage);
+
 }  // namespace lcda::core

@@ -1,7 +1,10 @@
 #include "lcda/core/report.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "lcda/util/csv.h"
@@ -182,6 +185,18 @@ std::vector<std::string> positional_args(int argc, char** argv) {
     if (!util::starts_with(argv[i], "--")) out.emplace_back(argv[i]);
   }
   return out;
+}
+
+int positive_count_arg(const std::vector<std::string>& args, std::size_t index,
+                       int fallback, const char* usage) {
+  if (index >= args.size()) return fallback;
+  const auto value = util::parse_int(args[index]);
+  if (!value || *value < 1 || *value > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "\"%s\" is not a positive integer\nusage: %s\n",
+                 args[index].c_str(), usage);
+    std::exit(2);
+  }
+  return static_cast<int>(*value);
 }
 
 }  // namespace lcda::core

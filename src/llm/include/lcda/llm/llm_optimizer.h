@@ -17,7 +17,10 @@ namespace lcda::llm {
 /// propose() builds the prompt from the accumulated history, queries the
 /// client, and parses the answer; malformed answers are retried and, after
 /// `max_parse_retries`, replaced by a uniform random sample so the co-design
-/// loop never stalls on a misbehaving model.
+/// loop never stalls on a misbehaving model. Each exchange is recorded with
+/// the history length its prompt carried rather than a copy of the prompt,
+/// so a long study's transcript grows by a response per turn, not by the
+/// whole re-sent history.
 class LlmOptimizer final : public search::Optimizer {
  public:
   struct Options {
@@ -35,9 +38,12 @@ class LlmOptimizer final : public search::Optimizer {
   [[nodiscard]] std::string name() const override;
 
   /// One prompt/response exchange, kept for explainability (the paper's
-  /// first future-work direction: the dialogue is human-readable).
+  /// first future-work direction: the dialogue is human-readable). The
+  /// prompt is not copied: it is the one a PromptBuilder renders from the
+  /// first `history_length` entries of history(), and prompt() renders it
+  /// again.
   struct Exchange {
-    std::string prompt;
+    std::size_t history_length = 0;
     std::string response;
     bool parsed_ok = false;
     int repairs = 0;
@@ -48,6 +54,11 @@ class LlmOptimizer final : public search::Optimizer {
   [[nodiscard]] const std::vector<HistoryEntry>& history() const {
     return history_;
   }
+
+  /// The prompt text `ex` sent (ChatRequest::full_text()), byte for byte,
+  /// re-rendered through a fresh PromptBuilder with this optimizer's space
+  /// and prompt options.
+  [[nodiscard]] std::string prompt(const Exchange& ex) const;
 
  private:
   search::SearchSpace space_;

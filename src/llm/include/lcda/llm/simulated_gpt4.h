@@ -11,12 +11,14 @@ namespace lcda::llm {
 /// Deterministic, prompt-driven stand-in for GPT-4 (README "The LLM
 /// turn").
 ///
-/// The simulator reads ONLY the prompt text (via read_prompt), re-reading
-/// the whole prompt every turn and keeping nothing derived from an earlier
-/// one — design space, objective, task framing and history all round-trip
+/// The simulator reads ONLY the prompt text, through its PromptReader —
+/// design space, objective, task framing and history all round-trip
 /// through the real Algorithm-1 prompt — and answers in free text that must
-/// survive the real response parser. Its policy encodes the behaviour the
-/// paper attributes to GPT-4:
+/// survive the real response parser. The reader's memo keeps the parse of
+/// each history line, keyed by the line's bytes, so a line is parsed once
+/// however many prompts carry it; the answer is still a function of only
+/// the current prompt's bytes and the RNG. Its policy encodes the behaviour
+/// the paper attributes to GPT-4:
 ///
 /// With co-design framing (LCDA):
 ///  * no cold start — the first proposal is already a sensible
@@ -69,6 +71,7 @@ class SimulatedGpt4 final : public LlmClient {
 
   Options opts_;
   util::Rng rng_;
+  PromptReader reader_;
 };
 
 }  // namespace lcda::llm

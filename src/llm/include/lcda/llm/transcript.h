@@ -15,8 +15,9 @@ namespace lcda::llm {
 void write_transcript_markdown(std::ostream& os, const LlmOptimizer& optimizer,
                                std::string_view title = "LCDA search transcript");
 
-/// One-exchange variant (used by tools that stream episodes).
-void write_exchange_markdown(std::ostream& os, const LlmOptimizer::Exchange& ex,
-                             std::size_t index);
+/// One-exchange variant (used by tools that stream episodes): `prompt` is
+/// the exchange's prompt text, LlmOptimizer::prompt(ex).
+void write_exchange_markdown(std::ostream& os, std::string_view prompt,
+                             const LlmOptimizer::Exchange& ex, std::size_t index);
 
 }  // namespace lcda::llm

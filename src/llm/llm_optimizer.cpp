@@ -1,5 +1,6 @@
 #include "lcda/llm/llm_optimizer.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "lcda/util/logging.h"
@@ -23,11 +24,11 @@ std::string LlmOptimizer::name() const {
 search::Design LlmOptimizer::propose(util::Rng& rng) {
   const ChatRequest request = builder_.build();
   for (int attempt = 0; attempt <= opts_.max_parse_retries; ++attempt) {
-    const ChatResponse response = client_->complete(request);
+    ChatResponse response = client_->complete(request);
     const ParseResult parsed = parse_design_response(response.content, space_);
     Exchange ex;
-    ex.prompt = request.full_text();
-    ex.response = response.content;
+    ex.history_length = history_.size();
+    ex.response = std::move(response.content);
     ex.parsed_ok = parsed.ok;
     ex.repairs = parsed.repairs;
     transcript_.push_back(std::move(ex));
@@ -39,6 +40,18 @@ search::Design LlmOptimizer::propose(util::Rng& rng) {
   // The model kept misbehaving; keep the loop alive with a random design.
   util::Logger("llm").warn() << "falling back to a random design";
   return space_.sample(rng);
+}
+
+std::string LlmOptimizer::prompt(const Exchange& ex) const {
+  // Only the newest max_history entries are shown, but a prompt with any
+  // history at all carries the history intro, so at least one is added.
+  const std::size_t shown = std::min(
+      ex.history_length, std::max<std::size_t>(opts_.prompt.max_history, 1));
+  PromptBuilder builder(space_, opts_.prompt);
+  for (std::size_t i = ex.history_length - shown; i < ex.history_length; ++i) {
+    builder.add(history_[i]);
+  }
+  return builder.build().full_text();
 }
 
 void LlmOptimizer::feedback(const search::Observation& obs) {

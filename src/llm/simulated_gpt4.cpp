@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "lcda/llm/explain.h"
 #include "lcda/llm/prompt.h"
@@ -23,6 +22,8 @@ const std::vector<T>& or_default(const std::vector<T>& got,
   return got.empty() ? fallback : got;
 }
 
+/// The choice nearest `value`; ties go to the earlier entry, so callers
+/// that snap keep the prompt's order.
 int nearest_in(int value, const std::vector<int>& choices) {
   int best = choices.front();
   for (int c : choices) {
@@ -31,33 +32,37 @@ int nearest_in(int value, const std::vector<int>& choices) {
   return best;
 }
 
-/// Next smaller / larger entry in a sorted-ish choice list.
-int step_choice(int value, const std::vector<int>& choices, int direction) {
-  std::vector<int> sorted = choices;
-  std::sort(sorted.begin(), sorted.end());
-  const auto it = std::find(sorted.begin(), sorted.end(), value);
-  std::size_t idx =
-      it == sorted.end()
-          ? static_cast<std::size_t>(
-                std::find(sorted.begin(), sorted.end(), nearest_in(value, sorted)) -
-                sorted.begin())
-          : static_cast<std::size_t>(it - sorted.begin());
+std::vector<int> ascending(std::vector<int> choices) {
+  std::sort(choices.begin(), choices.end());
+  return choices;
+}
+
+/// Next smaller / larger entry of an ascending choice list; a value not in
+/// it steps from its nearest entry.
+int step_choice(int value, const std::vector<int>& sorted, int direction) {
+  auto it = std::find(sorted.begin(), sorted.end(), value);
+  if (it == sorted.end()) {
+    it = std::find(sorted.begin(), sorted.end(), nearest_in(value, sorted));
+  }
+  auto idx = static_cast<std::size_t>(it - sorted.begin());
   if (direction > 0 && idx + 1 < sorted.size()) ++idx;
   if (direction < 0 && idx > 0) --idx;
   return sorted[idx];
 }
 
 /// Enforces the "logical design choices" of Sec. IV-A: non-decreasing
-/// channels, at most 4x growth per layer, snapped to the choice list.
+/// channels, at most 4x growth per layer, snapped to the choice list
+/// (`channels` in the prompt's order, `sorted_channels` ascending).
 void enforce_expert_constraints(std::vector<nn::ConvSpec>& rollout,
-                                const std::vector<int>& channels) {
+                                const std::vector<int>& channels,
+                                const std::vector<int>& sorted_channels) {
   int prev = 0;
   for (auto& spec : rollout) {
     spec.channels = nearest_in(spec.channels, channels);
     if (prev > 0) {
       if (spec.channels < prev) spec.channels = prev;
       while (spec.channels > 4 * prev) {
-        const int smaller = step_choice(spec.channels, channels, -1);
+        const int smaller = step_choice(spec.channels, sorted_channels, -1);
         if (smaller == spec.channels) break;
         spec.channels = smaller;
       }
@@ -66,15 +71,13 @@ void enforce_expert_constraints(std::vector<nn::ConvSpec>& rollout,
   }
 }
 
-std::uint64_t design_key(const search::Design& d) { return d.hash(); }
-
 }  // namespace
 
 SimulatedGpt4::SimulatedGpt4(Options opts) : opts_(opts), rng_(opts.seed) {}
 
 ChatResponse SimulatedGpt4::complete(const ChatRequest& request) {
   const std::string text = request.full_text();
-  const PromptFacts facts = read_prompt(text);
+  const PromptFacts& facts = reader_.read(text);
   ChatResponse resp;
   if (text.find(kExplainMarker) != std::string::npos) {
     resp.content = explain_change(facts);
@@ -183,8 +186,15 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
   if (expert_kernels.empty()) expert_kernels = kernels;
   const int layers = facts.conv_layers;
 
-  std::unordered_set<std::uint64_t> seen;
-  for (const auto& h : facts.history) seen.insert(design_key(h.design));
+  // step_choice walks ascending lists: each is sorted once per turn.
+  const std::vector<int> sorted_channels = ascending(channels);
+  const std::vector<int> sorted_kernels = ascending(expert_kernels);
+  const std::vector<int> sorted_bits = ascending(facts.bits_per_cell_choices);
+  const std::vector<int> sorted_adc = ascending(facts.adc_bits_choices);
+  const std::vector<int> sorted_xbar = ascending(facts.xbar_choices);
+  const std::vector<int> sorted_mux = ascending(facts.mux_choices);
+  // The explored designs' hashes, computed once per history line.
+  const std::vector<std::uint64_t>& explored = reader_.history_keys();
 
   // --- Episode 0: pretrained knowledge, no cold start -------------------
   if (facts.history.empty()) {
@@ -202,7 +212,7 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
       d.rollout.push_back(spec);
       prev = spec.channels;
     }
-    enforce_expert_constraints(d.rollout, channels);
+    enforce_expert_constraints(d.rollout, channels, sorted_channels);
     // Standard hardware point: 2-bit cells on a 128-crossbar with a
     // mid-resolution ADC is the textbook CiM operating point.
     if (!facts.device_choices.empty()) d.hw.device = facts.device_choices.front();
@@ -235,10 +245,10 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
     if (last_invalid) {
       // Area blew up: the expert reasons about area and shrinks the design.
       for (auto& spec : d.rollout) {
-        spec.channels = step_choice(spec.channels, channels, -1);
+        spec.channels = step_choice(spec.channels, sorted_channels, -1);
       }
       if (!facts.xbar_choices.empty()) {
-        d.hw.xbar_size = step_choice(d.hw.xbar_size, facts.xbar_choices, +1);
+        d.hw.xbar_size = step_choice(d.hw.xbar_size, sorted_xbar, +1);
       }
     } else if (!opts_.wrong_cim_kernel_priors &&
                facts.objective == Objective::kLatency) {
@@ -254,22 +264,23 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
       if (roll < 0.40) {
         const int dir = rng_.chance(0.6) ? -1 : +1;  // smaller nets replicate
         for (auto& spec : d.rollout) {
-          spec.channels = step_choice(spec.channels, channels, dir);
+          spec.channels = step_choice(spec.channels, sorted_channels, dir);
         }
       } else if (roll < 0.60) {
         const std::size_t i = rng_.index(d.rollout.size());
-        d.rollout[i].channels = step_choice(d.rollout[i].channels, channels,
-                                            rng_.chance(0.5) ? +1 : -1);
+        d.rollout[i].channels =
+            step_choice(d.rollout[i].channels, sorted_channels,
+                        rng_.chance(0.5) ? +1 : -1);
       } else if (roll < 0.80 && !facts.adc_bits_choices.empty()) {
         // Lower-resolution ADCs convert faster (SAR cycles scale with bits).
-        d.hw.adc_bits = step_choice(d.hw.adc_bits, facts.adc_bits_choices, -1);
+        d.hw.adc_bits = step_choice(d.hw.adc_bits, sorted_adc, -1);
       } else if (!facts.mux_choices.empty() && rng_.chance(0.5)) {
         // Less column muxing = fewer serialized conversions per read.
-        d.hw.col_mux = step_choice(d.hw.col_mux, facts.mux_choices, -1);
+        d.hw.col_mux = step_choice(d.hw.col_mux, sorted_mux, -1);
       } else if (!facts.bits_per_cell_choices.empty()) {
         // Denser cells shrink the array count, freeing area for replication.
         d.hw.bits_per_cell =
-            step_choice(d.hw.bits_per_cell, facts.bits_per_cell_choices, +1);
+            step_choice(d.hw.bits_per_cell, sorted_bits, +1);
       }
     } else {
       const double roll = rng_.uniform();
@@ -279,43 +290,44 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
         // Sec. IV-B misconception #2: "smaller kernels mean lower latency".
         // GPT-4 keeps shrinking kernels chasing FPS.
         const std::size_t i = rng_.index(d.rollout.size());
-        d.rollout[i].kernel = step_choice(d.rollout[i].kernel, expert_kernels, -1);
+        d.rollout[i].kernel = step_choice(d.rollout[i].kernel, sorted_kernels, -1);
       } else if (latency_objective && opts_.wrong_cim_kernel_priors &&
                  roll < 0.80) {
         // Sec. IV-B misconception #1: "larger kernels mean higher accuracy".
         // When the score stalls, it enlarges kernels instead.
         const std::size_t i = rng_.index(d.rollout.size());
-        d.rollout[i].kernel = step_choice(d.rollout[i].kernel, expert_kernels, +1);
+        d.rollout[i].kernel = step_choice(d.rollout[i].kernel, sorted_kernels, +1);
       } else if (roll < 0.45) {
         // Channel spectrum exploration: scale the whole network up or down
         // one notch — high-accuracy designs across the energy range.
         const int dir = rng_.chance(0.5) ? +1 : -1;
         for (auto& spec : d.rollout) {
-          spec.channels = step_choice(spec.channels, channels, dir);
+          spec.channels = step_choice(spec.channels, sorted_channels, dir);
         }
       } else if (roll < 0.70) {
         // Local width move on one of the later layers.
         const std::size_t i = rng_.index(d.rollout.size());
         const int dir = rng_.chance(0.6) ? +1 : -1;
-        d.rollout[i].channels = step_choice(d.rollout[i].channels, channels, dir);
+        d.rollout[i].channels =
+            step_choice(d.rollout[i].channels, sorted_channels, dir);
       } else if (roll < 0.80 && !latency_objective) {
         // Mild kernel exploration under the energy objective (3 <-> 5).
         const std::size_t i = rng_.index(d.rollout.size());
         const int dir = rng_.chance(0.5) ? +1 : -1;
-        const int next = step_choice(d.rollout[i].kernel, expert_kernels, dir);
+        const int next = step_choice(d.rollout[i].kernel, sorted_kernels, dir);
         d.rollout[i].kernel = std::min(next, 5);
       } else {
         // Hardware neighborhood move on one knob.
         switch (rng_.index(4)) {
           case 0:
             if (!facts.adc_bits_choices.empty()) {
-              d.hw.adc_bits = step_choice(d.hw.adc_bits, facts.adc_bits_choices,
+              d.hw.adc_bits = step_choice(d.hw.adc_bits, sorted_adc,
                                           rng_.chance(0.5) ? +1 : -1);
             }
             break;
           case 1:
             if (!facts.xbar_choices.empty()) {
-              d.hw.xbar_size = step_choice(d.hw.xbar_size, facts.xbar_choices,
+              d.hw.xbar_size = step_choice(d.hw.xbar_size, sorted_xbar,
                                            rng_.chance(0.5) ? +1 : -1);
             }
             break;
@@ -328,7 +340,7 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
           default:
             if (!facts.bits_per_cell_choices.empty()) {
               d.hw.bits_per_cell =
-                  step_choice(d.hw.bits_per_cell, facts.bits_per_cell_choices,
+                  step_choice(d.hw.bits_per_cell, sorted_bits,
                               rng_.chance(0.5) ? +1 : -1);
             }
             break;
@@ -336,16 +348,18 @@ search::Design SimulatedGpt4::expert_propose(const PromptFacts& facts) {
       }
     }
 
-    enforce_expert_constraints(d.rollout, channels);
-    if (!seen.contains(design_key(d))) return d;
+    enforce_expert_constraints(d.rollout, channels, sorted_channels);
+    if (std::find(explored.begin(), explored.end(), d.hash()) == explored.end()) {
+      return d;
+    }
   }
   // Every neighbor tried was already explored; re-suggest the best design
   // scaled down a notch (still expert-legal).
   search::Design d = best->design;
   for (auto& spec : d.rollout) {
-    spec.channels = step_choice(spec.channels, channels, -1);
+    spec.channels = step_choice(spec.channels, sorted_channels, -1);
   }
-  enforce_expert_constraints(d.rollout, channels);
+  enforce_expert_constraints(d.rollout, channels, sorted_channels);
   return d;
 }
 

@@ -4,11 +4,11 @@
 
 namespace lcda::llm {
 
-void write_exchange_markdown(std::ostream& os, const LlmOptimizer::Exchange& ex,
-                             std::size_t index) {
+void write_exchange_markdown(std::ostream& os, std::string_view prompt,
+                             const LlmOptimizer::Exchange& ex, std::size_t index) {
   os << "## Exchange " << index << "\n\n";
   os << "**Prompt:**\n\n";
-  for (const std::string& line : util::split(ex.prompt, '\n')) {
+  for (const std::string& line : util::split(prompt, '\n')) {
     os << "> " << line << '\n';
   }
   os << "\n**Response:**\n\n```\n" << ex.response;
@@ -25,7 +25,8 @@ void write_transcript_markdown(std::ostream& os, const LlmOptimizer& optimizer,
   os << "Optimizer: " << optimizer.name() << ", " << optimizer.transcript().size()
      << " exchange(s), " << optimizer.history().size() << " evaluated design(s).\n\n";
   for (std::size_t i = 0; i < optimizer.transcript().size(); ++i) {
-    write_exchange_markdown(os, optimizer.transcript()[i], i);
+    const LlmOptimizer::Exchange& ex = optimizer.transcript()[i];
+    write_exchange_markdown(os, optimizer.prompt(ex), ex, i);
   }
 }
 

@@ -27,19 +27,25 @@ std::string Design::describe() const {
 }
 
 std::uint64_t Design::hash() const {
-  std::vector<int> key;
-  key.reserve(rollout.size() * 2 + 6);
+  // util::hash_ints over {c0, k0, c1, k1, ..., device, bits_per_cell,
+  // adc_bits, xbar_size, col_mux, weight_bits}, folded in place: hash_ints
+  // is this hash_combine fold from the start state it returns for no ints.
+  std::uint64_t h = util::hash_ints({}, 0xdeca1ULL);
+  const auto fold = [&h](int v) {
+    h = util::hash_combine(
+        h, static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  };
   for (const auto& spec : rollout) {
-    key.push_back(spec.channels);
-    key.push_back(spec.kernel);
+    fold(spec.channels);
+    fold(spec.kernel);
   }
-  key.push_back(static_cast<int>(hw.device));
-  key.push_back(hw.bits_per_cell);
-  key.push_back(hw.adc_bits);
-  key.push_back(hw.xbar_size);
-  key.push_back(hw.col_mux);
-  key.push_back(hw.weight_bits);
-  return util::hash_ints(key, 0xdeca1ULL);
+  fold(static_cast<int>(hw.device));
+  fold(hw.bits_per_cell);
+  fold(hw.adc_bits);
+  fold(hw.xbar_size);
+  fold(hw.col_mux);
+  fold(hw.weight_bits);
+  return h;
 }
 
 }  // namespace lcda::search

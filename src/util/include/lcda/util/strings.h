@@ -24,6 +24,10 @@ namespace lcda::util {
 /// Lower-cases ASCII; every other byte is kept as is, whatever the locale.
 [[nodiscard]] std::string to_lower(std::string_view s);
 
+/// to_lower into `out`, reusing its storage (for callers that lower text
+/// in a loop).
+void to_lower(std::string_view s, std::string& out);
+
 /// Parses a decimal integer; nullopt on any trailing garbage.
 [[nodiscard]] std::optional<long long> parse_int(std::string_view s);
 

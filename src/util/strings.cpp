@@ -54,10 +54,14 @@ bool contains_icase(std::string_view haystack, std::string_view needle) {
 }
 
 std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](char c) { return lower(c); });
+  std::string out;
+  to_lower(s, out);
   return out;
+}
+
+void to_lower(std::string_view s, std::string& out) {
+  out.resize(s.size());
+  std::transform(s.begin(), s.end(), out.begin(), [](char c) { return lower(c); });
 }
 
 std::optional<long long> parse_int(std::string_view s) {

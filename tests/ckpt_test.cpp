@@ -21,16 +21,14 @@
 #include "lcda/util/logging.h"
 #include "lcda/util/subprocess.h"
 
+#include "temp_dir.h"
+
 namespace {
 
 using namespace lcda;
 
 std::string temp_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("lcda_ckpt_test_" + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return test::fresh_temp_dir("lcda_ckpt_test_" + tag).string();
 }
 
 bool mentions(const std::string& text, const char* what) {

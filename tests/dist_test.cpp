@@ -25,16 +25,14 @@
 #include "lcda/obs/trace.h"
 #include "lcda/util/subprocess.h"
 
+#include "temp_dir.h"
+
 namespace {
 
 using namespace lcda;
 
 std::string temp_dir(const char* tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("lcda_dist_test_") + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return test::fresh_temp_dir(std::string("lcda_dist_test_") + tag).string();
 }
 
 /// A small but non-trivial study: two strategies' worth of signal is not

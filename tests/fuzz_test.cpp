@@ -46,6 +46,8 @@
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
 
+#include "temp_dir.h"
+
 namespace lcda {
 namespace {
 
@@ -302,38 +304,53 @@ llm::PromptFacts read_prompt(std::string_view text) {
 
 }  // namespace reference
 
-/// Real prompts: the transcripts of short LCDA and LCDA-naive dialogues
-/// under both objectives, sampled from the empty history to past the
-/// 64-entry window, with rewards spread like a study's (some -1). Besides
-/// the paper's space, a 4-layer space with other choice lists, so that a
-/// fact the reader misses cannot hide behind a default equal to it.
-std::vector<std::string> real_prompts() {
-  search::SearchSpace::Options small;
-  small.conv_layers = 4;
-  small.channel_choices = {8, 16, 24};
-  small.kernel_choices = {3, 5};
-  std::vector<std::string> prompts;
-  for (const search::SearchSpace& space :
-       {search::SearchSpace{}, search::SearchSpace{small}}) {
-    for (const bool codesign : {true, false}) {
-      for (const llm::Objective objective :
-           {llm::Objective::kEnergy, llm::Objective::kLatency}) {
-        llm::LlmOptimizer::Options opts;
-        opts.prompt.objective = objective;
-        opts.prompt.codesign_context = codesign;
-        llm::LlmOptimizer opt(space, std::make_shared<llm::SimulatedGpt4>(), opts);
-        util::Rng rng(31 + prompts.size());
-        for (int ep = 0; ep < 70; ++ep) {
-          search::Observation obs;
-          obs.design = opt.propose(rng);
-          obs.reward = rng.chance(0.1) ? -1.0 : rng.uniform();
-          opt.feedback(obs);
-        }
-        for (const std::size_t at : {0, 1, 40, 69}) {
-          prompts.push_back(opt.transcript().at(at).prompt);
+/// Real dialogues: every prompt of short LCDA and LCDA-naive dialogues
+/// under both objectives, in the order they were sent, from the empty
+/// history to past the 64-entry window, with rewards spread like a study's
+/// (some -1). Besides the paper's space, a 4-layer space with other choice
+/// lists, so that a fact the reader misses cannot hide behind a default
+/// equal to it.
+const std::vector<std::vector<std::string>>& real_dialogues() {
+  static const std::vector<std::vector<std::string>> kDialogues = [] {
+    search::SearchSpace::Options small;
+    small.conv_layers = 4;
+    small.channel_choices = {8, 16, 24};
+    small.kernel_choices = {3, 5};
+    std::vector<std::vector<std::string>> dialogues;
+    for (const search::SearchSpace& space :
+         {search::SearchSpace{}, search::SearchSpace{small}}) {
+      for (const bool codesign : {true, false}) {
+        for (const llm::Objective objective :
+             {llm::Objective::kEnergy, llm::Objective::kLatency}) {
+          llm::LlmOptimizer::Options opts;
+          opts.prompt.objective = objective;
+          opts.prompt.codesign_context = codesign;
+          llm::LlmOptimizer opt(space, std::make_shared<llm::SimulatedGpt4>(), opts);
+          util::Rng rng(31 + 4 * dialogues.size());
+          for (int ep = 0; ep < 70; ++ep) {
+            search::Observation obs;
+            obs.design = opt.propose(rng);
+            obs.reward = rng.chance(0.1) ? -1.0 : rng.uniform();
+            opt.feedback(obs);
+          }
+          std::vector<std::string>& prompts = dialogues.emplace_back();
+          for (const llm::LlmOptimizer::Exchange& ex : opt.transcript()) {
+            prompts.push_back(opt.prompt(ex));
+          }
         }
       }
     }
+    return dialogues;
+  }();
+  return kDialogues;
+}
+
+/// Real prompts: four of each dialogue's, from the empty history to past
+/// the window.
+std::vector<std::string> real_prompts() {
+  std::vector<std::string> prompts;
+  for (const std::vector<std::string>& dialogue : real_dialogues()) {
+    for (const std::size_t at : {0, 1, 40, 69}) prompts.push_back(dialogue.at(at));
   }
   return prompts;
 }
@@ -426,6 +443,41 @@ TEST_P(PromptReaderDifferential, MatchesTheReferenceReaderOnMutatedPrompts) {
     for (int r = 0; r < rounds; ++r) text = mutate_prompt(rng, text, corpus);
     expect_same_facts(reference::read_prompt(text), llm::read_prompt(text), text);
     if (HasFailure()) return;  // one diverging prompt is enough to read
+  }
+}
+
+// One long-lived reader, as SimulatedGpt4 keeps it: every prompt of every
+// dialogue in the order it was sent (each new history line a miss, the
+// rest hits, lines leaving the window and the dialogue evicted), then the
+// mutated prompts, which hit, miss and evict in no order at all.
+TEST_P(PromptReaderDifferential, OneLongLivedReaderMatchesTheReferenceReader) {
+  static const std::vector<std::string> corpus = real_prompts();
+  llm::PromptReader reader;
+  const auto check = [&](const std::string& text) {
+    const llm::PromptFacts& got = reader.read(text);
+    expect_same_facts(reference::read_prompt(text), got, text);
+    ASSERT_EQ(reader.history_keys().size(), got.history.size()) << text;
+    for (std::size_t i = 0; i < got.history.size(); ++i) {
+      EXPECT_EQ(reader.history_keys()[i], got.history[i].design.hash())
+          << "history line " << i << " of\n" << text;
+    }
+    const auto lines =
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+    EXPECT_LE(reader.memo_size(), 2 * lines) << text;
+  };
+  for (const std::vector<std::string>& dialogue : real_dialogues()) {
+    for (const std::string& text : dialogue) {
+      check(text);
+      if (HasFailure()) return;
+    }
+  }
+  util::Rng rng(GetParam());
+  for (int i = 0; i < 600; ++i) {
+    std::string text = corpus[rng.index(corpus.size())];
+    const int rounds = static_cast<int>(rng.uniform_int(1, 3));
+    for (int r = 0; r < rounds; ++r) text = mutate_prompt(rng, text, corpus);
+    check(text);
+    if (HasFailure()) return;
   }
 }
 
@@ -792,10 +844,8 @@ const LoggedRun& logged_run() {
     out.config = core::scenario_by_name("paper-energy").config;
     out.config.batch_size = 4;
     out.config.checkpoint_dir =
-        (std::filesystem::temp_directory_path() /
-         ("lcda_fuzz_round_log_" + std::to_string(::getpid())))
+        test::fresh_temp_dir("lcda_fuzz_round_log_" + std::to_string(::getpid()))
             .string();
-    std::filesystem::remove_all(out.config.checkpoint_dir);
     out.reference = render_run(
         core::run_strategy(kLoggedStrategy, kLoggedEpisodes, out.config));
     out.study_dir = ckpt::study_checkpoint_dir(
@@ -943,8 +993,7 @@ struct StoreCorpus {
 
 const std::filesystem::path& store_fuzz_root() {
   static const std::filesystem::path kRoot =
-      std::filesystem::temp_directory_path() /
-      ("lcda_fuzz_store_" + std::to_string(::getpid()));
+      test::fresh_temp_dir("lcda_fuzz_store_" + std::to_string(::getpid()));
   return kRoot;
 }
 
@@ -1231,9 +1280,7 @@ class ShardDocumentFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShardDocumentFuzz, ManifestDecodersRejectOrMerge) {
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("lcda_fuzz_manifest_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+      test::fresh_temp_dir("lcda_fuzz_manifest_" + std::to_string(::getpid()));
   for (const ShardedStudy& study : sharded_studies()) {
     EXPECT_TRUE(merge_all(study, study.manifests));
   }

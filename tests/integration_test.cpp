@@ -120,11 +120,12 @@ TEST(Integration, TranscriptIsExplainable) {
 
   ASSERT_GE(optimizer.transcript().size(), 3u);
   const auto& first = optimizer.transcript().front();
-  EXPECT_NE(first.prompt.find("neural architecture search"), std::string::npos);
+  EXPECT_NE(optimizer.prompt(first).find("neural architecture search"),
+            std::string::npos);
   EXPECT_FALSE(first.response.empty());
   // Episode >= 1 prompts must carry the episode-0 result.
   const auto& second = optimizer.transcript()[1];
-  EXPECT_NE(second.prompt.find("performance="), std::string::npos);
+  EXPECT_NE(optimizer.prompt(second).find("performance="), std::string::npos);
 }
 
 }  // namespace

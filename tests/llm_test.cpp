@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <sstream>
+#include <tuple>
 
 #include "lcda/core/experiment.h"
 #include "lcda/core/loop.h"
@@ -451,6 +452,86 @@ TEST(LlmOptimizer, HistoryFlowsIntoPrompt) {
   (void)opt.propose(rng);
   const std::string& second_prompt = client->requests().back().full_text();
   EXPECT_NE(second_prompt.find("performance=0.777"), std::string::npos);
+}
+
+// ------------------------------------------------- Transcript prompts
+
+/// Forwards every request to `inner` and keeps the prompt text it sent.
+class RecordingClient final : public LlmClient {
+ public:
+  explicit RecordingClient(std::shared_ptr<LlmClient> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] ChatResponse complete(const ChatRequest& request) override {
+    sent_.push_back(request.full_text());
+    return inner_->complete(request);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] const std::vector<std::string>& sent() const { return sent_; }
+
+ private:
+  std::shared_ptr<LlmClient> inner_;
+  std::vector<std::string> sent_;
+};
+
+/// Every exchange's re-rendered prompt is the text the client was sent.
+void expect_prompts_match(const LlmOptimizer& opt,
+                          const std::vector<std::string>& sent) {
+  ASSERT_EQ(opt.transcript().size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(opt.prompt(opt.transcript()[i]), sent[i]) << "exchange " << i;
+  }
+}
+
+class TranscriptPrompt
+    : public ::testing::TestWithParam<std::tuple<bool, std::size_t>> {};
+
+TEST_P(TranscriptPrompt, ReRendersTheBytesSent) {
+  const auto [codesign, max_history] = GetParam();
+  LlmOptimizer::Options opts;
+  opts.prompt.codesign_context = codesign;
+  opts.prompt.max_history = max_history;
+  auto client = std::make_shared<RecordingClient>(std::make_shared<SimulatedGpt4>());
+  LlmOptimizer opt(default_space(), client, opts);
+  util::Rng rng(17);
+  // Past the 64-entry window, with some invalid (-1) rewards.
+  for (int ep = 0; ep < 80; ++ep) {
+    search::Observation obs;
+    obs.design = opt.propose(rng);
+    obs.reward = rng.chance(0.1) ? -1.0 : rng.uniform();
+    opt.feedback(obs);
+  }
+  expect_prompts_match(opt, client->sent());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExpertAndNaive, TranscriptPrompt,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0, 1, 3, 64)));
+
+TEST(TranscriptRetries, EachTryReRendersItsPrompt) {
+  const std::string valid = "[[32,3],[32,3],[64,3],[64,3],[128,3],[128,3]]";
+  // Episode 0 parses on its second try; episode 2 exhausts all four tries
+  // and falls back to a random design.
+  auto client = std::make_shared<ScriptedLlm>(std::vector<std::string>{
+      "nope", valid, valid, "no", "design", "here", "either", valid});
+  LlmOptimizer::Options opts;
+  opts.prompt.max_history = 3;
+  LlmOptimizer opt(default_space(), client, opts);
+  util::Rng rng(5);
+  for (int ep = 0; ep < 6; ++ep) {
+    search::Observation obs;
+    obs.design = opt.propose(rng);
+    obs.reward = 0.1 * ep;
+    opt.feedback(obs);
+  }
+  std::vector<std::string> sent;
+  for (const ChatRequest& request : client->requests()) {
+    sent.push_back(request.full_text());
+  }
+  EXPECT_EQ(sent.size(), 10u);
+  expect_prompts_match(opt, sent);
+  EXPECT_FALSE(opt.transcript()[0].parsed_ok);
+  EXPECT_EQ(opt.transcript()[1].history_length, 0u);
+  EXPECT_EQ(opt.transcript()[6].history_length, 2u);
 }
 
 // ------------------------------------------------------ Transcript golden

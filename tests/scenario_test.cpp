@@ -12,6 +12,8 @@
 #include "lcda/core/report.h"
 #include "lcda/noise/write_verify.h"
 
+#include "temp_dir.h"
+
 namespace {
 
 using namespace lcda;
@@ -28,11 +30,7 @@ std::string trace_text(const core::RunResult& run) {
 
 /// A unique fresh temp directory per test.
 std::string temp_dir(const char* tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   (std::string("lcda_scenario_test_") + tag);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return test::fresh_temp_dir(std::string("lcda_scenario_test_") + tag).string();
 }
 
 // ------------------------------------------------------- config round-trip

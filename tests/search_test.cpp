@@ -2,12 +2,14 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "lcda/search/design.h"
 #include "lcda/search/genetic_optimizer.h"
 #include "lcda/search/random_optimizer.h"
 #include "lcda/search/rl_optimizer.h"
 #include "lcda/search/space.h"
+#include "lcda/util/rng.h"
 
 namespace lcda::search {
 namespace {
@@ -36,6 +38,27 @@ TEST(Design, HashDistinguishesRolloutAndHardware) {
   b = a;
   b.hw.adc_bits = 7;
   EXPECT_NE(a.hash(), b.hash());
+}
+
+// The hash is util::hash_ints over the design's ints, so every cache,
+// store and fingerprint key built on it keeps its value.
+TEST(Design, HashIsHashIntsOverTheDesignsInts) {
+  const SearchSpace space = default_space();
+  util::Rng rng(23);
+  for (int i = 0; i < 1000; ++i) {
+    const Design d = space.sample(rng);
+    std::vector<int> ints;
+    for (const auto& spec : d.rollout) {
+      ints.push_back(spec.channels);
+      ints.push_back(spec.kernel);
+    }
+    for (const int v : {static_cast<int>(d.hw.device), d.hw.bits_per_cell,
+                        d.hw.adc_bits, d.hw.xbar_size, d.hw.col_mux,
+                        d.hw.weight_bits}) {
+      ints.push_back(v);
+    }
+    EXPECT_EQ(d.hash(), util::hash_ints(ints, 0xdeca1ULL)) << d.describe();
+  }
 }
 
 TEST(Design, DescribeIncludesHardware) {

@@ -20,6 +20,8 @@
 #include "lcda/util/bytes.h"
 #include "lcda/util/rng.h"
 
+#include "temp_dir.h"
+
 namespace {
 
 using namespace lcda;
@@ -27,11 +29,7 @@ namespace fs = std::filesystem;
 
 /// A unique fresh temp directory per test.
 std::string temp_dir(const char* tag) {
-  const auto dir = fs::temp_directory_path() /
-                   (std::string("lcda_store_test_") + tag);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
+  return test::fresh_temp_dir(std::string("lcda_store_test_") + tag).string();
 }
 
 /// An Evaluation whose every numeric field is a recognizable function of
