@@ -12,6 +12,7 @@
 #include "lcda/llm/prompt.h"
 #include "lcda/llm/prompt_reader.h"
 #include "lcda/llm/simulated_gpt4.h"
+#include "lcda/nn/model_builder.h"
 #include "lcda/noise/monte_carlo.h"
 #include "lcda/search/rl_optimizer.h"
 #include "lcda/surrogate/accuracy_model.h"
@@ -259,21 +260,63 @@ void BM_MonteCarloSurrogate(benchmark::State& state) {
 }
 BENCHMARK(BM_MonteCarloSurrogate)->Arg(16)->Arg(64);
 
-void BM_Conv2dForward(benchmark::State& state) {
-  util::Rng rng(4);
-  const int c = static_cast<int>(state.range(0));
-  const tensor::ConvGeom g{16, 16, 3, 1, 1};
-  const tensor::Tensor x = tensor::Tensor::uniform({4, c, 16, 16}, -1, 1, rng);
-  const tensor::Tensor w = tensor::Tensor::uniform({c, c, 3, 3}, -1, 1, rng);
-  const tensor::Tensor b = tensor::Tensor::uniform({c}, -1, 1, rng);
-  tensor::Tensor y({4, c, 16, 16});
+// The conv layers the faithful evaluator trains on trained-small: perfbench's
+// pinned first design (24-24-48-48, all 3x3) on the scenario's 16x16 inputs,
+// at the trainer's batch of 32. Each layer carries the operands its
+// forward and backward pass see; one iteration runs all four layers.
+struct ConvLayer {
+  tensor::ConvGeom g;
+  tensor::Tensor x, w, b, y, dy, dx, dw, db;
   std::vector<float> scratch;
+};
+
+std::vector<ConvLayer> trained_small_conv_layers() {
+  constexpr int kBatch = 32;
+  const std::vector<nn::ConvSpec> rollout = {{24, 3}, {24, 3}, {48, 3}, {48, 3}};
+  const nn::BackboneOptions backbone =
+      core::scenario_by_name("trained-small").config.trained.backbone;
+  util::Rng rng(4);
+  std::vector<ConvLayer> layers;
+  for (const nn::LayerShape& s : nn::backbone_shapes(rollout, backbone)) {
+    if (s.is_fc) continue;
+    ConvLayer l;
+    l.g = tensor::ConvGeom{s.in_hw, s.in_hw, s.kernel, 1, s.kernel / 2};
+    const int hw = l.g.out_h();
+    l.x = tensor::Tensor::uniform({kBatch, s.in_channels, s.in_hw, s.in_hw}, -1, 1, rng);
+    l.w = tensor::Tensor::uniform({s.out_channels, s.in_channels, s.kernel, s.kernel},
+                                  -1, 1, rng);
+    l.b = tensor::Tensor::uniform({s.out_channels}, -1, 1, rng);
+    l.y = tensor::Tensor({kBatch, s.out_channels, hw, hw});
+    l.dy = tensor::Tensor::uniform({kBatch, s.out_channels, hw, hw}, -1, 1, rng);
+    l.dx = tensor::Tensor(l.x.shape());
+    l.dw = tensor::Tensor(l.w.shape());
+    l.db = tensor::Tensor(l.b.shape());
+    layers.push_back(std::move(l));
+  }
+  return layers;
+}
+
+void BM_Conv2dForward(benchmark::State& state) {
+  std::vector<ConvLayer> layers = trained_small_conv_layers();
   for (auto _ : state) {
-    tensor::conv2d_forward(x, w, b, g, y, scratch);
-    benchmark::DoNotOptimize(y);
+    for (ConvLayer& l : layers) {
+      tensor::conv2d_forward(l.x, l.w, l.b, l.g, l.y, l.scratch);
+      benchmark::DoNotOptimize(l.y);
+    }
   }
 }
-BENCHMARK(BM_Conv2dForward)->Arg(16)->Arg(64);
+BENCHMARK(BM_Conv2dForward)->Unit(benchmark::kMillisecond);
+
+void BM_Conv2dBackward(benchmark::State& state) {
+  std::vector<ConvLayer> layers = trained_small_conv_layers();
+  for (auto _ : state) {
+    for (ConvLayer& l : layers) {
+      tensor::conv2d_backward(l.x, l.w, l.g, l.dy, &l.dx, &l.dw, &l.db, l.scratch);
+      benchmark::DoNotOptimize(l.dw);
+    }
+  }
+}
+BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -11,7 +11,7 @@ namespace lcda::llm {
 /// Deterministic, prompt-driven stand-in for GPT-4 (README "The LLM
 /// turn").
 ///
-/// The simulator reads ONLY the prompt text, through its PromptReader —
+/// The simulator reads ONLY the prompt text, through a PromptReader —
 /// design space, objective, task framing and history all round-trip
 /// through the real Algorithm-1 prompt — and answers in free text that must
 /// survive the real response parser. The reader's memo keeps the parse of
@@ -61,6 +61,10 @@ class SimulatedGpt4 final : public LlmClient {
   [[nodiscard]] ChatResponse complete(const ChatRequest& request) override;
   [[nodiscard]] std::string name() const override { return "SimulatedGPT4"; }
 
+  /// The reader of design-proposal prompts; Explainer prompts go through a
+  /// reader of their own, so they never evict this one's history lines.
+  [[nodiscard]] const PromptReader& proposal_reader() const { return reader_; }
+
  private:
   [[nodiscard]] search::Design expert_propose(const PromptFacts& facts);
   [[nodiscard]] search::Design generic_propose(const PromptFacts& facts);
@@ -72,6 +76,7 @@ class SimulatedGpt4 final : public LlmClient {
   Options opts_;
   util::Rng rng_;
   PromptReader reader_;
+  PromptReader explain_reader_;
 };
 
 }  // namespace lcda::llm

@@ -77,12 +77,14 @@ SimulatedGpt4::SimulatedGpt4(Options opts) : opts_(opts), rng_(opts.seed) {}
 
 ChatResponse SimulatedGpt4::complete(const ChatRequest& request) {
   const std::string text = request.full_text();
-  const PromptFacts& facts = reader_.read(text);
   ChatResponse resp;
+  // A short explainer prompt through reader_ would evict every history line
+  // of its memo, and the next proposal would re-parse them all.
   if (text.find(kExplainMarker) != std::string::npos) {
-    resp.content = explain_change(facts);
+    resp.content = explain_change(explain_reader_.read(text));
     return resp;
   }
+  const PromptFacts& facts = reader_.read(text);
   const search::Design design =
       facts.codesign_context ? expert_propose(facts) : generic_propose(facts);
   resp.content = render(design);

@@ -35,13 +35,16 @@ void col2im(const float* columns, int channels, const ConvGeom& g, float* input_
 
 /// Convolution forward for a batch:
 ///   x (N,Cin,H,W), w (Cout,Cin,K,K), bias (Cout) -> y (N,Cout,outH,outW).
-/// `scratch` holds the im2col buffer and is resized as needed (reused across
-/// calls to avoid per-batch allocation).
+/// An empty `bias` means none. Throws std::invalid_argument when an operand's
+/// shape disagrees with these or with `g`. `scratch` holds the kernel's
+/// working buffers and is resized as needed (reused across calls to avoid
+/// per-batch allocation).
 void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& bias,
                     const ConvGeom& g, Tensor& y, std::vector<float>& scratch);
 
-/// Convolution backward. Computes dx (same shape as x), dw, dbias given dy.
-/// Any of the output pointers may be null to skip that gradient.
+/// Convolution backward. Computes dx (same shape as x), dw, dbias given dy
+/// (the shape of y). Any of the output pointers may be null to skip that
+/// gradient. Throws std::invalid_argument on a mis-shaped operand.
 void conv2d_backward(const Tensor& x, const Tensor& w, const ConvGeom& g,
                      const Tensor& dy, Tensor* dx, Tensor* dw, Tensor* dbias,
                      std::vector<float>& scratch);

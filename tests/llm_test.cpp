@@ -7,6 +7,7 @@
 #include "lcda/core/experiment.h"
 #include "lcda/core/loop.h"
 #include "lcda/core/scenario.h"
+#include "lcda/llm/explain.h"
 #include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt.h"
@@ -398,6 +399,39 @@ TEST(SimulatedGpt4, DeterministicGivenSeed) {
   SimulatedGpt4 a(o), b(o);
   const ChatRequest req = codesign_request({});
   EXPECT_EQ(a.complete(req).content, b.complete(req).content);
+}
+
+TEST(SimulatedGpt4, ExplainerPromptsLeaveTheProposalMemoWarm) {
+  // One client answers an LCDA study and, after every episode, an Explainer
+  // prompt about it; its twin answers the same study alone.
+  auto client = std::make_shared<SimulatedGpt4>();
+  auto twin = std::make_shared<SimulatedGpt4>();
+  LlmOptimizer opt(default_space(), client), twin_opt(default_space(), twin);
+  Explainer explainer(client);
+  util::Rng rng(31), twin_rng(31);
+  HistoryEntry previous;
+  for (int ep = 0; ep < 70; ++ep) {
+    search::Observation obs;
+    obs.design = opt.propose(rng);
+    ASSERT_EQ(obs.design, twin_opt.propose(twin_rng)) << "episode " << ep;
+    obs.reward = rng.uniform();
+    opt.feedback(obs);
+    twin_opt.feedback(obs);
+    const HistoryEntry current{obs.design, obs.reward};
+    if (ep > 0) {
+      EXPECT_FALSE(explainer.explain(previous, current, Objective::kEnergy).empty());
+    }
+    previous = current;
+  }
+  ASSERT_EQ(opt.transcript().size(), twin_opt.transcript().size());
+  for (std::size_t i = 0; i < opt.transcript().size(); ++i) {
+    EXPECT_EQ(opt.transcript()[i].response, twin_opt.transcript()[i].response)
+        << "exchange " << i;
+  }
+  // The last proposal prompt carried the full 64-entry window; its lines are
+  // all still in the memo, as in the twin's.
+  EXPECT_GE(client->proposal_reader().memo_size(), 64u);
+  EXPECT_EQ(client->proposal_reader().memo_size(), twin->proposal_reader().memo_size());
 }
 
 // ---------------------------------------------------------- LlmOptimizer

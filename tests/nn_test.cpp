@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "lcda/data/synthetic_cifar.h"
 #include "lcda/nn/layers.h"
@@ -9,6 +10,7 @@
 #include "lcda/nn/sgd.h"
 #include "lcda/nn/trainer.h"
 #include "lcda/util/rng.h"
+#include "lcda/util/strings.h"
 
 namespace lcda::nn {
 namespace {
@@ -318,6 +320,64 @@ TEST(Trainer, EvaluateNoisyRestoresWeights) {
   for (std::size_t i = 0; i < before.size(); ++i) {
     ASSERT_EQ(before[i], after[i]) << "weights must be restored";
   }
+}
+
+/// Appends the bytes of `v` to `out`, for hashing bit patterns.
+template <typename T>
+void append_bits(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+// Pins every bit of a short noise-injection training run: a reordered sum
+// anywhere in the conv, dense or loss kernels moves the digest, where the
+// tolerance checks above would still pass. Every setting is spelled out, so
+// a change to the library's training defaults leaves this alone. The net
+// mixes 3x3, 5x5 and 1x1 convs with channel counts that are not multiples
+// of the kernels' tiles, and the data splits into a full and a partial
+// batch.
+TEST(Trainer, TrainingBitsPinned) {
+  data::SyntheticCifarOptions dopts;
+  dopts.image_size = 8;
+  dopts.num_classes = 4;
+  dopts.train_per_class = 12;
+  dopts.test_per_class = 6;
+  dopts.seed = 21;
+  const auto data = data::make_synthetic_cifar(dopts);
+
+  Rng rng(2024);
+  Sequential net;
+  net.add(std::make_unique<Conv2d>(3, 5, 3, 8, 8, rng));
+  net.add(std::make_unique<ReLU>());
+  net.add(std::make_unique<Conv2d>(5, 24, 5, 8, 8, rng));
+  net.add(std::make_unique<ReLU>());
+  net.add(std::make_unique<MaxPool2x2>());
+  net.add(std::make_unique<Conv2d>(24, 7, 1, 4, 4, rng));
+  net.add(std::make_unique<ReLU>());
+  net.add(std::make_unique<Flatten>());
+  net.add(std::make_unique<Dense>(7 * 4 * 4, 4, rng));
+
+  const WeightPerturber noise = [](std::vector<Param*>& params, util::Rng& r) {
+    for (Param* p : params) {
+      for (auto& w : p->value.data()) w += static_cast<float>(r.normal(0.0, 0.05));
+    }
+  };
+  TrainOptions opts;
+  opts.epochs = 2;
+  opts.sgd.lr = 0.02;
+  opts.sgd.momentum = 0.9;
+  opts.sgd.weight_decay = 1e-4;
+  opts.lr_decay = 0.9;
+  opts.perturber = noise;
+  const TrainResult result = train(net, data.train, data.test, opts, rng);
+  ASSERT_EQ(result.epoch_loss.size(), 2u);
+
+  std::string bits;
+  for (double loss : result.epoch_loss) append_bits(bits, loss);
+  for (const Param* p : net.params()) {
+    for (float w : p->value.data()) append_bits(bits, w);
+  }
+  append_bits(bits, evaluate_noisy(net, data.test, noise, rng));
+  EXPECT_EQ(util::hex_u64(util::fnv1a64(bits)), "84133c920636b631");
 }
 
 TEST(Trainer, OnEpochCallbackFires) {

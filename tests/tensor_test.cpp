@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "lcda/tensor/ops.h"
@@ -287,6 +290,358 @@ TEST(Im2col, Col2imIsAdjoint) {
   for (std::size_t i = 0; i < col_elems; ++i) lhs += cols[i] * c[i];
   for (std::size_t i = 0; i < x.size(); ++i) rhs += x[i] * back[i];
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// ------------------------------------------- Conv kernels: bit identity
+
+// The serial conv loops the library's register-tiled kernels replaced, kept
+// here verbatim as the reference: every output is one accumulator summed in
+// a fixed order. The tiled kernels must give the same bytes, not just close
+// values.
+namespace serial {
+
+void im2col(const float* input, int channels, const ConvGeom& g, float* columns) {
+  const int oh = g.out_h(), ow = g.out_w();
+  const int k = g.kernel;
+  for (int c = 0; c < channels; ++c) {
+    const float* img = input + static_cast<std::size_t>(c) * g.in_h * g.in_w;
+    for (int ki = 0; ki < k; ++ki) {
+      for (int kj = 0; kj < k; ++kj) {
+        float* dst = columns + (static_cast<std::size_t>(c) * k * k + ki * k + kj) *
+                                   (static_cast<std::size_t>(oh) * ow);
+        for (int y = 0; y < oh; ++y) {
+          const int iy = y * g.stride + ki - g.pad;
+          for (int x = 0; x < ow; ++x) {
+            const int ix = x * g.stride + kj - g.pad;
+            const bool in_bounds = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+            dst[static_cast<std::size_t>(y) * ow + x] =
+                in_bounds ? img[static_cast<std::size_t>(iy) * g.in_w + ix] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im(const float* columns, int channels, const ConvGeom& g, float* input_grad) {
+  const int oh = g.out_h(), ow = g.out_w();
+  const int k = g.kernel;
+  for (int c = 0; c < channels; ++c) {
+    float* img = input_grad + static_cast<std::size_t>(c) * g.in_h * g.in_w;
+    for (int ki = 0; ki < k; ++ki) {
+      for (int kj = 0; kj < k; ++kj) {
+        const float* src = columns +
+                           (static_cast<std::size_t>(c) * k * k + ki * k + kj) *
+                               (static_cast<std::size_t>(oh) * ow);
+        for (int y = 0; y < oh; ++y) {
+          const int iy = y * g.stride + ki - g.pad;
+          if (iy < 0 || iy >= g.in_h) continue;
+          for (int x = 0; x < ow; ++x) {
+            const int ix = x * g.stride + kj - g.pad;
+            if (ix < 0 || ix >= g.in_w) continue;
+            img[static_cast<std::size_t>(iy) * g.in_w + ix] +=
+                src[static_cast<std::size_t>(y) * ow + x];
+          }
+        }
+      }
+    }
+  }
+}
+
+void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& bias,
+                    const ConvGeom& g, Tensor& y) {
+  const int n = x.dim(0), cin = x.dim(1);
+  const int cout = w.dim(0), k = w.dim(2);
+  const int oh = g.out_h(), ow = g.out_w();
+  const std::size_t col_rows = static_cast<std::size_t>(cin) * k * k;
+  const std::size_t col_cols = static_cast<std::size_t>(oh) * ow;
+  std::vector<float> scratch(col_rows * col_cols);
+  const std::size_t img_in = static_cast<std::size_t>(cin) * g.in_h * g.in_w;
+  const std::size_t img_out = static_cast<std::size_t>(cout) * oh * ow;
+  for (int i = 0; i < n; ++i) {
+    serial::im2col(x.raw() + i * img_in, cin, g, scratch.data());
+    const float* W = w.raw();
+    float* Y = y.raw() + i * img_out;
+    for (int co = 0; co < cout; ++co) {
+      float* yrow = Y + static_cast<std::size_t>(co) * col_cols;
+      const float b = bias.empty() ? 0.0f : bias[static_cast<std::size_t>(co)];
+      std::fill(yrow, yrow + col_cols, b);
+      const float* wrow = W + static_cast<std::size_t>(co) * col_rows;
+      for (std::size_t r = 0; r < col_rows; ++r) {
+        const float wv = wrow[r];
+        if (wv == 0.0f) continue;
+        const float* crow = scratch.data() + r * col_cols;
+        for (std::size_t j = 0; j < col_cols; ++j) yrow[j] += wv * crow[j];
+      }
+    }
+  }
+}
+
+void conv2d_backward(const Tensor& x, const Tensor& w, const ConvGeom& g,
+                     const Tensor& dy, Tensor& dx, Tensor& dw, Tensor& dbias) {
+  const int n = x.dim(0), cin = x.dim(1);
+  const int cout = w.dim(0), k = w.dim(2);
+  const int oh = g.out_h(), ow = g.out_w();
+  const std::size_t col_rows = static_cast<std::size_t>(cin) * k * k;
+  const std::size_t col_cols = static_cast<std::size_t>(oh) * ow;
+  const std::size_t img_in = static_cast<std::size_t>(cin) * g.in_h * g.in_w;
+  const std::size_t img_out = static_cast<std::size_t>(cout) * oh * ow;
+  std::vector<float> cols(col_rows * col_cols), dcols(col_rows * col_cols);
+  dw.fill(0.0f);
+  dbias.fill(0.0f);
+  dx.fill(0.0f);
+  for (int i = 0; i < n; ++i) {
+    const float* DY = dy.raw() + i * img_out;
+    for (int co = 0; co < cout; ++co) {
+      const float* dyrow = DY + static_cast<std::size_t>(co) * col_cols;
+      float acc = 0.0f;
+      for (std::size_t j = 0; j < col_cols; ++j) acc += dyrow[j];
+      dbias[static_cast<std::size_t>(co)] += acc;
+    }
+    serial::im2col(x.raw() + i * img_in, cin, g, cols.data());
+    for (int co = 0; co < cout; ++co) {
+      const float* dyrow = DY + static_cast<std::size_t>(co) * col_cols;
+      float* dwrow = dw.raw() + static_cast<std::size_t>(co) * col_rows;
+      for (std::size_t r = 0; r < col_rows; ++r) {
+        const float* crow = cols.data() + r * col_cols;
+        float acc = 0.0f;
+        for (std::size_t j = 0; j < col_cols; ++j) acc += dyrow[j] * crow[j];
+        dwrow[r] += acc;
+      }
+    }
+    std::fill(dcols.begin(), dcols.end(), 0.0f);
+    for (int co = 0; co < cout; ++co) {
+      const float* wrow = w.raw() + static_cast<std::size_t>(co) * col_rows;
+      const float* dyrow = DY + static_cast<std::size_t>(co) * col_cols;
+      for (std::size_t r = 0; r < col_rows; ++r) {
+        const float wv = wrow[r];
+        if (wv == 0.0f) continue;
+        float* drow = dcols.data() + r * col_cols;
+        for (std::size_t j = 0; j < col_cols; ++j) drow[j] += wv * dyrow[j];
+      }
+    }
+    serial::col2im(dcols.data(), cin, g, dx.raw() + i * img_in);
+  }
+}
+
+}  // namespace serial
+
+/// Uniform values in (-1, 1) with exact zeros, -0 and subnormals mixed in,
+/// and +-infinity at rate `inf_rate`.
+Tensor edge_case_tensor(std::vector<int> shape, Rng& rng, double inf_rate = 0.0) {
+  Tensor t(std::move(shape));
+  for (auto& v : t.data()) {
+    const double u = rng.uniform();
+    const double value = rng.uniform(-1.0, 1.0);
+    if (u < 0.08) {
+      v = 0.0f;
+    } else if (u < 0.14) {
+      v = -0.0f;
+    } else if (u < 0.20) {
+      v = static_cast<float>(value * 1e-39);  // subnormal
+    } else if (u < 0.20 + inf_rate) {
+      v = value < 0 ? -INFINITY : INFINITY;
+    } else {
+      v = static_cast<float>(value);
+    }
+  }
+  return t;
+}
+
+/// Index of the first float whose bits differ, or -1.
+long first_bit_difference(const Tensor& got, const Tensor& want) {
+  if (got.size() != want.size()) return 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got.data()[i], &want.data()[i], sizeof(float)) != 0) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+struct ConvCase {
+  int batch, cin, cout, kernel, size, stride, pad;
+  double inf_rate = 0.0;
+};
+
+std::ostream& operator<<(std::ostream& os, const ConvCase& c) {
+  return os << "batch " << c.batch << ", " << c.cin << "->" << c.cout << ", k"
+            << c.kernel << ", " << c.size << 'x' << c.size << ", stride "
+            << c.stride << ", pad " << c.pad << ", inf rate " << c.inf_rate;
+}
+
+std::vector<ConvCase> differential_cases() {
+  std::vector<ConvCase> cases;
+  const std::pair<int, int> channels[] = {{1, 2}, {2, 1}, {3, 5},
+                                          {5, 3}, {24, 48}, {48, 24}};
+  int index = 0;
+  for (int kernel : {1, 3, 5, 7}) {
+    for (const auto& [cin, cout] : channels) {
+      for (int size : {5, 6, 7}) {
+        const int batch = index % 2 == 0 ? 1 : 3;
+        const int stride = index % 3 == 2 ? 2 : 1;
+        // The layers' "same" padding, and on some cases none or full.
+        int pad = kernel / 2;
+        if (index % 4 == 3) pad = kernel - 1;
+        if (index % 4 == 1 && kernel <= size) pad = 0;
+        cases.push_back({batch, cin, cout, kernel, size, stride, pad});
+        ++index;
+      }
+    }
+  }
+  // The trained-small scenario's layers, then the same with infinities.
+  for (double inf_rate : {0.0, 0.01}) {
+    cases.push_back({3, 3, 24, 3, 16, 1, 1, inf_rate});
+    cases.push_back({3, 24, 24, 3, 8, 1, 1, inf_rate});
+    cases.push_back({3, 24, 48, 3, 8, 1, 1, inf_rate});
+    cases.push_back({3, 48, 48, 3, 4, 1, 1, inf_rate});
+  }
+  return cases;
+}
+
+TEST(ConvKernelDifferential, SameBytesAsTheSerialLoops) {
+  std::uint64_t seed = 1;
+  for (const ConvCase& c : differential_cases()) {
+    SCOPED_TRACE(::testing::Message() << c);
+    Rng rng(seed++);
+    const ConvGeom g{c.size, c.size, c.kernel, c.stride, c.pad};
+    const Tensor x = edge_case_tensor({c.batch, c.cin, c.size, c.size}, rng, c.inf_rate);
+    Tensor w = edge_case_tensor({c.cout, c.cin, c.kernel, c.kernel}, rng);
+    Tensor bias = edge_case_tensor({c.cout}, rng);
+    const Tensor dy =
+        edge_case_tensor({c.batch, c.cout, g.out_h(), g.out_w()}, rng, c.inf_rate);
+    // Output channel 0 has only zero weights and a -0 bias, so its outputs
+    // are exactly the bias; input channel 0 meets zero weights in every
+    // output channel, so its dx is exactly +0 (or from the other rows).
+    const std::size_t col_rows = static_cast<std::size_t>(c.cin) * c.kernel * c.kernel;
+    for (std::size_t r = 0; r < col_rows; ++r) w[r] = r % 2 ? 0.0f : -0.0f;
+    for (int co = 0; co < c.cout; ++co) w[co * col_rows] = 0.0f;
+    bias[0] = -0.0f;
+
+    Tensor y({c.batch, c.cout, g.out_h(), g.out_w()});
+    Tensor y_ref = y;
+    std::vector<float> scratch;
+    conv2d_forward(x, w, bias, g, y, scratch);
+    serial::conv2d_forward(x, w, bias, g, y_ref);
+    EXPECT_EQ(first_bit_difference(y, y_ref), -1) << "y";
+
+    Tensor dx(x.shape()), dw(w.shape()), dbias(bias.shape());
+    Tensor dx_ref = dx, dw_ref = dw, dbias_ref = dbias;
+    conv2d_backward(x, w, g, dy, &dx, &dw, &dbias, scratch);
+    serial::conv2d_backward(x, w, g, dy, dx_ref, dw_ref, dbias_ref);
+    EXPECT_EQ(first_bit_difference(dx, dx_ref), -1) << "dx";
+    EXPECT_EQ(first_bit_difference(dw, dw_ref), -1) << "dw";
+    EXPECT_EQ(first_bit_difference(dbias, dbias_ref), -1) << "dbias";
+
+    // Each gradient alone, and a forward without bias, give the same bytes.
+    Tensor only(dw.shape());
+    conv2d_backward(x, w, g, dy, nullptr, &only, nullptr, scratch);
+    EXPECT_EQ(first_bit_difference(only, dw_ref), -1) << "dw alone";
+    only = Tensor(dx.shape());
+    conv2d_backward(x, w, g, dy, &only, nullptr, nullptr, scratch);
+    EXPECT_EQ(first_bit_difference(only, dx_ref), -1) << "dx alone";
+    only = Tensor(dbias.shape());
+    conv2d_backward(x, w, g, dy, nullptr, nullptr, &only, scratch);
+    EXPECT_EQ(first_bit_difference(only, dbias_ref), -1) << "dbias alone";
+    conv2d_forward(x, w, Tensor(), g, y, scratch);
+    serial::conv2d_forward(x, w, Tensor(), g, y_ref);
+    EXPECT_EQ(first_bit_difference(y, y_ref), -1) << "y without bias";
+
+    // im2col and col2im on their own; col2im adds into a nonzero gradient.
+    const int col_cols = g.out_h() * g.out_w();
+    Tensor cols({static_cast<int>(col_rows), col_cols});
+    Tensor cols_ref = cols;
+    im2col(x.raw(), c.cin, g, cols.raw());
+    serial::im2col(x.raw(), c.cin, g, cols_ref.raw());
+    EXPECT_EQ(first_bit_difference(cols, cols_ref), -1) << "im2col";
+    const Tensor terms = edge_case_tensor(cols.shape(), rng, c.inf_rate);
+    Tensor grad = edge_case_tensor({c.cin, c.size, c.size}, rng);
+    Tensor grad_ref = grad;
+    col2im(terms.raw(), c.cin, g, grad.raw());
+    serial::col2im(terms.raw(), c.cin, g, grad_ref.raw());
+    EXPECT_EQ(first_bit_difference(grad, grad_ref), -1) << "col2im";
+  }
+}
+
+// ------------------------------------------- Conv kernels: operand shapes
+
+// Well-shaped operands of a 2-sample 2->4 3x3 conv on 5x5 inputs; each test
+// mis-shapes one of them. Every mis-shape is one the kernels would otherwise
+// read or write past, or silently misread.
+struct ConvOperands {
+  ConvGeom g{5, 5, 3, 1, 1};
+  Tensor x{2, 2, 5, 5}, w{4, 2, 3, 3}, bias{4}, y{2, 4, 5, 5};
+  Tensor dy{2, 4, 5, 5}, dx{2, 2, 5, 5}, dw{4, 2, 3, 3}, dbias{4};
+  std::vector<float> scratch;
+
+  void forward() { conv2d_forward(x, w, bias, g, y, scratch); }
+  void backward() { conv2d_backward(x, w, g, dy, &dx, &dw, &dbias, scratch); }
+};
+
+TEST(ConvShapes, WellShapedOperandsPass) {
+  ConvOperands op;
+  EXPECT_NO_THROW(op.forward());
+  EXPECT_NO_THROW(op.backward());
+}
+
+TEST(ConvShapes, ForwardChecksX) {
+  ConvOperands op;
+  op.x = Tensor({2, 2, 6, 5});
+  EXPECT_THROW(op.forward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, ForwardChecksW) {
+  ConvOperands op;
+  op.w = Tensor({4, 2, 3, 3, 1});
+  EXPECT_THROW(op.forward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, ForwardChecksBias) {
+  ConvOperands op;
+  op.bias = Tensor({2});
+  EXPECT_THROW(op.forward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, ForwardChecksY) {
+  ConvOperands op;
+  op.y = Tensor({2, 4, 5, 6});
+  EXPECT_THROW(op.forward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, BackwardChecksX) {
+  ConvOperands op;
+  op.x = Tensor({2, 2, 5, 6});
+  EXPECT_THROW(op.backward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, BackwardChecksW) {
+  ConvOperands op;
+  op.w = Tensor({4, 3, 3, 3});
+  EXPECT_THROW(op.backward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, BackwardChecksDy) {
+  ConvOperands op;
+  op.dy = Tensor({1, 4, 5, 5});
+  EXPECT_THROW(op.backward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, BackwardChecksDx) {
+  ConvOperands op;
+  op.dx = Tensor({2, 2, 5, 6});
+  EXPECT_THROW(op.backward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, BackwardChecksDw) {
+  ConvOperands op;
+  op.dw = Tensor({5, 2, 3, 3});
+  EXPECT_THROW(op.backward(), std::invalid_argument);
+}
+
+TEST(ConvShapes, BackwardChecksDbias) {
+  ConvOperands op;
+  op.dbias = Tensor({5});
+  EXPECT_THROW(op.backward(), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ Pool

@@ -8,7 +8,9 @@
 #       [--seeds 8] [--episodes 300] [--distribute N]
 #
 #   Runs bench_micro_components (BM_FullSurrogateEvaluation,
-#   BM_MonteCarloSurrogate/16, BM_CostEvaluator, BM_LcdaTurn) and bench_engine_scaling
+#   BM_MonteCarloSurrogate/16, BM_CostEvaluator, BM_LcdaTurn, and
+#   BM_Conv2dForward/BM_Conv2dBackward over trained-small's four conv
+#   layers at batch 32) and bench_engine_scaling
 #   at parallelism 1 and 4, takes the min over --reps repetitions (the
 #   noise-robust estimator the recorded history uses), and writes one flat
 #   measurement JSON. Every measurement records hardware_threads (nproc),
@@ -74,7 +76,7 @@ measure)
 
   echo "bench_record: micro benchmarks ($REPS repetitions)..." >&2
   "$BUILD/bench_micro_components" \
-    --benchmark_filter='BM_FullSurrogateEvaluation$|BM_MonteCarloSurrogate/16$|BM_CostEvaluator$|BM_LcdaTurn$' \
+    --benchmark_filter='BM_FullSurrogateEvaluation$|BM_MonteCarloSurrogate/16$|BM_CostEvaluator$|BM_LcdaTurn$|BM_Conv2dForward$|BM_Conv2dBackward$' \
     --benchmark_repetitions="$REPS" \
     --benchmark_format=json >"$tmpdir/micro.json" 2>/dev/null
 
@@ -256,8 +258,11 @@ tmpdir, out_path, reps, seeds, episodes, hw_threads, distribute = (
     int(sys.argv[5]), int(sys.argv[6]), int(sys.argv[7]))
 
 micro = json.load(open(f"{tmpdir}/micro.json"))
+NS_PER_UNIT = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
 def bench_min(name):
-    times = [b["real_time"] for b in micro["benchmarks"]
+    """Min real time over the repetitions, in ns whatever the bench's unit."""
+    times = [b["real_time"] * NS_PER_UNIT[b.get("time_unit", "ns")]
+             for b in micro["benchmarks"]
              if b.get("run_type") != "aggregate" and b["name"] == name]
     if not times:
         raise SystemExit(f"bench_record: no samples for {name}")
@@ -283,6 +288,8 @@ measurement = {
     "monte_carlo_16_ns": round(bench_min("BM_MonteCarloSurrogate/16")),
     "cost_evaluator_ns": round(bench_min("BM_CostEvaluator")),
     "lcda_turn_ns": round(bench_min("BM_LcdaTurn")),
+    "conv_forward_ns": round(bench_min("BM_Conv2dForward")),
+    "conv_backward_ns": round(bench_min("BM_Conv2dBackward")),
     "engine_scaling_wall_ms": {
         "seeds": seeds,
         "episodes": episodes,
@@ -440,12 +447,14 @@ entry = {
     },
 }
 
-# The LCDA turn (BM_LcdaTurn) rides along when either side measured it
-# (measurements from before the bench existed have no number).
-if "lcda_turn_ns" in after or "lcda_turn_ns" in before:
-    b, a = before.get("lcda_turn_ns"), after.get("lcda_turn_ns")
-    entry["lcda_turn_ns"] = {"before": b, "after": a,
-                             "speedup": round(b / a, 2) if b and a else None}
+# The LCDA turn (BM_LcdaTurn) and the conv kernels (BM_Conv2dForward,
+# BM_Conv2dBackward) ride along when either side measured them
+# (measurements from before a bench existed have no number).
+for key in ("lcda_turn_ns", "conv_forward_ns", "conv_backward_ns"):
+    if key in after or key in before:
+        b, a = before.get(key), after.get(key)
+        entry[key] = {"before": b, "after": a,
+                      "speedup": round(b / a, 2) if b and a else None}
 
 # Warm-rerun wall clock rides along when either side measured it; the
 # warm_speedup quotient is the headline save+load improvement.
