@@ -246,6 +246,42 @@ void BM_RlProposeFeedback(benchmark::State& state) {
 }
 BENCHMARK(BM_RlProposeFeedback);
 
+// One loop round of a non-LLM search optimizer at the batch the loop gives
+// it: a generation of 24 for Genetic and NSGA-II, one design for Annealing
+// and Random. propose_batch_into, then feedback_batch with objectives read
+// off each design's hash. Ten rounds run first, so the population methods
+// are timed with a full pool.
+void BM_OptimizerGeneration(benchmark::State& state, core::Strategy strategy) {
+  auto optimizer = core::make_optimizer(strategy, paper_config());
+  const std::size_t batch = std::max<std::size_t>(optimizer->preferred_batch(), 1);
+  util::Rng rng(5);
+  std::vector<search::Design> designs;
+  std::vector<search::Observation> observations;
+  const auto round = [&] {
+    optimizer->propose_batch_into(batch, rng, designs);
+    observations.resize(designs.size());
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+      const std::uint64_t h = designs[i].hash();
+      search::Observation& obs = observations[i];
+      obs.design = designs[i];
+      obs.accuracy = static_cast<double>(h % 1000) / 1000.0;
+      obs.energy_pj = static_cast<double>((h >> 16) % 1000) * 1e5;
+      obs.reward = obs.accuracy;
+      obs.valid = true;
+    }
+    optimizer->feedback_batch(observations);
+  };
+  for (int warm = 0; warm < 10; ++warm) round();
+  for (auto _ : state) {
+    round();
+    benchmark::DoNotOptimize(designs.data());
+  }
+}
+BENCHMARK_CAPTURE(BM_OptimizerGeneration, genetic, core::Strategy::kGenetic);
+BENCHMARK_CAPTURE(BM_OptimizerGeneration, nsga2, core::Strategy::kNsga2);
+BENCHMARK_CAPTURE(BM_OptimizerGeneration, annealing, core::Strategy::kAnnealing);
+BENCHMARK_CAPTURE(BM_OptimizerGeneration, random, core::Strategy::kRandom);
+
 void BM_MonteCarloSurrogate(benchmark::State& state) {
   const surrogate::AccuracyModel model(paper_config().evaluator.accuracy);
   util::Rng rng(3);

@@ -67,7 +67,6 @@ Strategy strategy_from_name(std::string_view name) {
 }
 
 int env_parallelism(int fallback) {
-  constexpr long kMaxParallelism = 4096;
   // The fallback goes through resolve_parallelism too, so a fallback of 0
   // means "all hardware threads" exactly like an explicit "0" in the env.
   const char* value = std::getenv("LCDA_PARALLELISM");
@@ -76,7 +75,7 @@ int env_parallelism(int fallback) {
   }
   char* end = nullptr;
   const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < 0 || parsed > kMaxParallelism) {
+  if (end == value || *end != '\0' || parsed < 0 || parsed > util::kMaxParallelism) {
     return util::ThreadPool::resolve_parallelism(fallback);
   }
   return util::ThreadPool::resolve_parallelism(static_cast<int>(parsed));

@@ -16,6 +16,7 @@
 #include "lcda/core/report.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
+#include "lcda/util/thread_pool.h"
 
 namespace lcda::core {
 
@@ -397,9 +398,17 @@ util::Json write_fields(const S& value, bool include_defaults) {
 
 template <typename S>
 void read_fields(const util::Json& j, S& out, std::string context) {
-  Reader<S> r(j, out, std::move(context));
+  Reader<S> r(j, out, context);
   fields(r);
   r.finish();
+  if constexpr (std::is_same_v<S, ExperimentConfig>) {
+    // A thread count: bounded like lcda_run --parallelism.
+    if (out.parallelism > util::kMaxParallelism) {
+      throw std::invalid_argument(
+          context + ".parallelism: " + std::to_string(out.parallelism) +
+          " is above the limit of " + std::to_string(util::kMaxParallelism));
+    }
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
 #include "lcda/util/subprocess.h"
+#include "lcda/util/thread_pool.h"
 
 namespace lcda::dist {
 
@@ -116,8 +117,9 @@ Coordinator::Coordinator(Options opts) : opts_(std::move(opts)) {
   if (opts_.shard_dir.empty()) {
     throw std::invalid_argument("Coordinator: empty shard_dir");
   }
-  if (opts_.max_parallel < 1) {
-    throw std::invalid_argument("Coordinator: max_parallel must be >= 1");
+  if (opts_.max_parallel < 1 || opts_.max_parallel > util::kMaxParallelism) {
+    throw std::invalid_argument("Coordinator: max_parallel must be in [1, " +
+                                std::to_string(util::kMaxParallelism) + "]");
   }
   if (opts_.max_retries < 0) {
     throw std::invalid_argument("Coordinator: max_retries must be >= 0");

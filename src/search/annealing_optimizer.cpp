@@ -1,7 +1,7 @@
 #include "lcda/search/annealing_optimizer.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <stdexcept>
 
 namespace lcda::search {
@@ -16,37 +16,13 @@ AnnealingOptimizer::AnnealingOptimizer(SearchSpace space, Options opts)
   }
 }
 
-Design AnnealingOptimizer::propose(util::Rng& rng) {
-  if (!accept_rng_seeded_) {
-    accept_rng_ = rng.fork();
-    accept_rng_seeded_ = true;
-  }
-  if (current_genes_.empty()) {
-    const Design d = space_.sample(rng);
-    pending_genes_ = space_.encode(d);
-    return d;
-  }
-  std::vector<int> neighbour = current_genes_;
-  for (int m = 0; m < opts_.mutations_per_step; ++m) {
-    const std::size_t g = rng.index(neighbour.size());
-    neighbour[g] = static_cast<int>(rng.index(space_.cardinality(g)));
-  }
-  pending_genes_ = neighbour;
-  return space_.decode(neighbour);
-}
-
 void AnnealingOptimizer::propose_batch_into(std::size_t n, util::Rng& rng,
                                             std::vector<Design>& out) {
-  out.clear();
-  if (n == 1) {
-    out.push_back(propose(rng));
-    return;
-  }
   if (!accept_rng_seeded_) {
     accept_rng_ = rng.fork();
     accept_rng_seeded_ = true;
   }
-  pending_genes_.clear();
+  out.clear();
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (current_genes_.empty()) {
@@ -63,40 +39,31 @@ void AnnealingOptimizer::propose_batch_into(std::size_t n, util::Rng& rng,
 }
 
 void AnnealingOptimizer::feedback_batch(std::span<const Observation> batch) {
-  if (batch.size() == 1) {
-    feedback(batch.front());
-    return;
-  }
   // One Metropolis step on the batch's best candidate, one cooling step.
   const Observation* best = nullptr;
+  std::vector<int> best_genes;
   for (const Observation& obs : batch) {
-    if (!space_.contains(obs.design)) continue;
-    if (!best || obs.reward > best->reward) best = &obs;
+    if (best && !(obs.reward > best->reward)) continue;
+    if (auto genes = space_.try_encode(obs.design)) {
+      best = &obs;
+      best_genes = std::move(*genes);
+    }
   }
-  if (best) feedback(*best);
+  if (best) metropolis_step(std::move(best_genes), best->reward);
 }
 
-void AnnealingOptimizer::feedback(const Observation& obs) {
-  std::vector<int> genes;
-  if (!pending_genes_.empty() && space_.decode(pending_genes_) == obs.design) {
-    genes = pending_genes_;
-  } else {
-    if (!space_.contains(obs.design)) return;
-    genes = space_.encode(obs.design);
-  }
-  pending_genes_.clear();
-
+void AnnealingOptimizer::metropolis_step(std::vector<int> genes, double reward) {
   if (current_genes_.empty()) {
     current_genes_ = std::move(genes);
-    current_reward_ = obs.reward;
+    current_reward_ = reward;
     return;
   }
-  const double delta = obs.reward - current_reward_;
+  const double delta = reward - current_reward_;
   const bool accept =
       delta >= 0.0 || accept_rng_.chance(std::exp(delta / temperature_));
   if (accept) {
     current_genes_ = std::move(genes);
-    current_reward_ = obs.reward;
+    current_reward_ = reward;
   }
   temperature_ = std::max(opts_.min_temperature,
                           temperature_ * opts_.cooling_rate);

@@ -1,7 +1,6 @@
 #include "lcda/search/genetic_optimizer.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <stdexcept>
 
 namespace lcda::search {
@@ -22,82 +21,34 @@ const GeneticOptimizer::Scored& GeneticOptimizer::tournament_pick(
   return *best;
 }
 
-Design GeneticOptimizer::propose(util::Rng& rng) {
-  if (scored_.size() < opts_.population) {
-    // Seeding phase: random designs until the population is full.
-    const Design d = space_.sample(rng);
-    pending_genes_ = space_.encode(d);
-    return d;
-  }
-  // Breed: tournament-select parents, uniform crossover, mutate.
-  std::vector<int> child = breed(rng);
-  pending_genes_ = child;
-  return space_.decode(child);
-}
-
-std::vector<int> GeneticOptimizer::breed(util::Rng& rng) const {
-  const Scored& a = tournament_pick(rng);
-  const Scored& b = tournament_pick(rng);
-  std::vector<int> child = a.genes;
-  if (rng.chance(opts_.crossover_rate)) {
-    for (std::size_t g = 0; g < child.size(); ++g) {
-      if (rng.chance(0.5)) child[g] = b.genes[g];
-    }
-  }
-  for (std::size_t g = 0; g < child.size(); ++g) {
-    if (rng.chance(opts_.mutation_rate)) {
-      child[g] = static_cast<int>(rng.index(space_.cardinality(g)));
-    }
-  }
-  return child;
-}
-
 void GeneticOptimizer::propose_batch_into(std::size_t n, util::Rng& rng,
                                           std::vector<Design>& out) {
   out.clear();
-  if (n == 1) {
-    out.push_back(propose(rng));
-    return;
-  }
-  pending_genes_.clear();
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (scored_.size() + out.size() < opts_.population ||
         scored_.size() < 2) {
+      // Seeding phase: random designs until the population is full.
       out.push_back(space_.sample(rng));
     } else {
-      out.push_back(space_.decode(breed(rng)));
+      // Breed: tournament-select parents, uniform crossover, mutate.
+      const Scored& a = tournament_pick(rng);
+      const Scored& b = tournament_pick(rng);
+      out.push_back(space_.decode(space_.offspring(
+          a.genes, b.genes, opts_.crossover_rate, opts_.mutation_rate, rng)));
     }
   }
 }
 
 void GeneticOptimizer::feedback_batch(std::span<const Observation> batch) {
-  if (batch.size() == 1) {
-    feedback(batch.front());
-    return;
-  }
   // One generation lands at once; cull a single time afterwards so the
   // elite is chosen against the whole generation, not a rolling window.
-  for (const Observation& obs : batch) add_scored(obs);
-  maybe_cull();
-}
-
-void GeneticOptimizer::feedback(const Observation& obs) {
-  add_scored(obs);
-  maybe_cull();
-}
-
-void GeneticOptimizer::add_scored(const Observation& obs) {
-  Scored s;
-  if (!pending_genes_.empty() && space_.decode(pending_genes_) == obs.design) {
-    s.genes = pending_genes_;
-  } else {
-    if (!space_.contains(obs.design)) return;
-    s.genes = space_.encode(obs.design);
+  for (const Observation& obs : batch) {
+    if (auto genes = space_.try_encode(obs.design)) {
+      scored_.push_back({std::move(*genes), obs.reward});
+    }
   }
-  pending_genes_.clear();
-  s.fitness = obs.reward;
-  scored_.push_back(std::move(s));
+  maybe_cull();
 }
 
 void GeneticOptimizer::maybe_cull() {

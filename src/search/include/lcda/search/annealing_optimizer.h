@@ -9,7 +9,7 @@ namespace lcda::search {
 /// baseline between random search and the population methods: propose a
 /// neighbour of the current design, accept it if better, or with the
 /// Metropolis probability exp(delta / T) if worse; T cools geometrically.
-class AnnealingOptimizer final : public Optimizer {
+class AnnealingOptimizer final : public BatchOptimizer {
  public:
   struct Options {
     double initial_temperature = 0.25;  ///< in reward units
@@ -23,16 +23,13 @@ class AnnealingOptimizer final : public Optimizer {
       : AnnealingOptimizer(std::move(space), Options{}) {}
   AnnealingOptimizer(SearchSpace space, Options opts);
 
-  [[nodiscard]] Design propose(util::Rng& rng) override;
-  void feedback(const Observation& obs) override;
-
   /// Speculative batch: n independent neighbours of the current state are
   /// proposed at once; feedback_batch applies one Metropolis step on the
   /// best of them and cools once, so a batch costs one "move" of the
-  /// schedule while exploring n candidates. A batch of 1 is exactly one
-  /// scalar step. The trajectory itself stays sequential by default (no
-  /// batch preference resolves to scalar rounds); batches happen only
-  /// when the caller sets an explicit batch_size.
+  /// schedule while exploring n candidates. The trajectory itself stays
+  /// sequential by default (no batch preference resolves to rounds of
+  /// one); larger batches happen only when the caller sets an explicit
+  /// batch_size.
   void propose_batch_into(std::size_t n, util::Rng& rng,
                           std::vector<Design>& out) override;
   void feedback_batch(std::span<const Observation> batch) override;
@@ -44,13 +41,16 @@ class AnnealingOptimizer final : public Optimizer {
   [[nodiscard]] bool has_state() const { return !current_genes_.empty(); }
 
  private:
+  /// Moves to `genes` if the Metropolis rule accepts them, then cools; the
+  /// first call only sets the starting state.
+  void metropolis_step(std::vector<int> genes, double reward);
+
   SearchSpace space_;
   Options opts_;
   std::vector<int> current_genes_;
   double current_reward_ = 0.0;
-  std::vector<int> pending_genes_;
   double temperature_;
-  /// Drives accept/reject draws; seeded on first propose() so the whole
+  /// Drives accept/reject draws; seeded on the first proposal so the whole
   /// trajectory is reproducible from the caller's RNG.
   util::Rng accept_rng_{0};
   bool accept_rng_seeded_ = false;

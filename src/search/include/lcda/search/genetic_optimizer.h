@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "lcda/search/optimizer.h"
@@ -12,7 +11,7 @@ namespace lcda::search {
 /// other classical co-design strategy; this is a single-objective GA over
 /// the encoded design vector with tournament selection, uniform crossover
 /// and per-gene mutation).
-class GeneticOptimizer final : public Optimizer {
+class GeneticOptimizer final : public BatchOptimizer {
  public:
   struct Options {
     std::size_t population = 24;
@@ -25,9 +24,6 @@ class GeneticOptimizer final : public Optimizer {
   explicit GeneticOptimizer(SearchSpace space)
       : GeneticOptimizer(std::move(space), Options{}) {}
   GeneticOptimizer(SearchSpace space, Options opts);
-
-  [[nodiscard]] Design propose(util::Rng& rng) override;
-  void feedback(const Observation& obs) override;
 
   /// Generational batch: n children bred from a snapshot of the current
   /// pool (the seeding phase fills with random designs first). The natural
@@ -50,14 +46,11 @@ class GeneticOptimizer final : public Optimizer {
   };
 
   [[nodiscard]] const Scored& tournament_pick(util::Rng& rng) const;
-  [[nodiscard]] std::vector<int> breed(util::Rng& rng) const;
-  void add_scored(const Observation& obs);
   void maybe_cull();
 
   SearchSpace space_;
   Options opts_;
   std::vector<Scored> scored_;
-  std::vector<int> pending_genes_;
 };
 
 }  // namespace lcda::search

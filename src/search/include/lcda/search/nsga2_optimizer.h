@@ -32,7 +32,7 @@ struct MoPoint {
 /// parents are chosen by (front rank, crowding distance) tournaments, so
 /// the population spreads along the whole Pareto front rather than
 /// collapsing onto the reward function's preferred corner.
-class Nsga2Optimizer final : public Optimizer {
+class Nsga2Optimizer final : public BatchOptimizer {
  public:
   struct Options {
     std::size_t population = 24;
@@ -45,9 +45,6 @@ class Nsga2Optimizer final : public Optimizer {
   explicit Nsga2Optimizer(SearchSpace space)
       : Nsga2Optimizer(std::move(space), Options{}) {}
   Nsga2Optimizer(SearchSpace space, Options opts);
-
-  [[nodiscard]] Design propose(util::Rng& rng) override;
-  void feedback(const Observation& obs) override;
 
   /// Generational batch: the non-dominated sort and crowding distances are
   /// computed once per batch instead of once per proposal, and the
@@ -73,18 +70,13 @@ class Nsga2Optimizer final : public Optimizer {
   };
 
   void environmental_selection();
-  void add_individual(const Observation& obs);
   [[nodiscard]] const Individual& tournament(util::Rng& rng,
                                              const std::vector<int>& ranks,
                                              const std::vector<double>& crowd) const;
-  [[nodiscard]] std::vector<int> breed(util::Rng& rng,
-                                       const std::vector<int>& ranks,
-                                       const std::vector<double>& crowd) const;
 
   SearchSpace space_;
   Options opts_;
   std::vector<Individual> archive_;
-  std::vector<int> pending_genes_;
 };
 
 }  // namespace lcda::search

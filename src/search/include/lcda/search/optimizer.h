@@ -27,7 +27,8 @@ struct Observation {
 /// candidate given everything observed so far.
 ///
 /// Implementations: llm::LlmOptimizer (LCDA), RlOptimizer (NACIM's RL
-/// strategy), GeneticOptimizer, RandomOptimizer.
+/// strategy), GeneticOptimizer, Nsga2Optimizer, AnnealingOptimizer,
+/// RandomOptimizer.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
@@ -47,7 +48,12 @@ class Optimizer {
   /// llm::LlmOptimizer, whose every prompt embeds the full history) keeps
   /// its semantics unchanged. Overrides may implement genuinely
   /// generational behaviour, but a batch of size 1 must always be
-  /// equivalent to one scalar round trip.
+  /// equivalent to one scalar round trip. Each shipped optimizer has one
+  /// path, so this holds by construction: LLM, RL and Random implement
+  /// the scalar methods and inherit these defaults; Genetic, NSGA-II and
+  /// Annealing implement the batch methods and inherit BatchOptimizer's
+  /// scalar ones. engine_test's BaselineDigest cases pin every non-LLM
+  /// trace at the natural batch and at batch sizes 1 and 8.
   ///
   /// The engine calls propose_batch_into with a reused buffer every round
   /// (the out-parameter is what keeps the steady-state proposal plumbing
@@ -100,6 +106,18 @@ class Optimizer {
   [[nodiscard]] virtual std::size_t pipeline_lookahead() const { return 0; }
 
   [[nodiscard]] virtual std::string name() const = 0;
+};
+
+/// Base of the optimizers whose batch methods are their only
+/// implementation: a scalar call is a batch of one.
+class BatchOptimizer : public Optimizer {
+ public:
+  [[nodiscard]] Design propose(util::Rng& rng) final {
+    std::vector<Design> one;
+    propose_batch_into(1, rng, one);
+    return std::move(one.front());
+  }
+  void feedback(const Observation& obs) final { feedback_batch({&obs, 1}); }
 };
 
 }  // namespace lcda::search

@@ -17,11 +17,6 @@ class RandomOptimizer final : public Optimizer {
   [[nodiscard]] Design propose(util::Rng& rng) override;
   void feedback(const Observation& obs) override;
 
-  /// Samples are independent, so a batch of n draws the exact same designs
-  /// as n scalar propose/feedback round trips: duplicate avoidance counts
-  /// every proposal as seen the moment it is drawn.
-  void propose_batch_into(std::size_t n, util::Rng& rng,
-                          std::vector<Design>& out) override;
   [[nodiscard]] std::size_t preferred_batch() const override { return 0; }
 
   /// The proposal stream never reads feedback, so the engine may propose

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,8 +45,10 @@ class SearchSpace {
   [[nodiscard]] double total_designs() const;
 
   /// Encode/decode between a Design and a per-dimension choice-index vector.
-  /// encode() throws if a design uses values outside the space.
+  /// encode() throws if a design uses values outside the space; try_encode()
+  /// returns nothing instead, the check optimizers run on every observation.
   [[nodiscard]] std::vector<int> encode(const Design& design) const;
+  [[nodiscard]] std::optional<std::vector<int>> try_encode(const Design& design) const;
   [[nodiscard]] Design decode(const std::vector<int>& indices) const;
 
   /// Equivalent to decode(indices) == design (false instead of throwing on
@@ -64,11 +67,22 @@ class SearchSpace {
   /// Uniformly random design.
   [[nodiscard]] Design sample(util::Rng& rng) const;
 
+  /// The breeding step of GeneticOptimizer and Nsga2Optimizer on two
+  /// parents' choice indices: with probability crossover_rate, uniform
+  /// crossover (each gene from `b` with probability 1/2), then each gene
+  /// redrawn with probability mutation_rate.
+  [[nodiscard]] std::vector<int> offspring(const std::vector<int>& a,
+                                           const std::vector<int>& b,
+                                           double crossover_rate,
+                                           double mutation_rate,
+                                           util::Rng& rng) const;
+
   /// Human-readable description of the choices (used in LLM prompts):
   /// channels, kernels and hardware knob option lists.
   [[nodiscard]] std::string choices_text() const;
 
-  /// Description of the backbone (used in LLM prompts).
+  /// Description of the backbone (used in LLM prompts), with the pooling
+  /// schedule the network is built with (backbone.pool_after).
   [[nodiscard]] std::string model_text() const;
 
  private:

@@ -1,7 +1,6 @@
 #include "lcda/search/nsga2_optimizer.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -100,50 +99,9 @@ const Nsga2Optimizer::Individual& Nsga2Optimizer::tournament(
   return archive_[crowd[a] >= crowd[b] ? a : b];
 }
 
-std::vector<int> Nsga2Optimizer::breed(util::Rng& rng,
-                                       const std::vector<int>& ranks,
-                                       const std::vector<double>& crowd) const {
-  const Individual& a = tournament(rng, ranks, crowd);
-  const Individual& b = tournament(rng, ranks, crowd);
-  std::vector<int> child = a.genes;
-  if (rng.chance(opts_.crossover_rate)) {
-    for (std::size_t g = 0; g < child.size(); ++g) {
-      if (rng.chance(0.5)) child[g] = b.genes[g];
-    }
-  }
-  for (std::size_t g = 0; g < child.size(); ++g) {
-    if (rng.chance(opts_.mutation_rate)) {
-      child[g] = static_cast<int>(rng.index(space_.cardinality(g)));
-    }
-  }
-  return child;
-}
-
-Design Nsga2Optimizer::propose(util::Rng& rng) {
-  if (archive_.size() < opts_.population) {
-    const Design d = space_.sample(rng);
-    pending_genes_ = space_.encode(d);
-    return d;
-  }
-  std::vector<MoPoint> pts;
-  pts.reserve(archive_.size());
-  for (const auto& ind : archive_) pts.push_back(ind.objectives);
-  const auto ranks = non_dominated_sort(pts);
-  const auto crowd = crowding_distance(pts, ranks);
-
-  std::vector<int> child = breed(rng, ranks, crowd);
-  pending_genes_ = child;
-  return space_.decode(child);
-}
-
 void Nsga2Optimizer::propose_batch_into(std::size_t n, util::Rng& rng,
                                         std::vector<Design>& out) {
   out.clear();
-  if (n == 1) {
-    out.push_back(propose(rng));
-    return;
-  }
-  pending_genes_.clear();
   out.reserve(n);
 
   // Sort the archive once for the whole generation.
@@ -160,43 +118,27 @@ void Nsga2Optimizer::propose_batch_into(std::size_t n, util::Rng& rng,
     if (archive_.size() + out.size() < opts_.population || archive_.size() < 2) {
       out.push_back(space_.sample(rng));
     } else {
-      out.push_back(space_.decode(breed(rng, ranks, crowd)));
+      const Individual& a = tournament(rng, ranks, crowd);
+      const Individual& b = tournament(rng, ranks, crowd);
+      out.push_back(space_.decode(space_.offspring(
+          a.genes, b.genes, opts_.crossover_rate, opts_.mutation_rate, rng)));
     }
   }
 }
 
-void Nsga2Optimizer::feedback(const Observation& obs) {
-  add_individual(obs);
-  if (archive_.size() > 2 * opts_.population) environmental_selection();
-}
-
 void Nsga2Optimizer::feedback_batch(std::span<const Observation> batch) {
-  if (batch.size() == 1) {
-    feedback(batch.front());
-    return;
-  }
-  for (const Observation& obs : batch) add_individual(obs);
-  if (archive_.size() > 2 * opts_.population) environmental_selection();
-}
-
-void Nsga2Optimizer::add_individual(const Observation& obs) {
-  Individual ind;
-  if (!pending_genes_.empty() && space_.decode(pending_genes_) == obs.design) {
-    ind.genes = pending_genes_;
-  } else {
-    if (!space_.contains(obs.design)) return;
-    ind.genes = space_.encode(obs.design);
-  }
-  pending_genes_.clear();
-  if (obs.valid) {
-    ind.objectives.accuracy = obs.accuracy;
-    ind.objectives.neg_cost = -(opts_.use_latency ? obs.latency_ns : obs.energy_pj);
-  } else {
+  for (const Observation& obs : batch) {
+    std::optional<std::vector<int>> genes = space_.try_encode(obs.design);
+    if (!genes) continue;
     // Invalid designs are dominated by every valid one.
-    ind.objectives.accuracy = -1.0;
-    ind.objectives.neg_cost = -std::numeric_limits<double>::max();
+    MoPoint objectives{-1.0, -std::numeric_limits<double>::max()};
+    if (obs.valid) {
+      objectives = {obs.accuracy,
+                    -(opts_.use_latency ? obs.latency_ns : obs.energy_pj)};
+    }
+    archive_.push_back({std::move(*genes), objectives});
   }
-  archive_.push_back(std::move(ind));
+  if (archive_.size() > 2 * opts_.population) environmental_selection();
 }
 
 void Nsga2Optimizer::environmental_selection() {

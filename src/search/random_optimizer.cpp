@@ -1,8 +1,6 @@
 #include "lcda/search/random_optimizer.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 namespace lcda::search {
 
@@ -28,13 +26,6 @@ Design RandomOptimizer::propose(util::Rng& rng) {
     seen_.insert(d.hash());
   }
   return d;
-}
-
-void RandomOptimizer::propose_batch_into(std::size_t n, util::Rng& rng,
-                                         std::vector<Design>& out) {
-  out.clear();
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(propose(rng));
 }
 
 void RandomOptimizer::feedback(const Observation&) {

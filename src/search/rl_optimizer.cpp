@@ -70,11 +70,11 @@ void RlOptimizer::feedback(const Observation& obs) {
   // REINFORCE on the episode that produced `obs`. If feedback arrives for a
   // design other than the last proposal (e.g. replayed history), re-encode.
   const std::vector<int>* choice = &last_choice_;
-  std::vector<int> encoded;
+  std::optional<std::vector<int>> encoded;
   if (last_choice_.empty() || !space_.decodes_to(last_choice_, obs.design)) {
-    if (!space_.contains(obs.design)) return;  // outside our space: ignore
-    encoded = space_.encode(obs.design);
-    choice = &encoded;
+    encoded = space_.try_encode(obs.design);
+    if (!encoded) return;  // outside our space: ignore
+    choice = &*encoded;
   }
 
   const double baseline =

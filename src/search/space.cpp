@@ -21,12 +21,33 @@ int nearest_choice(int value, const std::vector<int>& choices) {
   return best;
 }
 
-int choice_index(int value, const std::vector<int>& choices, const char* what) {
-  for (std::size_t i = 0; i < choices.size(); ++i) {
-    if (choices[i] == value) return static_cast<int>(i);
+/// Appends the choice index of every value of `design` to `idx`; returns
+/// what lies outside the space, or null when nothing does.
+const char* encode_into(const SearchSpace::Options& opts, const Design& design,
+                        std::vector<int>& idx) {
+  if (design.rollout.size() != static_cast<std::size_t>(opts.conv_layers)) {
+    return "wrong rollout length";
   }
-  throw std::invalid_argument(std::string("SearchSpace::encode: ") + what +
-                              " value not in space");
+  const auto put = [&idx](const auto& value, const auto& choices) {
+    const auto it = std::find(choices.begin(), choices.end(), value);
+    if (it == choices.end()) return false;
+    idx.push_back(static_cast<int>(it - choices.begin()));
+    return true;
+  };
+  idx.reserve(design.rollout.size() * 2 + 5);
+  for (const auto& spec : design.rollout) {
+    if (!put(spec.channels, opts.channel_choices)) return "channel value not in space";
+    if (!put(spec.kernel, opts.kernel_choices)) return "kernel value not in space";
+  }
+  const auto& hw = opts.hw;
+  if (!put(design.hw.device, hw.devices)) return "device not in space";
+  if (!put(design.hw.bits_per_cell, hw.bits_per_cell)) {
+    return "bits_per_cell value not in space";
+  }
+  if (!put(design.hw.adc_bits, hw.adc_bits)) return "adc_bits value not in space";
+  if (!put(design.hw.xbar_size, hw.xbar_sizes)) return "xbar_size value not in space";
+  if (!put(design.hw.col_mux, hw.col_mux)) return "col_mux value not in space";
+  return nullptr;
 }
 
 }  // namespace
@@ -71,26 +92,16 @@ double SearchSpace::total_designs() const {
 }
 
 std::vector<int> SearchSpace::encode(const Design& design) const {
-  if (static_cast<int>(design.rollout.size()) != opts_.conv_layers) {
-    throw std::invalid_argument("SearchSpace::encode: wrong rollout length");
-  }
   std::vector<int> idx;
-  idx.reserve(dimensions());
-  for (const auto& spec : design.rollout) {
-    idx.push_back(choice_index(spec.channels, opts_.channel_choices, "channel"));
-    idx.push_back(choice_index(spec.kernel, opts_.kernel_choices, "kernel"));
+  if (const char* outside = encode_into(opts_, design, idx)) {
+    throw std::invalid_argument(std::string("SearchSpace::encode: ") + outside);
   }
-  const auto& hw = opts_.hw;
-  const auto dev_it =
-      std::find(hw.devices.begin(), hw.devices.end(), design.hw.device);
-  if (dev_it == hw.devices.end()) {
-    throw std::invalid_argument("SearchSpace::encode: device not in space");
-  }
-  idx.push_back(static_cast<int>(dev_it - hw.devices.begin()));
-  idx.push_back(choice_index(design.hw.bits_per_cell, hw.bits_per_cell, "bits_per_cell"));
-  idx.push_back(choice_index(design.hw.adc_bits, hw.adc_bits, "adc_bits"));
-  idx.push_back(choice_index(design.hw.xbar_size, hw.xbar_sizes, "xbar_size"));
-  idx.push_back(choice_index(design.hw.col_mux, hw.col_mux, "col_mux"));
+  return idx;
+}
+
+std::optional<std::vector<int>> SearchSpace::try_encode(const Design& design) const {
+  std::vector<int> idx;
+  if (encode_into(opts_, design, idx) != nullptr) return std::nullopt;
   return idx;
 }
 
@@ -167,12 +178,7 @@ bool SearchSpace::decodes_to(const std::vector<int>& indices,
 }
 
 bool SearchSpace::contains(const Design& design) const {
-  try {
-    (void)encode(design);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
+  return try_encode(design).has_value();
 }
 
 Design SearchSpace::snap(const Design& design) const {
@@ -203,6 +209,25 @@ Design SearchSpace::sample(util::Rng& rng) const {
     idx[d] = static_cast<int>(rng.index(cardinality(d)));
   }
   return decode(idx);
+}
+
+std::vector<int> SearchSpace::offspring(const std::vector<int>& a,
+                                        const std::vector<int>& b,
+                                        double crossover_rate,
+                                        double mutation_rate,
+                                        util::Rng& rng) const {
+  std::vector<int> child = a;
+  if (rng.chance(crossover_rate)) {
+    for (std::size_t g = 0; g < child.size(); ++g) {
+      if (rng.chance(0.5)) child[g] = b[g];
+    }
+  }
+  for (std::size_t g = 0; g < child.size(); ++g) {
+    if (rng.chance(mutation_rate)) {
+      child[g] = static_cast<int>(rng.index(cardinality(g)));
+    }
+  }
+  return child;
 }
 
 std::string SearchSpace::choices_text() const {
@@ -247,9 +272,26 @@ std::string SearchSpace::choices_text() const {
 }
 
 std::string SearchSpace::model_text() const {
+  // The pooled layers, 1-based, as the network is built: "2, 4 and 6".
+  std::vector<int> pooled;
+  for (int layer = 0; layer < opts_.conv_layers; ++layer) {
+    const auto& after = opts_.backbone.pool_after;
+    if (std::find(after.begin(), after.end(), layer) != after.end()) {
+      pooled.push_back(layer + 1);
+    }
+  }
   std::ostringstream os;
-  os << opts_.conv_layers << " convolution layers (ReLU, 2x2 max-pool after "
-     << "layers 2, 4 and 6) followed by 2 fully connected layers with hidden "
+  os << opts_.conv_layers << " convolution layers (ReLU, ";
+  if (pooled.empty()) {
+    os << "no pooling";
+  } else {
+    os << "2x2 max-pool after layer" << (pooled.size() > 1 ? "s " : " ");
+    for (std::size_t i = 0; i < pooled.size(); ++i) {
+      if (i > 0) os << (i + 1 == pooled.size() ? " and " : ", ");
+      os << pooled[i];
+    }
+  }
+  os << ") followed by 2 fully connected layers with hidden "
      << "size " << opts_.backbone.hidden << ", input "
      << opts_.backbone.input_size << 'x' << opts_.backbone.input_size << 'x'
      << opts_.backbone.input_channels << ", " << opts_.backbone.num_classes

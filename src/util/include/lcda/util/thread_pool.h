@@ -10,6 +10,12 @@
 
 namespace lcda::util {
 
+/// The largest thread or worker-process count a setting may ask for.
+/// `lcda_run --parallelism` and `--distribute` and the scenario key
+/// `parallelism` reject a larger value as an argument error;
+/// LCDA_PARALLELISM falls back to its default.
+inline constexpr int kMaxParallelism = 4096;
+
 /// Fixed-size worker pool used to fan out independent evaluations (episode
 /// batches, multi-seed studies) without touching determinism: callers
 /// pre-derive every task's RNG stream on the submitting thread, so worker

@@ -173,8 +173,9 @@ void Json::push_back(Json v) {
 namespace {
 void append_number(std::string& out, double d) {
   if (std::isfinite(d)) {
-    // Integers print without a decimal point.
-    if (d == std::floor(d) && std::abs(d) < 1e15) {
+    // Integers print without a decimal point; -0 takes the path below,
+    // which keeps its sign ("-0").
+    if (d == std::floor(d) && std::abs(d) < 1e15 && !(d == 0.0 && std::signbit(d))) {
       char buf[32];
       auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf),
                                      static_cast<long long>(d));

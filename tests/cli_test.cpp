@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,41 @@ TEST_F(Cli, OutOfRangeConfigIntegersAreRejected) {
   EXPECT_EQ(r.exit_code, 1) << r.err;
   EXPECT_TRUE(mentions(r.err, "config.lcda_episodes")) << r.err;
   EXPECT_EQ(r.out, "");
+}
+
+TEST_F(Cli, ThreadAndWorkerCountsAboveTheLimitAreRejected) {
+  // --print-config starts no study, so a regressed bound fails the test
+  // without spawning thousands of threads or workers.
+  Outcome r = run({"--scenario=paper-energy", "--print-config",
+                   "--parallelism=4097"});
+  EXPECT_EQ(r.exit_code, 2) << r.err;
+  EXPECT_EQ(r.out, "");
+  EXPECT_TRUE(mentions(r.err, "bad value for --parallelism: \"4097\" (want an "
+                              "integer from 0 to 4096)"))
+      << r.err;
+  r = run({"--scenario=paper-energy", "--print-config", "--distribute=4097"});
+  EXPECT_EQ(r.exit_code, 2) << r.err;
+  EXPECT_EQ(r.out, "");
+  EXPECT_TRUE(mentions(r.err, "bad value for --distribute: \"4097\" (want an "
+                              "integer from 1 to 4096)"))
+      << r.err;
+
+  // The scenario key, from a file and from --set.
+  const std::string file = path("wide.json");
+  std::ofstream(file) << R"({"name":"wide","config":{"parallelism":4097}})";
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--scenario-file=" + file, "--print-config"},
+        std::vector<std::string>{"--scenario=paper-energy", "--print-config",
+                                 "--set", "parallelism=4097"}}) {
+    r = run(args);
+    EXPECT_EQ(r.exit_code, 1) << r.err;
+    EXPECT_EQ(r.out, "");
+    EXPECT_TRUE(mentions(r.err, "config.parallelism: 4097 is above the limit"))
+        << r.err;
+  }
+
+  r = run({"--scenario=paper-energy", "--print-config", "--parallelism=4096"});
+  EXPECT_EQ(r.exit_code, 0) << r.err;
 }
 
 // ------------------------------------------------- held before and after

@@ -1,18 +1,21 @@
 // Tests of the batched parallel evaluation engine: the thread pool, the
 // seed-derivation scheme, the optimizer batch contract, the evaluation
-// cache, and the bit-for-bit determinism guarantee (same seed => same
-// trace, for every parallelism setting).
+// cache, the bit-for-bit determinism guarantee (same seed => same trace,
+// for every parallelism setting) and the recorded trace bytes of every
+// non-LLM baseline.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <limits>
 #include <set>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "lcda/core/experiment.h"
 #include "lcda/core/loop.h"
+#include "lcda/core/scenario.h"
 #include "lcda/core/stats_runner.h"
 #include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/simulated_gpt4.h"
@@ -21,6 +24,7 @@
 #include "lcda/search/random_optimizer.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/striped_cache.h"
+#include "lcda/util/strings.h"
 #include "lcda/util/thread_pool.h"
 
 namespace lcda {
@@ -503,6 +507,60 @@ TEST(EngineDeterminism, SpeedupStudyParallelMatchesSequential) {
     EXPECT_EQ(a[s].nacim_episodes, b[s].nacim_episodes);
   }
 }
+
+// ------------------------------------------------ baseline trace digests
+
+/// One non-LLM baseline on paper-energy at one batch_size, and the FNV-1a
+/// of its trace CSV. 241 episodes (1 mod 24) end Genetic and NSGA-II on a
+/// round of one at their natural batch (0) and at 8, and batch_size 1 runs
+/// every optimizer in rounds of one; Annealing and Random run in rounds of
+/// one by default. The golden CSV and TranscriptDigest pin LCDA only.
+struct BaselineGolden {
+  core::Strategy strategy;
+  std::size_t batch_size;
+  const char* digest;
+};
+
+class BaselineDigest : public ::testing::TestWithParam<BaselineGolden> {};
+
+TEST_P(BaselineDigest, MatchesRecordedBytes) {
+  const BaselineGolden& g = GetParam();
+  core::ExperimentConfig config = core::scenario_by_name("paper-energy").config;
+  config.batch_size = g.batch_size;
+  const core::RunResult run = core::run_strategy(g.strategy, 241, config);
+  std::ostringstream csv;
+  core::write_run_csv(csv, run, core::strategy_name(g.strategy));
+  EXPECT_EQ(util::hex_u64(util::fnv1a64(csv.str())), g.digest)
+      << core::strategy_name(g.strategy) << " at batch_size " << g.batch_size
+      << ": a trace byte changed";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperEnergy, BaselineDigest,
+    ::testing::Values(
+        BaselineGolden{core::Strategy::kNacimRl, 0, "854db0b5ab9fb5a4"},
+        BaselineGolden{core::Strategy::kNacimRl, 1, "854db0b5ab9fb5a4"},
+        BaselineGolden{core::Strategy::kNacimRl, 8, "854db0b5ab9fb5a4"},
+        BaselineGolden{core::Strategy::kGenetic, 0, "ca56823fd5450a94"},
+        BaselineGolden{core::Strategy::kGenetic, 1, "2e3aa966a3717c76"},
+        BaselineGolden{core::Strategy::kGenetic, 8, "f1723f717e774fcc"},
+        BaselineGolden{core::Strategy::kNsga2, 0, "6c27735072c825c1"},
+        BaselineGolden{core::Strategy::kNsga2, 1, "df4b16bc74203ea3"},
+        BaselineGolden{core::Strategy::kNsga2, 8, "9972b3ca19ca08c6"},
+        BaselineGolden{core::Strategy::kAnnealing, 0, "1fe8b3d2e452c568"},
+        BaselineGolden{core::Strategy::kAnnealing, 1, "1fe8b3d2e452c568"},
+        BaselineGolden{core::Strategy::kAnnealing, 8, "de2dd1ab2e9ee968"},
+        BaselineGolden{core::Strategy::kRandom, 0, "5cc1c2a9ce43e0c5"},
+        BaselineGolden{core::Strategy::kRandom, 1, "5cc1c2a9ce43e0c5"},
+        BaselineGolden{core::Strategy::kRandom, 8, "87188691caf821fc"}),
+    [](const ::testing::TestParamInfo<BaselineGolden>& info) {
+      std::string name = std::string(core::strategy_name(info.param.strategy)) +
+                         "_batch" + std::to_string(info.param.batch_size);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // ------------------------------------------- pipelined propose/evaluate
 

@@ -6,7 +6,7 @@
 // binary decoder a crash leaves half-written, is fuzzed here too, as are
 // the evaluation store's segment and bucket files, the shard spec and
 // result manifest documents the distributed runner reads back from disk,
-// and the LCDA_FAULT grammar.
+// the JSON parser they all go through, and the LCDA_FAULT grammar.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -36,6 +36,7 @@
 #include "lcda/llm/parser.h"
 #include "lcda/llm/prompt_reader.h"
 #include "lcda/llm/simulated_gpt4.h"
+#include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
 #include "lcda/store/eval_store.h"
 #include "lcda/store/segment.h"
@@ -1355,6 +1356,88 @@ TEST_P(ShardDocumentFuzz, SpecDecoderRejectsOrRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardDocumentFuzz,
                          ::testing::Values(51, 52, 53, 54, 55));
+
+// ------------------------------------------------------------- json_lite
+
+/// Real documents of every kind json_lite carries, compact and indented: a
+/// whole scenario, a shard spec, a result manifest of each study above and
+/// a metrics snapshot.
+std::vector<std::string> json_corpus() {
+  std::vector<util::Json> docs = {
+      core::scenario_to_json(core::scenario_by_name("trained-small"),
+                             /*include_defaults=*/true),
+      dist::shard_spec_to_json(sharded_studies().front().specs.front())};
+  for (const ShardedStudy& study : sharded_studies()) {
+    docs.push_back(study.manifests.front());
+  }
+  obs::MetricsSnapshot metrics;
+  metrics.counters["engine.episodes"] = 4800;
+  metrics.gauges["dist.slots_busy"] = 2;
+  obs::HistogramData& turn = metrics.histograms["llm.turn_us"];
+  turn.bounds = obs::default_latency_bounds_us();
+  turn.counts.assign(turn.bounds.size() + 1, 0);
+  turn.counts[3] = 17;
+  turn.sum = 1234;
+  docs.push_back(metrics.to_json());
+  std::vector<std::string> corpus;
+  for (const util::Json& doc : docs) {
+    corpus.push_back(doc.dump());
+    corpus.push_back(doc.dump(2));
+  }
+  return corpus;
+}
+
+/// Json equality with numbers compared bit for bit (operator== holds 0 and
+/// -0 equal).
+bool same_bits(const util::Json& a, const util::Json& b) {
+  if (a.is_number() && b.is_number()) {
+    return same_double(a.as_double(), b.as_double());
+  }
+  if (a.is_object() && b.is_object()) {
+    const auto x = a.items();
+    const auto y = b.items();
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                      [](const auto& p, const auto& q) {
+                        return p.first == q.first && same_bits(p.second, q.second);
+                      });
+  }
+  if (a.is_array() && b.is_array()) {
+    const auto x = a.elements();
+    const auto y = b.elements();
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(), same_bits);
+  }
+  return a == b;  // null, bool and string, or two different types
+}
+
+class JsonFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(JsonFuzz, ParsesOrThrowsAndRoundTripsBitExactly) {
+  static const std::vector<std::string> corpus = json_corpus();
+  util::Rng rng(GetParam());
+  int accepted = 0;
+  int rejected = 0;
+  for (int i = 0; i < 400; ++i) {
+    std::string text = corpus[rng.index(corpus.size())];
+    const int mutations = static_cast<int>(rng.uniform_int(1, 3));
+    for (int m = 0; m < mutations; ++m) text = mutate(rng, text, corpus);
+    // Anything but a parse or a std::runtime_error escapes and fails.
+    util::Json doc;
+    try {
+      doc = util::Json::parse(text);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    EXPECT_TRUE(same_bits(util::Json::parse(doc.dump()), doc)) << text;
+    EXPECT_TRUE(same_bits(util::Json::parse(doc.dump(2)), doc)) << text;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JsonFuzz,
+                         ::testing::Values(61, 62, 63, 64, 65, 66, 67, 68));
 
 // ------------------------------------------------------ LCDA_FAULT grammar
 

@@ -137,6 +137,29 @@ TEST(ConfigJson, ScenarioConfigErrorsNameTheConfigKeyPath) {
             0u);
 }
 
+TEST(ConfigJson, ParallelismAboveTheThreadLimitIsRejected) {
+  // Only parsed, never run: 4097 must not become a pool of 4097 threads.
+  const auto error = [](const auto& read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error([] {
+              (void)core::scenario_from_json(util::Json::parse(
+                  R"({"name":"s","config":{"parallelism":4097}})"));
+            }),
+            "config.parallelism: 4097 is above the limit of 4096");
+  core::ExperimentConfig config;
+  EXPECT_EQ(error([&] { core::apply_override(config, "parallelism=4097"); }),
+            "config.parallelism: 4097 is above the limit of 4096");
+  EXPECT_EQ(config.parallelism, 1);
+  core::apply_override(config, "parallelism=4096");
+  EXPECT_EQ(config.parallelism, 4096);
+}
+
 TEST(ConfigJson, BadEnumValuesAreRejected) {
   EXPECT_THROW((void)core::config_from_json(
                    util::Json::parse(R"({"objective":"power"})")),

@@ -154,8 +154,33 @@ TEST(Space, TextsMentionEveryAxis) {
   EXPECT_NE(choices.find("RRAM"), std::string::npos);
   EXPECT_NE(choices.find("adc_bits"), std::string::npos);
   const std::string model = space.model_text();
-  EXPECT_NE(model.find("6 convolution layers"), std::string::npos);
+  EXPECT_NE(model.find("6 convolution layers (ReLU, 2x2 max-pool after layers "
+                       "2, 4 and 6)"),
+            std::string::npos)
+      << model;
   EXPECT_NE(model.find("1024"), std::string::npos);
+
+  // The prompt describes the network that is built: trained-small's four
+  // layers pool after the first and third, deep-backbone's eight after
+  // every second one. Pooling past the last layer never happens.
+  SearchSpace::Options opts;
+  opts.conv_layers = 4;
+  opts.backbone.pool_after = {2, 0, 5};
+  EXPECT_NE(SearchSpace(opts).model_text().find(
+                "4 convolution layers (ReLU, 2x2 max-pool after layers 1 and 3)"),
+            std::string::npos)
+      << SearchSpace(opts).model_text();
+  opts.conv_layers = 8;
+  opts.backbone.pool_after = {1, 3, 5, 7};
+  EXPECT_NE(SearchSpace(opts).model_text().find(
+                "after layers 2, 4, 6 and 8)"),
+            std::string::npos);
+  opts.backbone.pool_after = {3};
+  EXPECT_NE(SearchSpace(opts).model_text().find("after layer 4)"),
+            std::string::npos);
+  opts.backbone.pool_after.clear();
+  EXPECT_NE(SearchSpace(opts).model_text().find("(ReLU, no pooling)"),
+            std::string::npos);
 }
 
 TEST(Space, RejectsDegenerateOptions) {

@@ -407,6 +407,10 @@ TEST(JsonParse, DumpParseRoundTripIsExactForDoubles) {
     const Json back = Json::parse(j.dump());
     EXPECT_EQ(back.at(0).as_double(), v);
   }
+  // -0 == 0, so only its sign shows that it came back as written.
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_TRUE(std::signbit(Json::parse(Json(-0.0).dump()).as_double()));
+  EXPECT_EQ(Json(0.0).dump(), "0");
 }
 
 TEST(JsonParse, StringEscapesRoundTrip) {

@@ -48,6 +48,7 @@
 #include "lcda/util/mmap_file.h"
 #include "lcda/util/strings.h"
 #include "lcda/util/subprocess.h"
+#include "lcda/util/thread_pool.h"
 
 namespace {
 
@@ -156,7 +157,7 @@ struct Flag {
   const Requirement* needs;   ///< null: valid in every mode
   std::string_view help;      ///< "" keeps an internal flag out of usage
   double lo = -kInf;          ///< inclusive bounds of a number; integers
-  double hi = kInf;           ///< end at their member type's maximum
+  double hi = kInf;           ///< also end at their member type's maximum
 
   [[nodiscard]] std::string_view name() const {
     return spelling.substr(0, spelling.find('='));
@@ -182,7 +183,7 @@ constexpr Flag kFlags[] = {
      "base seed (default: the scenario's)", 0},
     {"--parallelism=N", &CliOptions::parallelism, nullptr,
      "worker threads, 0 = all hardware threads (default: LCDA_PARALLELISM, "
-     "else 1)", 0},
+     "else 1)", 0, util::kMaxParallelism},
     {"--cache-dir=DIR", &CliOptions::cache_dir, nullptr,
      "the on-disk evaluation store"},
     {"--checkpoint-dir=DIR", &CliOptions::checkpoint_dir, nullptr,
@@ -206,7 +207,8 @@ constexpr Flag kFlags[] = {
      "the bar as a fraction of NACIM's best reward (default 0.95)",
      kPositive, 1},
     {"--distribute=N", &CliOptions::distribute, &kStudy,
-     "shard the study over N resident worker processes", 1},
+     "shard the study over N resident worker processes", 1,
+     util::kMaxParallelism},
     {"--max-retries=K", &CliOptions::max_retries, &kDistribute,
      "extra attempts per failed shard (default 2)", 0},
     {"--shard-dir=DIR", &CliOptions::shard_dir, &kDistribute,
@@ -291,12 +293,15 @@ std::string assign(const Flag& flag, std::optional<std::string_view> value,
         } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
           field.emplace_back(*value);
         } else if constexpr (std::is_integral_v<T>) {
-          constexpr T kMax = std::numeric_limits<T>::max();
+          constexpr T kTypeMax = std::numeric_limits<T>::max();
+          const T hi = flag.hi < static_cast<double>(kTypeMax)
+                           ? static_cast<T>(flag.hi)
+                           : kTypeMax;
           const auto parsed = util::parse_int(*value);
-          if (!parsed || *parsed < flag.lo || *parsed > kMax) {
+          if (!parsed || *parsed < flag.lo || *parsed > hi) {
             return bad_value("an integer from " +
                              std::to_string(static_cast<long long>(flag.lo)) +
-                             " to " + std::to_string(kMax));
+                             " to " + std::to_string(hi));
           }
           field = static_cast<T>(*parsed);
         } else {
