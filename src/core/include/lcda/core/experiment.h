@@ -69,11 +69,11 @@ struct ExperimentConfig {
   /// skip re-evaluation while traces stay bit-identical to a cold run.
   std::string persistent_cache_dir;
 
-  /// On-disk cache budget (0 = unlimited): entry and approximate byte caps
-  /// per cache file, enforced oldest-first at save time
-  /// (PersistentEvalCache::Budget). Evicted entries are simply
-  /// re-evaluated — deterministically, to the identical value — so the
-  /// caps are trace-invariant.
+  /// On-disk store budget (0 = unlimited): entry and byte caps for the
+  /// store directory, enforced oldest-first by the compaction a save
+  /// triggers (store::Budget). Evicted entries are simply re-evaluated —
+  /// deterministically, to the identical value — so the caps are
+  /// trace-invariant.
   std::size_t persistent_cache_max_entries = 0;
   std::size_t persistent_cache_max_bytes = 0;
 

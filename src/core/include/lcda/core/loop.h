@@ -113,7 +113,7 @@ void for_each_cache_counter(F&& f, S&... s) {
 /// One finalized round's replay record — the unit of the checkpoint
 /// subsystem's round log. It carries exactly what the round's evaluator
 /// produced (the unique cache misses, in job order); everything else a
-/// round did (optimizer mutations, RNG evolution, cache/alias decisions,
+/// round did (optimizer mutations, RNG evolution, cache/duplicate decisions,
 /// counters, records, feedback) is recomputed by replaying the round
 /// through the normal planning path with these evaluations injected, so a
 /// replayed round is bit-identical to the live one by construction.
@@ -144,7 +144,7 @@ struct LoopSnapshot {
 /// so worker scheduling can never reorder a draw. Pipelined operation only
 /// proposes ahead of in-flight evaluations when the optimizer declares its
 /// proposal stream feedback-free (Optimizer::pipeline_lookahead), and
-/// duplicates of still-evaluating designs alias to the pending result, so
+/// duplicates of still-evaluating designs resolve to the pending result, so
 /// traces and cache counters match the strict schedule bit for bit.
 /// `evaluator.evaluate` must tolerate concurrent calls with distinct RNGs
 /// (both shipped evaluators do: they only touch local or internally
@@ -178,7 +178,7 @@ class CodesignLoop {
     /// i.e. its proposal stream provably ignores feedback) and a pool
     /// exists, so it can NEVER change a trace: RNG streams are still drawn
     /// on the driving thread in episode order, feedback is still delivered
-    /// in round order, and duplicates of still-in-flight designs alias to
+    /// in round order, and duplicates of still-in-flight designs resolve to
     /// the pending evaluation exactly as same-batch duplicates do. 0
     /// disables pipelining.
     std::size_t pipeline_depth = 8;

@@ -4,15 +4,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
@@ -83,7 +83,7 @@ namespace {
 
 /// One propose->evaluate round in flight. Planned entirely on the driving
 /// thread (proposals, RNG forks, cache decisions), evaluated by the pool,
-/// finalized (aliases, cache commits, records, feedback) on the driving
+/// finalized (duplicates, cache commits, records, feedback) on the driving
 /// thread again — in round order, so pipelining rounds never reorders
 /// anything observable.
 ///
@@ -94,9 +94,11 @@ struct Round {
   int first_episode = 0;
   std::vector<search::Design> designs;
   std::vector<Evaluation> evals;
-  std::vector<std::ptrdiff_t> alias;  ///< >= 0: copy that slot of this round
-  std::vector<std::uint64_t> cross;   ///< committed-cache hash to copy from
-  std::vector<char> cross_set;
+
+  /// Slots proposing a design that was still pending (a miss of this round
+  /// or of one in flight) at planning time, with its hash: finalize copies
+  /// the committed cache entry into them.
+  std::vector<std::pair<std::size_t, std::uint64_t>> duplicates;
 
   /// The round's unique cache misses, in episode order: slot/hash for the
   /// finalize-time cache commit, the RNG stream pre-forked on the driving
@@ -108,41 +110,24 @@ struct Round {
   std::vector<util::Rng> job_rngs;
   std::vector<EvalRequest> requests;
 
-  // Completion tracking for asynchronously dispatched chunks: one mutex
-  // acquisition per chunk (at most pool-size per round) instead of the
-  // historical two per episode. The counter must only change under the
-  // mutex: the driver recycles the round the moment await() returns, so
-  // the last worker's decrement, its notify and the driver's wakeup have
-  // to be one critical-section handshake (a lock-free count would let a
-  // spurious wakeup observe zero while the worker still holds the cv).
-  std::size_t chunks_left = 0;
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::exception_ptr error;
-
   /// Plan-time stamp for the engine.round_us histogram; 0 while metrics
   /// are off (the clock is only read when the histogram is live).
   std::int64_t obs_begin_us = 0;
+
+  /// The chunks in flight. Declared last so it is destroyed first: a round
+  /// unwound mid-flight waits out the chunks reading the storage above.
+  util::ThreadPool::Fanout fanout;
 
   void reset(int episode) {
     first_episode = episode;
     obs_begin_us = 0;
     designs.clear();
     evals.clear();
-    alias.clear();
-    cross.clear();
-    cross_set.clear();
+    duplicates.clear();
     job_slots.clear();
     job_hashes.clear();
     job_rngs.clear();
     requests.clear();
-    chunks_left = 0;
-    error = nullptr;
-  }
-
-  void await() {
-    std::unique_lock lock(mutex);
-    done_cv.wait(lock, [this] { return chunks_left == 0; });
   }
 };
 
@@ -178,18 +163,14 @@ RunResult CodesignLoop::run(util::Rng& rng) {
   // The round log and its replay key each round by its jobs' hashes.
   const bool ckpt_on = opts_.checkpoint_every > 0;
 
-  // Designs proposed but whose round has not been finalized yet, mapping
-  // hash -> first proposer. Without pipelining this only ever covers the
-  // round being planned (the in-batch duplicate map); with rounds in
-  // flight it also lets a later round alias a design an earlier round is
-  // still evaluating — the value lands in `cache` before that later round
-  // finalizes, so the alias resolves to exactly what a non-pipelined run
-  // would have found as a cache hit.
-  struct PendingSlot {
-    Round* round;
-    std::size_t slot;
-  };
-  std::unordered_map<std::uint64_t, PendingSlot> pending;
+  // Hashes of the misses whose round has not been finalized yet. Without
+  // pipelining this only ever covers the round being planned (in-batch
+  // duplicates); with rounds in flight a later round's proposal of a
+  // design an earlier round is still evaluating is a duplicate too — its
+  // value lands in `cache` before that later round finalizes, so it
+  // resolves to exactly what a non-pipelined run would have found as a
+  // cache hit.
+  std::unordered_set<std::uint64_t> pending;
 
   // Retired rounds parked for reuse (their buffers keep their capacity).
   std::vector<std::unique_ptr<Round>> spare_rounds;
@@ -239,9 +220,6 @@ RunResult CodesignLoop::run(util::Rng& rng) {
     }
 
     r.evals.resize(batch);
-    r.alias.assign(batch, -1);
-    r.cross.assign(batch, 0);
-    r.cross_set.assign(batch, 0);
     for (std::size_t i = 0; i < batch; ++i) {
       util::Rng eval_rng = rng.fork();
       std::uint64_t h = 0;
@@ -252,17 +230,10 @@ RunResult CodesignLoop::run(util::Rng& rng) {
           ++result.cache_hits;
           continue;
         }
-        if (!pending.empty()) {
-          if (auto inflight = pending.find(h); inflight != pending.end()) {
-            if (inflight->second.round == &r) {
-              r.alias[i] = static_cast<std::ptrdiff_t>(inflight->second.slot);
-            } else {
-              r.cross[i] = h;
-              r.cross_set[i] = 1;
-            }
-            ++result.cache_hits;
-            continue;
-          }
+        if (!pending.empty() && pending.contains(h)) {
+          r.duplicates.emplace_back(i, h);
+          ++result.cache_hits;
+          continue;
         }
         const std::size_t job = r.job_hashes.size();
         const bool logged_job =
@@ -298,7 +269,7 @@ RunResult CodesignLoop::run(util::Rng& rng) {
         // round planned while this one is still in flight. Scalar rounds
         // with no pipeline window have neither, so skip the bookkeeping.
         if (batch > 1 || max_window > 1) {
-          pending.emplace(h, PendingSlot{&r, i});
+          pending.insert(h);
         }
       } else if (ckpt_on) {
         h = r.designs[i].hash();
@@ -312,11 +283,9 @@ RunResult CodesignLoop::run(util::Rng& rng) {
   };
 
   // acc_i, hw_i = evaluators. The round's unique misses are split into at
-  // most pool-size contiguous chunks and each chunk is one work item —
-  // submitted in one bulk enqueue — so a worker costs a whole sub-batch
-  // per wakeup (PerformanceEvaluator::evaluate_batch) and completion is
-  // one atomic decrement per chunk. Without a pool the whole round runs
-  // inline as a single batch.
+  // most pool-size contiguous chunks, one fan-out item each, so a worker
+  // costs a whole sub-batch per claim (PerformanceEvaluator::evaluate_batch).
+  // Without a pool the whole round runs inline as a single batch.
   auto dispatch = [&](Round& r) {
     obs::Span span("round.dispatch");
     const std::size_t jobs = r.job_slots.size();
@@ -331,27 +300,13 @@ RunResult CodesignLoop::run(util::Rng& rng) {
       evaluator_->evaluate_batch(std::span<EvalRequest>(r.requests));
       return;
     }
-    const std::size_t chunks =
-        util::ThreadPool::chunks_for(jobs, pool->size());
-    r.chunks_left = chunks;
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const auto [begin, end] = util::chunk_range(jobs, chunks, c);
-      tasks.push_back([this, &r, begin = begin, end = end] {
-        obs::Span span("eval.chunk");
-        try {
-          evaluator_->evaluate_batch(
-              std::span<EvalRequest>(r.requests.data() + begin, end - begin));
-        } catch (...) {
-          std::lock_guard lock(r.mutex);
-          if (!r.error) r.error = std::current_exception();
-        }
-        std::lock_guard lock(r.mutex);
-        if (--r.chunks_left == 0) r.done_cv.notify_all();
-      });
-    }
-    pool->submit_batch(std::move(tasks));
+    const std::size_t chunks = std::min<std::size_t>(jobs, pool->size());
+    r.fanout = pool->start(chunks, [this, &r, chunks](std::size_t c) {
+      obs::Span span("eval.chunk");
+      const auto [begin, end] = util::chunk_range(r.requests.size(), chunks, c);
+      evaluator_->evaluate_batch(
+          std::span<EvalRequest>(r.requests.data() + begin, end - begin));
+    });
   };
 
   // Waits the round out, commits it to the caches, resolves duplicates,
@@ -359,11 +314,10 @@ RunResult CodesignLoop::run(util::Rng& rng) {
   std::vector<search::Observation> observations;
   auto finalize = [&](Round& r) {
     obs::Span span("round.drain");
-    if (pool) r.await();
-    if (r.error) std::rethrow_exception(r.error);
+    r.fanout.wait();
 
-    // Commit fresh evaluations first so same-round aliases, cross-round
-    // aliases and future rounds all resolve against them.
+    // Commit fresh evaluations first so this round's duplicates and future
+    // rounds resolve against them.
     if (opts_.cache_evaluations) {
       for (std::size_t k = 0; k < r.job_slots.size(); ++k) {
         const std::uint64_t h = r.job_hashes[k];
@@ -373,16 +327,10 @@ RunResult CodesignLoop::run(util::Rng& rng) {
         if (!pending.empty()) pending.erase(h);
       }
     }
-    const std::size_t batch = r.designs.size();
-    for (std::size_t i = 0; i < batch; ++i) {
-      if (r.alias[i] >= 0) {
-        r.evals[i] = r.evals[static_cast<std::size_t>(r.alias[i])];
-      } else if (r.cross_set[i]) {
-        r.evals[i] = cache.at(r.cross[i]);
-      }
-    }
+    for (const auto& [slot, h] : r.duplicates) r.evals[slot] = cache.at(h);
 
     // perf_i = f(acc_i, hw_i); add des_i and perf_i to l_des / l_perf.
+    const std::size_t batch = r.designs.size();
     observations.resize(batch);
     for (std::size_t i = 0; i < batch; ++i) {
       const Evaluation& ev = r.evals[i];
@@ -438,7 +386,7 @@ RunResult CodesignLoop::run(util::Rng& rng) {
   // Resume: replay the log's rounds through the NORMAL planning path with
   // the recorded evaluations injected, from the fresh optimizer and RNG the
   // caller built. Replay re-derives optimizer state, the RNG stream, every
-  // cache/alias decision, counter and record, and re-inserts into the store
+  // cache/duplicate decision, counter and record, and re-inserts into the store
   // session through finalize exactly as live rounds do — so the
   // continuation is bit-identical to the uninterrupted run. Replayed rounds
   // are logged again, so the new log is a whole history too. A round that
@@ -471,31 +419,24 @@ RunResult CodesignLoop::run(util::Rng& rng) {
 
   const long long kill_episode = util::FaultInjector::instance().kill_episode();
 
-  try {
-    while (ep < opts_.episodes || !window.empty()) {
-      while (ep < opts_.episodes && window.size() < max_window) {
-        // Fault injection: die before planning this episode.
-        if (kill_episode >= 0 && ep >= kill_episode) std::_Exit(42);
-        auto round = plan_round(ep, {});
-        ep += static_cast<int>(round->designs.size());
-        dispatch(*round);
-        window.push_back(std::move(round));
-      }
-      if (!window.empty()) {
-        Round& r = *window.front();
-        finalize(r);
-        emit_round(r);
-        spare_rounds.push_back(std::move(window.front()));
-        window.pop_front();
-      }
+  // A throw unwinds `window`, and each round's `fanout` handle waits out
+  // the chunks still reading that round's storage.
+  while (ep < opts_.episodes || !window.empty()) {
+    while (ep < opts_.episodes && window.size() < max_window) {
+      // Fault injection: die before planning this episode.
+      if (kill_episode >= 0 && ep >= kill_episode) std::_Exit(42);
+      auto round = plan_round(ep, {});
+      ep += static_cast<int>(round->designs.size());
+      dispatch(*round);
+      window.push_back(std::move(round));
     }
-  } catch (...) {
-    // In-flight workers still reference round memory; wait them out
-    // before the window (and its rounds) unwinds.
-    if (pool) {
-      for (auto& round : window) round->await();
+    if (!window.empty()) {
+      Round& r = *window.front();
+      finalize(r);
+      emit_round(r);
+      spare_rounds.push_back(std::move(window.front()));
+      window.pop_front();
     }
-    throw;
   }
   if (ckpt_on && opts_.on_snapshot) opts_.on_snapshot(LoopSnapshot{ep});
   return result;

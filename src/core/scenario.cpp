@@ -403,10 +403,12 @@ void read_fields(const util::Json& j, S& out, std::string context) {
   r.finish();
   if constexpr (std::is_same_v<S, ExperimentConfig>) {
     // A thread count: bounded like lcda_run --parallelism.
-    if (out.parallelism > util::kMaxParallelism) {
+    if (out.parallelism < 0 || out.parallelism > util::kMaxParallelism) {
       throw std::invalid_argument(
           context + ".parallelism: " + std::to_string(out.parallelism) +
-          " is above the limit of " + std::to_string(util::kMaxParallelism));
+          (out.parallelism < 0 ? std::string(" is negative")
+                               : " is above the limit of " +
+                                     std::to_string(util::kMaxParallelism)));
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -11,8 +12,8 @@
 namespace lcda::util {
 
 /// The largest thread or worker-process count a setting may ask for.
-/// `lcda_run --parallelism` and `--distribute` and the scenario key
-/// `parallelism` reject a larger value as an argument error;
+/// `lcda_run --parallelism` and `--distribute`, the scenario key
+/// `parallelism` and ThreadPool itself reject a larger value;
 /// LCDA_PARALLELISM falls back to its default.
 inline constexpr int kMaxParallelism = 4096;
 
@@ -25,7 +26,10 @@ inline constexpr int kMaxParallelism = 4096;
 /// to inline execution on the calling thread.
 class ThreadPool {
  public:
-  /// Spawns `threads` workers. Values < 1 are clamped to 1.
+  class Fanout;
+
+  /// Spawns `threads` workers. Values < 1 are clamped to 1; a value above
+  /// kMaxParallelism throws std::invalid_argument before any thread starts.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
@@ -34,48 +38,58 @@ class ThreadPool {
 
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues a job. Jobs must not submit to the same pool recursively.
-  void submit(std::function<void()> job);
+  /// Starts body(0..n-1) on at most `workers` pool threads and returns at
+  /// once. Threads claim items one at a time, so bodies must be
+  /// independent; an item that throws makes the fan-out skip the items
+  /// nobody has claimed yet. The handle tracks this call alone, so a pool
+  /// job may fan out on its own pool.
+  [[nodiscard]] Fanout start(std::size_t n,
+                             std::function<void(std::size_t)> body,
+                             int workers = kMaxParallelism);
 
-  /// Enqueues a whole batch under one lock acquisition and one
-  /// notify_all, instead of a lock + notify per job — the bulk-dispatch
-  /// fast path used by the co-design loop's evaluation rounds and by
-  /// parallel_for. Jobs run in submission order (FIFO queue) but complete
-  /// in any order.
-  void submit_batch(std::vector<std::function<void()>> jobs);
-
-  /// Blocks until every submitted job has finished. Rethrows the first
-  /// exception raised by a job (first in submission order of completion).
-  void wait_idle();
-
-  /// Runs body(0..n-1), distributing iterations over the workers and the
-  /// calling thread; returns when all are done. Iteration order across
-  /// threads is unspecified, so bodies must be independent. Rethrows the
-  /// first exception raised by an iteration.
+  /// start(n, body, size() - 1).wait(): the calling thread and size() - 1
+  /// workers share the items, so the concurrency is exactly size().
+  /// Rethrows the first exception raised by an iteration.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// Resolves a user-facing parallelism knob: values >= 1 are taken as-is,
-  /// anything else (0 = "auto") maps to the hardware concurrency.
+  /// anything else (0 = "auto") maps to the hardware concurrency. A value
+  /// above kMaxParallelism throws std::invalid_argument.
   [[nodiscard]] static int resolve_parallelism(int requested);
 
-  /// How many contiguous chunks `items` work items should be split into
-  /// for a pool of `workers` threads: one chunk per worker, never more
-  /// chunks than items, at least one chunk for a non-empty batch. This is
-  /// the round fan-out policy of the co-design loop — a worker costs a
-  /// whole chunk per wakeup instead of paying queue traffic per item.
-  [[nodiscard]] static std::size_t chunks_for(std::size_t items, int workers);
-
  private:
+  struct FanoutState;
+
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<std::shared_ptr<FanoutState>> queue_;
   std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  std::size_t in_flight_ = 0;
   bool stopping_ = false;
-  std::exception_ptr first_error_;
+};
+
+/// The completion of one ThreadPool::start call. wait() runs the items no
+/// worker has claimed on the calling thread, blocks until the claimed ones
+/// finish and rethrows this fan-out's first exception. Destroying or
+/// assigning over an unwaited handle abandons the work: it skips the
+/// unclaimed items, blocks until the claimed ones finish and drops their
+/// exception. A default or waited handle is empty.
+class ThreadPool::Fanout {
+ public:
+  Fanout() = default;
+  Fanout(Fanout&& other) noexcept = default;
+  Fanout& operator=(Fanout&& other) noexcept;
+  ~Fanout();
+
+  void wait();
+
+ private:
+  friend class ThreadPool;
+  explicit Fanout(std::shared_ptr<FanoutState> state)
+      : state_(std::move(state)) {}
+
+  std::shared_ptr<FanoutState> state_;
 };
 
 /// parallel_for over `pool`, or inline on the calling thread when `pool` is

@@ -2,10 +2,62 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <latch>
+#include <stdexcept>
+#include <string>
 
 namespace lcda::util {
 
+namespace {
+
+void check_thread_limit(int threads) {
+  if (threads <= kMaxParallelism) return;
+  throw std::invalid_argument("ThreadPool: " + std::to_string(threads) +
+                              " threads is above the limit of " +
+                              std::to_string(kMaxParallelism));
+}
+
+}  // namespace
+
+/// One start() call, shared by its handle and by every ticket queued for
+/// it: a worker that pops a ticket after the handle is gone still finds
+/// valid memory, and nothing left to claim.
+struct ThreadPool::FanoutState {
+  FanoutState(std::size_t n, std::function<void(std::size_t)> body)
+      : n(n), body(std::move(body)), settled(static_cast<std::ptrdiff_t>(n)) {}
+
+  /// Claims and runs items until none is left unclaimed.
+  void drain() {
+    std::ptrdiff_t ran = 0;
+    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      ++ran;
+      try {
+        body(i);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+        ran += skip_unclaimed();
+      }
+    }
+    if (ran > 0) settled.count_down(ran);
+  }
+
+  /// Claims every item nobody has claimed yet, without running it.
+  std::ptrdiff_t skip_unclaimed() {
+    const std::size_t first = next.exchange(n);
+    return first < n ? static_cast<std::ptrdiff_t>(n - first) : 0;
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)> body;
+  std::atomic<std::size_t> next{0};
+  std::latch settled;  ///< items left to run or skip
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  ///< written once, by whoever set `failed`
+};
+
 ThreadPool::ThreadPool(int threads) {
+  check_thread_limit(threads);
   const int n = std::max(threads, 1);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -22,91 +74,64 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::unique_lock lock(mutex_);
-    queue_.push_back(std::move(job));
-    ++in_flight_;
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::submit_batch(std::vector<std::function<void()>> jobs) {
-  if (jobs.empty()) return;
-  {
-    std::unique_lock lock(mutex_);
-    for (auto& job : jobs) queue_.push_back(std::move(job));
-    in_flight_ += jobs.size();
-  }
-  if (jobs.size() == 1) {
-    work_cv_.notify_one();
-  } else {
-    work_cv_.notify_all();
-  }
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> job;
+    std::shared_ptr<FanoutState> ticket;
     {
       std::unique_lock lock(mutex_);
       work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and drained
-      job = std::move(queue_.front());
+      ticket = std::move(queue_.front());
       queue_.pop_front();
     }
-    try {
-      job();
-    } catch (...) {
-      std::unique_lock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::unique_lock lock(mutex_);
-      if (--in_flight_ == 0) idle_cv_.notify_all();
-    }
+    ticket->drain();
   }
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
+ThreadPool::Fanout ThreadPool::start(std::size_t n,
+                                     std::function<void(std::size_t)> body,
+                                     int workers) {
+  if (n == 0) return {};
+  auto state = std::make_shared<FanoutState>(n, std::move(body));
+  const std::size_t tickets = std::min(
+      n, static_cast<std::size_t>(std::clamp(workers, 0, size())));
+  if (tickets > 0) {
+    {
+      std::unique_lock lock(mutex_);
+      queue_.insert(queue_.end(), tickets, state);
+    }
+    if (tickets == 1) {
+      work_cv_.notify_one();
+    } else {
+      work_cv_.notify_all();
+    }
   }
+  return Fanout(std::move(state));
+}
+
+void ThreadPool::Fanout::wait() {
+  if (!state_) return;
+  const std::shared_ptr<FanoutState> state = std::move(state_);
+  state->drain();
+  state->settled.wait();
+  if (state->error) std::rethrow_exception(state->error);
+}
+
+ThreadPool::Fanout::~Fanout() {
+  if (!state_) return;
+  state_->settled.count_down(state_->skip_unclaimed());
+  state_->settled.wait();
+}
+
+ThreadPool::Fanout& ThreadPool::Fanout::operator=(Fanout&& other) noexcept {
+  Fanout old = std::move(*this);  // settles the fan-out this handle held
+  state_ = std::move(other.state_);
+  return *this;
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  // The calling thread drains the same counter as the workers, so a busy
-  // pool can never deadlock a nested-free caller. Only size()-1 drain
-  // tasks are submitted: driver + workers == size(), keeping the
-  // concurrency at exactly the configured parallelism.
-  auto drain = [next, n, &body] {
-    for (std::size_t i = next->fetch_add(1); i < n; i = next->fetch_add(1)) {
-      body(i);
-    }
-  };
-  const std::size_t tasks =
-      std::min(n, static_cast<std::size_t>(size() > 0 ? size() - 1 : 0));
-  submit_batch(std::vector<std::function<void()>>(tasks, drain));
-  try {
-    drain();
-  } catch (...) {
-    wait_idle();  // let workers finish before unwinding `body`
-    throw;
-  }
-  wait_idle();
-}
-
-std::size_t ThreadPool::chunks_for(std::size_t items, int workers) {
-  if (items == 0) return 0;
-  const auto cap = static_cast<std::size_t>(std::max(workers, 1));
-  return std::min(items, cap);
+  start(n, [&body](std::size_t i) { body(i); }, size() - 1).wait();
 }
 
 ChunkRange chunk_range(std::size_t n, std::size_t chunks, std::size_t chunk) {
@@ -119,6 +144,7 @@ ChunkRange chunk_range(std::size_t n, std::size_t chunks, std::size_t chunk) {
 }
 
 int ThreadPool::resolve_parallelism(int requested) {
+  check_thread_limit(requested);
   if (requested >= 1) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

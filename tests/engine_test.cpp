@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <set>
 #include <span>
@@ -39,27 +40,81 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
-TEST(ThreadPool, SubmitAndWaitIdleRunsAllJobs) {
-  util::ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&] { ++done; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ThreadPool, SubmitBatchRunsEveryJobOnce) {
+TEST(ThreadPool, StartedFanoutRunsEveryItemOnce) {
   util::ThreadPool pool(4);
   std::vector<std::atomic<int>> counts(200);
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    jobs.push_back([&counts, i] { ++counts[i]; });
-  }
-  pool.submit_batch(std::move(jobs));
-  pool.wait_idle();
+  util::ThreadPool::Fanout fanout =
+      pool.start(counts.size(), [&](std::size_t i) { ++counts[i]; });
+  fanout.wait();
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+  fanout.wait();  // a waited handle is empty
+}
+
+TEST(ThreadPool, WaitRunsUnclaimedItemsOnTheCallingThread) {
+  // No worker is woken, so every item is left for wait().
+  util::ThreadPool pool(2);
+  std::vector<std::thread::id> ran_on(10);
+  pool.start(ran_on.size(),
+             [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); }, 0)
+      .wait();
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, PoolJobsMayFanOutOnTheirOwnPool) {
+  // A pool-wide wait would count the outer job itself and never return.
+  util::ThreadPool pool(4);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 50;
+  std::vector<std::atomic<int>> counts(kOuter * kInner);
+  pool.parallel_for(kOuter, [&](std::size_t i) {
+    pool.parallel_for(kInner, [&](std::size_t j) { ++counts[i * kInner + j]; });
+  });
+  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+}
+
+TEST(ThreadPool, FanoutsSharingAPoolKeepTheirOwnErrors) {
+  util::ThreadPool pool(4);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::atomic<int> healthy_items{0};
+    util::ThreadPool::Fanout failing = pool.start(64, [](std::size_t i) {
+      if (i == 7) throw std::runtime_error("boom");
+    });
+    util::ThreadPool::Fanout healthy =
+        pool.start(64, [&](std::size_t) { ++healthy_items; });
+    EXPECT_NO_THROW(healthy.wait());
+    EXPECT_EQ(healthy_items.load(), 64);
+    EXPECT_THROW(failing.wait(), std::runtime_error);
+  }
+}
+
+TEST(ThreadPool, DestroyedFanoutWaitsForClaimedItemsAndSkipsTheRest) {
+  util::ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> release{false};
+  std::thread releaser;
+  {
+    // One worker claims item 0 and holds it until released; the handle
+    // is destroyed while it does.
+    util::ThreadPool::Fanout fanout = pool.start(
+        100,
+        [&](std::size_t) {
+          ++started;
+          while (!release.load()) std::this_thread::yield();
+          ++finished;
+        },
+        1);
+    while (started.load() == 0) std::this_thread::yield();
+    releaser = std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release = true;
+    });
+  }
+  EXPECT_EQ(finished.load(), 1);
+  EXPECT_EQ(started.load(), 1);
+  pool.parallel_for(8, [](std::size_t) {});  // the worker is free again
+  EXPECT_EQ(started.load(), 1);
+  releaser.join();
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
@@ -75,6 +130,13 @@ TEST(ThreadPool, ResolveParallelism) {
   EXPECT_EQ(util::ThreadPool::resolve_parallelism(3), 3);
   EXPECT_EQ(util::ThreadPool::resolve_parallelism(1), 1);
   EXPECT_GE(util::ThreadPool::resolve_parallelism(0), 1);  // auto
+  EXPECT_EQ(util::ThreadPool::resolve_parallelism(util::kMaxParallelism),
+            util::kMaxParallelism);
+  // Only the pure call: a pool this size would start 4,097 threads if the
+  // constructor's guard ever regressed.
+  EXPECT_THROW((void)util::ThreadPool::resolve_parallelism(
+                   util::kMaxParallelism + 1),
+               std::invalid_argument);
 }
 
 TEST(ThreadPool, NullPoolHelperRunsInline) {
@@ -101,14 +163,6 @@ TEST(DeriveSeed, OrderIndependentAndDistinct) {
 }
 
 // ------------------------------------------------------- chunked dispatch
-
-TEST(ThreadPool, ChunksForSizesToThePool) {
-  EXPECT_EQ(util::ThreadPool::chunks_for(0, 4), 0u);
-  EXPECT_EQ(util::ThreadPool::chunks_for(1, 4), 1u);
-  EXPECT_EQ(util::ThreadPool::chunks_for(3, 4), 3u);
-  EXPECT_EQ(util::ThreadPool::chunks_for(16, 4), 4u);
-  EXPECT_EQ(util::ThreadPool::chunks_for(16, 0), 1u);  // clamped workers
-}
 
 TEST(ThreadPool, ChunkRangesPartitionExactly) {
   for (std::size_t n : {1u, 5u, 16u, 17u, 100u}) {
@@ -635,6 +689,51 @@ TEST(EnginePipelining, GoldenPaperEnergyTraceSurvivesPipelinedEngine) {
   const core::RunResult b =
       core::run_strategy(core::Strategy::kLcda, 20, pipelined);
   expect_identical_traces(a, b);
+}
+
+// ------------------------------------------------------- failing rounds
+
+/// The surrogate evaluator, except that its k-th evaluation throws.
+class FailingEvaluator final : public core::PerformanceEvaluator {
+ public:
+  explicit FailingEvaluator(int fail_at) : fail_at_(fail_at) {}
+  core::Evaluation evaluate(const search::Design& design,
+                            util::Rng& rng) override {
+    if (calls_.fetch_add(1) + 1 == fail_at_) {
+      throw std::runtime_error("evaluation " + std::to_string(fail_at_));
+    }
+    return inner_.evaluate(design, rng);
+  }
+  std::string name() const override { return "Failing"; }
+
+ private:
+  core::SurrogateEvaluator inner_;
+  const int fail_at_;
+  std::atomic<int> calls_{0};
+};
+
+TEST(EngineFailure, EvaluatorErrorInAPooledRoundIsRethrown) {
+  // Random runs scalar rounds with up to eight more in flight; Genetic
+  // runs generations of 24 split into four chunks. Either way run() must
+  // rethrow the evaluator's error, after the chunks still reading the
+  // failed run's rounds have finished (the sanitizer jobs run this).
+  for (const auto strategy : {core::Strategy::kRandom, core::Strategy::kGenetic}) {
+    SCOPED_TRACE(std::string(core::strategy_name(strategy)));
+    for (const int fail_at : {1, 2, 30, 47}) {
+      SCOPED_TRACE(fail_at);
+      core::ExperimentConfig cfg;
+      cfg.seed = 5;
+      cfg.parallelism = 4;
+      FailingEvaluator eval(fail_at);
+      std::string error = "no error";
+      try {
+        (void)core::run_strategy(strategy, 96, cfg, &eval);
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+      }
+      EXPECT_EQ(error, "evaluation " + std::to_string(fail_at));
+    }
+  }
 }
 
 // ------------------------------------------------------ evaluation cache

@@ -156,6 +156,16 @@ TEST(ConfigJson, ParallelismAboveTheThreadLimitIsRejected) {
   EXPECT_EQ(error([&] { core::apply_override(config, "parallelism=4097"); }),
             "config.parallelism: 4097 is above the limit of 4096");
   EXPECT_EQ(config.parallelism, 1);
+  // Negative means nothing (0 is "every hardware thread"), as for
+  // lcda_run --parallelism.
+  EXPECT_EQ(error([] {
+              (void)core::scenario_from_json(util::Json::parse(
+                  R"({"name":"s","config":{"parallelism":-1}})"));
+            }),
+            "config.parallelism: -1 is negative");
+  EXPECT_EQ(error([&] { core::apply_override(config, "parallelism=-1"); }),
+            "config.parallelism: -1 is negative");
+  EXPECT_EQ(config.parallelism, 1);
   core::apply_override(config, "parallelism=4096");
   EXPECT_EQ(config.parallelism, 4096);
 }
