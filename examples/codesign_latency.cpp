@@ -11,17 +11,19 @@
 // count (0 = one per hardware thread); episode traces are bit-identical
 // for every setting.
 #include <cstdio>
-#include <cstdlib>
 
+#include "lcda/core/report.h"
 #include "lcda/core/scenario.h"
 #include "lcda/core/pareto.h"
 
 int main(int argc, char** argv) {
   using namespace lcda;
+  const auto args = core::positional_args(argc, argv);
+  const char* usage = "example_codesign_latency [lcda_episodes] [nacim_episodes] [seed]";
   core::ExperimentConfig cfg = core::scenario_by_name("paper-latency").config;
-  cfg.lcda_episodes = argc > 1 ? std::atoi(argv[1]) : 20;
-  cfg.nacim_episodes = argc > 2 ? std::atoi(argv[2]) : 500;
-  cfg.seed = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 1;
+  cfg.lcda_episodes = core::positive_count_arg(args, 0, 20, usage);
+  cfg.nacim_episodes = core::positive_count_arg(args, 1, 500, usage);
+  cfg.seed = core::seed_arg(args, 2, 1, usage);
   cfg.parallelism = core::env_parallelism();
 
   const core::RunResult lcda =

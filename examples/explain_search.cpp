@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "lcda/core/report.h"
 #include "lcda/core/scenario.h"
 #include "lcda/llm/explain.h"
 #include "lcda/llm/llm_optimizer.h"
@@ -22,8 +23,10 @@
 
 int main(int argc, char** argv) {
   using namespace lcda;
-  const int episodes = argc > 1 ? std::atoi(argv[1]) : 6;
-  const std::uint64_t seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 3;
+  const auto args = core::positional_args(argc, argv);
+  const char* usage = "example_explain_search [episodes] [seed]";
+  const int episodes = core::positive_count_arg(args, 0, 6, usage);
+  const std::uint64_t seed = core::seed_arg(args, 1, 3, usage);
 
   const core::ExperimentConfig cfg = core::scenario_by_name("paper-energy").config;
   const search::SearchSpace space(cfg.space);

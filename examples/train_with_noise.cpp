@@ -11,9 +11,9 @@
 // examples and benches) has nothing to fan out here — this example trains
 // one candidate on the calling thread.
 #include <cstdio>
-#include <cstdlib>
 
 #include "lcda/cim/cost_model.h"
+#include "lcda/core/report.h"
 #include "lcda/core/scenario.h"
 #include "lcda/data/synthetic_cifar.h"
 #include "lcda/nn/model_builder.h"
@@ -23,9 +23,11 @@
 
 int main(int argc, char** argv) {
   using namespace lcda;
-  const int epochs = argc > 1 ? std::atoi(argv[1]) : 6;
-  const int mc_samples = argc > 2 ? std::atoi(argv[2]) : 10;
-  const std::uint64_t seed = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 7;
+  const auto args = core::positional_args(argc, argv);
+  const char* usage = "example_train_with_noise [epochs] [mc_samples] [seed]";
+  const int epochs = core::positive_count_arg(args, 0, 6, usage);
+  const int mc_samples = core::positive_count_arg(args, 1, 10, usage);
+  const std::uint64_t seed = core::seed_arg(args, 2, 7, usage);
 
   // Reduced-scale dataset from the trained-small scenario (full CIFAR
   // geometry is 3x32x32 / 10 classes; the scenario shrinks to keep the

@@ -218,24 +218,23 @@ RunResult run_strategy(Strategy strategy, int episodes,
   // Single mirror point into the metrics registry: every run — in-process
   // study, pool thread, shard worker — passes through here exactly once,
   // so registry totals always equal the sum of RunResult counters and
-  // nothing double-counts. Thread-safe (striped relaxed adds).
-  if (obs::Registry::instance().enabled()) {
-    obs::add_counter("engine.runs", 1);
-    obs::add_counter("engine.episodes",
-                     static_cast<long long>(result.episodes.size()));
-    obs::add_counter("engine.cache_hits", result.cache_hits);
-    obs::add_counter("engine.cache_misses", result.cache_misses);
-    obs::add_counter("engine.persistent_hits", result.persistent_hits);
-    obs::add_counter("engine.persistent_shared_hits",
-                     result.persistent_shared_hits);
-    obs::add_counter("engine.resumed_episodes", result.resumed_episodes);
-    obs::add_counter("store.hits", result.store.hits);
-    obs::add_counter("store.misses", result.store.misses);
-    obs::add_counter("store.shared_hits", result.store.shared_hits);
-    obs::add_counter("store.shared_misses", result.store.shared_misses);
-    obs::add_counter("store.bytes_read", result.store.bytes_read);
-    obs::add_counter("store.bytes_published", result.store.bytes_published);
-  }
+  // nothing double-counts. add_counter takes the registry lock (and is a
+  // no-op while the registry is off).
+  obs::add_counter("engine.runs", 1);
+  obs::add_counter("engine.episodes",
+                   static_cast<long long>(result.episodes.size()));
+  obs::add_counter("engine.cache_hits", result.cache_hits);
+  obs::add_counter("engine.cache_misses", result.cache_misses);
+  obs::add_counter("engine.persistent_hits", result.persistent_hits);
+  obs::add_counter("engine.persistent_shared_hits",
+                   result.persistent_shared_hits);
+  obs::add_counter("engine.resumed_episodes", result.resumed_episodes);
+  obs::add_counter("store.hits", result.store.hits);
+  obs::add_counter("store.misses", result.store.misses);
+  obs::add_counter("store.shared_hits", result.store.shared_hits);
+  obs::add_counter("store.shared_misses", result.store.shared_misses);
+  obs::add_counter("store.bytes_read", result.store.bytes_read);
+  obs::add_counter("store.bytes_published", result.store.bytes_published);
   return result;
 }
 

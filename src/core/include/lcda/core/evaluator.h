@@ -119,9 +119,11 @@ class PerformanceEvaluator {
 };
 
 /// Fast evaluator: surrogate accuracy model + analytical cost model, with a
-/// Monte-Carlo loop over the surrogate's chip-instance draws (DESIGN.md
-/// substitution #2). This is what the benchmark harnesses use — a
-/// 500-episode NACIM run completes in seconds.
+/// Monte-Carlo loop over the surrogate's chip-instance draws. It stands in
+/// for the paper's train-then-Monte-Carlo evaluator, which costs GPU-hours
+/// per candidate (README "Scenario catalog": `trained-small` runs the
+/// faithful pipeline at laptop scale). This is what the benchmark
+/// harnesses use — a 500-episode NACIM run completes in seconds.
 ///
 /// Thread-safe: evaluate()/evaluate_batch() may be called concurrently from
 /// pool workers (the co-design loop does, and run_aggregate shares one

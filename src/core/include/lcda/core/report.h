@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -77,6 +78,12 @@ void write_json_file(const util::Json& j, const std::string& path);
 /// status 2, before any other output.
 [[nodiscard]] int positive_count_arg(const std::vector<std::string>& args,
                                      std::size_t index, int fallback,
+                                     const char* usage);
+
+/// The positional seed `args[index]`, `fallback` when absent. Anything but
+/// a non-negative integer is an argument error, as in positive_count_arg.
+[[nodiscard]] std::uint64_t seed_arg(const std::vector<std::string>& args,
+                                     std::size_t index, std::uint64_t fallback,
                                      const char* usage);
 
 }  // namespace lcda::core

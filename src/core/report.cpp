@@ -199,4 +199,16 @@ int positive_count_arg(const std::vector<std::string>& args, std::size_t index,
   return static_cast<int>(*value);
 }
 
+std::uint64_t seed_arg(const std::vector<std::string>& args, std::size_t index,
+                       std::uint64_t fallback, const char* usage) {
+  if (index >= args.size()) return fallback;
+  const auto value = util::parse_int(args[index]);
+  if (!value || *value < 0) {
+    std::fprintf(stderr, "\"%s\" is not a non-negative integer\nusage: %s\n",
+                 args[index].c_str(), usage);
+    std::exit(2);
+  }
+  return static_cast<std::uint64_t>(*value);
+}
+
 }  // namespace lcda::core

@@ -611,18 +611,16 @@ void Coordinator::run(std::vector<ShardSpec>& specs) {
   // Mirror the scheduling outcome into the metrics registry once, at the
   // end — cheap, and it keeps the hot scheduling loop free of metric
   // plumbing. Stats itself stays authoritative when the registry is off.
-  if (obs::Registry::instance().enabled()) {
-    obs::add_counter("dist.shards_planned", stats_.planned);
-    obs::add_counter("dist.dispatches", stats_.spawned);
-    obs::add_counter("dist.pool_workers", stats_.pool_workers);
-    obs::add_counter("dist.retries", stats_.retries);
-    obs::add_counter("dist.steals", stats_.steals);
-    obs::add_counter("dist.stolen_seeds", stats_.stolen_seeds);
-    obs::add_counter("dist.steal_considered", stats_.steal_considered);
-    obs::add_counter("dist.steal_suppressed_min_stale",
-                     stats_.steal_suppressed_min_stale);
-    obs::add_counter("dist.dead_workers", stats_.dead_workers);
-  }
+  obs::add_counter("dist.shards_planned", stats_.planned);
+  obs::add_counter("dist.dispatches", stats_.spawned);
+  obs::add_counter("dist.pool_workers", stats_.pool_workers);
+  obs::add_counter("dist.retries", stats_.retries);
+  obs::add_counter("dist.steals", stats_.steals);
+  obs::add_counter("dist.stolen_seeds", stats_.stolen_seeds);
+  obs::add_counter("dist.steal_considered", stats_.steal_considered);
+  obs::add_counter("dist.steal_suppressed_min_stale",
+                   stats_.steal_suppressed_min_stale);
+  obs::add_counter("dist.dead_workers", stats_.dead_workers);
 }
 
 }  // namespace lcda::dist

@@ -14,7 +14,7 @@ namespace lcda::dist {
 
 /// The result manifest of `spec`: the header load_shard_manifest checks,
 /// the `entries` the *_entry writers below built, and `obs`, the shard's
-/// metrics delta (lcda-metrics-v1). No merge reads `obs`, so the store
+/// metrics delta (lcda-metrics-v2). No merge reads `obs`, so the store
 /// traffic and resumed episodes it carries never change a merged byte.
 [[nodiscard]] util::Json shard_manifest(const ShardSpec& spec,
                                         util::Json entries, util::Json obs);
@@ -53,14 +53,14 @@ namespace lcda::dist {
     const std::vector<util::Json>& manifests);
 
 /// One runs-mode run: the scalars lcda_run's per-run summary lines print,
-/// plus the full run JSON (embedded verbatim in experiment documents) and
-/// its trace CSV rows when they were built.
+/// plus, once merged from a manifest, the full run JSON (embedded verbatim
+/// in experiment documents) and its trace CSV rows.
 struct MergedRun {
   int seed = 0;
   std::string label;
   long long episodes = 0;
-  util::Json run_json;  ///< null unless built
-  std::string csv;      ///< empty unless built
+  util::Json run_json;  ///< null in a run_record
+  std::string csv;      ///< empty in a run_record
   double best_reward = 0.0;
   int best_episode = -1;
   std::string best_design;
@@ -72,17 +72,16 @@ struct MergedRun {
   long long persistent_save_failures = 0;
 };
 
-/// One finished run as its runs-mode record, the same whether a worker
-/// publishes it or lcda_run prints it in-process. `json` and `csv` select
-/// whether run_json and csv are built: per episode, each costs about as
-/// much as a surrogate episode, so a run without --json or --trace skips
-/// them.
+/// One finished run's scalars, the same whether a worker publishes the run
+/// or lcda_run prints it in-process. Neither the run JSON nor the CSV rows
+/// are built: per episode, each costs about as much as a surrogate episode.
 [[nodiscard]] MergedRun run_record(int seed, const std::string& label,
-                                   const core::RunResult& run, bool json,
-                                   bool csv);
+                                   const core::RunResult& run);
 
-/// A runs-mode entry: the record as a worker's manifest carries it.
-[[nodiscard]] util::Json run_entry(MergedRun run);
+/// A runs-mode entry: the run as a worker's manifest carries it, its
+/// run_record plus the run JSON and the CSV rows.
+[[nodiscard]] util::Json run_entry(int seed, const std::string& label,
+                                   const core::RunResult& run);
 
 /// Reassembles runs-mode payloads in canonical order — study-major (the
 /// planner's strategy order via study_slot), seeds ascending — the order

@@ -221,17 +221,11 @@ std::vector<core::SpeedupReport> merge_speedup(
 }
 
 MergedRun run_record(int seed, const std::string& label,
-                     const core::RunResult& run, bool json, bool csv) {
+                     const core::RunResult& run) {
   MergedRun r;
   r.seed = seed;
   r.label = label;
   r.episodes = static_cast<long long>(run.episodes.size());
-  if (json) r.run_json = core::run_to_json(run, label);
-  if (csv) {
-    std::ostringstream rows;
-    core::write_run_csv(rows, run, label);
-    r.csv = std::move(rows).str();
-  }
   r.best_reward = run.best_reward();
   r.best_episode = run.best_episode;
   r.best_design = run.best().design.describe();
@@ -240,17 +234,21 @@ MergedRun run_record(int seed, const std::string& label,
   return r;
 }
 
-util::Json run_entry(MergedRun run) {
+util::Json run_entry(int seed, const std::string& label,
+                     const core::RunResult& run) {
+  MergedRun record = run_record(seed, label, run);
   util::Json e = util::Json::object();
-  e["seed"] = run.seed;
-  e["label"] = std::move(run.label);
-  e["best_reward"] = run.best_reward;
-  e["best_episode"] = run.best_episode;
-  e["best_design"] = std::move(run.best_design);
+  e["seed"] = record.seed;
+  e["label"] = std::move(record.label);
+  e["best_reward"] = record.best_reward;
+  e["best_episode"] = record.best_episode;
+  e["best_design"] = std::move(record.best_design);
   core::for_each_cache_counter(
-      [&](const char* key, long long v) { e[key] = v; }, run);
-  e["run"] = std::move(run.run_json);
-  e["csv"] = std::move(run.csv);
+      [&](const char* key, long long v) { e[key] = v; }, record);
+  e["run"] = core::run_to_json(run, label);
+  std::ostringstream rows;
+  core::write_run_csv(rows, run, label);
+  e["csv"] = std::move(rows).str();
   return e;
 }
 

@@ -275,8 +275,7 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
         const core::RunResult run = core::run_strategy(
             spec.strategy, spec.episodes, with_resume(seed.config),
             warm_evaluator);
-        entries.push_back(run_entry(
-            run_record(s, seed.label, run, /*json=*/true, /*csv=*/true)));
+        entries.push_back(run_entry(s, seed.label, run));
       });
       break;
     }

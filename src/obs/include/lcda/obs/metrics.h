@@ -1,8 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,9 +19,10 @@
 ///
 /// The registry is OFF by default and zero-cost while off:
 ///
-///  - Handles (Counter/Gauge/Histogram) acquired from a disabled registry
-///    are inert — their fast paths are inlined null-pointer checks that
-///    touch no atomics, take no locks and make no syscalls.
+///  - `add_counter` checks a plain bool and returns: no lock, no atomic,
+///    no allocation.
+///  - Histogram handles acquired from a disabled registry are inert —
+///    observe() is an inlined null-pointer check.
 ///  - `Registry::instance().enable()` must run before the threads that
 ///    record metrics start (the CLI enables during flag parsing; workers
 ///    at process entry). The enabled flag is a plain bool on purpose:
@@ -33,18 +35,34 @@
 /// guarantees.
 namespace lcda::obs {
 
-/// Stripe count for hot-path counters: hashes recording threads onto
-/// separate cache lines so a parallel engine never serializes on a
-/// counter. Power of two (index is masked).
-inline constexpr std::size_t kCounterStripes = 16;
+/// The bucket edges of every histogram, in microseconds: a 1-2-5 series
+/// from 1us to 10s. Fixed so every process in a study (coordinator +
+/// workers) produces mergeable histograms without negotiating bounds.
+inline constexpr std::array<long long, 22> kLatencyBoundsUs = {
+    1,      2,      5,      10,      20,      50,      100,     200,
+    500,    1000,   2000,   5000,    10000,   20000,   50000,   100000,
+    200000, 500000, 1000000, 2000000, 5000000, 10000000};
 
-/// One cacheline-padded counter cell. alignas rounds sizeof up to the
-/// alignment, so an array of cells strides whole cache lines.
-struct alignas(64) CounterCell {
+namespace detail {
+/// Stripe count: hashes recording threads onto separate cache lines so
+/// concurrent seed runs never serialize on a histogram. Power of two
+/// (index is masked).
+inline constexpr std::size_t kStripes = 16;
+inline constexpr std::size_t kBuckets = kLatencyBoundsUs.size() + 1;
+
+/// One cacheline-padded cell. alignas rounds sizeof up to the alignment,
+/// so an array of cells strides whole cache lines.
+struct alignas(64) Cell {
   std::atomic<long long> value{0};
 };
 
-namespace detail {
+/// Histogram storage: per stripe, one cell per bucket (the last is the
+/// overflow bucket) and one for the sum of observed values.
+struct HistogramCells {
+  Cell counts[kStripes][kBuckets];
+  Cell sums[kStripes];
+};
+
 /// Small dense per-thread stripe id (assigned on first use, round-robin).
 std::size_t assign_stripe() noexcept;
 inline std::size_t thread_stripe() noexcept {
@@ -53,75 +71,22 @@ inline std::size_t thread_stripe() noexcept {
 }
 }  // namespace detail
 
-/// Monotonic named counter handle. Default-constructed (or acquired from
-/// a disabled registry) it is inert; add() is then a single branch.
-class Counter {
- public:
-  Counter() = default;
-  void add(long long n) noexcept {
-    if (cells_ == nullptr) return;
-    cells_[detail::thread_stripe() & (kCounterStripes - 1)].value.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-  void inc() noexcept { add(1); }
-  /// True when recording actually lands somewhere (registry was enabled
-  /// when the handle was acquired). Lets callers skip work that only
-  /// feeds the metric (clock reads, size computations).
-  [[nodiscard]] bool live() const noexcept { return cells_ != nullptr; }
-
- private:
-  friend class Registry;
-  explicit Counter(CounterCell* cells) noexcept : cells_(cells) {}
-  CounterCell* cells_ = nullptr;
-};
-
-/// Last-write-wins instantaneous value (queue depths, pool sizes).
-class Gauge {
- public:
-  Gauge() = default;
-  void set(long long v) noexcept {
-    if (cell_ == nullptr) return;
-    cell_->store(v, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool live() const noexcept { return cell_ != nullptr; }
-
- private:
-  friend class Registry;
-  explicit Gauge(std::atomic<long long>* cell) noexcept : cell_(cell) {}
-  std::atomic<long long>* cell_ = nullptr;
-};
-
-namespace detail {
-/// Histogram storage: fixed inclusive upper bounds plus striped per-bucket
-/// cells (bounds.size() + 1 buckets — the last is the overflow bucket)
-/// and striped value sums.
-struct HistogramCells {
-  std::vector<long long> bounds;
-  std::vector<CounterCell> cells;  ///< kCounterStripes x (bounds.size()+1)
-  std::vector<CounterCell> sums;   ///< kCounterStripes
-};
-}  // namespace detail
-
 /// Fixed-bucket histogram handle. Bucket i counts values v with
 /// bounds[i-1] < v <= bounds[i] (bucket 0: v <= bounds[0]); the final
 /// bucket counts v > bounds.back(). observe() is a small binary search
-/// plus one relaxed striped increment — and a single branch when inert.
+/// plus two relaxed striped increments — and a single branch when inert.
 class Histogram {
  public:
   Histogram() = default;
   void observe(long long value) noexcept {
     if (cells_ == nullptr) return;
-    const std::vector<long long>& bounds = cells_->bounds;
-    std::size_t lo = 0, hi = bounds.size();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (value <= bounds[mid]) hi = mid;
-      else lo = mid + 1;
-    }
+    const std::size_t bucket = static_cast<std::size_t>(
+        std::lower_bound(kLatencyBoundsUs.begin(), kLatencyBoundsUs.end(),
+                         value) -
+        kLatencyBoundsUs.begin());
     const std::size_t stripe =
-        detail::thread_stripe() & (kCounterStripes - 1);
-    cells_->cells[stripe * (bounds.size() + 1) + lo].value.fetch_add(
-        1, std::memory_order_relaxed);
+        detail::thread_stripe() & (detail::kStripes - 1);
+    cells_->counts[stripe][bucket].value.fetch_add(1, std::memory_order_relaxed);
     cells_->sums[stripe].value.fetch_add(value, std::memory_order_relaxed);
   }
   [[nodiscard]] bool live() const noexcept { return cells_ != nullptr; }
@@ -131,11 +96,6 @@ class Histogram {
   explicit Histogram(detail::HistogramCells* cells) noexcept : cells_(cells) {}
   detail::HistogramCells* cells_ = nullptr;
 };
-
-/// The default latency bucket edges, in microseconds: a 1-2-5 series from
-/// 1us to 10s. Fixed so every process in a study (coordinator + workers)
-/// produces mergeable histograms without negotiating bounds.
-[[nodiscard]] const std::vector<long long>& default_latency_bounds_us();
 
 /// A folded histogram as it appears in snapshots: bounds plus one count
 /// per bucket (bounds.size() + 1, overflow last) and the sum of observed
@@ -151,33 +111,33 @@ struct HistogramData {
 /// Ordered maps make to_json() deterministic for a given value set.
 struct MetricsSnapshot {
   std::map<std::string, long long> counters;
-  std::map<std::string, long long> gauges;
   std::map<std::string, HistogramData> histograms;
 
   [[nodiscard]] long long counter(std::string_view name) const;
 
-  /// Fold `other` in: counters and histogram buckets add, gauges take the
-  /// max. Associative and commutative (given matching histogram bounds),
-  /// so worker snapshots fold into study totals in any order. A histogram
-  /// with mismatched bounds is kept as-is and the other side dropped
-  /// (warned once) — mixed-binary studies must not abort the merge.
+  /// Fold `other` in: counters add, histogram buckets add. Associative and
+  /// commutative (given matching histogram bounds), so worker snapshots
+  /// fold into study totals in any order. A histogram with mismatched
+  /// bounds is kept as-is and the other side dropped (warned once) — a
+  /// malformed document must not abort the merge.
   void merge(const MetricsSnapshot& other);
 
-  /// The change between `base` (earlier) and *this: counters/histograms
-  /// subtract, gauges keep the current value. How a resident worker
-  /// scopes its process-lifetime registry to a single spec.
+  /// The change between `base` (earlier) and *this: counters and
+  /// histograms subtract. How a resident worker scopes its
+  /// process-lifetime registry to a single spec.
   [[nodiscard]] MetricsSnapshot delta_since(const MetricsSnapshot& base) const;
 
-  /// JSON round trip (format "lcda-metrics-v1"). Keys are emitted in
-  /// sorted order, so a given value set always serializes the same way.
+  /// JSON round trip (format "lcda-metrics-v2": "counters" and
+  /// "histograms"). Keys are emitted in sorted order, so a given value set
+  /// always serializes the same way.
   [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] static MetricsSnapshot from_json(const util::Json& j);
 };
 
-/// The process-wide metric registry. Metric storage is created on first
-/// acquisition and lives for the process (handles never dangle);
-/// acquisition takes a mutex and is meant for setup paths, not per-episode
-/// code — acquire once, record through the handle.
+/// The process-wide metric registry. Histogram storage is created on
+/// first acquisition and lives for the process (handles never dangle);
+/// acquisition takes a mutex and is meant for setup paths, not
+/// per-episode code — acquire once, record through the handle.
 class Registry {
  public:
   static Registry& instance();
@@ -189,41 +149,26 @@ class Registry {
   void enable();
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  [[nodiscard]] Counter counter(std::string_view name);
-  [[nodiscard]] Gauge gauge(std::string_view name);
-  /// Histogram with the default latency bounds (microseconds).
+  /// Histogram on the kLatencyBoundsUs grid (microseconds).
   [[nodiscard]] Histogram histogram(std::string_view name);
-  /// Histogram with explicit ascending bounds. A name re-registered with
-  /// different bounds keeps the first registration's bounds.
-  [[nodiscard]] Histogram histogram(std::string_view name,
-                                    std::vector<long long> bounds);
 
-  /// Copies every metric's current value (sums the stripes).
+  /// Copies every counter and sums every histogram's stripes.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Test support: zero every value (handles stay valid). Does not
-  /// disable.
-  void reset_values();
-
  private:
+  friend void add_counter(std::string_view name, long long n);
   Registry() = default;
-
-  struct CounterStripes {
-    CounterCell cells[kCounterStripes];
-  };
 
   bool enabled_ = false;  // plain bool: set single-threaded, read hot
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<CounterStripes>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<std::atomic<long long>>, std::less<>>
-      gauges_;
+  std::map<std::string, long long> counters_;
   std::map<std::string, std::unique_ptr<detail::HistogramCells>, std::less<>>
       histograms_;
 };
 
-/// Cold-path convenience: bump `name` by `n` through a one-shot handle.
-/// Costs a registry lock per call — fine once per run/shard, never inside
-/// the episode loop.
+/// Bumps counter `name` by `n`, the one way to write a counter. Takes the
+/// registry lock per call — fine once per run or shard, never inside the
+/// episode loop. A no-op while the registry is off.
 void add_counter(std::string_view name, long long n);
 
 }  // namespace lcda::obs

@@ -11,9 +11,9 @@ namespace lcda::obs {
 
 /// Periodic stderr heartbeat (`--metrics-interval=SEC`): every interval a
 /// background thread prints one `[obs] ...` line with the registry's
-/// current counters. Read-only over the registry (snapshots sum relaxed
-/// atomics), so it can never perturb a run — and it replaces ad-hoc
-/// progress prints scattered through long studies.
+/// current counters. Read-only over the registry, so it can never perturb
+/// a run — and it replaces ad-hoc progress prints scattered through long
+/// studies.
 class StatsReporter {
  public:
   /// Starts the heartbeat thread; interval_sec <= 0 starts nothing.
@@ -36,7 +36,7 @@ class StatsReporter {
   std::thread thread_;
 };
 
-/// Writes a snapshot to `path` as a pretty-printed lcda-metrics-v1
+/// Writes a snapshot to `path` as a pretty-printed lcda-metrics-v2
 /// document with a trailing newline. Throws on I/O failure.
 void write_metrics_file(const MetricsSnapshot& snapshot,
                         const std::string& path);

@@ -8,7 +8,7 @@ namespace lcda::obs {
 
 namespace {
 
-constexpr std::string_view kMetricsFormat = "lcda-metrics-v1";
+constexpr std::string_view kMetricsFormat = "lcda-metrics-v2";
 
 }  // namespace
 
@@ -20,14 +20,6 @@ std::size_t assign_stripe() noexcept {
 }
 
 }  // namespace detail
-
-const std::vector<long long>& default_latency_bounds_us() {
-  static const std::vector<long long> kBounds = {
-      1,      2,      5,      10,      20,      50,      100,     200,
-      500,    1000,   2000,   5000,    10000,   20000,   50000,   100000,
-      200000, 500000, 1000000, 2000000, 5000000, 10000000};
-  return kBounds;
-}
 
 long long HistogramData::total_count() const {
   long long total = 0;
@@ -42,11 +34,6 @@ long long MetricsSnapshot::counter(std::string_view name) const {
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const auto& [name, value] : other.counters) counters[name] += value;
-  for (const auto& [name, value] : other.gauges) {
-    const auto it = gauges.find(name);
-    if (it == gauges.end()) gauges[name] = value;
-    else it->second = std::max(it->second, value);
-  }
   for (const auto& [name, hist] : other.histograms) {
     const auto it = histograms.find(name);
     if (it == histograms.end()) {
@@ -86,7 +73,7 @@ MetricsSnapshot MetricsSnapshot::delta_since(const MetricsSnapshot& base) const 
     }
     mine.sum -= hist.sum;
   }
-  return out;  // gauges: current value stands
+  return out;
 }
 
 util::Json MetricsSnapshot::to_json() const {
@@ -95,9 +82,6 @@ util::Json MetricsSnapshot::to_json() const {
   util::Json cj = util::Json::object();
   for (const auto& [name, value] : counters) cj[name] = value;
   j["counters"] = cj;
-  util::Json gj = util::Json::object();
-  for (const auto& [name, value] : gauges) gj[name] = value;
-  j["gauges"] = gj;
   util::Json hj = util::Json::object();
   for (const auto& [name, hist] : histograms) {
     util::Json h = util::Json::object();
@@ -125,9 +109,6 @@ MetricsSnapshot MetricsSnapshot::from_json(const util::Json& j) {
   for (const auto& [name, value] : j.at("counters").items()) {
     snap.counters[name] = value.as_int();
   }
-  for (const auto& [name, value] : j.at("gauges").items()) {
-    snap.gauges[name] = value.as_int();
-  }
   for (const auto& [name, h] : j.at("histograms").items()) {
     HistogramData hist;
     for (const util::Json& b : h.at("bounds").elements()) {
@@ -149,44 +130,13 @@ Registry& Registry::instance() {
 
 void Registry::enable() { enabled_ = true; }
 
-Counter Registry::counter(std::string_view name) {
-  if (!enabled_) return Counter();
-  std::lock_guard lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name),
-                           std::make_unique<CounterStripes>()).first;
-  }
-  return Counter(it->second->cells);
-}
-
-Gauge Registry::gauge(std::string_view name) {
-  if (!enabled_) return Gauge();
-  std::lock_guard lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name),
-                         std::make_unique<std::atomic<long long>>(0)).first;
-  }
-  return Gauge(it->second.get());
-}
-
 Histogram Registry::histogram(std::string_view name) {
-  return histogram(name, default_latency_bounds_us());
-}
-
-Histogram Registry::histogram(std::string_view name,
-                              std::vector<long long> bounds) {
   if (!enabled_) return Histogram();
   std::lock_guard lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    auto cells = std::make_unique<detail::HistogramCells>();
-    cells->bounds = std::move(bounds);
-    cells->cells = std::vector<CounterCell>(
-        kCounterStripes * (cells->bounds.size() + 1));
-    cells->sums = std::vector<CounterCell>(kCounterStripes);
-    it = histograms_.emplace(std::string(name), std::move(cells)).first;
+    it = histograms_.emplace(std::string(name),
+                             std::make_unique<detail::HistogramCells>()).first;
   }
   return Histogram(it->second.get());
 }
@@ -194,25 +144,15 @@ Histogram Registry::histogram(std::string_view name,
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard lock(mutex_);
-  for (const auto& [name, stripes] : counters_) {
-    long long total = 0;
-    for (const CounterCell& cell : stripes->cells) {
-      total += cell.value.load(std::memory_order_relaxed);
-    }
-    snap.counters[name] = total;
-  }
-  for (const auto& [name, cell] : gauges_) {
-    snap.gauges[name] = cell->load(std::memory_order_relaxed);
-  }
+  snap.counters = counters_;
   for (const auto& [name, cells] : histograms_) {
     HistogramData hist;
-    hist.bounds = cells->bounds;
-    const std::size_t buckets = cells->bounds.size() + 1;
-    hist.counts.assign(buckets, 0);
-    for (std::size_t stripe = 0; stripe < kCounterStripes; ++stripe) {
-      for (std::size_t b = 0; b < buckets; ++b) {
-        hist.counts[b] += cells->cells[stripe * buckets + b].value.load(
-            std::memory_order_relaxed);
+    hist.bounds.assign(kLatencyBoundsUs.begin(), kLatencyBoundsUs.end());
+    hist.counts.assign(detail::kBuckets, 0);
+    for (std::size_t stripe = 0; stripe < detail::kStripes; ++stripe) {
+      for (std::size_t b = 0; b < detail::kBuckets; ++b) {
+        hist.counts[b] +=
+            cells->counts[stripe][b].value.load(std::memory_order_relaxed);
       }
       hist.sum += cells->sums[stripe].value.load(std::memory_order_relaxed);
     }
@@ -221,30 +161,11 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::reset_values() {
-  std::lock_guard lock(mutex_);
-  for (const auto& [name, stripes] : counters_) {
-    for (CounterCell& cell : stripes->cells) {
-      cell.value.store(0, std::memory_order_relaxed);
-    }
-  }
-  for (const auto& [name, cell] : gauges_) {
-    cell->store(0, std::memory_order_relaxed);
-  }
-  for (const auto& [name, cells] : histograms_) {
-    for (CounterCell& cell : cells->cells) {
-      cell.value.store(0, std::memory_order_relaxed);
-    }
-    for (CounterCell& cell : cells->sums) {
-      cell.value.store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
 void add_counter(std::string_view name, long long n) {
   Registry& registry = Registry::instance();
-  if (!registry.enabled()) return;
-  registry.counter(name).add(n);
+  if (!registry.enabled_) return;
+  std::lock_guard lock(registry.mutex_);
+  registry.counters_[std::string(name)] += n;
 }
 
 }  // namespace lcda::obs

@@ -11,9 +11,10 @@ namespace lcda::surrogate {
 /// noise injection, then Monte-Carlo evaluate it under device variation".
 ///
 /// The paper's evaluator costs GPU-hours per candidate; a 500-episode NACIM
-/// baseline therefore cannot run on real training in this reproduction (see
-/// DESIGN.md substitution #2). This model reproduces the *trends* that
-/// drive the search:
+/// baseline therefore cannot run on real training in this reproduction
+/// (README "Scenario catalog": `trained-small` runs the faithful pipeline
+/// at laptop scale). This model reproduces the *trends* that drive the
+/// search:
 ///
 ///  * clean accuracy rises with channel width, saturating (log-capacity);
 ///  * larger kernels help clean accuracy slightly (more context);

@@ -100,12 +100,15 @@ Subprocess::Subprocess(std::vector<std::string> argv, const Options& options) {
 
   if (pid == 0) {
     // Child: lead a process group of its own, so stop() can signal every
-    // descendant at once, then wire up its ends (the CLOEXEC originals
-    // close at exec). Only async-signal-safe calls between fork and exec.
+    // descendant at once, then wire up its ends and close every other
+    // descriptor: files the parent opened without close-on-exec (any
+    // std::ofstream) are not the child's to hold. Only async-signal-safe
+    // calls between fork and exec.
     ::setpgid(0, 0);
     redirect(err_fds[1], STDERR_FILENO);
     if (out_fds[1] >= 0) redirect(out_fds[1], STDOUT_FILENO);
     if (in_fds[0] >= 0) redirect(in_fds[0], STDIN_FILENO);
+    (void)::close_range(3, ~0U, 0);
 
     std::vector<char*> cargv;
     cargv.reserve(argv.size() + 1);

@@ -1,11 +1,14 @@
 // The lcda_run command-line contract, driven through the real binary: every
 // argument error (an unknown flag, a bad value, a flag whose required mode
 // or flag is missing) exits 2 before any study output, file write or worker
-// spawn, and prints the usage text generated from the flag table.
+// spawn, and prints the usage text generated from the flag table. An
+// unwritable output file exits 1 before any run, and the paper-energy study
+// reproduces the checked-in golden trace through every output path.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -20,6 +23,11 @@ namespace fs = std::filesystem;
 
 bool mentions(const std::string& text, const char* what) {
   return text.find(what) != std::string::npos;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 struct Outcome {
@@ -204,6 +212,75 @@ TEST_F(Cli, ThreadAndWorkerCountsAboveTheLimitAreRejected) {
 
   r = run({"--scenario=paper-energy", "--print-config", "--parallelism=4096"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
+}
+
+// ------------------------------------------------------ study outputs
+
+TEST_F(Cli, UnwritableOutputFailsBeforeAnyRun) {
+  const std::string missing = path("no-such-dir");
+  const std::vector<std::string> study = {"--scenario=paper-energy",
+                                          "--strategy=lcda", "--seeds=2"};
+  for (const std::string& output :
+       {"--trace=" + missing + "/t.csv", "--json=" + missing + "/s.json"}) {
+    std::vector<std::string> args = study;
+    args.push_back(output);
+    Outcome r = run(args);
+    EXPECT_EQ(r.exit_code, 1) << output << "\n" << r.err;
+    EXPECT_EQ(r.out, "") << output;  // not even the scenario header
+    EXPECT_TRUE(mentions(r.err, "cannot write")) << r.err;
+
+    // Distributed: the files are opened before any worker is spawned.
+    const std::string shards = path("shards");
+    args.push_back("--distribute=2");
+    args.push_back("--shard-dir=" + shards);
+    r = run(args);
+    EXPECT_EQ(r.exit_code, 1) << output << "\n" << r.err;
+    EXPECT_EQ(r.out, "") << output;
+    EXPECT_FALSE(fs::exists(shards)) << output;
+  }
+}
+
+TEST_F(Cli, PaperEnergyReproducesTheGoldenTrace) {
+  const std::string golden =
+      read_file(std::string(LCDA_SOURCE_DIR) + "/tests/golden/paper_energy_lcda.csv");
+  ASSERT_FALSE(golden.empty());
+  const std::vector<std::string> study = {"--scenario=paper-energy",
+                                          "--strategy=lcda", "--seeds=2",
+                                          "--quiet"};
+  const auto with = [&](std::vector<std::string> extra) {
+    extra.insert(extra.begin(), study.begin(), study.end());
+    return extra;
+  };
+
+  for (const char* parallelism : {"--parallelism=1", "--parallelism=4"}) {
+    const std::string trace = path("trace.csv");
+    Outcome r = run(with({parallelism, "--trace=" + trace}));
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_EQ(read_file(trace), golden) << parallelism << " --trace=FILE";
+
+    r = run(with({parallelism, "--trace=-"}));  // narration goes to stderr
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_EQ(r.out, golden) << parallelism << " --trace=-";
+  }
+
+  // Cold, then warm: the warm pass is served from the store, every episode
+  // of both seeds, and still writes the golden bytes.
+  const std::string store = "--cache-dir=" + path("store");
+  for (const bool warm : {false, true}) {
+    const std::string trace = path("store.csv");
+    const Outcome r = run(with({store, "--trace=" + trace}));
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_EQ(read_file(trace), golden) << (warm ? "warm" : "cold");
+    if (warm) {
+      std::size_t served = 0;
+      for (std::size_t at = r.out.find(" 0 misses, 20 persistent hits\n");
+           at != std::string::npos;
+           at = r.out.find(" 0 misses, 20 persistent hits\n", at + 1)) {
+        ++served;
+      }
+      EXPECT_EQ(served, 2u) << r.out;
+    }
+  }
 }
 
 // ------------------------------------------------- held before and after

@@ -1372,9 +1372,8 @@ std::vector<std::string> json_corpus() {
   }
   obs::MetricsSnapshot metrics;
   metrics.counters["engine.episodes"] = 4800;
-  metrics.gauges["dist.slots_busy"] = 2;
   obs::HistogramData& turn = metrics.histograms["llm.turn_us"];
-  turn.bounds = obs::default_latency_bounds_us();
+  turn.bounds.assign(obs::kLatencyBoundsUs.begin(), obs::kLatencyBoundsUs.end());
   turn.counts.assign(turn.bounds.size() + 1, 0);
   turn.counts[3] = 17;
   turn.sum = 1234;

@@ -56,6 +56,7 @@ TEST(ObsByteInvariance, EngineBytesIdenticalWithObsOnAndOff) {
 
   const std::string off_p1 = run_csv(1);
   const std::string off_p4 = run_csv(4);
+  obs::add_counter("test.off", 5);  // off: a no-op that records nothing
 
   obs::Registry::instance().enable();
   obs::SpanTracer::instance().enable();
@@ -68,6 +69,7 @@ TEST(ObsByteInvariance, EngineBytesIdenticalWithObsOnAndOff) {
   const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
   EXPECT_GE(snap.counter("engine.runs"), 2);
   EXPECT_GE(snap.counter("engine.episodes"), 12);
+  EXPECT_EQ(snap.counters.count("test.off"), 0u);
   EXPECT_GT(obs::SpanTracer::instance().size(), 0u);
 }
 
@@ -75,18 +77,16 @@ TEST(ObsByteInvariance, EngineBytesIdenticalWithObsOnAndOff) {
 // Metrics registry
 // ---------------------------------------------------------------------
 
-TEST(ObsMetrics, StripedCounterSurvivesThreadHammer) {
+TEST(ObsMetrics, AddCounterSurvivesThreadHammer) {
   obs::Registry::instance().enable();
-  obs::Counter counter = obs::Registry::instance().counter("test.hammer");
-  ASSERT_TRUE(counter.live());
 
   constexpr int kThreads = 8;
   constexpr int kAddsPerThread = 20000;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kAddsPerThread; ++i) counter.add(1);
+    threads.emplace_back([] {
+      for (int i = 0; i < kAddsPerThread; ++i) obs::add_counter("test.hammer", 1);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -95,47 +95,49 @@ TEST(ObsMetrics, StripedCounterSurvivesThreadHammer) {
             static_cast<long long>(kThreads) * kAddsPerThread);
 }
 
-TEST(ObsMetrics, InertHandlesAreSafeNoOps) {
-  obs::Counter counter;  // default-constructed: inert
-  obs::Gauge gauge;
-  obs::Histogram histogram;
-  EXPECT_FALSE(counter.live());
-  EXPECT_FALSE(gauge.live());
+TEST(ObsMetrics, InertHistogramIsASafeNoOp) {
+  obs::Histogram histogram;  // default-constructed: inert
   EXPECT_FALSE(histogram.live());
-  counter.add(7);  // must not crash
-  gauge.set(7);
-  histogram.observe(7);
+  histogram.observe(7);  // must not crash
 }
 
 TEST(ObsMetrics, HistogramBucketEdgesAreInclusiveUpperBounds) {
   obs::Registry::instance().enable();
-  obs::Histogram h =
-      obs::Registry::instance().histogram("test.edges", {10, 20});
+  obs::Histogram h = obs::Registry::instance().histogram("test.edges");
   ASSERT_TRUE(h.live());
-  h.observe(0);    // bucket 0: v <= 10
-  h.observe(10);   // bucket 0: edge is inclusive
-  h.observe(11);   // bucket 1: 10 < v <= 20
-  h.observe(20);   // bucket 1: edge is inclusive
-  h.observe(21);   // overflow bucket
-  h.observe(1000); // overflow bucket
+  const long long last = obs::kLatencyBoundsUs.back();
+  h.observe(0);          // bucket 0: v <= 1
+  h.observe(1);          // bucket 0: edge is inclusive
+  h.observe(2);          // bucket 1: 1 < v <= 2
+  h.observe(3);          // bucket 2: 2 < v <= 5
+  h.observe(last);       // last bound's bucket: edge is inclusive
+  h.observe(last + 1);   // overflow bucket
+  h.observe(1LL << 40);  // overflow bucket
 
   const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
   const auto it = snap.histograms.find("test.edges");
   ASSERT_NE(it, snap.histograms.end());
-  ASSERT_EQ(it->second.counts.size(), 3u);  // bounds.size() + 1, overflow last
-  EXPECT_EQ(it->second.counts[0], 2);
-  EXPECT_EQ(it->second.counts[1], 2);
-  EXPECT_EQ(it->second.counts[2], 2);
-  EXPECT_EQ(it->second.sum, 0 + 10 + 11 + 20 + 21 + 1000);
-  EXPECT_EQ(it->second.total_count(), 6);
+  const obs::HistogramData& hist = it->second;
+  EXPECT_TRUE(std::equal(hist.bounds.begin(), hist.bounds.end(),
+                         obs::kLatencyBoundsUs.begin(),
+                         obs::kLatencyBoundsUs.end()));
+  const std::size_t buckets = obs::kLatencyBoundsUs.size() + 1;
+  ASSERT_EQ(hist.counts.size(), buckets);  // overflow last
+  std::vector<long long> want(buckets, 0);
+  want[0] = 2;
+  want[1] = 1;
+  want[2] = 1;
+  want[buckets - 2] = 1;
+  want[buckets - 1] = 2;
+  EXPECT_EQ(hist.counts, want);
+  EXPECT_EQ(hist.sum, 0 + 1 + 2 + 3 + last + (last + 1) + (1LL << 40));
+  EXPECT_EQ(hist.total_count(), 7);
 }
 
-obs::MetricsSnapshot make_snapshot(long long a, long long g,
-                                   std::vector<long long> counts,
+obs::MetricsSnapshot make_snapshot(long long a, std::vector<long long> counts,
                                    long long sum) {
   obs::MetricsSnapshot s;
   s.counters["c"] = a;
-  s.gauges["g"] = g;
   obs::HistogramData h;
   h.bounds = {10, 20};
   h.counts = std::move(counts);
@@ -145,9 +147,9 @@ obs::MetricsSnapshot make_snapshot(long long a, long long g,
 }
 
 TEST(ObsMetrics, SnapshotMergeIsAssociative) {
-  const obs::MetricsSnapshot a = make_snapshot(1, 5, {1, 0, 0}, 3);
-  const obs::MetricsSnapshot b = make_snapshot(2, 9, {0, 2, 0}, 30);
-  const obs::MetricsSnapshot c = make_snapshot(4, 7, {0, 0, 3}, 300);
+  const obs::MetricsSnapshot a = make_snapshot(1, {1, 0, 0}, 3);
+  const obs::MetricsSnapshot b = make_snapshot(2, {0, 2, 0}, 30);
+  const obs::MetricsSnapshot c = make_snapshot(4, {0, 0, 3}, 300);
 
   obs::MetricsSnapshot left = a;   // (a + b) + c
   left.merge(b);
@@ -159,27 +161,27 @@ TEST(ObsMetrics, SnapshotMergeIsAssociative) {
 
   EXPECT_EQ(left.to_json().dump(), right.to_json().dump());
   EXPECT_EQ(left.counter("c"), 7);
-  EXPECT_EQ(left.gauges.at("g"), 9);  // gauges take the max
   EXPECT_EQ(left.histograms.at("h").sum, 333);
   EXPECT_EQ(left.histograms.at("h").total_count(), 6);
 }
 
 TEST(ObsMetrics, DeltaSinceIsolatesTheChange) {
   obs::Registry::instance().enable();
-  obs::Counter counter = obs::Registry::instance().counter("test.delta");
-  counter.add(5);
+  obs::add_counter("test.delta", 5);
   const obs::MetricsSnapshot base = obs::Registry::instance().snapshot();
-  counter.add(11);
+  obs::add_counter("test.delta", 11);
   const obs::MetricsSnapshot delta =
       obs::Registry::instance().snapshot().delta_since(base);
   EXPECT_EQ(delta.counter("test.delta"), 11);
 }
 
 TEST(ObsMetrics, SnapshotJsonRoundTrips) {
-  const obs::MetricsSnapshot s = make_snapshot(42, 3, {1, 2, 3}, 99);
-  const obs::MetricsSnapshot back =
-      obs::MetricsSnapshot::from_json(s.to_json());
-  EXPECT_EQ(s.to_json().dump(), back.to_json().dump());
+  const obs::MetricsSnapshot s = make_snapshot(42, {1, 2, 3}, 99);
+  const util::Json doc = s.to_json();
+  EXPECT_EQ(doc.at("format").as_string(), "lcda-metrics-v2");
+  EXPECT_FALSE(doc.contains("gauges"));
+  const obs::MetricsSnapshot back = obs::MetricsSnapshot::from_json(doc);
+  EXPECT_EQ(doc.dump(), back.to_json().dump());
 }
 
 // ---------------------------------------------------------------------

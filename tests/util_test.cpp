@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <csignal>
 
 #include <algorithm>
@@ -530,6 +533,23 @@ TEST(Subprocess, DestructorReapsRunningChild) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             5000);
+}
+
+TEST(Subprocess, ChildHoldsNoDescriptorOfTheParent) {
+  // The parent holds a file open without close-on-exec, as std::ofstream
+  // opens one; the child must see only its own stdin, stdout and stderr.
+  const int fd = ::open("/dev/null", O_RDONLY);
+  ASSERT_GT(fd, 2);
+  Subprocess::Options popts;
+  popts.pipe_stdout = true;
+  Subprocess child({"/bin/sh", "-c",
+                    "test -e /proc/$$/fd/" + std::to_string(fd) +
+                        " && echo open || echo closed"},
+                   popts);
+  const Subprocess::Result result = child.wait();
+  ::close(fd);
+  EXPECT_EQ(result.exit_code, 0) << result.stderr_output;
+  EXPECT_EQ(child.read_stdout(), "closed\n");
 }
 
 /// True while `pid` names a live process (a zombie awaiting its reaper

@@ -226,7 +226,7 @@ constexpr Flag kFlags[] = {
     {"--trace-spans=PATH", &CliOptions::trace_spans, nullptr,
      "export the span timeline as Chrome trace-event JSON"},
     {"--metrics-out=PATH", &CliOptions::metrics_out, nullptr,
-     "write the final metrics snapshot (lcda-metrics-v1 JSON)"},
+     "write the final counters and histograms (lcda-metrics-v2 JSON)"},
     {"--metrics-interval=SEC", &CliOptions::metrics_interval, nullptr,
      "an \"[obs] t=...\" metrics line on stderr every SEC seconds", kPositive},
     {"--store-compact", &CliOptions::store_compact, &kCacheDir,
@@ -613,20 +613,20 @@ void write_observability(const CliOptions& cli, const DistributedStudy* study) {
   }
 }
 
-/// What a study mode hands the output tail all three share. In-process, the
-/// JSON and CSV rows per episode are built only when --json or --trace asks.
+/// What every study mode writes to besides the human-readable listing.
+/// Each mode writes its --trace rows to `trace` as it produces them, so no
+/// study holds its CSV in memory.
 struct StudyOutput {
+  std::ostream* trace = nullptr;          ///< null without --trace
   util::Json doc = util::Json::object();  ///< --json, minus scenario and dist
-  std::vector<std::string> csv;           ///< --trace rows, in chunks
   std::optional<DistributedStudy> dist;   ///< set by --distribute
 };
 
-/// One run's outputs, the same in-process and distributed: its summary
-/// lines, then its CSV rows and run JSON, where built, handed to the
-/// output tail. The per-episode `listing` only the in-process path has
-/// goes between the header and the best line.
-void emit_run(std::FILE* human, dist::MergedRun run,
-              const core::RunResult* listing, StudyOutput& out) {
+/// One run's summary lines, the same in-process and distributed. The
+/// per-episode `listing` only the in-process path has goes between the
+/// header and the best line.
+void print_run(std::FILE* human, const dist::MergedRun& run,
+               const core::RunResult* listing) {
   std::fprintf(human, "\n== %s (%lld episodes) ==\n", run.label.c_str(),
                run.episodes);
   if (listing != nullptr) {
@@ -644,10 +644,6 @@ void emit_run(std::FILE* human, dist::MergedRun run,
   std::fprintf(human, "cache: %lld hits, %lld misses, %lld persistent hits%s\n",
                run.cache_hits, run.cache_misses, run.persistent_hits,
                shared_hits_suffix(run.persistent_shared_hits).c_str());
-  if (!run.csv.empty()) out.csv.push_back(std::move(run.csv));
-  if (!run.run_json.is_null()) {
-    out.doc["runs"].push_back(std::move(run.run_json));
-  }
 }
 
 /// Per-seed runs, each printed as it finishes in-process, or sharded over
@@ -660,7 +656,9 @@ void runs_study(const CliOptions& cli, const core::Scenario& scenario,
                                      studies, argv0));
     for (dist::MergedRun& run :
          dist::merge_runs(out.dist->specs, out.dist->manifests)) {
-      emit_run(human, std::move(run), nullptr, out);
+      print_run(human, run, nullptr);
+      if (out.trace != nullptr) *out.trace << run.csv;
+      out.doc["runs"].push_back(std::move(run.run_json));
     }
     return;
   }
@@ -669,7 +667,6 @@ void runs_study(const CliOptions& cli, const core::Scenario& scenario,
   // from the runs themselves, whose episodes were allocated among the
   // evaluator's, it reads scattered memory. Each cost ~10% more CPU (4
   // seeds x 5000 surrogate episodes).
-  const bool csv = !cli.trace_path.empty();
   std::vector<std::pair<std::string, core::RunResult>> kept;
   for (const dist::StrategyStudy& study : studies) {
     for (int s = 0; s < cli.seeds; ++s) {
@@ -677,8 +674,9 @@ void runs_study(const CliOptions& cli, const core::Scenario& scenario,
           core::runs_mode_seed(study.strategy, scenario.config, s);
       const core::RunResult run =
           core::run_strategy(study.strategy, study.episodes, seed.config);
-      emit_run(human, dist::run_record(s, seed.label, run, /*json=*/false, csv),
-               cli.quiet ? nullptr : &run, out);
+      print_run(human, dist::run_record(s, seed.label, run),
+                cli.quiet ? nullptr : &run);
+      if (out.trace != nullptr) core::write_run_csv(*out.trace, run, seed.label);
       if (!seed.config.checkpoint_dir.empty()) {
         std::fprintf(stderr, "[ckpt] %s: resumed_episodes=%lld/%d\n",
                      seed.label.c_str(),
@@ -717,7 +715,6 @@ void aggregate_study(const CliOptions& cli, const core::Scenario& scenario,
   std::fprintf(human, "%-14s %8s %8s %10s %10s %10s %10s\n", "strategy",
                "episodes", "seeds", "best mean", "stddev", "min", "max");
   util::Json arr = util::Json::array();
-  std::ostringstream rows;
   for (const core::AggregateResult& agg : aggregates) {
     const std::string name(core::strategy_name(agg.strategy));
     std::fprintf(human, "%-14s %8d %8d %10.4f %10.4f %10.4f %10.4f\n",
@@ -736,10 +733,9 @@ void aggregate_study(const CliOptions& cli, const core::Scenario& scenario,
                  static_cast<long long>(agg.cache_misses),
                  static_cast<long long>(agg.persistent_hits),
                  shared_hits_suffix(agg.persistent_shared_hits).c_str());
-    if (!cli.trace_path.empty()) core::write_aggregate_csv(rows, agg, name);
+    if (out.trace != nullptr) core::write_aggregate_csv(*out.trace, agg, name);
     if (!cli.json_path.empty()) arr.push_back(core::aggregate_to_json(agg));
   }
-  if (!cli.trace_path.empty()) out.csv.push_back(std::move(rows).str());
   out.doc["seeds"] = cli.seeds;
   out.doc["aggregates"] = std::move(arr);
 }
@@ -776,27 +772,53 @@ void speedup_study(const CliOptions& cli, const core::Scenario& scenario,
     std::fprintf(human, "mean speedup over %zu seed(s): %.1fx\n",
                  speedups.count(), speedups.mean());
   }
-  std::ostringstream rows;
-  core::write_speedup_csv(rows, reports, scenario.name);
-  out.csv.push_back(std::move(rows).str());
+  if (out.trace != nullptr) {
+    core::write_speedup_csv(*out.trace, reports, scenario.name);
+  }
   out.doc["speedup_study"] = core::speedup_study_to_json(reports);
 }
 
-/// Runs the study the mode flags select over the resolved `studies`, then
-/// writes the outputs every mode shares: --trace, --json and the
-/// observability artifacts.
+/// Reports an output file lcda_run could not open or finish; returns 1.
+int cannot_write(const std::string& path) {
+  std::fprintf(stderr, "lcda_run: cannot write %s\n", path.c_str());
+  return 1;
+}
+
+/// Runs the study the mode flags select over the resolved `studies`. The
+/// --trace and --json files are opened (an existing one truncated) first,
+/// so an unwritable path fails before any run; --json and the
+/// observability artifacts are written last.
 int run_study(const CliOptions& cli, const core::Scenario& scenario,
               const std::vector<dist::StrategyStudy>& studies,
               const char* argv0) {
   // Tracing to stdout reserves it for CSV; narration moves to stderr.
-  std::FILE* const human = cli.trace_path == "-" ? stderr : stdout;
+  const bool trace_stdout = cli.trace_path == "-";
+  StudyOutput out;
+  std::ofstream trace_file;
+  if (trace_stdout) {
+    out.trace = &std::cout;
+  } else if (!cli.trace_path.empty()) {
+    trace_file.open(cli.trace_path, std::ios::trunc);
+    if (!trace_file) return cannot_write(cli.trace_path);
+    out.trace = &trace_file;
+  }
+  // The JSON document goes out in one write at the end, so its stream needs
+  // no buffer; one allocated here would sit under the study's whole heap
+  // (+0.6 MB peak on a one-episode trained-small study with --trace).
+  std::ofstream json_file;
+  json_file.rdbuf()->pubsetbuf(nullptr, 0);
+  if (!cli.json_path.empty()) {
+    json_file.open(cli.json_path, std::ios::trunc);
+    if (!json_file) return cannot_write(cli.json_path);
+  }
+
+  std::FILE* const human = trace_stdout ? stderr : stdout;
   std::fprintf(human, "# scenario %s: %s\n", scenario.name.c_str(),
                scenario.summary.c_str());
   std::fprintf(human, "# parallelism %d, base seed %llu\n",
                scenario.config.parallelism,
                static_cast<unsigned long long>(scenario.config.seed));
 
-  StudyOutput out;
   out.doc["experiment"] = scenario.name;
   out.doc["seed"] = static_cast<long long>(scenario.config.seed);
   if (cli.aggregate) {
@@ -807,21 +829,15 @@ int run_study(const CliOptions& cli, const core::Scenario& scenario,
     runs_study(cli, scenario, studies, human, argv0, out);
   }
 
-  if (cli.trace_path == "-") {
-    for (const std::string& rows : out.csv) std::cout << rows;
-  } else if (!cli.trace_path.empty()) {
-    std::ofstream trace(cli.trace_path, std::ios::trunc);
-    if (!trace) {
-      std::fprintf(stderr, "lcda_run: cannot write %s\n", cli.trace_path.c_str());
-      return 1;
-    }
-    for (const std::string& rows : out.csv) trace << rows;
+  if (out.trace != nullptr && !out.trace->flush()) {
+    return cannot_write(cli.trace_path);
   }
-  out.csv.clear();  // written: free it before the JSON document's peak
-  if (!cli.json_path.empty()) {
+  if (json_file.is_open()) {
     out.doc["scenario"] = core::scenario_to_json(scenario);
     if (out.dist) out.doc["dist"] = dist_stats_to_json(*out.dist);
-    core::write_json_file(out.doc, cli.json_path);
+    if (!(json_file << out.doc.dump(2) << '\n').flush()) {
+      return cannot_write(cli.json_path);
+    }
     std::fprintf(human, "\nwrote %s\n", cli.json_path.c_str());
   }
   write_observability(cli, out.dist ? &*out.dist : nullptr);
