@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
 #include "lcda/nn/quantize.h"
 #include "lcda/nn/trainer.h"
@@ -37,7 +38,14 @@ void PerformanceEvaluator::evaluate_batch(std::span<EvalRequest> batch) {
 // ------------------------------------------------------ SurrogateEvaluator
 
 SurrogateEvaluator::SurrogateEvaluator(Options opts)
-    : opts_(opts), accuracy_(opts.accuracy) {}
+    : opts_(opts), accuracy_(opts.accuracy) {
+  // No samples would score every design's accuracy 0, silently ranking
+  // designs by hardware cost alone.
+  if (opts_.monte_carlo_samples <= 0) {
+    throw std::invalid_argument(
+        "SurrogateEvaluator: monte_carlo_samples must be positive");
+  }
+}
 
 std::shared_ptr<const cim::CostEvaluator> SurrogateEvaluator::cost_evaluator_for(
     const cim::HardwareConfig& hw) {
@@ -78,22 +86,13 @@ void SurrogateEvaluator::evaluate_into(const search::Design& design,
   }
 
   // The deterministic part of the accuracy model (clean accuracy, mean
-  // under variation, chip-to-chip spread) is folded once; the Monte-Carlo
-  // loop is then one fork + one normal draw + clamp per sample. The fork
-  // per sample is load-bearing: it keeps the RNG stream layout — and hence
-  // every trace — bit-identical to the historical per-sample evaluation.
+  // under variation, chip-to-chip spread) is folded once, then sampled.
   const surrogate::AccuracyModel::SampleParams params = accuracy_.precompute(
       design.rollout, sigma, out.cost.max_adc_deficit_bits);
-  util::OnlineStats stats;
-  for (int i = 0; i < opts_.monte_carlo_samples; ++i) {
-    util::Rng sample_rng = rng.fork();
-    stats.add(accuracy_.sample(params, sample_rng));
-  }
-  out.accuracy = stats.mean();
-  out.accuracy_stddev = stats.stddev();
+  sample_accuracy(params, rng, out);
   // The deterministic part travels with the Evaluation so the persistent
   // store can share it across studies (replay_evaluation re-runs only the
-  // Monte-Carlo loop above from these two numbers).
+  // Monte-Carlo loop from these two numbers).
   out.replay_mean = params.mean;
   out.replay_spread = params.spread;
   out.has_replay_params = true;
@@ -106,14 +105,24 @@ bool SurrogateEvaluator::replay_evaluation(const Evaluation& cached,
   out.replay_mean = cached.replay_mean;
   out.replay_spread = cached.replay_spread;
   out.has_replay_params = true;
-  // The exact Monte-Carlo loop of evaluate_into — same fork layout, same
-  // draw count (monte_carlo_samples is part of the store's
-  // evaluation-identity fingerprint, so producer and consumer agree) —
-  // seeded by the consumer's own stream: the result is bit-identical to
-  // the cold evaluation this study would have computed itself.
+  // The Monte-Carlo loop of evaluate_into — same draw count, because
+  // monte_carlo_samples is part of the store's evaluation-identity
+  // fingerprint, so producer and consumer agree — seeded by the
+  // consumer's own stream: the result is bit-identical to the cold
+  // evaluation this study would have computed itself.
   surrogate::AccuracyModel::SampleParams params{};
   params.mean = cached.replay_mean;
   params.spread = cached.replay_spread;
+  sample_accuracy(params, rng, out);
+  return true;
+}
+
+void SurrogateEvaluator::sample_accuracy(
+    const surrogate::AccuracyModel::SampleParams& params, util::Rng& rng,
+    Evaluation& out) const {
+  // One fork + one normal draw + clamp per sample. The fork per sample is
+  // load-bearing: it keeps the RNG stream layout — and hence every trace —
+  // bit-identical to the historical per-sample evaluation.
   util::OnlineStats stats;
   for (int i = 0; i < opts_.monte_carlo_samples; ++i) {
     util::Rng sample_rng = rng.fork();
@@ -121,7 +130,6 @@ bool SurrogateEvaluator::replay_evaluation(const Evaluation& cached,
   }
   out.accuracy = stats.mean();
   out.accuracy_stddev = stats.stddev();
-  return true;
 }
 
 Evaluation SurrogateEvaluator::evaluate(const search::Design& design,

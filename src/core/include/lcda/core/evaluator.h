@@ -154,6 +154,8 @@ class SurrogateEvaluator final : public PerformanceEvaluator {
   };
 
   SurrogateEvaluator() : SurrogateEvaluator(Options{}) {}
+  /// Throws std::invalid_argument when monte_carlo_samples is not
+  /// positive.
   explicit SurrogateEvaluator(Options opts);
 
   [[nodiscard]] Evaluation evaluate(const search::Design& design,
@@ -167,6 +169,10 @@ class SurrogateEvaluator final : public PerformanceEvaluator {
  private:
   void evaluate_into(const search::Design& design, util::Rng& rng,
                      Evaluation& out);
+  /// The Monte-Carlo loop evaluate_into and replay_evaluation share: sets
+  /// out.accuracy and out.accuracy_stddev from monte_carlo_samples draws.
+  void sample_accuracy(const surrogate::AccuracyModel::SampleParams& params,
+                       util::Rng& rng, Evaluation& out) const;
   [[nodiscard]] std::shared_ptr<const cim::CostEvaluator> cost_evaluator_for(
       const cim::HardwareConfig& hw);
   [[nodiscard]] std::shared_ptr<const cim::LayerShapeSpan> span_for(

@@ -1,9 +1,12 @@
 #include "lcda/obs/trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -15,7 +18,7 @@ namespace {
 
 std::int64_t now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
+             std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
@@ -36,9 +39,9 @@ constexpr std::string_view kCloser =
 constexpr std::string_view kMetaPid = R"({"name":"process_name","ph":"M","pid":)";
 constexpr std::string_view kMetaName = R"(,"tid":0,"args":{"name":")";
 constexpr std::string_view kMetaDropped = R"(","dropped_events":)";
-constexpr std::string_view kEventName = R"({"name":")";
-constexpr std::string_view kBeginTs = R"(","ph":"B","ts":)";
-constexpr std::string_view kEndTs = R"(","ph":"E","ts":)";
+constexpr std::string_view kSpanName = R"({"name":")";
+constexpr std::string_view kSpanTs = R"(","ph":"X","ts":)";
+constexpr std::string_view kDur = R"(,"dur":)";
 constexpr std::string_view kPid = R"(,"pid":)";
 constexpr std::string_view kTid = R"(,"tid":)";
 
@@ -69,8 +72,14 @@ char* put(char* p, std::string_view s) {
   return p + s.size();
 }
 
-std::string_view name_of(const TraceEvent& e) {
-  return {e.name, ::strnlen(e.name, sizeof(e.name))};
+template <class T>
+char* put_int(char* p, T v) {
+  char digits[24];
+  return put(p, {digits, std::to_chars(digits, digits + sizeof(digits), v).ptr});
+}
+
+std::string_view name_of(const TraceSpan& span) {
+  return {span.name, ::strnlen(span.name, sizeof(span.name))};
 }
 
 /// Cursor over one file for read_chrome_trace: literal matching and the
@@ -168,31 +177,35 @@ class TraceReader {
   std::size_t line_ = 1;
 };
 
-/// One begin/end event of an in-memory document, or nullopt for anything
-/// else (metadata, other phases, missing or out-of-range fields).
-std::optional<TraceEvent> event_from_json(const util::Json& e) {
+/// One span record of an in-memory document, or nullopt for anything
+/// else (metadata, other phases, missing or out-of-range fields, a
+/// negative duration).
+std::optional<TraceSpan> span_from_json(const util::Json& e) {
   if (!e.is_object() || !e.contains("ph") || !e.contains("name") ||
-      !e.contains("ts") || !e.contains("tid")) {
+      !e.contains("ts") || !e.contains("dur") || !e.contains("tid")) {
     return std::nullopt;
   }
   const util::Json& ph = e.at("ph");
   const util::Json& name = e.at("name");
   const util::Json& ts = e.at("ts");
+  const util::Json& dur = e.at("dur");
   const util::Json& tid = e.at("tid");
-  if (!ph.is_string() || (ph.as_string() != "B" && ph.as_string() != "E") ||
-      !name.is_string() || !ts.is_number() || !tid.is_number()) {
+  if (!ph.is_string() || ph.as_string() != "X" || !name.is_string() ||
+      !ts.is_number() || !dur.is_number() || !tid.is_number()) {
     return std::nullopt;
   }
   const double t = ts.as_double();
+  const double d = dur.as_double();
   const double u = tid.as_double();
-  if (!(t > -9e18 && t < 9e18) || !(u >= 0 && u <= 4294967295.0)) {
+  if (!(t > -9e18 && t < 9e18) || !(d >= 0 && t + d < 9e18) ||
+      !(u >= 0 && u <= 4294967295.0)) {
     return std::nullopt;  // also rejects NaN
   }
-  TraceEvent out;
+  TraceSpan out;
   const std::string& s = name.as_string();
   std::memcpy(out.name, s.data(), std::min(s.size(), kMaxSpanName));
-  out.phase = ph.as_string()[0];
   out.ts_us = static_cast<std::int64_t>(t);
+  out.dur_us = static_cast<std::int64_t>(d);
   out.tid = static_cast<std::uint32_t>(u);
   return out;
 }
@@ -218,33 +231,33 @@ void ChromeTraceWriter::spill() {
   out_.clear();
 }
 
-void ChromeTraceWriter::emit(std::string_view name, char phase,
-                             std::int64_t ts, std::string_view pid,
-                             std::uint32_t tid) {
+void ChromeTraceWriter::emit(const TraceSpan& span, std::string_view pid) {
   // One record, assembled on the stack and appended once. The bound: a
-  // name escapes to at most 6 bytes per byte, pid to 11, ts and tid to
-  // 20 and 10, plus the fixed text.
-  char line[6 * kMaxSpanName + 128];
+  // name escapes to at most 6 bytes per byte, pid to 11, ts and dur to 20
+  // each and tid to 10, plus the fixed text.
+  char line[6 * kMaxSpanName + 160];
   std::string storage;
   char* p = put(line, records_++ == 0 ? "\n" : ",\n");
-  p = put(p, kEventName);
-  p = put(p, escaped(name, storage));
-  p = put(p, phase == 'B' ? kBeginTs : kEndTs);
-  p = std::to_chars(p, line + sizeof(line), ts).ptr;
+  p = put(p, kSpanName);
+  p = put(p, escaped(name_of(span), storage));
+  p = put(p, kSpanTs);
+  p = put_int(p, span.ts_us);
+  p = put(p, kDur);
+  p = put_int(p, span.dur_us);
   p = put(p, kPid);
   p = put(p, pid);
   p = put(p, kTid);
-  p = std::to_chars(p, line + sizeof(line), tid).ptr;
+  p = put_int(p, span.tid);
   *p++ = '}';
   out_.append(line, p);
-  ++events_;
+  ++spans_;
   spill();
 }
 
 void ChromeTraceWriter::add_lane(int pid, std::string_view name,
                                  std::uint64_t dropped,
-                                 std::span<const TraceEvent> events,
-                                 std::span<const TraceEvent> more) {
+                                 std::span<const TraceSpan> spans,
+                                 std::span<const TraceSpan> more) {
   dropped_ += dropped;
   std::string pid_text;
   append_int(pid_text, pid);
@@ -258,47 +271,10 @@ void ChromeTraceWriter::add_lane(int pid, std::string_view name,
   append_int(out_, dropped);
   out_ += "}}";
   if (!file_.is_open()) {
-    out_.reserve(out_.size() + (events.size() + more.size()) * 80);
+    out_.reserve(out_.size() + (spans.size() + more.size()) * 90);
   }
-
-  // Balance and clamp per thread. Ring order IS per-thread program order
-  // (each thread's records are sequenced), so a per-tid pass sees each
-  // thread's events in the order they happened:
-  //  - an 'E' with no open 'B' is an orphan whose begin was overwritten
-  //    (drop-oldest) — skip it, the pair is gone;
-  //  - wall clock going backwards (NTP step) is clamped away so per-tid
-  //    timestamps stay non-decreasing;
-  //  - spans still open at the end get a synthetic 'E' at the thread's
-  //    last timestamp, in tid order.
-  struct TidState {
-    std::vector<const TraceEvent*> open;
-    std::int64_t last_ts = 0;
-  };
-  std::map<std::uint32_t, TidState> tids;
-  TidState* st = nullptr;  // the last event's thread: runs are the norm
-  std::uint32_t st_tid = 0;
-  for (const std::span<const TraceEvent> part : {events, more}) {
-    for (const TraceEvent& e : part) {
-      if (st == nullptr || e.tid != st_tid) {
-        st = &tids[e.tid];
-        st_tid = e.tid;
-      }
-      const std::int64_t ts = std::max(e.ts_us, st->last_ts);
-      if (e.phase == 'B') {
-        st->open.push_back(&e);
-      } else {
-        if (st->open.empty()) continue;  // orphaned end: begin was dropped
-        st->open.pop_back();
-      }
-      st->last_ts = ts;
-      emit(name_of(e), e.phase, ts, pid_text, e.tid);
-    }
-  }
-  for (auto& [tid, state] : tids) {
-    while (!state.open.empty()) {
-      emit(name_of(*state.open.back()), 'E', state.last_ts, pid_text, tid);
-      state.open.pop_back();
-    }
+  for (const std::span<const TraceSpan> part : {spans, more}) {
+    for (const TraceSpan& span : part) emit(span, pid_text);
   }
 }
 
@@ -332,49 +308,57 @@ TraceLane read_chrome_trace(std::string_view text) {
   lane.dropped = in.integer<std::uint64_t>();
   in.expect("}}", "malformed process_name record");
 
-  struct TidState {
-    std::size_t depth = 0;
-    std::int64_t last_ts = 0;
+  // Per tid, the spans that no later span encloses, oldest first. They
+  // are disjoint and in order, so a span that ends after them encloses a
+  // suffix of them and must not begin before the rest have ended.
+  struct Extent {
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
   };
-  std::map<std::uint32_t, TidState> tids;
-  TidState* st = nullptr;  // the last event's thread
-  std::uint32_t st_tid = 0;
-  lane.events.reserve(text.size() / 72);  // a record runs ~75 bytes
+  std::map<std::uint32_t, std::vector<Extent>> tids;
+  std::vector<Extent>* outer = nullptr;  // the last span's thread
+  std::uint32_t outer_tid = 0;
+  lane.spans.reserve(text.size() / 80);  // a record runs ~85 bytes
   std::string name;
   while (in.skip(",\n")) {
     in.next_line();
-    TraceEvent e;
-    in.expect(kEventName, "expected a begin/end record");
+    TraceSpan span;
+    in.expect(kSpanName, "expected a span record");
     in.string(name);
     if (name.size() > kMaxSpanName) in.fail("span name too long");
     if (name.find('\0') != std::string::npos) in.fail("NUL in a span name");
-    std::memcpy(e.name, name.data(), name.size());
-    if (in.skip(kBeginTs)) {
-      e.phase = 'B';
-    } else if (in.skip(kEndTs)) {
-      e.phase = 'E';
-    } else {
-      in.fail("expected phase B or E");
+    std::memcpy(span.name, name.data(), name.size());
+    in.expect(kSpanTs, "expected phase X");
+    span.ts_us = in.integer<std::int64_t>();
+    in.expect(kDur, "malformed span record");
+    span.dur_us = in.integer<std::int64_t>();
+    if (span.dur_us < 0) in.fail("negative duration");
+    if (span.ts_us > 0 &&
+        span.dur_us > std::numeric_limits<std::int64_t>::max() - span.ts_us) {
+      in.fail("span ends past the clock's range");
     }
-    e.ts_us = in.integer<std::int64_t>();
-    in.expect(kPid, "malformed begin/end record");
+    in.expect(kPid, "malformed span record");
     if (in.integer<int>() != lane.pid) in.fail("pid differs from the lane's");
-    in.expect(kTid, "malformed begin/end record");
-    e.tid = in.integer<std::uint32_t>();
-    in.expect("}", "malformed begin/end record");
+    in.expect(kTid, "malformed span record");
+    span.tid = in.integer<std::uint32_t>();
+    in.expect("}", "malformed span record");
 
-    if (st == nullptr || e.tid != st_tid) {
-      st = &tids[e.tid];
-      st_tid = e.tid;
+    if (outer == nullptr || span.tid != outer_tid) {
+      outer = &tids[span.tid];
+      outer_tid = span.tid;
     }
-    if (e.ts_us < st->last_ts) in.fail("timestamp goes backwards");
-    st->last_ts = e.ts_us;
-    if (e.phase == 'B') {
-      ++st->depth;
-    } else if (st->depth-- == 0) {
-      in.fail("end with no open begin");
+    const Extent extent{span.ts_us, span.ts_us + span.dur_us};
+    if (!outer->empty() && extent.end < outer->back().end) {
+      in.fail("span ends before the one ahead of it on its thread");
     }
-    lane.events.push_back(e);
+    while (!outer->empty() && outer->back().begin >= extent.begin) {
+      outer->pop_back();
+    }
+    if (!outer->empty() && outer->back().end > extent.begin) {
+      in.fail("span overlaps another on its thread");
+    }
+    outer->push_back(extent);
+    lane.spans.push_back(span);
   }
   in.next_line();
   in.expect(kCloser, "expected the closing line");
@@ -383,9 +367,6 @@ TraceLane read_chrome_trace(std::string_view text) {
   }
   in.expect("}\n", "malformed closing line");
   if (!in.at_end()) in.fail("bytes after the closing line");
-  for (const auto& [tid, st] : tids) {
-    if (st.depth != 0) in.fail("span left open on tid " + std::to_string(tid));
-  }
   return lane;
 }
 
@@ -403,12 +384,14 @@ void SpanTracer::enable(std::size_t capacity) {
   enabled_ = true;
 }
 
-void SpanTracer::begin(std::string_view name) { record('B', name); }
-void SpanTracer::end(std::string_view name) { record('E', name); }
+void Span::begin(std::string_view name) {
+  tracer_ = &SpanTracer::instance();
+  std::memcpy(span_.name, name.data(), std::min(name.size(), kMaxSpanName));
+  span_.ts_us = now_us();
+}
 
-void SpanTracer::record(char phase, std::string_view name) {
-  if (!enabled_) return;
-  const std::int64_t ts = now_us();
+void SpanTracer::record(const TraceSpan& begun) {
+  const std::int64_t end = now_us();
   const std::uint32_t tid = current_tid();
   std::lock_guard lock(mutex_);
   std::size_t slot;
@@ -416,18 +399,15 @@ void SpanTracer::record(char phase, std::string_view name) {
     slot = (head_ + count_) % ring_.size();
     ++count_;
   } else {
-    // Full: overwrite the oldest event (drop-oldest) and count the loss.
+    // Full: overwrite the oldest span (drop-oldest) and count the loss.
     slot = head_;
     head_ = (head_ + 1) % ring_.size();
     ++dropped_;
   }
-  TraceEvent& e = ring_[slot];
-  const std::size_t n = std::min(name.size(), kMaxSpanName);
-  std::memcpy(e.name, name.data(), n);
-  e.name[n] = '\0';
-  e.phase = phase;
-  e.tid = tid;
-  e.ts_us = ts;
+  TraceSpan& span = ring_[slot];
+  span = begun;
+  span.tid = tid;
+  span.dur_us = end - begun.ts_us;
 }
 
 std::uint64_t SpanTracer::dropped() const {
@@ -451,7 +431,7 @@ void SpanTracer::render(ChromeTraceWriter& writer, int pid,
                         std::string_view process_name) const {
   std::lock_guard lock(mutex_);
   // Oldest first: slots [head_, end), then the wrapped part from slot 0.
-  const std::span<const TraceEvent> ring(ring_);
+  const std::span<const TraceSpan> ring(ring_);
   const std::size_t first = std::min(count_, ring.size() - head_);
   writer.add_lane(pid, process_name, dropped_, ring.subspan(head_, first),
                   ring.subspan(0, count_ - first));
@@ -486,10 +466,10 @@ void append_chrome_events(util::Json& events, const util::Json& doc, int pid,
     const double d = doc.at("obs_dropped_events").as_double();
     if (d >= 0 && d < 1.8e19) dropped = static_cast<std::uint64_t>(d);
   }
-  std::vector<TraceEvent> lane;
+  std::vector<TraceSpan> lane;
   for (const util::Json& e : doc.at("traceEvents").elements()) {
-    if (const std::optional<TraceEvent> event = event_from_json(e)) {
-      lane.push_back(*event);
+    if (const std::optional<TraceSpan> span = span_from_json(e)) {
+      lane.push_back(*span);
     }
   }
   ChromeTraceWriter writer;

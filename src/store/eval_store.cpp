@@ -5,16 +5,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
+#include "lcda/util/logging.h"
 #include "lcda/util/rng.h"
 #include "lcda/util/strings.h"
 
@@ -23,18 +22,6 @@ namespace lcda::store {
 namespace fs = std::filesystem;
 
 namespace {
-
-/// One stderr warning per file path per process: a store maps many files
-/// and several EvalStore instances per run (aggregate seed fan-out) map the
-/// same ones, so an unusable file must not spam a warning per instance.
-void warn_once(const std::string& path, const std::string& message) {
-  static std::mutex mutex;
-  static std::unordered_set<std::string> warned;
-  std::lock_guard<std::mutex> lock(mutex);
-  if (warned.insert(path).second) {
-    std::fprintf(stderr, "EvalStore: %s\n", message.c_str());
-  }
-}
 
 std::uint64_t pair_shard(std::uint64_t eval_fp, std::uint64_t design_hash,
                          std::size_t buckets) {
@@ -195,7 +182,10 @@ void EvalStore::open_directory() {
           // distributed shard retry must be able to get past a bad file,
           // and the next --store-compact drops it.
           ++skipped_files_;
-          warn_once(paths[p], "skipping unusable store file: " + error);
+          // Keyed by path: the EvalStores of one run (aggregate seed
+          // fan-out) map the same files, so each warns once per process.
+          util::warn_once(paths[p], "store",
+                          "skipping unusable store file: " + error);
         } else if (!last_attempt) {
           // "" means the file vanished under a concurrent compaction,
           // which is not damage — rescan from the listing.
@@ -369,8 +359,9 @@ bool EvalStore::save() {
       // load-side skip-and-count rule) instead of killing the run. The
       // entries stay unpublished, so a later save retries.
       ++save_failures_;
-      warn_once(opts_.directory + "/save",
-                std::string("save failed (cache not persisted): ") + e.what());
+      util::warn_once(opts_.directory + "/save", "store",
+                      std::string("save failed (cache not persisted): ") +
+                          e.what());
       observe_save();
       return false;
     }
@@ -384,8 +375,8 @@ bool EvalStore::save() {
       evictions_ += report.evicted;
     } catch (const std::exception& e) {
       ++save_failures_;
-      warn_once(opts_.directory + "/compact",
-                std::string("budget compaction failed: ") + e.what());
+      util::warn_once(opts_.directory + "/compact", "store",
+                      std::string("budget compaction failed: ") + e.what());
       observe_save();
       return false;
     }

@@ -2,8 +2,9 @@
 // argument error (an unknown flag, a bad value, a flag whose required mode
 // or flag is missing) exits 2 before any study output, file write or worker
 // spawn, and prints the usage text generated from the flag table. An
-// unwritable output file exits 1 before any run, and the paper-energy study
-// reproduces the checked-in golden trace through every output path.
+// unwritable output file exits 1 before any run or store pass, the
+// paper-energy study reproduces the checked-in golden trace through every
+// output path, and the span timeline passes tools/check_trace_events.py.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -221,7 +222,9 @@ TEST_F(Cli, UnwritableOutputFailsBeforeAnyRun) {
   const std::vector<std::string> study = {"--scenario=paper-energy",
                                           "--strategy=lcda", "--seeds=2"};
   for (const std::string& output :
-       {"--trace=" + missing + "/t.csv", "--json=" + missing + "/s.json"}) {
+       {"--trace=" + missing + "/t.csv", "--json=" + missing + "/s.json",
+        "--trace-spans=" + missing + "/spans.json",
+        "--metrics-out=" + missing + "/m.json"}) {
     std::vector<std::string> args = study;
     args.push_back(output);
     Outcome r = run(args);
@@ -238,6 +241,69 @@ TEST_F(Cli, UnwritableOutputFailsBeforeAnyRun) {
     EXPECT_EQ(r.out, "") << output;
     EXPECT_FALSE(fs::exists(shards)) << output;
   }
+
+  // A store pass takes the observability files too, and fails before its
+  // report.
+  const std::string store = path("store");
+  fs::create_directories(store);
+  for (const std::string& output : {"--trace-spans=" + missing + "/spans.json",
+                                    "--metrics-out=" + missing + "/m.json"}) {
+    const Outcome r = run({"--cache-dir=" + store, "--store-fsck", output});
+    EXPECT_EQ(r.exit_code, 1) << output << "\n" << r.err;
+    EXPECT_EQ(r.out, "") << output;
+    EXPECT_TRUE(mentions(r.err, "cannot write")) << r.err;
+  }
+}
+
+TEST_F(Cli, TraceCheckerPassesTimelinesAndFailsCraftedOnes) {
+  // The checker CI and the benchmark's distributed workload gate on.
+  const auto check = [](const std::string& file, const char* flag = nullptr) {
+    std::vector<std::string> args = {
+        "python3", std::string(LCDA_SOURCE_DIR) + "/tools/check_trace_events.py"};
+    if (flag != nullptr) args.emplace_back(flag);
+    args.push_back(file);
+    util::Subprocess::Options options;
+    options.pipe_stdout = true;
+    util::Subprocess child(std::move(args), options);
+    const util::Subprocess::Result result = child.wait();
+    (void)child.read_stdout();
+    return result.exit_code;
+  };
+
+  // A fresh merged timeline: the coordinator and two workers.
+  const std::string timeline = path("timeline.json");
+  const Outcome r = run({"--scenario=paper-energy", "--strategy=lcda",
+                         "--seeds=2", "--quiet", "--distribute=2",
+                         "--trace-spans=" + timeline});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  const int fresh = check(timeline, "--min-pids=3");
+  if (fresh == 127) GTEST_SKIP() << "no python3 on PATH";
+  EXPECT_EQ(fresh, 0);
+  EXPECT_EQ(check(timeline, "--min-pids=4"), 1);  // more lanes than it has
+
+  const auto crafted = [&](const char* name, const std::string& events) {
+    const std::string file = path(name);
+    std::ofstream(file) << "{\"traceEvents\":[" << events << "]}\n";
+    return file;
+  };
+  const auto span = [](int ts, int dur) {
+    return "{\"name\":\"s\",\"ph\":\"X\",\"ts\":" + std::to_string(ts) +
+           ",\"dur\":" + std::to_string(dur) + ",\"pid\":1,\"tid\":1}";
+  };
+  // Nested and touching spans pass; each fault below fails.
+  EXPECT_EQ(check(crafted("nested.json",
+                          span(10, 10) + "," + span(12, 3) + "," + span(20, 2))),
+            0);
+  EXPECT_EQ(check(crafted("overlap.json", span(10, 5) + "," + span(12, 5))), 1);
+  EXPECT_EQ(check(crafted("negative.json", span(10, -1))), 1);
+  EXPECT_EQ(check(crafted("begin.json",
+                          "{\"name\":\"s\",\"ph\":\"B\",\"ts\":10,"
+                          "\"pid\":1,\"tid\":1}")),
+            1);
+  EXPECT_EQ(check(crafted("empty.json",
+                          "{\"name\":\"process_name\",\"ph\":\"M\","
+                          "\"pid\":1,\"tid\":0,\"args\":{\"name\":\"x\"}}")),
+            1);
 }
 
 TEST_F(Cli, PaperEnergyReproducesTheGoldenTrace) {

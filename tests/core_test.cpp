@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "lcda/core/evaluator.h"
 #include "lcda/core/experiment.h"
@@ -142,6 +143,17 @@ TEST(SurrogateEvaluator, NoisierHardwareLowersAccuracy) {
   fefet.hw.device = cim::DeviceType::kFefet;
   util::Rng r1(4), r2(4);
   EXPECT_LT(eval.evaluate(rram, r1).accuracy, eval.evaluate(fefet, r2).accuracy);
+}
+
+TEST(SurrogateEvaluator, RejectsNonPositiveMonteCarloSamples) {
+  // No samples would score every design's accuracy 0 and rank designs by
+  // hardware cost alone.
+  for (const int samples : {0, -1}) {
+    SurrogateEvaluator::Options opts;
+    opts.monte_carlo_samples = samples;
+    EXPECT_THROW((void)SurrogateEvaluator{opts}, std::invalid_argument)
+        << samples;
+  }
 }
 
 // ------------------------------------------------------------------ Loop

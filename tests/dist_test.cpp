@@ -937,17 +937,17 @@ TEST_F(Distributed, KilledWorkerResumesFromCheckpointByteIdentically) {
 // ------------------------------------------------- merged span timeline
 
 TEST_F(Distributed, TracedSpeedupTimelineCountsWorkerDrops) {
-  // The Table-1 study, traced, over two resident workers: 64 seeds
-  // overflow each worker's span ring, and the merged timeline must say
-  // so — in total and per lane — instead of reporting the coordinator's
-  // zero.
+  // The Table-1 study, traced, over two resident workers: 128 seeds, about
+  // 100k spans per worker, overflow each worker's span ring, and the
+  // merged timeline must say so — in total and per lane — instead of
+  // reporting the coordinator's zero.
   const std::string dir = temp_dir("traced_speedup");
   const std::string shard_dir = dir + "/shards";
   const std::string timeline = dir + "/timeline.json";
   // Through sh only to send the study's table (stdout) to /dev/null.
   const util::Subprocess::Result run = util::Subprocess::run(
       {"/bin/sh", "-c", "exec \"$0\" \"$@\" >/dev/null", runner_,
-       "--scenario=paper-energy", "--speedup", "--seeds=64",
+       "--scenario=paper-energy", "--speedup", "--seeds=128",
        "--distribute=2", "--parallelism=1", "--quiet",
        "--shard-dir=" + shard_dir, "--trace-spans=" + timeline});
   ASSERT_TRUE(run.ok()) << run.describe() << "\n" << run.stderr_output;

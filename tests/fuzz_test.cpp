@@ -606,8 +606,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolFuzz,
 
 /// Real worker timelines, streamed the way a worker streams its ring: a
 /// small traced study (round spans on the driving thread, chunk spans on
-/// pool threads), a ring of awkward names with a span left open, and an
-/// empty ring.
+/// pool threads), a ring of awkward names, and an empty ring.
 const std::vector<std::string>& worker_trace_corpus() {
   static const std::vector<std::string> corpus = [] {
     obs::SpanTracer& tracer = obs::SpanTracer::instance();
@@ -632,7 +631,6 @@ const std::vector<std::string>& worker_trace_corpus() {
                              "ctl\x01\x1f"}) {
       obs::Span span(name);
     }
-    tracer.begin("left-open");
     stream(77, "worker shard 1");
     stream(5, "worker shard 2");
     return files;
@@ -662,10 +660,10 @@ std::string join_lines(const std::vector<std::string>& lines) {
 
 /// One mutation of a worker trace file: byte flips, a truncation, a
 /// dropped, duplicated or foreign line, a splice with another file, a
-/// ts/tid/pid of 20+ digits, an over-long name, or no closing line.
+/// ts/dur/tid/pid of 20+ digits, an over-long name, or no closing line.
 std::string mutate_trace(util::Rng& rng, const std::string& text,
                          const std::vector<std::string>& corpus) {
-  static const char kStructural[] = "{}[]\",:\\-0123456789\nBEM";
+  static const char kStructural[] = "{}[]\",:\\-0123456789\nXBEM";
   std::string out = text;
   std::vector<std::string> lines = split_lines(text);
   const std::vector<std::string> other =
@@ -703,8 +701,9 @@ std::string mutate_trace(util::Rng& rng, const std::string& text,
                      other.end());
       }
       break;
-    case 5: {  // a ts, tid or pid of 20 or more digits
-      static const char* const kKeys[] = {"\"ts\":", "\"tid\":", "\"pid\":"};
+    case 5: {  // a ts, dur, tid or pid of 20 or more digits
+      static const char* const kKeys[] = {"\"ts\":", "\"dur\":", "\"tid\":",
+                                          "\"pid\":"};
       const std::string key = kKeys[rng.index(std::size(kKeys))];
       std::size_t at = out.find(key, rng.index(out.size() + 1));
       if (at == std::string::npos) at = out.find(key);
@@ -738,33 +737,43 @@ std::string mutate_trace(util::Rng& rng, const std::string& text,
 }
 
 /// The checks tools/check_trace_events.py makes: known phases, a pid on
-/// every event, and per (pid, tid) lane balanced begin/end pairs with
-/// non-decreasing timestamps.
+/// every event, no negative duration, and per (pid, tid) lane spans that
+/// nest.
 void expect_valid_timeline(const util::Json& doc, const std::string& input) {
-  std::map<std::pair<long long, long long>, int> depth;
-  std::map<std::pair<long long, long long>, double> last_ts;
+  std::map<std::pair<long long, long long>, std::vector<std::pair<double, double>>>
+      lanes;  // (pid, tid) -> [begin, end] of each span
   for (const util::Json& e : doc.at("traceEvents").elements()) {
     const std::string& ph = e.at("ph").as_string();
-    ASSERT_TRUE(ph == "B" || ph == "E" || ph == "M") << input;
+    ASSERT_TRUE(ph == "X" || ph == "M") << input;
     const long long pid = e.at("pid").as_int();
     if (ph == "M") continue;
     (void)e.at("name").as_string();
-    const std::pair<long long, long long> lane{pid, e.at("tid").as_int()};
     const double ts = e.at("ts").as_double();
-    if (const auto it = last_ts.find(lane); it != last_ts.end()) {
-      ASSERT_GE(ts, it->second) << input;
-    }
-    last_ts[lane] = ts;
-    depth[lane] += ph == "B" ? 1 : -1;
-    ASSERT_GE(depth[lane], 0) << input;
+    const double dur = e.at("dur").as_double();
+    ASSERT_GE(dur, 0) << input;
+    lanes[{pid, e.at("tid").as_int()}].emplace_back(ts, ts + dur);
   }
-  for (const auto& [lane, open] : depth) ASSERT_EQ(open, 0) << input;
+  for (auto& [lane, spans] : lanes) {
+    // Outermost first; each span lies inside the innermost one still open
+    // at its begin.
+    std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first < b.first : a.second > b.second;
+    });
+    std::vector<double> open_ends;
+    for (const auto& [begin, end] : spans) {
+      while (!open_ends.empty() && open_ends.back() <= begin) open_ends.pop_back();
+      if (!open_ends.empty()) {
+        ASSERT_LE(end, open_ends.back()) << input;
+      }
+      open_ends.push_back(end);
+    }
+  }
 }
 
 /// Reads `text` strictly. Nothing may crash; an accepted file must be
-/// exactly what the writer makes of it, and merge — alone, and joined
-/// with itself as a retried shard's two attempts are — behind a
-/// coordinator lane into a valid timeline. Returns whether it was
+/// exactly what the writer makes of it, and merge behind a coordinator
+/// lane — once, and again on a pid of its own as a retried shard's second
+/// attempt file is — into a valid timeline. Returns whether it was
 /// accepted.
 bool read_and_merge(const std::string& text) {
   obs::TraceLane lane;
@@ -777,13 +786,13 @@ bool read_and_merge(const std::string& text) {
   again.add_lane(lane);
   EXPECT_EQ(again.finish(), text);
 
-  const std::vector<obs::TraceEvent> coordinator(2, obs::TraceEvent{});
+  const std::vector<obs::TraceSpan> coordinator(2);
   obs::ChromeTraceWriter merged;
   merged.add_lane(0, "coordinator", 0, coordinator);
   lane.pid = 1;
   merged.add_lane(lane);
   lane.pid = 2;
-  merged.add_lane(lane.pid, lane.name, lane.dropped, lane.events, lane.events);
+  merged.add_lane(lane);
   expect_valid_timeline(util::Json::parse(merged.finish()), text);
   return true;
 }

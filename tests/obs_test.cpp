@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -201,21 +202,21 @@ TEST(ObsTrace, RingOverflowDropsOldestAndCounts) {
   tracer.clear();
   ASSERT_EQ(tracer.dropped(), 0u);
 
-  tracer.begin("the-very-first-span");
+  { obs::Span first("the-very-first-span"); }
   const std::size_t kRecorded = obs::SpanTracer::kDefaultCapacity + 10;
-  for (std::size_t i = 1; i < kRecorded; ++i) tracer.begin("filler");
+  for (std::size_t i = 1; i < kRecorded; ++i) obs::Span span("filler");
 
   EXPECT_EQ(tracer.size(), obs::SpanTracer::kDefaultCapacity);
   EXPECT_EQ(tracer.dropped(), kRecorded - obs::SpanTracer::kDefaultCapacity);
 
   // Oldest-first eviction: the first span was overwritten, every held
-  // begin got its closing end, and the drop count travels with the lane.
+  // span is one record, and the drop count travels with the lane.
   const obs::TraceLane lane = obs::read_chrome_trace(render_ring(0, "test"));
   EXPECT_EQ(lane.dropped, tracer.dropped());
-  EXPECT_EQ(lane.events.size(), 2 * obs::SpanTracer::kDefaultCapacity);
-  EXPECT_EQ(std::count_if(lane.events.begin(), lane.events.end(),
-                          [](const obs::TraceEvent& e) {
-                            return std::string_view(e.name) != "filler";
+  EXPECT_EQ(lane.spans.size(), obs::SpanTracer::kDefaultCapacity);
+  EXPECT_EQ(std::count_if(lane.spans.begin(), lane.spans.end(),
+                          [](const obs::TraceSpan& s) {
+                            return std::string_view(s.name) != "filler";
                           }),
             0);
   tracer.clear();
@@ -223,50 +224,38 @@ TEST(ObsTrace, RingOverflowDropsOldestAndCounts) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
-TEST(ObsTrace, ExportBalancesPairsAndClampsTimestamps) {
+TEST(ObsTrace, SpanIsOneRecordWrittenWhenItEnds) {
   obs::SpanTracer& tracer = obs::SpanTracer::instance();
   tracer.enable();
   tracer.clear();
-
-  tracer.end("orphan");  // no matching begin: export must drop it
   {
     obs::Span outer("outer");
-    obs::Span inner("inner");
+    {
+      obs::Span inner("inner");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(tracer.size(), 1u);  // inner has ended, outer has not
   }
-  tracer.begin("dangling");  // never ended: export must close it
+  std::thread([] { obs::Span span("other-thread"); }).join();
+  ASSERT_EQ(tracer.size(), 3u);
 
   const std::string text = render_ring(7, "test-process");
-  EXPECT_NO_THROW((void)obs::read_chrome_trace(text));
-  const util::Json doc = util::Json::parse(text);
-  const util::Json& events = doc.at("traceEvents");
-
-  std::map<long long, int> open_per_tid;       // running B/E balance
-  std::map<long long, long long> last_ts;      // per-tid monotonicity
-  std::set<std::string> names;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const util::Json& e = events.at(i);
-    const std::string ph = e.at("ph").as_string();
-    EXPECT_EQ(e.at("pid").as_int(), 7);
-    if (ph == "M") continue;
-    const long long tid = e.at("tid").as_int();
-    const long long ts = e.at("ts").as_int();
-    const auto prev = last_ts.find(tid);
-    if (prev != last_ts.end()) {
-      EXPECT_GE(ts, prev->second);
-    }
-    last_ts[tid] = ts;
-    if (ph == "B") ++open_per_tid[tid];
-    if (ph == "E") --open_per_tid[tid];
-    EXPECT_GE(open_per_tid[tid], 0) << "end before begin on tid " << tid;
-    names.insert(e.at("name").as_string());
-  }
-  for (const auto& [tid, open] : open_per_tid) {
-    EXPECT_EQ(open, 0) << "unbalanced spans on tid " << tid;
-  }
-  EXPECT_EQ(names.count("orphan"), 0u);
-  EXPECT_EQ(names.count("outer"), 1u);
-  EXPECT_EQ(names.count("inner"), 1u);
-  EXPECT_EQ(names.count("dangling"), 1u);
+  EXPECT_EQ(text.find("\"ph\":\"B\""), std::string::npos);
+  EXPECT_EQ(text.find("\"ph\":\"E\""), std::string::npos);
+  const obs::TraceLane lane = obs::read_chrome_trace(text);
+  ASSERT_EQ(lane.spans.size(), 3u);
+  const obs::TraceSpan& inner = lane.spans[0];
+  const obs::TraceSpan& outer = lane.spans[1];
+  const obs::TraceSpan& other = lane.spans[2];
+  EXPECT_STREQ(inner.name, "inner");
+  EXPECT_STREQ(outer.name, "outer");
+  EXPECT_STREQ(other.name, "other-thread");
+  EXPECT_GE(inner.dur_us, 2000);  // the begin is the span's, not the record's
+  EXPECT_LE(outer.ts_us, inner.ts_us);
+  EXPECT_GE(outer.ts_us + outer.dur_us, inner.ts_us + inner.dur_us);
+  EXPECT_EQ(inner.tid, outer.tid);
+  EXPECT_NE(other.tid, outer.tid);
+  EXPECT_GE(other.ts_us, outer.ts_us + outer.dur_us);  // one clock
   tracer.clear();
 }
 
@@ -277,6 +266,18 @@ TEST(ObsTrace, AppendChromeEventsRewritesPidAndSkipsMetadata) {
   { obs::Span s("worker-span"); }
   util::Json worker_doc = tracer.export_chrome(12345, "original");
   worker_doc["obs_dropped_events"] = 17;
+  // Records no ring holds are skipped: another phase, a negative duration.
+  for (const auto& [ph, dur] : {std::pair<const char*, long long>{"B", 0},
+                                std::pair<const char*, long long>{"X", -1}}) {
+    util::Json e = util::Json::object();
+    e["name"] = std::string("skipped");
+    e["ph"] = std::string(ph);
+    e["ts"] = 1;
+    e["dur"] = dur;
+    e["pid"] = 12345;
+    e["tid"] = 1;
+    worker_doc["traceEvents"].push_back(e);
+  }
   tracer.clear();
   { obs::Span s("coordinator-span"); }
   util::Json merged = tracer.export_chrome(0, "coordinator");
@@ -288,14 +289,19 @@ TEST(ObsTrace, AppendChromeEventsRewritesPidAndSkipsMetadata) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     const util::Json& e = events.at(i);
     const std::string ph = e.at("ph").as_string();
-    if (ph != "M" && e.at("name").as_string() == "worker-span") {
+    if (ph == "M") {
+      if (e.at("pid").as_int() == 101) {
+        saw_lane_name = true;
+        EXPECT_EQ(e.at("args").at("name").as_string(), "worker shard 1");
+        EXPECT_EQ(e.at("args").at("dropped_events").as_int(), 17);
+      }
+      continue;
+    }
+    EXPECT_EQ(ph, "X");
+    EXPECT_NE(e.at("name").as_string(), "skipped");
+    if (e.at("name").as_string() == "worker-span") {
       saw_worker_span = true;
       EXPECT_EQ(e.at("pid").as_int(), 101);  // re-pinned to the shard lane
-    }
-    if (ph == "M" && e.at("pid").as_int() == 101) {
-      saw_lane_name = true;
-      EXPECT_EQ(e.at("args").at("name").as_string(), "worker shard 1");
-      EXPECT_EQ(e.at("args").at("dropped_events").as_int(), 17);
     }
   }
   EXPECT_TRUE(saw_worker_span);
@@ -307,23 +313,10 @@ TEST(ObsTrace, AppendChromeEventsRewritesPidAndSkipsMetadata) {
 
 namespace reference {
 
-// The DOM exporter the streamed writer replaced, kept as its oracle: the
-// same per-thread rules, built as a util::Json tree from the ring's
-// events in order. One line is new — the lane's drop count in the
-// process_name args — and is marked.
+// The writer's format built as a util::Json tree, one object per span in
+// the order given: the oracle for the streamed text.
 
-util::Json make_event(const char* name, const char* phase, std::int64_t ts,
-                      int pid, std::uint32_t tid) {
-  util::Json e = util::Json::object();
-  e["name"] = std::string(name);
-  e["ph"] = std::string(phase);
-  e["ts"] = static_cast<long long>(ts);
-  e["pid"] = pid;
-  e["tid"] = static_cast<long long>(tid);
-  return e;
-}
-
-util::Json export_chrome(const std::vector<obs::TraceEvent>& events,
+util::Json export_chrome(const std::vector<obs::TraceSpan>& spans,
                          std::uint64_t dropped, int pid,
                          std::string_view process_name) {
   util::Json arr = util::Json::array();
@@ -334,34 +327,18 @@ util::Json export_chrome(const std::vector<obs::TraceEvent>& events,
   meta["tid"] = 0;
   util::Json args = util::Json::object();
   args["name"] = std::string(process_name);
-  args["dropped_events"] = static_cast<long long>(dropped);  // new
+  args["dropped_events"] = static_cast<long long>(dropped);
   meta["args"] = args;
   arr.push_back(meta);
-
-  struct TidState {
-    std::vector<std::string> open;
-    std::int64_t last_ts = 0;
-  };
-  std::map<std::uint32_t, TidState> tids;
-  for (const obs::TraceEvent& e : events) {
-    TidState& st = tids[e.tid];
-    const std::int64_t ts = std::max(e.ts_us, st.last_ts);
-    if (e.phase == 'B') {
-      st.open.emplace_back(e.name);
-    } else {
-      if (st.open.empty()) continue;  // orphaned end: begin was dropped
-      st.open.pop_back();
-    }
-    st.last_ts = ts;
-    arr.push_back(make_event(e.name, e.phase == 'B' ? "B" : "E", ts, pid,
-                             e.tid));
-  }
-  for (auto& [tid, st] : tids) {
-    while (!st.open.empty()) {
-      arr.push_back(
-          make_event(st.open.back().c_str(), "E", st.last_ts, pid, tid));
-      st.open.pop_back();
-    }
+  for (const obs::TraceSpan& s : spans) {
+    util::Json e = util::Json::object();
+    e["name"] = std::string(s.name);
+    e["ph"] = std::string("X");
+    e["ts"] = static_cast<long long>(s.ts_us);
+    e["dur"] = static_cast<long long>(s.dur_us);
+    e["pid"] = pid;
+    e["tid"] = static_cast<long long>(s.tid);
+    arr.push_back(e);
   }
 
   util::Json doc = util::Json::object();
@@ -373,51 +350,51 @@ util::Json export_chrome(const std::vector<obs::TraceEvent>& events,
 
 }  // namespace reference
 
-obs::TraceEvent event(std::string_view name, char phase, std::uint32_t tid,
-                      std::int64_t ts) {
-  obs::TraceEvent e;
-  std::memcpy(e.name, name.data(), std::min(name.size(), obs::kMaxSpanName));
-  e.phase = phase;
-  e.tid = tid;
-  e.ts_us = ts;
-  return e;
+obs::TraceSpan span(std::string_view name, std::uint32_t tid, std::int64_t ts,
+                    std::int64_t dur) {
+  obs::TraceSpan s;
+  std::memcpy(s.name, name.data(), std::min(name.size(), obs::kMaxSpanName));
+  s.tid = tid;
+  s.ts_us = ts;
+  s.dur_us = dur;
+  return s;
 }
 
-/// A wrapped ring's storage and its oldest slot: `events` (oldest first)
+/// A wrapped ring's storage and its oldest slot: `spans` (oldest first)
 /// rotated so the writer gets the two segments a full ring hands over.
 struct WrappedRing {
-  std::vector<obs::TraceEvent> slots;
+  std::vector<obs::TraceSpan> slots;
   std::size_t head = 0;
 };
 
-WrappedRing wrap(const std::vector<obs::TraceEvent>& events,
-                 std::size_t head) {
+WrappedRing wrap(const std::vector<obs::TraceSpan>& spans, std::size_t head) {
   WrappedRing ring;
-  ring.slots.resize(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ring.slots[(head + i) % events.size()] = events[i];
+  ring.slots.resize(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    ring.slots[(head + i) % spans.size()] = spans[i];
   }
-  ring.head = events.empty() ? 0 : head % events.size();
+  ring.head = spans.empty() ? 0 : head % spans.size();
   return ring;
 }
 
-/// The streamed lane of `events` (handed over as the two segments of a
+/// The streamed lane of `spans` (handed over as the two segments of a
 /// ring whose oldest slot is `head`), parsed back, next to the oracle's
-/// document for the same events.
-void expect_streamed_equals_reference(const std::vector<obs::TraceEvent>& events,
+/// document for the same spans.
+void expect_streamed_equals_reference(const std::vector<obs::TraceSpan>& spans,
                                       std::size_t head, std::uint64_t dropped,
                                       const std::string& what) {
-  const WrappedRing ring = wrap(events, head);
-  const std::span<const obs::TraceEvent> slots(ring.slots);
+  const WrappedRing ring = wrap(spans, head);
+  const std::span<const obs::TraceSpan> slots(ring.slots);
   obs::ChromeTraceWriter writer;
   writer.add_lane(3, "lane \"x\"", dropped, slots.subspan(ring.head),
                   slots.first(ring.head));
+  EXPECT_EQ(writer.spans(), spans.size()) << what;
   const std::string text = writer.finish();
   EXPECT_EQ(util::Json::parse(text).dump(),
-            reference::export_chrome(events, dropped, 3, "lane \"x\"").dump())
+            reference::export_chrome(spans, dropped, 3, "lane \"x\"").dump())
       << what;
-  // Whatever the ring held, the streamed file is one the strict reader
-  // takes back, event for event.
+  // What a ring holds streams to a file the strict reader takes back,
+  // span for span.
   const obs::TraceLane back = obs::read_chrome_trace(text);
   EXPECT_EQ(back.dropped, dropped) << what;
   obs::ChromeTraceWriter again;
@@ -425,39 +402,20 @@ void expect_streamed_equals_reference(const std::vector<obs::TraceEvent>& events
   EXPECT_EQ(again.finish(), text) << what;
 }
 
-TEST(ObsTraceDifferential, OrphanEndsAndDanglingBegins) {
-  expect_streamed_equals_reference(
-      {event("orphan", 'E', 1, 5), event("outer", 'B', 1, 10),
-       event("inner", 'B', 1, 11), event("inner", 'E', 1, 12),
-       event("stray", 'E', 1, 12), event("outer", 'E', 1, 13),
-       event("stray", 'E', 1, 13), event("dangling", 'B', 1, 14),
-       event("deeper", 'B', 1, 15)},
-      0, 0, "orphans and dangling");
-}
-
-TEST(ObsTraceDifferential, ClockStepBackwards) {
-  expect_streamed_equals_reference(
-      {event("a", 'B', 1, 100), event("b", 'B', 1, 90), event("b", 'E', 1, 95),
-       event("c", 'B', 1, 120), event("c", 'E', 1, 40), event("a", 'E', 1, 80),
-       event("d", 'B', 1, 130), event("d", 'E', 1, 131)},
-      0, 0, "clock step");
-}
-
 TEST(ObsTraceDifferential, RingOverflow) {
-  // Nested spans on one thread, recorded through a 16-slot ring: the
-  // survivors start mid-stack (orphan ends) and end mid-stack (dangling
-  // begins), and the ring has wrapped, so its oldest slot is not slot 0.
-  std::vector<obs::TraceEvent> recorded;
+  // Nested spans on one thread, in the order they end, recorded through a
+  // 16-slot ring: the oldest survivor is an outer span whose inner spans
+  // were dropped, and the ring has wrapped, so its oldest slot is not
+  // slot 0.
+  std::vector<obs::TraceSpan> recorded;
   for (int i = 0; i < 10; ++i) {
-    recorded.push_back(event("outer", 'B', 1, 10 * i));
-    recorded.push_back(event("inner", 'B', 1, 10 * i + 1));
-    recorded.push_back(event("inner", 'E', 1, 10 * i + 2));
-    recorded.push_back(event("outer", 'E', 1, 10 * i + 3));
+    recorded.push_back(span("inner", 1, 10 * i + 1, 1));
+    recorded.push_back(span("inner", 1, 10 * i + 3, 0));
+    recorded.push_back(span("outer", 1, 10 * i, 4));
   }
-  recorded.push_back(event("open", 'B', 1, 200));
   const std::size_t kCapacity = 16;
-  const std::vector<obs::TraceEvent> held(recorded.end() - kCapacity,
-                                          recorded.end());
+  const std::vector<obs::TraceSpan> held(recorded.end() - kCapacity,
+                                         recorded.end());
   const std::uint64_t dropped = recorded.size() - kCapacity;
   for (std::size_t head = 0; head < kCapacity; ++head) {
     expect_streamed_equals_reference(held, head, dropped,
@@ -467,34 +425,42 @@ TEST(ObsTraceDifferential, RingOverflow) {
 
 TEST(ObsTraceDifferential, SeveralTids) {
   expect_streamed_equals_reference(
-      {event("t3", 'B', 3, 10), event("t1", 'B', 1, 11), event("t2", 'B', 2, 9),
-       event("t1", 'E', 1, 12), event("t3b", 'B', 3, 13), event("t2", 'E', 2, 8),
-       event("x", 'E', 7, 14), event("t1b", 'B', 1, 15)},
+      {span("t3", 3, 10, 1), span("t1", 1, 11, 1), span("t2", 2, 9, 0),
+       span("t1b", 1, 13, 2), span("t1c", 1, 10, 6), span("t2b", 2, 8, 7)},
       2, 5, "several tids");
 }
 
 TEST(ObsTraceDifferential, RandomRings) {
-  // Every feature at once: orphan ends, dangling begins, backwards clock
-  // steps, many tids, awkward names, wrapped rings.
+  // Threads that open and close spans at random, recorded in the order
+  // the spans end and cut to a random ring's last slots: deep nests,
+  // zero durations, many tids, awkward names, wrapped rings.
   static const char* const kNames[] = {"round.plan", "say \"hi\"",
                                        "back\\slash", "new\nline",
                                        "ctl\x01\x1f", ""};
   util::Rng rng(20251017);
   for (int trial = 0; trial < 200; ++trial) {
-    std::vector<obs::TraceEvent> events;
+    std::map<std::uint32_t, std::vector<obs::TraceSpan>> open;
+    std::vector<obs::TraceSpan> ended;
     std::int64_t clock = rng.uniform_int(0, 1000);
-    const int n = static_cast<int>(rng.uniform_int(0, 60));
-    for (int i = 0; i < n; ++i) {
-      clock += rng.chance(0.1) ? -rng.uniform_int(1, 50) : rng.uniform_int(0, 5);
-      events.push_back(event(kNames[rng.index(std::size(kNames))],
-                             rng.chance(0.55) ? 'B' : 'E',
-                             static_cast<std::uint32_t>(rng.uniform_int(1, 4)),
-                             clock));
+    const int steps = static_cast<int>(rng.uniform_int(0, 120));
+    for (int i = 0; i < steps; ++i) {
+      clock += rng.uniform_int(0, 5);
+      const auto tid = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
+      std::vector<obs::TraceSpan>& stack = open[tid];
+      if (stack.empty() || rng.chance(0.5)) {
+        stack.push_back(span(kNames[rng.index(std::size(kNames))], tid, clock, 0));
+      } else {
+        ended.push_back(stack.back());
+        ended.back().dur_us = clock - stack.back().ts_us;
+        stack.pop_back();
+      }
     }
-    expect_streamed_equals_reference(
-        events, rng.index(events.size() + 1),
-        static_cast<std::uint64_t>(rng.uniform_int(0, 1000)),
-        "trial " + std::to_string(trial));
+    const std::size_t kept = rng.index(ended.size() + 1);
+    const std::vector<obs::TraceSpan> held(ended.end() - static_cast<long>(kept),
+                                           ended.end());
+    expect_streamed_equals_reference(held, rng.index(held.size() + 1),
+                                     ended.size() - kept,
+                                     "trial " + std::to_string(trial));
     if (HasFailure()) return;
   }
 }
@@ -523,9 +489,9 @@ TEST(ObsTrace, AwkwardNamesSurviveWriteReadAndMerge) {
   obs::TraceLane lane = obs::read_chrome_trace(text);
   EXPECT_EQ(lane.pid, 4242);
   EXPECT_EQ(lane.name, "worker \"shard\"\n0");
-  ASSERT_EQ(lane.events.size(), 2 * kNames.size());
+  ASSERT_EQ(lane.spans.size(), kNames.size());
   for (std::size_t i = 0; i < kNames.size(); ++i) {
-    EXPECT_EQ(std::string(lane.events[2 * i].name), kNames[i]);
+    EXPECT_EQ(std::string(lane.spans[i].name), kNames[i]);
   }
 
   // The coordinator half: merged after its own lane, parsed back whole.
@@ -535,12 +501,12 @@ TEST(ObsTrace, AwkwardNamesSurviveWriteReadAndMerge) {
   tracer.render(merged, 0, "coordinator");
   merged.add_lane(lane);
   EXPECT_EQ(merged.dropped(), 9u);
-  EXPECT_EQ(merged.events(), 4 * kNames.size());
+  EXPECT_EQ(merged.spans(), 2 * kNames.size());
   const util::Json doc = util::Json::parse(merged.finish());
   EXPECT_EQ(doc.at("obs_dropped_events").as_int(), 9);
   std::vector<std::string> merged_names;
   for (const util::Json& e : doc.at("traceEvents").elements()) {
-    if (e.at("pid").as_int() == 1 && e.at("ph").as_string() == "B") {
+    if (e.at("pid").as_int() == 1 && e.at("ph").as_string() == "X") {
       merged_names.push_back(e.at("name").as_string());
     }
   }
@@ -551,8 +517,8 @@ TEST(ObsTrace, AwkwardNamesSurviveWriteReadAndMerge) {
 TEST(ObsTrace, ReaderRejectsWhatTheWriterNeverWrites) {
   obs::ChromeTraceWriter writer;
   writer.add_lane(5, "w", 2,
-                  std::vector<obs::TraceEvent>{event("a", 'B', 1, 10),
-                                               event("a", 'E', 1, 11)});
+                  std::vector<obs::TraceSpan>{span("a", 1, 10, 2),
+                                              span("b", 1, 12, 1)});
   const std::string good = writer.finish();
   ASSERT_NO_THROW((void)obs::read_chrome_trace(good));
 
@@ -567,14 +533,19 @@ TEST(ObsTrace, ReaderRejectsWhatTheWriterNeverWrites) {
       {"no closing line", good.substr(0, good.find("\n]"))},
       {"trailing bytes", good + " "},
       {"20-digit ts", edited("\"ts\":10", "\"ts\":10000000000000000000")},
-      {"leading zero", edited("\"ts\":11", "\"ts\":011")},
+      {"leading zero", edited("\"ts\":12", "\"ts\":012")},
       {"negative tid", edited("\"tid\":1}", "\"tid\":-1}")},
       {"foreign pid", edited("\"pid\":5,\"tid\":1", "\"pid\":6,\"tid\":1")},
-      {"backwards clock", edited("\"ts\":11", "\"ts\":9")},
-      {"unbalanced", edited("\"ph\":\"E\"", "\"ph\":\"B\"")},
-      {"other phase", edited("\"ph\":\"E\"", "\"ph\":\"X\"")},
+      {"no duration", edited(",\"dur\":2", "")},
+      {"negative duration", edited("\"dur\":2", "\"dur\":-2")},
+      {"ends past the clock", edited("\"dur\":2", "\"dur\":9223372036854775807")},
+      {"partial overlap", edited("\"ts\":12,\"dur\":1", "\"ts\":11,\"dur\":2")},
+      {"inner span after its outer",
+       edited("\"ts\":12,\"dur\":1", "\"ts\":10,\"dur\":1")},
+      {"begin phase", edited("\"ph\":\"X\"", "\"ph\":\"B\"")},
+      {"end phase", edited("\"ph\":\"X\"", "\"ph\":\"E\"")},
       {"long name", edited("\"name\":\"a\"", "\"name\":\"" +
-                                                 std::string(40, 'n') + "\"")},
+                                                 std::string(36, 'n') + "\"")},
       {"raw control byte", edited("\"name\":\"a\"", "\"name\":\"\x01\"")},
       {"escape never written", edited("\"name\":\"a\"", "\"name\":\"\\u0041\"")},
       {"drop counts disagree", edited("\"obs_dropped_events\":2",

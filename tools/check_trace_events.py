@@ -4,12 +4,13 @@
 Checks the invariants the exporter promises (trace.h):
 
   - the document is well-formed JSON with a "traceEvents" array and at
-    least one non-metadata event (an empty timeline means the spans never
-    fired — a wiring regression, not a quiet success);
-  - every event carries ph/pid/tid/ts, and ph is "B", "E" or "M";
-  - begin/end pairs are balanced per (pid, tid) lane and properly nested
-    (an "E" never arrives with no open "B");
-  - timestamps are non-decreasing per (pid, tid) lane.
+    least one span (an empty timeline means the spans never fired — a
+    wiring regression, not a quiet success);
+  - every event carries a pid, and its ph is "X" (a complete span) or "M"
+    (a lane's metadata); begin/end ("B"/"E") records are rejected;
+  - every span carries a name, a tid, a finite ts and a finite dur >= 0;
+  - the spans of each (pid, tid) lane nest: two spans on one lane are
+    either disjoint or one contains the other.
 
 Optional arguments assert the merged-timeline shape:
 
@@ -20,12 +21,18 @@ Optional arguments assert the merged-timeline shape:
 Exit status: 0 when valid, 1 when any check fails, 2 on usage errors.
 """
 import json
+import math
 import sys
 
 
 def fail(msg):
     print(f"FATAL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def is_number(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def main():
@@ -47,55 +54,57 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         fail(f"{path}: not readable as JSON: {e}")
 
-    events = doc.get("traceEvents")
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
     if not isinstance(events, list):
         fail(f"{path}: no 'traceEvents' array")
 
-    spans = 0
-    open_stacks = {}  # (pid, tid) -> list of open span names
-    last_ts = {}      # (pid, tid) -> last timestamp seen
+    lanes = {}  # (pid, tid) -> [(ts, end, event index)]
     pids = set()
     for i, e in enumerate(events):
         if not isinstance(e, dict):
             fail(f"{path}: event {i} is not an object")
         ph = e.get("ph")
-        if ph not in ("B", "E", "M"):
+        if ph not in ("X", "M"):
             fail(f"{path}: event {i} has unexpected ph {ph!r}")
         if "pid" not in e:
             fail(f"{path}: event {i} has no pid")
         pids.add(e["pid"])
         if ph == "M":
             continue
-        for key in ("name", "tid", "ts"):
+        for key in ("name", "tid", "ts", "dur"):
             if key not in e:
                 fail(f"{path}: event {i} ({ph}) has no {key}")
-        lane = (e["pid"], e["tid"])
-        ts = e["ts"]
-        if lane in last_ts and ts < last_ts[lane]:
-            fail(f"{path}: event {i}: timestamp {ts} goes backwards on "
-                 f"pid={lane[0]} tid={lane[1]} (last was {last_ts[lane]})")
-        last_ts[lane] = ts
-        stack = open_stacks.setdefault(lane, [])
-        if ph == "B":
-            stack.append(e["name"])
-            spans += 1
-        else:
-            if not stack:
-                fail(f"{path}: event {i}: 'E' ({e['name']}) with no open "
-                     f"'B' on pid={lane[0]} tid={lane[1]}")
-            stack.pop()
+        ts, dur = e["ts"], e["dur"]
+        if not is_number(ts) or not is_number(dur):
+            fail(f"{path}: event {i}: ts {ts!r} and dur {dur!r} must be "
+                 f"numbers")
+        if dur < 0:
+            fail(f"{path}: event {i}: negative dur {dur}")
+        lanes.setdefault((e["pid"], e["tid"]), []).append((ts, ts + dur, i))
 
-    for (pid, tid), stack in open_stacks.items():
-        if stack:
-            fail(f"{path}: unbalanced spans on pid={pid} tid={tid}: "
-                 f"still open at end: {stack}")
+    # Outermost first: by begin, and the longer of two spans that begin
+    # together first. A span then nests when it lies inside the innermost
+    # span still open at its begin.
+    spans = 0
+    for (pid, tid), lane in lanes.items():
+        spans += len(lane)
+        lane.sort(key=lambda s: (s[0], -s[1]))
+        open_spans = []
+        for ts, end, i in lane:
+            while open_spans and open_spans[-1][1] <= ts:
+                open_spans.pop()
+            if open_spans and end > open_spans[-1][1]:
+                fail(f"{path}: event {i} [{ts}, {end}] overlaps event "
+                     f"{open_spans[-1][2]} on pid={pid} tid={tid}")
+            open_spans.append((ts, end, i))
+
     if spans == 0:
         fail(f"{path}: no spans at all — instrumentation never fired")
     if len(pids) < min_pids:
         fail(f"{path}: only {len(pids)} pid lane(s), expected >= {min_pids}")
 
     print(f"{path}: OK — {spans} spans across {len(pids)} pid lane(s), "
-          f"{len(open_stacks)} thread lane(s)")
+          f"{len(lanes)} thread lane(s)")
 
 
 if __name__ == "__main__":

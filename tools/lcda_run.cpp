@@ -411,9 +411,8 @@ struct DistributedStudy {
   obs::MetricsSnapshot obs;
 
   /// Worker span timelines gathered from the shard directory before it
-  /// is cleaned up: one lane per shard whose attempts left a readable
-  /// trace file under --trace-spans, already on its merged pid (1+k for
-  /// shard k).
+  /// is cleaned up under --trace-spans: one lane per readable attempt
+  /// file, already on its merged pid (1+k for shard k's first attempt).
   std::vector<obs::TraceLane> trace_lanes;
 };
 
@@ -520,12 +519,13 @@ DistributedStudy run_distributed(const CliOptions& cli,
     study.obs.merge(obs::Registry::instance().snapshot());
     // Worker span timelines must leave the shard directory before the
     // cleanup below removes it. Failed attempts never write a trace
-    // file, so missing paths are expected, not errors. A shard's later
-    // attempts join its lane; the writer's per-thread rules keep the
-    // joined lane valid.
+    // file, so missing paths are expected, not errors. Each attempt file
+    // is one process's ring, and keeps a lane of its own (pid 1+k+a*N for
+    // attempt a of shard k out of N): two processes' threads never share
+    // a lane, so every lane's spans nest.
     if (opts.trace_spans) {
+      const int shards = static_cast<int>(study.stats.shards.size());
       for (const dist::Coordinator::ShardStats& s : study.stats.shards) {
-        obs::TraceLane* lane = nullptr;
         for (int a = 0; a <= s.attempts; ++a) {
           const std::string path = shard_dir + "/shard-" +
                                    std::to_string(s.index) + "-trace-a" +
@@ -534,17 +534,12 @@ DistributedStudy run_distributed(const CliOptions& cli,
           const util::MmapFile file = util::MmapFile::open(path, &open_error);
           if (!open_error.empty()) continue;
           try {
-            obs::TraceLane attempt = obs::read_chrome_trace(std::string_view(
-                reinterpret_cast<const char*>(file.data()), file.size()));
-            if (lane == nullptr) {
-              lane = &study.trace_lanes.emplace_back(std::move(attempt));
-              lane->pid = 1 + s.index;
-              lane->name = "worker shard " + std::to_string(s.index);
-            } else {
-              lane->dropped += attempt.dropped;
-              lane->events.insert(lane->events.end(), attempt.events.begin(),
-                                  attempt.events.end());
-            }
+            obs::TraceLane& lane = study.trace_lanes.emplace_back(
+                obs::read_chrome_trace(std::string_view(
+                    reinterpret_cast<const char*>(file.data()), file.size())));
+            lane.pid = 1 + s.index + a * shards;
+            lane.name = "worker shard " + std::to_string(s.index);
+            if (a > 0) lane.name += " attempt " + std::to_string(a);
           } catch (const std::exception& e) {
             std::fprintf(stderr, "lcda_run: skipping damaged trace %s: %s\n",
                          path.c_str(), e.what());
@@ -600,8 +595,8 @@ void write_observability(const CliOptions& cli, const DistributedStudy* study) {
     }
     timeline.finish();
     std::fprintf(stderr,
-                 "[obs] wrote span timeline %s (%zu events, %llu dropped)\n",
-                 cli.trace_spans.c_str(), timeline.events(),
+                 "[obs] wrote span timeline %s (%zu spans, %llu dropped)\n",
+                 cli.trace_spans.c_str(), timeline.spans(),
                  static_cast<unsigned long long>(timeline.dropped()));
   }
   if (!cli.metrics_out.empty()) {
@@ -784,10 +779,22 @@ int cannot_write(const std::string& path) {
   return 1;
 }
 
+/// Truncates the --trace-spans and --metrics-out files, which
+/// write_observability fills at the end, so an unwritable path fails
+/// before any run or store pass. Returns 0, or 1 after cannot_write.
+int open_observability(const CliOptions& cli) {
+  for (const std::string* path : {&cli.trace_spans, &cli.metrics_out}) {
+    if (!path->empty() && !std::ofstream(*path, std::ios::trunc)) {
+      return cannot_write(*path);
+    }
+  }
+  return 0;
+}
+
 /// Runs the study the mode flags select over the resolved `studies`. The
-/// --trace and --json files are opened (an existing one truncated) first,
-/// so an unwritable path fails before any run; --json and the
-/// observability artifacts are written last.
+/// --trace, --json and observability files are opened (an existing one
+/// truncated) first, so an unwritable path fails before any run; --json
+/// and the observability artifacts are written last.
 int run_study(const CliOptions& cli, const core::Scenario& scenario,
               const std::vector<dist::StrategyStudy>& studies,
               const char* argv0) {
@@ -811,6 +818,7 @@ int run_study(const CliOptions& cli, const core::Scenario& scenario,
     json_file.open(cli.json_path, std::ios::trunc);
     if (!json_file) return cannot_write(cli.json_path);
   }
+  if (open_observability(cli) != 0) return 1;
 
   std::FILE* const human = trace_stdout ? stderr : stdout;
   std::fprintf(human, "# scenario %s: %s\n", scenario.name.c_str(),
@@ -912,6 +920,7 @@ int run(const CliOptions& cli, const std::vector<bool>& given,
   if (cli.metrics_interval > 0.0) reporter.emplace(cli.metrics_interval);
 
   if (store) {
+    if (open_observability(cli) != 0) return 1;
     if (cli.store_compact) {
       const lcda::store::Budget budget{
           static_cast<std::size_t>(cli.store_max_entries),
