@@ -212,6 +212,7 @@ RunResult run_strategy(Strategy strategy, int episodes,
     result.store.misses = static_cast<std::int64_t>(m.misses);
     result.store.shared_hits = static_cast<std::int64_t>(m.shared_hits);
     result.store.shared_misses = static_cast<std::int64_t>(m.shared_misses);
+    result.store.probes = static_cast<std::int64_t>(m.probes);
     result.store.bytes_read = static_cast<std::int64_t>(m.bytes_read);
     result.store.bytes_published = static_cast<std::int64_t>(m.bytes_published);
   }
@@ -233,6 +234,7 @@ RunResult run_strategy(Strategy strategy, int episodes,
   obs::add_counter("store.misses", result.store.misses);
   obs::add_counter("store.shared_hits", result.store.shared_hits);
   obs::add_counter("store.shared_misses", result.store.shared_misses);
+  obs::add_counter("store.probes", result.store.probes);
   obs::add_counter("store.bytes_read", result.store.bytes_read);
   obs::add_counter("store.bytes_published", result.store.bytes_published);
   return result;

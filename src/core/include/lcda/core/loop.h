@@ -30,7 +30,8 @@ struct EpisodeRecord {
 
 /// Store-level traffic counters mirrored out of store::EvalStore after a
 /// run (core cannot depend on the store layer, so the shape is duplicated
-/// here): full-key and shared-namespace lookup outcomes plus bytes moved.
+/// here): full-key and shared-namespace lookup outcomes, files probed, and
+/// bytes moved.
 /// Real measurements of where answers came from, NOT part of a run's
 /// deterministic result — a warm store turns misses into hits without
 /// changing a single trace byte, which is exactly what these counters
@@ -40,6 +41,7 @@ struct StoreMetrics {
   std::int64_t misses = 0;          ///< full-key lookup misses
   std::int64_t shared_hits = 0;     ///< shared-namespace (bucket) hits
   std::int64_t shared_misses = 0;   ///< shared-namespace misses
+  std::int64_t probes = 0;          ///< files binary-searched by lookups
   std::int64_t bytes_read = 0;      ///< record bytes decoded by probes
   std::int64_t bytes_published = 0; ///< segment bytes written by saves
 };

@@ -7,7 +7,6 @@
 
 #include "lcda/obs/trace.h"
 #include "lcda/store/eval_store.h"
-#include "lcda/util/rng.h"
 
 namespace lcda::store {
 
@@ -19,6 +18,7 @@ struct ScannedInputs {
   std::vector<std::string> readable;    ///< files that opened cleanly
   std::vector<std::string> damaged;     ///< files that failed header checks
   std::vector<SegmentView> views;       ///< parallel to `readable`
+  std::size_t index_views = 0;          ///< views[0, index_views) are in index/
 };
 
 /// Opens every *.seg under segments/ and index/. A file that vanishes
@@ -26,17 +26,19 @@ struct ScannedInputs {
 ScannedInputs scan_inputs(const std::string& directory) {
   ScannedInputs inputs;
   std::vector<std::string> paths = list_segment_files(directory + "/index");
+  const std::size_t index_files = paths.size();
   for (const std::string& path : list_segment_files(directory + "/segments")) {
     paths.push_back(path);
   }
-  for (const std::string& path : paths) {
+  for (std::size_t p = 0; p < paths.size(); ++p) {
     std::string error;
-    std::optional<SegmentView> view = SegmentView::open(path, &error);
+    std::optional<SegmentView> view = SegmentView::open(paths[p], &error);
     if (!view) {
-      if (!error.empty()) inputs.damaged.push_back(path);
+      if (!error.empty()) inputs.damaged.push_back(paths[p]);
       continue;
     }
-    inputs.readable.push_back(path);
+    if (p < index_files) ++inputs.index_views;
+    inputs.readable.push_back(paths[p]);
     inputs.views.push_back(std::move(*view));
   }
   return inputs;
@@ -48,8 +50,18 @@ FsckReport fsck(const std::string& directory) {
   FsckReport report;
   const ScannedInputs inputs = scan_inputs(directory);
   report.bad_files = inputs.damaged.size();
-  for (const SegmentView& view : inputs.views) {
+  for (std::size_t v = 0; v < inputs.views.size(); ++v) {
+    const SegmentView& view = inputs.views[v];
     ++report.files;
+    // What the file's name claims, read as EvalStore reads it: bucket
+    // names in index/, namespace tags in segments/.
+    const std::string_view name = file_name(view.path());
+    std::size_t bucket = 0, buckets = 0;
+    SegmentName segment;
+    const bool is_bucket =
+        v < inputs.index_views && parse_bucket_name(name, &bucket, &buckets);
+    const bool tagged =
+        v >= inputs.index_views && parse_segment_name(name, &segment);
     bool have_prev = false;
     StoreRecord prev;
     for (std::size_t i = 0; i < view.count(); ++i) {
@@ -61,6 +73,14 @@ FsckReport fsck(const std::string& directory) {
       StoreRecord record = decode_record(view.record(i));
       if (have_prev && record.key_less(prev)) {
         ++report.bad_records;  // sort-order violation breaks binary probes
+      } else if (is_bucket && bucket_of(record.eval_fingerprint,
+                                        record.design_hash,
+                                        buckets) != bucket) {
+        ++report.bad_records;  // lookups for its key skip this bucket
+      } else if (tagged &&
+                 segment_namespace(record.eval_fingerprint,
+                                   record.stream_fingerprint) != segment.ns) {
+        ++report.bad_records;  // lookups for its key skip this segment
       }
       prev = std::move(record);
       have_prev = true;
@@ -147,10 +167,8 @@ CompactionReport compact_store(const std::string& directory, Budget budget,
   // published too: the rename wipes stale same-name predecessors.
   std::vector<std::vector<StoreRecord>> parts(buckets);
   for (StoreRecord& record : kept) {
-    const std::size_t b = static_cast<std::size_t>(
-        util::hash_combine(record.eval_fingerprint, record.design_hash) %
-        static_cast<std::uint64_t>(buckets));
-    parts[b].push_back(std::move(record));
+    parts[bucket_of(record.eval_fingerprint, record.design_hash, buckets)]
+        .push_back(std::move(record));
   }
   std::error_code ec;
   fs::create_directories(directory + "/index", ec);
@@ -160,8 +178,7 @@ CompactionReport compact_store(const std::string& directory, Budget budget,
   }
   std::unordered_set<std::string> published;
   for (std::size_t b = 0; b < buckets; ++b) {
-    const std::string path = directory + "/index/bucket-" + std::to_string(b) +
-                             "-of-" + std::to_string(buckets) + ".seg";
+    const std::string path = directory + "/index/" + bucket_name(b, buckets);
     publish_file(path, serialize_segment(parts[b]));
     published.insert(path);
   }

@@ -15,19 +15,12 @@
 #include "lcda/obs/trace.h"
 #include "lcda/util/logging.h"
 #include "lcda/util/rng.h"
-#include "lcda/util/strings.h"
 
 namespace lcda::store {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-std::uint64_t pair_shard(std::uint64_t eval_fp, std::uint64_t design_hash,
-                         std::size_t buckets) {
-  return util::hash_combine(eval_fp, design_hash) %
-         static_cast<std::uint64_t>(buckets);
-}
 
 /// Process-wide cache of mmap'd segment views, keyed by path and validated
 /// by inode identity. Only *live segment files* are cacheable: their names
@@ -125,7 +118,10 @@ std::shared_ptr<const SegmentView> open_segment_cached(const std::string& path,
 
 }  // namespace
 
-EvalStore::EvalStore(Options opts) : opts_(std::move(opts)) {
+EvalStore::EvalStore(Options opts)
+    : opts_(std::move(opts)),
+      namespace_(segment_namespace(opts_.eval_fingerprint,
+                                   opts_.stream_fingerprint)) {
   if (opts_.directory.empty()) {
     throw std::invalid_argument("EvalStore: empty directory");
   }
@@ -196,10 +192,14 @@ void EvalStore::open_directory() {
       }
       MappedFile file;
       file.bucket_count = 1;
+      const std::string_view name = file_name(paths[p]);
       if (p < index_files) {
-        const std::string name = fs::path(paths[p]).filename().string();
         file.is_bucket =
             parse_bucket_name(name, &file.bucket_index, &file.bucket_count);
+      } else {
+        SegmentName segment;
+        file.tagged = parse_segment_name(name, &segment);
+        file.ns = segment.ns;
       }
       next_seq_ = std::max(next_seq_, view->max_seq() + 1);
       file.view = std::move(view);
@@ -212,10 +212,11 @@ void EvalStore::open_directory() {
 std::optional<core::Evaluation> EvalStore::probe_file(
     const MappedFile& file, std::uint64_t design_hash, bool shared) const {
   if (file.is_bucket &&
-      pair_shard(opts_.eval_fingerprint, design_hash, file.bucket_count) !=
+      bucket_of(opts_.eval_fingerprint, design_hash, file.bucket_count) !=
           file.bucket_index) {
     return std::nullopt;
   }
+  ++metrics_.probes;
   const SegmentView& view = *file.view;
   for (std::size_t i = view.lower_bound(opts_.eval_fingerprint, design_hash);
        view.matches_pair(i, opts_.eval_fingerprint, design_hash); ++i) {
@@ -246,6 +247,8 @@ std::optional<core::Evaluation> EvalStore::lookup(
     return it->second.evaluation;
   }
   for (const MappedFile& file : files_) {
+    // A tagged segment holds its namespace's records only.
+    if (file.tagged && file.ns != namespace_) continue;
     if (auto hit = probe_file(file, design_hash, /*shared=*/false)) {
       ++metrics_.hits;
       return hit;
@@ -345,12 +348,11 @@ bool EvalStore::save() {
       const std::vector<std::uint8_t> bytes = serialize_segment(fresh);
       const std::uint64_t content_hash = util::fnv1a64(std::string_view(
           reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-      static std::atomic<unsigned long> segment_counter{0};
+      static std::atomic<std::uint64_t> segment_counter{0};
       const std::string path =
-          opts_.directory + "/segments/seg-" +
-          std::to_string(static_cast<long>(::getpid())) + "-" +
-          std::to_string(segment_counter.fetch_add(1)) + "-" +
-          util::hex_u64(content_hash) + ".seg";
+          opts_.directory + "/segments/" +
+          segment_name({namespace_, static_cast<std::uint64_t>(::getpid()),
+                        segment_counter.fetch_add(1), content_hash});
       publish_file(path, bytes);
       metrics_.bytes_published += bytes.size();
     } catch (const std::exception& e) {

@@ -30,8 +30,10 @@ struct Budget {
 /// On-disk layout under one `directory` shared by every study and worker
 /// process (nothing else in it is read):
 ///
-///   segments/seg-<pid>-<n>-<hash>.seg   append-only per-process segments
-///   index/bucket-<i>-of-<N>.seg         compacted index buckets
+///   segments/seg-<ns>-<pid>-<n>-<hash>.seg   append-only per-process segments
+///   index/bucket-<i>-of-<N>.seg              compacted index buckets
+///
+/// (the name grammar is in segment.h).
 ///
 /// Records are keyed by (eval_fingerprint, design_hash, stream_fingerprint)
 /// — the study fingerprint split into its evaluation-identity part (space,
@@ -46,8 +48,13 @@ struct Budget {
 /// Shared lookups consult ONLY the compacted index buckets, never live
 /// segments: buckets change only under an explicit `--store-compact`, so a
 /// run's shared-hit counters can never depend on what a concurrent process
-/// published a moment earlier. Full-key lookups consult everything — any
-/// record they can find is one this exact study wrote.
+/// published a moment earlier. Full-key lookups consult everything that can
+/// hold their key — any record they can find is one this exact study wrote:
+/// this run's inserts, the one index bucket bucket_of() names, every live
+/// segment named for this study's namespace, and every segment whose name
+/// carries no namespace. Segments named for other studies are mapped at
+/// open but never searched, which keeps a lookup's cost independent of
+/// how many other studies share the directory.
 ///
 /// Saves append one new segment with this run's fresh entries (O(new), not
 /// O(store)) and publish it via temp file + atomic rename; they never
@@ -84,22 +91,25 @@ class EvalStore {
 
   /// Lookup/byte traffic of one store session, split by namespace:
   /// full-key (this study's own stream) vs shared (cross-study bucket)
-  /// outcomes, record bytes decoded by probes, and segment bytes published
-  /// by saves. Observability only — a warm store shifts these without
-  /// changing any result.
+  /// outcomes, files binary-searched by both kinds of lookup, record bytes
+  /// decoded by probes, and segment bytes published by saves.
+  /// Observability only — a warm store shifts these without changing any
+  /// result.
   struct Metrics {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t shared_hits = 0;
     std::uint64_t shared_misses = 0;
+    std::uint64_t probes = 0;
     std::uint64_t bytes_read = 0;
     std::uint64_t bytes_published = 0;
   };
 
   explicit EvalStore(Options opts);
 
-  /// Full-key lookup: this study's own namespace, all sources (this run's
-  /// inserts, index buckets, live segments).
+  /// Full-key lookup: this study's own namespace, all sources that can
+  /// hold it (this run's inserts, index buckets, live segments not named
+  /// for another namespace).
   [[nodiscard]] std::optional<core::Evaluation> lookup(
       std::uint64_t design_hash) const;
 
@@ -156,6 +166,9 @@ class EvalStore {
     bool is_bucket = false;
     std::size_t bucket_index = 0;
     std::size_t bucket_count = 1;
+    /// A live segment named for the one namespace `ns` it holds.
+    bool tagged = false;
+    std::uint64_t ns = 0;
   };
 
   void open_directory();
@@ -164,6 +177,7 @@ class EvalStore {
   [[nodiscard]] bool over_budget_estimate() const;
 
   Options opts_;
+  std::uint64_t namespace_ = 0;  ///< segment_namespace of this study's key
   std::vector<MappedFile> files_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::uint64_t next_seq_ = 0;
@@ -179,12 +193,18 @@ struct FsckReport {
   std::size_t files = 0;        ///< segment/bucket files scanned
   std::size_t records = 0;      ///< records whose checksum verified
   std::size_t bad_files = 0;    ///< unusable files (header/size/magic)
-  std::size_t bad_records = 0;  ///< checksum or sort-order violations
+  /// Checksum or sort-order violations, and records whose file's name
+  /// places them wrongly (lookups skip files by name, so none could ever
+  /// find such a record).
+  std::size_t bad_records = 0;
   [[nodiscard]] bool clean() const { return bad_files == 0 && bad_records == 0; }
 };
 
 /// Full-scan verification of every segment and index bucket under
-/// `directory`: header integrity, per-record checksums, sort order.
+/// `directory`: header integrity, per-record checksums, sort order, and
+/// every claim a file's name makes — each record of `bucket-<i>-of-<N>.seg`
+/// in bucket <i> by bucket_of(), each record of a tagged segment in its
+/// namespace.
 /// Read-only; safe against live writers (a file that vanishes mid-scan is
 /// skipped silently, not counted as damage).
 [[nodiscard]] FsckReport fsck(const std::string& directory);
@@ -202,12 +222,14 @@ struct CompactionReport {
 /// Merges every segment and bucket under `directory` into `buckets` fresh
 /// index buckets: drops corrupt records (skip-and-count), dedupes records
 /// republished under the same full key (keeping the oldest sequence
-/// number), and enforces `budget` oldest-first. Safe with live readers and
-/// writers: new buckets are published atomically BEFORE the merged inputs
-/// are unlinked, so every record stays reachable at every instant, and a
-/// segment published concurrently with the pass simply survives to the
-/// next one. Throws std::runtime_error only when the directory itself is
-/// unusable (cannot create/publish the index).
+/// number), and enforces `budget` oldest-first. It reads every file
+/// whatever its name claims, so a record fsck finds in the wrong file
+/// lands in its own bucket. Safe with live readers and writers: new
+/// buckets are published atomically BEFORE the merged inputs are unlinked,
+/// so every record stays reachable at every instant, and a segment
+/// published concurrently with the pass simply survives to the next one.
+/// Throws std::runtime_error only when the directory itself is unusable
+/// (cannot create/publish the index).
 CompactionReport compact_store(const std::string& directory, Budget budget,
                                std::size_t buckets);
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lcda/core/evaluator.h"
@@ -27,6 +28,21 @@ namespace lcda::store {
 /// Both the per-process append segments (`segments/`) and the compacted
 /// index buckets (`index/`) use this one format; a bucket is just a segment
 /// whose record set is the bucket's partition of the whole store.
+///
+/// File names are part of the format, because readers skip files by name:
+///
+///   segments/seg-<ns>-<pid>-<n>-<hash>.seg   a live segment
+///   index/bucket-<i>-of-<N>.seg              a compacted index bucket
+///
+/// <ns> and <hash> are 16 lowercase hex digits; <pid>, <n>, <i> and <N> are
+/// decimal without leading zeros. A live segment holds the records of one
+/// (evaluation, stream) namespace, and <ns> is segment_namespace() of it, so
+/// a full-key lookup skips every segment named for another namespace. A
+/// bucket holds exactly the records bucket_of() places in bucket <i> of <N>,
+/// so a lookup skips every bucket but its key's. Any other name (an older
+/// store's `seg-<pid>-<n>-<hash>.seg`, a hand-copied file) claims nothing
+/// and is probed by every lookup. The formatters below write every name,
+/// and each parser accepts exactly the names its formatter writes.
 inline constexpr char kSegmentMagic[8] = {'L', 'C', 'D', 'A',
                                           'S', 'T', 'R', '2'};
 inline constexpr std::size_t kHeaderSize = 32;
@@ -124,11 +140,43 @@ class SegmentView {
 [[nodiscard]] std::vector<std::string> list_segment_files(
     const std::string& directory);
 
-/// Parses an index bucket filename "bucket-<i>-of-<N>.seg" into its shard
-/// coordinates. Returns false for any other name (the file is then probed
-/// unconditionally, which is always safe).
-[[nodiscard]] bool parse_bucket_name(const std::string& filename,
+/// Namespace tag of a live segment holding the records of one (evaluation,
+/// stream) fingerprint pair.
+[[nodiscard]] std::uint64_t segment_namespace(std::uint64_t eval_fp,
+                                              std::uint64_t stream_fp);
+
+/// The fields of a live segment's name: its namespace tag, the writing
+/// process, that process's segment counter and the file's content hash.
+struct SegmentName {
+  std::uint64_t ns = 0;
+  std::uint64_t pid = 0;
+  std::uint64_t n = 0;
+  std::uint64_t hash = 0;
+};
+
+/// "seg-<ns>-<pid>-<n>-<hash>.seg".
+[[nodiscard]] std::string segment_name(const SegmentName& name);
+
+/// Parses a filename that segment_name() writes; false for any other name,
+/// the older untagged "seg-<pid>-<n>-<hash>.seg" included. Never allocates.
+[[nodiscard]] bool parse_segment_name(std::string_view filename,
+                                      SegmentName* name);
+
+/// Index bucket of the (eval_fp, design_hash) pair among `buckets` (> 0).
+[[nodiscard]] std::size_t bucket_of(std::uint64_t eval_fp,
+                                    std::uint64_t design_hash,
+                                    std::size_t buckets);
+
+/// "bucket-<index>-of-<count>.seg".
+[[nodiscard]] std::string bucket_name(std::size_t index, std::size_t count);
+
+/// Parses a filename that bucket_name() writes (index < count) into its
+/// shard coordinates; false for any other name. Never allocates.
+[[nodiscard]] bool parse_bucket_name(std::string_view filename,
                                      std::size_t* index, std::size_t* count);
+
+/// The last component of `path` ("a/b/c.seg" -> "c.seg"), as a view into it.
+[[nodiscard]] std::string_view file_name(std::string_view path);
 
 /// Publishes `bytes` as `path` through a uniquely named temp file in the
 /// same directory and an atomic rename (concurrent writers can never tear

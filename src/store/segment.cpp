@@ -3,16 +3,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
 #include "lcda/util/rng.h"
+#include "lcda/util/strings.h"
 
 namespace lcda::store {
 
@@ -229,19 +232,112 @@ std::vector<std::string> list_segment_files(const std::string& directory) {
   return paths;
 }
 
-bool parse_bucket_name(const std::string& filename, std::size_t* index,
-                       std::size_t* count) {
-  unsigned long i = 0, n = 0;
-  int consumed = 0;
-  if (std::sscanf(filename.c_str(), "bucket-%lu-of-%lu.seg%n", &i, &n,
-                  &consumed) != 2 ||
-      static_cast<std::size_t>(consumed) != filename.size() || n == 0 ||
-      i >= n) {
+namespace {
+
+bool take(std::string_view& s, std::string_view literal) {
+  if (!s.starts_with(literal)) return false;
+  s.remove_prefix(literal.size());
+  return true;
+}
+
+/// A decimal number as std::to_string writes one: digits only, no leading
+/// zero unless the number is 0, no overflow.
+bool take_decimal(std::string_view& s, std::uint64_t* value) {
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  const auto len = static_cast<std::size_t>(end - s.data());
+  if (ec != std::errc() || (len > 1 && s[0] == '0')) return false;
+  s.remove_prefix(len);
+  *value = v;
+  return true;
+}
+
+/// Value of each lowercase hex digit; 16 for every other byte.
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(16);
+  for (int d = 0; d < 10; ++d) table['0' + d] = static_cast<std::uint8_t>(d);
+  for (int d = 0; d < 6; ++d) table['a' + d] = static_cast<std::uint8_t>(10 + d);
+  return table;
+}();
+
+/// Exactly 16 lowercase hex digits, as util::hex_u64 writes them. Decoded
+/// without a branch per digit: a store open parses every live segment's
+/// name, and a branch on each digit of a hash mispredicts about half the
+/// time.
+bool take_hex16(std::string_view& s, std::uint64_t* value) {
+  if (s.size() < 16) return false;
+  std::uint64_t v = 0;
+  std::uint8_t seen = 0;
+  for (std::size_t i = 0; i < 16; ++i) {
+    const std::uint8_t digit = kHexValue[static_cast<unsigned char>(s[i])];
+    seen |= digit;
+    v = v << 4 | (digit & 15u);
+  }
+  if (seen & 16u) return false;
+  s.remove_prefix(16);
+  *value = v;
+  return true;
+}
+
+}  // namespace
+
+std::uint64_t segment_namespace(std::uint64_t eval_fp,
+                                std::uint64_t stream_fp) {
+  return util::hash_combine(eval_fp, stream_fp);
+}
+
+std::string segment_name(const SegmentName& name) {
+  return "seg-" + util::hex_u64(name.ns) + "-" + std::to_string(name.pid) +
+         "-" + std::to_string(name.n) + "-" + util::hex_u64(name.hash) +
+         ".seg";
+}
+
+bool parse_segment_name(std::string_view filename, SegmentName* name) {
+  SegmentName parsed;
+  if (!take(filename, "seg-") || !take_hex16(filename, &parsed.ns) ||
+      !take(filename, "-") || !take_decimal(filename, &parsed.pid) ||
+      !take(filename, "-") || !take_decimal(filename, &parsed.n) ||
+      !take(filename, "-") || !take_hex16(filename, &parsed.hash) ||
+      filename != ".seg") {
     return false;
   }
-  *index = i;
-  *count = n;
+  *name = parsed;
   return true;
+}
+
+std::size_t bucket_of(std::uint64_t eval_fp, std::uint64_t design_hash,
+                      std::size_t buckets) {
+  return static_cast<std::size_t>(util::hash_combine(eval_fp, design_hash) %
+                                  static_cast<std::uint64_t>(buckets));
+}
+
+std::string bucket_name(std::size_t index, std::size_t count) {
+  return "bucket-" + std::to_string(index) + "-of-" + std::to_string(count) +
+         ".seg";
+}
+
+bool parse_bucket_name(std::string_view filename, std::size_t* index,
+                       std::size_t* count) {
+  std::uint64_t i = 0, n = 0;
+  if (!take(filename, "bucket-") || !take_decimal(filename, &i) ||
+      !take(filename, "-of-") || !take_decimal(filename, &n) ||
+      filename != ".seg" || i >= n ||
+      n > std::numeric_limits<std::size_t>::max()) {
+    return false;
+  }
+  *index = static_cast<std::size_t>(i);
+  *count = static_cast<std::size_t>(n);
+  return true;
+}
+
+std::string_view file_name(std::string_view path) {
+  // memrchr, not string_view::rfind: a store open runs this once per file,
+  // and the byte-at-a-time loop cost as much as parsing the name.
+  const void* slash = ::memrchr(path.data(), '/', path.size());
+  return slash == nullptr
+             ? path
+             : path.substr(static_cast<const char*>(slash) - path.data() + 1);
 }
 
 void publish_file(const std::string& path,

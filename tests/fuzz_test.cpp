@@ -4,9 +4,10 @@
 // an uncontrolled LLM in production — or, for the worker pipe protocol, a
 // worker process that may die mid-line. The checkpoint round log, the one
 // binary decoder a crash leaves half-written, is fuzzed here too, as are
-// the evaluation store's segment and bucket files, the shard spec and
-// result manifest documents the distributed runner reads back from disk,
-// the JSON parser they all go through, and the LCDA_FAULT grammar.
+// the evaluation store's segment and bucket files and their names, the
+// shard spec and result manifest documents the distributed runner reads
+// back from disk, the JSON parser they all go through, and the LCDA_FAULT
+// grammar.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -1142,6 +1143,99 @@ TEST_P(StoreSegmentFuzz, DamageIsCountedAndNothingWrongIsServed) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreSegmentFuzz, ::testing::Values(71, 72, 73));
+
+/// A field value for a store file name: small, at a digit-count edge (a
+/// power of ten or one less), at the top of the range, or any 64-bit value.
+std::uint64_t name_field(util::Rng& rng) {
+  switch (rng.index(4)) {
+    case 0: return rng.index(20);
+    case 1: {
+      std::uint64_t power = 1;
+      for (std::size_t k = rng.index(20); k > 0; --k) power *= 10;
+      return power - rng.index(2);
+    }
+    case 2: return ~std::uint64_t{0} - rng.index(2);
+    default: return rng.next_u64();
+  }
+}
+
+/// One seeded edit of a store file name: a byte replaced, deleted, inserted
+/// or duplicated, drawn from what names are made of and a few near misses.
+std::string mutate_name(util::Rng& rng, std::string name) {
+  static const char alphabet[] = "0123456789abcdefABCDEFx-+ ./segbuckto";
+  const char c = alphabet[rng.index(sizeof(alphabet) - 1)];
+  const std::size_t at = rng.index(name.size() + 1);
+  switch (rng.index(4)) {
+    case 0:
+      if (at < name.size()) name[at] = c;
+      break;
+    case 1:
+      if (at < name.size()) name.erase(at, 1);
+      break;
+    case 2:
+      name.insert(at, 1, c);
+      break;
+    default:
+      if (at < name.size()) name.insert(at, 1, name[at]);
+      break;
+  }
+  return name;
+}
+
+/// Both name parsers on `name`: whatever parses formats back to `name`.
+void expect_parse_formats_back(const std::string& name) {
+  store::SegmentName segment;
+  if (store::parse_segment_name(name, &segment)) {
+    EXPECT_EQ(store::segment_name(segment), name);
+  }
+  std::size_t index = 0, count = 0;
+  if (store::parse_bucket_name(name, &index, &count)) {
+    EXPECT_LT(index, count) << name;
+    EXPECT_EQ(store::bucket_name(index, count), name);
+  }
+}
+
+class StoreNameFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StoreNameFuzz, ParsersAcceptExactlyWhatTheFormattersWrite) {
+  util::Rng rng(GetParam());
+  for (int i = 0; i < 3000; ++i) {
+    const store::SegmentName fields{name_field(rng), name_field(rng),
+                                    name_field(rng), name_field(rng)};
+    const std::string segment = store::segment_name(fields);
+    store::SegmentName back;
+    ASSERT_TRUE(store::parse_segment_name(segment, &back)) << segment;
+    EXPECT_EQ(store::segment_name(back), segment);
+
+    const std::size_t count = static_cast<std::size_t>(
+        std::max<std::uint64_t>(name_field(rng), 1));
+    const std::size_t index = static_cast<std::size_t>(name_field(rng) % count);
+    const std::string bucket = store::bucket_name(index, count);
+    std::size_t index_back = 0, count_back = 0;
+    ASSERT_TRUE(store::parse_bucket_name(bucket, &index_back, &count_back))
+        << bucket;
+    EXPECT_EQ(index_back, index);
+    EXPECT_EQ(count_back, count);
+
+    // An untagged name, as older stores wrote them, never claims a
+    // namespace.
+    const std::string legacy = "seg-" + std::to_string(fields.pid) + "-" +
+                               std::to_string(fields.n) + "-" +
+                               util::hex_u64(fields.hash) + ".seg";
+    EXPECT_FALSE(store::parse_segment_name(legacy, &back)) << legacy;
+
+    std::string mutant = rng.chance(0.5) ? segment : bucket;
+    for (std::size_t k = rng.index(4) + 1; k > 0; --k) {
+      mutant = mutate_name(rng, std::move(mutant));
+    }
+    expect_parse_formats_back(mutant);
+    expect_parse_formats_back(mutate_name(rng, legacy));
+    expect_parse_formats_back(
+        random_bytes(rng, static_cast<int>(rng.uniform_int(0, 48))));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreNameFuzz, ::testing::Values(81, 82, 83));
 
 // ------------------------------------------- shard specs and result manifests
 

@@ -19,6 +19,7 @@
 #include "lcda/store/segment.h"
 #include "lcda/util/bytes.h"
 #include "lcda/util/rng.h"
+#include "lcda/util/strings.h"
 
 #include "temp_dir.h"
 
@@ -150,6 +151,44 @@ TEST(Segment, BucketNamesParseBackToShardCoordinates) {
   EXPECT_FALSE(store::parse_bucket_name("seg-123-0-abc.seg", &index, &count));
   EXPECT_FALSE(store::parse_bucket_name("bucket-3-of-.seg", &index, &count));
   EXPECT_FALSE(store::parse_bucket_name("bucket-3-of-16.seg.tmp", &index, &count));
+}
+
+TEST(Segment, BucketNamesParseOnlyAsTheFormatterWritesThem) {
+  // Lookups skip a bucket by its name, so a name the formatter never
+  // writes must claim nothing: it is then probed by every lookup.
+  std::size_t index = 99, count = 0;
+  EXPECT_EQ(store::bucket_name(3, 16), "bucket-3-of-16.seg");
+  EXPECT_TRUE(store::parse_bucket_name("bucket-0-of-1.seg", &index, &count));
+  for (const char* name :
+       {"bucket-03-of-16.seg", "bucket-+3-of-16.seg", "bucket- 3-of-16.seg",
+        "bucket-3-of-016.seg", "bucket-3-of-3.seg", "bucket-0-of-0.seg",
+        "bucket-3-of-18446744073709551616.seg"}) {
+    EXPECT_FALSE(store::parse_bucket_name(name, &index, &count)) << name;
+  }
+}
+
+TEST(Segment, SegmentNamesCarryTheirNamespaceAndRoundTrip) {
+  const store::SegmentName fields{store::segment_namespace(0x11, 0x22), 4321,
+                                  7, 0x00ff00ff00ff00ffULL};
+  const std::string name = store::segment_name(fields);
+  EXPECT_EQ(name, "seg-" + util::hex_u64(fields.ns) +
+                      "-4321-7-00ff00ff00ff00ff.seg");
+  store::SegmentName back;
+  ASSERT_TRUE(store::parse_segment_name(name, &back));
+  EXPECT_EQ(back.ns, fields.ns);
+  EXPECT_EQ(back.pid, 4321u);
+  EXPECT_EQ(back.n, 7u);
+  EXPECT_EQ(back.hash, fields.hash);
+  EXPECT_EQ(store::file_name("dir/segments/" + name), name);
+  // The untagged names of older stores and hand-copied files claim no
+  // namespace.
+  for (const char* untagged :
+       {"seg-123-0-00ff00ff00ff00ff.seg", "seg-999-0-copy.seg",
+        "seg-00ff00ff00ff00FF-1-0-00ff00ff00ff00ff.seg",
+        "seg-00ff00ff00ff00ff-01-0-00ff00ff00ff00ff.seg",
+        "seg-00ff00ff00ff00ff-1-0-00ff00ff00ff00ff.seg.tmp.1.0"}) {
+    EXPECT_FALSE(store::parse_segment_name(untagged, &back)) << untagged;
+  }
 }
 
 // --------------------------------------------------------- basic store
@@ -488,6 +527,7 @@ TEST(EvalStore, MetricsCountLookupsAndBytes) {
   const store::EvalStore::Metrics& m = reader.metrics();
   EXPECT_EQ(m.hits, 2u);
   EXPECT_EQ(m.misses, 1u);
+  EXPECT_EQ(m.probes, 2u);  // the segment, once per disk lookup
   EXPECT_GE(m.bytes_read, store::kRecordSize);  // disk probes, hit or miss
   EXPECT_EQ(m.bytes_published, 0u);             // this instance saved nothing
 
@@ -501,6 +541,109 @@ TEST(EvalStore, MetricsCountLookupsAndBytes) {
   ASSERT_TRUE(warm.lookup_shared(5).has_value());
   EXPECT_EQ(warm.metrics().shared_hits, 1u);
   EXPECT_EQ(warm.metrics().shared_misses, 0u);
+  EXPECT_EQ(warm.metrics().probes, 1u);  // the key's bucket of four
+}
+
+TEST(EvalStore, FullKeyLookupProbesOnlyItsNamespace) {
+  const std::string dir = temp_dir("namespace_skip");
+  {
+    store::EvalStore b(opts(dir, 0x11, /*stream=*/0xB));
+    b.insert(5, make_eval(5));
+    EXPECT_TRUE(b.save());
+  }
+  const std::string segment = segment_files(dir).at(0);
+  store::SegmentName name;
+  ASSERT_TRUE(store::parse_segment_name(store::file_name(segment), &name));
+  EXPECT_EQ(name.ns, store::segment_namespace(0x11, 0xB));
+
+  // Stream C looks up the design B's segment holds: the segment is named
+  // for B's namespace, so C never searches it.
+  {
+    store::EvalStore c(opts(dir, 0x11, /*stream=*/0xC));
+    EXPECT_FALSE(c.lookup(5).has_value());
+    EXPECT_EQ(c.metrics().misses, 1u);
+    EXPECT_EQ(c.metrics().probes, 0u);
+    EXPECT_EQ(c.metrics().bytes_read, 0u);
+  }
+  {
+    store::EvalStore b(opts(dir, 0x11, 0xB));
+    ASSERT_TRUE(b.lookup(5).has_value());
+    EXPECT_EQ(b.metrics().probes, 1u);
+  }
+
+  // A copy under an untagged name claims no namespace: every lookup
+  // searches it, and B still hits.
+  fs::copy_file(segment, dir + "/segments/seg-999-0-copy.seg");
+  {
+    store::EvalStore c(opts(dir, 0x11, 0xC));
+    EXPECT_FALSE(c.lookup(5).has_value());
+    EXPECT_EQ(c.metrics().probes, 1u);
+    EXPECT_EQ(c.metrics().bytes_read, store::kRecordSize);
+  }
+  store::EvalStore b(opts(dir, 0x11, 0xB));
+  const auto hit = b.lookup(5);
+  ASSERT_TRUE(hit.has_value());
+  expect_same_eval(*hit, make_eval(5));
+}
+
+TEST(EvalStore, FsckFlagsARecordItsBucketNameMisplacesAndCompactionMovesIt) {
+  const std::string dir = temp_dir("misplaced_bucket");
+  constexpr std::size_t kBuckets = 4;
+  store::StoreRecord record;
+  record.eval_fingerprint = 0x11;
+  record.design_hash = 5;
+  record.stream_fingerprint = 0x22;
+  record.evaluation = make_eval(5);
+  const std::size_t home = store::bucket_of(0x11, 5, kBuckets);
+  fs::create_directories(dir + "/index");
+  store::publish_file(
+      dir + "/index/" + store::bucket_name((home + 1) % kBuckets, kBuckets),
+      store::serialize_segment({record}));
+
+  // A lookup skips the bucket by its name, so the record is lost to it.
+  store::EvalStore before(opts(dir));
+  EXPECT_FALSE(before.lookup(5).has_value());
+  const store::FsckReport report = store::fsck(dir);
+  EXPECT_EQ(report.records, 1u);
+  EXPECT_EQ(report.bad_records, 1u);
+  EXPECT_FALSE(report.clean());
+
+  (void)store::compact_store(dir, {}, kBuckets);
+  EXPECT_TRUE(store::fsck(dir).clean());
+  store::EvalStore after(opts(dir));
+  const auto hit = after.lookup(5);
+  ASSERT_TRUE(hit.has_value());
+  expect_same_eval(*hit, make_eval(5));
+}
+
+TEST(EvalStore, FsckFlagsRecordsOutsideTheirSegmentsNamespaceAndCompactionMovesThem) {
+  const std::string dir = temp_dir("foreign_segment");
+  {
+    store::EvalStore b(opts(dir, 0x11, 0xB));
+    b.insert(5, make_eval(5));
+    b.insert(6, make_eval(6));
+    EXPECT_TRUE(b.save());
+  }
+  EXPECT_TRUE(store::fsck(dir).clean());
+  // Rename B's segment as if it held stream C's records.
+  const std::string segment = segment_files(dir).at(0);
+  store::SegmentName name;
+  ASSERT_TRUE(store::parse_segment_name(store::file_name(segment), &name));
+  name.ns = store::segment_namespace(0x11, 0xC);
+  fs::rename(segment, dir + "/segments/" + store::segment_name(name));
+
+  store::EvalStore lost(opts(dir, 0x11, 0xB));
+  EXPECT_FALSE(lost.lookup(5).has_value());
+  EXPECT_EQ(lost.metrics().probes, 0u);
+  const store::FsckReport report = store::fsck(dir);
+  EXPECT_EQ(report.records, 2u);
+  EXPECT_EQ(report.bad_records, 2u);
+
+  (void)store::compact_store(dir, {}, 4);
+  EXPECT_TRUE(store::fsck(dir).clean());
+  store::EvalStore found(opts(dir, 0x11, 0xB));
+  EXPECT_TRUE(found.lookup(5).has_value());
+  EXPECT_TRUE(found.lookup(6).has_value());
 }
 
 // ------------------------------------------------- multi-process hammer
