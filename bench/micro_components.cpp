@@ -33,18 +33,17 @@ const core::ExperimentConfig& paper_config() {
   return cfg;
 }
 
-// The engine's per-rollout cost pass exactly as the evaluator runs it:
-// phase one (CostPlan) and the flattened layer span are memoized, the pass
-// writes into a reused report. Before the two-phase split this measured
-// CostEvaluator::evaluate over memoized shapes — the same semantic point
-// of the pipeline (BENCH_engine.json tracks it as cost_evaluator_ns).
+// The engine's per-rollout cost pass as the evaluator runs it: phase one
+// (CostPlan) is memoized, the pass reads the layer shapes and writes into
+// a reused report. Building the shapes is left out, so cost_evaluator_ns
+// in BENCH_engine.json stays comparable across its entries.
 void BM_CostEvaluator(benchmark::State& state) {
   const cim::CostEvaluator eval{cim::HardwareConfig{}, paper_config().evaluator.cost};
-  const cim::LayerShapeSpan span = cim::LayerShapeSpan::from(
-      nn::backbone_shapes(kRollout, paper_config().evaluator.backbone));
+  const std::vector<nn::LayerShape> shapes =
+      nn::backbone_shapes(kRollout, paper_config().evaluator.backbone);
   cim::CostReport report;
   for (auto _ : state) {
-    eval.evaluate_span(span, report);
+    eval.evaluate_span(shapes, report);
     benchmark::DoNotOptimize(report);
   }
 }
@@ -82,15 +81,14 @@ BENCHMARK(BM_FullSurrogateEvaluation);
 
 // One engine round through the batch contract: distinct designs, each with
 // its own pre-forked RNG stream, costed in one evaluate_batch pass — the
-// work a pool worker does per chunk wakeup.
+// work a pool worker does per chunk wakeup. Every iteration draws a fresh
+// batch, untimed, as a search proposes new designs each round.
 void BM_EvaluateBatch(benchmark::State& state) {
   core::SurrogateEvaluator eval(paper_config().evaluator);
   const search::SearchSpace space{paper_config().space};
   util::Rng design_rng(11);
   const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<search::Design> designs;
-  designs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) designs.push_back(space.sample(design_rng));
+  std::vector<search::Design> designs(n);
   std::vector<util::Rng> rngs(n, util::Rng(0));
   std::vector<core::Evaluation> evals(n);
   std::vector<core::EvalRequest> requests(n);
@@ -98,6 +96,7 @@ void BM_EvaluateBatch(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     for (std::size_t i = 0; i < n; ++i) {
+      designs[i] = space.sample(design_rng);
       rngs[i] = stream.fork();
       requests[i] = core::EvalRequest{&designs[i], &rngs[i], &evals[i]};
     }

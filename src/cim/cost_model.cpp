@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "lcda/cim/noc.h"
 
@@ -29,24 +30,19 @@ void CostReport::reset() {
   mapping.total_arrays = 0;
 }
 
-LayerShapeSpan LayerShapeSpan::from(const std::vector<nn::LayerShape>& shapes) {
-  LayerShapeSpan span;
-  span.rows.reserve(shapes.size());
-  span.cols.reserve(shapes.size());
-  span.pixels.reserve(shapes.size());
-  span.fc.reserve(shapes.size());
-  for (const nn::LayerShape& shape : shapes) {
-    span.rows.push_back(shape.weight_rows());
-    span.cols.push_back(shape.weight_cols());
-    span.pixels.push_back(
-        shape.is_fc ? 1 : static_cast<long long>(shape.out_hw) * shape.out_hw);
-    span.fc.push_back(shape.is_fc ? 1 : 0);
+void CostModelOptions::check() const {
+  // The tile count divides by arrays_per_tile, and negative sizes would
+  // report negative tiles, area and leakage.
+  if (arrays_per_tile < 1 || buffer_kb_per_tile < 0) {
+    throw std::invalid_argument(
+        arrays_per_tile < 1 ? "cost.arrays_per_tile must be at least 1"
+                            : "cost.buffer_kb_per_tile must not be negative");
   }
-  return span;
 }
 
 CostEvaluator::CostEvaluator(const HardwareConfig& hw, CostModelOptions opts)
     : hw_(hw), opts_(opts), circuits_(make_circuits(hw)), noc_(make_noc()) {
+  opts_.check();
   opts_.mapper.input_bits = hw.input_bits;
 
   // Phase one: fold every hardware-only term once. Each value is computed
@@ -97,14 +93,14 @@ CostReport CostEvaluator::evaluate(const std::vector<nn::ConvSpec>& rollout,
 
 CostReport CostEvaluator::evaluate(const std::vector<nn::LayerShape>& shapes) const {
   CostReport report;
-  run_pass(LayerShapeSpan::from(shapes), report, /*detail=*/true);
+  run_pass(shapes, report, /*detail=*/true);
   return report;
 }
 
-void CostEvaluator::evaluate_span(const LayerShapeSpan& span,
+void CostEvaluator::evaluate_span(std::span<const nn::LayerShape> shapes,
                                   CostReport& out) const {
   out.reset();
-  run_pass(span, out, /*detail=*/false);
+  run_pass(shapes, out, /*detail=*/false);
 }
 
 namespace {
@@ -135,13 +131,18 @@ struct LayerPass {
 
 constexpr std::size_t kStackLayers = 48;
 
+/// Output pixels per inference (1 for an FC layer).
+long long output_pixels(const nn::LayerShape& shape) {
+  return shape.is_fc ? 1 : static_cast<long long>(shape.out_hw) * shape.out_hw;
+}
+
 }  // namespace
 
-void CostEvaluator::run_pass(const LayerShapeSpan& span, CostReport& report,
-                             bool detail) const {
+void CostEvaluator::run_pass(std::span<const nn::LayerShape> shapes,
+                             CostReport& report, bool detail) const {
   // map_network() rejects empty networks; the fused pass keeps the contract.
-  if (span.empty()) throw std::invalid_argument("map_network: no layers");
-  const std::size_t layer_count = span.size();
+  if (shapes.empty()) throw std::invalid_argument("map_network: no layers");
+  const std::size_t layer_count = shapes.size();
 
   std::array<LayerPass, kStackLayers> stack_scratch;
   std::vector<LayerPass> heap_scratch;
@@ -158,12 +159,12 @@ void CostEvaluator::run_pass(const LayerShapeSpan& span, CostReport& report,
   const int n_shift = std::countr_zero(static_cast<unsigned>(n));
   for (std::size_t i = 0; i < layer_count; ++i) {
     LayerPass& lp = pass[i];
-    lp.rows_needed = span.rows[i];
-    lp.cols_needed = span.cols[i] * plan_.cells_per_weight;
+    lp.rows_needed = shapes[i].weight_rows();
+    lp.cols_needed = shapes[i].weight_cols() * plan_.cells_per_weight;
     lp.row_tiles = static_cast<int>((lp.rows_needed + n - 1) >> n_shift);
     lp.col_tiles = static_cast<int>((lp.cols_needed + n - 1) >> n_shift);
     lp.replication = 1;
-    lp.reads_per_inference = span.pixels[i] * plan_.input_bits;
+    lp.reads_per_inference = output_pixels(shapes[i]) * plan_.input_bits;
     lp.seq_reads = lp.reads_per_inference;  // sequential_reads() at repl 1
     lp.rows_in_fullest_tile =
         static_cast<int>(std::min<long long>(lp.rows_needed, n));
@@ -212,7 +213,7 @@ void CostEvaluator::run_pass(const LayerShapeSpan& span, CostReport& report,
       const LayerPass& lp = pass[i];
       LayerMapping lm;
       lm.layer_index = static_cast<int>(i);
-      lm.is_fc = span.fc[i] != 0;
+      lm.is_fc = shapes[i].is_fc;
       lm.rows_needed = lp.rows_needed;
       lm.cols_needed = lp.cols_needed;
       lm.row_tiles = lp.row_tiles;
@@ -263,7 +264,8 @@ void CostEvaluator::run_pass(const LayerShapeSpan& span, CostReport& report,
 
     // Output-side digital work and buffering (write this layer's
     // activations, read them back for the next layer).
-    const double outputs = static_cast<double>(span.pixels[i]) * span.cols[i];
+    const double outputs =
+        static_cast<double>(output_pixels(shapes[i])) * shapes[i].weight_cols();
     const double bytes = outputs;  // 8-bit activations
     const double e_digital = outputs * plan_.digital_energy_per_output_pj;
     const double e_buffer = 2.0 * bytes * plan_.buffer_energy_per_byte_pj;
@@ -324,7 +326,8 @@ void CostEvaluator::run_pass(const LayerShapeSpan& span, CostReport& report,
 
   // --- one-time programming cost --------------------------------------
   for (std::size_t i = 0; i < layer_count; ++i) {
-    report.total_weights += span.rows[i] * span.cols[i] * pass[i].replication;
+    report.total_weights +=
+        shapes[i].weight_rows() * shapes[i].weight_cols() * pass[i].replication;
   }
   report.total_cells = report.total_weights * plan_.cells_per_weight;
   report.programming_energy_pj =

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,31 +92,17 @@ struct CostModelOptions {
   /// Activation buffer per tile, KB.
   int buffer_kb_per_tile = 64;
   MapperOptions mapper;
-};
 
-/// Flattened structure-of-arrays view of a backbone's layer geometry — the
-/// per-rollout input of the cost model's second phase. Only the three
-/// quantities the fused mapping+cost pass actually consumes survive the
-/// flattening; everything else in nn::LayerShape is derived from them.
-/// Hardware-independent, so SurrogateEvaluator memoizes one span per rollout
-/// and reuses it across every hardware config the search visits.
-struct LayerShapeSpan {
-  std::vector<long long> rows;    ///< unrolled weight rows, K*K*Cin
-  std::vector<long long> cols;    ///< output channels (cols before cell split)
-  std::vector<long long> pixels;  ///< output pixels per inference (1 for FC)
-  std::vector<unsigned char> fc;  ///< FC flag (mapping detail bookkeeping)
-
-  [[nodiscard]] std::size_t size() const { return rows.size(); }
-  [[nodiscard]] bool empty() const { return rows.empty(); }
-
-  [[nodiscard]] static LayerShapeSpan from(
-      const std::vector<nn::LayerShape>& shapes);
+  /// Throws std::invalid_argument unless a tile holds at least one array
+  /// and its buffer is not negative.
+  void check() const;
 };
 
 /// Phase one of the two-phase cost model: every term of the chip cost that
 /// does not depend on the network being mapped, folded once per
 /// HardwareConfig at CostEvaluator construction. The per-rollout pass then
-/// touches only these scalars plus the LayerShapeSpan arrays.
+/// reads only these scalars and each layer's weight rows, weight columns
+/// and output pixel count.
 ///
 /// Precomputed values are produced by exactly the expressions the
 /// historical per-evaluation code used, so phase two reproduces the old
@@ -160,11 +147,11 @@ struct CostPlan {
 
 /// Evaluates ISAAC-style chip costs for a network on a hardware config.
 ///
-/// Construction validates the config (throws std::invalid_argument) and
-/// folds the hardware-only cost terms into a CostPlan; evaluation is then a
-/// single fused mapping+cost pass per rollout. evaluate() never throws for
-/// well-formed shapes: an over-budget chip comes back with valid = false,
-/// which the framework maps to reward -1.
+/// Construction validates the config and options (throws
+/// std::invalid_argument) and folds the hardware-only cost terms into a
+/// CostPlan; evaluation is then a single fused mapping+cost pass per
+/// rollout. evaluate() never throws for well-formed shapes: an over-budget
+/// chip comes back with valid = false, which the framework maps to reward -1.
 ///
 /// Thread-safe after construction: evaluation only reads the plan.
 class CostEvaluator {
@@ -178,17 +165,18 @@ class CostEvaluator {
                                     const nn::BackboneOptions& backbone) const;
 
   /// The engine's hot path (phase two): whole-chip totals written into
-  /// `out`, reusing its buffers — zero allocations for a valid design.
-  /// `out.layers` / `out.mapping` are left empty; every scalar field is
-  /// bit-identical to the detailed evaluate() overloads.
-  void evaluate_span(const LayerShapeSpan& span, CostReport& out) const;
+  /// `out`, reusing its buffers — zero allocations for a valid design of
+  /// up to 48 layers. `out.layers` / `out.mapping` are left empty; every
+  /// scalar field is bit-identical to the detailed evaluate() overloads.
+  void evaluate_span(std::span<const nn::LayerShape> shapes,
+                     CostReport& out) const;
 
   [[nodiscard]] const HardwareConfig& config() const { return hw_; }
   [[nodiscard]] const CircuitLibrary& circuits() const { return circuits_; }
   [[nodiscard]] const CostPlan& plan() const { return plan_; }
 
  private:
-  void run_pass(const LayerShapeSpan& span, CostReport& report,
+  void run_pass(std::span<const nn::LayerShape> shapes, CostReport& report,
                 bool detail) const;
 
   HardwareConfig hw_;

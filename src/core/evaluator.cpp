@@ -45,6 +45,7 @@ SurrogateEvaluator::SurrogateEvaluator(Options opts)
     throw std::invalid_argument(
         "SurrogateEvaluator: monte_carlo_samples must be positive");
   }
+  opts_.cost.check();  // its CostEvaluators are built during the first episode
 }
 
 std::shared_ptr<const cim::CostEvaluator> SurrogateEvaluator::cost_evaluator_for(
@@ -57,20 +58,15 @@ std::shared_ptr<const cim::CostEvaluator> SurrogateEvaluator::cost_evaluator_for
   });
 }
 
-std::shared_ptr<const cim::LayerShapeSpan> SurrogateEvaluator::span_for(
-    const std::vector<nn::ConvSpec>& rollout) {
-  return span_memo_.get_or_build(nn::rollout_hash(rollout, 0x5ca1ab1eULL), [&] {
-    return std::make_shared<const cim::LayerShapeSpan>(cim::LayerShapeSpan::from(
-        nn::backbone_shapes(rollout, opts_.backbone)));
-  });
-}
-
 void SurrogateEvaluator::evaluate_into(const search::Design& design,
                                        util::Rng& rng, Evaluation& out) {
   const std::shared_ptr<const cim::CostEvaluator> cost_eval =
       cost_evaluator_for(design.hw);
-  const std::shared_ptr<const cim::LayerShapeSpan> span = span_for(design.rollout);
-  cost_eval->evaluate_span(*span, out.cost);
+  // Rebuilt per evaluation (searches rarely revisit a rollout) into this
+  // thread's vector, which keeps its capacity: nothing is allocated.
+  thread_local std::vector<nn::LayerShape> shapes;
+  nn::backbone_shapes_into(design.rollout, opts_.backbone, shapes);
+  cost_eval->evaluate_span(shapes, out.cost);
 
   // Scenarios with selective write-verify deploy at a reduced effective
   // sigma and pay for it in one-time programming energy (the verified
@@ -152,6 +148,7 @@ void SurrogateEvaluator::evaluate_batch(std::span<EvalRequest> batch) {
 
 TrainedEvaluator::TrainedEvaluator(Options opts)
     : opts_(opts), data_(data::make_synthetic_cifar(opts.dataset)) {
+  opts_.cost.check();  // its CostEvaluators are built during the first episode
   // Backbone geometry must match the generated dataset.
   opts_.backbone.input_size = opts_.dataset.image_size;
   opts_.backbone.num_classes = opts_.dataset.num_classes;

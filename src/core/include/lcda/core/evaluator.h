@@ -128,9 +128,10 @@ class PerformanceEvaluator {
 /// Thread-safe: evaluate()/evaluate_batch() may be called concurrently from
 /// pool workers (the co-design loop does, and run_aggregate shares one
 /// instance across every seed's run). The two-phase cost model keeps the
-/// hot path allocation-free: per-hardware CostPlans and per-rollout
-/// LayerShapeSpans come from hash-striped content-keyed caches, and the
-/// per-rollout pass writes straight into the caller's Evaluation.
+/// hot path allocation-free: per-hardware CostPlans come from a
+/// hash-striped content-keyed cache, each rollout's layer shapes are
+/// rebuilt in a per-thread reused vector, and the per-rollout pass writes
+/// straight into the caller's Evaluation.
 class SurrogateEvaluator final : public PerformanceEvaluator {
  public:
   struct Options {
@@ -155,7 +156,7 @@ class SurrogateEvaluator final : public PerformanceEvaluator {
 
   SurrogateEvaluator() : SurrogateEvaluator(Options{}) {}
   /// Throws std::invalid_argument when monte_carlo_samples is not
-  /// positive.
+  /// positive or cost.check() fails.
   explicit SurrogateEvaluator(Options opts);
 
   [[nodiscard]] Evaluation evaluate(const search::Design& design,
@@ -175,24 +176,18 @@ class SurrogateEvaluator final : public PerformanceEvaluator {
                        util::Rng& rng, Evaluation& out) const;
   [[nodiscard]] std::shared_ptr<const cim::CostEvaluator> cost_evaluator_for(
       const cim::HardwareConfig& hw);
-  [[nodiscard]] std::shared_ptr<const cim::LayerShapeSpan> span_for(
-      const std::vector<nn::ConvSpec>& rollout);
 
   Options opts_;
   surrogate::AccuracyModel accuracy_;
 
-  /// Search loops revisit the same hardware configs (≤ a few hundred combos
-  /// in the NACIM space) and rollouts constantly; rebuilding the circuit
-  /// library / CostEvaluator (phase one of the cost model) and re-deriving
-  /// the flattened layer geometry per evaluation dominated the
-  /// non-Monte-Carlo half of the hot path. Both memos are content-keyed, so
-  /// they never change a result — and they are hash-striped
-  /// (util::StripedCache) because the loop calls evaluate() concurrently
-  /// from pool workers and run_aggregate fans whole seed-runs over one
-  /// shared instance: a single memo mutex was the engine's last
-  /// serialization point.
+  /// Cost plans by hardware config: searches revisit the same few hundred
+  /// configs of the NACIM space (the 256-seed speedup study builds 180 for
+  /// 133,118 lookups), and building one (phase one of the cost model) costs
+  /// far more than the pass. Content-keyed, so it never changes a result;
+  /// hash-striped because pool workers and run_aggregate's seed-runs share
+  /// one instance. Rollouts are not memoized: 85-97% of their lookups
+  /// missed (README "Two-phase cost model").
   util::StripedCache<cim::CostEvaluator> cost_memo_;
-  util::StripedCache<cim::LayerShapeSpan> span_memo_;
 };
 
 /// Faithful evaluator: trains the candidate topology with noise injection
@@ -210,6 +205,7 @@ class TrainedEvaluator final : public PerformanceEvaluator {
     int monte_carlo_samples = 8;
   };
 
+  /// Throws std::invalid_argument when cost.check() fails.
   explicit TrainedEvaluator(Options opts);
 
   [[nodiscard]] Evaluation evaluate(const search::Design& design,

@@ -147,10 +147,10 @@ enum class Strategy {
 /// `evaluator` optionally supplies a shared PerformanceEvaluator instead of
 /// constructing a fresh one: both shipped evaluators are thread-safe and
 /// content-keyed, so multi-seed drivers (run_aggregate / speedup_study)
-/// reuse one instance across every seed — the striped cost-plan and
-/// layer-span memos then warm up once instead of once per seed. Results
-/// are bit-identical either way. The evaluator must match the config's
-/// evaluator settings; nullptr keeps the self-contained behavior.
+/// reuse one instance across every seed — the striped cost-plan memo then
+/// warms up once instead of once per seed. Results are bit-identical
+/// either way. The evaluator must match the config's evaluator settings;
+/// nullptr keeps the self-contained behavior.
 [[nodiscard]] RunResult run_strategy(Strategy strategy, int episodes,
                                      const ExperimentConfig& config,
                                      PerformanceEvaluator* evaluator = nullptr);

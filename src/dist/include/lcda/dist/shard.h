@@ -145,8 +145,8 @@ struct StrategyStudy {
 /// and heartbeats on stdout, skipping seeds a `revoke` took away, and
 /// ending each spec with `done <manifest_path>` / `failed <reason>`.
 /// Across specs it keeps warm what is content-keyed and therefore
-/// result-neutral: the evaluator's striped cost-plan/layer-span memos
-/// (keyed by core::evaluation_fingerprint) and the process-wide mmap'd
+/// result-neutral: the evaluator's striped cost-plan memo (keyed by
+/// core::evaluation_fingerprint) and the process-wide mmap'd
 /// store segment cache. Everything stream- or seed-scoped (RNG cursors,
 /// run caches, counters, the EvalStore session) is rebuilt per spec, so a
 /// pooled study merges byte-identical to a single-process one. Exits 0 on

@@ -238,7 +238,7 @@ util::Json compute_manifest(const ShardSpec& spec, WorkerPipe* pipe,
   switch (spec.mode) {
     case ShardMode::kAggregate: {
       // One shared evaluator across the shard's seeds, like run_aggregate
-      // shares one across the whole study: its memos are content-keyed,
+      // shares one across the whole study: its memo is content-keyed,
       // so sharing scope cannot change a result. A warm evaluator from the
       // worker loop widens the scope to "across specs" under the same
       // contract.
@@ -349,11 +349,11 @@ int run_worker_loop() {
   obs::Registry::instance().enable();
   // Warm evaluators keyed by evaluation identity: a spec whose
   // evaluation_fingerprint matches an earlier one reuses its evaluator,
-  // so the striped cost-plan/layer-span memos survive across specs.
+  // so the striped cost-plan memo survives across specs.
   // Surrogate only — the trained evaluator's options are not covered by
   // the fingerprint's replay contract, so it stays per-spec. Bounded so a
   // long-lived worker serving many distinct studies cannot grow without
-  // limit (the memos inside one evaluator are already budgeted).
+  // limit (the memo inside one evaluator is already budgeted).
   constexpr std::size_t kMaxWarmEvaluators = 8;
   std::map<std::uint64_t, std::unique_ptr<core::PerformanceEvaluator>> warm;
 

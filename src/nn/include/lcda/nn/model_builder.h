@@ -63,11 +63,15 @@ struct LayerShape {
 [[nodiscard]] std::vector<LayerShape> backbone_shapes(
     const std::vector<ConvSpec>& rollout, const BackboneOptions& opts);
 
+/// backbone_shapes into a caller-kept vector: `shapes` is cleared and
+/// refilled, so a reused vector allocates only when it must grow.
+void backbone_shapes_into(const std::vector<ConvSpec>& rollout,
+                          const BackboneOptions& opts,
+                          std::vector<LayerShape>& shapes);
+
 /// Order-sensitive content hash of a rollout, equivalent to
-/// util::hash_ints over {c0, k0, c1, k1, ...} with `seed` — the one
-/// rollout key shared by the surrogate's deterministic "training luck"
-/// and the evaluator-side memo caches, so a ConvSpec change can never
-/// leave the two silently hashing different fields. Allocation-free for
+/// util::hash_ints over {c0, k0, c1, k1, ...} with `seed` — the key of the
+/// surrogate's deterministic "training luck". Allocation-free for
 /// rollouts up to 16 layers.
 [[nodiscard]] std::uint64_t rollout_hash(const std::vector<ConvSpec>& rollout,
                                          std::uint64_t seed);

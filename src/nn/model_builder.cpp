@@ -46,8 +46,16 @@ Sequential build_backbone(const std::vector<ConvSpec>& rollout,
 
 std::vector<LayerShape> backbone_shapes(const std::vector<ConvSpec>& rollout,
                                         const BackboneOptions& opts) {
-  if (rollout.empty()) throw std::invalid_argument("backbone_shapes: empty rollout");
   std::vector<LayerShape> shapes;
+  backbone_shapes_into(rollout, opts, shapes);
+  return shapes;
+}
+
+void backbone_shapes_into(const std::vector<ConvSpec>& rollout,
+                          const BackboneOptions& opts,
+                          std::vector<LayerShape>& shapes) {
+  if (rollout.empty()) throw std::invalid_argument("backbone_shapes: empty rollout");
+  shapes.clear();
   int channels = opts.input_channels;
   int size = opts.input_size;
   for (std::size_t i = 0; i < rollout.size(); ++i) {
@@ -80,7 +88,6 @@ std::vector<LayerShape> backbone_shapes(const std::vector<ConvSpec>& rollout,
   fc2.out_channels = opts.num_classes;
   fc2.is_fc = true;
   shapes.push_back(fc2);
-  return shapes;
 }
 
 std::uint64_t rollout_hash(const std::vector<ConvSpec>& rollout,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "lcda/cim/circuits.h"
 #include "lcda/cim/config.h"
@@ -291,7 +292,6 @@ void expect_scalars_identical(const CostReport& a, const CostReport& b) {
 TEST(TwoPhaseCostModel, SpanPassMatchesDetailedEvaluationBitForBit) {
   nn::BackboneOptions bb;
   const auto shapes = nn::backbone_shapes(kVggRollout, bb);
-  const LayerShapeSpan span = LayerShapeSpan::from(shapes);
   for (HardwareConfig hw :
        {HardwareConfig{}, isaac_reference(),
         HardwareConfig{.device = DeviceType::kFefet, .bits_per_cell = 1,
@@ -303,7 +303,7 @@ TEST(TwoPhaseCostModel, SpanPassMatchesDetailedEvaluationBitForBit) {
     const CostEvaluator eval{hw};
     const CostReport detailed = eval.evaluate(shapes);
     CostReport lean;
-    eval.evaluate_span(span, lean);
+    eval.evaluate_span(shapes, lean);
     expect_scalars_identical(detailed, lean);
     // Lean mode carries no per-layer detail; the detailed mode does.
     EXPECT_TRUE(lean.layers.empty());
@@ -345,12 +345,10 @@ TEST(TwoPhaseCostModel, FusedMappingMatchesMapNetwork) {
 TEST(TwoPhaseCostModel, ReusedReportIsResetCompletely) {
   nn::BackboneOptions bb;
   const CostEvaluator eval{HardwareConfig{}};
-  const LayerShapeSpan big =
-      LayerShapeSpan::from(nn::backbone_shapes(kVggRollout, bb));
+  const auto big = nn::backbone_shapes(kVggRollout, bb);
   const std::vector<nn::ConvSpec> small_rollout = {{16, 1}, {16, 1}, {16, 1},
                                                    {16, 1}, {16, 1}, {16, 1}};
-  const LayerShapeSpan small =
-      LayerShapeSpan::from(nn::backbone_shapes(small_rollout, bb));
+  const auto small = nn::backbone_shapes(small_rollout, bb);
 
   CostReport reused;
   eval.evaluate_span(big, reused);
@@ -370,24 +368,29 @@ TEST(TwoPhaseCostModel, ReusedReportIsResetCompletely) {
   EXPECT_TRUE(flip.invalid_reason.empty());
 }
 
-TEST(TwoPhaseCostModel, SpanFlatteningKeepsGeometry) {
-  nn::BackboneOptions bb;
-  const auto shapes = nn::backbone_shapes(kVggRollout, bb);
-  const LayerShapeSpan span = LayerShapeSpan::from(shapes);
-  ASSERT_EQ(span.size(), shapes.size());
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    EXPECT_EQ(span.rows[i], shapes[i].weight_rows());
-    EXPECT_EQ(span.cols[i], shapes[i].weight_cols());
-    EXPECT_EQ(span.fc[i] != 0, shapes[i].is_fc);
-    const long long pixels =
-        shapes[i].is_fc
-            ? 1
-            : static_cast<long long>(shapes[i].out_hw) * shapes[i].out_hw;
-    EXPECT_EQ(span.pixels[i], pixels);
-  }
-}
-
 // ------------------------------------------------------------ CostModel
+
+TEST(CostModel, RejectsTilesWithoutArraysOrWithNegativeBuffers) {
+  // A zero tile size divided the tile count by zero (SIGFPE); negative
+  // sizes reported negative tiles, area and leakage.
+  for (const auto& [arrays, buffer_kb] :
+       {std::pair{0, 64}, std::pair{-3, 64}, std::pair{16, -1}}) {
+    CostModelOptions opts;
+    opts.arrays_per_tile = arrays;
+    opts.buffer_kb_per_tile = buffer_kb;
+    EXPECT_THROW((void)CostEvaluator(HardwareConfig{}, opts),
+                 std::invalid_argument)
+        << arrays << " " << buffer_kb;
+  }
+  // The smallest usable organization: one array and no buffer per tile.
+  CostModelOptions edge;
+  edge.arrays_per_tile = 1;
+  edge.buffer_kb_per_tile = 0;
+  EXPECT_GT(CostEvaluator(HardwareConfig{}, edge)
+                .evaluate(kVggRollout, nn::BackboneOptions{})
+                .area_total_mm2,
+            0.0);
+}
 
 TEST(CostModel, EnergyBreakdownSumsToTotal) {
   const CostEvaluator eval{HardwareConfig{}};

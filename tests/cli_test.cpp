@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -252,6 +253,39 @@ TEST_F(Cli, UnwritableOutputFailsBeforeAnyRun) {
     EXPECT_EQ(r.exit_code, 1) << output << "\n" << r.err;
     EXPECT_EQ(r.out, "") << output;
     EXPECT_TRUE(mentions(r.err, "cannot write")) << r.err;
+  }
+}
+
+TEST_F(Cli, UnusableTileOrganizationFailsBeforeTheFirstEpisode) {
+  // A zero arrays_per_tile divided the tile count by zero (SIGFPE in
+  // process, "signal 8" from every worker attempt); negative sizes ran to
+  // exit 0 with negative tiles, area and leakage.
+  const char* const kArrays = "arrays_per_tile must be at least 1";
+  const char* const kBuffer = "buffer_kb_per_tile must not be negative";
+  const std::vector<std::pair<std::vector<std::string>, const char*>> cases = {
+      {{"--scenario=paper-energy", "--strategy=nacim", "--set",
+        "evaluator.cost.arrays_per_tile=0"}, kArrays},
+      {{"--scenario=paper-energy", "--strategy=nacim", "--set",
+        "evaluator.cost.arrays_per_tile=-3"}, kArrays},
+      {{"--scenario=paper-energy", "--strategy=nacim", "--set",
+        "evaluator.cost.buffer_kb_per_tile=-1"}, kBuffer},
+      {{"--scenario=trained-small", "--strategy=random", "--set",
+        "trained.cost.arrays_per_tile=0"}, kArrays}};
+  for (const auto& [study, message] : cases) {
+    std::vector<std::string> args = study;
+    args.push_back("--episodes=3");
+    Outcome r = run(args);
+    EXPECT_EQ(r.exit_code, 1) << study[3] << "\n" << r.err;
+    EXPECT_TRUE(mentions(r.err, message)) << study[3] << "\n" << r.err;
+    EXPECT_FALSE(mentions(r.out, "  ep ")) << study[3] << "\n" << r.out;
+
+    args.push_back("--distribute=1");
+    args.push_back("--shard-dir=" + path("shards"));
+    r = run(args);
+    EXPECT_EQ(r.exit_code, 1) << study[3] << "\n" << r.err;
+    EXPECT_TRUE(mentions(r.err, message)) << study[3] << "\n" << r.err;
+    EXPECT_FALSE(mentions(r.err, "signal")) << study[3] << "\n" << r.err;
+    fs::remove_all(path("shards"));
   }
 }
 

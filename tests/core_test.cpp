@@ -1,14 +1,53 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
+#include "lcda/ckpt/checkpoint.h"
 #include "lcda/core/evaluator.h"
 #include "lcda/core/experiment.h"
 #include "lcda/core/loop.h"
 #include "lcda/core/pareto.h"
 #include "lcda/core/reward.h"
+
+// This binary replaces the global operator new and delete: each counts its
+// calls and forwards to malloc/free, so sanitizer builds still see every
+// block through their malloc interceptors. The aligned forms are left to
+// the runtime; they pair only with each other.
+namespace {
+std::atomic<long long> g_allocations{0};
+
+void* counted_malloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n); }
+void* operator new[](std::size_t n) { return counted_new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace lcda::core {
 namespace {
@@ -143,6 +182,79 @@ TEST(SurrogateEvaluator, NoisierHardwareLowersAccuracy) {
   fefet.hw.device = cim::DeviceType::kFefet;
   util::Rng r1(4), r2(4);
   EXPECT_LT(eval.evaluate(rram, r1).accuracy, eval.evaluate(fefet, r2).accuracy);
+}
+
+TEST(SurrogateEvaluator, BatchOfNewRolloutsAllocatesNothing) {
+  // Searches seldom revisit a rollout, so the batch holds 200 rollouts the
+  // evaluator has not seen, all on one hardware config whose cost plan the
+  // warm-up builds. The budget keeps every design valid, so no report
+  // needs an invalid_reason string.
+  const ExperimentConfig cfg;
+  SurrogateEvaluator eval(cfg.evaluator);
+  const search::SearchSpace space{cfg.space};
+  cim::HardwareConfig hw;
+  hw.area_budget_mm2 = 1e6;
+  util::Rng design_rng(5);
+  std::set<std::uint64_t> seen;
+  std::vector<search::Design> designs;
+  while (designs.size() < 201) {
+    search::Design d = space.sample(design_rng);
+    d.hw = hw;
+    if (seen.insert(nn::rollout_hash(d.rollout, 0)).second) {
+      designs.push_back(std::move(d));
+    }
+  }
+  util::Rng warm_rng(1);
+  (void)eval.evaluate(designs.back(), warm_rng);
+  designs.pop_back();
+
+  const std::size_t n = designs.size();
+  std::vector<util::Rng> rngs;
+  for (std::size_t i = 0; i < n; ++i) rngs.emplace_back(100 + i);
+  std::vector<Evaluation> evals(n);
+  std::vector<EvalRequest> requests(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    requests[i] = EvalRequest{&designs[i], &rngs[i], &evals[i]};
+  }
+  const long long before = g_allocations.load();
+  eval.evaluate_batch(requests);
+  const long long made = g_allocations.load() - before;
+  EXPECT_EQ(made, 0) << "allocations for " << n << " evaluations";
+  for (const Evaluation& ev : evals) EXPECT_TRUE(ev.cost.valid);
+}
+
+TEST(SurrogateEvaluator, ReusedShapeScratchMatchesFreshEvaluators) {
+  // One evaluator on one thread costs 60 conv layers (past the cost pass's
+  // 48-layer stack scratch), then 2, then 60 again. Each result must match
+  // a fresh evaluator's on a fresh thread, whose scratch starts empty.
+  const std::vector<nn::ConvSpec> deep = [] {
+    std::vector<nn::ConvSpec> r;
+    for (int i = 0; i < 60; ++i) r.push_back({16 + 16 * (i % 4), i % 3 == 0 ? 1 : 3});
+    return r;
+  }();
+  const std::vector<nn::ConvSpec> shallow = {{32, 3}, {64, 5}};
+  const auto bytes = [](const Evaluation& ev) {
+    std::string out;
+    util::BinaryWriter w(out);
+    ckpt::encode_evaluation(w, ev);
+    return out;
+  };
+  SurrogateEvaluator reused;
+  std::uint64_t seed = 7;
+  for (const std::vector<nn::ConvSpec>* rollout : {&deep, &shallow, &deep}) {
+    search::Design d;
+    d.rollout = *rollout;
+    util::Rng rng(seed);
+    const Evaluation got = reused.evaluate(d, rng);
+    Evaluation want;
+    std::thread([&] {
+      SurrogateEvaluator fresh;
+      util::Rng fresh_rng(seed);
+      want = fresh.evaluate(d, fresh_rng);
+    }).join();
+    EXPECT_EQ(bytes(got), bytes(want)) << rollout->size() << " conv layers";
+    ++seed;
+  }
 }
 
 TEST(SurrogateEvaluator, RejectsNonPositiveMonteCarloSamples) {

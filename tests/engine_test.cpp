@@ -300,9 +300,10 @@ TEST(EvaluateBatch, MatchesScalarEvaluationBitForBit) {
 
 TEST(EvaluateBatch, SharedEvaluatorUnderManyThreadsMatchesReference) {
   // The contention-free core's end-to-end stress: one SurrogateEvaluator
-  // (striped cost-plan + span memos) hammered concurrently from many
-  // threads over a small design set. Under TSan this is the data-race
-  // sentinel; everywhere it pins that concurrency never changes a value.
+  // (striped cost-plan memo, per-thread shape scratch) hammered
+  // concurrently from many threads over a small design set. Under TSan
+  // this is the data-race sentinel; everywhere it pins that concurrency
+  // never changes a value.
   core::ExperimentConfig cfg;
   core::SurrogateEvaluator shared(cfg.evaluator);
 
