@@ -353,6 +353,25 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMillisecond);
 
+// One training step as nn::train runs it, less the weight update: forward,
+// softmax cross-entropy and backward through the whole trained-small
+// backbone the conv micros above take apart, on one batch of 32.
+void BM_TrainStep(benchmark::State& state) {
+  constexpr int kBatch = 32;
+  const nn::BackboneOptions backbone =
+      core::scenario_by_name("trained-small").config.trained.backbone;
+  util::Rng rng(4);
+  nn::Sequential net =
+      nn::build_backbone({{24, 3}, {24, 3}, {48, 3}, {48, 3}}, backbone, rng);
+  const int size = backbone.input_size;
+  const tensor::Tensor x = tensor::Tensor::uniform(
+      {kBatch, backbone.input_channels, size, size}, -1, 1, rng);
+  std::vector<int> labels(kBatch);
+  for (int i = 0; i < kBatch; ++i) labels[i] = i % backbone.num_classes;
+  for (auto _ : state) benchmark::DoNotOptimize(net.train_step_loss(x, labels));
+}
+BENCHMARK(BM_TrainStep)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -29,6 +29,15 @@ std::uint64_t hardware_key(const cim::HardwareConfig& hw) {
 
 }  // namespace
 
+void check_evaluator_options(const cim::CostModelOptions& cost,
+                             int monte_carlo_samples) {
+  // The evaluators build their CostEvaluators during the first episode.
+  cost.check();
+  if (monte_carlo_samples <= 0) {
+    throw std::invalid_argument("monte_carlo_samples must be positive");
+  }
+}
+
 void PerformanceEvaluator::evaluate_batch(std::span<EvalRequest> batch) {
   for (EvalRequest& req : batch) {
     *req.out = evaluate(*req.design, *req.rng);
@@ -39,13 +48,7 @@ void PerformanceEvaluator::evaluate_batch(std::span<EvalRequest> batch) {
 
 SurrogateEvaluator::SurrogateEvaluator(Options opts)
     : opts_(opts), accuracy_(opts.accuracy) {
-  // No samples would score every design's accuracy 0, silently ranking
-  // designs by hardware cost alone.
-  if (opts_.monte_carlo_samples <= 0) {
-    throw std::invalid_argument(
-        "SurrogateEvaluator: monte_carlo_samples must be positive");
-  }
-  opts_.cost.check();  // its CostEvaluators are built during the first episode
+  check_evaluator_options(opts_.cost, opts_.monte_carlo_samples);
 }
 
 std::shared_ptr<const cim::CostEvaluator> SurrogateEvaluator::cost_evaluator_for(
@@ -148,7 +151,7 @@ void SurrogateEvaluator::evaluate_batch(std::span<EvalRequest> batch) {
 
 TrainedEvaluator::TrainedEvaluator(Options opts)
     : opts_(opts), data_(data::make_synthetic_cifar(opts.dataset)) {
-  opts_.cost.check();  // its CostEvaluators are built during the first episode
+  check_evaluator_options(opts_.cost, opts_.monte_carlo_samples);
   // Backbone geometry must match the generated dataset.
   opts_.backbone.input_size = opts_.dataset.image_size;
   opts_.backbone.num_classes = opts_.dataset.num_classes;
@@ -167,7 +170,7 @@ Evaluation TrainedEvaluator::evaluate(const search::Design& design,
   nn::TrainOptions topts;
   topts.epochs = opts_.epochs;
   topts.perturber = variation.as_perturber();
-  (void)nn::train(net, data_.train, data_.test, topts, train_rng);
+  (void)nn::train(net, data_.train, topts, train_rng);
 
   // Deployment: weights are quantized to the hardware's fixed-point format
   // before being programmed into the crossbars.

@@ -81,6 +81,15 @@ struct EvalRequest {
   Evaluation* out = nullptr;
 };
 
+/// Throws std::invalid_argument when an evaluator cannot run with these
+/// options: cost options CostModelOptions::check() rejects, or fewer than
+/// one Monte-Carlo sample (which would score every design's accuracy 0 and
+/// rank designs by hardware cost alone). Both evaluators' constructors call
+/// it, and lcda_run calls it on the active evaluator's options before any
+/// output.
+void check_evaluator_options(const cim::CostModelOptions& cost,
+                             int monte_carlo_samples);
+
 /// Evaluates a design candidate end to end: builds the hardware cost report
 /// and measures DNN accuracy under that hardware's device variation.
 class PerformanceEvaluator {
@@ -155,8 +164,8 @@ class SurrogateEvaluator final : public PerformanceEvaluator {
   };
 
   SurrogateEvaluator() : SurrogateEvaluator(Options{}) {}
-  /// Throws std::invalid_argument when monte_carlo_samples is not
-  /// positive or cost.check() fails.
+  /// Throws std::invalid_argument when check_evaluator_options rejects
+  /// cost and monte_carlo_samples.
   explicit SurrogateEvaluator(Options opts);
 
   [[nodiscard]] Evaluation evaluate(const search::Design& design,
@@ -205,7 +214,8 @@ class TrainedEvaluator final : public PerformanceEvaluator {
     int monte_carlo_samples = 8;
   };
 
-  /// Throws std::invalid_argument when cost.check() fails.
+  /// Throws std::invalid_argument when check_evaluator_options rejects
+  /// cost and monte_carlo_samples.
   explicit TrainedEvaluator(Options opts);
 
   [[nodiscard]] Evaluation evaluate(const search::Design& design,

@@ -25,11 +25,22 @@ struct Param {
 /// backward() call; a trainer must therefore call them in strict
 /// forward-then-backward order per batch (the Sequential container enforces
 /// this pattern).
+///
+/// Input lifetime: a layer may keep a pointer to the tensor forward() was
+/// given instead of a copy (Conv2d and Dense do), so that tensor must stay
+/// alive and unchanged until the matching backward() returns. Sequential
+/// guarantees it: each layer's input is the previous layer's output buffer
+/// or the caller's batch, which outlives the call.
+///
+/// Buffers: forward() and backward() return references to tensors the
+/// layer keeps across calls and overwrites on the next one; a call with
+/// the shapes of the previous one allocates nothing.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output for input `x` (batched, NCHW or NC).
+  /// Computes the layer output for input `x` (batched, NCHW or NC). See
+  /// the class comment for how long `x` must live.
   virtual const Tensor& forward(const Tensor& x) = 0;
 
   /// Propagates `dy` (gradient w.r.t. this layer's output) and returns the
@@ -73,7 +84,7 @@ class Conv2d final : public Layer {
   tensor::ConvGeom geom_;
   Param weight_;  // (Cout, Cin, K, K)
   Param bias_;    // (Cout)
-  Tensor input_;  // cached forward input
+  const Tensor* input_ = nullptr;  // forward's input, kept for backward
   Tensor output_;
   Tensor dx_;
   std::vector<float> scratch_;
@@ -97,12 +108,13 @@ class Dense final : public Layer {
   int in_f_, out_f_;
   Param weight_;  // (In, Out)
   Param bias_;    // (Out)
-  Tensor input_;
+  const Tensor* input_ = nullptr;  // forward's input, kept for backward
   Tensor output_;
   Tensor dx_;
 };
 
-/// Elementwise ReLU.
+/// Elementwise ReLU. Keeps no input: backward masks on the output, which
+/// is positive exactly where the input was.
 class ReLU final : public Layer {
  public:
   const Tensor& forward(const Tensor& x) override;
@@ -110,7 +122,6 @@ class ReLU final : public Layer {
   [[nodiscard]] std::string describe() const override { return "ReLU"; }
 
  private:
-  Tensor input_;
   Tensor output_;
   Tensor dx_;
 };

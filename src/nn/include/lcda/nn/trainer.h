@@ -25,23 +25,23 @@ struct TrainOptions {
   /// forward/backward pass runs on perturbed weights while the update is
   /// applied to the clean weights.
   WeightPerturber perturber;
-  /// Optional per-epoch progress callback (epoch, mean loss, test accuracy).
-  std::function<void(int, double, double)> on_epoch;
+  /// Optional per-epoch progress callback (epoch, mean training loss). It
+  /// may evaluate `net` (see evaluate()): each epoch starts in training
+  /// mode whatever the callback left.
+  std::function<void(int, double)> on_epoch;
 };
 
 struct TrainResult {
-  std::vector<double> epoch_loss;
-  std::vector<double> epoch_test_accuracy;
-  double final_test_accuracy = 0.0;
+  std::vector<double> epoch_loss;  ///< mean training loss of each epoch
 };
 
-/// Trains `net` on `train`, evaluating on `test` each epoch.
+/// Trains `net` on `train` and leaves it in inference mode. Scores no test
+/// set: a caller that wants accuracy calls evaluate().
 ///
 /// Determinism: all stochasticity (shuffling, perturbation) flows through
 /// `rng`, so the same seed reproduces the same trajectory.
 TrainResult train(Sequential& net, const data::Dataset& train,
-                  const data::Dataset& test, const TrainOptions& opts,
-                  util::Rng& rng);
+                  const TrainOptions& opts, util::Rng& rng);
 
 /// Evaluates accuracy in minibatches (avoids materializing one giant batch).
 [[nodiscard]] double evaluate(Sequential& net, const data::Dataset& dataset,

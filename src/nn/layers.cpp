@@ -1,5 +1,6 @@
 #include "lcda/nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -28,16 +29,16 @@ const Tensor& Conv2d::forward(const Tensor& x) {
       x.dim(3) != geom_.in_w) {
     throw std::invalid_argument("Conv2d::forward: bad input shape " + x.shape_str());
   }
-  input_ = x;
-  const int n = x.dim(0);
-  output_ = Tensor({n, out_c_, geom_.out_h(), geom_.out_w()});
+  input_ = &x;
+  output_.ensure_shape({x.dim(0), out_c_, geom_.out_h(), geom_.out_w()});
   tensor::conv2d_forward(x, weight_.value, bias_.value, geom_, output_, scratch_);
   return output_;
 }
 
 const Tensor& Conv2d::backward(const Tensor& dy) {
-  dx_ = Tensor(input_.shape());
-  tensor::conv2d_backward(input_, weight_.value, geom_, dy, &dx_, &weight_.grad,
+  if (input_ == nullptr) throw std::logic_error("Conv2d::backward before forward");
+  dx_.ensure_shape(input_->shape());
+  tensor::conv2d_backward(*input_, weight_.value, geom_, dy, &dx_, &weight_.grad,
                           &bias_.grad, scratch_);
   return dx_;
 }
@@ -70,15 +71,16 @@ const Tensor& Dense::forward(const Tensor& x) {
   if (x.rank() != 2 || x.dim(1) != in_f_) {
     throw std::invalid_argument("Dense::forward: bad input shape " + x.shape_str());
   }
-  input_ = x;
-  output_ = Tensor({x.dim(0), out_f_});
+  input_ = &x;
+  output_.ensure_shape({x.dim(0), out_f_});
   tensor::dense_forward(x, weight_.value, bias_.value, output_);
   return output_;
 }
 
 const Tensor& Dense::backward(const Tensor& dy) {
-  dx_ = Tensor(input_.shape());
-  tensor::dense_backward(input_, weight_.value, dy, &dx_, &weight_.grad,
+  if (input_ == nullptr) throw std::logic_error("Dense::backward before forward");
+  dx_.ensure_shape(input_->shape());
+  tensor::dense_backward(*input_, weight_.value, dy, &dx_, &weight_.grad,
                          &bias_.grad);
   return dx_;
 }
@@ -96,15 +98,16 @@ long long Dense::macs_per_sample() const {
 // ------------------------------------------------------------------ ReLU
 
 const Tensor& ReLU::forward(const Tensor& x) {
-  input_ = x;
-  output_ = Tensor(x.shape());
+  output_.ensure_shape(x.shape());
   tensor::relu_forward(x, output_);
   return output_;
 }
 
 const Tensor& ReLU::backward(const Tensor& dy) {
-  dx_ = Tensor(input_.shape());
-  tensor::relu_backward(input_, dy, dx_);
+  // max(x, 0) > 0 exactly where x > 0 (NaN and -0 map to 0), so the
+  // output gives the same mask as the input would.
+  dx_.ensure_shape(output_.shape());
+  tensor::relu_backward(output_, dy, dx_);
   return dx_;
 }
 
@@ -116,13 +119,13 @@ const Tensor& MaxPool2x2::forward(const Tensor& x) {
                                 x.shape_str());
   }
   in_shape_ = x.shape();
-  output_ = Tensor({x.dim(0), x.dim(1), x.dim(2) / 2, x.dim(3) / 2});
+  output_.ensure_shape({x.dim(0), x.dim(1), x.dim(2) / 2, x.dim(3) / 2});
   tensor::maxpool2x2_forward(x, output_, argmax_);
   return output_;
 }
 
 const Tensor& MaxPool2x2::backward(const Tensor& dy) {
-  dx_ = Tensor(in_shape_);
+  dx_.ensure_shape(in_shape_);
   tensor::maxpool2x2_backward(dy, argmax_, dx_);
   return dx_;
 }
@@ -153,8 +156,8 @@ const Tensor& BatchNorm2d::forward(const Tensor& x) {
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   const double count = static_cast<double>(n) * plane;
 
-  output_ = Tensor(x.shape());
-  x_hat_ = Tensor(x.shape());
+  output_.ensure_shape(x.shape());
+  x_hat_.ensure_shape(x.shape());
   batch_mean_.assign(static_cast<std::size_t>(channels_), 0.0);
   batch_var_.assign(static_cast<std::size_t>(channels_), 0.0);
 
@@ -208,7 +211,7 @@ const Tensor& BatchNorm2d::backward(const Tensor& dy) {
   const int n = dy.dim(0), h = dy.dim(2), w = dy.dim(3);
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   const double count = static_cast<double>(n) * plane;
-  dx_ = Tensor(dy.shape());
+  dx_.ensure_shape(dy.shape());
 
   for (int c = 0; c < channels_; ++c) {
     const float g = gamma_.value[static_cast<std::size_t>(c)];
@@ -263,12 +266,18 @@ const Tensor& Flatten::forward(const Tensor& x) {
   in_shape_ = x.shape();
   int features = 1;
   for (std::size_t i = 1; i < x.rank(); ++i) features *= x.dim(i);
-  output_ = x.reshaped({x.dim(0), features});
+  output_.ensure_shape({x.dim(0), features});
+  std::ranges::copy(x.data(), output_.raw());
   return output_;
 }
 
 const Tensor& Flatten::backward(const Tensor& dy) {
-  dx_ = dy.reshaped(in_shape_);
+  dx_.ensure_shape(in_shape_);
+  if (dy.size() != dx_.size()) {
+    throw std::invalid_argument("Flatten::backward: bad gradient shape " +
+                                dy.shape_str());
+  }
+  std::ranges::copy(dy.data(), dx_.raw());
   return dx_;
 }
 

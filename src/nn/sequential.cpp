@@ -26,8 +26,8 @@ void Sequential::backward(const Tensor& dlogits) {
 
 double Sequential::train_step_loss(const Tensor& x, std::span<const int> labels) {
   const Tensor& logits = forward(x);
-  probs_ = Tensor(logits.shape());
-  dlogits_ = Tensor(logits.shape());
+  probs_.ensure_shape(logits.shape());
+  dlogits_.ensure_shape(logits.shape());
   tensor::softmax_rows(logits, probs_);
   const double loss = tensor::cross_entropy_loss(probs_, labels, dlogits_);
   backward(dlogits_);

@@ -9,9 +9,11 @@ namespace {
 /// Snapshot/restore helper for noise-injection training.
 class WeightSnapshot {
  public:
-  explicit WeightSnapshot(const std::vector<Param*>& params) {
-    copies_.reserve(params.size());
-    for (const Param* p : params) copies_.push_back(p->value);
+  /// Copies the live values in. A capture of the same parameters as the
+  /// last one reuses its storage and allocates nothing.
+  void capture(const std::vector<Param*>& params) {
+    copies_.resize(params.size());
+    for (std::size_t i = 0; i < params.size(); ++i) copies_[i] = params[i]->value;
   }
 
   void restore(std::vector<Param*>& params) const {
@@ -48,7 +50,8 @@ double evaluate_noisy(Sequential& net, const data::Dataset& dataset,
                       const WeightPerturber& perturber, util::Rng& rng,
                       int batch_size) {
   auto params = net.params();
-  const WeightSnapshot snapshot(params);
+  WeightSnapshot snapshot;
+  snapshot.capture(params);
   if (perturber) perturber(params, rng);
   const double acc = evaluate(net, dataset, batch_size);
   snapshot.restore(params);
@@ -56,16 +59,16 @@ double evaluate_noisy(Sequential& net, const data::Dataset& dataset,
 }
 
 TrainResult train(Sequential& net, const data::Dataset& train_set,
-                  const data::Dataset& test_set, const TrainOptions& opts,
-                  util::Rng& rng) {
+                  const TrainOptions& opts, util::Rng& rng) {
   if (opts.epochs <= 0) throw std::invalid_argument("train: epochs <= 0");
   auto params = net.params();
   Sgd optimizer(params, opts.sgd);
   data::DataLoader loader(train_set, /*batch_size=*/32);
+  WeightSnapshot clean;
 
   TrainResult result;
   for (int epoch = 0; epoch < opts.epochs; ++epoch) {
-    net.set_training(true);  // evaluate() flips layers to inference mode
+    net.set_training(true);  // an on_epoch that evaluates flips to inference
     loader.start_epoch(rng);
     double loss_sum = 0.0;
     int batches = 0;
@@ -75,10 +78,10 @@ TrainResult train(Sequential& net, const data::Dataset& train_set,
       if (opts.perturber) {
         // Noise-injection step: gradients at perturbed weights, update on
         // clean weights (the perturbation is a fresh draw each step).
-        const WeightSnapshot snapshot(params);
+        clean.capture(params);
         opts.perturber(params, rng);
         loss_sum += net.train_step_loss(batch.images, batch.labels);
-        snapshot.restore(params);
+        clean.restore(params);
       } else {
         loss_sum += net.train_step_loss(batch.images, batch.labels);
       }
@@ -86,13 +89,11 @@ TrainResult train(Sequential& net, const data::Dataset& train_set,
       ++batches;
     }
     const double mean_loss = batches ? loss_sum / batches : 0.0;
-    const double test_acc = evaluate(net, test_set);
     result.epoch_loss.push_back(mean_loss);
-    result.epoch_test_accuracy.push_back(test_acc);
-    if (opts.on_epoch) opts.on_epoch(epoch, mean_loss, test_acc);
+    if (opts.on_epoch) opts.on_epoch(epoch, mean_loss);
     optimizer.set_lr(optimizer.lr() * opts.lr_decay);
   }
-  result.final_test_accuracy = result.epoch_test_accuracy.back();
+  net.set_training(false);
   return result;
 }
 

@@ -59,7 +59,8 @@ void maxpool2x2_backward(const Tensor& dy, const std::vector<int>& argmax,
 /// Elementwise ReLU forward (y may alias x).
 void relu_forward(const Tensor& x, Tensor& y);
 
-/// ReLU backward: dx = dy * (x > 0).
+/// ReLU backward: dx = dy where x > 0, else 0. `x` may be the forward's
+/// input or its output, which is positive exactly where the input is.
 void relu_backward(const Tensor& x, const Tensor& dy, Tensor& dx);
 
 /// Dense forward: x (N,In) * w (In,Out) + bias (Out) -> y (N,Out).

@@ -60,6 +60,16 @@ class Tensor {
   /// Returns a reshaped copy sharing no storage; element count must match.
   [[nodiscard]] Tensor reshaped(std::vector<int> new_shape) const;
 
+  /// Gives this tensor `shape` as the output buffer of a kernel that
+  /// writes every element: an unchanged shape keeps the storage and its
+  /// stale values, and a new one is zero-filled in the storage's capacity.
+  /// Either way, once the storage has held this many elements, nothing is
+  /// allocated.
+  void ensure_shape(std::span<const int> shape);
+  void ensure_shape(std::initializer_list<int> shape) {
+    ensure_shape(std::span<const int>(shape.begin(), shape.size()));
+  }
+
   /// In-place fill.
   void fill(float value);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -310,9 +311,15 @@ void transpose(const float* src, std::size_t rows, std::size_t cols,
                               t.shape_str());
 }
 
+// Compares in place: a check runs on every call, so it builds no vector.
 void check_shape(const char* op, const char* operand, const Tensor& t,
-                 std::vector<int> expected) {
-  if (t.shape() != expected) conv_shape_error(op, operand, t);
+                 std::initializer_list<int> expected) {
+  if (!std::ranges::equal(t.shape(), expected)) conv_shape_error(op, operand, t);
+}
+
+void check_same_shape(const char* op, const char* operand, const Tensor& t,
+                      const Tensor& like) {
+  if (!t.same_shape(like)) conv_shape_error(op, operand, t);
 }
 
 // x (N,Cin,H,W) and w (Cout,Cin,K,K) against g; returns N.
@@ -366,8 +373,8 @@ void conv2d_backward(const Tensor& x, const Tensor& w, const ConvGeom& g,
   const int cin = x.dim(1), cout = w.dim(0), k = g.kernel;
   const int oh = g.out_h(), ow = g.out_w();
   check_shape("conv2d_backward", "dy", dy, {n, cout, oh, ow});
-  if (dx) check_shape("conv2d_backward", "dx", *dx, x.shape());
-  if (dw) check_shape("conv2d_backward", "dw", *dw, w.shape());
+  if (dx) check_same_shape("conv2d_backward", "dx", *dx, x);
+  if (dw) check_same_shape("conv2d_backward", "dw", *dw, w);
   if (dbias) check_shape("conv2d_backward", "dbias", *dbias, {cout});
 
   const std::size_t cout_n = static_cast<std::size_t>(cout);

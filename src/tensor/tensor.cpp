@@ -1,5 +1,6 @@
 #include "lcda/tensor/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -78,6 +79,13 @@ Tensor Tensor::reshaped(std::vector<int> new_shape) const {
     throw std::invalid_argument("reshaped: element count mismatch");
   }
   return Tensor(std::move(new_shape), data_);
+}
+
+void Tensor::ensure_shape(std::span<const int> shape) {
+  if (std::ranges::equal(shape_, shape)) return;
+  const std::size_t n = shape_size(shape);
+  shape_.assign(shape.begin(), shape.end());
+  data_.assign(n, 0.0f);
 }
 
 void Tensor::fill(float value) {

@@ -259,9 +259,13 @@ TEST_F(Cli, UnwritableOutputFailsBeforeAnyRun) {
 TEST_F(Cli, UnusableTileOrganizationFailsBeforeTheFirstEpisode) {
   // A zero arrays_per_tile divided the tile count by zero (SIGFPE in
   // process, "signal 8" from every worker attempt); negative sizes ran to
-  // exit 0 with negative tiles, area and leakage.
+  // exit 0 with negative tiles, area and leakage. The options are checked
+  // before any output, so nothing reaches stdout and no worker is spawned
+  // to retry a failure that cannot change. No Monte-Carlo samples would
+  // score every design 0, so a zero sample count fails the same way.
   const char* const kArrays = "arrays_per_tile must be at least 1";
   const char* const kBuffer = "buffer_kb_per_tile must not be negative";
+  const char* const kSamples = "monte_carlo_samples must be positive";
   const std::vector<std::pair<std::vector<std::string>, const char*>> cases = {
       {{"--scenario=paper-energy", "--strategy=nacim", "--set",
         "evaluator.cost.arrays_per_tile=0"}, kArrays},
@@ -270,14 +274,18 @@ TEST_F(Cli, UnusableTileOrganizationFailsBeforeTheFirstEpisode) {
       {{"--scenario=paper-energy", "--strategy=nacim", "--set",
         "evaluator.cost.buffer_kb_per_tile=-1"}, kBuffer},
       {{"--scenario=trained-small", "--strategy=random", "--set",
-        "trained.cost.arrays_per_tile=0"}, kArrays}};
+        "trained.cost.arrays_per_tile=0"}, kArrays},
+      {{"--scenario=paper-energy", "--strategy=nacim", "--set",
+        "evaluator.monte_carlo_samples=0"}, kSamples},
+      {{"--scenario=trained-small", "--strategy=random", "--set",
+        "trained.monte_carlo_samples=0"}, kSamples}};
   for (const auto& [study, message] : cases) {
     std::vector<std::string> args = study;
     args.push_back("--episodes=3");
     Outcome r = run(args);
     EXPECT_EQ(r.exit_code, 1) << study[3] << "\n" << r.err;
     EXPECT_TRUE(mentions(r.err, message)) << study[3] << "\n" << r.err;
-    EXPECT_FALSE(mentions(r.out, "  ep ")) << study[3] << "\n" << r.out;
+    EXPECT_EQ(r.out, "") << study[3];
 
     args.push_back("--distribute=1");
     args.push_back("--shard-dir=" + path("shards"));
@@ -285,6 +293,7 @@ TEST_F(Cli, UnusableTileOrganizationFailsBeforeTheFirstEpisode) {
     EXPECT_EQ(r.exit_code, 1) << study[3] << "\n" << r.err;
     EXPECT_TRUE(mentions(r.err, message)) << study[3] << "\n" << r.err;
     EXPECT_FALSE(mentions(r.err, "signal")) << study[3] << "\n" << r.err;
+    EXPECT_FALSE(mentions(r.err, "retrying")) << study[3] << "\n" << r.err;
     fs::remove_all(path("shards"));
   }
 }

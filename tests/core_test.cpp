@@ -15,6 +15,7 @@
 #include "lcda/core/loop.h"
 #include "lcda/core/pareto.h"
 #include "lcda/core/reward.h"
+#include "lcda/nn/model_builder.h"
 
 // This binary replaces the global operator new and delete: each counts its
 // calls and forwards to malloc/free, so sanitizer builds still see every
@@ -266,6 +267,38 @@ TEST(SurrogateEvaluator, RejectsNonPositiveMonteCarloSamples) {
     EXPECT_THROW((void)SurrogateEvaluator{opts}, std::invalid_argument)
         << samples;
   }
+}
+
+// ------------------------------------------------------- Training step
+
+TEST(TrainStep, SameShapeBatchesAllocateNothing) {
+  // The faithful evaluator's inner loop. Every layer type is here: Conv2d,
+  // BatchNorm2d, ReLU, MaxPool2x2, Flatten and Dense. After one step,
+  // every layer's output and gradient buffers fit any batch up to that
+  // size, so a later full batch, and the partial batch that ends an epoch,
+  // allocate nothing.
+  nn::BackboneOptions backbone;
+  backbone.input_size = 8;
+  backbone.num_classes = 4;
+  backbone.hidden = 16;
+  backbone.pool_after = {0};
+  backbone.batch_norm = true;
+  util::Rng rng(3);
+  nn::Sequential net = nn::build_backbone({{6, 3}, {10, 1}}, backbone, rng);
+  const tensor::Tensor full = tensor::Tensor::uniform({6, 3, 8, 8}, -1, 1, rng);
+  const tensor::Tensor partial = tensor::Tensor::uniform({4, 3, 8, 8}, -1, 1, rng);
+  const std::vector<int> labels = {0, 1, 2, 3, 0, 1};
+  const std::span<const int> partial_labels(labels.data(), 4);
+  (void)net.train_step_loss(full, labels);
+
+  const long long before = g_allocations.load();
+  const double loss = net.train_step_loss(full, labels);
+  const double partial_loss = net.train_step_loss(partial, partial_labels);
+  const double again = net.train_step_loss(full, labels);
+  const long long made = g_allocations.load() - before;
+  EXPECT_EQ(made, 0) << "allocations for three training steps";
+  EXPECT_TRUE(std::isfinite(loss) && std::isfinite(partial_loss));
+  EXPECT_EQ(again, loss) << "no update ran between the two full steps";
 }
 
 // ------------------------------------------------------------------ Loop

@@ -84,7 +84,7 @@ TEST(Quantize, EightBitPreservesTrainedAccuracy) {
   net.add(std::make_unique<nn::Dense>(8 * 16 * 16, 4, rng));
   nn::TrainOptions topts;
   topts.epochs = 3;
-  (void)nn::train(net, data.train, data.test, topts, rng);
+  (void)nn::train(net, data.train, topts, rng);
   const double before = nn::evaluate(net, data.test);
   auto params = net.params();
   (void)nn::quantize_params(params, {.bits = 8});
@@ -193,8 +193,8 @@ TEST(BatchNorm, BackboneWithBatchNormTrains) {
   nn::TrainOptions topts;
   topts.epochs = 4;
   topts.sgd.lr = 0.02;
-  const auto tr = nn::train(net, data.train, data.test, topts, rng);
-  EXPECT_GT(tr.final_test_accuracy, 0.5);
+  (void)nn::train(net, data.train, topts, rng);
+  EXPECT_GT(nn::evaluate(net, data.test), 0.5);
 }
 
 TEST(BatchNorm, RejectsBadConfig) {

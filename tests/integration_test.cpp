@@ -3,12 +3,15 @@
 // scale. The paper's claims are checked over 8 seeds in paper_claims_test.
 #include <gtest/gtest.h>
 
+#include "lcda/ckpt/checkpoint.h"
 #include "lcda/core/evaluator.h"
 #include "lcda/core/experiment.h"
 #include "lcda/llm/llm_optimizer.h"
 #include "lcda/llm/simulated_gpt4.h"
 #include "lcda/noise/monte_carlo.h"
 #include "lcda/noise/variation.h"
+#include "lcda/util/bytes.h"
+#include "lcda/util/strings.h"
 
 namespace lcda {
 namespace {
@@ -70,6 +73,42 @@ TEST(Integration, TrainedEvaluatorEndToEnd) {
   EXPECT_LE(ev.accuracy, 1.0);
   EXPECT_TRUE(ev.cost.valid);
   EXPECT_GT(ev.cost.energy_total_pj, 0.0);
+}
+
+// Pins every byte TrainedEvaluator::evaluate returns for the miniature
+// evaluation above: noise-injection training, weight quantization and the
+// Monte-Carlo draws, read through the checkpoint codec. A reordered sum,
+// a stale layer buffer or a changed RNG draw anywhere in that path moves
+// the digest. The batch-norm variant also pins BatchNorm2d and the
+// switches between training and inference mode.
+TEST(Integration, TrainedEvaluationBytesPinned) {
+  const auto digest = [](bool batch_norm) {
+    core::TrainedEvaluator::Options opts;
+    opts.dataset.image_size = 16;
+    opts.dataset.num_classes = 4;
+    opts.dataset.train_per_class = 12;
+    opts.dataset.test_per_class = 6;
+    opts.dataset.seed = 99;
+    opts.backbone.hidden = 32;
+    opts.backbone.pool_after = {0, 2};
+    opts.backbone.batch_norm = batch_norm;
+    opts.epochs = 3;
+    opts.monte_carlo_samples = 4;
+    core::TrainedEvaluator evaluator(opts);
+
+    search::Design d;
+    d.rollout = {{16, 3}, {8, 5}, {24, 1}, {12, 3}};
+    d.hw.device = cim::DeviceType::kRram;
+    d.hw.bits_per_cell = 2;
+    util::Rng rng(41);
+    const core::Evaluation ev = evaluator.evaluate(d, rng);
+    std::string bytes;
+    util::BinaryWriter w(bytes);
+    ckpt::encode_evaluation(w, ev);
+    return util::hex_u64(util::fnv1a64(bytes));
+  };
+  EXPECT_EQ(digest(false), "d5581ee151789e95");
+  EXPECT_EQ(digest(true), "5ff83990b514ea40");
 }
 
 TEST(Integration, TrainedAndSurrogateAgreeOnVariationOrdering) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "lcda/data/synthetic_cifar.h"
@@ -60,6 +63,34 @@ TEST(FlattenLayer, RoundTrips) {
   const Tensor& dx = flat.backward(y);
   EXPECT_EQ(dx.shape(), x.shape());
   EXPECT_EQ(dx[10], 9.0f);
+}
+
+TEST(ReluLayer, BackwardMasksOnItsOutputAsOnItsInput) {
+  // The layer keeps only its output: max(x, 0) > 0 exactly where x > 0,
+  // NaN and -0 included, so its gradient equals the input-masked one.
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor x({1, 9}, {-1.5f, -0.0f, 0.0f, 1e-40f, -1e-40f, inf, -inf,
+                          std::numeric_limits<float>::quiet_NaN(), 2.5f});
+  const Tensor dy({1, 9}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
+  ReLU relu;
+  (void)relu.forward(x);
+  const Tensor& dx = relu.backward(dy);
+  Tensor want({1, 9});
+  tensor::relu_backward(x, dy, want);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(dx[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << "element " << i;
+  }
+}
+
+TEST(Layers, BackwardBeforeForwardThrows) {
+  // Conv2d and Dense keep a pointer to forward's input; without one there
+  // is nothing to differentiate against.
+  Rng rng(1);
+  Conv2d conv(3, 8, 3, 4, 4, rng);
+  EXPECT_THROW((void)conv.backward(Tensor({1, 8, 4, 4})), std::logic_error);
+  Dense dense(10, 4, rng);
+  EXPECT_THROW((void)dense.backward(Tensor({1, 4})), std::logic_error);
 }
 
 TEST(MaxPoolLayer, RejectsOddDims) {
@@ -262,10 +293,10 @@ TEST(Trainer, LearnsAboveChance) {
   Sequential net = small_net(rng);
   TrainOptions opts;
   opts.epochs = 4;
-  const TrainResult result = train(net, data.train, data.test, opts, rng);
+  const TrainResult result = train(net, data.train, opts, rng);
   EXPECT_EQ(result.epoch_loss.size(), 4u);
   // 4 classes => chance is 0.25; the tiny net should clearly beat it.
-  EXPECT_GT(result.final_test_accuracy, 0.5);
+  EXPECT_GT(evaluate(net, data.test), 0.5);
   // Loss should drop from the first epoch to the last.
   EXPECT_LT(result.epoch_loss.back(), result.epoch_loss.front());
 }
@@ -277,7 +308,8 @@ TEST(Trainer, DeterministicGivenSeed) {
     Sequential net = small_net(rng);
     TrainOptions opts;
     opts.epochs = 2;
-    return train(net, data.train, data.test, opts, rng).final_test_accuracy;
+    (void)train(net, data.train, opts, rng);
+    return evaluate(net, data.test);
   };
   EXPECT_DOUBLE_EQ(run(), run());
 }
@@ -295,8 +327,8 @@ TEST(Trainer, NoiseInjectionKeepsCleanWeightsFinite) {
       }
     }
   };
-  const TrainResult result = train(net, data.train, data.test, opts, rng);
-  EXPECT_GT(result.final_test_accuracy, 0.3);
+  (void)train(net, data.train, opts, rng);
+  EXPECT_GT(evaluate(net, data.test), 0.3);
   for (Param* p : net.params()) {
     for (float w : p->value.data()) ASSERT_TRUE(std::isfinite(w));
   }
@@ -368,7 +400,7 @@ TEST(Trainer, TrainingBitsPinned) {
   opts.sgd.weight_decay = 1e-4;
   opts.lr_decay = 0.9;
   opts.perturber = noise;
-  const TrainResult result = train(net, data.train, data.test, opts, rng);
+  const TrainResult result = train(net, data.train, opts, rng);
   ASSERT_EQ(result.epoch_loss.size(), 2u);
 
   std::string bits;
@@ -387,9 +419,39 @@ TEST(Trainer, OnEpochCallbackFires) {
   TrainOptions opts;
   opts.epochs = 3;
   int calls = 0;
-  opts.on_epoch = [&](int, double, double) { ++calls; };
-  (void)train(net, data.train, data.test, opts, rng);
+  opts.on_epoch = [&](int, double) { ++calls; };
+  (void)train(net, data.train, opts, rng);
   EXPECT_EQ(calls, 3);
+}
+
+TEST(Trainer, EvaluatingFromOnEpochChangesNothing) {
+  // A caller that prints accuracy evaluates from on_epoch, which leaves
+  // the net in inference mode. Every epoch must still train in training
+  // mode: batch norm normalizes with batch statistics only there.
+  const auto data = small_data();
+  const auto run = [&](bool evaluate_each_epoch) {
+    Rng rng(14);
+    BackboneOptions bopts;
+    bopts.input_size = 16;
+    bopts.num_classes = 4;
+    bopts.hidden = 16;
+    bopts.pool_after = {0};
+    bopts.batch_norm = true;
+    Sequential net = build_backbone({{6, 3}, {8, 3}}, bopts, rng);
+    TrainOptions opts;
+    opts.epochs = 3;
+    if (evaluate_each_epoch) {
+      opts.on_epoch = [&](int, double) { (void)evaluate(net, data.test); };
+    }
+    const TrainResult result = train(net, data.train, opts, rng);
+    std::string bits;
+    for (double loss : result.epoch_loss) append_bits(bits, loss);
+    for (const Param* p : net.params()) {
+      for (float w : p->value.data()) append_bits(bits, w);
+    }
+    return bits;
+  };
+  EXPECT_EQ(run(false), run(true));
 }
 
 }  // namespace

@@ -890,6 +890,14 @@ int run(const CliOptions& cli, const std::vector<bool>& given,
       return usage("exactly one of --scenario / --scenario-file is required");
     }
     scenario = resolve_scenario(cli);
+    // Options the evaluator would reject fail here, before any output and
+    // before a distributed study spawns workers that would retry them.
+    const core::ExperimentConfig& c = scenario->config;
+    if (c.evaluator_kind == core::EvaluatorKind::kTrained) {
+      core::check_evaluator_options(c.trained.cost, c.trained.monte_carlo_samples);
+    } else {
+      core::check_evaluator_options(c.evaluator.cost, c.evaluator.monte_carlo_samples);
+    }
   }
   if (const std::string unmet =
           unmet_requirement(cli, given, scenario ? &scenario->config : nullptr);
