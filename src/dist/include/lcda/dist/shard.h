@@ -130,11 +130,11 @@ struct StrategyStudy {
 /// per-seed events on its pipe.
 ///
 /// `warm_evaluator` optionally supplies an evaluator that outlives the
-/// spec (the resident worker loop passes its cached one so striped memos
-/// stay warm across specs); nullptr builds a fresh one per shard. Safe
+/// spec (the resident worker loop passes its warm one so the striped memo
+/// stays warm across specs); nullptr builds a fresh one per shard. Safe
 /// because both evaluators are content-keyed and thread-safe — sharing
 /// scope cannot change a result — and it must match the spec's evaluator
-/// configuration, which is what the loop keys its cache by.
+/// configuration, which the loop checks by evaluation fingerprint.
 [[nodiscard]] util::Json run_shard(const ShardSpec& spec,
                                    core::PerformanceEvaluator* warm_evaluator =
                                        nullptr);
@@ -144,12 +144,13 @@ struct StrategyStudy {
 /// executes each `run <spec_path>`, streaming seed-start/seed-done events
 /// and heartbeats on stdout, skipping seeds a `revoke` took away, and
 /// ending each spec with `done <manifest_path>` / `failed <reason>`.
-/// Across specs it keeps warm what is content-keyed and therefore
-/// result-neutral: the evaluator's striped cost-plan memo (keyed by
-/// core::evaluation_fingerprint) and the process-wide mmap'd
-/// store segment cache. Everything stream- or seed-scoped (RNG cursors,
-/// run caches, counters, the EvalStore session) is rebuilt per spec, so a
-/// pooled study merges byte-identical to a single-process one. Exits 0 on
+/// Across specs it keeps warm only what is content-keyed and therefore
+/// result-neutral: one surrogate evaluator with its striped cost-plan
+/// memo, rebuilt when a spec's core::evaluation_fingerprint differs from
+/// the one it was built for. Everything stream- or seed-scoped (RNG
+/// cursors, run caches, counters, the EvalStore session and the store
+/// files it maps) is rebuilt per spec, so a pooled study merges
+/// byte-identical to a single-process one. Exits 0 on
 /// `shutdown` or stdin EOF, and dies with its parent (PR_SET_PDEATHSIG).
 [[nodiscard]] int run_worker_loop();
 

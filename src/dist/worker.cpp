@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -347,15 +346,15 @@ int run_worker_loop() {
   // is counter bumps at run/round granularity — noise next to a spec's
   // evaluation work — and it never touches an output byte.
   obs::Registry::instance().enable();
-  // Warm evaluators keyed by evaluation identity: a spec whose
-  // evaluation_fingerprint matches an earlier one reuses its evaluator,
-  // so the striped cost-plan memo survives across specs.
+  // One warm evaluator and the evaluation fingerprint it was built for: a
+  // spec with that fingerprint reuses it, so the striped cost-plan memo
+  // survives across specs, and a spec with another one rebuilds it. One is
+  // all a worker needs: it serves the specs of one plan_shards call, and
+  // every spec of a plan (steal specs included) carries its scenario.
   // Surrogate only — the trained evaluator's options are not covered by
-  // the fingerprint's replay contract, so it stays per-spec. Bounded so a
-  // long-lived worker serving many distinct studies cannot grow without
-  // limit (the memo inside one evaluator is already budgeted).
-  constexpr std::size_t kMaxWarmEvaluators = 8;
-  std::map<std::uint64_t, std::unique_ptr<core::PerformanceEvaluator>> warm;
+  // the fingerprint's replay contract, so it stays per-spec.
+  std::unique_ptr<core::PerformanceEvaluator> warm;
+  std::uint64_t warm_fingerprint = 0;
 
   WorkerPipe pipe;
   while (const std::optional<std::string> line = pipe.next_line(/*wait=*/true)) {
@@ -376,12 +375,11 @@ int run_worker_loop() {
       const core::ExperimentConfig& config = spec.scenario.config;
       if (config.evaluator_kind == core::EvaluatorKind::kSurrogate) {
         const std::uint64_t fp = core::evaluation_fingerprint(config);
-        auto it = warm.find(fp);
-        if (it == warm.end()) {
-          if (warm.size() >= kMaxWarmEvaluators) warm.clear();
-          it = warm.emplace(fp, core::make_evaluator(config)).first;
+        if (!warm || fp != warm_fingerprint) {
+          warm = core::make_evaluator(config);
+          warm_fingerprint = fp;
         }
-        warm_evaluator = it->second.get();
+        warm_evaluator = warm.get();
       }
       pipe.begin_spec(cmd->revoked);
       execute_spec(spec, pipe, warm_evaluator);

@@ -1,15 +1,12 @@
 #include "lcda/store/eval_store.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
+#include <system_error>
 
 #include "lcda/obs/metrics.h"
 #include "lcda/obs/trace.h"
@@ -19,104 +16,6 @@
 namespace lcda::store {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-/// Process-wide cache of mmap'd segment views, keyed by path and validated
-/// by inode identity. Only *live segment files* are cacheable: their names
-/// embed pid+counter+content-hash, so a path is never reused for different
-/// bytes and a (ino, size, mtime) match IS the file on disk. Index buckets
-/// are explicitly NOT cached — compaction rename-replaces them at fixed
-/// paths, and on filesystems that recycle inode numbers a later bucket
-/// generation can land on a freed inode with equal size inside the same
-/// timestamp tick, making (ino, size, mtime) collide across generations
-/// and the cache serve a pre-publication view whose records have since
-/// moved out of the (now unlinked) input segments. This is what keeps a
-/// resident worker's store effectively open across specs (and across the
-/// per-seed EvalStore instances of one aggregate run): the O(files)
-/// directory listing still happens per open, so the visible file set and
-/// every counter match a cold open exactly, but re-mapping and re-reading
-/// segment headers does not (buckets are few — one mmap each per open).
-///
-/// A stat that fails, or a view that fails to open, evicts the path. The
-/// cache is capped; overflowing it just drops warm state (correctness
-/// never depends on a cache hit). Thread-safe: several worker threads may
-/// construct EvalStores concurrently, and SegmentView is read-only.
-class SegmentViewCache {
- public:
-  /// Mirrors SegmentView::open's contract: nullptr with empty `*error`
-  /// means "file vanished" (not damage), nullptr with a message means an
-  /// unusable file.
-  std::shared_ptr<const SegmentView> open(const std::string& path,
-                                          std::string* error,
-                                          bool cacheable) {
-    if (!cacheable) {
-      std::optional<SegmentView> view = SegmentView::open(path, error);
-      if (!view) return nullptr;
-      return std::make_shared<const SegmentView>(std::move(*view));
-    }
-    struct ::stat st{};
-    if (::stat(path.c_str(), &st) != 0) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      cache_.erase(path);
-      if (error != nullptr) error->clear();  // vanished, like a lost race
-      return nullptr;
-    }
-    const Identity id{st.st_ino, static_cast<std::uint64_t>(st.st_size),
-                      static_cast<std::int64_t>(st.st_mtim.tv_sec),
-                      static_cast<std::int64_t>(st.st_mtim.tv_nsec)};
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = cache_.find(path);
-      if (it != cache_.end() && it->second.identity == id) {
-        if (error != nullptr) error->clear();
-        return it->second.view;
-      }
-    }
-    std::optional<SegmentView> view = SegmentView::open(path, error);
-    if (!view) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      cache_.erase(path);
-      return nullptr;
-    }
-    auto shared = std::make_shared<const SegmentView>(std::move(*view));
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (cache_.size() >= kMaxCached && cache_.count(path) == 0) {
-      cache_.clear();  // crude, rare, and only costs warmth
-    }
-    cache_[path] = CachedView{id, shared};
-    return shared;
-  }
-
- private:
-  struct Identity {
-    std::uint64_t ino = 0;
-    std::uint64_t size = 0;
-    std::int64_t mtime_s = 0;
-    std::int64_t mtime_ns = 0;
-    bool operator==(const Identity& o) const {
-      return ino == o.ino && size == o.size && mtime_s == o.mtime_s &&
-             mtime_ns == o.mtime_ns;
-    }
-  };
-  struct CachedView {
-    Identity identity;
-    std::shared_ptr<const SegmentView> view;
-  };
-
-  static constexpr std::size_t kMaxCached = 1024;
-  std::mutex mutex_;
-  std::unordered_map<std::string, CachedView> cache_;
-};
-
-std::shared_ptr<const SegmentView> open_segment_cached(const std::string& path,
-                                                       std::string* error,
-                                                       bool cacheable) {
-  static SegmentViewCache cache;
-  return cache.open(path, error, cacheable);
-}
-
-}  // namespace
 
 EvalStore::EvalStore(Options opts)
     : opts_(std::move(opts)),
@@ -131,6 +30,14 @@ EvalStore::EvalStore(Options opts)
 
 void EvalStore::open_directory() {
   obs::Span span("store.open");
+  // Maps only what a lookup of this study can search: every index bucket,
+  // the live segments named for this study's namespace, and the names that
+  // claim no namespace. Another study's segment is skipped by its name,
+  // before it is opened, so however many studies share the directory an
+  // open maps its own files only (the listing still names them all). The
+  // sequence counter and the budget estimate need nothing mapped from the
+  // others (see next_seq_ and over_budget_estimate).
+  //
   // Index buckets first, then live segments: lookups walk files_ in order,
   // so the compacted (stable) tier is preferred when a record exists in
   // both. Either copy is byte-identical, the order just keeps probes
@@ -164,13 +71,17 @@ void EvalStore::open_directory() {
     paths.insert(paths.end(), segments.begin(), segments.end());
     bool vanished = false;
     for (std::size_t p = 0; p < paths.size(); ++p) {
-      // Buckets live at fixed rename-replaced paths, so their views must
-      // be opened fresh (see SegmentViewCache); immutable segments are
-      // served warm.
-      const bool cacheable = p >= index_files;
+      const std::string_view name = file_name(paths[p]);
+      MappedFile file;
+      if (p < index_files) {
+        file.is_bucket =
+            parse_bucket_name(name, &file.bucket_index, &file.bucket_count);
+      } else if (SegmentName segment; parse_segment_name(name, &segment) &&
+                                      segment.ns != namespace_) {
+        continue;  // a tagged segment holds its namespace's records only
+      }
       std::string error;
-      std::shared_ptr<const SegmentView> view =
-          open_segment_cached(paths[p], &error, cacheable);
+      std::optional<SegmentView> view = SegmentView::open(paths[p], &error);
       if (!view) {
         if (!error.empty()) {
           // Unusable file: skip it (counted, warned once per process) and
@@ -179,7 +90,7 @@ void EvalStore::open_directory() {
           // and the next --store-compact drops it.
           ++skipped_files_;
           // Keyed by path: the EvalStores of one run (aggregate seed
-          // fan-out) map the same files, so each warns once per process.
+          // fan-out) all map its buckets, so each warns once per process.
           util::warn_once(paths[p], "store",
                           "skipping unusable store file: " + error);
         } else if (!last_attempt) {
@@ -190,19 +101,8 @@ void EvalStore::open_directory() {
         }
         continue;
       }
-      MappedFile file;
-      file.bucket_count = 1;
-      const std::string_view name = file_name(paths[p]);
-      if (p < index_files) {
-        file.is_bucket =
-            parse_bucket_name(name, &file.bucket_index, &file.bucket_count);
-      } else {
-        SegmentName segment;
-        file.tagged = parse_segment_name(name, &segment);
-        file.ns = segment.ns;
-      }
       next_seq_ = std::max(next_seq_, view->max_seq() + 1);
-      file.view = std::move(view);
+      file.view = std::move(*view);
       files_.push_back(std::move(file));
     }
     if (!vanished) return;
@@ -217,7 +117,7 @@ std::optional<core::Evaluation> EvalStore::probe_file(
     return std::nullopt;
   }
   ++metrics_.probes;
-  const SegmentView& view = *file.view;
+  const SegmentView& view = file.view;
   for (std::size_t i = view.lower_bound(opts_.eval_fingerprint, design_hash);
        view.matches_pair(i, opts_.eval_fingerprint, design_hash); ++i) {
     if (!record_checksum_ok(view.record(i))) {
@@ -247,8 +147,6 @@ std::optional<core::Evaluation> EvalStore::lookup(
     return it->second.evaluation;
   }
   for (const MappedFile& file : files_) {
-    // A tagged segment holds its namespace's records only.
-    if (file.tagged && file.ns != namespace_) continue;
     if (auto hit = probe_file(file, design_hash, /*shared=*/false)) {
       ++metrics_.hits;
       return hit;
@@ -288,20 +186,22 @@ bool EvalStore::over_budget_estimate() const {
   if (opts_.budget.max_entries == 0 && opts_.budget.max_bytes == 0) {
     return false;
   }
-  // Upper-bound estimate from open-time file headers plus this session's
-  // published entries; duplicates across segments inflate it, which only
-  // makes compaction run a pass it would otherwise skip — never miss one.
+  // Upper-bound estimate from the sizes of every listed file — other
+  // studies' segments, which this store never maps, and the segment this
+  // save just published included. Duplicates across files and damaged
+  // files inflate it, which only makes compaction run a pass it would
+  // otherwise skip — never miss one.
   std::size_t records = 0, bytes = 0;
-  for (const MappedFile& file : files_) {
-    records += file.view->count();
-    bytes += kHeaderSize + file.view->count() * kRecordSize;
+  for (const char* subdirectory : {"/index", "/segments"}) {
+    for (const std::string& path :
+         list_segment_files(opts_.directory + subdirectory)) {
+      std::error_code ec;
+      const std::uintmax_t size = fs::file_size(path, ec);
+      if (ec) continue;  // unlinked by a concurrent compaction
+      bytes += size;
+      if (size > kHeaderSize) records += (size - kHeaderSize) / kRecordSize;
+    }
   }
-  std::size_t published = 0;
-  for (const auto& [hash, entry] : entries_) {
-    if (entry.published) ++published;
-  }
-  records += published;
-  bytes += published * kRecordSize + (published > 0 ? kHeaderSize : 0);
   return (opts_.budget.max_entries > 0 && records > opts_.budget.max_entries) ||
          (opts_.budget.max_bytes > 0 && bytes > opts_.budget.max_bytes);
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -14,11 +13,12 @@ namespace lcda::store {
 
 /// On-disk budget for one store directory. Both caps are 0 = unlimited.
 /// Enforced by compaction with oldest-first eviction (per-record sequence
-/// numbers round-trip through segments, so age survives merges): a save
-/// that leaves the store over budget triggers a compaction pass, and
-/// `lcda_run --store-compact` applies a budget by hand. Eviction never
-/// changes a trace — an evicted entry is simply re-evaluated on the next
-/// run, deterministically, to the identical value.
+/// numbers round-trip through segments, so age survives merges; EvalStore
+/// says what "oldest" means across studies): a save that leaves the store
+/// over budget triggers a compaction pass, and `lcda_run --store-compact`
+/// applies a budget by hand. Eviction never changes a trace — an evicted
+/// entry is simply re-evaluated on the next run, deterministically, to the
+/// identical value.
 struct Budget {
   std::size_t max_entries = 0;  ///< cap on stored evaluations
   std::size_t max_bytes = 0;    ///< cap on total segment+index bytes
@@ -52,9 +52,14 @@ struct Budget {
 /// hold their key — any record they can find is one this exact study wrote:
 /// this run's inserts, the one index bucket bucket_of() names, every live
 /// segment named for this study's namespace, and every segment whose name
-/// carries no namespace. Segments named for other studies are mapped at
-/// open but never searched, which keeps a lookup's cost independent of
-/// how many other studies share the directory.
+/// carries no namespace. An open maps exactly those files (all buckets,
+/// since keys spread over them) and skips segments named for other studies
+/// by name, unopened, which keeps an open's and a lookup's cost independent
+/// of how many other studies share the directory. A store numbers its new
+/// records after every record of the files it maps, so oldest-first
+/// eviction is a time order within one study, and between compacted
+/// records and those saved by a later open; between two studies'
+/// uncompacted segments it compares each study's own count.
 ///
 /// Saves append one new segment with this run's fresh entries (O(new), not
 /// O(store)) and publish it via temp file + atomic rename; they never
@@ -140,8 +145,9 @@ class EvalStore {
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   /// Records dropped by budget compactions this instance triggered.
   [[nodiscard]] std::size_t evictions() const { return evictions_; }
-  /// Unusable segment and bucket files skipped at open (a store maps many
-  /// files, so any number may be skipped).
+  /// Unusable files skipped at open, among those it maps (buckets, this
+  /// study's segments, untagged names); a damaged segment named for
+  /// another namespace is never opened, so never counted here.
   [[nodiscard]] std::size_t skipped_files() const { return skipped_files_; }
   /// Records whose checksum failed during this instance's lookups.
   [[nodiscard]] std::size_t corrupt_records() const { return corrupt_records_; }
@@ -156,19 +162,15 @@ class EvalStore {
     std::uint64_t seq = 0;
     bool published = false;  ///< already in a segment written by this save
   };
+  /// One file a lookup of this study can search: an index bucket, a live
+  /// segment named for this study's namespace, or a file whose name claims
+  /// nothing. The mapping lives exactly as long as this store; segments
+  /// named for other namespaces are never opened.
   struct MappedFile {
-    /// Shared because mapped segment files are immutable once published:
-    /// every EvalStore in the process that opens the same on-disk file
-    /// (validated by inode identity — see open_segment_cached) holds one
-    /// mmap instead of re-mapping per instance, which is what makes a
-    /// resident worker's store effectively stay open across specs.
-    std::shared_ptr<const SegmentView> view;
+    SegmentView view;
     bool is_bucket = false;
     std::size_t bucket_index = 0;
     std::size_t bucket_count = 1;
-    /// A live segment named for the one namespace `ns` it holds.
-    bool tagged = false;
-    std::uint64_t ns = 0;
   };
 
   void open_directory();
@@ -180,7 +182,7 @@ class EvalStore {
   std::uint64_t namespace_ = 0;  ///< segment_namespace of this study's key
   std::vector<MappedFile> files_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 0;  ///< after every record of files_
   std::size_t evictions_ = 0;
   std::size_t skipped_files_ = 0;
   mutable std::size_t corrupt_records_ = 0;

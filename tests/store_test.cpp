@@ -102,6 +102,18 @@ std::vector<std::string> segment_files(const std::string& dir) {
   return store::list_segment_files(dir + "/segments");
 }
 
+/// Mappings of files under `dir` that this process holds, read from
+/// /proc/self/maps (which names every file-backed mapping by its path).
+std::size_t mappings_under(const std::string& dir) {
+  const std::string root = fs::canonical(dir).string() + "/";
+  std::ifstream maps("/proc/self/maps");
+  std::size_t count = 0;
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find(root) != std::string::npos) ++count;
+  }
+  return count;
+}
+
 /// Episode trace only — cache counters legitimately differ between runs.
 std::string trace_text(const core::RunResult& run) {
   return core::run_to_json(run, "run").at("trace").dump();
@@ -279,6 +291,31 @@ TEST(EvalStore, ByteBudgetBoundsTheStoreSize) {
   EXPECT_FALSE(back.lookup(1).has_value());
 }
 
+TEST(EvalStore, ABudgetCountsTheRecordsOfStudiesItDoesNotMap) {
+  // Four other studies' 400 records sit in segments this store never
+  // maps. Its save must still count them against the budget, compact, and
+  // evict the store down to it.
+  const std::string dir = temp_dir("foreign_budget");
+  for (std::uint64_t stream = 1; stream <= 4; ++stream) {
+    store::EvalStore other(opts(dir, 0x11, stream));
+    for (std::uint64_t h = 0; h < 100; ++h) {
+      other.insert(stream * 1000 + h, make_eval(stream * 1000 + h));
+    }
+    ASSERT_TRUE(other.save());
+  }
+  store::EvalStore::Options o = opts(dir, 0x11, 0xB);
+  o.budget = store::Budget{300, 0};
+  store::EvalStore b(o);
+  EXPECT_FALSE(b.lookup(1000).has_value());  // another study's key
+  b.insert(5, make_eval(5));
+  EXPECT_TRUE(b.save());
+  EXPECT_EQ(b.evictions(), 101u);
+  EXPECT_TRUE(segment_files(dir).empty());  // all merged into buckets
+  const store::FsckReport report = store::fsck(dir);
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.records, 300u);
+}
+
 // ----------------------------------------------- corruption & recovery
 
 TEST(EvalStore, UnusableFilesAreSkippedCountedAndWarnedOncePerProcess) {
@@ -320,6 +357,39 @@ TEST(EvalStore, UnusableFilesAreSkippedCountedAndWarnedOncePerProcess) {
   store::EvalStore healthy(opts(dir));
   EXPECT_EQ(healthy.skipped_files(), 0u);
   EXPECT_TRUE(healthy.lookup(2).has_value());
+}
+
+TEST(EvalStore, ADamagedSegmentOfAnotherNamespaceIsNeverOpened) {
+  // A store skips another study's segment by its name, unopened, so damage
+  // there is not its to count or warn about. fsck still reports the file,
+  // and compaction, which reads every file, still drops it.
+  const std::string dir = temp_dir("foreign_damage");
+  {
+    store::EvalStore other(opts(dir, 0x11, 0xB));
+    other.insert(5, make_eval(5));
+    EXPECT_TRUE(other.save());
+  }
+  const std::string foreign = segment_files(dir).at(0);
+  std::ofstream(foreign, std::ios::trunc) << "{ not a segment";
+
+  testing::internal::CaptureStderr();
+  {
+    store::EvalStore own(opts(dir, 0x11, 0xC));
+    EXPECT_EQ(own.skipped_files(), 0u);
+    own.insert(6, make_eval(6));
+    EXPECT_TRUE(own.save());
+  }
+  store::EvalStore own(opts(dir, 0x11, 0xC));
+  EXPECT_EQ(own.skipped_files(), 0u);
+  EXPECT_TRUE(own.lookup(6).has_value());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("unusable"), std::string::npos) << err;
+
+  EXPECT_EQ(store::fsck(dir).bad_files, 1u);
+  const store::CompactionReport report = store::compact_store(dir, {}, 4);
+  EXPECT_EQ(report.skipped_files, 1u);
+  EXPECT_FALSE(fs::exists(foreign));
+  EXPECT_TRUE(store::fsck(dir).clean());
 }
 
 TEST(EvalStore, TornRecordInsideHealthySegmentIsSkippedAndCounted) {
@@ -584,6 +654,28 @@ TEST(EvalStore, FullKeyLookupProbesOnlyItsNamespace) {
   const auto hit = b.lookup(5);
   ASSERT_TRUE(hit.has_value());
   expect_same_eval(*hit, make_eval(5));
+}
+
+TEST(EvalStore, AnOpenMapsOnlyItsOwnSegmentAndReleasesItWithTheStore) {
+  // Five studies publish into one directory. A store for one of them maps
+  // the one segment named for its namespace, never the other four, and
+  // its mapping ends with it: nothing in the process keeps store files
+  // mapped past the store that searched them.
+  const std::string dir = temp_dir("open_maps");
+  for (std::uint64_t stream = 1; stream <= 5; ++stream) {
+    store::EvalStore study(opts(dir, 0x11, stream));
+    study.insert(stream, make_eval(stream));
+    EXPECT_TRUE(study.save());
+  }
+  ASSERT_EQ(segment_files(dir).size(), 5u);
+  {
+    store::EvalStore third(opts(dir, 0x11, 3));
+    EXPECT_EQ(mappings_under(dir), 1u);
+    const auto hit = third.lookup(3);
+    ASSERT_TRUE(hit.has_value());
+    expect_same_eval(*hit, make_eval(3));
+  }
+  EXPECT_EQ(mappings_under(dir), 0u);
 }
 
 TEST(EvalStore, FsckFlagsARecordItsBucketNameMisplacesAndCompactionMovesIt) {
